@@ -60,6 +60,10 @@ class LockTable:
         # blocking would close a wait-for cycle (fast deadlock resolution).
         self.deadlock_check = deadlock_check
         self._locks = {}
+        # txn_id -> {key: None}: a dict used as an insertion-ordered set.
+        # Releasing grants queued waiters key by key, so the iteration order
+        # decides wake order; a plain set of (table, pk) keys would follow
+        # the per-process string-hash salt (PYTHONHASHSEED).
         self._held_by_txn = {}
         self._waiting_keys = {}
         self.block_count = 0
@@ -157,8 +161,8 @@ class LockTable:
         holders[txn_id] = (txn, mode)
         held_keys = self._held_by_txn.get(txn_id)
         if held_keys is None:
-            held_keys = self._held_by_txn[txn_id] = set()
-        held_keys.add(key)
+            held_keys = self._held_by_txn[txn_id] = {}
+        held_keys[key] = None
         return None
 
     def acquire(self, txn, key, mode):
@@ -240,14 +244,14 @@ class LockTable:
         )
         held_keys = self._held_by_txn.get(txn_id)
         if held_keys is None:
-            held_keys = self._held_by_txn[txn_id] = set()
-        held_keys.add(key)
+            held_keys = self._held_by_txn[txn_id] = {}
+        held_keys[key] = None
 
     def release_all(self, txn):
         """Release every lock held by ``txn`` and grant eligible waiters."""
         keys = self._held_by_txn.pop(txn.txn_id, None)
         if keys is None:
-            return set()
+            return {}
         for key in keys:
             record = self._locks.get(key)
             if record is None:
@@ -266,7 +270,7 @@ class LockTable:
         for key in keys:
             if key not in held:
                 continue
-            held.discard(key)
+            del held[key]
             record = self._locks.get(key)
             if record is None:
                 continue

@@ -161,3 +161,34 @@ class TestRunnerStillSerialByDefault:
             seed=7,
         )
         assert (result.commits, result.aborts) == (repeat.commits, repeat.aborts)
+
+
+class TestHashSaltIndependence:
+    def test_fixed_seed_cell_identical_under_two_hash_salts(self):
+        """A fixed-seed run must not depend on ``PYTHONHASHSEED``.
+
+        Regression: ``LockTable`` kept held keys in a ``set`` of
+        ``(table, pk)`` tuples and granted queued waiters while iterating
+        it, so wake order followed the per-process string-hash salt (4557
+        vs 4567 commits on this cell).  Each salt needs its own interpreter.
+        """
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        argv = [
+            sys.executable, "-m", "repro.harness",
+            "--workload", "smallbank", "--config", "2pl",
+            "--faults", "2", "--quick", "--workers", "1",
+        ]
+        outputs = []
+        for salt in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=salt, PYTHONPATH=src)
+            done = subprocess.run(
+                argv, env=env, capture_output=True, text=True, check=True
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert "isolation OK across 2 crash(es)" in outputs[0]
