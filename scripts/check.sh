@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate: unit/property tests, the quick speed smoke, a quick
-# checked-run smoke (isolation oracle in the loop) and an examples smoke.
+# Tier-1 gate: unit/property tests, the quick speed and perf-ledger smokes,
+# quick checked-run / crash / chaos smokes (isolation oracle in the loop)
+# and an examples smoke.
 #
 # Usage: scripts/check.sh [--quick]
 #
@@ -10,14 +11,19 @@
 # The speed smoke (benchmarks/bench_speed.py --quick) runs tiny versions of
 # the three benchmark scenarios and verifies the fixed-seed behavior
 # fingerprint against the recorded baseline in BENCH_speed.json, so both
-# functional and performance regressions fail loudly.  The checked-run
-# smoke gates micro and SmallBank runs under two CC trees each — plus the
+# functional and performance regressions fail loudly.  The ledger smoke
+# (benchmarks/ledger/run.py --quick, ~18 s) drives the four BENCHMARK.json
+# workloads end to end: its numbers are not comparable, its checks are.
+# The checked-run smoke gates micro and SmallBank runs under two CC trees
+# each — plus the
 # deterministic-batch YCSB cells (zipfian + scan-heavy) — on the Adya
 # isolation oracle (python -m repro.harness --quick); its independent
 # cells fan out across --workers processes (WORKERS env var overrides;
 # results are identical whatever the worker count).  The crash-recovery
 # smoke additionally crashes the queue cells at a seeded fault point and
-# checks the stitched pre-crash + post-recovery history as one.  The
+# checks the stitched pre-crash + post-recovery history as one, then runs
+# one smallbank crash cell under two PYTHONHASHSEED salts and requires
+# identical output (fixed-seed runs must not depend on the hash salt).  The
 # network-chaos smoke runs the queue cells through a seeded drop and a
 # partition-and-heal window (timeouts, retries, commit-ticket dedup, the
 # admission valve) and checks the whole degraded run as a single history.
@@ -46,6 +52,10 @@ echo "== speed smoke (quick) =="
 python benchmarks/bench_speed.py --quick
 
 echo
+echo "== perf-ledger smoke (quick) =="
+python3 benchmarks/ledger/run.py --quick
+
+echo
 echo "== checked-run smoke (isolation oracle) =="
 WORKERS="${WORKERS:-$(python -c 'import os; print(os.cpu_count() or 1)')}"
 python -m repro.harness --workload micro --config 2pl --config 2layer --quick --workers "$WORKERS"
@@ -58,6 +68,14 @@ python -m repro.harness --workload ycsb-scan --config batch --config batch-2laye
 echo
 echo "== crash-recovery smoke (cross-crash oracle) =="
 python -m repro.harness --workload queue --config 2layer --config 3layer --faults 1 --quick --workers "$WORKERS"
+SALT_DIR="$(mktemp -d)"
+for salt in 1 2; do
+  PYTHONHASHSEED=$salt python -m repro.harness --workload smallbank --config 2pl \
+    --faults 2 --quick --workers 1 > "$SALT_DIR/salt-$salt.txt"
+done
+cmp "$SALT_DIR/salt-1.txt" "$SALT_DIR/salt-2.txt"
+rm -r "$SALT_DIR"
+echo "smallbank/2pl --faults 2: identical under PYTHONHASHSEED=1 and =2"
 
 echo
 echo "== network-chaos smoke (degraded-mode oracle) =="

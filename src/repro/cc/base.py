@@ -215,7 +215,13 @@ class ConcurrencyControl:
             yield from self.engine.wait_for_transactions(txn, deps)
 
     def pre_commit(self, txn):
-        """Commit phase, before the storage module installs the writes."""
+        """Commit phase, before the storage module installs the writes.
+
+        Synchronous by contract: the hook runs inside the server-side commit
+        apply, which must not interleave with other transactions, so it may
+        raise :class:`TransactionAborted` but never yield.  A generator
+        override is rejected when the routes are built.
+        """
 
     def finish(self, txn, committed):
         """Called once after commit or abort: release resources, wake waiters."""

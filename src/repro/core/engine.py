@@ -44,6 +44,7 @@ from repro.storage.mvstore import MultiVersionStore
 
 _ACTIVE = TransactionStatus.ACTIVE
 _VALIDATING = TransactionStatus.VALIDATING
+_COMMITTED = TransactionStatus.COMMITTED
 
 
 @dataclass
@@ -54,8 +55,6 @@ class EngineOptions:
     commit_wait_timeout: float = 1.0
     retry_backoff: float = 0.005
     charge_costs: bool = True
-    model_cpu: bool = False
-    cpu_slots: int = 64
     gc_epoch_length: float = 0.5
     keep_history: bool = True
     history_limit: int = 200_000
@@ -98,7 +97,7 @@ class TebaldiEngine:
         self._check_configuration(configuration)
         self.configuration = configuration
         self.store = store if store is not None else MultiVersionStore()
-        self.cluster = cluster or ClusterModel(env, cpu_slots=self.options.cpu_slots)
+        self.cluster = cluster or ClusterModel(env)
         self.oracle = TimestampOracle()
         self.profiler = profiler
         self.stats = StatsCollector(env)
@@ -223,6 +222,14 @@ class TebaldiEngine:
         txn.path_nodes = path
         txn.cc_path = route.ccs
         txn.charges = route
+        # The phase transport is pinned the same way.  With a non-empty
+        # message fault plan attached to the cluster every protocol
+        # round-trip goes through the message layer; an absent injector or
+        # an empty plan keeps the constant-delay transport, event for event
+        # — pinned byte-identical by the chaos suite.
+        faults = self.cluster.message_faults
+        degraded = faults is not None and faults.enabled
+        txn.transport = self._message_phase if degraded else self._delay_phase
         txn.dep_listener = self._on_new_dependency
         if route.static_group_tokens is not None:
             # Immutable token map shared by every transaction of this type.
@@ -282,74 +289,40 @@ class TebaldiEngine:
             yield from self.admission_condition.wait()
 
     def _run(self, txn):
+        """Coroutine: the four protocol phases of one transaction attempt.
+
+        Each phase is one TC/DS exchange over the transport pinned in
+        :meth:`begin`, then the phase's CC hooks; the commit exchange carries
+        the server-side apply (:meth:`_apply_commit`) itself.
+        """
         charges = txn.charges
-        charge_costs = self.options.charge_costs
-        # Degraded mode: with a non-empty message fault plan attached to the
-        # cluster, every protocol round-trip routes through the message
-        # layer's send() with timeout/retry/backoff.  An absent injector or
-        # an empty plan keeps the historical constant-delay path, event for
-        # event — pinned byte-identical by the chaos suite.
-        faults = self.cluster.message_faults
-        chaos = faults is not None and faults.enabled
+        transport = txn.transport
         # Start phase -------------------------------------------------------
-        if chaos:
-            yield from self._chaos_start_phase(txn, charges, charge_costs)
-        elif charge_costs:
-            if self.options.model_cpu:
-                yield from self._charge_start_phase(charges)
-            else:
-                yield Timeout(self.env, charges.start_delay)
+        yield from transport(txn, "start")
         for start_hook in charges.start_hooks:
             step = start_hook(txn)
             if step is not None:
                 yield from step
         # Execution phase (driven by the stored procedure) -------------------
-        procedure = charges.procedure
         context = TransactionContext(self, txn)
-        result = yield from procedure(context, **txn.args)
+        result = yield from charges.procedure(context, **txn.args)
         # Validation phase ----------------------------------------------------
         txn.status = TransactionStatus.VALIDATING
-        if chaos:
-            yield from self._chaos_phase(txn, charges, charge_costs, "validate")
-        elif charge_costs:
-            if self.options.model_cpu:
-                yield from self._charge_phase(charges)
-            else:
-                yield Timeout(self.env, charges.phase_delay)
+        yield from transport(txn, "validate")
         for validate_hook in charges.validate_hooks:
             step = validate_hook(txn)
             if step is not None:
                 yield from step
         self._check_cascading_abort(txn)
         # Commit phase ---------------------------------------------------------
-        if chaos:
-            yield from self._chaos_commit(txn, charges, charge_costs)
-        else:
-            if charge_costs:
-                if self.options.model_cpu:
-                    yield from self._charge_phase(charges)
-                else:
-                    yield Timeout(self.env, charges.phase_delay)
-            for pre_commit_hook in charges.pre_commit_hooks:
-                step = pre_commit_hook(txn)
-                if step is not None:
-                    yield from step
-            if self._durable:
-                # Durable precommit and epoch propagation run *before* the
-                # versions become visible: any transaction that reads this
-                # one therefore precommits in the same or a later GCP epoch,
-                # so a durable reader can never survive recovery while its
-                # writer vanishes (cross-crash recoverability of the DSG).
-                self._durable_precommit(txn)
-                if self.durability.halted:
-                    # An injected crash fired inside the precommit: the
-                    # machine is down and this commit never becomes visible.
-                    # Park the process on an event that never triggers — if
-                    # the full precommit set made it to disk first, recovery
-                    # resurrects the transaction as a *ghost* (durable,
-                    # unacknowledged).
-                    yield Event(self.env, "crashed")
-            self._commit(txn)
+        yield from transport(txn, "precommit")
+        if txn.status is not _COMMITTED:
+            # An injected crash fired inside the precommit: the machine is
+            # down and this commit never becomes visible.  Park the process
+            # on an event that never triggers — if the full precommit set
+            # made it to disk first, recovery resurrects the transaction as
+            # a *ghost* (durable, unacknowledged).
+            yield Event(self.env, "crashed")
         if self._durable:
             delay = self.durability.flush_delay()
             if delay:
@@ -358,6 +331,34 @@ class TebaldiEngine:
             finish_hook(txn, committed=True)
         self.commit_condition.notify_all()
         return result
+
+    def _apply_commit(self, txn):
+        """The server-side apply of the commit request, shared by both
+        transports: cascading-abort check, pre-commit validation hooks,
+        durable precommit and the installation of the versions.  It runs
+        synchronously at delivery, which preserves the no-interleaving
+        guarantee OCC's backward validation relies on."""
+        self._check_cascading_abort(txn)
+        for pre_commit_hook in txn.charges.pre_commit_hooks:
+            pre_commit_hook(txn)
+        if self._durable:
+            # Durable precommit and epoch propagation run *before* the
+            # versions become visible: any transaction that reads this one
+            # therefore precommits in the same or a later GCP epoch, so a
+            # durable reader can never survive recovery while its writer
+            # vanishes (cross-crash recoverability of the DSG).
+            durability = self.durability
+            global_epoch = durability.precommit(txn, self._write_set(txn))
+            txn.global_gcp_epoch = global_epoch
+            durability.commit_notification(txn, global_epoch)
+            if durability.halted:
+                # Crashed inside the precommit: _run parks the process.
+                return
+        self._commit(txn)
+
+    @staticmethod
+    def _write_set(txn):
+        return [(key, txn.writes[key]) for key in txn.write_order]
 
     def _commit(self, txn):
         versions = self.store.commit_transaction(txn, timestamp=txn.commit_timestamp)
@@ -375,13 +376,62 @@ class TebaldiEngine:
         self.gc.finish_transaction(txn)
         return versions
 
-    def _durable_precommit(self, txn):
-        writes = [(key, txn.writes[key]) for key in txn.write_order]
-        global_epoch = self.durability.precommit(txn, writes)
-        txn.global_gcp_epoch = global_epoch
-        self.durability.commit_notification(txn, global_epoch)
+    # -- phase transports -------------------------------------------------------
 
-    # -- degraded mode (message faults) ---------------------------------------
+    def _delay_phase(self, txn, phase):
+        """Constant-delay transport: the phase's round-trips and CPU are one
+        precomputed ``Timeout``; the commit apply runs inline at its end."""
+        if self.options.charge_costs:
+            charges = txn.charges
+            delay = charges.start_delay if phase == "start" else charges.phase_delay
+            yield Timeout(self.env, delay)
+        if phase == "precommit":
+            self._apply_commit(txn)
+
+    def _message_phase(self, txn, phase):
+        """Message-layer transport (degraded mode): every round-trip is a
+        :meth:`_robust_exchange` over ``cluster.send`` with timeout/retry/
+        backoff.
+
+        The start phase adds, for CCs that use the centralized timestamp
+        server (SSI, TSO), the timestamp request — idempotent at the server,
+        so a duplicated or retransmitted request cannot burn a second
+        timestamp.  The commit request applies :meth:`_apply_commit` exactly
+        once at delivery; retransmits after a lost reply and duplicated
+        deliveries re-enter only the durability layer, whose commit-ticket
+        dedup must absorb them.
+        """
+        charges = txn.charges
+        if self.options.charge_costs:
+            yield Timeout(self.env, charges.phase_cost)
+        if phase == "precommit":
+            participants = (0,)
+            retransmit = None
+            if self._durable:
+                writes = self._write_set(txn)
+                participants = self.durability.participants_for(writes)
+                retransmit = lambda: self.durability.precommit(txn, writes)
+            yield from self._robust_exchange(
+                txn,
+                phase,
+                dsts=participants,
+                apply_fn=lambda: self._apply_commit(txn),
+                retransmit_fn=retransmit,
+            )
+            return
+        yield from self._robust_exchange(txn, phase)
+        if phase == "start" and charges.start_rtts:
+            token = ("timestamp", txn.txn_id)
+            allocate = lambda: self.oracle.next_for(token)
+            yield from self._robust_exchange(
+                txn,
+                "timestamp",
+                dsts=(TIMESTAMP_SERVER,),
+                round_trips=charges.start_rtts,
+                apply_fn=allocate,
+                retransmit_fn=allocate,
+            )
+            self.oracle.release(token)
 
     def _robust_exchange(self, txn, phase, dsts=(0,), round_trips=1,
                          apply_fn=None, retransmit_fn=None):
@@ -464,93 +514,6 @@ class TebaldiEngine:
                     self._net_degraded = False
                     self.admission_condition.notify_all()
 
-    def _chaos_start_phase(self, txn, charges, charge_costs):
-        """Start phase over the message layer: one TC/DS round-trip plus,
-        for CCs that use the centralized timestamp server (SSI, TSO), the
-        timestamp request — idempotent at the server, so a duplicated or
-        retransmitted request cannot burn a second timestamp."""
-        if charge_costs:
-            if self.options.model_cpu:
-                yield from self.cluster.compute(charges.phase_cost)
-            else:
-                yield Timeout(self.env, charges.phase_cost)
-        yield from self._robust_exchange(txn, "start")
-        if charges.start_rtts:
-            token = ("timestamp", txn.txn_id)
-            allocate = lambda: self.oracle.next_for(token)
-            yield from self._robust_exchange(
-                txn,
-                "timestamp",
-                dsts=(TIMESTAMP_SERVER,),
-                round_trips=charges.start_rtts,
-                apply_fn=allocate,
-                retransmit_fn=allocate,
-            )
-            self.oracle.release(token)
-
-    def _chaos_phase(self, txn, charges, charge_costs, phase):
-        """A non-commit phase (validation) over the message layer."""
-        if charge_costs:
-            if self.options.model_cpu:
-                yield from self.cluster.compute(charges.phase_cost)
-            else:
-                yield Timeout(self.env, charges.phase_cost)
-        yield from self._robust_exchange(txn, phase)
-
-    def _chaos_commit(self, txn, charges, charge_costs):
-        """Commit phase over the message layer.
-
-        The commit request is one robust exchange whose server-side apply
-        — cascading-abort check, pre-commit validation hooks, durable
-        precommit and the installation of the versions — runs synchronously
-        at delivery, preserving the no-interleaving guarantee OCC's
-        backward validation relies on.  Retransmits after a lost reply and
-        duplicated deliveries re-enter only the durability layer, whose
-        commit-ticket dedup must absorb them (apply exactly once).
-        """
-        if charge_costs:
-            if self.options.model_cpu:
-                yield from self.cluster.compute(charges.phase_cost)
-            else:
-                yield Timeout(self.env, charges.phase_cost)
-        durable = self._durable
-        if durable:
-            writes = [(key, txn.writes[key]) for key in txn.write_order]
-            participants = self.durability.participants_for(writes)
-            retransmit = lambda: self.durability.precommit(txn, writes)
-        else:
-            writes = None
-            participants = (0,)
-            retransmit = None
-
-        def apply():
-            self._check_cascading_abort(txn)
-            for pre_commit_hook in charges.pre_commit_hooks:
-                step = pre_commit_hook(txn)
-                if step is not None:
-                    raise ConfigurationError(
-                        "degraded mode requires synchronous pre_commit hooks"
-                    )
-            if durable:
-                global_epoch = self.durability.precommit(txn, writes)
-                txn.global_gcp_epoch = global_epoch
-                self.durability.commit_notification(txn, global_epoch)
-                if self.durability.halted:
-                    return
-            self._commit(txn)
-
-        yield from self._robust_exchange(
-            txn,
-            "precommit",
-            dsts=participants,
-            apply_fn=apply,
-            retransmit_fn=retransmit,
-        )
-        if durable and self.durability.halted:
-            # A crash fired inside the precommit: the machine is down and
-            # this commit never became visible (see the plain path above).
-            yield Event(self.env, "crashed")
-
     def _finish_abort(self, txn, reason):
         txn.status = TransactionStatus.ABORTED
         txn.abort_reason = reason
@@ -599,12 +562,8 @@ class TebaldiEngine:
         if status is not _ACTIVE and status is not _VALIDATING:
             raise TransactionAborted(txn.txn_id, txn.abort_reason or "not-active")
         charges = txn.charges
-        options = self.options
-        if options.charge_costs:
-            if options.model_cpu:
-                yield from self._charge_operation(charges)
-            else:
-                yield Timeout(self.env, charges.op_delay)
+        if self.options.charge_costs:
+            yield Timeout(self.env, charges.op_delay)
         hooks = charges.update_read_hooks if for_update else charges.read_hooks
         for hook in hooks:
             step = hook(txn, key)
@@ -649,12 +608,8 @@ class TebaldiEngine:
         if status is not _ACTIVE and status is not _VALIDATING:
             raise TransactionAborted(txn.txn_id, txn.abort_reason or "not-active")
         charges = txn.charges
-        options = self.options
-        if options.charge_costs:
-            if options.model_cpu:
-                yield from self._charge_operation(charges)
-            else:
-                yield Timeout(self.env, charges.op_delay)
+        if self.options.charge_costs:
+            yield Timeout(self.env, charges.op_delay)
         for hook in charges.write_hooks:
             step = hook(txn, key, value)
             if step is not None:
@@ -704,14 +659,10 @@ class TebaldiEngine:
         if status is not _ACTIVE and status is not _VALIDATING:
             raise TransactionAborted(txn.txn_id, txn.abort_reason or "not-active")
         charges = txn.charges
-        options = self.options
-        if options.charge_costs:
+        if self.options.charge_costs:
             # One operation charge for the index probe; every enumerated key
             # then pays the normal per-read charge in perform_read.
-            if options.model_cpu:
-                yield from self._charge_operation(charges)
-            else:
-                yield Timeout(self.env, charges.op_delay)
+            yield Timeout(self.env, charges.op_delay)
         for hook in charges.scan_hooks:
             step = hook(txn, key_range)
             if step is not None:
@@ -909,24 +860,6 @@ class TebaldiEngine:
             yield any_of(self.env, [condition._event, timeout_event])
             if self.profiler is not None and blocker is not None:
                 self.profiler.record_wait(txn, blocker, wait_start, self.env.now, kind=reason)
-
-    # -- cost model --------------------------------------------------------------------
-
-    # The cheap path (model_cpu off) charges a single precomputed Timeout
-    # inline at every call site; these helpers cover only the CPU-modelled
-    # variant with its bounded compute pool.
-
-    def _charge_operation(self, charges):
-        yield from self.cluster.compute(charges.op_cost)
-        yield from self.cluster.network_delay(charges.op_rtts)
-
-    def _charge_phase(self, charges):
-        yield from self.cluster.compute(charges.phase_cost)
-        yield from self.cluster.network_delay(1)
-
-    def _charge_start_phase(self, charges):
-        yield from self.cluster.compute(charges.phase_cost)
-        yield from self.cluster.network_delay(1 + charges.start_rtts)
 
     # -- background services --------------------------------------------------------------
 

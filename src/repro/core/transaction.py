@@ -60,15 +60,16 @@ class Transaction:
     read_only: bool = False
 
     # Routing through the CC tree.  ``path_nodes`` / ``cc_path`` / ``charges``
-    # are resolved once in ``engine.begin()`` and pinned here, so in-flight
-    # transactions are unaffected by online reconfigurations and the per
-    # operation hot path never rebuilds them.
+    # and the phase ``transport`` are resolved once in ``engine.begin()`` and
+    # pinned here, so in-flight transactions are unaffected by online
+    # reconfigurations and the per operation hot path never rebuilds them.
     leaf_node_id: str = ""
     group_tokens: dict = field(default_factory=dict)
     partition_value: Any = None
     path_nodes: Any = None
     cc_path: Any = None
     charges: Any = None
+    transport: Any = None
 
     # Data accesses.
     reads: list = field(default_factory=list)

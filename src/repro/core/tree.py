@@ -6,6 +6,8 @@ transaction types of its subtree, which is how membership and child-group
 tokens are resolved.
 """
 
+from inspect import isgeneratorfunction
+
 from repro.cc.base import CC_REGISTRY, ConcurrencyControl, create_cc
 from repro.errors import ConfigurationError
 
@@ -166,15 +168,14 @@ class Route:
     hot path does not rebuild the CC list or re-sum per-layer cost attributes
     (``extra_operation_rtts`` / ``extra_start_rtts``) on every read, write and
     phase.  ``op_delay``/``phase_delay``/``start_delay`` are the cheap-path
-    virtual-time charges (CPU cost plus network round-trips at the cluster's
-    fixed RTT); the ``model_cpu`` path uses the cost/RTT components directly.
+    virtual-time charges of the constant-delay transport (CPU cost plus
+    network round-trips at the cluster's fixed RTT); the message-layer
+    transport charges ``phase_cost`` and sends the round-trips for real.
     """
 
     __slots__ = (
         "nodes",
         "ccs",
-        "op_cost",
-        "op_rtts",
         "phase_cost",
         "start_rtts",
         "op_delay",
@@ -204,11 +205,10 @@ class Route:
         self.nodes = nodes
         ccs = self.ccs = [node.cc for node in nodes]
         layers = len(nodes)
-        self.op_cost = costs.operation_cost(layers)
-        self.op_rtts = 1 + sum(getattr(cc, "extra_operation_rtts", 0) for cc in ccs)
+        op_rtts = 1 + sum(getattr(cc, "extra_operation_rtts", 0) for cc in ccs)
         self.phase_cost = costs.phase_cost(layers)
         self.start_rtts = sum(getattr(cc, "extra_start_rtts", 0) for cc in ccs)
-        self.op_delay = self.op_cost + self.op_rtts * rtt
+        self.op_delay = costs.operation_cost(layers) + op_rtts * rtt
         self.phase_delay = self.phase_cost + rtt
         self.start_delay = self.phase_cost + (1 + self.start_rtts) * rtt
         # Specialised hook tables: only CCs that actually implement a hook
@@ -252,6 +252,13 @@ class Route:
         self.pre_commit_hooks = tuple(
             cc.pre_commit for cc in up if _overrides(cc, "pre_commit")
         )
+        for cc in up:
+            sample = cc._sample_instance() if isinstance(cc, PartitionedCC) else cc
+            if isgeneratorfunction(sample.pre_commit):
+                raise ConfigurationError(
+                    f"{sample.describe()}: pre_commit must be synchronous (it runs "
+                    "inside the commit apply), not a generator function"
+                )
         self.finish_hooks = tuple(cc.finish for cc in up if _overrides(cc, "finish"))
         # Without partition-by-instance anywhere on the path, every
         # transaction of this type shares one immutable token map; the

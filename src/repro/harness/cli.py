@@ -27,10 +27,11 @@ Examples::
 
 import argparse
 import sys
+from functools import partial
+from types import SimpleNamespace
 
+from repro.harness import crash, degraded
 from repro.harness.configs import CHAOS_CELLS, CRASH_CELLS, WORKLOAD_CONFIGURATIONS
-from repro.harness.crash import run_crash_benchmark
-from repro.harness.degraded import run_degraded_benchmark
 from repro.harness.parallel import available_workers, derive_point_seed, run_tasks
 from repro.harness.report import format_run_results
 from repro.harness.runner import run_benchmark
@@ -153,199 +154,130 @@ def build_parser():
     return parser
 
 
-def _make_crash_cell_task(args, workload_name, config_name, clients, duration):
-    def cell():
-        workload = build_workload(workload_name, ycsb_profile=args.ycsb_profile)
-        configuration = WORKLOAD_CONFIGURATIONS[workload_name][config_name]()
-        seed = derive_point_seed(args.seed, workload_name, config_name, clients)
-        result = run_crash_benchmark(
-            workload,
-            configuration,
-            clients=clients,
-            duration=duration,
-            seed=seed,
-            crashes=args.faults,
-            isolation_level=args.level,
-            history_window=args.history_window,
-            raise_on_violation=False,
+def _describe_plain(result):
+    """CLI text of one plain cell: ``(problem, headline, detail)``."""
+    report = result.extra.get("isolation")
+    problem = None
+    if report is None:
+        status = "unchecked"
+    elif report.ok:
+        status = f"isolation OK ({report.num_transactions} txns, {report.num_edges} edges)"
+    else:
+        problem = report.describe()
+        status = "ISOLATION VIOLATION: " + problem
+    headline = f"{result.throughput:.0f} txn/s, abort={result.abort_rate:.1%} — {status}"
+    return problem, headline, None
+
+
+def _select_mode(args):
+    """What the selected lane changes about a sweep: the cell registry, the
+    run helper, the (duration, warmup) sizes and the report texts."""
+    level = f"at level={args.level!r}"
+    lane_sizes = (0.5 if args.quick else args.duration, 0.0)
+    if args.faults:
+        return SimpleNamespace(
+            flag="--faults",
+            cells=CRASH_CELLS,
+            run=partial(crash.run_crash_benchmark, crashes=args.faults),
+            sizes=lane_sizes,
+            describe=crash.describe,
+            failure="crash-cell violation(s)",
+            verdict="crash-enabled checked runs passed the cross-crash oracle " + level,
         )
-        # The recorder is process-local diagnostics; don't ship it back
-        # through the worker-pool pickle.
-        result.extra.pop("recorder", None)
-        return result
-    return cell
-
-
-def _run_crash_cells(args, parser):
-    """Crash-enabled mode: sweep the crash registry with seeded faults."""
-    workload_names = sorted(CRASH_CELLS) if args.all else [args.workload]
-    cells = []
-    for workload_name in workload_names:
-        registered = CRASH_CELLS[workload_name]
-        configurations = WORKLOAD_CONFIGURATIONS[workload_name]
-        config_names = (args.config if not args.all else None) or list(registered)
-        unknown = [name for name in config_names if name not in configurations]
-        if unknown:
-            parser.error(
-                f"unknown configuration(s) {unknown} for {workload_name}; "
-                f"available: {sorted(configurations)}"
-            )
-        for config_name in config_names:
-            for clients in args.clients if not args.quick else [8]:
-                cells.append((workload_name, config_name, clients))
-    duration = 0.5 if args.quick else args.duration
-    workers = args.workers if args.workers is not None else available_workers()
-    tasks = [
-        _make_crash_cell_task(args, workload_name, config_name, clients, duration)
-        for workload_name, config_name, clients in cells
-    ]
-    results = run_tasks(tasks, workers=workers)
-
-    violations = []
-    for (workload_name, config_name, clients), result in zip(cells, results):
-        report = result.extra["isolation"]
-        crash_bits = "; ".join(crash.describe() for crash in result.crashes)
-        duplicate_dequeues = result.extra.get("exactly_once_violations") or {}
-        if report.ok and not duplicate_dequeues:
-            status = f"isolation OK across {len(result.crashes)} crash(es)"
-        else:
-            status = "ISOLATION VIOLATION: " + report.describe()
-            if duplicate_dequeues:
-                status += f"; {len(duplicate_dequeues)} message(s) dequeued twice"
-            violations.append((workload_name, config_name, clients, status))
-        print(
-            f"{workload_name}/{config_name} clients={clients}: "
-            f"{result.commits} commits over {result.incarnations} incarnation(s) "
-            f"— {status}"
-        )
-        if crash_bits:
-            print(f"    {crash_bits}")
-
-    if violations:
-        print(f"\n{len(violations)} crash-cell violation(s):", file=sys.stderr)
-        for workload_name, config_name, clients, status in violations:
-            print(
-                f"  {workload_name}/{config_name} clients={clients}: {status}",
-                file=sys.stderr,
-            )
-        return 1
-    print(
-        f"\nall {len(results)} crash-enabled checked runs passed the "
-        f"cross-crash oracle at level={args.level!r}"
-    )
-    return 0
-
-
-def _make_net_cell_task(args, workload_name, config_name, clients, duration):
-    def cell():
-        workload = build_workload(workload_name, ycsb_profile=args.ycsb_profile)
-        configuration = WORKLOAD_CONFIGURATIONS[workload_name][config_name]()
-        seed = derive_point_seed(args.seed, workload_name, config_name, clients)
+    if args.net_faults:
         # With room for two or more fault points, pin the two acceptance
         # scenarios — at least one drop-with-retry and one
         # partition-and-heal window — into every cell's plan.
         require = ("drop", "partition") if args.net_faults >= 2 else ("drop",)
-        result = run_degraded_benchmark(
-            workload,
-            configuration,
-            clients=clients,
-            duration=duration,
-            seed=seed,
-            faults=args.net_faults,
-            require=require,
-            isolation_level=args.level,
-            history_window=args.history_window,
-            raise_on_violation=False,
+        return SimpleNamespace(
+            flag="--net-faults",
+            cells=CHAOS_CELLS,
+            run=partial(
+                degraded.run_degraded_benchmark, faults=args.net_faults, require=require
+            ),
+            sizes=lane_sizes,
+            describe=degraded.describe,
+            failure="degraded-cell violation(s)",
+            verdict="degraded-mode checked runs passed the oracle and the "
+            "exactly-once/durability checks " + level,
         )
-        # The recorder is process-local diagnostics; don't ship it back
-        # through the worker-pool pickle.
-        result.extra.pop("recorder", None)
-        return result
-    return cell
-
-
-def _run_net_fault_cells(args, parser):
-    """Degraded mode: sweep the chaos registry with seeded message faults."""
-    workload_names = sorted(CHAOS_CELLS) if args.all else [args.workload]
-    cells = []
-    for workload_name in workload_names:
-        registered = CHAOS_CELLS[workload_name]
-        configurations = WORKLOAD_CONFIGURATIONS[workload_name]
-        config_names = (args.config if not args.all else None) or list(registered)
-        unknown = [name for name in config_names if name not in configurations]
-        if unknown:
-            parser.error(
-                f"unknown configuration(s) {unknown} for {workload_name}; "
-                f"available: {sorted(configurations)}"
-            )
-        for config_name in config_names:
-            for clients in args.clients if not args.quick else [8]:
-                cells.append((workload_name, config_name, clients))
-    duration = 0.5 if args.quick else args.duration
-    workers = args.workers if args.workers is not None else available_workers()
-    tasks = [
-        _make_net_cell_task(args, workload_name, config_name, clients, duration)
-        for workload_name, config_name, clients in cells
-    ]
-    results = run_tasks(tasks, workers=workers)
-
-    violations = []
-    for (workload_name, config_name, clients), result in zip(cells, results):
-        report = result.extra["isolation"]
-        if report.ok and not result.violations:
-            status = f"isolation OK across {len(result.fault_log)} fault(s)"
-        else:
-            status = "VIOLATION: " + (
-                report.describe() if not report.ok else str(result.violations)
-            )
-            violations.append((workload_name, config_name, clients, status))
-        net = result.net_stats
-        print(
-            f"{workload_name}/{config_name} clients={clients}: "
-            f"{result.commits} commits, {result.aborts} aborts — {status}"
-        )
-        fired = ", ".join(
-            f"{fault['kind']}@{fault['time']:.4f}s" for fault in result.fault_log
-        )
-        degradation = (
-            f"retries={net['retries']} retransmits={net['retransmit_applies']} "
-            f"parked={net['parked']} degraded-windows={net['degraded_windows']}"
-        )
-        print(f"    faults: {fired or 'none fired'}; {degradation}")
-
-    if violations:
-        print(f"\n{len(violations)} degraded-cell violation(s):", file=sys.stderr)
-        for workload_name, config_name, clients, status in violations:
-            print(
-                f"  {workload_name}/{config_name} clients={clients}: {status}",
-                file=sys.stderr,
-            )
-        return 1
-    print(
-        f"\nall {len(results)} degraded-mode checked runs passed the oracle "
-        f"and the exactly-once/durability checks at level={args.level!r}"
+    return SimpleNamespace(
+        flag=None,
+        cells={name: sorted(trees) for name, trees in WORKLOAD_CONFIGURATIONS.items()},
+        run=partial(run_benchmark, check_isolation=not args.no_check),
+        sizes=(0.3, 0.1) if args.quick else (args.duration, args.warmup),
+        describe=_describe_plain,
+        failure="isolation violation(s)",
+        verdict="checked runs passed the isolation oracle " + level,
     )
-    return 0
 
 
-def _make_cell_task(args, workload_name, config_name, clients, duration, warmup, check):
+def _make_cell_task(args, mode, workload_name, config_name, clients):
     def cell():
         workload = build_workload(workload_name, ycsb_profile=args.ycsb_profile)
         configuration = WORKLOAD_CONFIGURATIONS[workload_name][config_name]()
         seed = derive_point_seed(args.seed, workload_name, config_name, clients)
-        return run_benchmark(
+        duration, warmup = mode.sizes
+        return mode.run(
             workload,
             configuration,
             clients=clients,
             duration=duration,
             warmup=warmup,
             seed=seed,
-            check_isolation=check,
             isolation_level=args.level,
             history_window=args.history_window,
             raise_on_violation=False,
         )
     return cell
+
+
+def _run_cells(args, parser, mode):
+    """Sweep the mode's registry slice and report every cell."""
+    workload_names = sorted(mode.cells) if args.all else [args.workload]
+    cells = []
+    for workload_name in workload_names:
+        configurations = WORKLOAD_CONFIGURATIONS[workload_name]
+        config_names = (args.config if not args.all else None) or list(
+            mode.cells[workload_name]
+        )
+        unknown = [name for name in config_names if name not in configurations]
+        if unknown:
+            parser.error(
+                f"unknown configuration(s) {unknown} for {workload_name}; "
+                f"available: {sorted(configurations)}"
+            )
+        for config_name in config_names:
+            for clients in args.clients if not args.quick else [8]:
+                cells.append((workload_name, config_name, clients))
+
+    workers = args.workers if args.workers is not None else available_workers()
+    tasks = [_make_cell_task(args, mode, *cell) for cell in cells]
+    results = run_tasks(tasks, workers=workers)
+
+    failures = []
+    for (workload_name, config_name, clients), result in zip(cells, results):
+        problem, headline, detail = mode.describe(result)
+        print(f"{workload_name}/{config_name} clients={clients}: {headline}")
+        if detail:
+            print(f"    {detail}")
+        if problem:
+            failures.append((workload_name, config_name, clients, problem))
+
+    if mode.flag is None:
+        print()
+        print(format_run_results(results))
+    if failures:
+        print(f"\n{len(failures)} {mode.failure}:", file=sys.stderr)
+        for workload_name, config_name, clients, problem in failures:
+            print(
+                f"  {workload_name}/{config_name} clients={clients}: {problem}",
+                file=sys.stderr,
+            )
+        return 1
+    if not args.no_check:
+        print(f"\nall {len(results)} {mode.verdict}")
+    return 0
 
 
 def main(argv=None):
@@ -370,94 +302,24 @@ def main(argv=None):
         parser.error(f"--duration must be positive, got {args.duration}")
     if args.warmup < 0:
         parser.error(f"--warmup must be non-negative, got {args.warmup}")
-    if args.faults < 0:
-        parser.error(f"--faults must be a non-negative integer, got {args.faults}")
-    if args.net_faults < 0:
-        parser.error(
-            f"--net-faults must be a non-negative integer, got {args.net_faults}"
-        )
+    for flag, count in (("--faults", args.faults), ("--net-faults", args.net_faults)):
+        if count < 0:
+            parser.error(f"{flag} must be a non-negative integer, got {count}")
     if args.faults and args.net_faults:
         parser.error(
             "--faults (crashes) and --net-faults (message faults) are "
             "separate modes; pick one per invocation"
         )
-    if args.faults:
+    mode = _select_mode(args)
+    if mode.flag:
         if args.no_check:
-            parser.error("--faults needs the oracle in the loop; drop --no-check")
-        if args.workload is not None and args.workload not in CRASH_CELLS:
+            parser.error(f"{mode.flag} needs the oracle in the loop; drop --no-check")
+        if args.workload is not None and args.workload not in mode.cells:
             parser.error(
-                f"--faults is registered for {sorted(CRASH_CELLS)}; "
+                f"{mode.flag} is registered for {sorted(mode.cells)}; "
                 f"got --workload {args.workload}"
             )
-        return _run_crash_cells(args, parser)
-    if args.net_faults:
-        if args.no_check:
-            parser.error("--net-faults needs the oracle in the loop; drop --no-check")
-        if args.workload is not None and args.workload not in CHAOS_CELLS:
-            parser.error(
-                f"--net-faults is registered for {sorted(CHAOS_CELLS)}; "
-                f"got --workload {args.workload}"
-            )
-        return _run_net_fault_cells(args, parser)
-
-    workload_names = sorted(WORKLOAD_CONFIGURATIONS) if args.all else [args.workload]
-    cells = []
-    for workload_name in workload_names:
-        configurations = WORKLOAD_CONFIGURATIONS[workload_name]
-        config_names = (args.config if not args.all else None) or sorted(configurations)
-        unknown = [name for name in config_names if name not in configurations]
-        if unknown:
-            parser.error(
-                f"unknown configuration(s) {unknown} for {workload_name}; "
-                f"available: {sorted(configurations)}"
-            )
-        for config_name in config_names:
-            for clients in args.clients if not args.quick else [8]:
-                cells.append((workload_name, config_name, clients))
-
-    duration, warmup = args.duration, args.warmup
-    if args.quick:
-        duration, warmup = 0.3, 0.1
-
-    check = not args.no_check
-    workers = args.workers if args.workers is not None else available_workers()
-    tasks = [
-        _make_cell_task(args, workload_name, config_name, clients, duration, warmup, check)
-        for workload_name, config_name, clients in cells
-    ]
-    results = run_tasks(tasks, workers=workers)
-
-    violations = []
-    for (workload_name, config_name, clients), result in zip(cells, results):
-        report = result.extra.get("isolation")
-        if report is None:
-            status = "unchecked"
-        elif report.ok:
-            status = f"isolation OK ({report.num_transactions} txns, {report.num_edges} edges)"
-        else:
-            status = "ISOLATION VIOLATION: " + report.describe()
-            violations.append((workload_name, config_name, clients, report))
-        print(
-            f"{workload_name}/{config_name} clients={clients}: "
-            f"{result.throughput:.0f} txn/s, abort={result.abort_rate:.1%} — {status}"
-        )
-
-    print()
-    print(format_run_results(results))
-    if violations:
-        print(f"\n{len(violations)} isolation violation(s):", file=sys.stderr)
-        for workload_name, config_name, clients, report in violations:
-            print(
-                f"  {workload_name}/{config_name} clients={clients}: {report.describe()}",
-                file=sys.stderr,
-            )
-        return 1
-    if check:
-        print(
-            f"\nall {len(results)} checked runs passed the isolation oracle "
-            f"at level={args.level!r}"
-        )
-    return 0
+    return _run_cells(args, parser, mode)
 
 
 if __name__ == "__main__":

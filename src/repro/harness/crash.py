@@ -1,11 +1,11 @@
 """Crash/recovery harness: run a workload, crash it, recover it, and check
 the *stitched* pre-crash + post-recovery history as one.
 
-The run proceeds in incarnations.  Each incarnation builds a fresh
-environment and engine over the shared :class:`DurabilityManager` (whose
-persistent backends survive crashes) and drives closed-loop clients until
-either the measurement horizon or the armed crash event fires.  On a crash
-the harness:
+A *lane* of the run driver (:class:`~repro.harness.runner.BenchmarkRunner`):
+the driver runs the workload in incarnations, each a fresh environment and
+engine over the shared :class:`DurabilityManager` (whose persistent backends
+survive crashes), until either the measurement horizon or the crash event
+this lane arms fires.  On a crash the lane:
 
 1. snapshots what the dying incarnation believed (committed ids, commit
    sequences, in-flight count), then drops the volatile durability state
@@ -24,8 +24,9 @@ the harness:
    (:meth:`HistoryRecorder.on_crash` — they must leave *no trace*) and
    registers ghost survivors (:meth:`HistoryRecorder.on_recovered`);
 5. checkpoints the recovery into the durable logs (so discarded epochs can
-   never resurrect at a later crash) and resumes the workload in a new
-   incarnation with continued transaction ids.
+   never resurrect at a later crash) and hands the rebuilt store back to
+   the driver, which resumes the workload in a new incarnation with
+   continued transaction ids.
 
 One recorder spans every incarnation, so the final
 :func:`~repro.isolation.checker.check_recorder` verdict covers the whole
@@ -37,17 +38,11 @@ client RNGs, server partitioning), so a failing run reproduces
 byte-identically.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.engine import EngineOptions, TebaldiEngine
-from repro.errors import TransactionAborted
-from repro.harness.parallel import derive_point_seed
-from repro.isolation.checker import check_recorder
-from repro.isolation.history import HistoryRecorder
-from repro.sim.environment import Environment
-from repro.sim.events import any_of
+from repro.harness.runner import Lane, run_benchmark
 from repro.sim.faults import FaultInjector, FaultPlan
-from repro.storage.durability import DurabilityConfig, DurabilityManager
+from repro.storage.durability import DurabilityConfig
 from repro.storage.mvstore import MultiVersionStore
 
 
@@ -83,27 +78,6 @@ class CrashReport:
         )
 
 
-@dataclass
-class CrashRunResult:
-    """Outcome of one crash-enabled checked run."""
-
-    configuration: str
-    clients: int
-    duration: float
-    commits: int
-    aborts: int
-    throughput: float
-    crashes: list = field(default_factory=list)
-    incarnations: int = 1
-    extra: dict = field(default_factory=dict)
-
-    def __repr__(self):
-        return (
-            f"<CrashRunResult {self.configuration} clients={self.clients} "
-            f"commits={self.commits} crashes={len(self.crashes)}>"
-        )
-
-
 def exactly_once_violations(history, txn_type="dequeue", table="messages"):
     """Keys of ``table`` consumed by more than one committed ``txn_type``.
 
@@ -123,85 +97,38 @@ def exactly_once_violations(history, txn_type="dequeue", table="messages"):
     return {key: ids for key, ids in consumers.items() if len(ids) > 1}
 
 
-class CrashRecoveryRunner:
-    """Drives a workload through seeded crashes with the oracle attached."""
+class CrashLane(Lane):
+    """Seeded crashes: arms the injector per incarnation, recovers and
+    stitches on a crash, reports the crashes and the exactly-once check.
 
-    def __init__(
-        self,
-        workload,
-        configuration,
-        seed=7,
-        options=None,
-        fault_plan=None,
-        durability=None,
-        isolation_level="serializable",
-        history_window=None,
-    ):
-        self.workload = workload
-        self.configuration = configuration
-        self.seed = seed
-        self.options = options or EngineOptions()
-        self.durability_config = durability or default_crash_durability()
-        self.plan = (
-            fault_plan
-            if fault_plan is not None
-            else FaultPlan.from_seed(seed)
-        )
-        self.injector = FaultInjector(self.plan)
-        self.isolation_level = isolation_level
-        self.recorder = HistoryRecorder(
-            max_transactions=history_window, level=isolation_level
-        )
+    ``fault_plan=None`` derives the plan from the run seed.
+    """
+
+    client_seed_tag = "crash-client"
+
+    def __init__(self, fault_plan=None, durability=None):
+        self.plan = fault_plan
+        self.durability = durability or default_crash_durability()
+        self.injector = None
         self.crashes = []
         # Ids that ever committed in memory (any incarnation) or were
         # resurrected as ghosts: distinguishes ghosts from known survivors
         # when classifying a recovery.
         self._known_committed = set()
 
-    # -- client processes ---------------------------------------------------
+    def attach(self, runner):
+        if self.injector is None:
+            if self.plan is None:
+                self.plan = FaultPlan.from_seed(runner.seed)
+            self.injector = FaultInjector(self.plan)
+            self.workload = runner.workload
+            self.recorder = runner.recorder
+        runner.manager.faults = self.injector
+        self.stop_event = self.injector.arm(runner.env)
 
-    def _client(self, env, engine, stop_event, rng, mix, client_id):
-        backoff = self.options.retry_backoff
-        while not stop_event.triggered:
-            txn_type, args = self.workload.next_transaction(rng, mix)
-            attempts = 0
-            while not stop_event.triggered:
-                attempts += 1
-                try:
-                    yield from engine.execute_transaction(txn_type, args, client_id)
-                    break
-                except TransactionAborted:
-                    engine.stats.record_retry(None)
-                    if backoff > 0:
-                        delay = min(backoff * (2 ** min(attempts - 1, 5)), 0.1)
-                        yield env.timeout(delay)
-
-    def _spawn_incarnation(self, env, store, manager, txn_id_start, clients,
-                           incarnation):
-        engine = TebaldiEngine(
-            env,
-            self.configuration,
-            self.workload.transaction_types(),
-            store=store,
-            options=self.options,
-            durability=manager,
-            txn_id_start=txn_id_start,
-        )
-        engine.history_recorder = self.recorder
-        stop_event = env.event(name=f"stop-{incarnation}")
-        engine.start_services(stop_event)
-        mix = self.workload.validate_mix(self.workload.mix())
-        for client_id in range(clients):
-            rng = self.workload.make_rng(
-                derive_point_seed(self.seed, "crash-client", incarnation, client_id)
-            )
-            env.process(
-                self._client(env, engine, stop_event, rng, mix, client_id),
-                name=f"client-{incarnation}-{client_id}",
-            )
-        return engine
-
-    # -- crash handling -----------------------------------------------------
+    def recover(self, runner):
+        if self.injector.crashed:
+            return self._crash_and_recover(runner.engine, runner.store, runner.manager)
 
     def _crash_and_recover(self, engine, store, manager):
         """Recover the durable state and stitch the history across the crash.
@@ -271,56 +198,28 @@ class CrashRecoveryRunner:
         )
         return new_store
 
-    # -- measurement --------------------------------------------------------
-
-    def run(self, clients, duration=1.0, raise_on_violation=True):
-        """Run the workload across the planned crashes and check the whole
-        stitched history against the isolation oracle."""
-        manager = DurabilityManager(self.durability_config)
-        manager.faults = self.injector
-        store = MultiVersionStore()
-        self.workload.populate(store)
-        env = Environment()
-        txn_id_start = 1
-        incarnation = 0
-        commits = aborts = 0
-        while True:
-            engine = self._spawn_incarnation(
-                env, store, manager, txn_id_start, clients, incarnation
-            )
-            crash_event = self.injector.arm(env)
-            horizon = env.timeout(duration - env.now)
-            env.run(until=any_of(env, [crash_event, horizon]))
-            summary = engine.stats.summary()
-            commits += summary["commits"]
-            aborts += summary["aborts"]
-            if not self.injector.crashed:
-                break
-            store = self._crash_and_recover(engine, store, manager)
-            txn_id_start = next(engine._txn_ids)
-            env = Environment(initial_time=engine.env.now)
-            incarnation += 1
-            if env.now >= duration:
-                break
-        report = check_recorder(self.recorder, level=self.isolation_level)
-        result = CrashRunResult(
-            configuration=self.configuration.name,
-            clients=clients,
-            duration=duration,
-            commits=commits,
-            aborts=aborts,
-            throughput=commits / duration if duration > 0 else 0.0,
-            crashes=list(self.crashes),
-            incarnations=incarnation + 1,
-            extra={"isolation": report, "recorder": self.recorder},
-        )
-        if self.workload.name == "queue":
+    def finish(self, runner, result):
+        result.crashes = list(self.crashes)
+        if runner.workload.name == "queue":
             result.extra["exactly_once_violations"] = exactly_once_violations(
-                self.recorder.history()
+                runner.recorder.history()
             )
-        if raise_on_violation:
-            report.raise_on_violation()
-        return result
+
+
+def describe(result):
+    """CLI text of one crash cell: ``(problem, headline, detail)``."""
+    report = result.extra["isolation"]
+    duplicate_dequeues = result.extra.get("exactly_once_violations") or {}
+    problem = None
+    status = f"isolation OK across {len(result.crashes)} crash(es)"
+    if not report.ok or duplicate_dequeues:
+        status = "ISOLATION VIOLATION: " + report.describe()
+        if duplicate_dequeues:
+            status += f"; {len(duplicate_dequeues)} message(s) dequeued twice"
+        problem = status
+    headline = f"{result.commits} commits over {result.incarnations} incarnation(s)"
+    detail = "; ".join(crash.describe() for crash in result.crashes)
+    return problem, f"{headline} — {status}", detail
 
 
 def run_crash_benchmark(
@@ -331,7 +230,7 @@ def run_crash_benchmark(
     seed=7,
     crashes=1,
     fault_plan=None,
-    raise_on_violation=True,
+    durability=None,
     **kwargs,
 ):
     """One-shot helper: seeded crash-enabled checked run.
@@ -341,13 +240,13 @@ def run_crash_benchmark(
     """
     if fault_plan is None:
         fault_plan = FaultPlan.from_seed(seed, crashes=crashes)
-    runner = CrashRecoveryRunner(
+    kwargs.setdefault("warmup", 0.0)
+    return run_benchmark(
         workload,
         configuration,
+        clients,
+        duration=duration,
         seed=seed,
-        fault_plan=fault_plan,
+        lanes=[CrashLane(fault_plan, durability=durability)],
         **kwargs,
-    )
-    return runner.run(
-        clients, duration=duration, raise_on_violation=raise_on_violation
     )

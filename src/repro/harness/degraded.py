@@ -2,9 +2,10 @@
 drops, delay spikes, duplicates, reorders, partition-and-heal — with the
 isolation oracle attached, and prove the TC/DS protocol stays correct.
 
-Sibling of :mod:`repro.harness.crash` (which kills the whole machine): here
-the machine stays up but the network misbehaves, so the properties at stake
-are different:
+A *lane* of the run driver (:class:`~repro.harness.runner.BenchmarkRunner`)
+and sibling of :mod:`repro.harness.crash` (which kills the whole machine):
+here the machine stays up but the network misbehaves, so the properties at
+stake are different:
 
 * **committed means durable and visible** — every committed transaction
   with writes has a complete durable precommit set, and replaying the
@@ -26,18 +27,11 @@ Everything derives from the run seed (fault plan, backoff jitter, client
 RNGs), so a failing run reproduces byte-identically.
 """
 
-from dataclasses import dataclass, field
-
-from repro.core.engine import EngineOptions, TebaldiEngine
-from repro.errors import TransactionAborted
+from repro.core.engine import EngineOptions
 from repro.harness.crash import exactly_once_violations
-from repro.harness.parallel import derive_point_seed
-from repro.isolation.checker import check_recorder
-from repro.isolation.history import HistoryRecorder
-from repro.sim.environment import Environment
+from repro.harness.runner import Lane, run_benchmark
 from repro.sim.faults import MessageFaultInjector, MessageFaultPlan
-from repro.storage.durability import DurabilityConfig, DurabilityManager
-from repro.storage.mvstore import MultiVersionStore
+from repro.storage.durability import DurabilityConfig
 
 
 def default_degraded_durability():
@@ -89,180 +83,94 @@ def retransmit_violations(manager):
     }
 
 
-@dataclass
-class DegradedRunResult:
-    """Outcome of one checked run under message faults."""
+class NetFaultLane(Lane):
+    """Seeded message faults: attaches the injector to the cluster's message
+    layer and checks exactly-once application and committed-means-durable
+    after the run.
 
-    configuration: str
-    clients: int
-    duration: float
-    commits: int
-    aborts: int
-    throughput: float
-    fault_log: list = field(default_factory=list)
-    net_stats: dict = field(default_factory=dict)
-    violations: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
+    ``fault_plan=None`` derives the plan from the run seed.
+    ``dedup_enabled=False`` is the mutation-test hook: it disables the
+    durability layer's commit-ticket dedup, which the suite must then catch
+    via :func:`retransmit_violations`.
+    """
 
-    def __repr__(self):
-        return (
-            f"<DegradedRunResult {self.configuration} clients={self.clients} "
-            f"commits={self.commits} faults={len(self.fault_log)}>"
-        )
+    client_seed_tag = "net-client"
 
-
-class DegradedRunner:
-    """Drives a workload through seeded message faults with the oracle on."""
-
-    def __init__(
-        self,
-        workload,
-        configuration,
-        seed=7,
-        options=None,
-        fault_plan=None,
-        durability=None,
-        isolation_level="serializable",
-        history_window=None,
-        dedup_enabled=True,
-    ):
-        self.workload = workload
-        self.configuration = configuration
-        self.seed = seed
-        self.options = options or default_degraded_options(seed)
-        #: Mutation-test hook: ``False`` disables the durability layer's
-        #: commit-ticket dedup, which the suite must then catch via
-        #: :func:`retransmit_violations`.
+    def __init__(self, fault_plan=None, durability=None, dedup_enabled=True):
+        self.plan = fault_plan
+        self.durability = durability or default_degraded_durability()
         self.dedup_enabled = dedup_enabled
-        self.durability_config = durability or default_degraded_durability()
-        self.plan = (
-            fault_plan
-            if fault_plan is not None
-            else MessageFaultPlan.from_seed(seed)
-        )
-        self.injector = MessageFaultInjector(self.plan)
-        self.isolation_level = isolation_level
-        self.recorder = HistoryRecorder(
-            max_transactions=history_window, level=isolation_level
-        )
+        self.injector = None
 
-    def _client(self, env, engine, stop_event, rng, mix, client_id):
-        backoff = self.options.retry_backoff
-        while not stop_event.triggered:
-            txn_type, args = self.workload.next_transaction(rng, mix)
-            attempts = 0
-            while not stop_event.triggered:
-                attempts += 1
-                try:
-                    yield from engine.execute_transaction(txn_type, args, client_id)
-                    break
-                except TransactionAborted:
-                    engine.stats.record_retry(None)
-                    if backoff > 0:
-                        delay = min(backoff * (2 ** min(attempts - 1, 5)), 0.1)
-                        yield env.timeout(delay)
+    def engine_options(self, seed):
+        return default_degraded_options(seed)
 
-    def run(self, clients, duration=0.5, raise_on_violation=True):
-        """One checked run across the whole fault plan.
+    def attach(self, runner):
+        if self.injector is None:
+            if self.plan is None:
+                self.plan = MessageFaultPlan.from_seed(runner.seed)
+            self.injector = MessageFaultInjector(self.plan)
+        runner.manager.dedup_enabled = self.dedup_enabled
+        runner.engine.cluster.message_faults = self.injector
 
-        Returns a :class:`DegradedRunResult`; with ``raise_on_violation``
-        (the default) any oracle violation, duplicate application or
-        durability mismatch raises instead of being returned quietly.
-        """
-        manager = DurabilityManager(self.durability_config)
-        manager.dedup_enabled = self.dedup_enabled
-        store = MultiVersionStore()
-        self.workload.populate(store)
-        env = Environment()
-        engine = TebaldiEngine(
-            env,
-            self.configuration,
-            self.workload.transaction_types(),
-            store=store,
-            options=self.options,
-            durability=manager,
-        )
-        engine.cluster.message_faults = self.injector
-        engine.history_recorder = self.recorder
-        stop_event = env.event(name="stop")
-        engine.start_services(stop_event)
-        mix = self.workload.validate_mix(self.workload.mix())
-        for client_id in range(clients):
-            rng = self.workload.make_rng(
-                derive_point_seed(self.seed, "net-client", 0, client_id)
-            )
-            env.process(
-                self._client(env, engine, stop_event, rng, mix, client_id),
-                name=f"client-{client_id}",
-            )
-        env.run(until=duration)
-        summary = engine.stats.summary()
-        report = check_recorder(self.recorder, level=self.isolation_level)
-
-        violations = {}
-        duplicate_tickets = retransmit_violations(manager)
-        if duplicate_tickets:
-            violations["duplicate_tickets"] = duplicate_tickets
-        if self.recorder.duplicate_commits:
-            violations["duplicate_commits"] = list(
-                self.recorder.duplicate_commits
-            )
-        history = self.recorder.history()
-        if self.workload.name == "queue":
-            double_dequeues = exactly_once_violations(history)
-            if double_dequeues:
-                violations["double_dequeues"] = double_dequeues
-
+    def finish(self, runner, result):
+        manager, recorder, engine = runner.manager, runner.recorder, runner.engine
+        result.fault_log = list(self.injector.fault_log)
+        result.net_stats = dict(engine.net_stats)
+        result.extra["injector_stats"] = dict(self.injector.stats)
+        result.extra["pending_faults"] = self.injector.has_pending()
+        history = recorder.history()
         # Committed means durable and visible: replaying the persistent log
         # must recover exactly the committed writers, and the recovered
         # values must match the store's latest committed state.
         recovery = manager.recover()
+        recovered = recovery.recovered_transactions
         committed_writers = {
             txn.txn_id for txn in history.transactions.values() if txn.writes
         }
-        not_durable = committed_writers - recovery.recovered_transactions
-        if not_durable:
-            violations["committed_not_durable"] = sorted(not_durable)
-        phantom_durable = (
-            recovery.recovered_transactions - set(engine.committed_ids)
-        )
-        if phantom_durable:
-            violations["durable_not_committed"] = sorted(phantom_durable)
-        latest = store.latest_state()
+        latest = runner.store.latest_state()
         stale = {
             key: (value, latest.get(key))
             for key, value in recovery.state.items()
             if recovery.state_writers.get(key, 0) != 0
             and latest.get(key) != value
         }
-        if stale:
-            violations["recovered_state_mismatch"] = stale
-
-        result = DegradedRunResult(
-            configuration=self.configuration.name,
-            clients=clients,
-            duration=duration,
-            commits=summary["commits"],
-            aborts=summary["aborts"],
-            throughput=summary["commits"] / duration if duration > 0 else 0.0,
-            fault_log=list(self.injector.fault_log),
-            net_stats=dict(engine.net_stats),
-            violations=violations,
-            extra={
-                "isolation": report,
-                "recorder": self.recorder,
-                "injector_stats": dict(self.injector.stats),
-                "pending_faults": self.injector.has_pending(),
-            },
+        checks = {
+            "duplicate_tickets": retransmit_violations(manager),
+            "duplicate_commits": list(recorder.duplicate_commits),
+            "double_dequeues": (
+                exactly_once_violations(history)
+                if runner.workload.name == "queue"
+                else {}
+            ),
+            "committed_not_durable": sorted(committed_writers - recovered),
+            "durable_not_committed": sorted(recovered - set(engine.committed_ids)),
+            "recovered_state_mismatch": stale,
+        }
+        result.violations.update(
+            {name: found for name, found in checks.items() if found}
         )
-        if raise_on_violation:
-            report.raise_on_violation()
-            if violations:
-                raise AssertionError(
-                    f"degraded-mode violations in {self.configuration.name}: "
-                    f"{violations}"
-                )
-        return result
+
+
+def describe(result):
+    """CLI text of one degraded cell: ``(problem, headline, detail)``."""
+    report, net = result.extra["isolation"], result.net_stats
+    problem = None
+    status = f"isolation OK across {len(result.fault_log)} fault(s)"
+    if not report.ok or result.violations:
+        problem = status = "VIOLATION: " + (
+            report.describe() if not report.ok else str(result.violations)
+        )
+    fired = ", ".join(
+        f"{fault['kind']}@{fault['time']:.4f}s" for fault in result.fault_log
+    )
+    return (
+        problem,
+        f"{result.commits} commits, {result.aborts} aborts — {status}",
+        f"faults: {fired or 'none fired'}; retries={net['retries']} "
+        f"retransmits={net['retransmit_applies']} parked={net['parked']} "
+        f"degraded-windows={net['degraded_windows']}",
+    )
 
 
 def run_degraded_benchmark(
@@ -274,7 +182,8 @@ def run_degraded_benchmark(
     faults=4,
     require=("drop", "partition"),
     fault_plan=None,
-    raise_on_violation=True,
+    durability=None,
+    dedup_enabled=True,
     **kwargs,
 ):
     """One-shot helper: seeded message-fault checked run.
@@ -288,13 +197,9 @@ def run_degraded_benchmark(
         fault_plan = MessageFaultPlan.from_seed(
             seed, faults=faults, require=require
         )
-    runner = DegradedRunner(
-        workload,
-        configuration,
-        seed=seed,
-        fault_plan=fault_plan,
-        **kwargs,
-    )
-    return runner.run(
-        clients, duration=duration, raise_on_violation=raise_on_violation
+    kwargs.setdefault("warmup", 0.0)
+    lane = NetFaultLane(fault_plan, durability=durability, dedup_enabled=dedup_enabled)
+    return run_benchmark(
+        workload, configuration, clients, duration=duration, seed=seed,
+        lanes=[lane], **kwargs,
     )

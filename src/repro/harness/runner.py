@@ -1,9 +1,14 @@
-"""Closed-loop benchmark runner over the simulated cluster.
+"""Closed-loop benchmark runner over the simulated cluster: the one run driver.
 
 The runner mirrors the paper's experimental setup (Section 4.6): a fixed
 number of closed-loop clients issue transactions drawn from the workload mix,
 aborted transactions back off and retry, and throughput is measured after a
 warm-up period.
+
+This is the only run driver: it alone builds the environment, store and
+engine of every incarnation, owns the client loop, runs to the horizon and
+checks the recorder.  Fault models (:mod:`repro.harness.crash`,
+:mod:`repro.harness.degraded`) plug in as *lanes* (:class:`Lane`).
 
 After populating the store the runner freezes the heap (``gc.freeze``), so
 the cyclic garbage collector stops re-scanning the hundreds of thousands of
@@ -17,15 +22,18 @@ from dataclasses import dataclass, field
 
 from repro.core.engine import EngineOptions, TebaldiEngine
 from repro.errors import TransactionAborted
+from repro.harness.parallel import derive_point_seed
 from repro.isolation.checker import check_recorder
 from repro.isolation.history import HistoryRecorder
 from repro.sim.environment import Environment
+from repro.sim.events import any_of
+from repro.storage.durability import DurabilityManager
 from repro.storage.mvstore import MultiVersionStore
 
 
 @dataclass
 class RunResult:
-    """Outcome of one benchmark run."""
+    """Outcome of one benchmark run (plain, crash-enabled or degraded)."""
 
     configuration: str
     clients: int
@@ -37,6 +45,13 @@ class RunResult:
     aborts: int
     per_type: dict = field(default_factory=dict)
     abort_reasons: dict = field(default_factory=dict)
+    incarnations: int = 1
+    # Filled by fault lanes: per-crash reports, the message faults that
+    # fired, the engine's retry counters and every broken post-run invariant.
+    crashes: list = field(default_factory=list)
+    fault_log: list = field(default_factory=list)
+    net_stats: dict = field(default_factory=dict)
+    violations: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
 
     def __repr__(self):
@@ -44,6 +59,32 @@ class RunResult:
             f"<RunResult {self.configuration} clients={self.clients} "
             f"tput={self.throughput:.0f} txn/s abort={self.abort_rate:.1%}>"
         )
+
+
+class Lane:
+    """What a fault model adds to the run driver; every member is optional.
+
+    ``client_seed_tag`` names the lane's client RNG streams (seeds derive
+    from ``(seed, tag, incarnation, client_id)``), ``durability`` is the
+    :class:`DurabilityConfig` its cells run under and ``stop_event`` ends an
+    incarnation early (a crash).
+    """
+
+    client_seed_tag = None
+    durability = None
+    stop_event = None
+
+    def engine_options(self, seed):
+        """Default :class:`EngineOptions` for runs with this lane, or None."""
+
+    def attach(self, runner):
+        """Wire the lane into a freshly built incarnation."""
+
+    def recover(self, runner):
+        """The recovered store if ``stop_event`` ended the incarnation, else None."""
+
+    def finish(self, runner, result):
+        """Write the lane's post-run facts and invariants into ``result``."""
 
 
 class BenchmarkRunner:
@@ -61,112 +102,170 @@ class BenchmarkRunner:
         check_isolation=False,
         isolation_level="serializable",
         history_window=None,
+        lanes=(),
     ):
         self.workload = workload
         self.configuration = configuration
-        self.options = options or EngineOptions()
         self.seed = seed
         self.mix = mix
         self.start_services = start_services
-        self.env = Environment()
-        self.store = MultiVersionStore()
-        self.workload.populate(self.store)
         self.profiler = profiler
-        self.engine = TebaldiEngine(
-            self.env,
-            configuration,
-            self.workload.transaction_types(),
-            store=self.store,
-            options=self.options,
-            profiler=profiler,
+        self.lanes = tuple(lanes)
+        for lane in self.lanes:
+            options = options or lane.engine_options(seed)
+        self.options = options or EngineOptions()
+        self._tag = next(
+            (lane.client_seed_tag for lane in self.lanes if lane.client_seed_tag), None
         )
         # Checked-run mode: stream the committed history into a recorder and
         # verify the run against the Adya isolation oracle after every
-        # measurement.  ``history_window`` bounds recorder memory (ring of
-        # the most recent committed transactions) for long runs.  The
-        # recorder streams dependency edges into the incremental DSG
-        # checker as commits happen, so the post-measurement check is just
-        # the two linear anomaly passes — no post-hoc graph build.
+        # measurement (fault lanes always run checked).  ``history_window``
+        # bounds recorder memory (ring of the most recent committed
+        # transactions) for long runs.  The recorder streams dependency
+        # edges into the incremental DSG checker as commits happen, so the
+        # post-measurement check is just the two linear anomaly passes.  One
+        # recorder spans every incarnation of a crash-enabled run.
         self.isolation_level = isolation_level
         self.recorder = None
-        if check_isolation:
+        if check_isolation or self.lanes:
             # The recorder validates the level (ValueError on unknown names).
             self.recorder = HistoryRecorder(
                 max_transactions=history_window, level=isolation_level
             )
-            self.engine.history_recorder = self.recorder
-        self._stop_event = self.env.event(name="stop")
-        self._client_counter = 0
-        if self.start_services:
-            self.engine.start_services(self._stop_event)
+        # One durability manager for the whole run: its persistent backends
+        # survive the engine rebuilds of a crash-enabled run.
+        self.manager = DurabilityManager(
+            next(
+                (lane.durability for lane in self.lanes if lane.durability is not None),
+                self.options.durability,
+            )
+        )
+        self.env = Environment()
+        self.store = MultiVersionStore()
+        self.workload.populate(self.store)
+        self.incarnation = 0
+        self._client_mixes = []
+        self._build_engine()
         # The populated store and engine live for the runner's lifetime:
         # exclude them from cyclic-GC scans (unfrozen again in stop()).
         gc.collect()
         gc.freeze()
         self._frozen = True
 
+    def _build_engine(self, txn_id_start=1):
+        self.engine = TebaldiEngine(
+            self.env,
+            self.configuration,
+            self.workload.transaction_types(),
+            store=self.store,
+            options=self.options,
+            profiler=self.profiler,
+            durability=self.manager,
+            txn_id_start=txn_id_start,
+        )
+        self.engine.history_recorder = self.recorder
+        self._stop_event = self.env.event(name="stop")
+        if self.start_services:
+            self.engine.start_services(self._stop_event)
+        for lane in self.lanes:
+            lane.attach(self)
+
     # -- client processes ----------------------------------------------------------
 
     def _client(self, client_id, rng, mix):
+        """The closed loop: draw a transaction, retry it until it commits."""
+        backoff = self.options.retry_backoff
         while not self._stop_event.triggered:
             txn_type, args = self.workload.next_transaction(rng, mix)
-            yield from self._run_with_retries(txn_type, args, client_id)
-
-    def _run_with_retries(self, txn_type, args, client_id, max_retries=None):
-        backoff = self.options.retry_backoff
-        attempts = 0
-        while not self._stop_event.triggered:
-            attempts += 1
-            try:
-                txn = yield from self.engine.execute_transaction(
-                    txn_type, args, client_id
-                )
-                return txn
-            except TransactionAborted:
-                if max_retries is not None and attempts > max_retries:
-                    return None
-                self.engine.stats.record_retry(None)
-                if backoff > 0:
-                    # Exponential backoff (capped) calms cascading-abort storms.
-                    delay = min(backoff * (2 ** min(attempts - 1, 5)), 0.1)
-                    yield self.env.timeout(delay)
-        return None
+            attempts = 0
+            while not self._stop_event.triggered:
+                attempts += 1
+                try:
+                    yield from self.engine.execute_transaction(txn_type, args, client_id)
+                    break
+                except TransactionAborted:
+                    self.engine.stats.record_retry(None)
+                    if backoff > 0:
+                        # Exponential backoff (capped) calms cascading-abort storms.
+                        delay = min(backoff * (2 ** min(attempts - 1, 5)), 0.1)
+                        yield self.env.timeout(delay)
 
     def add_clients(self, count, mix=None):
         """Spawn ``count`` closed-loop client processes."""
         mix = self.workload.validate_mix(mix or self.mix or self.workload.mix())
         for _ in range(count):
-            client_id = self._client_counter
-            self._client_counter += 1
-            rng = self.workload.make_rng(self.seed + client_id * 7919)
-            self.env.process(self._client(client_id, rng, mix), name=f"client-{client_id}")
+            self._client_mixes.append(mix)
+            self._spawn_client(len(self._client_mixes) - 1, mix)
+
+    def _spawn_client(self, client_id, mix):
+        seed = self.seed + client_id * 7919
+        if self._tag is not None:
+            seed = derive_point_seed(self.seed, self._tag, self.incarnation, client_id)
+        rng = self.workload.make_rng(seed)
+        self.env.process(self._client(client_id, rng, mix), name=f"client-{client_id}")
 
     # -- measurement -------------------------------------------------------------------
+
+    def _advance(self, until):
+        """Run to virtual time ``until``, through every crash a lane injects."""
+        lane = next((lane for lane in self.lanes if lane.stop_event is not None), None)
+        if lane is None:
+            self.env.run(until=until)
+            return
+        while self.env.now < until:
+            horizon = self.env.timeout(until - self.env.now)
+            self.env.run(until=any_of(self.env, [lane.stop_event, horizon]))
+            store = lane.recover(self)
+            if store is None:
+                return
+            self._next_incarnation(store)
+
+    def _next_incarnation(self, store):
+        """Resume over the recovered ``store``: fresh environment and engine,
+        continued transaction ids, the same clients on fresh RNG streams,
+        and the run's stats collector carried over."""
+        previous = self.engine
+        self.store = store
+        self.env = Environment(initial_time=previous.env.now)
+        self.incarnation += 1
+        self._build_engine(txn_id_start=next(previous._txn_ids))
+        self.engine.stats = previous.stats
+        previous.stats.env = self.env
+        for client_id, mix in enumerate(self._client_mixes):
+            self._spawn_client(client_id, mix)
 
     def run(self, clients, duration=5.0, warmup=1.0, mix=None, raise_on_violation=True):
         """Run ``clients`` closed-loop clients and measure steady-state throughput.
 
-        In checked-run mode (``check_isolation=True`` at construction) the
-        recorded history — warmup included — is fed to the isolation checker
-        after the measurement; a violation raises
-        :class:`~repro.errors.IsolationViolation` unless
-        ``raise_on_violation`` is false, and the
+        In checked-run mode (``check_isolation=True`` at construction, or
+        any fault lane) the recorded history — warmup included — is fed to
+        the isolation checker after the measurement and the
         :class:`~repro.isolation.checker.IsolationReport` is attached to the
-        result as ``extra["isolation"]`` either way.
+        result as ``extra["isolation"]``; the lanes then add their own
+        invariants to ``result.violations``.  An oracle violation raises
+        :class:`~repro.errors.IsolationViolation` and a broken lane
+        invariant ``AssertionError`` unless ``raise_on_violation`` is false.
         """
         self.add_clients(clients, mix=mix)
         if warmup > 0:
-            self.env.run(until=self.env.now + warmup)
+            self._advance(self.env.now + warmup)
         self.engine.stats.reset()
         if self.profiler is not None and hasattr(self.profiler, "reset"):
             self.profiler.reset(self.env.now)
-        self.env.run(until=self.env.now + duration)
+        self._advance(self.env.now + duration)
         result = self.result(clients, duration)
         if self.recorder is not None:
             report = self.check_isolation()
             result.extra["isolation"] = report
+            for lane in self.lanes:
+                lane.finish(self, result)
             if raise_on_violation:
                 report.raise_on_violation()
+                if result.violations:
+                    raise AssertionError(
+                        f"fault-lane violations in {self.configuration.name}: "
+                        f"{result.violations}"
+                    )
         return result
 
     def check_isolation(self):
@@ -179,8 +278,8 @@ class BenchmarkRunner:
 
     def run_additional(self, duration):
         """Continue the measurement for ``duration`` more virtual seconds."""
-        self.env.run(until=self.env.now + duration)
-        return self.result(self._client_counter, self.engine.stats.elapsed)
+        self._advance(self.env.now + duration)
+        return self.result(len(self._client_mixes), self.engine.stats.elapsed)
 
     def result(self, clients, duration):
         summary = self.engine.stats.summary()
@@ -195,6 +294,7 @@ class BenchmarkRunner:
             aborts=summary["aborts"],
             per_type=summary["per_type"],
             abort_reasons=summary["abort_reasons"],
+            incarnations=self.incarnation + 1,
         )
 
     def stop(self):

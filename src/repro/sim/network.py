@@ -1,4 +1,4 @@
-"""Cluster cost and message model: network round-trips, faults and server CPU.
+"""Cluster cost and message model: network round-trips, faults and CPU costs.
 
 The paper's cluster (Section 4.6) has transaction coordinators (TCs) and data
 servers (DSs) connected by a 10 GbE network with ~0.1 ms ping.  The four-phase
@@ -7,9 +7,8 @@ regardless of the CC-tree depth (Section 4.5.2); individual CC mechanisms may
 add extra round-trips (SSI's timestamp server, RP's per-step coordination).
 
 The :class:`NetworkModel` captures these costs as virtual-time delays —
-including seeded, deterministic jitter — and :class:`ClusterModel` adds a
-bounded CPU pool so throughput saturates when the cluster runs out of
-compute, exactly like the real testbed.
+including seeded, deterministic jitter — and :class:`CostModel` the CPU
+cost of operations and phases.
 
 Beyond the constant-delay pipe, :meth:`ClusterModel.send` is a real message
 layer: every protocol round-trip the engine routes through it consults the
@@ -18,7 +17,7 @@ dropped, delayed, duplicated, reordered or caught in a TC/DS partition
 window.  Per-destination :class:`LinkState` records what happened on each
 link, and the :class:`Delivery` outcome tells the engine whether the request
 reached the servers and whether the reply made it back — the engine's
-timeout/retry/backoff loop (:meth:`TebaldiEngine._robust_exchange`) is built
+timeout/retry/backoff loop (:meth:`TebaldiEngine._robust_exchange`, the message-layer transport) is built
 on exactly that distinction.
 """
 
@@ -27,7 +26,6 @@ from dataclasses import dataclass, field
 import random
 
 from repro.errors import ConfigurationError
-from repro.sim.resources import Resource
 
 #: Destination token for the centralized timestamp / batch server (the one
 #: extra machine of Section 4.6).  Sends addressed to it are charged the
@@ -134,42 +132,21 @@ class LinkState:
 
 @dataclass
 class ClusterModel:
-    """Aggregate cluster resources: CPU pool, network model, message layer.
+    """The cluster as the engine sees it: network and cost models plus the
+    message layer.
 
-    ``cpu_slots`` bounds how many operations the cluster can execute at the
-    same virtual time, which is what makes uncontended throughput saturate.
     ``message_faults`` (a :class:`~repro.sim.faults.MessageFaultInjector`)
     is attached by the degraded harness; without one, :meth:`send` is a
     plain jittered round-trip that always delivers.
     """
 
     env: object
-    cpu_slots: int = 64
     network: NetworkModel = field(default_factory=NetworkModel)
     costs: CostModel = field(default_factory=CostModel)
     message_faults: object = None
 
     def __post_init__(self):
-        self.cpu = Resource(self.env, capacity=self.cpu_slots, name="cluster-cpu")
         self.links = {}
-
-    def compute(self, duration):
-        """Consume cluster CPU for ``duration`` virtual seconds."""
-        if duration <= 0:
-            return
-        yield from self.cpu.use(duration)
-
-    def network_delay(self, round_trips=1):
-        """Wait for ``round_trips`` network round-trips (no CPU held)."""
-        if round_trips < 0:
-            raise ConfigurationError(
-                f"network round_trips must be >= 0, got {round_trips}"
-            )
-        delay = 0.0
-        for _ in range(int(round_trips)):
-            delay += self.network.round_trip()
-        if delay > 0:
-            yield self.env.timeout(delay)
 
     def link(self, dst):
         """The (lazily created) per-destination link state."""

@@ -1,8 +1,7 @@
-"""Synchronisation and resource primitives built on the simulation kernel."""
+"""Synchronisation primitives built on the simulation kernel."""
 
 from collections import deque
 
-from repro.errors import SimulationError
 from repro.sim.events import Event
 
 
@@ -81,55 +80,3 @@ class Condition:
         event, self._event = self._event, Event(self.env, name=f"cond:{self.name}")
         if not event.triggered:
             event.succeed(value)
-
-
-class Resource:
-    """A counting resource with FIFO admission (models server CPU slots)."""
-
-    __slots__ = ("env", "name", "capacity", "_in_use", "_waiters")
-
-    def __init__(self, env, capacity, name=""):
-        if capacity < 1:
-            raise SimulationError("Resource capacity must be >= 1")
-        self.env = env
-        self.name = name
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters = deque()
-
-    @property
-    def in_use(self):
-        return self._in_use
-
-    @property
-    def queued(self):
-        return len(self._waiters)
-
-    def acquire(self):
-        """Acquire one slot, waiting FIFO if the resource is saturated."""
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            return
-        event = Event(self.env, name=f"acquire:{self.name}")
-        self._waiters.append(event)
-        yield event
-        # The releasing process transferred its slot to us.
-
-    def release(self):
-        """Release one slot, handing it to the oldest waiter if any."""
-        if self._in_use <= 0:
-            raise SimulationError(f"release() on idle resource {self.name!r}")
-        while self._waiters:
-            event = self._waiters.popleft()
-            if not event.triggered:
-                event.succeed(None)
-                return
-        self._in_use -= 1
-
-    def use(self, duration):
-        """Hold one slot for ``duration`` virtual seconds (acquire/delay/release)."""
-        yield from self.acquire()
-        try:
-            yield self.env.timeout(duration)
-        finally:
-            self.release()

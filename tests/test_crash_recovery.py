@@ -22,8 +22,9 @@ from repro.core.transaction import ReadRecord, Transaction
 from repro.errors import ConfigurationError, IsolationViolation
 from repro.harness.configs import CRASH_CELLS, WORKLOAD_CONFIGURATIONS
 from repro.harness.cli import main as harness_main
+from repro.harness.runner import BenchmarkRunner, Lane
 from repro.harness.crash import (
-    CrashRecoveryRunner,
+    CrashLane,
     default_crash_durability,
     exactly_once_violations,
     run_crash_benchmark,
@@ -331,6 +332,15 @@ def _smallbank_workload():
     return SmallBankWorkload(customers=200, hot_accounts=10)
 
 
+def run_and_stop(runner, clients, duration):
+    """Drive a lane-bearing runner the way the lanes' one-shot helpers do
+    (no warm-up), then release the GC state frozen at construction."""
+    try:
+        return runner.run(clients, duration=duration, warmup=0.0)
+    finally:
+        runner.stop()
+
+
 class TestCrashScenarios:
     """Fixed-seed end-to-end crash/recovery runs under the oracle."""
 
@@ -367,15 +377,18 @@ class TestCrashScenarios:
     def test_torn_precommit_scenario(self):
         """Mid-commit crash between per-server flushes: the torn transaction
         is discarded, the run resumes, the stitched history stays clean."""
-        runner = CrashRecoveryRunner(
-            _queue_workload(),
-            WORKLOAD_CONFIGURATIONS["queue"]["3layer"](),
-            seed=11,
+        lane = CrashLane(
             fault_plan=FaultPlan((CrashPoint("precommit-record", 5),)),
             durability=default_crash_durability(asynchronous=False),
         )
-        result = runner.run(8, duration=0.5)
-        detail = runner.injector.crash_log[0]["detail"]
+        runner = BenchmarkRunner(
+            _queue_workload(),
+            WORKLOAD_CONFIGURATIONS["queue"]["3layer"](),
+            seed=11,
+            lanes=[lane],
+        )
+        result = run_and_stop(runner, 8, duration=0.5)
+        detail = lane.injector.crash_log[0]["detail"]
         assert detail["index"] < detail["total"] - 1  # genuinely torn
         crash = result.crashes[0]
         assert detail["txn_id"] not in crash.recovered
@@ -387,14 +400,17 @@ class TestCrashScenarios:
         """Crash after a full durable precommit but before acknowledgement:
         recovery resurrects the transaction although it never committed in
         memory, and the stitched graph stays anomaly-free."""
-        runner = CrashRecoveryRunner(
-            _queue_workload(),
-            WORKLOAD_CONFIGURATIONS["queue"]["3layer"](),
-            seed=11,
+        lane = CrashLane(
             fault_plan=FaultPlan((CrashPoint("precommit-done", 25),)),
             durability=default_crash_durability(asynchronous=False),
         )
-        result = runner.run(8, duration=0.5)
+        runner = BenchmarkRunner(
+            _queue_workload(),
+            WORKLOAD_CONFIGURATIONS["queue"]["3layer"](),
+            seed=11,
+            lanes=[lane],
+        )
+        result = run_and_stop(runner, 8, duration=0.5)
         crash = result.crashes[0]
         assert len(crash.ghosts) == 1
         ghost = crash.ghosts[0]
@@ -406,13 +422,13 @@ class TestCrashScenarios:
     def test_vanished_transactions_on_async_crash(self):
         """A crash before any GCP flush wipes every commit since the start:
         all of them vanish, the oracle still accepts the stitched run."""
-        runner = CrashRecoveryRunner(
+        runner = BenchmarkRunner(
             _queue_workload(),
             WORKLOAD_CONFIGURATIONS["queue"]["2layer"](),
             seed=11,
-            fault_plan=FaultPlan((CrashPoint("gcp-server", 3),)),
+            lanes=[CrashLane(fault_plan=FaultPlan((CrashPoint("gcp-server", 3),)))],
         )
-        result = runner.run(8, duration=0.5)
+        result = run_and_stop(runner, 8, duration=0.5)
         crash = result.crashes[0]
         assert crash.committed_before > 0
         assert len(crash.vanished) == crash.committed_before
@@ -460,12 +476,13 @@ class TestCrashScenarios:
         assert one() == one()
 
     def test_streaming_verdict_matches_posthoc_across_crash(self):
-        runner = CrashRecoveryRunner(
+        runner = BenchmarkRunner(
             _queue_workload(),
             WORKLOAD_CONFIGURATIONS["queue"]["3layer"](),
             seed=7,
+            lanes=[CrashLane()],
         )
-        result = runner.run(8, duration=0.5)
+        result = run_and_stop(runner, 8, duration=0.5)
         assert len(result.crashes) >= 1
         streaming = result.extra["isolation"]
         posthoc = check_history(runner.recorder.history(), level="serializable")
@@ -474,18 +491,59 @@ class TestCrashScenarios:
     def test_violation_raises_by_default(self):
         """raise_on_violation routes through IsolationViolation, same as the
         plain checked runner (sanity: wire a fake anomaly in)."""
-        runner = CrashRecoveryRunner(
+        runner = BenchmarkRunner(
             _queue_workload(),
             WORKLOAD_CONFIGURATIONS["queue"]["2pl"](),
             seed=7,
-            fault_plan=FaultPlan(()),
+            lanes=[CrashLane(fault_plan=FaultPlan(()))],
         )
         recorder = runner.recorder
         v1 = committed_version(("messages", 999), writer=7777, seq=999_999)
         record_commit(recorder, 8888, [], reads=[v1])
         recorder.on_crash({7777})
         with pytest.raises(IsolationViolation):
-            runner.run(2, duration=0.05)
+            run_and_stop(runner, 2, duration=0.05)
+
+
+class SeedTagOnly(Lane):
+    """No fault model at all: only the crash lane's client RNG streams, so
+    a lane-less run draws the same transactions as one with the lane."""
+
+    client_seed_tag = CrashLane.client_seed_tag
+
+
+class TestEmptyPlanIsByteIdentical:
+    """Mirror of the message-fault pin: an armed injector with an empty
+    plan (trip counting at every durability site, crash event in the run's
+    stop condition) must not move the schedule."""
+
+    def run_pinned(self, lane):
+        from repro.core.engine import EngineOptions
+
+        runner = BenchmarkRunner(
+            _queue_workload(),
+            WORKLOAD_CONFIGURATIONS["queue"]["3layer"](),
+            seed=13,
+            options=EngineOptions(durability=default_crash_durability()),
+            check_isolation=True,
+            lanes=[lane],
+        )
+        result = run_and_stop(runner, 8, duration=0.3)
+        engine = runner.engine
+        return (
+            result.commits,
+            result.aborts,
+            result.incarnations,
+            sorted(engine.committed_ids),
+            sorted((repr(k), repr(v)) for k, v in runner.store.latest_state().items()),
+            runner.env.now,
+        )
+
+    def test_empty_fault_plan_matches_no_injector(self):
+        plain = self.run_pinned(SeedTagOnly())
+        empty = self.run_pinned(CrashLane(fault_plan=FaultPlan(())))
+        assert plain == empty
+        assert plain[0] > 0 and plain[2] == 1
 
 
 class TestHarnessCLIFaults:

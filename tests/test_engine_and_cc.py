@@ -171,6 +171,31 @@ class TestRegistry:
                 monolithic("nonexistent", noconflict_workload.transaction_names()),
             )
 
+    def test_generator_pre_commit_rejected_at_build(self, env, noconflict_workload):
+        """pre_commit runs inside the synchronous commit apply: a generator
+        override would be silently skipped, so the route build refuses it."""
+        from repro.cc.no_op import NoOpCC
+
+        class YieldingPreCommit(NoOpCC):
+            name = "test-yielding-pre-commit"
+
+            def pre_commit(self, txn):
+                yield self.engine.env.timeout(0)
+
+        CC_REGISTRY[YieldingPreCommit.name] = YieldingPreCommit
+        try:
+            with pytest.raises(ConfigurationError, match="pre_commit must be synchronous"):
+                build_engine(
+                    env,
+                    noconflict_workload,
+                    monolithic(
+                        YieldingPreCommit.name,
+                        noconflict_workload.transaction_names(),
+                    ),
+                )
+        finally:
+            del CC_REGISTRY[YieldingPreCommit.name]
+
 
 class TestEngineLifecycle:
     def test_commit_updates_store_and_stats(self, env, noconflict_workload):

@@ -1,0 +1,37 @@
+"""Fixed-seed stdout pins for the two fault lanes.
+
+``BENCH_speed.json`` pins the plain path's schedules; these goldens do the
+same for the crash lane (``--faults``) and the message-fault lane
+(``--net-faults``): the whole CLI report of the queue cells at seed 7 —
+commit counts, crash points and recovery classification, fault times, retry
+counters — must match ``tests/golden/`` byte for byte.
+
+Re-record rule: a refactor must never touch these files.  Re-record only
+when a change *legitimately* moves fault-lane schedules (a CC or recovery
+bugfix), with the justification in CHANGES.md, by redirecting the command in
+the golden's name into it, e.g.::
+
+    PYTHONPATH=src python -m repro.harness --workload queue --faults 1 \
+        --quick --workers 1 > tests/golden/queue_faults_1_quick.txt
+"""
+
+from pathlib import Path
+
+import pytest
+
+from repro.harness.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "flag,count,golden",
+    [
+        ("--faults", "1", "queue_faults_1_quick.txt"),
+        ("--net-faults", "2", "queue_net_faults_2_quick.txt"),
+    ],
+)
+def test_fault_lane_stdout_matches_golden(capsys, flag, count, golden):
+    code = main(["--workload", "queue", flag, count, "--quick", "--workers", "1"])
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()

@@ -31,8 +31,9 @@ from repro.core.engine import EngineOptions, TebaldiEngine
 from repro.errors import ConfigurationError, TransactionAborted
 from repro.harness.cli import build_workload, main as harness_main
 from repro.harness.configs import CHAOS_CELLS, WORKLOAD_CONFIGURATIONS
+from repro.harness.runner import BenchmarkRunner, Lane
 from repro.harness.degraded import (
-    DegradedRunner,
+    NetFaultLane,
     default_degraded_durability,
     default_degraded_options,
     retransmit_violations,
@@ -200,8 +201,6 @@ class TestNetworkModel:
     def test_negative_round_trip_counts_are_rejected(self):
         env = Environment()
         cluster = ClusterModel(env)
-        with pytest.raises(ConfigurationError):
-            next(cluster.network_delay(-1))
         with pytest.raises(ConfigurationError):
             next(cluster.send(round_trips=0))
 
@@ -485,18 +484,18 @@ class TestAdmissionValve:
         ))
         options = default_degraded_options(seed=3)
         options.net_park_threshold = 3
-        runner = DegradedRunner(
+        runner = BenchmarkRunner(
             build_workload("smallbank"),
             WORKLOAD_CONFIGURATIONS["smallbank"]["2layer"](),
             seed=3,
             options=options,
-            fault_plan=plan,
+            lanes=[NetFaultLane(fault_plan=plan)],
         )
-        result = runner.run(clients=10, duration=0.4)
+        result = run_and_stop(runner, clients=10, duration=0.4)
         assert result.net_stats["degraded_windows"] >= 1
         assert result.net_stats["parked"] >= 1
         heal = result.fault_log[0]["heals_at"]
-        history = result.extra["recorder"].history()
+        history = runner.recorder.history()
         post_heal = [
             txn for txn in history.transactions.values() if txn.end_time > heal
         ]
@@ -509,56 +508,53 @@ class TestAdmissionValve:
 # ---------------------------------------------------------------------------
 
 
-def run_pinned(attach_empty_injector):
-    workload = QueueWorkload(initial_messages=6, window=8)
-    configuration = WORKLOAD_CONFIGURATIONS["queue"]["3layer"]()
-    runner = DegradedRunner(
-        workload,
-        configuration,
-        seed=13,
-        fault_plan=MessageFaultPlan(),  # empty
-    )
-    if not attach_empty_injector:
-        runner.injector = None
-    manager = DurabilityManager(runner.durability_config)
-    store = MultiVersionStore()
-    workload.populate(store)
-    env = Environment()
-    engine = TebaldiEngine(
-        env,
-        configuration,
-        workload.transaction_types(),
-        store=store,
-        options=runner.options,
-        durability=manager,
-    )
-    if runner.injector is not None:
-        engine.cluster.message_faults = runner.injector
-    stop_event = env.event(name="stop")
-    engine.start_services(stop_event)
-    mix = workload.validate_mix(workload.mix())
-    from repro.harness.parallel import derive_point_seed
-
-    for client_id in range(8):
-        rng = workload.make_rng(derive_point_seed(13, "net-client", 0, client_id))
-        env.process(
-            runner._client(env, engine, stop_event, rng, mix, client_id),
-            name=f"client-{client_id}",
+def run_and_stop(runner, clients, duration, raise_on_violation=True):
+    """Drive a lane-bearing runner the way the lanes' one-shot helpers do
+    (no warm-up), then release the GC state frozen at construction."""
+    try:
+        return runner.run(
+            clients, duration=duration, warmup=0.0,
+            raise_on_violation=raise_on_violation,
         )
-    env.run(until=0.3)
+    finally:
+        runner.stop()
+
+
+class SeedTagOnly(Lane):
+    """No fault model at all: only the net lane's client RNG streams, so a
+    lane-less run draws the same transactions as one with the lane."""
+
+    client_seed_tag = NetFaultLane.client_seed_tag
+
+
+def run_pinned(lane):
+    workload = QueueWorkload(initial_messages=6, window=8)
+    options = default_degraded_options(13)
+    options.durability = default_degraded_durability()
+    runner = BenchmarkRunner(
+        workload,
+        WORKLOAD_CONFIGURATIONS["queue"]["3layer"](),
+        seed=13,
+        options=options,
+        check_isolation=True,
+        lanes=[lane],
+    )
+    run_and_stop(runner, 8, duration=0.3)
+    engine = runner.engine
     return (
         engine.stats.commits,
         engine.stats.aborts,
         sorted(engine.committed_ids),
-        sorted((repr(k), repr(v)) for k, v in store.latest_state().items()),
-        env.now,
+        sorted((repr(k), repr(v)) for k, v in runner.store.latest_state().items()),
+        runner.env.now,
     )
 
 
 class TestEmptyPlanIsByteIdentical:
     def test_attached_empty_plan_matches_plain_run(self):
-        plain = run_pinned(attach_empty_injector=False)
-        empty = run_pinned(attach_empty_injector=True)
+        """The driver with the empty-plan lane ≡ the driver without it."""
+        plain = run_pinned(SeedTagOnly())
+        empty = run_pinned(NetFaultLane(fault_plan=MessageFaultPlan()))
         assert plain == empty
 
 
@@ -625,13 +621,13 @@ class TestChaosCells:
                 MessageFault(kind="reorder", occurrence=2, magnitude=6.0,
                              phases=("precommit",)),
             ])
-        runner = DegradedRunner(
+        runner = BenchmarkRunner(
             build_workload("queue"),
             WORKLOAD_CONFIGURATIONS["queue"]["2layer"](),
             seed=17,
-            fault_plan=MessageFaultPlan(points=tuple(points)),
+            lanes=[NetFaultLane(fault_plan=MessageFaultPlan(points=tuple(points)))],
         )
-        result = runner.run(clients=8, duration=0.4)
+        result = run_and_stop(runner, clients=8, duration=0.4)
         assert result.violations == {}
         assert result.net_stats["retransmit_applies"] >= 1
         assert result.net_stats["duplicate_deliveries"] >= 1
@@ -643,14 +639,18 @@ class TestChaosCells:
                          phases=("precommit",))
             for _ in range(3)
         )
-        runner = DegradedRunner(
+        lane = NetFaultLane(
+            fault_plan=MessageFaultPlan(points=points), dedup_enabled=False
+        )
+        runner = BenchmarkRunner(
             build_workload("queue"),
             WORKLOAD_CONFIGURATIONS["queue"]["2layer"](),
             seed=17,
-            fault_plan=MessageFaultPlan(points=points),
-            dedup_enabled=False,
+            lanes=[lane],
         )
-        result = runner.run(clients=8, duration=0.4, raise_on_violation=False)
+        result = run_and_stop(
+            runner, clients=8, duration=0.4, raise_on_violation=False
+        )
         assert "duplicate_tickets" in result.violations, (
             "a deliberately broken commit-ticket dedup must be caught"
         )

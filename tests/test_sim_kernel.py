@@ -5,8 +5,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.environment import Environment
 from repro.sim.events import Event, any_of
-from repro.sim.network import ClusterModel, CostModel, NetworkModel
-from repro.sim.resources import Condition, Resource, WaitQueue
+from repro.sim.network import CostModel, NetworkModel
+from repro.sim.resources import Condition, WaitQueue
 
 
 class TestEvents:
@@ -249,29 +249,6 @@ class TestResources:
         env.run()
         assert sorted(woken) == ["a", "b", "c"]
 
-    def test_resource_limits_concurrency(self, env):
-        resource = Resource(env, capacity=2, name="cpu")
-        finish_times = []
-
-        def worker():
-            yield from resource.use(1.0)
-            finish_times.append(env.now)
-
-        for _ in range(4):
-            env.process(worker())
-        env.run()
-        # Two run in [0,1], the next two in [1,2].
-        assert sorted(finish_times) == [1.0, 1.0, 2.0, 2.0]
-
-    def test_resource_release_requires_use(self, env):
-        resource = Resource(env, capacity=1)
-        with pytest.raises(SimulationError):
-            resource.release()
-
-    def test_resource_capacity_validation(self, env):
-        with pytest.raises(SimulationError):
-            Resource(env, capacity=0)
-
 
 class TestClusterModel:
     def test_network_round_trip_cost(self):
@@ -282,23 +259,3 @@ class TestClusterModel:
         costs = CostModel(operation_cpu=10e-6, cc_layer_cpu=2e-6)
         assert costs.operation_cost(3) == pytest.approx(16e-6)
         assert costs.operation_cost(1) < costs.operation_cost(4)
-
-    def test_cluster_compute_consumes_time(self, env):
-        cluster = ClusterModel(env, cpu_slots=1)
-
-        def proc():
-            yield from cluster.compute(0.5)
-            return env.now
-
-        process = env.process(proc())
-        assert env.run(until=process) == pytest.approx(0.5)
-
-    def test_cluster_network_delay(self, env):
-        cluster = ClusterModel(env)
-
-        def proc():
-            yield from cluster.network_delay(round_trips=2)
-            return env.now
-
-        process = env.process(proc())
-        assert env.run(until=process) == pytest.approx(2 * cluster.network.rtt)
