@@ -121,6 +121,7 @@ class CrashLane(Lane):
             if self.plan is None:
                 self.plan = FaultPlan.from_seed(runner.seed)
             self.injector = FaultInjector(self.plan)
+            # What _crash_and_recover needs of the run besides its arguments.
             self.workload = runner.workload
             self.recorder = runner.recorder
         runner.manager.faults = self.injector

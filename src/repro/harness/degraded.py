@@ -120,6 +120,7 @@ class NetFaultLane(Lane):
         result.extra["injector_stats"] = dict(self.injector.stats)
         result.extra["pending_faults"] = self.injector.has_pending()
         history = recorder.history()
+        is_queue = runner.workload.name == "queue"
         # Committed means durable and visible: replaying the persistent log
         # must recover exactly the committed writers, and the recovered
         # values must match the store's latest committed state.
@@ -138,11 +139,7 @@ class NetFaultLane(Lane):
         checks = {
             "duplicate_tickets": retransmit_violations(manager),
             "duplicate_commits": list(recorder.duplicate_commits),
-            "double_dequeues": (
-                exactly_once_violations(history)
-                if runner.workload.name == "queue"
-                else {}
-            ),
+            "double_dequeues": exactly_once_violations(history) if is_queue else {},
             "committed_not_durable": sorted(committed_writers - recovered),
             "durable_not_committed": sorted(recovered - set(engine.committed_ids)),
             "recovered_state_mismatch": stale,
@@ -200,6 +197,11 @@ def run_degraded_benchmark(
     kwargs.setdefault("warmup", 0.0)
     lane = NetFaultLane(fault_plan, durability=durability, dedup_enabled=dedup_enabled)
     return run_benchmark(
-        workload, configuration, clients, duration=duration, seed=seed,
-        lanes=[lane], **kwargs,
+        workload,
+        configuration,
+        clients,
+        duration=duration,
+        seed=seed,
+        lanes=[lane],
+        **kwargs,
     )

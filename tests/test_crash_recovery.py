@@ -18,6 +18,7 @@ Three layers of coverage:
 
 import pytest
 
+from repro.core.engine import EngineOptions
 from repro.core.transaction import ReadRecord, Transaction
 from repro.errors import ConfigurationError, IsolationViolation
 from repro.harness.configs import CRASH_CELLS, WORKLOAD_CONFIGURATIONS
@@ -518,8 +519,6 @@ class TestEmptyPlanIsByteIdentical:
     stop condition) must not move the schedule."""
 
     def run_pinned(self, lane):
-        from repro.core.engine import EngineOptions
-
         runner = BenchmarkRunner(
             _queue_workload(),
             WORKLOAD_CONFIGURATIONS["queue"]["3layer"](),
