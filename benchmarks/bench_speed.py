@@ -30,7 +30,8 @@ The script maintains ``BENCH_speed.json`` at the repository root:
 * ``--profile [SCENARIO]`` runs one scenario (default ``tpcc-3layer``)
   under cProfile and dumps the stats to ``--profile-out`` (default
   ``bench_speed.prof``), so perf work starts from data instead of guesses
-  (inspect with ``python -m pstats bench_speed.prof`` or snakeviz).
+  (inspect with ``python -m pstats bench_speed.prof`` or snakeviz); it ends
+  with a cyclic-GC summary, the one cost the profile table cannot show.
 
 Usage::
 
@@ -42,6 +43,7 @@ Usage::
 
 import argparse
 import cProfile
+import gc
 import hashlib
 import json
 import pstats
@@ -171,23 +173,62 @@ def behavior_fingerprint(seed=FINGERPRINT_SEED, duration=FINGERPRINT_DURATION):
     return {"seed": seed, "sim_duration": duration, "runs": runs}
 
 
+class GcPauses:
+    """Cyclic-GC pauses of a run, through ``gc.callbacks``.
+
+    cProfile cannot see them: a pause is booked to whatever function was
+    allocating when the collector ran.
+    """
+
+    def __init__(self):
+        self.total = 0.0
+        self.gen2_count = 0
+        self.gen2_max = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase, info):
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        pause = time.perf_counter() - self._started
+        self.total += pause
+        if info["generation"] == 2:
+            self.gen2_count += 1
+            self.gen2_max = max(self.gen2_max, pause)
+
+
 def profile_scenario(name, spec, output_path):
-    """Run one scenario under cProfile and dump the stats to a file."""
+    """Run one scenario under cProfile and dump the stats to a file.
+
+    Ends with the three numbers cProfile has no row for: the collector's
+    share of the run, its full collections, and how many tracked objects
+    the run left outside the heap the runner froze.
+    """
     workload_factory, config_factory, clients, duration, warmup = spec
     runner = BenchmarkRunner(
         workload_factory(), config_factory(), options=EngineOptions(), seed=7
     )
     profiler = cProfile.Profile()
+    pauses = GcPauses()
+    gc.callbacks.append(pauses)
     try:
+        start = time.perf_counter()
         profiler.enable()
         result = runner.run(clients, duration=duration, warmup=warmup)
         profiler.disable()
+        wall = time.perf_counter() - start
+        tracked = len(gc.get_objects())
     finally:
+        gc.callbacks.remove(pauses)
         runner.stop()
     profiler.dump_stats(output_path)
     print(f"{name}: {result.commits} commits; profile written to {output_path}")
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative").print_stats(15)
+    print("not in the table above (cProfile books a GC pause to whoever was allocating):")
+    print(f"  cyclic-GC pauses: {pauses.total:.2f}s of {wall:.2f}s wall ({pauses.total / wall:.0%})")
+    print(f"  full (gen-2) collections: {pauses.gen2_count}, largest {pauses.gen2_max * 1e3:.0f} ms")
+    print(f"  GC-tracked objects outside the frozen heap at the end: {tracked:,}")
     return result
 
 

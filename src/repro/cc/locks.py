@@ -211,7 +211,11 @@ class LockTable:
                 raise
         timeout_event = self.env.timeout(self.timeout)
         txn.current_wait = (f"lock:{self.name}", blocker.txn_id if blocker else None)
-        winner_index, _value = yield any_of(self.env, [request.event, timeout_event])
+        try:
+            winner_index, _value = yield any_of(self.env, [request.event, timeout_event])
+        finally:
+            # Granted, timed out or torn down: the deadline is ours to drop.
+            timeout_event.cancel()
         txn.current_wait = None
         waiting = self._waiting_keys.get(txn.txn_id)
         if waiting is not None:

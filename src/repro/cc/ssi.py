@@ -35,7 +35,15 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         super().__init__(engine, node)
         self.batch_size = batch_size
         self.abort_backoff = abort_backoff
-        self.batches = BatchManager(engine.oracle, batch_size=batch_size)
+        # A batch member reads at its batch's timestamp: it is concurrent with
+        # whatever finished since the batch opened, even before its own begin,
+        # and the ww/rw checks below must still find those transactions.
+        self.batches = BatchManager(
+            engine.oracle,
+            batch_size=batch_size,
+            on_open=lambda batch_id: engine.hold_finished((self, batch_id)),
+            on_dead=lambda batch_id: engine.drop_hold((self, batch_id)),
+        )
         self._readers = {}
         # table -> {txn_id: (txn, [KeyRange, ...])}: the range read sets of
         # active scanners.  A write into a concurrent scanner's range is an
@@ -149,8 +157,7 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         member_starts = self._member_starts
         if self.batching and not txn.read_only:
             token = txn.group_token(self.node.node_id) or txn.txn_id
-            batch_id, start_ts = self.batches.admit(token)
-            self.batches.register(batch_id, txn.txn_id)
+            batch_id, start_ts = self.batches.admit(token, txn.txn_id)
             state["batch_id"] = batch_id
             state["start_ts"] = start_ts
         else:

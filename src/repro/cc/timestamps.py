@@ -58,42 +58,59 @@ class BatchManager:
     transactions of a batch share a start timestamp, so their relative order
     is left to the child CC.  Batches rotate after ``batch_size`` admissions
     or when :meth:`rotate` is called by a background process.
+
+    ``on_open(batch_id)`` / ``on_dead(batch_id)`` bracket a batch's life —
+    dead means closed to admissions and every member finished — for an owner
+    whose members' snapshot (the batch timestamp) can predate their begin.
     """
 
-    def __init__(self, oracle, batch_size=16):
+    def __init__(self, oracle, batch_size=16, on_open=None, on_dead=None):
         self.oracle = oracle
         self.batch_size = batch_size
+        self.on_open = on_open
+        self.on_dead = on_dead
         self._current = {}
-        self._members = {}
+        self._live = {}
         self._batch_ids = count(1)
 
-    def admit(self, group_token):
-        """Assign (batch_id, shared timestamp) for a transaction of a group."""
+    def admit(self, group_token, txn_id):
+        """Assign (batch_id, shared timestamp) to a transaction of a group."""
         entry = self._current.get(group_token)
         if entry is None or entry["count"] >= self.batch_size:
-            entry = {
+            full = entry
+            entry = self._current[group_token] = {
                 "batch_id": next(self._batch_ids),
                 "timestamp": self.oracle.next(),
                 "count": 0,
+                "token": group_token,
+                "members": set(),
             }
-            self._current[group_token] = entry
+            self._live[entry["batch_id"]] = entry
+            if self.on_open is not None:
+                self.on_open(entry["batch_id"])
+            if full is not None:
+                self._reap(full)
         entry["count"] += 1
-        batch_id = entry["batch_id"]
-        self._members.setdefault(batch_id, set())
-        return batch_id, entry["timestamp"]
-
-    def register(self, batch_id, txn_id):
-        self._members.setdefault(batch_id, set()).add(txn_id)
-
-    def members(self, batch_id):
-        return self._members.get(batch_id, set())
+        entry["members"].add(txn_id)
+        return entry["batch_id"], entry["timestamp"]
 
     def discard(self, batch_id, txn_id):
-        self._members.get(batch_id, set()).discard(txn_id)
+        """``txn_id`` finished."""
+        entry = self._live.get(batch_id)
+        if entry is not None:
+            entry["members"].discard(txn_id)
+            self._reap(entry)
+
+    def _reap(self, entry):
+        if not entry["members"] and self._current.get(entry["token"]) is not entry:
+            del self._live[entry["batch_id"]]
+            if self.on_dead is not None:
+                self.on_dead(entry["batch_id"])
 
     def rotate(self, group_token=None):
         """Force the next admission (of one group or all) to open a new batch."""
-        if group_token is None:
-            self._current.clear()
-        else:
-            self._current.pop(group_token, None)
+        tokens = list(self._current) if group_token is None else [group_token]
+        for token in tokens:
+            entry = self._current.pop(token, None)
+            if entry is not None:
+                self._reap(entry)

@@ -86,8 +86,7 @@ class TimestampOrdering(ConcurrencyControl):
         state["read_keys"] = set()
         if self.batching:
             token = txn.group_token(self.node.node_id) or txn.txn_id
-            batch_id, ts = self.batches.admit(token)
-            self.batches.register(batch_id, txn.txn_id)
+            batch_id, ts = self.batches.admit(token, txn.txn_id)
             state["batch_id"] = batch_id
         else:
             ts = self.engine.oracle.next()

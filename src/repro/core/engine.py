@@ -17,16 +17,15 @@ The engine also hosts the shared services: multi-version storage, timestamp
 oracle, garbage collection, durability and the contention profiler.
 
 Hot-path design notes: the CC path and its cost constants are resolved once
-per transaction in :meth:`begin` (pinned on the transaction as
-``cc_path``/``charges``), transitive-dependency queries are memoized against
-a dependency-graph generation counter, and finished-transaction bookkeeping
-is O(1) amortized.
+per transaction in :meth:`begin` (pinned on the transaction as ``charges``),
+transitive-dependency queries are memoized against a dependency-graph
+generation counter, and finished transactions are released as soon as
+nothing active is concurrent with them (O(1) amortized).
 """
 
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import count
 
 from repro.cc.timestamps import TimestampOracle
 from repro.core.config import Configuration
@@ -56,8 +55,6 @@ class EngineOptions:
     retry_backoff: float = 0.005
     charge_costs: bool = True
     gc_epoch_length: float = 0.5
-    keep_history: bool = True
-    history_limit: int = 200_000
     durability: DurabilityConfig = field(default_factory=DurabilityConfig)
     # Degraded-mode (message fault) tunables.  All inert unless a
     # MessageFaultInjector with a non-empty plan is attached to the cluster:
@@ -115,13 +112,19 @@ class TebaldiEngine:
         self.commit_condition = Condition(env, name="commit")
         self.admission_condition = Condition(env, name="admission")
 
-        self._txn_ids = count(txn_id_start)
+        # Ids are allotted in begin() order: ``active`` (insertion ordered)
+        # has its oldest transaction first and ``_last_txn_id`` is the id
+        # horizon, everything begun so far.  ``finished`` keeps what may
+        # still be concurrent with something (see _release_finished), with
+        # the horizon at each finish in ``_finished_order`` and at each CC
+        # hold in ``_holds``.
         self.active = {}
+        self._last_txn_id = txn_id_start - 1
         self.finished = {}
         self._finished_order = deque()
+        self._holds = {}
         self.committed_ids = set()
         self.aborted_ids = set()
-        self.committed_history = deque(maxlen=self.options.history_limit)
         # Optional streaming isolation recorder (see repro.isolation.history):
         # notified with every commit's installed versions and every abort, so
         # checked runs observe the authoritative version order even after GC.
@@ -151,9 +154,16 @@ class TebaldiEngine:
         self._reach_cache_generation = -1
 
         self.root, self.nodes, self._leaf_by_type = build_tree(self, configuration)
+        self._rebuild_routes()
+
+    def _rebuild_routes(self):
+        """Per-type routes over the current tree; holds of CCs no longer in
+        it go with them."""
         self._routes = build_routes(
             self._leaf_by_type, self.cluster, self.transaction_types
         )
+        live = {node.cc for node in self.nodes}
+        self._holds = {key: at for key, at in self._holds.items() if key[0] in live}
 
     # -- configuration helpers ------------------------------------------------
 
@@ -178,19 +188,8 @@ class TebaldiEngine:
     def is_read_only_type(self, txn_type):
         return self.transaction_types[txn_type].read_only
 
-    def path_for(self, txn):
-        path = txn.path_nodes
-        if path is not None:
-            return path
-        return self._routes[txn.txn_type].nodes
-
-    def cc_path(self, txn):
-        ccs = txn.cc_path
-        if ccs is not None:
-            return ccs
-        return self._routes[txn.txn_type].ccs
-
     def find_transaction(self, txn_id):
+        """Active or still retained (:meth:`_release_finished`), else None."""
         txn = self.active.get(txn_id)
         if txn is not None:
             return txn
@@ -204,8 +203,9 @@ class TebaldiEngine:
         if route is None:
             raise ConfigurationError(f"unknown transaction type {txn_type!r}")
         args = dict(args or {})
+        txn_id = self._last_txn_id = self._last_txn_id + 1
         txn = Transaction(
-            txn_id=next(self._txn_ids),
+            txn_id=txn_id,
             txn_type=txn_type,
             args=args,
             client_id=client_id,
@@ -215,12 +215,9 @@ class TebaldiEngine:
         txn.leaf_node_id = route.leaf_node_id
         if route.instance_key is not None:
             txn.partition_value = route.instance_key(args)
-        # Pin the runtime path and its precomputed cost constants so that
+        # Pin the route (CC hooks and precomputed cost constants) so that
         # in-flight transactions are unaffected by online reconfigurations
         # swapping parts of the tree, and the hot path never rebuilds them.
-        path = route.nodes
-        txn.path_nodes = path
-        txn.cc_path = route.ccs
         txn.charges = route
         # The phase transport is pinned the same way.  With a non-empty
         # message fault plan attached to the cluster every protocol
@@ -235,6 +232,7 @@ class TebaldiEngine:
             # Immutable token map shared by every transaction of this type.
             txn.group_tokens = route.static_group_tokens
         else:
+            path = route.nodes
             for parent, child in zip(path, path[1:]):
                 token = child.node_id
                 if child.spec.instance_key is not None:
@@ -247,7 +245,7 @@ class TebaldiEngine:
             txn.group_tokens[leaf_node_id] = (leaf_node_id, txn.partition_value)
         txn.finish_event = Event(self.env, "finish")
         self.gc.register_transaction(txn)
-        self.active[txn.txn_id] = txn
+        self.active[txn_id] = txn
         return txn
 
     def execute_transaction(self, txn_type, args=None, client_id=-1):
@@ -369,8 +367,6 @@ class TebaldiEngine:
             txn.finish_event.succeed(True)
         self._retire(txn)
         self.stats.record_commit(txn)
-        if self.options.keep_history:
-            self.committed_history.append(txn)
         if self.history_recorder is not None:
             self.history_recorder.on_commit(txn, versions)
         self.gc.finish_transaction(txn)
@@ -532,19 +528,47 @@ class TebaldiEngine:
         self.commit_condition.notify_all()
 
     def _retire(self, txn):
-        self.active.pop(txn.txn_id, None)
+        txn_id = txn.txn_id
+        self.active.pop(txn_id, None)
         # Retiring removes the transaction's outgoing edges from the active
         # dependency graph, so memoized reachability must be invalidated.
         self._dep_generation += 1
-        if txn.txn_id not in self.finished:
-            self._finished_order.append(txn.txn_id)
-        self.finished[txn.txn_id] = txn
-        limit = self.options.history_limit
-        # O(1) amortized trimming: pop the oldest finished ids from the front
-        # of the insertion-ordered deque instead of materialising the dict.
-        while len(self.finished) > limit:
-            oldest = self._finished_order.popleft()
-            self.finished.pop(oldest, None)
+        if txn_id not in self.finished:
+            # Every transaction that overlapped this one began before now,
+            # so its id is at most the horizon recorded here.
+            self._finished_order.append((self._last_txn_id, txn_id))
+        self.finished[txn_id] = txn
+        self._release_finished()
+
+    def _release_finished(self):
+        """The retention rule: a finished transaction is kept only while one
+        that began before it finished is still active, or a CC holds that
+        span open (:meth:`hold_finished`).
+
+        Horizons grow with finish order and with hold order, so releasing is
+        a walk from the left.  A released transaction is not touched — the
+        engine just stops holding it, and ``find_transaction`` misses, which
+        its callers only see for transactions they never overlapped.
+        """
+        floor = next(iter(self.active), None)
+        if self._holds:
+            held = next(iter(self._holds.values()))
+            if floor is None or held < floor:
+                floor = held
+        order = self._finished_order
+        while order and (floor is None or order[0][0] < floor):
+            self.finished.pop(order.popleft()[1], None)
+
+    def hold_finished(self, key):
+        """Keep whatever finishes from now until ``drop_hold(key)`` — for a
+        CC whose members are concurrent with transactions gone before they
+        began (a timestamp batch hands its older snapshot to late joiners).
+        ``key`` is ``(cc, ...)``: a reconfiguration that removes the node
+        drops its holds."""
+        self._holds[key] = self._last_txn_id
+
+    def drop_hold(self, key):
+        self._holds.pop(key, None)
 
     def user_abort(self, txn, reason="user-abort"):
         raise TransactionAborted(txn.txn_id, reason)
@@ -715,9 +739,9 @@ class TebaldiEngine:
     def _on_new_dependency(self, txn, other_id):
         """Maintain reverse dependency edges and invalidate reachability."""
         self._dep_generation += 1
+        # Only active transactions relay ordering (see _ordered_after), so
+        # an edge into a finished one needs no reverse entry.
         other = self.active.get(other_id)
-        if other is None:
-            other = self.finished.get(other_id)
         if other is not None:
             other.dependents.add(txn.txn_id)
 
@@ -765,8 +789,6 @@ class TebaldiEngine:
         if closure is None:
             target = self.active.get(target_id)
             if target is None:
-                target = self.finished.get(target_id)
-            if target is None:
                 return False
             closure = cache[target_id] = self._ordered_after(target)
         return source_id in closure
@@ -780,36 +802,48 @@ class TebaldiEngine:
         Aborts the waiting transaction if it read from a dependency that
         aborted (cascading abort) or if the wait times out (cycle relief).
         """
-        timeout = timeout if timeout is not None else self.options.commit_wait_timeout
-        timeout_event = None
-        while True:
-            pending = [
-                dep_id
-                for dep_id in dep_ids
-                if dep_id != txn.txn_id and dep_id in self.active
-            ]
-            if not pending:
-                break
-            blocker = self.active.get(pending[0])
-            wait_start = self.env.now
-            if timeout_event is None:
-                timeout_event = self.env.timeout(timeout)
-            elif timeout_event._processed:
-                if self.profiler is not None:
-                    self.profiler.record_abort(txn, "commit-order-timeout", blocker)
-                raise TransactionAborted(txn.txn_id, "commit-order-timeout")
-            for dep_id in pending:
-                self.abort_if_wait_deadlock(txn, dep_id)
-            # Wait directly on the blocking transaction's finish event so
-            # that only its dependents wake up when it commits or aborts.
-            txn.current_wait = ("commit-order", blocker.txn_id)
-            yield any_of(self.env, [blocker.finish_event, timeout_event])
-            txn.current_wait = None
-            if self.profiler is not None and blocker is not None:
-                self.profiler.record_wait(
-                    txn, blocker, wait_start, self.env.now, kind="commit-order"
-                )
+        deadline = None
+        try:
+            while True:
+                pending = [
+                    dep_id
+                    for dep_id in dep_ids
+                    if dep_id != txn.txn_id and dep_id in self.active
+                ]
+                if not pending:
+                    break
+                blocker = self.active.get(pending[0])
+                wait_start = self.env.now
+                deadline = self._deadline(txn, deadline, timeout, "commit-order", blocker)
+                for dep_id in pending:
+                    self.abort_if_wait_deadlock(txn, dep_id)
+                # Wait directly on the blocking transaction's finish event so
+                # that only its dependents wake up when it commits or aborts.
+                txn.current_wait = ("commit-order", blocker.txn_id)
+                yield any_of(self.env, [blocker.finish_event, deadline])
+                txn.current_wait = None
+                if self.profiler is not None and blocker is not None:
+                    self.profiler.record_wait(
+                        txn, blocker, wait_start, self.env.now, kind="commit-order"
+                    )
+        finally:
+            if deadline is not None:
+                deadline.cancel()
         self._check_cascading_abort(txn)
+
+    def _deadline(self, txn, deadline, timeout, reason, blocker):
+        """The one deadline of a wait loop: armed on the first pass, checked
+        on later ones (``txn`` aborts once it has fired).  The loop reuses it
+        across passes and cancels it however it ends."""
+        if deadline is None:
+            if timeout is None:
+                timeout = self.options.commit_wait_timeout
+            return Timeout(self.env, timeout)
+        if deadline._processed:
+            if self.profiler is not None:
+                self.profiler.record_abort(txn, f"{reason}-timeout", blocker)
+            raise TransactionAborted(txn.txn_id, f"{reason}-timeout")
+        return deadline
 
     def wait_for_progress(self, txn, blockers_fn, event_fn, timeout=None, reason="wait"):
         """Coroutine: wait until ``blockers_fn()`` returns an empty list.
@@ -818,27 +852,29 @@ class TebaldiEngine:
         subscribes to events specific to the first blocking transaction
         (``event_fn(blocker)``), so unrelated progress does not wake it.
         """
-        timeout = timeout if timeout is not None else self.options.commit_wait_timeout
-        timeout_event = None
-        while True:
-            blockers = blockers_fn()
-            if not blockers:
-                return
-            blocker = blockers[0]
-            wait_start = self.env.now
-            if timeout_event is None:
-                timeout_event = self.env.timeout(timeout)
-            elif timeout_event._processed:
-                if self.profiler is not None:
-                    self.profiler.record_abort(txn, f"{reason}-timeout", blocker)
-                raise TransactionAborted(txn.txn_id, f"{reason}-timeout")
-            self.abort_if_wait_deadlock(txn, blocker.txn_id, reason=f"{reason}-deadlock")
-            events = [event for event in event_fn(blocker) if event is not None]
-            txn.current_wait = (reason, blocker.txn_id)
-            yield any_of(self.env, events + [timeout_event])
-            txn.current_wait = None
-            if self.profiler is not None and blocker is not None:
-                self.profiler.record_wait(txn, blocker, wait_start, self.env.now, kind=reason)
+        deadline = None
+        try:
+            while True:
+                blockers = blockers_fn()
+                if not blockers:
+                    return
+                blocker = blockers[0]
+                wait_start = self.env.now
+                deadline = self._deadline(txn, deadline, timeout, reason, blocker)
+                self.abort_if_wait_deadlock(
+                    txn, blocker.txn_id, reason=f"{reason}-deadlock"
+                )
+                events = [event for event in event_fn(blocker) if event is not None]
+                txn.current_wait = (reason, blocker.txn_id)
+                yield any_of(self.env, events + [deadline])
+                txn.current_wait = None
+                if self.profiler is not None and blocker is not None:
+                    self.profiler.record_wait(
+                        txn, blocker, wait_start, self.env.now, kind=reason
+                    )
+        finally:
+            if deadline is not None:
+                deadline.cancel()
 
     def wait_until(self, txn, predicate, condition, blocker_fn=None, timeout=None, reason="wait"):
         """Coroutine: wait on ``condition`` until ``predicate()`` is true.
@@ -846,20 +882,20 @@ class TebaldiEngine:
         ``blocker_fn`` (optional) names the transaction currently responsible
         for the wait so the profiler can attribute the blocking time.
         """
-        timeout = timeout if timeout is not None else self.options.commit_wait_timeout
-        timeout_event = None
-        while not predicate():
-            blocker = blocker_fn() if blocker_fn is not None else None
-            wait_start = self.env.now
-            if timeout_event is None:
-                timeout_event = self.env.timeout(timeout)
-            elif timeout_event._processed:
-                if self.profiler is not None:
-                    self.profiler.record_abort(txn, f"{reason}-timeout", blocker)
-                raise TransactionAborted(txn.txn_id, f"{reason}-timeout")
-            yield any_of(self.env, [condition._event, timeout_event])
-            if self.profiler is not None and blocker is not None:
-                self.profiler.record_wait(txn, blocker, wait_start, self.env.now, kind=reason)
+        deadline = None
+        try:
+            while not predicate():
+                blocker = blocker_fn() if blocker_fn is not None else None
+                wait_start = self.env.now
+                deadline = self._deadline(txn, deadline, timeout, reason, blocker)
+                yield any_of(self.env, [condition._event, deadline])
+                if self.profiler is not None and blocker is not None:
+                    self.profiler.record_wait(
+                        txn, blocker, wait_start, self.env.now, kind=reason
+                    )
+        finally:
+            if deadline is not None:
+                deadline.cancel()
 
     # -- background services --------------------------------------------------------------
 
@@ -1009,9 +1045,7 @@ class TebaldiEngine:
             if node.is_leaf:
                 for txn_type in node.spec.transactions:
                     self._leaf_by_type[txn_type] = node
-        self._routes = build_routes(
-            self._leaf_by_type, self.cluster, self.transaction_types
-        )
+        self._rebuild_routes()
 
     def _affected_types(self, new_configuration):
         """Transaction types whose leaf group or path changes."""
@@ -1032,6 +1066,4 @@ class TebaldiEngine:
         self._check_configuration(new_configuration)
         self.configuration = new_configuration
         self.root, self.nodes, self._leaf_by_type = build_tree(self, new_configuration)
-        self._routes = build_routes(
-            self._leaf_by_type, self.cluster, self.transaction_types
-        )
+        self._rebuild_routes()

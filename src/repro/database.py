@@ -8,6 +8,7 @@ the simulation until that transaction finishes and returns its result.
 
 from repro.core.engine import EngineOptions, TebaldiEngine
 from repro.errors import TransactionAborted
+from repro.isolation import HistoryRecorder, check_engine
 from repro.sim.environment import Environment
 from repro.storage.mvstore import MultiVersionStore
 
@@ -30,6 +31,8 @@ class Database:
             options=self.options,
             profiler=profiler,
         )
+        # What check_serializability() checks; the engine keeps no history.
+        self.engine.history_recorder = HistoryRecorder()
 
     # -- synchronous single-transaction API ----------------------------------------
 
@@ -71,8 +74,6 @@ class Database:
 
     def check_serializability(self):
         """Run the Adya isolation checker over the committed history."""
-        from repro.isolation import check_engine
-
         return check_engine(self.engine)
 
     def reconfigure(self, new_configuration, protocol="online"):

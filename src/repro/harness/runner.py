@@ -228,7 +228,7 @@ class BenchmarkRunner:
         self.store = store
         self.env = Environment(initial_time=previous.env.now)
         self.incarnation += 1
-        self._build_engine(txn_id_start=next(previous._txn_ids))
+        self._build_engine(txn_id_start=previous._last_txn_id + 1)
         self.engine.stats = previous.stats
         previous.stats.env = self.env
         for client_id, mix in enumerate(self._client_mixes):

@@ -5,7 +5,7 @@ Serialization Graph (Section 2.2.3); isolation levels are characterised by
 the anomalies (aborted/intermediate reads) and DSG cycles they proscribe.
 """
 
-from repro.isolation.history import History, HistoryRecorder, committed_history
+from repro.isolation.history import History, HistoryRecorder
 from repro.isolation.cycles import IncrementalCycleDetector, find_cycle
 from repro.isolation.dsg import DirectSerializationGraph, build_dsg, iter_dsg_edges
 from repro.isolation.levels import ISOLATION_LEVELS, LEVEL_EDGE_KINDS
@@ -20,7 +20,6 @@ from repro.isolation.checker import (
 __all__ = [
     "History",
     "HistoryRecorder",
-    "committed_history",
     "IncrementalCycleDetector",
     "find_cycle",
     "DirectSerializationGraph",

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from repro.errors import IsolationViolation
 from repro.isolation.cycles import find_cycle
 from repro.isolation.dsg import iter_dsg_edges
-from repro.isolation.history import committed_history
 from repro.isolation.levels import ISOLATION_LEVELS, LEVEL_EDGE_KINDS, kinds_for
 
 __all__ = [
@@ -133,9 +132,10 @@ def check_history(history, level="serializable"):
 
 
 def check_engine(engine, level="serializable"):
-    """Extract the committed history of ``engine`` and check it."""
-    history = committed_history(engine)
-    return check_history(history, level=level)
+    """Check the history ``engine`` streamed into its attached recorder."""
+    if engine.history_recorder is None:
+        raise ValueError("engine has no history_recorder attached; nothing to check")
+    return check_recorder(engine.history_recorder, level=level)
 
 
 def check_recorder(recorder, level="serializable"):

@@ -4,16 +4,12 @@ A history records, per committed transaction, the versions it read and the
 versions it installed; together with the per-object version order kept by the
 storage module this is everything Adya's graph-based definitions need.
 
-Histories come from two sources:
-
-* :func:`committed_history` rebuilds one post-hoc from an engine's
-  ``committed_history`` deque and its store — fine for short unit-test runs,
-  but lossy for long benchmark runs where garbage collection prunes version
-  chains and the deque wraps.
-* :class:`HistoryRecorder` streams the history out of a *running* engine:
-  the engine notifies it on every commit and abort, so the recorder observes
-  every committed version (including ones GC later prunes) in commit order.
-  It is the backbone of the harness's ``check_isolation`` mode.
+:class:`HistoryRecorder` streams the history out of a *running* engine: the
+engine notifies it on every commit and abort, so the recorder observes every
+committed version (including ones GC later prunes) in commit order.  It is
+the only source of histories — the engine itself keeps no transaction past
+the last one concurrent with it — and the backbone of the harness's
+``check_isolation`` mode.
 """
 
 from bisect import bisect_right
@@ -113,7 +109,7 @@ class HistoryRecorder:
     The engine calls :meth:`on_commit` (with the freshly committed versions)
     and :meth:`on_abort` from its commit/abort paths, so the recorder sees
     the authoritative per-key version order even when garbage collection
-    later prunes the chains or the engine's own history deque wraps.
+    later prunes the chains.
 
     Reads are recorded as references to the observed :class:`Version`
     objects and resolved to ``(key, writer, commit_seq)`` lazily in
@@ -322,34 +318,3 @@ class HistoryRecorder:
             ]
             history.add_transaction(record)
         return history
-
-
-def committed_history(engine):
-    """Build a :class:`History` from an engine's committed transactions."""
-    history = History(aborted_ids=set(engine.aborted_ids))
-    for txn in engine.committed_history:
-        record = HistoryTransaction(
-            txn_id=txn.txn_id,
-            txn_type=txn.txn_type,
-            begin_time=txn.begin_time,
-            end_time=txn.end_time,
-            scans=[scan.key_range for scan in txn.scans],
-        )
-        for read in txn.reads:
-            if read.version is None:
-                continue
-            record.reads.append(
-                (read.key, read.version.writer, read.version.commit_seq)
-            )
-        history.add_transaction(record)
-    committed_ids = set(history.transactions)
-    for key in engine.store.keys():
-        order = []
-        for version in engine.store.committed_versions(key):
-            order.append((version.commit_seq, version.writer))
-            if version.writer in committed_ids:
-                history.transactions[version.writer].writes.append(
-                    (key, version.commit_seq)
-                )
-        history.version_orders[key] = order
-    return history

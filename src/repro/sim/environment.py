@@ -1,6 +1,6 @@
 """The discrete-event simulation environment and process machinery."""
 
-from heapq import heappop as _heappop, heappush as _heappush
+from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
 from itertools import count
 
 from repro.errors import SimulationError
@@ -123,13 +123,14 @@ class Environment:
     allocating a throwaway Event per process resume.
     """
 
-    __slots__ = ("_now", "_queue", "_seq", "_active")
+    __slots__ = ("_now", "_queue", "_seq", "_active", "_cancelled")
 
     def __init__(self, initial_time=0.0):
         self._now = float(initial_time)
         self._queue = []
         self._seq = count()
         self._active = True
+        self._cancelled = 0
 
     @property
     def now(self):
@@ -143,6 +144,19 @@ class Environment:
 
     def _schedule_callback(self, callback, delay=0.0):
         _heappush(self._queue, (self._now + delay, next(self._seq), callback))
+
+    def _note_cancelled(self):
+        """A queued :class:`Timeout` was cancelled: :meth:`run` will skip the
+        dead entry (``callbacks is None``); once they outnumber the live
+        ones the queue is rebuilt without them."""
+        self._cancelled += 1
+        queue = self._queue
+        if self._cancelled * 2 > len(queue):
+            # In place (run() holds the list); (time, seq) keys are kept,
+            # so dispatch order is untouched.
+            queue[:] = [e for e in queue if getattr(e[2], "callbacks", ()) is not None]
+            _heapify(queue)
+            self._cancelled = 0
 
     # -- public API ------------------------------------------------------
 
@@ -174,15 +188,19 @@ class Environment:
                 self._now = float(horizon)
                 return None
             _heappop(queue)
-            self._now = entry[0]
             item = entry[2]
             if isinstance(item, Event):
-                item._processed = True
                 callbacks = item.callbacks
+                if callbacks is None:  # cancelled: no dispatch, no clock
+                    self._cancelled -= 1
+                    continue
+                self._now = entry[0]
+                item._processed = True
                 item.callbacks = []
                 for callback in callbacks:
                     callback(item)
             else:
+                self._now = entry[0]
                 item()
             if stop_event is not None and stop_event.triggered:
                 if stop_event._is_error:

@@ -101,6 +101,19 @@ class Timeout(Event):
         # controls when callbacks run.
         return True
 
+    def cancel(self):
+        """Withdraw a timeout that has not fired: it never will.
+
+        For the owner of a deadline that lost its race; never inferred from
+        an empty callback list (wait loops reuse one deadline).  The run
+        loop skips the entry without advancing the clock.  A no-op once
+        fired or cancelled.  Subscribers are dropped and never resume, and
+        waiting on a cancelled timeout is unsupported.
+        """
+        if not self._processed and self.callbacks is not None:
+            self.callbacks = None
+            self.env._note_cancelled()
+
     def __repr__(self):
         state = "processed" if self._processed else "scheduled"
         return f"<Timeout({self.delay}) {state}>"
@@ -144,7 +157,7 @@ class AnyOf(Event):
         for event in self.events:
             try:
                 event.callbacks.remove(self)
-            except ValueError:
+            except (ValueError, AttributeError):  # fired, or cancelled
                 pass
 
     def __call__(self, event):

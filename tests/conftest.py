@@ -27,6 +27,7 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "fast"))
 
 from repro.core.config import Configuration, leaf, monolithic, node
 from repro.core.engine import EngineOptions, TebaldiEngine
+from repro.isolation import HistoryRecorder
 from repro.sim.environment import Environment
 from repro.storage.mvstore import MultiVersionStore
 from repro.workloads.micro import CrossGroupConflictWorkload, NoConflictWorkload
@@ -73,11 +74,16 @@ def tiny_tpcc():
     return TPCCWorkload(scale=scale)
 
 
-def build_engine(env, workload, configuration, options=None, profiler=None):
-    """Create an engine with the workload's data loaded."""
+def build_engine(env, workload, configuration, options=None, profiler=None,
+                 engine_class=TebaldiEngine):
+    """Create an engine with the workload's data loaded.
+
+    A streaming :class:`HistoryRecorder` is attached, so ``check_engine``
+    has a history to check (the engine keeps none of its own).
+    """
     store = MultiVersionStore()
     workload.populate(store)
-    return TebaldiEngine(
+    engine = engine_class(
         env,
         configuration,
         workload.transaction_types(),
@@ -85,24 +91,75 @@ def build_engine(env, workload, configuration, options=None, profiler=None):
         options=options or EngineOptions(charge_costs=False),
         profiler=profiler,
     )
+    engine.history_recorder = HistoryRecorder(level="serializable")
+    return engine
 
 
-def run_transactions(env, engine, requests):
-    """Run a list of (txn_type, args) through the engine; return transactions."""
+class OverlapAuditEngine(TebaldiEngine):
+    """Audits the retention rule from outside, with its own clock.
+
+    The engine releases a finished transaction once nothing active is
+    concurrent with it; whatever then looks it up gets ``None``.  Every such
+    miss must be for a transaction that no currently active one overlapped
+    (began before it finished) — anything else means a CC consulted state
+    the engine had already let go.  Id 0 is the loader, never a miss.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._ticks = 0
+        self._began = {}
+        self._ended = {}
+        self.misses = 0
+        self.bad_misses = []
+
+    def begin(self, *args, **kwargs):
+        txn = super().begin(*args, **kwargs)
+        self._ticks += 1
+        self._began[txn.txn_id] = self._ticks
+        return txn
+
+    def _retire(self, txn):
+        self._ticks += 1
+        self._ended.setdefault(txn.txn_id, self._ticks)
+        super()._retire(txn)
+
+    def find_transaction(self, txn_id):
+        txn = super().find_transaction(txn_id)
+        if txn is None and txn_id != 0:
+            self.misses += 1
+            ended = self._ended[txn_id]
+            overlapped = [a for a in self.active if self._began[a] < ended]
+            if overlapped:
+                self.bad_misses.append((txn_id, overlapped))
+        return txn
+
+
+
+def run_transactions(env, engine, requests, lanes=None):
+    """Run a list of (txn_type, args) through the engine; return transactions.
+
+    Every request is its own process, all started at once — or, with
+    ``lanes``, that many processes each run their share one after another.
+    """
     from repro.errors import TransactionAborted
 
     outcomes = []
 
-    def _one(txn_type, args):
-        try:
-            txn = yield from engine.execute_transaction(txn_type, args)
-            outcomes.append(txn)
-        except TransactionAborted as aborted:
-            outcomes.append(aborted)
+    def _stream(stream):
+        for txn_type, args in stream:
+            try:
+                txn = yield from engine.execute_transaction(txn_type, args)
+                outcomes.append(txn)
+            except TransactionAborted as aborted:
+                outcomes.append(aborted)
 
+    streams = [[request] for request in requests]
+    if lanes is not None:
+        streams = [requests[lane::lanes] for lane in range(lanes)]
     processes = [
-        env.process(_one(txn_type, args), name=f"test-{index}")
-        for index, (txn_type, args) in enumerate(requests)
+        env.process(_stream(stream), name=f"test-{index}")
+        for index, stream in enumerate(streams)
     ]
     env.run()
     return outcomes, processes

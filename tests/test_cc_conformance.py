@@ -34,7 +34,7 @@ from repro.isolation.history import HistoryRecorder
 from repro.sim.environment import Environment
 from repro.storage.tables import Catalog, Table, TableSchema
 from repro.workloads.base import Workload
-from tests.conftest import build_engine, run_transactions
+from tests.conftest import OverlapAuditEngine, build_engine, run_transactions
 
 TXN_TYPES = ("alpha", "beta", "reader")
 KEYSPACE = 8          # loaded keys 0..7
@@ -179,8 +179,14 @@ CONFORMANCE_TREES = {
 }
 
 
-def run_conformance(tree_name, requests):
-    """Run scripted transactions under a tree; return the oracle report."""
+def run_conformance(tree_name, requests, lanes=None):
+    """Run scripted transactions under a tree; return the oracle report.
+
+    The engine audits its own retention on the way (see
+    :class:`~tests.conftest.OverlapAuditEngine`); with ``lanes`` the requests
+    run as that many sequential streams, so transactions finish and are
+    released while later ones are still to come.
+    """
     workload = ConformanceWorkload()
     env = Environment()
     engine = build_engine(
@@ -190,10 +196,11 @@ def run_conformance(tree_name, requests):
         options=EngineOptions(
             charge_costs=True, lock_timeout=0.2, commit_wait_timeout=0.4
         ),
+        engine_class=OverlapAuditEngine,
     )
-    recorder = HistoryRecorder(level="serializable")
-    engine.history_recorder = recorder
-    outcomes, _processes = run_transactions(env, engine, requests)
+    recorder = engine.history_recorder
+    outcomes, _processes = run_transactions(env, engine, requests, lanes=lanes)
+    assert not engine.bad_misses, f"{tree_name}: released too early {engine.bad_misses}"
     report = check_recorder(recorder, level="serializable")
     committed = sum(1 for o in outcomes if not isinstance(o, TransactionAborted))
     return report, committed, recorder
@@ -215,7 +222,8 @@ class TestConformanceFuzz:
                 for _ in range(rng.randint(1, 5))
             ]
             requests.append((name, {"ops": ops}))
-        report, _committed, _recorder = run_conformance(tree_name, requests)
+        lanes = data.draw(st.sampled_from([None, 2, 3]))
+        report, _committed, _recorder = run_conformance(tree_name, requests, lanes)
         assert report.ok, f"{tree_name}: {report.describe()}"
 
     @pytest.mark.slow

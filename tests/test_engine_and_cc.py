@@ -132,29 +132,29 @@ class TestTimestamps:
 
     def test_batch_manager_shares_timestamp_within_batch(self):
         manager = BatchManager(TimestampOracle(), batch_size=3)
-        batch_a, ts_a = manager.admit("g1")
-        batch_b, ts_b = manager.admit("g1")
+        batch_a, ts_a = manager.admit("g1", 1)
+        batch_b, ts_b = manager.admit("g1", 2)
         assert batch_a == batch_b
         assert ts_a == ts_b
 
     def test_batch_rotates_after_size(self):
         manager = BatchManager(TimestampOracle(), batch_size=2)
-        first, _ = manager.admit("g1")
-        manager.admit("g1")
-        third, _ = manager.admit("g1")
+        first, _ = manager.admit("g1", 1)
+        manager.admit("g1", 2)
+        third, _ = manager.admit("g1", 3)
         assert third != first
 
     def test_different_groups_get_different_batches(self):
         manager = BatchManager(TimestampOracle(), batch_size=10)
-        batch_a, _ = manager.admit("g1")
-        batch_b, _ = manager.admit("g2")
+        batch_a, _ = manager.admit("g1", 1)
+        batch_b, _ = manager.admit("g2", 2)
         assert batch_a != batch_b
 
     def test_rotate_forces_new_batch(self):
         manager = BatchManager(TimestampOracle(), batch_size=10)
-        first, _ = manager.admit("g1")
+        first, _ = manager.admit("g1", 1)
         manager.rotate("g1")
-        second, _ = manager.admit("g1")
+        second, _ = manager.admit("g1", 2)
         assert second != first
 
 
@@ -254,6 +254,7 @@ class TestEngineLifecycle:
         assert final == len(committed)
         report = check_engine(engine)
         assert report.ok, report.describe()
+        assert report.num_transactions > 0
 
     @pytest.mark.parametrize("cc", ["2pl", "ssi", "rp", "tso", "occ"])
     def test_every_mechanism_produces_serializable_histories(self, cc, micro_workload):
@@ -269,6 +270,7 @@ class TestEngineLifecycle:
         assert engine.stats.commits > 0
         report = check_engine(engine)
         assert report.ok, f"{cc}: {report.describe()}"
+        assert report.num_transactions > 0
 
     @pytest.mark.parametrize(
         "config_name", ["2pl", "ssi", "two-layer", "three-layer"]
@@ -296,6 +298,7 @@ class TestEngineLifecycle:
         assert engine.stats.commits > 0
         report = check_engine(engine)
         assert report.ok, f"{config_name}: {report.describe()}"
+        assert report.num_transactions > 0
 
     def test_read_your_own_writes(self, env, tiny_tpcc):
         from repro.harness.configs import tpcc_tebaldi_3layer
@@ -366,7 +369,8 @@ class TestEngineLifecycle:
         committed = [o for o in outcomes if getattr(o, "committed", False)]
         assert len(committed) == 2
         assert engine.store.latest_committed(("shared", 0)).value["value"] == 2
-        assert check_engine(engine).ok
+        report = check_engine(engine)
+        assert report.ok and report.num_transactions == 2
 
     def test_gc_epoch_assignment(self, env, noconflict_workload):
         engine = build_engine(
@@ -629,14 +633,18 @@ class TestDeterministicBatch:
             workload,
             monolithic("batch", self.ALL_TYPES, params={"batch_window": 0.001}),
         )
-        outcomes, _ = run_transactions(env, engine, [("rogue_write", {"pk": 2})])
-        aborted = outcomes[0]
-        assert isinstance(aborted, TransactionAborted)
+        # A declared write in the same batch commits, so the oracle below
+        # has a history to check.
+        outcomes, _ = run_transactions(
+            env, engine, [("rogue_write", {"pk": 2}), ("declared_write", {"pk": 0})]
+        )
+        aborted = next(o for o in outcomes if isinstance(o, TransactionAborted))
         assert aborted.reason == "batch-undeclared-write"
         # The declared first write never became visible.
         assert engine.store.latest_committed(("rows", 2)).value["value"] == 0
         assert engine.store.uncommitted_versions(("rows", 2)) == []
-        assert check_engine(engine).ok
+        report = check_engine(engine)
+        assert report.ok and report.num_transactions == 1
 
     def test_contended_writes_all_commit_in_one_order(self, env):
         workload = batch_micro_workload()
@@ -656,4 +664,5 @@ class TestDeterministicBatch:
         assert cc.batches_sealed >= count // 4
         # Every member of a batch conflicts with all its predecessors here.
         assert cc.graph_edges > 0
-        assert check_engine(engine).ok
+        report = check_engine(engine)
+        assert report.ok and report.num_transactions == count

@@ -1,0 +1,263 @@
+"""Retention: what the engine and the kernel let go of, and that it is safe.
+
+The engine keeps a finished transaction only while something that began
+before it finished is still active (or a CC holds that span open, for
+timestamp batches); the kernel forgets a deadline its owner cancelled.
+Three things are pinned here:
+
+* **bound** — ``len(engine.finished)`` and ``len(env._queue)`` stay below a
+  constant multiple of the client count however long the run is;
+* **release ≡ never release** — a test-only engine that keeps everything
+  (the release step is a no-op) commits, aborts and writes exactly what the
+  real one does, one fixed-seed cell per mechanism family;
+* **no early release** — an engine that audits every ``find_transaction``
+  miss with its own clock never finds one for an overlapped transaction.
+"""
+
+import hashlib
+import random
+from dataclasses import fields
+
+import pytest
+
+from repro.cc.timestamps import BatchManager, TimestampOracle
+from repro.core.config import Configuration, leaf, node
+from repro.core.engine import EngineOptions, TebaldiEngine
+from repro.harness import configs
+from repro.harness import runner as runner_module
+from repro.harness.runner import BenchmarkRunner
+from repro.sim.environment import Environment
+from repro.workloads.micro import CrossGroupConflictWorkload
+from repro.workloads.smallbank import SmallBankWorkload
+from repro.workloads.tpcc import TPCCWorkload
+from repro.workloads.tpcc.schema import TPCCScale
+from repro.workloads.ycsb import YCSBWorkload
+from tests.conftest import OverlapAuditEngine, build_engine, run_transactions
+from tests.test_cc_conformance import CONFORMANCE_TREES, ConformanceWorkload
+
+
+class KeepEverythingEngine(TebaldiEngine):
+    """Test-only: the engine as it was before it released anything."""
+
+    def _release_finished(self):
+        pass
+
+
+def _micro():
+    return CrossGroupConflictWorkload(shared_rows=20, cold_rows=1000, operations=5)
+
+
+def _tiny_tpcc():
+    return TPCCWorkload(
+        scale=TPCCScale(
+            warehouses=1,
+            districts_per_warehouse=4,
+            customers_per_district=30,
+            items=100,
+            initial_orders_per_district=10,
+        )
+    )
+
+
+def _zipf():
+    return YCSBWorkload(
+        records=100, profile="a", distribution="zipfian", zipf_theta=0.99
+    )
+
+
+#: name -> (workload factory, configuration factory, clients, sim seconds):
+#: one closed-loop cell per mechanism family the registry composes.
+RUNNER_CELLS = {
+    "tpcc/3layer": (_tiny_tpcc, configs.tpcc_tebaldi_3layer, 12, 0.3),
+    "smallbank/3layer": (
+        lambda: SmallBankWorkload(customers=200, hot_accounts=10),
+        configs.smallbank_3layer, 12, 0.15,
+    ),
+    "ycsb-scan/2layer": (
+        lambda: YCSBWorkload(records=300, profile="e"), configs.ycsb_2layer, 10, 0.2,
+    ),
+    "ycsb-zipf/batch": (_zipf, configs.ycsb_batch, 16, 0.08),
+    # SSI over two update groups: timestamp batches, the one place where a
+    # snapshot predates its transaction's begin (engine.hold_finished).
+    "micro/ssi-2layer": (_micro, configs.micro_ssi_2layer, 8, 0.4),
+}
+
+
+def _digest(store):
+    state = store.latest_state()
+    canonical = repr(sorted((repr(key), repr(value)) for key, value in state.items()))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _run_cell(name, engine_class, monkeypatch):
+    workload_factory, config_factory, clients, duration = RUNNER_CELLS[name]
+    monkeypatch.setattr(runner_module, "TebaldiEngine", engine_class)
+    runner = BenchmarkRunner(workload_factory(), config_factory(), seed=11)
+    try:
+        runner.run(clients, duration=duration, warmup=0.0)
+    finally:
+        runner.stop()
+    return runner
+
+
+def _outcome(runner):
+    stats = runner.engine.stats
+    return stats.commits, stats.aborts, dict(stats.abort_reasons), _digest(runner.store)
+
+
+class TestReleaseEqualsNeverRelease:
+    @pytest.mark.parametrize("cell", sorted(RUNNER_CELLS))
+    def test_closed_loop_cell(self, cell, monkeypatch):
+        released = _run_cell(cell, TebaldiEngine, monkeypatch)
+        kept = _run_cell(cell, KeepEverythingEngine, monkeypatch)
+        assert _outcome(released) == _outcome(kept)
+        commits = released.engine.stats.commits
+        assert commits > 100
+        # The pin compares two different engines: one let go, one did not.
+        finished = commits + released.engine.stats.aborts
+        assert len(kept.engine.finished) == finished
+        assert len(released.engine.finished) < finished // 2
+
+    @pytest.mark.parametrize("tree", ["rp/(rp,rp)", "mono-tso", "mono-occ"])
+    def test_conformance_tree(self, tree):
+        workload = ConformanceWorkload()
+        rng = random.Random(99)
+        requests = [workload.next_transaction(rng) for _ in range(60)]
+        outcomes = []
+        for engine_class in (TebaldiEngine, KeepEverythingEngine):
+            env = Environment()
+            engine = build_engine(
+                env,
+                workload,
+                CONFORMANCE_TREES[tree](),
+                options=EngineOptions(
+                    charge_costs=True, lock_timeout=0.2, commit_wait_timeout=0.4
+                ),
+                engine_class=engine_class,
+            )
+            run_transactions(env, engine, requests, lanes=6)
+            stats = engine.stats
+            assert stats.commits > 0
+            outcomes.append(
+                (stats.commits, stats.aborts, _digest(engine.store), len(engine.finished))
+            )
+        (*released, released_held), (*kept, kept_held) = outcomes
+        assert released == kept
+        assert released_held < kept_held == 60
+
+
+#: Cells for the bound and the audit: a 2PL tree, an SSI-rooted tree (with
+#: and without timestamp batches) and a batch leaf.
+BOUND_CELLS = {
+    "2pl-over-rp": (_micro, configs.micro_2layer),
+    "ssi-root": (
+        lambda: SmallBankWorkload(customers=200, hot_accounts=10),
+        configs.smallbank_3layer,
+    ),
+    "ssi-batching": (_micro, configs.micro_ssi_2layer),
+    "batch-leaf": (_zipf, configs.ycsb_batch),
+}
+CLIENTS = 16
+#: finished transactions / queue entries allowed per client.  Measured peaks
+#: are 1-3 per client (SSI batches: about 3, one batch of 16 per group).
+PER_CLIENT = 8
+
+
+class TestRetentionBound:
+    @pytest.mark.parametrize("cell", sorted(BOUND_CELLS))
+    def test_sizes_do_not_grow_with_the_run(self, cell, monkeypatch):
+        workload_factory, config_factory = BOUND_CELLS[cell]
+        monkeypatch.setattr(runner_module, "TebaldiEngine", OverlapAuditEngine)
+        runner = BenchmarkRunner(workload_factory(), config_factory(), seed=7)
+        try:
+            runner.add_clients(CLIENTS)
+            for target in (300, 1200):
+                peak_finished = peak_queue = 0
+                while runner.engine.stats.commits < target:
+                    runner.run_additional(0.01)
+                    peak_finished = max(peak_finished, len(runner.engine.finished))
+                    peak_queue = max(peak_queue, len(runner.env._queue))
+                assert peak_finished < PER_CLIENT * CLIENTS, (target, peak_finished)
+                assert peak_queue < PER_CLIENT * CLIENTS, (target, peak_queue)
+                assert len(runner.engine._finished_order) == len(runner.engine.finished)
+        finally:
+            runner.stop()
+        engine = runner.engine
+        assert engine.bad_misses == []
+        if cell != "batch-leaf":
+            # The audit is not vacuous: released transactions were looked up.
+            assert engine.misses > 0
+
+    def test_engine_options_have_no_retention_knob(self):
+        names = [option.name for option in fields(EngineOptions)]
+        assert "history_limit" not in names and "keep_history" not in names
+        assert names == [
+            "lock_timeout", "commit_wait_timeout", "retry_backoff", "charge_costs",
+            "gc_epoch_length", "durability", "net_phase_timeout", "net_retry_limit",
+            "net_backoff_base", "net_backoff_cap", "net_backoff_seed",
+            "net_park_threshold",
+        ]
+
+
+class TestHolds:
+    """``hold_finished``: a CC keeps the release back (timestamp batches)."""
+
+    def _engine(self, env, configuration=None):
+        workload = _micro()
+        return build_engine(env, workload, configuration or configs.micro_2layer())
+
+    def _finish_one(self, env, engine):
+        outcomes, _ = run_transactions(
+            env, engine, [("group_a_update", {"shared_id": 0, "local_id": 0, "cold_ids": [1]})]
+        )
+        return outcomes[0]
+
+    def test_hold_keeps_what_finishes_after_it(self, env):
+        engine = self._engine(env)
+        before = self._finish_one(env, engine)
+        assert engine.finished == {}          # nothing active: released at once
+        engine.hold_finished(("cc", 1))
+        during = self._finish_one(env, engine)
+        assert list(engine.finished) == [during.txn_id]
+        assert engine.find_transaction(before.txn_id) is None
+        engine.drop_hold(("cc", 1))
+        after = self._finish_one(env, engine)  # the next retire releases
+        assert engine.finished == {} and after.committed
+
+    def test_batch_manager_brackets_live_batches(self):
+        events = []
+        manager = BatchManager(
+            TimestampOracle(),
+            batch_size=2,
+            on_open=lambda batch: events.append(("open", batch)),
+            on_dead=lambda batch: events.append(("dead", batch)),
+        )
+        first, _ = manager.admit("g", 10)
+        manager.admit("g", 11)
+        second, _ = manager.admit("g", 12)    # closes the first; members remain
+        assert events == [("open", first), ("open", second)]
+        manager.discard(first, 10)
+        assert events[-1] == ("open", second)
+        manager.discard(first, 11)
+        assert events[-1] == ("dead", first)
+        manager.rotate("g")                   # closed, member 12 unfinished
+        assert events[-1] == ("dead", first)
+        manager.discard(second, 12)
+        assert events[-1] == ("dead", second)
+        assert manager._live == {}
+
+    def test_batching_ssi_holds_and_reconfiguration_drops(self, env):
+        engine = self._engine(env, configs.micro_ssi_2layer())
+        self._finish_one(env, engine)
+        assert [key[0] for key in engine._holds] == [engine.root.cc]
+        assert len(engine.finished) == 1       # held for the open batch
+        # Replacing the SSI node takes its holds with it.
+        two_pl = Configuration(
+            node("2pl", leaf("rp", "group_a_update"), leaf("rp", "group_b_update")),
+            name="after",
+        )
+        env.process(engine.reconfigure_partial_restart(two_pl))
+        env.run()
+        assert engine._holds == {}
+        self._finish_one(env, engine)
+        assert engine.finished == {}

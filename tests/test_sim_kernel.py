@@ -1,12 +1,13 @@
 """Tests for the discrete-event simulation kernel."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.environment import Environment
 from repro.sim.events import Event, any_of
 from repro.sim.network import CostModel, NetworkModel
-from repro.sim.resources import Condition, WaitQueue
+from repro.sim.resources import Condition
 
 
 class TestEvents:
@@ -187,49 +188,138 @@ class TestProcesses:
         assert env.run(until=process) == (1, "fast")
 
 
-class TestResources:
-    def test_wait_queue_notify_one(self, env):
-        queue = WaitQueue(env, "q")
-        results = []
+class TestTimeoutCancel:
+    """``Timeout.cancel``: the owner withdraws a deadline that lost its race."""
 
-        def waiter(label):
-            value = yield from queue.wait()
-            results.append((label, value))
-
-        env.process(waiter("a"))
-        env.process(waiter("b"))
-
-        def notifier():
-            yield env.timeout(1)
-            queue.notify_one("first")
-            yield env.timeout(1)
-            queue.notify_all("rest")
-
-        env.process(notifier())
+    def test_cancelled_timeout_neither_fires_nor_advances_clock(self, env):
+        fired = []
+        live = env.timeout(1)
+        live.callbacks.append(lambda event: fired.append("live"))
+        dead = env.timeout(5)
+        dead.callbacks.append(lambda event: fired.append("dead"))
+        dead.cancel()
+        # One dead entry beside one live one: not compacted, so the run loop
+        # itself has to skip it.
+        assert len(env._queue) == 2
         env.run()
-        assert ("a", "first") in results
-        assert len(results) == 2
+        assert fired == ["live"]
+        # Run-to-exhaustion ends at the last live event, not at t=5.
+        assert env.now == 1
+        assert env._queue == [] and env._cancelled == 0
 
-    def test_wait_queue_fail_all(self, env):
-        queue = WaitQueue(env, "q")
-        caught = []
+    def test_cancelled_head_does_not_move_a_horizon_run(self, env):
+        env.timeout(1).cancel()
+        env.timeout(2)
+        env.run(until=1.5)
+        assert env.now == 1.5
+        env.run()
+        assert env.now == 2
+
+    def test_cancelling_a_fired_or_cancelled_timeout_is_a_noop(self, env):
+        fired = env.timeout(1)
+        env.timeout(3)
+        env.run(until=2)
+        fired.cancel()
+        assert fired.callbacks == [] and env._cancelled == 0
+        pending = env.timeout(1)
+        pending.cancel()
+        pending.cancel()
+        assert env._cancelled == 1
+        env.run()
+        assert env.now == 3
+
+    def test_compaction_when_cancelled_outnumber_live(self, env):
+        keep = [env.timeout(10 + i) for i in range(3)]
+        drop = [env.timeout(1 + i) for i in range(4)]
+        for timeout in drop[:3]:
+            timeout.cancel()
+        assert len(env._queue) == 7 and env._cancelled == 3
+        drop[3].cancel()  # 4 dead of 7: rebuilt without them
+        assert len(env._queue) == 3 and env._cancelled == 0
+        assert [entry[2] for entry in sorted(env._queue)] == keep
+        env.run()
+        assert env.now == 12
+
+    def test_waiter_on_a_cancelled_timeout_never_resumes(self, env):
+        """Unsupported by contract, and pinned: cancel drops the subscribers
+        (a wait helper's exit may leave a dead ``AnyOf`` attached), so a
+        process that still waits on the timeout is never resumed."""
+        resumed = []
+        deadline = env.timeout(5)
 
         def waiter():
-            try:
-                yield from queue.wait()
-            except RuntimeError:
-                caught.append(True)
+            yield deadline
+            resumed.append(env.now)
 
-        env.process(waiter())
-
-        def failer():
-            yield env.timeout(1)
-            queue.fail_all(RuntimeError("cancelled"))
-
-        env.process(failer())
+        process = env.process(waiter())
+        env.timeout(1).callbacks.append(lambda event: deadline.cancel())
         env.run()
-        assert caught == [True]
+        assert resumed == [] and process.is_alive
+        assert env.now == 1
 
+    def test_any_of_survives_a_cancelled_source(self, env):
+        """An ``AnyOf`` still attached to a cancelled deadline (exception
+        exit of a wait helper) resolves through its other source."""
+        signal = env.event("signal")
+        deadline = env.timeout(5)
+        combined = any_of(env, [signal, deadline])
+        deadline.cancel()
+        signal.succeed("go")
+        env.run()
+        assert combined.value == (0, "go")
+
+    @given(
+        schedule=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=40),           # fires at
+                st.one_of(st.none(), st.integers(0, 39)),         # cancelled at
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        purge_at=st.integers(min_value=0, max_value=40),
+    )
+    def test_cancel_is_equivalent_to_never_waiting(self, schedule, purge_at):
+        """Random timeouts with random cancels dispatch the same callbacks
+        at the same times and in the same order as the same schedule where
+        the cancelled timeouts simply have no waiter — across a compaction
+        forced at ``purge_at`` by cancelling a majority of filler entries."""
+
+        def run(cancelling):
+            env = Environment()
+            log = []
+            doomed = []
+            for index, (fires_at, cancel_at) in enumerate(schedule):
+                timeout = env.timeout(fires_at)
+                if cancel_at is not None and cancel_at < fires_at:
+                    doomed.append((cancel_at, timeout))
+                else:
+                    timeout.callbacks.append(
+                        lambda event, index=index: log.append((env.now, index))
+                    )
+            # More fillers than timeouts and cancellers together.
+            fillers = [env.timeout(100 + i) for i in range(2 * len(schedule) + 2)]
+            if cancelling:
+                for cancel_at, timeout in doomed:
+                    env.timeout(cancel_at).callbacks.append(
+                        lambda event, timeout=timeout: timeout.cancel()
+                    )
+
+                def purge(event):
+                    before = len(env._queue)
+                    for filler in fillers:
+                        filler.cancel()
+                    # Only a compaction shrinks the queue.
+                    assert len(env._queue) < before
+
+                env.timeout(purge_at).callbacks.append(purge)
+            env.run()
+            return log
+
+        assert run(cancelling=True) == run(cancelling=False)
+
+
+class TestResources:
     def test_condition_broadcast(self, env):
         condition = Condition(env, "c")
         woken = []
