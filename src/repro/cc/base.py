@@ -232,5 +232,8 @@ class ConcurrencyControl:
         """Confirm no ongoing/future transaction can be ordered before ``epoch``."""
         return True
 
+    def on_epoch(self):
+        """Called once per GC epoch tick, before collection."""
+
     def describe(self):
         return f"{self.name}@{self.node.node_id}"

@@ -425,6 +425,9 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
             retained.popleft()
             self._prune_reader(reader, self.state(reader))
 
+    def on_epoch(self):
+        self.batches.rotate_idle()
+
     def can_garbage_collect(self, epoch):
         # Old snapshots may still need superseded versions while members run.
         return not self._active_members

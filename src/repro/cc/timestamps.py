@@ -56,8 +56,9 @@ class BatchManager:
 
     Batching is the paper's *procrastination* strategy (Section 4.2.2): all
     transactions of a batch share a start timestamp, so their relative order
-    is left to the child CC.  Batches rotate after ``batch_size`` admissions
-    or when :meth:`rotate` is called by a background process.
+    is left to the child CC.  Batches rotate after ``batch_size`` admissions,
+    on :meth:`rotate`, or from the owner's epoch tick once idle
+    (:meth:`rotate_idle`).
 
     ``on_open(batch_id)`` / ``on_dead(batch_id)`` bracket a batch's life —
     dead means closed to admissions and every member finished — for an owner
@@ -91,6 +92,7 @@ class BatchManager:
             if full is not None:
                 self._reap(full)
         entry["count"] += 1
+        entry["idle"] = False
         entry["members"].add(txn_id)
         return entry["batch_id"], entry["timestamp"]
 
@@ -114,3 +116,13 @@ class BatchManager:
             entry = self._current.pop(token, None)
             if entry is not None:
                 self._reap(entry)
+
+    def rotate_idle(self):
+        """Epoch tick: close every current batch that has no unfinished
+        member and admitted nobody since the previous tick, so a group gone
+        quiet stops keeping its batch — and what the owner holds for it."""
+        for token, entry in list(self._current.items()):
+            if entry["idle"] and not entry["members"]:
+                self.rotate(token)
+            else:
+                entry["idle"] = True

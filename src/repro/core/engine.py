@@ -17,10 +17,10 @@ The engine also hosts the shared services: multi-version storage, timestamp
 oracle, garbage collection, durability and the contention profiler.
 
 Hot-path design notes: the CC path and its cost constants are resolved once
-per transaction in :meth:`begin` (pinned on the transaction as ``charges``),
-transitive-dependency queries are memoized against a dependency-graph
-generation counter, and finished transactions are released as soon as
-nothing active is concurrent with them (O(1) amortized).
+per transaction in :meth:`begin` (pinned on the transaction as
+``cc_path``/``charges``), transitive-dependency queries are memoized against
+a dependency-graph generation counter, and finished transactions are
+released as soon as nothing active is concurrent with them (O(1) amortized).
 """
 
 import random
@@ -162,8 +162,10 @@ class TebaldiEngine:
         self._routes = build_routes(
             self._leaf_by_type, self.cluster, self.transaction_types
         )
-        live = {node.cc for node in self.nodes}
-        self._holds = {key: at for key, at in self._holds.items() if key[0] in live}
+        live = set(self.nodes)
+        self._holds = {
+            key: at for key, at in self._holds.items() if key[0].node in live
+        }
 
     # -- configuration helpers ------------------------------------------------
 
@@ -187,6 +189,18 @@ class TebaldiEngine:
 
     def is_read_only_type(self, txn_type):
         return self.transaction_types[txn_type].read_only
+
+    def path_for(self, txn):
+        path = txn.path_nodes
+        if path is not None:
+            return path
+        return self._routes[txn.txn_type].nodes
+
+    def cc_path(self, txn):
+        ccs = txn.cc_path
+        if ccs is not None:
+            return ccs
+        return self._routes[txn.txn_type].ccs
 
     def find_transaction(self, txn_id):
         """Active or still retained (:meth:`_release_finished`), else None."""
@@ -215,9 +229,12 @@ class TebaldiEngine:
         txn.leaf_node_id = route.leaf_node_id
         if route.instance_key is not None:
             txn.partition_value = route.instance_key(args)
-        # Pin the route (CC hooks and precomputed cost constants) so that
+        # Pin the runtime path and its precomputed cost constants so that
         # in-flight transactions are unaffected by online reconfigurations
         # swapping parts of the tree, and the hot path never rebuilds them.
+        path = route.nodes
+        txn.path_nodes = path
+        txn.cc_path = route.ccs
         txn.charges = route
         # The phase transport is pinned the same way.  With a non-empty
         # message fault plan attached to the cluster every protocol
@@ -232,7 +249,6 @@ class TebaldiEngine:
             # Immutable token map shared by every transaction of this type.
             txn.group_tokens = route.static_group_tokens
         else:
-            path = route.nodes
             for parent, child in zip(path, path[1:]):
                 token = child.node_id
                 if child.spec.instance_key is not None:

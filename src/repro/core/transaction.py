@@ -59,13 +59,15 @@ class Transaction:
     status: TransactionStatus = TransactionStatus.ACTIVE
     read_only: bool = False
 
-    # Routing through the CC tree.  ``charges`` (the route) and the phase
-    # ``transport`` are resolved once in ``engine.begin()`` and
+    # Routing through the CC tree.  ``path_nodes`` / ``cc_path`` / ``charges``
+    # and the phase ``transport`` are resolved once in ``engine.begin()`` and
     # pinned here, so in-flight transactions are unaffected by online
     # reconfigurations and the per operation hot path never rebuilds them.
     leaf_node_id: str = ""
     group_tokens: dict = field(default_factory=dict)
     partition_value: Any = None
+    path_nodes: Any = None
+    cc_path: Any = None
     charges: Any = None
     transport: Any = None
 

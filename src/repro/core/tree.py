@@ -141,6 +141,10 @@ class PartitionedCC:
     def can_garbage_collect(self, epoch):
         return all(cc.can_garbage_collect(epoch) for cc in self._instances.values())
 
+    def on_epoch(self):
+        for cc in self._instances.values():
+            cc.on_epoch()
+
     def describe(self):
         return f"{self.name}@{self.node.node_id} ({len(self._instances)} instances)"
 

@@ -32,7 +32,8 @@ class Database:
             profiler=profiler,
         )
         # What check_serializability() checks; the engine keeps no history.
-        self.engine.history_recorder = HistoryRecorder()
+        # A ring of the last 200k commits, as the engine's own window was.
+        self.engine.history_recorder = HistoryRecorder(max_transactions=200_000)
 
     # -- synchronous single-transaction API ----------------------------------------
 

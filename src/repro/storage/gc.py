@@ -115,4 +115,7 @@ class GarbageCollector:
         while stop_event is None or not stop_event.triggered:
             yield env.timeout(self.epoch_length)
             self.advance_epoch()
-            self.collect(cc_nodes_provider())
+            cc_nodes = cc_nodes_provider()
+            for cc in cc_nodes:
+                cc.on_epoch()
+            self.collect(cc_nodes)

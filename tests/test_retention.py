@@ -188,6 +188,35 @@ class TestRetentionBound:
             # The audit is not vacuous: released transactions were looked up.
             assert engine.misses > 0
 
+    def test_a_group_gone_quiet_stops_holding(self, env):
+        """Skewed mix: group B runs once, then only group A.  B's timestamp
+        batch never fills, so it stays open for late joiners and holds back
+        everything that finishes after it; the epoch tick closes it once
+        idle (``BatchManager.rotate_idle``), or ``finished`` grows with the
+        run again."""
+        engine = build_engine(
+            env, _micro(), configs.micro_ssi_2layer(),
+            options=EngineOptions(gc_epoch_length=0.02),
+        )
+        engine.start_services(env.event())
+        args = {"shared_id": 0, "local_id": 0, "cold_ids": [1]}
+        peaks = []
+
+        def client():
+            yield from engine.execute_transaction("group_b_update", args)
+            for target in (300, 1200):
+                peak = 0
+                while engine.stats.commits < target:
+                    yield from engine.execute_transaction("group_a_update", args)
+                    peak = max(peak, len(engine.finished))
+                peaks.append(peak)
+
+        env.run(until=env.process(client()))
+        # Two epochs of the quiet group's hold (about ten finishes each),
+        # then at most A's own open batch of 16; measured 19 and 16.
+        assert max(peaks) < 40, peaks
+        assert len(engine._holds) == 1
+
     def test_engine_options_have_no_retention_knob(self):
         names = [option.name for option in fields(EngineOptions)]
         assert "history_limit" not in names and "keep_history" not in names
@@ -245,6 +274,23 @@ class TestHolds:
         manager.discard(second, 12)
         assert events[-1] == ("dead", second)
         assert manager._live == {}
+
+    def test_epoch_tick_closes_a_batch_idle_for_a_whole_epoch(self):
+        dead = []
+        manager = BatchManager(TimestampOracle(), batch_size=4, on_dead=dead.append)
+        first, _ = manager.admit("g", 10)
+        manager.rotate_idle()                 # admitted since the last tick
+        manager.discard(first, 10)
+        assert manager.admit("g", 11)[0] == first   # empty, still joinable
+        manager.discard(first, 11)
+        manager.rotate_idle()                 # admitted since the last tick
+        assert dead == []
+        manager.rotate_idle()                 # a whole epoch with nobody
+        assert dead == [first] and manager._current == {}
+        busy, _ = manager.admit("g", 12)
+        manager.rotate_idle()
+        manager.rotate_idle()                 # idle, but member 12 unfinished
+        assert dead == [first] and manager.admit("g", 13)[0] == busy
 
     def test_batching_ssi_holds_and_reconfiguration_drops(self, env):
         engine = self._engine(env, configs.micro_ssi_2layer())
