@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: unit/property tests, the quick speed and perf-ledger smokes,
-# quick checked-run / crash / chaos smokes (isolation oracle in the loop)
-# and an examples smoke.
+# quick checked-run / crash / chaos smokes (isolation oracle in the loop),
+# an examples smoke and, last, the src/ line total.
 #
 # Usage: scripts/check.sh [--quick]
 #
@@ -90,6 +90,11 @@ if [[ "$QUICK" == "0" ]]; then
 else
   echo "(compile-only: --quick)"
 fi
+
+echo
+echo "== src/ size =="
+# Every PR's size claim is reproducible from this line of the CI log.
+find src -name '*.py' | xargs wc -l | tail -1
 
 echo
 echo "check.sh: all good"

@@ -90,6 +90,8 @@ class ConcurrencyControl:
     def __init__(self, engine, node):
         self.engine = engine
         self.node = node
+        # The one way to block (``waits.wait``) and to abort (``waits.abort``).
+        self.waits = engine.waits
 
     # -- helpers shared by mechanisms -----------------------------------------
 

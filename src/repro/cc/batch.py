@@ -32,7 +32,8 @@ override the sequence and are rejected.
 from itertools import count
 
 from repro.cc.base import ConcurrencyControl, register_cc
-from repro.errors import ConfigurationError, TransactionAborted
+from repro.core.waits import NONE
+from repro.errors import ConfigurationError
 from repro.sim.events import Event
 from repro.sim.resources import Condition
 
@@ -122,10 +123,16 @@ class DeterministicBatch(ConcurrencyControl):
 
     # -- helpers -----------------------------------------------------------------
 
-    def _abort(self, txn, reason, other=None):
-        if self.engine.profiler is not None:
-            self.engine.profiler.record_abort(txn, reason, other)
-        raise TransactionAborted(txn.txn_id, reason)
+    def _wait_for_progress(self, txn, pending, reason):
+        """Wait until ``pending()`` (earlier-sequenced members in the way)
+        is empty, re-checking whenever any member installs or finishes."""
+        return self.waits.wait(
+            txn,
+            pending,
+            reason,
+            events=lambda blocker: [self.progress._event],
+            check=NONE,
+        )
 
     def _seq(self, txn):
         return self.state(txn).get("seq", 0)
@@ -281,14 +288,10 @@ class DeterministicBatch(ConcurrencyControl):
         my_seq = self._seq(txn)
         if not self._pending_slot_writers(txn, my_seq, key):
             return None
-        return self.engine.wait_until(
+        return self._wait_for_progress(
             txn,
-            predicate=lambda: not self._pending_slot_writers(txn, my_seq, key),
-            condition=self.progress,
-            blocker_fn=lambda: (
-                self._pending_slot_writers(txn, my_seq, key) or [None]
-            )[0],
-            reason="batch-slot-wait",
+            lambda: self._pending_slot_writers(txn, my_seq, key),
+            "batch-slot-wait",
         )
 
     def before_write(self, txn, key, value):
@@ -297,7 +300,7 @@ class DeterministicBatch(ConcurrencyControl):
             # The sequencing step never saw this write, so no slot exists and
             # the pre-decided dependency graph is wrong: the only safe move
             # is to abort (the profile under-declared its write set).
-            self._abort(txn, "batch-undeclared-write")
+            self.waits.abort(txn, "batch-undeclared-write")
         my_seq = state["seq"]
         # Installs happen in sequence order per key: wait for the
         # dependency-graph predecessors still holding unresolved slots here
@@ -305,14 +308,10 @@ class DeterministicBatch(ConcurrencyControl):
         # seal-time graph build, one of this member's predecessors).
         if not self._pending_slot_writers(txn, my_seq, key):
             return None
-        return self.engine.wait_until(
+        return self._wait_for_progress(
             txn,
-            predicate=lambda: not self._pending_slot_writers(txn, my_seq, key),
-            condition=self.progress,
-            blocker_fn=lambda: (
-                self._pending_slot_writers(txn, my_seq, key) or [None]
-            )[0],
-            reason="batch-install-order",
+            lambda: self._pending_slot_writers(txn, my_seq, key),
+            "batch-install-order",
         )
 
     def before_scan(self, txn, key_range):
@@ -327,16 +326,10 @@ class DeterministicBatch(ConcurrencyControl):
         my_seq = self._seq(txn)
         if not self._pending_range_writers(txn, my_seq, key_range):
             return None
-        return self.engine.wait_until(
+        return self._wait_for_progress(
             txn,
-            predicate=lambda: not self._pending_range_writers(
-                txn, my_seq, key_range
-            ),
-            condition=self.progress,
-            blocker_fn=lambda: (
-                self._pending_range_writers(txn, my_seq, key_range) or [None]
-            )[0],
-            reason="batch-scan-wait",
+            lambda: self._pending_range_writers(txn, my_seq, key_range),
+            "batch-scan-wait",
         )
 
     def select_version(self, txn, key):
@@ -409,26 +402,15 @@ class DeterministicBatch(ConcurrencyControl):
                     pending.append(other)
             return pending
 
-        if _executing_earlier():
-            yield from self.engine.wait_until(
-                txn,
-                predicate=lambda: not _executing_earlier(),
-                condition=self.progress,
-                blocker_fn=lambda: (_executing_earlier() or [None])[0],
-                reason="batch-commit-order",
-            )
+        yield from self._wait_for_progress(
+            txn, _executing_earlier, "batch-commit-order"
+        )
 
         def _active_preds():
             active = self._active
             return [active[pred] for pred in state["preds"] if pred in active]
 
-        if _active_preds():
-            yield from self.engine.wait_for_progress(
-                txn,
-                blockers_fn=_active_preds,
-                event_fn=lambda blocker: [blocker.finish_event],
-                reason="batch-pred-commit",
-            )
+        yield from self.waits.wait(txn, _active_preds, "batch-pred-commit")
         deps = self.subtree_dependencies(txn)
         if deps:
             yield from self.engine.wait_for_transactions(txn, deps)

@@ -14,8 +14,9 @@ lists until a block is certain, and records are only allocated on first use.
 
 from collections import deque
 
+from repro.core.waits import Waits
 from repro.errors import TransactionAborted
-from repro.sim.events import Event, any_of
+from repro.sim.events import Event
 
 
 SHARED = "S"
@@ -45,20 +46,19 @@ class _WaitRequest:
 class LockTable:
     """Per-key lock table with FIFO waiting and timeout-based deadlock relief."""
 
-    def __init__(self, env, same_group=None, timeout=1.0, profiler=None, name="locks",
-                 order_guard=None, deadlock_check=None):
+    def __init__(self, env, same_group=None, timeout=1.0, name="locks",
+                 order_guard=None, waits=None):
         self.env = env
         self.same_group = same_group or (lambda a, b: False)
         self.timeout = timeout
-        self.profiler = profiler
         self.name = name
         # Optional predicate(blocker_id, waiter_id) -> True when the blocker
         # already (transitively) depends on the waiter, i.e. waiting would
         # create an ordering cycle and the waiter should abort instead.
         self.order_guard = order_guard
-        # Optional callable(txn, blocker_id) raising TransactionAborted when
-        # blocking would close a wait-for cycle (fast deadlock resolution).
-        self.deadlock_check = deadlock_check
+        # Where this table blocks and aborts (the engine's); a table on its
+        # own reports to nobody and sees no wait-for graph.
+        self.waits = waits if waits is not None else Waits(env)
         self._locks = {}
         # txn_id -> {key: None}: a dict used as an insertion-ordered set.
         # Releasing grants queued waiters key by key, so the iteration order
@@ -66,7 +66,6 @@ class LockTable:
         # the per-process string-hash salt (PYTHONHASHSEED).
         self._held_by_txn = {}
         self._waiting_keys = {}
-        self.block_count = 0
         self.timeout_count = 0
         # Idle lock records are swept in batches (amortized O(1) per release)
         # instead of deleted eagerly, which would re-allocate a record on the
@@ -180,61 +179,46 @@ class LockTable:
         if record.queue is None:
             record.queue = deque()
         blockers = conflicting or [req.txn for req in record.queue][-1:]
-        blocker = blockers[0] if blockers else None
         if self.order_guard is not None:
             for other in blockers:
                 if self.order_guard(other.txn_id, txn.txn_id):
                     # The holder is already ordered after us somewhere else:
                     # waiting for it would create an ordering cycle.
-                    if self.profiler is not None:
-                        self.profiler.record_abort(txn, "order-conflict", other)
-                    raise TransactionAborted(txn.txn_id, "order-conflict")
+                    self.waits.abort(txn, "order-conflict", other)
         request = _WaitRequest(txn=txn, mode=mode, event=Event(self.env, name="lock"))
         record.queue.append(request)
         self._waiting_keys.setdefault(txn.txn_id, set()).add(key)
-        self.block_count += 1
-        wait_start = self.env.now
         # Only conflicting *holders* order this transaction after them; a
         # queued request ahead of us is a scheduling artefact, not an
         # ordering decision.
         for other in conflicting:
             txn.add_dependency(other.txn_id)
-        if self.deadlock_check is not None and blocker is not None:
-            try:
-                self.deadlock_check(txn, blocker.txn_id)
-            except TransactionAborted:
-                if request in record.queue:
-                    record.queue.remove(request)
-                waiting = self._waiting_keys.get(txn.txn_id)
-                if waiting is not None:
-                    waiting.discard(key)
-                raise
-        timeout_event = self.env.timeout(self.timeout)
-        txn.current_wait = (f"lock:{self.name}", blocker.txn_id if blocker else None)
+        granted = request.event
         try:
-            winner_index, _value = yield any_of(self.env, [request.event, timeout_event])
-        finally:
-            # Granted, timed out or torn down: the deadline is ours to drop.
-            timeout_event.cancel()
-        txn.current_wait = None
-        waiting = self._waiting_keys.get(txn.txn_id)
-        if waiting is not None:
-            waiting.discard(key)
-            if not waiting:
-                del self._waiting_keys[txn.txn_id]
-        if self.profiler is not None and blocker is not None:
-            table = key[0] if isinstance(key, tuple) else key
-            self.profiler.record_wait(
-                txn, blocker, wait_start, self.env.now, kind=f"lock:{table}"
+            # Blocked on the first holder (or the request queued ahead) until
+            # granted; a wait-for cycle or the deadline aborts instead.
+            yield from self.waits.wait(
+                txn,
+                lambda: () if granted.triggered else blockers,
+                f"lock:{self.name}",
+                events=lambda blocker: [granted],
+                timeout=self.timeout,
+                kind=f"lock:{key[0] if isinstance(key, tuple) else key}",
+                timeout_reason="deadlock-timeout",
+                deadlock_reason="wait-deadlock",
             )
-        if winner_index == 1 and not request.event.triggered:
-            # Timed out: give up the request and abort (deadlock relief).
+        except TransactionAborted as abort:
             if request in record.queue:
                 record.queue.remove(request)
-            self.timeout_count += 1
-            if self.profiler is not None:
-                self.profiler.record_abort(txn, "deadlock-timeout", blocker)
-            raise TransactionAborted(txn.txn_id, "deadlock-timeout")
+            if abort.reason == "deadlock-timeout":
+                self.timeout_count += 1
+            raise
+        finally:
+            waiting = self._waiting_keys.get(txn.txn_id)
+            if waiting is not None:
+                waiting.discard(key)
+                if not waiting:
+                    del self._waiting_keys[txn.txn_id]
 
     def _grant(self, record, txn, key, mode):
         txn_id = txn.txn_id

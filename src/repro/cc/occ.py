@@ -12,7 +12,6 @@ write to any key in the write set after this transaction began.
 """
 
 from repro.cc.base import ConcurrencyControl, register_cc
-from repro.errors import TransactionAborted
 
 
 @register_cc
@@ -26,11 +25,6 @@ class OptimisticCC(ConcurrencyControl):
     def start(self, txn):
         state = self.state(txn)
         state["snapshot_seq"] = self.engine.store.last_commit_seq()
-
-    def validate(self, txn):
-        deps = self.subtree_dependencies(txn)
-        if deps:
-            yield from self.engine.wait_for_transactions(txn, deps)
 
     def pre_commit(self, txn):
         """Backward validation, run atomically with the commit.
@@ -48,15 +42,15 @@ class OptimisticCC(ConcurrencyControl):
             latest = self.engine.store.latest_committed(record.key)
             if version is None:
                 if latest is not None and (latest.commit_seq or 0) > snapshot_seq:
-                    self._abort(txn, "occ-read-validation")
+                    self.waits.abort(txn, "occ-read-validation")
                 continue
             if latest is not None and version.committed and latest is not version:
-                self._abort(txn, "occ-read-validation")
+                self.waits.abort(txn, "occ-read-validation")
         # Write validation: first-committer-wins on the write set.
         for key in txn.write_order:
             latest = self.engine.store.latest_committed(key)
             if latest is not None and (latest.commit_seq or 0) > snapshot_seq:
-                self._abort(txn, "occ-write-validation")
+                self.waits.abort(txn, "occ-write-validation")
         # Scan (phantom) validation: re-enumerate every scanned range; a key
         # the scan never read that gained a committed version after the
         # snapshot is a phantom the scan missed.
@@ -71,9 +65,5 @@ class OptimisticCC(ConcurrencyControl):
                         continue
                     latest = store.latest_committed(key)
                     if latest is not None and (latest.commit_seq or 0) > snapshot_seq:
-                        self._abort(txn, "occ-phantom-validation")
+                        self.waits.abort(txn, "occ-phantom-validation")
 
-    def _abort(self, txn, reason):
-        if self.engine.profiler is not None:
-            self.engine.profiler.record_abort(txn, reason, None)
-        raise TransactionAborted(txn.txn_id, reason)

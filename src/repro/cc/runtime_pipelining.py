@@ -17,8 +17,6 @@ conflicts across child subtrees follow the pipeline rules above.
 from repro.analysis.rp_analysis import RPAnalysis, analyze_pipeline
 from repro.cc.base import ConcurrencyControl, register_cc
 from repro.cc.locks import EXCLUSIVE, SHARED, LockTable, RangeLockManager
-from repro.errors import TransactionAborted
-from repro.sim.resources import Condition
 
 
 @register_cc
@@ -52,10 +50,9 @@ class RuntimePipelining(ConcurrencyControl):
             engine.env,
             same_group=self.same_child_group,
             timeout=timeout,
-            profiler=engine.profiler,
             name=f"rp@{node.node_id}",
             order_guard=engine.depends_transitively,
-            deadlock_check=engine.abort_if_wait_deadlock,
+            waits=self.waits,
         )
         if steps is not None:
             step_sets = [frozenset(step) for step in steps]
@@ -66,7 +63,6 @@ class RuntimePipelining(ConcurrencyControl):
         else:
             profiles = engine.profiles_for(sorted(node.subtree_types))
             self.analysis = analyze_pipeline(profiles)
-        self.progress = Condition(engine.env, name=f"rp-progress@{node.node_id}")
         # Predicate locks for scans.  Unlike step locks these are held until
         # finish: a step-committed scan's predicate must keep excluding
         # phantom inserts, exactly like passed point accesses in ``_passed``.
@@ -127,11 +123,8 @@ class RuntimePipelining(ConcurrencyControl):
     def _write_past_ranges(self, txn, key, inner):
         if inner is not None:
             yield from inner
-        yield from self.engine.wait_for_progress(
-            txn,
-            blockers_fn=lambda: self.ranges.conflicting_scanners(txn, key),
-            event_fn=lambda blocker: [blocker.finish_event],
-            reason="range-lock",
+        yield from self.waits.wait(
+            txn, lambda: self.ranges.conflicting_scanners(txn, key), "range-lock"
         )
 
     def before_scan(self, txn, key_range):
@@ -151,11 +144,8 @@ class RuntimePipelining(ConcurrencyControl):
             state["step"] = target
             self._signal_advance(txn, state)
             yield from self._wait_for_pipeline(txn, target)
-        yield from self.engine.wait_for_progress(
-            txn,
-            blockers_fn=lambda: self.ranges.conflicting_writers(txn, key_range),
-            event_fn=lambda blocker: [blocker.finish_event],
-            reason="range-lock",
+        yield from self.waits.wait(
+            txn, lambda: self.ranges.conflicting_writers(txn, key_range), "range-lock"
         )
 
     def _pipelined_access(self, txn, key, mode):
@@ -223,9 +213,7 @@ class RuntimePipelining(ConcurrencyControl):
             if self.engine.depends_transitively(other_id, txn_id):
                 # The passed accessor is already ordered after us; adopting
                 # the handoff order as well would close an ordering cycle.
-                if self.engine.profiler is not None:
-                    self.engine.profiler.record_abort(txn, "order-conflict", other)
-                raise TransactionAborted(txn.txn_id, "order-conflict")
+                self.waits.abort(txn, "order-conflict", other)
             txn.add_dependency(other_id)
         if stale:
             for other_id in stale:
@@ -318,17 +306,12 @@ class RuntimePipelining(ConcurrencyControl):
             if other.is_active and self.engine.depends_transitively(other.txn_id, txn.txn_id):
                 # A pipeline predecessor is already ordered after us: waiting
                 # for it would deadlock, so resolve the inversion by aborting.
-                if self.engine.profiler is not None:
-                    self.engine.profiler.record_abort(txn, "order-conflict", other)
-                raise TransactionAborted(txn.txn_id, "order-conflict")
-        yield from self.engine.wait_for_progress(
+                self.waits.abort(txn, "order-conflict", other)
+        yield from self.waits.wait(
             txn,
-            blockers_fn=_blockers,
-            event_fn=lambda blocker: [
-                self._advance_event(blocker),
-                blocker.finish_event,
-            ],
-            reason="rp-pipeline",
+            _blockers,
+            "rp-pipeline",
+            events=lambda blocker: [self._advance_event(blocker), blocker.finish_event],
         )
 
     # -- read resolution -----------------------------------------------------------------
@@ -415,10 +398,6 @@ class RuntimePipelining(ConcurrencyControl):
         self.locks.release_all(txn)
         self.ranges.release(txn)
         self._signal_advance(txn, state)
-        self.progress.notify_all()
-
-    def can_garbage_collect(self, epoch):
-        return True
 
     def describe(self):
         return f"rp@{self.node.node_id} ({self.analysis.num_steps} steps)"

@@ -18,7 +18,6 @@ from collections import deque
 
 from repro.cc.base import ConcurrencyControl, register_cc
 from repro.cc.timestamps import BatchManager
-from repro.errors import TransactionAborted
 
 
 @register_cc
@@ -137,16 +136,11 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
             if writer_entity in self._out_antidep:
                 self._doomed.add(writer_entity)
                 if writer.committed:
-                    self._abort(reader, "ssi-committed-pivot", writer)
+                    self.waits.abort(reader, "ssi-committed-pivot", writer)
         if reader_entity in self._in_antidep:
             self._doomed.add(reader_entity)
             if reader.committed and writer is not None and writer.is_active:
-                self._abort(writer, "ssi-committed-pivot", reader)
-
-    def _abort(self, txn, reason, other=None):
-        if self.engine.profiler is not None:
-            self.engine.profiler.record_abort(txn, reason, other)
-        raise TransactionAborted(txn.txn_id, reason)
+                self.waits.abort(writer, "ssi-committed-pivot", reader)
 
     # -- start phase ---------------------------------------------------------------
 
@@ -229,7 +223,7 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         if latest is not None and self._writer_commit_ts(latest) > start_ts:
             writer = self.engine.find_transaction(latest.writer)
             if not self._delegated(txn, writer):
-                self._abort(txn, "ssi-ww-conflict", writer)
+                self.waits.abort(txn, "ssi-ww-conflict", writer)
         for pending in self.engine.store.uncommitted_versions(key):
             if pending.writer == txn.txn_id:
                 continue
@@ -237,7 +231,7 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
             if writer is not None and not writer.is_active:
                 continue
             if not self._delegated(txn, writer):
-                self._abort(txn, "ssi-ww-conflict", writer)
+                self.waits.abort(txn, "ssi-ww-conflict", writer)
         # Readers that already missed this write form rw anti-dependencies.
         # Committed readers stay relevant while concurrent (their commit
         # falls after this transaction's snapshot) — the SIREAD retention.
@@ -268,7 +262,7 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
                 if any(key_range.contains_pk(pk) for key_range in ranges):
                     self._mark_antidependency(reader, txn)
         if self._entity(txn) in self._doomed:
-            self._abort(txn, "ssi-pivot")
+            self.waits.abort(txn, "ssi-pivot")
 
     def _concurrent_reader(self, reader, writer_start_ts):
         """Whether ``reader``'s read set still constrains a writer's snapshot.
@@ -360,7 +354,7 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
             entity in self._in_antidep and entity in self._out_antidep
         ):
             if not txn.read_only:
-                self._abort(txn, "ssi-pivot")
+                self.waits.abort(txn, "ssi-pivot")
         deps = self.subtree_dependencies(txn)
         if deps:
             yield from self.engine.wait_for_transactions(txn, deps)

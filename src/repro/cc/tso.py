@@ -18,7 +18,7 @@ is most efficient as a leaf, as the paper notes.
 
 from repro.cc.base import ConcurrencyControl, register_cc
 from repro.cc.timestamps import BatchManager
-from repro.errors import TransactionAborted
+from repro.core.waits import NONE
 from repro.sim.resources import Condition
 
 
@@ -74,11 +74,6 @@ class TimestampOrdering(ConcurrencyControl):
             return False
         return self.state(txn).get("batch_id") == self.state(other).get("batch_id")
 
-    def _abort(self, txn, reason, other=None):
-        if self.engine.profiler is not None:
-            self.engine.profiler.record_abort(txn, reason, other)
-        raise TransactionAborted(txn.txn_id, reason)
-
     # -- start phase -----------------------------------------------------------------
 
     def start(self, txn):
@@ -120,14 +115,12 @@ class TimestampOrdering(ConcurrencyControl):
                     pending.append(writer)
             return pending
 
-        if not _pending_promisors():
-            return
-        yield from self.engine.wait_until(
+        yield from self.waits.wait(
             txn,
-            predicate=lambda: not _pending_promisors(),
-            condition=self.progress,
-            blocker_fn=lambda: (_pending_promisors() or [None])[0],
-            reason="tso-promise",
+            _pending_promisors,
+            "tso-promise",
+            events=lambda blocker: [self.progress._event],
+            check=NONE,
         )
 
     def before_scan(self, txn, key_range):
@@ -163,7 +156,7 @@ class TimestampOrdering(ConcurrencyControl):
                     continue
                 if reader_ts > my_ts and read_version_ts < my_ts:
                     # A later reader already missed this write: abort the writer.
-                    self._abort(txn, "tso-write-too-late", reader)
+                    self.waits.abort(txn, "tso-write-too-late", reader)
         table = key[0] if isinstance(key, tuple) and len(key) == 2 else key
         range_readers = self._range_reads.get(table)
         if range_readers:
@@ -180,7 +173,7 @@ class TimestampOrdering(ConcurrencyControl):
                 if any(key_range.contains_pk(pk) for key_range in ranges):
                     # A later scan observed the absence of this key: the
                     # write arrives too late for its position in time.
-                    self._abort(txn, "tso-write-too-late", reader)
+                    self.waits.abort(txn, "tso-write-too-late", reader)
 
     def _timestamp_read(self, txn, key, candidate):
         my_ts = self._ts(txn)
@@ -245,12 +238,7 @@ class TimestampOrdering(ConcurrencyControl):
 
         # Commit in timestamp order: wait (targeted) for every earlier
         # transaction of this TSO instance to finish first.
-        yield from self.engine.wait_for_progress(
-            txn,
-            blockers_fn=_earlier_active,
-            event_fn=lambda blocker: [blocker.finish_event],
-            reason="tso-commit-order",
-        )
+        yield from self.waits.wait(txn, _earlier_active, "tso-commit-order")
         deps = self.subtree_dependencies(txn)
         if deps:
             yield from self.engine.wait_for_transactions(txn, deps)

@@ -29,10 +29,9 @@ class TwoPhaseLocking(ConcurrencyControl):
             engine.env,
             same_group=self.same_child_group,
             timeout=timeout,
-            profiler=engine.profiler,
             name=f"2pl@{node.node_id}",
             order_guard=engine.depends_transitively,
-            deadlock_check=engine.abort_if_wait_deadlock,
+            waits=self.waits,
         )
         # Predicate locks close the phantom window point locks cannot see:
         # a scan's range conflicts with inserts of keys that match it but do
@@ -62,22 +61,16 @@ class TwoPhaseLocking(ConcurrencyControl):
     def _write_past_ranges(self, txn, key, wait):
         if wait is not None:
             yield from wait
-        yield from self.engine.wait_for_progress(
-            txn,
-            blockers_fn=lambda: self.ranges.conflicting_scanners(txn, key),
-            event_fn=lambda blocker: [blocker.finish_event],
-            reason="range-lock",
+        yield from self.waits.wait(
+            txn, lambda: self.ranges.conflicting_scanners(txn, key), "range-lock"
         )
 
     def before_scan(self, txn, key_range):
         self.ranges.register_scan(txn, key_range)
         if not self.ranges.conflicting_writers(txn, key_range):
             return None
-        return self.engine.wait_for_progress(
-            txn,
-            blockers_fn=lambda: self.ranges.conflicting_writers(txn, key_range),
-            event_fn=lambda blocker: [blocker.finish_event],
-            reason="range-lock",
+        return self.waits.wait(
+            txn, lambda: self.ranges.conflicting_writers(txn, key_range), "range-lock"
         )
 
     def amend_read(self, txn, key, candidate):
@@ -109,6 +102,3 @@ class TwoPhaseLocking(ConcurrencyControl):
         self.locks.cancel_waits(txn)
         self.locks.release_all(txn)
         self.ranges.release(txn)
-
-    def can_garbage_collect(self, epoch):
-        return True

@@ -18,7 +18,7 @@ oracle, garbage collection, durability and the contention profiler.
 
 Hot-path design notes: the CC path and its cost constants are resolved once
 per transaction in :meth:`begin` (pinned on the transaction as
-``cc_path``/``charges``), transitive-dependency queries are memoized against
+``charges``), transitive-dependency queries are memoized against
 a dependency-graph generation counter, and finished transactions are
 released as soon as nothing active is concurrent with them (O(1) amortized).
 """
@@ -33,6 +33,7 @@ from repro.core.context import TransactionContext
 from repro.core.stats import StatsCollector
 from repro.core.transaction import ReadRecord, ScanRecord, Transaction, TransactionStatus
 from repro.core.tree import build_routes, build_tree
+from repro.core.waits import ALL, Waits
 from repro.errors import ConfigurationError, TransactionAborted
 from repro.sim.events import Event, Timeout, any_of
 from repro.sim.network import TIMESTAMP_SERVER, ClusterModel
@@ -96,7 +97,6 @@ class TebaldiEngine:
         self.store = store if store is not None else MultiVersionStore()
         self.cluster = cluster or ClusterModel(env)
         self.oracle = TimestampOracle()
-        self.profiler = profiler
         self.stats = StatsCollector(env)
         self.gc = GarbageCollector(self.store, epoch_length=self.options.gc_epoch_length)
         # The crash harness injects a shared manager that survives engine
@@ -119,6 +119,11 @@ class TebaldiEngine:
         # the horizon at each finish in ``_finished_order`` and at each CC
         # hold in ``_holds``.
         self.active = {}
+        # The one wait loop and the one reported abort of every CC on the
+        # tree, with the wait-for graph they share (see repro.core.waits).
+        self.waits = Waits(
+            env, self.active, profiler, timeout=self.options.commit_wait_timeout
+        )
         self._last_txn_id = txn_id_start - 1
         self.finished = {}
         self._finished_order = deque()
@@ -190,18 +195,6 @@ class TebaldiEngine:
     def is_read_only_type(self, txn_type):
         return self.transaction_types[txn_type].read_only
 
-    def path_for(self, txn):
-        path = txn.path_nodes
-        if path is not None:
-            return path
-        return self._routes[txn.txn_type].nodes
-
-    def cc_path(self, txn):
-        ccs = txn.cc_path
-        if ccs is not None:
-            return ccs
-        return self._routes[txn.txn_type].ccs
-
     def find_transaction(self, txn_id):
         """Active or still retained (:meth:`_release_finished`), else None."""
         txn = self.active.get(txn_id)
@@ -232,9 +225,6 @@ class TebaldiEngine:
         # Pin the runtime path and its precomputed cost constants so that
         # in-flight transactions are unaffected by online reconfigurations
         # swapping parts of the tree, and the hot path never rebuilds them.
-        path = route.nodes
-        txn.path_nodes = path
-        txn.cc_path = route.ccs
         txn.charges = route
         # The phase transport is pinned the same way.  With a non-empty
         # message fault plan attached to the cluster every protocol
@@ -249,6 +239,7 @@ class TebaldiEngine:
             # Immutable token map shared by every transaction of this type.
             txn.group_tokens = route.static_group_tokens
         else:
+            path = route.nodes
             for parent, child in zip(path, path[1:]):
                 token = child.node_id
                 if child.spec.instance_key is not None:
@@ -625,11 +616,9 @@ class TebaldiEngine:
         ):
             # Reading this exposed value would order us after a transaction
             # that is already ordered after us — an ordering cycle.
-            if self.profiler is not None:
-                self.profiler.record_abort(
-                    txn, "order-conflict", self.active.get(candidate.writer)
-                )
-            raise TransactionAborted(txn.txn_id, "order-conflict")
+            self.waits.abort(
+                txn, "order-conflict", self.active.get(candidate.writer)
+            )
         txn.reads.append(ReadRecord(key, candidate, self.env._now))
         if candidate is None:
             return None
@@ -725,33 +714,6 @@ class TebaldiEngine:
         txn.scans.append(ScanRecord(effective, self.env._now))
         return rows
 
-    def wait_would_deadlock(self, txn, blocker_id):
-        """True if blocking on ``blocker_id`` closes a wait-for cycle.
-
-        Uses the ``current_wait`` annotations every wait site maintains, so a
-        cycle is detected the moment its final edge is about to be added and
-        can be broken immediately (by aborting the requester) instead of
-        stalling until a timeout fires.
-        """
-        seen = set()
-        current = blocker_id
-        while current is not None and current not in seen:
-            if current == txn.txn_id:
-                return True
-            seen.add(current)
-            other = self.active.get(current)
-            if other is None or other.current_wait is None:
-                return False
-            current = other.current_wait[1]
-        return False
-
-    def abort_if_wait_deadlock(self, txn, blocker_id, reason="wait-deadlock"):
-        """Raise :class:`TransactionAborted` if waiting would deadlock."""
-        if blocker_id is not None and self.wait_would_deadlock(txn, blocker_id):
-            if self.profiler is not None:
-                self.profiler.record_abort(txn, reason, self.active.get(blocker_id))
-            raise TransactionAborted(txn.txn_id, reason)
-
     def _on_new_dependency(self, txn, other_id):
         """Maintain reverse dependency edges and invalidate reachability."""
         self._dep_generation += 1
@@ -811,107 +773,26 @@ class TebaldiEngine:
 
     # -- waiting helpers ------------------------------------------------------------
 
-    def wait_for_transactions(self, txn, dep_ids, timeout=None):
+    def wait_for_transactions(self, txn, dep_ids):
         """Coroutine: block until every id in ``dep_ids`` has finished.
 
         Used by CC validate hooks to enforce consistent ordering (adoption).
         Aborts the waiting transaction if it read from a dependency that
-        aborted (cascading abort) or if the wait times out (cycle relief).
+        aborted (cascading abort), if a pending dependency already waits for
+        it, or if the wait times out (cycle relief).  Each pass waits on the
+        first pending dependency's finish event, so only its dependents wake
+        up when it commits or aborts.
         """
-        deadline = None
-        try:
-            while True:
-                pending = [
-                    dep_id
-                    for dep_id in dep_ids
-                    if dep_id != txn.txn_id and dep_id in self.active
-                ]
-                if not pending:
-                    break
-                blocker = self.active.get(pending[0])
-                wait_start = self.env.now
-                deadline = self._deadline(txn, deadline, timeout, "commit-order", blocker)
-                for dep_id in pending:
-                    self.abort_if_wait_deadlock(txn, dep_id)
-                # Wait directly on the blocking transaction's finish event so
-                # that only its dependents wake up when it commits or aborts.
-                txn.current_wait = ("commit-order", blocker.txn_id)
-                yield any_of(self.env, [blocker.finish_event, deadline])
-                txn.current_wait = None
-                if self.profiler is not None and blocker is not None:
-                    self.profiler.record_wait(
-                        txn, blocker, wait_start, self.env.now, kind="commit-order"
-                    )
-        finally:
-            if deadline is not None:
-                deadline.cancel()
+        active = self.active
+        txn_id = txn.txn_id
+        yield from self.waits.wait(
+            txn,
+            lambda: [active[dep] for dep in dep_ids if dep != txn_id and dep in active],
+            "commit-order",
+            check=ALL,
+            deadlock_reason="wait-deadlock",
+        )
         self._check_cascading_abort(txn)
-
-    def _deadline(self, txn, deadline, timeout, reason, blocker):
-        """The one deadline of a wait loop: armed on the first pass, checked
-        on later ones (``txn`` aborts once it has fired).  The loop reuses it
-        across passes and cancels it however it ends."""
-        if deadline is None:
-            if timeout is None:
-                timeout = self.options.commit_wait_timeout
-            return Timeout(self.env, timeout)
-        if deadline._processed:
-            if self.profiler is not None:
-                self.profiler.record_abort(txn, f"{reason}-timeout", blocker)
-            raise TransactionAborted(txn.txn_id, f"{reason}-timeout")
-        return deadline
-
-    def wait_for_progress(self, txn, blockers_fn, event_fn, timeout=None, reason="wait"):
-        """Coroutine: wait until ``blockers_fn()`` returns an empty list.
-
-        Unlike :meth:`wait_until`, the wait is *targeted*: the transaction
-        subscribes to events specific to the first blocking transaction
-        (``event_fn(blocker)``), so unrelated progress does not wake it.
-        """
-        deadline = None
-        try:
-            while True:
-                blockers = blockers_fn()
-                if not blockers:
-                    return
-                blocker = blockers[0]
-                wait_start = self.env.now
-                deadline = self._deadline(txn, deadline, timeout, reason, blocker)
-                self.abort_if_wait_deadlock(
-                    txn, blocker.txn_id, reason=f"{reason}-deadlock"
-                )
-                events = [event for event in event_fn(blocker) if event is not None]
-                txn.current_wait = (reason, blocker.txn_id)
-                yield any_of(self.env, events + [deadline])
-                txn.current_wait = None
-                if self.profiler is not None and blocker is not None:
-                    self.profiler.record_wait(
-                        txn, blocker, wait_start, self.env.now, kind=reason
-                    )
-        finally:
-            if deadline is not None:
-                deadline.cancel()
-
-    def wait_until(self, txn, predicate, condition, blocker_fn=None, timeout=None, reason="wait"):
-        """Coroutine: wait on ``condition`` until ``predicate()`` is true.
-
-        ``blocker_fn`` (optional) names the transaction currently responsible
-        for the wait so the profiler can attribute the blocking time.
-        """
-        deadline = None
-        try:
-            while not predicate():
-                blocker = blocker_fn() if blocker_fn is not None else None
-                wait_start = self.env.now
-                deadline = self._deadline(txn, deadline, timeout, reason, blocker)
-                yield any_of(self.env, [condition._event, deadline])
-                if self.profiler is not None and blocker is not None:
-                    self.profiler.record_wait(
-                        txn, blocker, wait_start, self.env.now, kind=reason
-                    )
-        finally:
-            if deadline is not None:
-                deadline.cancel()
 
     # -- background services --------------------------------------------------------------
 
@@ -950,16 +831,25 @@ class TebaldiEngine:
         deadline_event = None
         if force_abort_after is not None:
             deadline_event = self.env.timeout(force_abort_after)
-        while self.active:
-            if deadline_event is not None and deadline_event._processed:
-                for txn in list(self.active.values()):
-                    txn.status = TransactionStatus.ABORTED
-                    txn.abort_reason = "forced-reconfiguration"
-                break
+        try:
+            while self.active:
+                if deadline_event is not None and deadline_event._processed:
+                    for txn in list(self.active.values()):
+                        txn.status = TransactionStatus.ABORTED
+                        txn.abort_reason = "forced-reconfiguration"
+                    break
+                if deadline_event is not None:
+                    # The one deadline wait outside repro.core.waits: the
+                    # drain waits for no transaction in particular.
+                    yield any_of(
+                        self.env, [self.commit_condition._event, deadline_event]
+                    )
+                else:
+                    yield from self.commit_condition.wait()
+        finally:
+            # A drain that finishes early drops its deadline (owner cancels).
             if deadline_event is not None:
-                yield any_of(self.env, [self.commit_condition._event, deadline_event])
-            else:
-                yield from self.commit_condition.wait()
+                deadline_event.cancel()
         self._swap_configuration(new_configuration)
         self.gc.resume()
         self._draining = False

@@ -35,7 +35,6 @@ class StatsCollector:
         self.abort_reasons = Counter()
         self.by_type = defaultdict(TypeStats)
         self.commit_buckets = Counter()
-        self.abort_edges = Counter()
 
     # -- recording ---------------------------------------------------------
 
@@ -49,13 +48,10 @@ class StatsCollector:
         bucket = int((self.env.now - self.started_at) / self.bucket_width)
         self.commit_buckets[bucket] += 1
 
-    def record_abort(self, txn, reason, conflicting_type=None):
+    def record_abort(self, txn, reason):
         self.aborts += 1
         self.abort_reasons[reason] += 1
         self.by_type[txn.txn_type].aborts += 1
-        if conflicting_type:
-            edge = tuple(sorted((txn.txn_type, conflicting_type)))
-            self.abort_edges[edge] += 1
 
     def record_retry(self, txn):
         self.retries += 1

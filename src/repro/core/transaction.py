@@ -59,15 +59,14 @@ class Transaction:
     status: TransactionStatus = TransactionStatus.ACTIVE
     read_only: bool = False
 
-    # Routing through the CC tree.  ``path_nodes`` / ``cc_path`` / ``charges``
-    # and the phase ``transport`` are resolved once in ``engine.begin()`` and
-    # pinned here, so in-flight transactions are unaffected by online
-    # reconfigurations and the per operation hot path never rebuilds them.
+    # Routing through the CC tree.  ``charges`` (the type's ``Route``: its
+    # ``nodes``, ``ccs``, hook tables and cost constants) and the phase
+    # ``transport`` are resolved once in ``engine.begin()`` and pinned here,
+    # so in-flight transactions are unaffected by online reconfigurations
+    # and the per operation hot path never rebuilds them.
     leaf_node_id: str = ""
     group_tokens: dict = field(default_factory=dict)
     partition_value: Any = None
-    path_nodes: Any = None
-    cc_path: Any = None
     charges: Any = None
     transport: Any = None
 
@@ -107,8 +106,9 @@ class Transaction:
     # Set by the engine at begin time: a one-shot event triggered when the
     # transaction commits or aborts (used for targeted dependency waits).
     finish_event: Any = None
-    # Diagnostic: what the transaction is currently blocked on, as a
-    # (reason, blocking transaction id) pair, or None when running.
+    # The transaction's edge in the wait-for graph: what it is blocked on,
+    # as a (reason, blocking transaction id) pair, or None when running.
+    # Written only by ``repro.core.waits.Waits.wait``.
     current_wait: Any = None
     # Transient flag set around version selection of a read-for-update.
     current_read_for_update: bool = False

@@ -19,7 +19,7 @@ from repro.sim.faults import (
     MessageFaultInjector,
     MessageFaultPlan,
 )
-from repro.sim.resources import Condition, WaitQueue
+from repro.sim.resources import Condition
 from repro.sim.network import ClusterModel, Delivery, LinkState, NetworkModel
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "Interrupt",
     "Timeout",
     "Condition",
-    "WaitQueue",
     "ClusterModel",
     "Delivery",
     "LinkState",

@@ -1,0 +1,262 @@
+"""The contention profiler's stream: pinned, and free when off.
+
+Every CC mechanism reports "who waited for whom" and "who aborted because
+of whom" through the one wait loop and the one abort of
+``repro.core.waits``.  Three pins keep a refactor of that surface honest:
+
+* **stream** — a fixed-seed run with a :class:`ContentionProfiler` attached
+  yields exactly the recorded sequence of blocking events and abort
+  counters, one cell per family of wait (locks and RP pipeline, range locks,
+  TSO promises and commit order, batch condition waits);
+* **off means free** — the same run without a profiler commits, aborts and
+  writes exactly the same;
+* **one site** — the profiler calls, the ``current_wait`` edge and the
+  deadline wait occur in ``repro/core/waits.py`` and nowhere else.
+
+Re-record rule (as for ``tests/golden/``): a refactor must never touch
+``STREAM``.  It was recorded at the parent of the commit that introduced
+``repro.core.waits``, by running ``PYTHONPATH=src:. python
+tests/test_profiler_stream.py`` there; re-record only when a change legitimately moves schedules or the
+reported edges (the hot-row stall fix will), with the reason in CHANGES.md.
+"""
+
+import hashlib
+import random
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.autoconf.profiler import ContentionProfiler
+from repro.core.config import monolithic
+from repro.core.engine import EngineOptions
+from repro.harness import configs
+from repro.harness.runner import BenchmarkRunner
+from repro.sim.environment import Environment
+from repro.workloads.queue import QueueWorkload
+from repro.workloads.seats import SEATSWorkload
+from repro.workloads.smallbank import SmallBankWorkload
+from tests.conftest import build_engine, run_transactions
+from tests.test_cc_conformance import CONFORMANCE_TREES, ConformanceWorkload
+from tests.test_retention import _digest, _tiny_tpcc, _zipf
+
+#: name -> (workload factory, configuration factory, clients, sim seconds).
+#: The last two are not registry cells: no registry tree waits on a TSO
+#: promise (only YCSB declares write keys, and it has no TSO tree) and the
+#: first four never wait on a range lock.
+CELLS = {
+    "tpcc/tebaldi-3layer": (_tiny_tpcc, configs.tpcc_tebaldi_3layer, 12, 0.3),
+    "smallbank/3layer": (
+        lambda: SmallBankWorkload(customers=200, hot_accounts=10),
+        configs.smallbank_3layer, 12, 0.15,
+    ),
+    "seats/3layer": (
+        lambda: SEATSWorkload(flights=2, seats_per_flight=100, customers=50),
+        configs.seats_3layer, 12, 0.15,
+    ),
+    "ycsb-zipf/batch": (_zipf, configs.ycsb_batch, 16, 0.08),
+    "ycsb-zipf/tso": (
+        _zipf,
+        lambda: monolithic("tso", sorted(_zipf().transaction_types()), name="ycsb-tso"),
+        16, 0.1,
+    ),
+    "queue/2pl": (QueueWorkload, configs.queue_monolithic_2pl, 12, 0.2),
+}
+
+#: name -> (blocking events, kinds seen, digest of the whole stream)
+STREAM = {
+    "queue/2pl": (
+        210, ["lock", "range-lock"],
+        "f08c3599c30bc1e09de0552784e84ea810f93d005847c5b6829bab98b53823e3",
+    ),
+    "seats/3layer": (
+        170, ["lock", "tso-commit-order"],
+        "d0f1289a994a99941a0d0f9435de401afc7fee4d86ce7af8b20062868782c2b8",
+    ),
+    "smallbank/3layer": (
+        138, ["commit-order", "lock"],
+        "0e1d56920791f128a977a1fd197c9572f75ec5b0cd4a5fbd6846c0bc8647ed13",
+    ),
+    "tpcc/tebaldi-3layer": (
+        1468, ["lock", "rp-pipeline"],
+        "5ccc45abb20369cf5f7cc88f96c414498e5a241c49d458db3ecd2fc0dc49a1c5",
+    ),
+    "ycsb-zipf/batch": (
+        2573, ["batch-commit-order", "batch-pred-commit", "batch-slot-wait", "commit-order"],
+        "dda0b9b2bc12803787f0511c09cc2cfa123653db551f0fb0c869a1400b7f552f",
+    ),
+    "ycsb-zipf/tso": (
+        8460, ["tso-commit-order", "tso-promise"],
+        "52dadb85955fd48ef5c7e7ea582fdc04fa4df68dc1c85bea4ad118fa36a22fb7",
+    ),
+}
+
+#: conformance tree -> the same triple
+CONFORMANCE_STREAM = {
+    "2pl/(2pl,tso)": (
+        161, ["lock", "range-lock", "tso-commit-order", "tso-promise"],
+        "aa29dfe3a93bf6ec1f6ab46d8d618771eed0cc89c127b5c42373c332d0be9f28",
+    ),
+    "2pl/(batch,2pl)": (
+        182, ["batch-commit-order", "batch-install-order", "batch-pred-commit", "batch-scan-wait", "batch-slot-wait", "commit-order", "lock", "range-lock"],
+        "886aaedc5d3b27784abdfa6f9d73bbb813b8496a0303efb5bb89dab185cea87b",
+    ),
+    "2pl/(rp,rp)": (
+        120, ["lock", "range-lock"],
+        "b97e93c0c969868c6bc27306375fa04f60846d1ced1640ff09d78bc6ab3de7fa",
+    ),
+    "mono-2pl": (
+        124, ["lock", "range-lock"],
+        "5668c9cd8c41f38177abdecbea9ce4cf5b1356d17c39a0d26d4680a14fb239bf",
+    ),
+    "mono-batch": (
+        528, ["batch-commit-order", "batch-install-order", "batch-pred-commit", "batch-scan-wait", "batch-slot-wait", "commit-order"],
+        "8bc34822f70bfebbe2e0c6488380d5959c1d6b3e59ab2e3546b6851071d58a01",
+    ),
+    "mono-occ": (
+        7, ["commit-order"],
+        "684cb9843c88ab1a54d0e2de75b12927a502cc1c0d93a1dd6bb840fa342e029a",
+    ),
+    "mono-rp": (
+        120, ["lock", "range-lock"],
+        "1ef9ab334b610106f5422d1b8b0d336ec03757a397aa389b555f7d9b5410eb2c",
+    ),
+    "mono-ssi": (
+        0, [],
+        "36c4703e81bee0288fcd7c193c59678e2ce3bbcd7c9694cd656b5585be8587c6",
+    ),
+    "mono-tso": (
+        326, ["tso-commit-order", "tso-promise"],
+        "d9b1ce1b0f5486658f7b3608b520fe293a3f59b1a815f9e00b768e5654adb32d",
+    ),
+    "rp/(rp,2pl)": (
+        127, ["lock", "range-lock"],
+        "f015679145eefb4c90151d492ea0d8c0339e214fa62de8cefba882fd792907be",
+    ),
+    "rp/(rp,rp)": (
+        120, ["lock", "range-lock"],
+        "3abc0cea54d0a05fbae80c76f415c7393f9e279a83c272ac398a8553043a846d",
+    ),
+    "ssi/(2pl,2pl)": (
+        30, ["lock", "range-lock"],
+        "28e1f52a16a3e68ca34ba8c08d7f53ef267542bd701621ea20034f86463f68bf",
+    ),
+    "ssi/(batch,batch)": (
+        117, ["batch-commit-order", "batch-pred-commit", "batch-scan-wait", "batch-slot-wait"],
+        "e6483b662003ea01a062c8b10e56ab0d4443386f9cd855f3692a9a14c9e1e009",
+    ),
+    "ssi/(none,2pl)": (
+        80, ["lock", "range-lock"],
+        "e133916418959d2ae1f6507c8ffa701060a73533213a3165468df78209a80dce",
+    ),
+    "ssi/(none,batch)": (
+        380, ["batch-commit-order", "batch-install-order", "batch-pred-commit", "batch-scan-wait", "batch-slot-wait", "commit-order"],
+        "e71f302aaa648fe905bfa1272519e5f0cf274edd30a239e40a86d30d94b68df7",
+    ),
+    "ssi/(rp,2pl)": (
+        37, ["lock", "range-lock"],
+        "ccdc0e0030149feb98f24254077e750b8915844fa5f10b700610de3779a7c3ba",
+    ),
+}
+
+
+def _run(cell, profiler):
+    workload_factory, config_factory, clients, duration = CELLS[cell]
+    runner = BenchmarkRunner(
+        workload_factory(), config_factory(), seed=11, profiler=profiler
+    )
+    try:
+        runner.run(clients, duration=duration, warmup=0.0)
+    finally:
+        runner.stop()
+    return runner
+
+
+def _run_conformance(tree, profiler):
+    """Eight lanes of the conformance mix with short timeouts: the cells
+    above abort rarely, these trees hit every deadlock and timeout reason."""
+    workload = ConformanceWorkload()
+    rng = random.Random(99)
+    requests = [workload.next_transaction(rng) for _ in range(120)]
+    engine = build_engine(
+        Environment(),
+        workload,
+        CONFORMANCE_TREES[tree](),
+        options=EngineOptions(
+            charge_costs=True, lock_timeout=0.2, commit_wait_timeout=0.4
+        ),
+        profiler=profiler,
+    )
+    run_transactions(engine.env, engine, requests, lanes=8)
+    return engine
+
+
+def _stream(profiler):
+    events = [
+        (event.blocked_id, event.blocker_id, event.start, event.end, event.kind)
+        for event in profiler.events
+    ]
+    canonical = repr(
+        (events, sorted(profiler.aborts.items()), sorted(profiler.abort_edges.items()))
+    )
+    kinds = sorted({kind.split(":")[0] for *_ignored, kind in events})
+    return len(events), kinds, hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _outcome(engine):
+    stats = engine.stats
+    return stats.commits, stats.aborts, dict(stats.abort_reasons), _digest(engine.store)
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_stream_is_pinned_and_profiler_is_free(cell):
+    profiler = ContentionProfiler()
+    attached = _run(cell, profiler)
+    assert _stream(profiler) == STREAM[cell]
+    assert _outcome(attached.engine) == _outcome(_run(cell, None).engine)
+
+
+@pytest.mark.parametrize("tree", sorted(CONFORMANCE_TREES))
+def test_conformance_stream_is_pinned_and_profiler_is_free(tree):
+    profiler = ContentionProfiler()
+    attached = _run_conformance(tree, profiler)
+    assert _stream(profiler) == CONFORMANCE_STREAM[tree]
+    assert _outcome(attached) == _outcome(_run_conformance(tree, None))
+
+
+SRC = Path(repro.__file__).parent
+
+
+def _modules_with(needle, under=""):
+    """Modules below ``src/repro/<under>`` whose source contains ``needle``
+    (the profiler itself, which defines the calls, aside)."""
+    found = []
+    for path in sorted((SRC / under).rglob("*.py")):
+        name = path.relative_to(SRC).as_posix()
+        if name != "autoconf/profiler.py" and needle in path.read_text():
+            found.append(name)
+    return found
+
+
+def test_one_wait_site_and_one_abort_site():
+    for needle in ("profiler.record_wait(", "profiler.record_abort(", "current_wait = "):
+        assert _modules_with(needle) == ["core/waits.py"], needle
+    # Waiting on a deadline: the wait loop and, the one named exception, the
+    # reconfiguration drain, which waits for no transaction (the runner's
+    # ``any_of`` is the run horizon, not a wait).
+    waits_on_deadline = _modules_with("any_of(", "core") + _modules_with("any_of(", "cc")
+    assert waits_on_deadline == ["core/engine.py", "core/waits.py"]
+    assert (SRC / "core/engine.py").read_text().count("any_of(") == 1
+    # Every CC mechanism aborts through ``waits.abort``.
+    assert _modules_with("raise TransactionAborted", "cc") == []
+
+
+if __name__ == "__main__":
+    for name in sorted(CELLS):
+        recorded = ContentionProfiler()
+        _run(name, recorded)
+        print(f"    {name!r}: {_stream(recorded)!r},")
+    for name in sorted(CONFORMANCE_TREES):
+        recorded = ContentionProfiler()
+        _run_conformance(name, recorded)
+        print(f"    {name!r}: {_stream(recorded)!r},")

@@ -217,6 +217,25 @@ class TestRetentionBound:
         assert max(peaks) < 40, peaks
         assert len(engine._holds) == 1
 
+    def test_partial_restart_drops_its_force_abort_deadline(self, env):
+        """A drain that ends before ``force_abort_after`` cancels the deadline
+        it armed (owner cancels): no live entry stays queued at that time."""
+        engine = build_engine(env, _micro(), configs.micro_2layer(), options=EngineOptions())
+        args = {"shared_id": 0, "local_id": 0, "cold_ids": [1]}
+        env.process(engine.execute_transaction("group_a_update", args))
+        restart = env.process(
+            engine.reconfigure_partial_restart(
+                configs.micro_monolithic_2pl(), force_abort_after=5.0
+            )
+        )
+        env.run(until=restart)
+        assert engine.stats.commits == 1 and 0.0 < env.now < 5.0
+        at_deadline = [
+            item for at, _seq, item in env._queue
+            if at == 5.0 and getattr(item, "callbacks", ()) is not None
+        ]
+        assert at_deadline == []
+
     def test_engine_options_have_no_retention_knob(self):
         names = [option.name for option in fields(EngineOptions)]
         assert "history_limit" not in names and "keep_history" not in names

@@ -7,7 +7,7 @@ from repro.errors import SimulationError
 from repro.sim.environment import Environment
 from repro.sim.events import Event, any_of
 from repro.sim.network import CostModel, NetworkModel
-from repro.sim.resources import Condition, WaitQueue
+from repro.sim.resources import Condition
 
 
 class TestEvents:
@@ -320,48 +320,6 @@ class TestTimeoutCancel:
 
 
 class TestResources:
-    def test_wait_queue_notify_one(self, env):
-        queue = WaitQueue(env, "q")
-        results = []
-
-        def waiter(label):
-            value = yield from queue.wait()
-            results.append((label, value))
-
-        env.process(waiter("a"))
-        env.process(waiter("b"))
-
-        def notifier():
-            yield env.timeout(1)
-            queue.notify_one("first")
-            yield env.timeout(1)
-            queue.notify_all("rest")
-
-        env.process(notifier())
-        env.run()
-        assert ("a", "first") in results
-        assert len(results) == 2
-
-    def test_wait_queue_fail_all(self, env):
-        queue = WaitQueue(env, "q")
-        caught = []
-
-        def waiter():
-            try:
-                yield from queue.wait()
-            except RuntimeError:
-                caught.append(True)
-
-        env.process(waiter())
-
-        def failer():
-            yield env.timeout(1)
-            queue.fail_all(RuntimeError("cancelled"))
-
-        env.process(failer())
-        env.run()
-        assert caught == [True]
-
     def test_condition_broadcast(self, env):
         condition = Condition(env, "c")
         woken = []
