@@ -31,7 +31,10 @@ The script maintains ``BENCH_speed.json`` at the repository root:
   under cProfile and dumps the stats to ``--profile-out`` (default
   ``bench_speed.prof``), so perf work starts from data instead of guesses
   (inspect with ``python -m pstats bench_speed.prof`` or snakeviz); it ends
-  with a cyclic-GC summary, the one cost the profile table cannot show.
+  with a cyclic-GC summary, the one cost the profile table cannot show, and
+  a census of the tracked objects the run left behind, by owner.  Besides
+  the three timed scenarios it accepts ``smallbank-durable-checked``, the
+  perf ledger's durable, oracle-checked cell.
 
 Usage::
 
@@ -49,14 +52,17 @@ import json
 import pstats
 import sys
 import time
+import types
 from pathlib import Path
 
 from repro.core.config import Configuration, leaf, monolithic, node
 from repro.core.engine import EngineOptions
-from repro.harness.configs import seats_3layer, tpcc_tebaldi_3layer
+from repro.harness.configs import seats_3layer, smallbank_3layer, tpcc_tebaldi_3layer
 from repro.harness.runner import BenchmarkRunner
+from repro.storage.durability import DurabilityConfig
 from repro.workloads.micro import CrossGroupConflictWorkload
 from repro.workloads.seats import SEATSWorkload
+from repro.workloads.smallbank import SmallBankWorkload
 from repro.workloads.tpcc import TPCCWorkload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -106,6 +112,28 @@ def _scenarios(quick=False):
             40,
             1.0 * scale,
             0.2 * scale,
+        ),
+    }
+
+
+def _profile_scenarios():
+    """The timed scenarios plus the ``--profile``-only ones; a sixth element
+    holds the runner keywords that replace the default ``EngineOptions()``."""
+    return {
+        **_scenarios(),
+        # The ledger's smallbank-durable-checked, object for object: the one
+        # path through recorder, streaming oracle, WAL and precommit.  5
+        # warm-up and 120 measured slices of 0.02 sim-s, 20 clients.
+        "smallbank-durable-checked": (
+            lambda: SmallBankWorkload(customers=500, hot_accounts=50),
+            smallbank_3layer,
+            20,
+            2.4,
+            0.1,
+            {
+                "options": EngineOptions(durability=DurabilityConfig(enabled=True)),
+                "check_isolation": True,
+            },
         ),
     }
 
@@ -197,16 +225,75 @@ class GcPauses:
             self.gen2_max = max(self.gen2_max, pause)
 
 
+#: Objects the census counts but does not walk through: a class, module,
+#: function or suspended frame reaches the whole process.
+_CENSUS_OPAQUE = (
+    type,
+    types.ModuleType,
+    types.FunctionType,
+    types.BuiltinFunctionType,
+    types.GeneratorType,
+    types.FrameType,
+    types.CodeType,
+)
+
+
+def census_by_owner(runner):
+    """GC-tracked objects outside the frozen heap, by who holds them.
+
+    Walks ``gc.get_referents`` from named roots — through frozen and
+    untracked objects, which may still lead to tracked ones — and books
+    every unfrozen tracked object to the first root that reaches it; the
+    runner, engine and environment are hubs that reach everything and are
+    not walked.  A by-type count cannot say that the largest owner of plain
+    dicts, lists and tuples is the log; this can.
+    """
+    unfrozen = {id(obj) for obj in gc.get_objects()}
+    total = len(unfrozen)
+    engine, recorder = runner.engine, runner.recorder
+    roots = []
+    if recorder is not None:
+        roots.append(("recorder records", recorder._records))
+        checker = recorder.streaming_checker
+        if checker is not None:
+            roots.append(("cycle detector", checker.detector))
+            roots.append(("streaming checker", checker))
+        roots.append(("recorder, the rest", recorder))
+    roots.append(("durability manager", runner.manager))
+    roots.append(("store", runner.store))
+    roots.append(("engine.finished", engine.finished))
+    roots.extend((f"cc node {node.node_id}", node.cc) for node in engine.nodes)
+    seen = {id(runner), id(engine), id(engine.env)}
+    counts = {}
+    for owner, root in roots:
+        count = 0
+        stack = [root]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            count += id(obj) in unfrozen
+            if not isinstance(obj, _CENSUS_OPAQUE):
+                stack.extend(gc.get_referents(obj))
+        counts[owner] = count
+    counts["unattributed"] = total - sum(counts.values())
+    return total, counts
+
+
 def profile_scenario(name, spec, output_path):
     """Run one scenario under cProfile and dump the stats to a file.
 
-    Ends with the three numbers cProfile has no row for: the collector's
-    share of the run, its full collections, and how many tracked objects
-    the run left outside the heap the runner froze.
+    Ends with what cProfile has no row for: the collector's share of the
+    run, its full collections, and the tracked objects the run left outside
+    the heap the runner froze, by owner.
     """
-    workload_factory, config_factory, clients, duration, warmup = spec
+    workload_factory, config_factory, clients, duration, warmup, *runner_kwargs = spec
     runner = BenchmarkRunner(
-        workload_factory(), config_factory(), options=EngineOptions(), seed=7
+        workload_factory(),
+        config_factory(),
+        seed=7,
+        **(runner_kwargs[0] if runner_kwargs else {"options": EngineOptions()}),
     )
     profiler = cProfile.Profile()
     pauses = GcPauses()
@@ -217,7 +304,7 @@ def profile_scenario(name, spec, output_path):
         result = runner.run(clients, duration=duration, warmup=warmup)
         profiler.disable()
         wall = time.perf_counter() - start
-        tracked = len(gc.get_objects())
+        tracked, owners = census_by_owner(runner)
     finally:
         gc.callbacks.remove(pauses)
         runner.stop()
@@ -229,6 +316,9 @@ def profile_scenario(name, spec, output_path):
     print(f"  cyclic-GC pauses: {pauses.total:.2f}s of {wall:.2f}s wall ({pauses.total / wall:.0%})")
     print(f"  full (gen-2) collections: {pauses.gen2_count}, largest {pauses.gen2_max * 1e3:.0f} ms")
     print(f"  GC-tracked objects outside the frozen heap at the end: {tracked:,}")
+    for owner, count in sorted(owners.items(), key=lambda item: -item[1]):
+        if count:
+            print(f"    {count:>9,}  {owner}")
     return result
 
 
@@ -269,7 +359,7 @@ def main(argv=None):
         "--profile",
         nargs="?",
         const="tpcc-3layer",
-        choices=sorted(_scenarios()),
+        choices=sorted(_profile_scenarios()),
         metavar="SCENARIO",
         help="cProfile one scenario (default tpcc-3layer) and dump the stats",
     )
@@ -281,7 +371,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.profile:
-        profile_scenario(args.profile, _scenarios()[args.profile], args.profile_out)
+        profile_scenario(
+            args.profile, _profile_scenarios()[args.profile], args.profile_out
+        )
         return 0
 
     quick = args.quick

@@ -329,6 +329,8 @@ class TebaldiEngine:
             # a *ghost* (durable, unacknowledged).
             yield Event(self.env, "crashed")
         if self._durable:
+            # The exchange is over: nothing can retransmit this precommit.
+            self.durability.release_precommit(txn)
             delay = self.durability.flush_delay()
             if delay:
                 yield self.env.timeout(delay)

@@ -32,6 +32,7 @@ from repro.harness.crash import exactly_once_violations
 from repro.harness.runner import Lane, run_benchmark
 from repro.sim.faults import MessageFaultInjector, MessageFaultPlan
 from repro.storage.durability import DurabilityConfig
+from repro.storage.wal import KIND, TXN_ID, record_body
 
 
 def default_degraded_durability():
@@ -72,10 +73,9 @@ def retransmit_violations(manager):
     tickets = {}
     for log in manager.logs:
         for record in log.persisted_records():
-            if record.kind != "precommit":
-                continue
-            ticket = record.payload.get("ticket")
-            tickets.setdefault(record.txn_id, set()).add(ticket)
+            if record[KIND] == "precommit":
+                _participants, ticket, _writes = record_body(record)
+                tickets.setdefault(record[TXN_ID], set()).add(ticket)
     return {
         txn_id: sorted(seen)
         for txn_id, seen in tickets.items()

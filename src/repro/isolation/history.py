@@ -103,6 +103,13 @@ class History:
         return order[0][1] if order else None
 
 
+#: A retained record is one flat tuple: ``txn_type, begin_time, end_time,
+#: scans, num_writes``, then ``key, commit_seq`` per write from this index
+#: on, then ``key, writer, commit_seq`` per read to the end (the observed
+#: ``Version`` stands in for a ``commit_seq`` not yet assigned).
+_WRITES_AT = 5
+
+
 class HistoryRecorder:
     """Streaming history recorder attached to a running engine.
 
@@ -111,10 +118,14 @@ class HistoryRecorder:
     the authoritative per-key version order even when garbage collection
     later prunes the chains.
 
-    Reads are recorded as references to the observed :class:`Version`
-    objects and resolved to ``(key, writer, commit_seq)`` lazily in
-    :meth:`history` — a read of a then-uncommitted version picks up the
-    writer's final commit sequence once the writer commits.
+    A retained record is one flat tuple (layout at :data:`_WRITES_AT`): a
+    read of a version already sequenced when its reader commits is kept as
+    the atoms ``key, writer, commit_seq`` — a sequence never changes once
+    assigned — and only a read of a still-unsequenced version (a pipelined
+    read under RP) keeps the observed :class:`Version` in the sequence's
+    place, so :meth:`history` picks up the writer's final commit sequence
+    (``None``, an aborted read, if it never commits).  Atoms do not pin
+    superseded versions, and the cyclic collector stops tracking them.
 
     ``max_transactions`` bounds memory for long runs: the recorder keeps a
     ring of the most recent committed transactions (their read/write sets)
@@ -152,7 +163,7 @@ class HistoryRecorder:
             self.streaming_checker = StreamingDSGChecker(
                 kinds_for(level), trace_edges=trace_edges
             )
-        # txn_id -> (txn_type, begin_time, end_time, [(key, commit_seq)], [(key, version)])
+        # txn_id -> flat record (see _WRITES_AT)
         self._records = OrderedDict()
         self._version_orders = {}
         # Insertion-ordered so a window bounds it like the commit ring; old
@@ -177,28 +188,20 @@ class HistoryRecorder:
             # overwrite the first record; flag it loudly instead — no
             # engine path may commit twice, retransmits included.
             self.duplicate_commits.append(txn.txn_id)
-        writes = []
-        orders = self._version_orders
-        for version in versions:
-            key = version.key
-            writes.append((key, version.commit_seq))
-            order = orders.get(key)
-            if order is None:
-                order = orders[key] = []
-            order.append((version.commit_seq, version.writer))
+        scans = tuple([record.key_range for record in txn.scans]) if txn.scans else ()
+        flat = [txn.txn_type, txn.begin_time, txn.end_time, scans, len(versions)]
+        self._record_versions(versions, flat)
         reads = [
             (record.key, record.version)
             for record in txn.reads
             if record.version is not None
         ]
-        scans = (
-            [record.key_range for record in txn.scans] if txn.scans else ()
-        )
+        for key, version in reads:
+            seq = version.commit_seq
+            flat += (key, version.writer, version if seq is None else seq)
         if self.streaming_checker is not None:
             self.streaming_checker.on_commit(txn.txn_id, versions, reads, scans)
-        self._records[txn.txn_id] = (
-            txn.txn_type, txn.begin_time, txn.end_time, writes, reads, scans
-        )
+        self._records[txn.txn_id] = tuple(flat)
         self.recorded_commits += 1
         limit = self.max_transactions
         if limit is not None:
@@ -206,6 +209,19 @@ class HistoryRecorder:
             while len(records) > limit:
                 records.popitem(last=False)
                 self._evicted = True
+
+    def _record_versions(self, versions, flat):
+        """Append ``versions`` to the per-key version orders and, as ``key,
+        commit_seq`` pairs, to the flat record under construction."""
+        orders = self._version_orders
+        for version in versions:
+            key = version.key
+            seq = version.commit_seq
+            flat += (key, seq)
+            order = orders.get(key)
+            if order is None:
+                order = orders[key] = []
+            order.append((seq, version.writer))
 
     def on_abort(self, txn):
         """Record that a transaction aborted (readers of it are doomed)."""
@@ -258,18 +274,11 @@ class HistoryRecorder:
         resurrects its writes; its reads died with the crash, so only the
         writes constrain the stitched graph — exactly the information the
         durable log retains."""
-        writes = []
-        orders = self._version_orders
-        for version in versions:
-            key = version.key
-            writes.append((key, version.commit_seq))
-            order = orders.get(key)
-            if order is None:
-                order = orders[key] = []
-            order.append((version.commit_seq, version.writer))
+        flat = [txn_type, now, now, (), len(versions)]
+        self._record_versions(versions, flat)
         if self.streaming_checker is not None:
             self.streaming_checker.on_commit(txn_id, versions, (), ())
-        self._records[txn_id] = (txn_type, now, now, writes, [], ())
+        self._records[txn_id] = tuple(flat)
         self.recorded_commits += 1
 
     def seq_of(self, key, writer):
@@ -304,17 +313,22 @@ class HistoryRecorder:
             aborted_ids=set(self._aborted_ids),
             extra_committed=extra_committed,
         )
-        for txn_id, (txn_type, begin, end, writes, reads, scans) in self._records.items():
-            record = HistoryTransaction(
-                txn_id=txn_id,
-                txn_type=txn_type,
-                begin_time=begin,
-                end_time=end,
-                writes=list(writes),
-                scans=list(scans),
+        for txn_id, flat in self._records.items():
+            txn_type, begin, end, scans, num_writes = flat[:_WRITES_AT]
+            reads_at = _WRITES_AT + 2 * num_writes
+            writes, reads = flat[_WRITES_AT:reads_at], flat[reads_at:]
+            history.add_transaction(
+                HistoryTransaction(
+                    txn_id=txn_id,
+                    txn_type=txn_type,
+                    begin_time=begin,
+                    end_time=end,
+                    writes=list(zip(writes[::2], writes[1::2])),
+                    reads=[
+                        (key, writer, seq if isinstance(seq, int) else seq.commit_seq)
+                        for key, writer, seq in zip(reads[::3], reads[1::3], reads[2::3])
+                    ],
+                    scans=list(scans),
+                )
             )
-            record.reads = [
-                (key, version.writer, version.commit_seq) for key, version in reads
-            ]
-            history.add_transaction(record)
         return history

@@ -9,7 +9,7 @@ from repro.storage.versions import Version
 from repro.storage.mvstore import MultiVersionStore
 from repro.storage.tables import Catalog, Table, TableSchema, composite_key
 from repro.storage.gc import GarbageCollector
-from repro.storage.wal import LogRecord, WriteAheadLog
+from repro.storage.wal import WriteAheadLog, record_body
 from repro.storage.durability import DurabilityManager, DurabilityConfig
 from repro.storage.backends import InMemoryBackend, FileBackend
 
@@ -21,8 +21,8 @@ __all__ = [
     "Catalog",
     "composite_key",
     "GarbageCollector",
-    "LogRecord",
     "WriteAheadLog",
+    "record_body",
     "DurabilityManager",
     "DurabilityConfig",
     "InMemoryBackend",

@@ -14,6 +14,30 @@ import json
 import os
 
 
+def _to_json(value):
+    """JSON has no tuple and no bytes; tag both so a reload returns exactly
+    what was put (a log record is a tuple whose body is bytes)."""
+    if isinstance(value, tuple):
+        return {"__tuple__": [_to_json(item) for item in value]}
+    if isinstance(value, bytes):
+        return {"__bytes__": value.hex()}
+    if isinstance(value, list):
+        return [_to_json(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _to_json(item) for key, item in value.items()}
+    return value
+
+
+def _from_json(obj):
+    """``object_hook`` inverse of :func:`_to_json` (runs innermost first)."""
+    if len(obj) == 1:
+        if "__tuple__" in obj:
+            return tuple(obj["__tuple__"])
+        if "__bytes__" in obj:
+            return bytes.fromhex(obj["__bytes__"])
+    return obj
+
+
 class InMemoryBackend:
     """Dictionary-backed 'persistent' store (survives engine restarts only)."""
 
@@ -47,6 +71,8 @@ class FileBackend:
 
     Every :meth:`put` appends one line ``{"k": ..., "v": ...}``; on open the
     file is replayed to rebuild the index, so the latest value per key wins.
+    The JSON coding of values is this class's own business: tuples and bytes
+    are tagged on the way out and restored on the way in.
     """
 
     def __init__(self, path):
@@ -66,11 +92,11 @@ class FileBackend:
                 line = line.strip()
                 if not line:
                     continue
-                record = json.loads(line)
+                record = json.loads(line, object_hook=_from_json)
                 self._index[record["k"]] = record["v"]
 
     def put(self, key, value):
-        record = json.dumps({"k": key, "v": value}, default=str)
+        record = json.dumps({"k": key, "v": _to_json(value)}, default=str)
         self._file.write(record + "\n")
         self._file.flush()
         self._index[key] = value

@@ -23,7 +23,7 @@ from itertools import count
 
 from repro.errors import ConfigurationError, RecoveryError
 from repro.storage.backends import InMemoryBackend
-from repro.storage.wal import LogRecord, WriteAheadLog, decode_key, encode_key
+from repro.storage.wal import WriteAheadLog, record_body
 
 
 @dataclass
@@ -68,11 +68,14 @@ class DurabilityManager:
         self._persistent_gcp_epoch = 0
         self._durable_waiters = defaultdict(list)
         self._precommit_ticket = count(1)
+        self._server_of = {}
         # Retransmit dedup: txn id -> global epoch of the already-applied
         # precommit.  A duplicated or retried precommit request must apply
         # exactly once (one ticket, one record set); the flag exists so the
         # chaos suite's mutation test can break the dedup and prove the
-        # harness catches the resulting double-apply.
+        # harness catches the resulting double-apply.  Only a retransmit
+        # inside the commit exchange reads an entry, so the coordinator
+        # releases it when that exchange ends (:meth:`release_precommit`).
         self.dedup_enabled = True
         self._precommit_epochs = {}
         self.duplicate_precommits = 0
@@ -100,9 +103,16 @@ class DurabilityManager:
         Uses CRC32 of the key's repr rather than ``hash()``: Python string
         hashing is salted per interpreter, and the partitioning must be
         byte-identical across processes for fault schedules and recovered
-        survivor sets to reproduce from a seed.
+        survivor sets to reproduce from a seed.  Memoised per key: a write is
+        routed at its operation log, at precommit and (under message faults)
+        when the exchange is addressed.
         """
-        return zlib.crc32(repr(key).encode("utf-8")) % self.config.num_servers
+        server_id = self._server_of.get(key)
+        if server_id is None:
+            server_id = self._server_of[key] = (
+                zlib.crc32(repr(key).encode("utf-8")) % self.config.num_servers
+            )
+        return server_id
 
     def participants_for(self, writes):
         """Sorted participant server ids of a write set (``(0,)`` if empty).
@@ -117,9 +127,9 @@ class DurabilityManager:
 
     def _trip(self, site, **detail):
         """Report an instrumented site to the fault injector; on a planned
-        crash the manager halts (everything volatile is about to be lost)."""
-        if self.faults is None:
-            return False
+        crash the manager halts (everything volatile is about to be lost).
+        Sites test ``self.faults is not None`` themselves, so a manager with
+        no injector pays one comparison per site and builds no ``detail``."""
         if self.faults.trip(site, **detail):
             self._halted = True
             return True
@@ -132,16 +142,12 @@ class DurabilityManager:
         if not self.enabled or self._halted:
             return None
         server_id = self.server_for(key)
-        record = LogRecord(
-            kind="operation",
-            txn_id=txn.txn_id,
-            server_id=server_id,
-            payload={"key": encode_key(key), "value": value},
-            gcp_epoch=self._current_gcp_epoch[server_id],
+        record = self.logs[server_id].append(
+            "operation", txn.txn_id, self._current_gcp_epoch[server_id], (key, value)
         )
-        self.logs[server_id].append(record)
         self.records_written += 1
-        self._trip("operation", txn_id=txn.txn_id, server_id=server_id)
+        if self.faults is not None:
+            self._trip("operation", txn_id=txn.txn_id, server_id=server_id)
         return record
 
     def precommit(self, txn, writes):
@@ -174,10 +180,9 @@ class DurabilityManager:
             if cached is not None:
                 self.duplicate_precommits += 1
                 return cached
-        by_server = defaultdict(list)
-        for key, value in writes:
-            by_server[self.server_for(key)].append((encode_key(key), value))
-        participants = sorted(by_server) if by_server else [0]
+        txn_id = txn.txn_id
+        servers = [self.server_for(write[0]) for write in writes]
+        participants = sorted(set(servers)) or [0]
         total = len(participants)
         ticket = next(self._precommit_ticket)
         synchronous = not self.config.asynchronous
@@ -185,35 +190,32 @@ class DurabilityManager:
         for index, server_id in enumerate(participants):
             epoch = self._current_gcp_epoch[server_id]
             global_epoch = max(global_epoch, epoch)
-            record = LogRecord(
-                kind="precommit",
-                txn_id=txn.txn_id,
-                server_id=server_id,
-                payload={
-                    "participants": total,
-                    "ticket": ticket,
-                    "writes": by_server.get(server_id, []),
-                },
-                gcp_epoch=epoch,
+            share = tuple(
+                [write for write, server in zip(writes, servers) if server == server_id]
             )
-            self.logs[server_id].append(record)
+            log = self.logs[server_id]
+            log.append("precommit", txn_id, epoch, (total, ticket, share))
             self.records_written += 1
             if synchronous:
-                self.logs[server_id].flush()
-            if self._trip(
-                "precommit-record",
-                txn_id=txn.txn_id,
-                index=index,
-                total=total,
+                log.flush()
+            if self.faults is not None and self._trip(
+                "precommit-record", txn_id=txn_id, index=index, total=total
             ):
                 return 0
         if synchronous:
             self._persistent_gcp_epoch = max(
                 self._persistent_gcp_epoch, global_epoch
             )
-        self._precommit_epochs[txn.txn_id] = global_epoch
-        self._trip("precommit-done", txn_id=txn.txn_id)
+        self._precommit_epochs[txn_id] = global_epoch
+        if self.faults is not None:
+            self._trip("precommit-done", txn_id=txn_id)
         return global_epoch
+
+    def release_precommit(self, txn):
+        """The precommit exchange of ``txn`` ended: nothing can retransmit
+        it any more, so its dedup entry goes (the rule the timestamp
+        server's cache has, ``TimestampOracle.release``)."""
+        self._precommit_epochs.pop(txn.txn_id, None)
 
     def commit_notification(self, txn, global_epoch):
         """Apply the commit notification: bump lagging servers' epochs."""
@@ -243,17 +245,21 @@ class DurabilityManager:
         """
         if not self.enabled or self._halted:
             return 0
-        if self._trip("gcp-before"):
+        faults = self.faults
+        if faults is not None and self._trip("gcp-before"):
             return 0
         closing = max(self._current_gcp_epoch)
         for server_id, log in enumerate(self.logs):
             log.flush(up_to_epoch=closing)
-            if self._trip("gcp-server", server_id=server_id, epoch=closing):
+            if faults is not None and self._trip(
+                "gcp-server", server_id=server_id, epoch=closing
+            ):
                 return 0
         for server_id in range(self.config.num_servers):
             self._current_gcp_epoch[server_id] = closing + 1
         self._persistent_gcp_epoch = max(self._persistent_gcp_epoch, closing)
-        self._trip("gcp-after", epoch=closing)
+        if faults is not None:
+            self._trip("gcp-after", epoch=closing)
         self._notify_durable()
         return closing
 
@@ -317,43 +323,39 @@ class DurabilityManager:
         3. reconstruct the latest value of every object from the surviving
            precommit records, in precommit-ticket (= commit) order.
         """
-        base_state = {}
-        base_writers = {}
+        state = {}
+        writers = {}
+        # txn id -> [(participants, epoch, (ticket, server id, lsn), writes)]
         precommits = defaultdict(list)
-        for log in self.logs:
+        for server_id, log in enumerate(self.logs):
             for record in log.persisted_records():
-                if record.kind == "checkpoint":
-                    key = decode_key(record.payload["key"])
-                    base_state[key] = record.payload.get("value")
-                    base_writers[key] = record.payload.get("writer", 0)
-                elif record.kind == "precommit":
-                    precommits[record.txn_id].append(record)
+                lsn, kind, txn_id, epoch, _body = record
+                if kind == "checkpoint":
+                    key, value, writer = record_body(record)
+                    state[key] = value
+                    writers[key] = writer
+                elif kind == "precommit":
+                    participants, ticket, writes = record_body(record)
+                    precommits[txn_id].append(
+                        (participants, epoch, (ticket or 0, server_id, lsn), writes)
+                    )
         survivors = set()
         replayable = []
-        for txn_id, records in precommits.items():
-            counts = [
-                r.payload["participants"]
-                for r in records
-                if "participants" in r.payload
-            ]
-            if len(counts) != len(records):
+        for txn_id, entries in precommits.items():
+            counts = [entry[0] for entry in entries]
+            if None in counts or len(entries) < max(counts):
                 continue
-            if len(records) < max(counts):
-                continue
-            if max(r.gcp_epoch for r in records) > self._persistent_gcp_epoch:
+            if max(entry[1] for entry in entries) > self._persistent_gcp_epoch:
                 continue
             survivors.add(txn_id)
-            replayable.extend(records)
-        state = dict(base_state)
-        writers = dict(base_writers)
-        replayable.sort(
-            key=lambda r: (r.payload.get("ticket", 0), r.server_id, r.lsn)
-        )
-        for record in replayable:
-            for encoded_key, value in record.payload.get("writes", []):
-                key = decode_key(encoded_key)
+            replayable.extend(
+                (order, txn_id, writes) for _count, _epoch, order, writes in entries
+            )
+        replayable.sort()
+        for _order, txn_id, writes in replayable:
+            for key, value in writes:
                 state[key] = value
-                writers[key] = record.txn_id
+                writers[key] = txn_id
         return RecoveryResult(
             recovered_transactions=survivors,
             discarded_transactions=set(precommits) - survivors,
@@ -380,19 +382,8 @@ class DurabilityManager:
             log.reset()
         written = 0
         for key in sorted(result.state, key=repr):
-            server_id = self.server_for(key)
-            record = LogRecord(
-                kind="checkpoint",
-                txn_id=0,
-                server_id=server_id,
-                payload={
-                    "key": encode_key(key),
-                    "value": result.state[key],
-                    "writer": result.state_writers.get(key, 0),
-                },
-                gcp_epoch=0,
-            )
-            self.logs[server_id].append(record)
+            body = (key, result.state[key], result.state_writers.get(key, 0))
+            self.logs[self.server_for(key)].append("checkpoint", 0, 0, body)
             written += 1
         for log in self.logs:
             log.flush()

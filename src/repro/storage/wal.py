@@ -1,66 +1,29 @@
-"""Write-ahead logging primitives used by the durability protocol."""
+"""Write-ahead logging primitives used by the durability protocol.
 
-from dataclasses import dataclass, field
+A log record is one exact ``tuple`` of atoms, ``(lsn, kind, txn_id,
+gcp_epoch, body)``.  ``kind`` is ``"operation"`` (a buffered write; body
+``(key, value)``), ``"precommit"`` (the per-data-server precommit record;
+body ``(participants, ticket, writes)``, ``writes`` a tuple of ``(key,
+value)`` pairs) or ``"checkpoint"`` (one recovered key; body ``(key, value,
+writer)``).  The body is serialised once, at append: the log owns a copy of
+the rows, never an alias of a dict the engine may still mutate, and the
+record is flat, which is the only shape of long-lived data the cyclic
+collector stops tracking (PERFORMANCE.md, *What the cyclic collector
+charges for*).  The server id is not a slot: a record lives in one log.
+"""
+
 from itertools import count
-from typing import Any
+from pickle import HIGHEST_PROTOCOL, dumps, loads
+
+#: Slot indices of a log record.
+LSN, KIND, TXN_ID, GCP_EPOCH, BODY = range(5)
 
 
-def encode_key(key):
-    """Encode a storage key for a WAL payload.
+def record_body(record):
+    """The deserialised body of a log record (a fresh copy on every call).
 
-    Composite keys are tuples; JSON-backed backends round-trip tuples as
-    lists, so the codec normalises to lists on the way in and restores
-    tuples on the way out.  Scalars pass through unchanged.
-    """
-    if isinstance(key, tuple):
-        return [encode_key(part) for part in key]
-    return key
-
-
-def decode_key(encoded):
-    """Inverse of :func:`encode_key`."""
-    if isinstance(encoded, (list, tuple)):
-        return tuple(decode_key(part) for part in encoded)
-    return encoded
-
-
-@dataclass
-class LogRecord:
-    """One write-ahead log record.
-
-    ``kind`` is one of ``"operation"`` (a buffered write), ``"precommit"``
-    (the per-data-server precommit record carrying the participant count and
-    write ordering) or ``"commit"`` (commit notification, used only to speed
-    up recovery).
-    """
-
-    kind: str
-    txn_id: int
-    server_id: int
-    payload: dict = field(default_factory=dict)
-    gcp_epoch: int = 0
-    lsn: int = 0
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "txn_id": self.txn_id,
-            "server_id": self.server_id,
-            "payload": self.payload,
-            "gcp_epoch": self.gcp_epoch,
-            "lsn": self.lsn,
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            kind=data["kind"],
-            txn_id=data["txn_id"],
-            server_id=data["server_id"],
-            payload=data.get("payload", {}),
-            gcp_epoch=data.get("gcp_epoch", 0),
-            lsn=data.get("lsn", 0),
-        )
+    Only for records this program appended: unpickling runs what it reads."""
+    return loads(record[BODY])
 
 
 class WriteAheadLog:
@@ -78,10 +41,9 @@ class WriteAheadLog:
         self._buffer = []
         self.flush_count = 0
 
-    def append(self, record):
-        """Append a record to the volatile tail of the log."""
-        record.lsn = next(self._lsn)
-        record.server_id = self.server_id
+    def append(self, kind, txn_id, gcp_epoch=0, body=None):
+        """Append a record to the volatile tail of the log and return it."""
+        record = (next(self._lsn), kind, txn_id, gcp_epoch, dumps(body, HIGHEST_PROTOCOL))
         self._buffer.append(record)
         return record
 
@@ -95,11 +57,10 @@ class WriteAheadLog:
         remaining = []
         flushed = 0
         for record in self._buffer:
-            if up_to_epoch is not None and record.gcp_epoch > up_to_epoch:
+            if up_to_epoch is not None and record[GCP_EPOCH] > up_to_epoch:
                 remaining.append(record)
                 continue
-            key = f"wal/{self.server_id}/{record.lsn:012d}"
-            self.backend.put(key, record.to_dict())
+            self.backend.put(f"wal/{self.server_id}/{record[LSN]:012d}", record)
             flushed += 1
         self._buffer = remaining
         if flushed:
@@ -123,8 +84,8 @@ class WriteAheadLog:
         self._lsn = count(lsn_start)
 
     def persisted_records(self):
-        """Read back every durable record of this server from the backend."""
-        records = []
-        for _key, value in sorted(self.backend.scan(f"wal/{self.server_id}/")):
-            records.append(LogRecord.from_dict(value))
-        return records
+        """Read back every durable record of this server, in LSN order."""
+        return [
+            record
+            for _key, record in sorted(self.backend.scan(f"wal/{self.server_id}/"))
+        ]

@@ -35,7 +35,6 @@ from repro.isolation.history import HistoryRecorder
 from repro.sim.faults import SITES, CrashPoint, FaultInjector, FaultPlan
 from repro.storage.durability import DurabilityConfig, DurabilityManager
 from repro.storage.versions import Version
-from repro.storage.wal import LogRecord, decode_key, encode_key
 from repro.workloads.queue import QueueWorkload
 from repro.workloads.smallbank import SmallBankWorkload
 
@@ -132,14 +131,10 @@ class TestRecoveryProtocol:
         """A record set that cannot prove its completeness is discarded —
         recovery never falls back to trusting len(records)."""
         manager = self._sync_manager()
-        record = LogRecord(
-            kind="precommit",
-            txn_id=5,
-            server_id=0,
-            payload={"writes": [(encode_key(("a", 1)), {"v": 5})]},
-            gcp_epoch=0,
+        # None in the participant count's slot: the count is missing.
+        manager.logs[0].append(
+            "precommit", 5, gcp_epoch=0, body=(None, 1, ((("a", 1), {"v": 5}),))
         )
-        manager.logs[0].append(record)
         manager.logs[0].flush()
         result = manager.recover()
         assert 5 in result.discarded_transactions

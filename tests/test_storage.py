@@ -10,7 +10,7 @@ from repro.storage.durability import DurabilityConfig, DurabilityManager
 from repro.storage.gc import GarbageCollector
 from repro.storage.mvstore import MultiVersionStore
 from repro.storage.tables import Catalog, Table, TableSchema, composite_key
-from repro.storage.wal import LogRecord, WriteAheadLog, decode_key, encode_key
+from repro.storage.wal import BODY, LSN, TXN_ID, WriteAheadLog, record_body
 
 
 def make_txn(txn_id, txn_type="t"):
@@ -198,23 +198,23 @@ class TestBackends:
 class TestWriteAheadLog:
     def test_append_assigns_lsn(self):
         wal = WriteAheadLog(0, InMemoryBackend())
-        first = wal.append(LogRecord(kind="operation", txn_id=1, server_id=0))
-        second = wal.append(LogRecord(kind="operation", txn_id=2, server_id=0))
-        assert (first.lsn, second.lsn) == (1, 2)
+        first = wal.append("operation", 1)
+        second = wal.append("operation", 2)
+        assert (first[LSN], second[LSN]) == (1, 2)
         assert wal.pending == 2
 
     def test_flush_persists_records(self):
         wal = WriteAheadLog(0, InMemoryBackend())
-        wal.append(LogRecord(kind="precommit", txn_id=1, server_id=0, gcp_epoch=1))
+        wal.append("precommit", 1, gcp_epoch=1)
         assert wal.flush() == 1
         assert wal.pending == 0
         records = wal.persisted_records()
-        assert len(records) == 1 and records[0].txn_id == 1
+        assert len(records) == 1 and records[0][TXN_ID] == 1
 
     def test_flush_up_to_epoch(self):
         wal = WriteAheadLog(0, InMemoryBackend())
-        wal.append(LogRecord(kind="precommit", txn_id=1, server_id=0, gcp_epoch=1))
-        wal.append(LogRecord(kind="precommit", txn_id=2, server_id=0, gcp_epoch=2))
+        wal.append("precommit", 1, gcp_epoch=1)
+        wal.append("precommit", 2, gcp_epoch=2)
         assert wal.flush(up_to_epoch=1) == 1
         assert wal.pending == 1
 
@@ -223,62 +223,56 @@ class TestWriteAheadLog:
         persisted_records() must still return every flushed record exactly
         once, in LSN order, with no record skipped by the epoch filter."""
         wal = WriteAheadLog(0, InMemoryBackend())
-        wal.append(LogRecord(kind="precommit", txn_id=1, server_id=0, gcp_epoch=1))
-        wal.append(LogRecord(kind="precommit", txn_id=2, server_id=0, gcp_epoch=2))
+        wal.append("precommit", 1, gcp_epoch=1)
+        wal.append("precommit", 2, gcp_epoch=2)
         wal.flush(up_to_epoch=1)  # async epoch flush, leaves txn 2 pending
-        wal.append(LogRecord(kind="precommit", txn_id=3, server_id=0, gcp_epoch=0))
+        wal.append("precommit", 3, gcp_epoch=0)
         wal.flush()  # sync flush: everything buffered, regardless of epoch
-        wal.append(LogRecord(kind="precommit", txn_id=4, server_id=0, gcp_epoch=3))
+        wal.append("precommit", 4, gcp_epoch=3)
         wal.flush(up_to_epoch=3)
         records = wal.persisted_records()
-        assert [r.txn_id for r in records] == [1, 2, 3, 4]
-        assert [r.lsn for r in records] == [1, 2, 3, 4]
+        assert [r[TXN_ID] for r in records] == [1, 2, 3, 4]
+        assert [r[LSN] for r in records] == [1, 2, 3, 4]
         assert wal.pending == 0
 
     def test_crash_interrupted_flush_keeps_persisted_prefix(self):
         """A crash mid-run drops the volatile buffer but never the records
         already handed to the backend."""
         wal = WriteAheadLog(0, InMemoryBackend())
-        wal.append(LogRecord(kind="precommit", txn_id=1, server_id=0, gcp_epoch=1))
+        wal.append("precommit", 1, gcp_epoch=1)
         wal.flush()
-        wal.append(LogRecord(kind="precommit", txn_id=2, server_id=0, gcp_epoch=2))
-        wal.append(LogRecord(kind="precommit", txn_id=3, server_id=0, gcp_epoch=2))
+        wal.append("precommit", 2, gcp_epoch=2)
+        wal.append("precommit", 3, gcp_epoch=2)
         lost = wal.crash()
         assert lost == 2
         assert wal.pending == 0
-        assert [r.txn_id for r in wal.persisted_records()] == [1]
+        assert [r[TXN_ID] for r in wal.persisted_records()] == [1]
 
     def test_reset_restarts_lsns(self):
         wal = WriteAheadLog(0, InMemoryBackend())
-        wal.append(LogRecord(kind="operation", txn_id=1, server_id=0))
+        wal.append("operation", 1)
         wal.flush()
         wal.reset()
-        record = wal.append(LogRecord(kind="operation", txn_id=2, server_id=0))
-        assert record.lsn == 1
+        record = wal.append("operation", 2)
+        assert record[LSN] == 1
 
     def test_key_codec_roundtrips_through_file_backend(self, tmp_path):
-        """Tuple keys survive a JSON backend: encode to lists on the way
-        in, decode back to tuples on the way out."""
+        """A record with a composite key survives a JSON backend exactly: the
+        tuple/bytes coding is FileBackend's business, not the write path's."""
         key = ("accounts", ("savings", 7))
-        assert decode_key(encode_key(key)) == key
         path = str(tmp_path / "wal.jsonl")
         wal = WriteAheadLog(0, FileBackend(path))
-        wal.append(
-            LogRecord(
-                kind="precommit",
-                txn_id=1,
-                server_id=0,
-                payload={"writes": [(encode_key(key), {"v": 1})], "participants": 1, "ticket": 1},
-                gcp_epoch=0,
-            )
-        )
+        written = wal.append("precommit", 1, body=(1, 1, ((key, {"v": 1}),)))
+        assert type(written) is tuple and type(written[BODY]) is bytes
         wal.flush()
+        wal.backend.close()
         reloaded = WriteAheadLog(0, FileBackend(path))
         records = reloaded.persisted_records()
-        assert len(records) == 1
-        (encoded, value), = records[0].payload["writes"]
-        assert decode_key(encoded) == key
-        assert value == {"v": 1}
+        assert records == [written]
+        participants, ticket, writes = record_body(records[0])
+        assert (participants, ticket) == (1, 1)
+        assert writes == ((key, {"v": 1}),)
+        reloaded.backend.close()
 
 
 class TestDurability:
@@ -326,6 +320,24 @@ class TestDurability:
         result = manager.recover()
         assert result.state[("a", 1)] == {"v": 20}
         assert result.state_writers[("a", 1)] == 2
+
+    @pytest.mark.parametrize("asynchronous", [False, True])
+    def test_log_holds_a_copy_of_the_row(self, asynchronous):
+        """``ctx.update`` returns the dict it handed to ``perform_write``,
+        which is also ``Version.value`` and ``txn.writes[key]``: mutating it
+        after the log calls returned must change nothing recovery rebuilds."""
+        manager = self._manager(asynchronous=asynchronous)
+        txn = make_txn(3)
+        row = {"v": 1, "tags": ["a"]}
+        manager.log_operation(txn, ("a", 1), row)
+        manager.precommit(txn, [(("a", 1), row)])
+        row["v"] = 99
+        row["tags"].append("b")
+        if asynchronous:
+            manager.advance_gcp_epoch()
+        result = manager.recover()
+        assert result.state == {("a", 1): {"v": 1, "tags": ["a"]}}
+        assert result.state_writers == {("a", 1): 3}
 
     def test_commit_notification_advances_lagging_epochs(self):
         manager = self._manager()
