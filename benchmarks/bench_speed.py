@@ -31,10 +31,13 @@ The script maintains ``BENCH_speed.json`` at the repository root:
   under cProfile and dumps the stats to ``--profile-out`` (default
   ``bench_speed.prof``), so perf work starts from data instead of guesses
   (inspect with ``python -m pstats bench_speed.prof`` or snakeviz); it ends
-  with a cyclic-GC summary, the one cost the profile table cannot show, and
-  a census of the tracked objects the run left behind, by owner.  Besides
-  the three timed scenarios it accepts ``smallbank-durable-checked``, the
-  perf ledger's durable, oracle-checked cell.
+  with a cyclic-GC summary, the one cost the profile table cannot show
+  (pauses, full collections, and the objects the collector found
+  unreachable — the number that exposes a reference cycle), and a census of
+  the tracked objects the run left behind, by owner.  Besides the three
+  timed scenarios it accepts two of the perf ledger's cells, built object
+  for object: ``smallbank-durable-checked`` (durable, oracle-checked) and
+  ``ycsb-zipf-batch`` (one deterministic batch leaf, 64 members in flight).
 
 Usage::
 
@@ -57,13 +60,19 @@ from pathlib import Path
 
 from repro.core.config import Configuration, leaf, monolithic, node
 from repro.core.engine import EngineOptions
-from repro.harness.configs import seats_3layer, smallbank_3layer, tpcc_tebaldi_3layer
+from repro.harness.configs import (
+    YCSB_TRANSACTIONS,
+    seats_3layer,
+    smallbank_3layer,
+    tpcc_tebaldi_3layer,
+)
 from repro.harness.runner import BenchmarkRunner
 from repro.storage.durability import DurabilityConfig
 from repro.workloads.micro import CrossGroupConflictWorkload
 from repro.workloads.seats import SEATSWorkload
 from repro.workloads.smallbank import SmallBankWorkload
 from repro.workloads.tpcc import TPCCWorkload
+from repro.workloads.ycsb import YCSBWorkload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_speed.json"
@@ -134,6 +143,25 @@ def _profile_scenarios():
                 "options": EngineOptions(durability=DurabilityConfig(enabled=True)),
                 "check_isolation": True,
             },
+        ),
+        # The ledger's ycsb-zipf-batch, object for object: short hot-key
+        # transactions under one batch leaf whose batches fill by size.  5
+        # warm-up and 120 measured slices of 0.005 sim-s, 64 clients.
+        "ycsb-zipf-batch": (
+            lambda: YCSBWorkload(
+                records=100, profile="a", distribution="zipfian", zipf_theta=0.99
+            ),
+            lambda: Configuration(
+                leaf(
+                    "batch",
+                    *YCSB_TRANSACTIONS,
+                    params={"batch_size": 16, "batch_window": 0.002},
+                ),
+                name="ycsb-batch-tuned",
+            ),
+            64,
+            0.6,
+            0.025,
         ),
     }
 
@@ -212,6 +240,7 @@ class GcPauses:
         self.total = 0.0
         self.gen2_count = 0
         self.gen2_max = 0.0
+        self.collected = 0
         self._started = 0.0
 
     def __call__(self, phase, info):
@@ -220,6 +249,7 @@ class GcPauses:
             return
         pause = time.perf_counter() - self._started
         self.total += pause
+        self.collected += info["collected"]
         if info["generation"] == 2:
             self.gen2_count += 1
             self.gen2_max = max(self.gen2_max, pause)
@@ -315,6 +345,7 @@ def profile_scenario(name, spec, output_path):
     print("not in the table above (cProfile books a GC pause to whoever was allocating):")
     print(f"  cyclic-GC pauses: {pauses.total:.2f}s of {wall:.2f}s wall ({pauses.total / wall:.0%})")
     print(f"  full (gen-2) collections: {pauses.gen2_count}, largest {pauses.gen2_max * 1e3:.0f} ms")
+    print(f"  objects the collector found unreachable (reference cycles): {pauses.collected:,}")
     print(f"  GC-tracked objects outside the frozen heap at the end: {tracked:,}")
     for owner, count in sorted(owners.items(), key=lambda item: -item[1]):
         if count:

@@ -44,7 +44,11 @@ _DELEGATING_ANCESTORS = frozenset({"2pl", "ssi", "occ", "none"})
 
 
 class _Batch:
-    """One admission wave: members, seal state, and completion countdown."""
+    """One admission wave: members, seal state, and completion countdown.
+
+    ``members`` is the open wave only: the seal drops the list, so a sealed
+    batch does not point back at the transactions whose state points at it.
+    """
 
     __slots__ = ("members", "sealed", "sealed_event", "remaining")
 
@@ -113,8 +117,16 @@ class DeterministicBatch(ConcurrencyControl):
         self._open_batch = None
         self._inflight = 0
         self._seq_counter = count(1)
-        self._seqs = {}  # txn_id -> sequence position (sealed, active)
         self._active = {}  # txn_id -> txn (joined a batch, not finished)
+        # The sealed members in flight, kept in the shape each question asks
+        # for.  Both fill at the seal in sequence order and both let go of a
+        # member when it finishes, so neither outgrows the members in flight.
+        #: seq -> txn, members still executing (commit point not reached):
+        #: its first entry is whom the commit-order wait is waiting for.
+        self._executing = {}
+        #: declared write key -> {txn_id: seq}: who a new member's declared
+        #: writes and scan ranges conflict with, without asking every member.
+        self._writers = {}
         #: Dependency-graph edges materialised across all seals (stats).
         self.graph_edges = 0
         self.batches_sealed = 0
@@ -125,7 +137,11 @@ class DeterministicBatch(ConcurrencyControl):
 
     def _wait_for_progress(self, txn, pending, reason):
         """Wait until ``pending()`` (earlier-sequenced members in the way)
-        is empty, re-checking whenever any member installs or finishes."""
+        is empty, re-checking whenever any member installs or finishes.
+
+        ``pending()`` yields the lowest-sequenced such member first and may
+        stop there: the wait reads its head and whether there is one.
+        """
         return self.waits.wait(
             txn,
             pending,
@@ -161,26 +177,29 @@ class DeterministicBatch(ConcurrencyControl):
                 pending.append(writer)
         return pending
 
-    def _pending_range_writers(self, txn, my_seq, key_range):
-        """Earlier-sequenced members with an unresolved slot inside the range."""
-        store = self.engine.store
-        pending = []
-        for writer_id, seq in self._seqs.items():
-            if writer_id == txn.txn_id or seq >= my_seq:
-                continue
-            writer = self._active.get(writer_id)
-            if writer is None:
-                continue
-            for key in store.unresolved_slots_of(writer_id):
-                if (
-                    isinstance(key, tuple)
-                    and len(key) == 2
-                    and key[0] == key_range.table
-                    and key_range.contains_pk(key[1])
-                ):
-                    pending.append(writer)
-                    break
-        return pending
+    def _pending_range_writers(self, my_seq, key_range):
+        """The first earlier-sequenced member with an unresolved slot inside
+        the range, alone: a wait reads only the head of its blockers."""
+        slot_writers = self.engine.store.slot_writers
+        table = key_range.table
+        head_seq, head = my_seq, None
+        for key, holders in self._writers.items():
+            if (
+                isinstance(key, tuple)
+                and len(key) == 2
+                and key[0] == table
+                and key_range.contains_pk(key[1])
+            ):
+                unresolved = slot_writers(key)
+                if not unresolved:
+                    continue
+                for writer_id, seq in holders.items():  # in sequence order
+                    if seq >= head_seq:
+                        break
+                    if writer_id in unresolved:
+                        head_seq, head = seq, writer_id
+                        break
+        return () if head is None else (self._active[head],)
 
     # -- admission & start phase -------------------------------------------------
 
@@ -226,7 +245,7 @@ class DeterministicBatch(ConcurrencyControl):
             self._open_batch = None
         # Drop members that died while waiting for the seal (force-aborts).
         members = [txn for txn in batch.members if txn.txn_id in self._active]
-        batch.members = members
+        batch.members = None
         batch.remaining = len(members)
         if not members:
             batch.sealed_event.succeed()
@@ -234,17 +253,17 @@ class DeterministicBatch(ConcurrencyControl):
         self._inflight += 1
         self.batches_sealed += 1
         store = self.engine.store
-        seqs = self._seqs
+        writers = self._writers
         for txn in members:
             seq = next(self._seq_counter)
             state = self.state(txn)
             state["seq"] = seq
-            seqs[txn.txn_id] = seq
+            self._executing[seq] = txn
             profile = self.engine.profile_of(txn.txn_type)
             keys = ()
             if profile.promise_keys is not None:
                 keys = tuple(profile.promise_keys(txn.args))
-            state["write_keys"] = frozenset(keys)
+            my_writes = state["write_keys"] = frozenset(keys)
             ranges = ()
             if profile.scan_ranges is not None:
                 ranges = tuple(profile.scan_ranges(txn.args))
@@ -254,27 +273,22 @@ class DeterministicBatch(ConcurrencyControl):
             # declared writes or scan ranges.  Reads are not declared;
             # read-write ordering is enforced at execution time by the slot
             # waits, which the same declared slots drive.
-            preds = set()
-            my_writes = state["write_keys"]
-            for other_id, other_seq in seqs.items():
-                if other_seq >= seq:
-                    continue
-                other = self._active.get(other_id)
-                if other is None:
-                    continue
-                other_writes = self.state(other).get("write_keys", ())
-                if not other_writes:
-                    continue
-                if my_writes and not my_writes.isdisjoint(other_writes):
-                    preds.add(other_id)
-                    continue
-                if ranges and any(
-                    self._key_in_ranges(key, ranges) for key in other_writes
-                ):
-                    preds.add(other_id)
-            state["preds"] = preds
+            earlier = {}
+            for key in my_writes:
+                holders = writers.get(key)
+                if holders is not None:
+                    earlier.update(holders)
+            if ranges:
+                for key, holders in writers.items():
+                    if self._key_in_ranges(key, ranges):
+                        earlier.update(holders)
+            # Filled in sequence order: the predecessor wait blocks on the
+            # first active member the set yields.
+            preds = state["preds"] = set(sorted(earlier, key=earlier.get))
             self.graph_edges += len(preds)
             if keys:
+                for key in keys:
+                    writers.setdefault(key, {})[txn.txn_id] = seq
                 # Pre-assign version slots: later-sequenced readers and
                 # writers wait on these instead of locks, and declared
                 # inserts become enumerable to scans before they install.
@@ -324,11 +338,11 @@ class DeterministicBatch(ConcurrencyControl):
         sequenced inserts are ordered after the scan by the sequence.
         """
         my_seq = self._seq(txn)
-        if not self._pending_range_writers(txn, my_seq, key_range):
+        if not self._pending_range_writers(my_seq, key_range):
             return None
         return self._wait_for_progress(
             txn,
-            lambda: self._pending_range_writers(txn, my_seq, key_range),
+            lambda: self._pending_range_writers(my_seq, key_range),
             "batch-scan-wait",
         )
 
@@ -389,18 +403,15 @@ class DeterministicBatch(ConcurrencyControl):
         my_seq = state["seq"]
         # Mark the commit point first: later-sequenced members may stop
         # waiting on this transaction as soon as it stops executing.
-        state["committing"] = True
+        executing = self._executing
+        del executing[my_seq]
         self.progress.notify_all()
 
         def _executing_earlier():
-            pending = []
-            for txn_id, seq in self._seqs.items():
-                if seq >= my_seq:
-                    continue
-                other = self._active.get(txn_id)
-                if other is not None and not self.state(other).get("committing"):
-                    pending.append(other)
-            return pending
+            # The lowest-sequenced member still executing, if it is earlier.
+            for head_seq, head in executing.items():
+                return (head,) if head_seq < my_seq else ()
+            return ()
 
         yield from self._wait_for_progress(
             txn, _executing_earlier, "batch-commit-order"
@@ -417,11 +428,18 @@ class DeterministicBatch(ConcurrencyControl):
 
     def finish(self, txn, committed):
         self._active.pop(txn.txn_id, None)
-        self._seqs.pop(txn.txn_id, None)
         state = self.state(txn)
         batch = state.get("batch")
         if batch is not None:
             if batch.sealed:
+                # An abort may come before the commit point.
+                self._executing.pop(state["seq"], None)
+                writers = self._writers
+                for key in state["write_keys"]:
+                    holders = writers[key]
+                    del holders[txn.txn_id]
+                    if not holders:
+                        del writers[key]
                 batch.remaining -= 1
                 if batch.remaining == 0:
                     self._inflight -= 1

@@ -666,3 +666,44 @@ class TestDeterministicBatch:
         assert cc.graph_edges > 0
         report = check_engine(engine)
         assert report.ok and report.num_transactions == count
+
+    def test_state_lookups_per_commit_do_not_grow_with_members_in_flight(
+        self, monkeypatch
+    ):
+        """Complexity guard, by exact count: the leaf answers its questions
+        from indexes, so what one commit costs in per-transaction state
+        lookups is flat in the members in flight (scanning them cost 37.5 /
+        183.7 / 1,313.2 lookups per commit at 16 / 64 / 128 members)."""
+        from repro.harness import configs
+        from repro.harness.runner import BenchmarkRunner
+        from tests.test_retention import _zipf
+
+        lookups = [0]
+        state_for = Transaction.state_for
+
+        def counted(txn, node_id, factory=dict):
+            lookups[0] += 1
+            return state_for(txn, node_id, factory)
+
+        monkeypatch.setattr(Transaction, "state_for", counted)
+        commits, per_commit = [], []
+        for inflight in (1, 4, 8):
+            runner = BenchmarkRunner(
+                _zipf(),
+                monolithic(
+                    "batch",
+                    configs.YCSB_TRANSACTIONS,
+                    params={"batch_size": 16, "max_inflight_batches": inflight},
+                ),
+                seed=7,
+            )
+            lookups[0] = 0
+            try:
+                runner.run(16 * inflight, duration=0.1, warmup=0.0)
+            finally:
+                runner.stop()
+            commits.append(runner.engine.stats.commits)
+            per_commit.append(lookups[0] / commits[-1])
+        # Same simulation as with the scans: the schedule is pinned too.
+        assert commits == [1598, 5808, 8017]
+        assert per_commit[2] <= 1.5 * per_commit[0], per_commit

@@ -17,7 +17,10 @@ These things are pinned here:
 * **flat and released** — log records and retained history records are
   untracked tuples, tracked objects grow by a few per commit however long a
   durable checked run is, the precommit dedup table holds only exchanges in
-  flight, and a flat record still resolves a pipelined read late.
+  flight, and a flat record still resolves a pipelined read late;
+* **batch leaf** — a sealed batch and its members form no reference cycle,
+  and the leaf's two indexes of members in flight name nobody who finished,
+  died before the seal, was force-aborted or had the node spliced out.
 """
 
 import gc
@@ -114,6 +117,13 @@ def _run_cell(name, engine_class, monkeypatch):
     finally:
         runner.stop()
     return runner
+
+
+def _drain(runner):
+    """Stop the clients and run until the last transaction has finished."""
+    runner.stop()
+    runner.env.run()
+    assert runner.engine.active == {}
 
 
 def _outcome(runner):
@@ -416,6 +426,110 @@ class TestPrecommitDedupRelease:
                 assert runner.engine.net_stats["retries"] > 0
         finally:
             runner.stop()
+
+
+def _indexed(cc):
+    """Ids of the members the batch leaf's two indexes name, and the entries."""
+    executing = {txn.txn_id for txn in cc._executing.values()}
+    writers = [txn_id for holders in cc._writers.values() for txn_id in holders]
+    assert all(cc._writers.values())          # no key is kept without a holder
+    return executing | set(writers), len(cc._executing), len(writers)
+
+
+class TestBatchLeafRetention:
+    """The batch leaf keeps its members in flight in two indexes (still
+    executing, by sequence; declared writers, by key): release rule — a
+    member leaves both when it finishes."""
+
+    def test_a_drained_run_leaves_no_cyclic_garbage(self):
+        """A sealed batch used to list the members whose state lists the
+        batch, so every member waited for the cyclic collector."""
+        runner = BenchmarkRunner(_zipf(), configs.ycsb_batch(), seed=7)
+        gc.disable()                          # after the runner's own collect
+        try:
+            runner.run(CLIENTS, duration=0.08, warmup=0.0)
+            _drain(runner)
+            assert runner.engine.stats.commits > 1000
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_indexes_name_only_members_in_flight_and_empty_on_drain(self):
+        runner = BenchmarkRunner(_zipf(), configs.ycsb_batch(), seed=7)
+        cc = runner.engine.root.cc
+        try:
+            runner.add_clients(CLIENTS)
+            peak_executing = peak_writers = 0
+            while runner.engine.stats.commits < 1200:
+                runner.run_additional(0.0005)
+                members, executing, writers = _indexed(cc)
+                assert members <= set(cc._active) and len(cc._active) <= CLIENTS
+                # YCSB members declare at most one key each.
+                assert executing <= len(cc._active) and writers <= len(cc._active)
+                peak_executing = max(peak_executing, executing)
+                peak_writers = max(peak_writers, writers)
+            assert peak_executing > 1 and peak_writers > 1
+            _drain(runner)
+            assert cc._active == {} and cc._executing == {} and cc._writers == {}
+        finally:
+            runner.stop()
+
+    def test_a_member_that_dies_before_the_seal_is_never_indexed(self, env):
+        engine = build_engine(env, _zipf(), configs.ycsb_batch())
+        cc = engine.root.cc
+        casualty = engine.begin("update_record", {"key": 1, "value": 0})
+        parked = cc.start(casualty)
+        next(parked)                          # joined the open batch, awaits its seal
+        batch = cc.state(casualty)["batch"]
+        survivor = env.process(
+            engine.execute_transaction("update_record", {"key": 1, "value": 5})
+        )
+        env.run(until=0.005)                  # the survivor has joined; window still open
+        assert len(cc._active) == 2 and casualty.txn_id in cc._active
+        engine._finish_abort(casualty, "died-before-seal")
+        assert batch.members is not None and casualty not in batch.members
+        env.run(until=survivor)
+        assert survivor.value.committed and batch.sealed and batch.members is None
+        assert "seq" not in cc.state(casualty) and cc.state(survivor.value)["preds"] == set()
+        assert cc._active == {} and cc._executing == {} and cc._writers == {}
+        assert cc._inflight == 0
+
+    def test_forced_restart_and_spliced_node_let_go_of_their_members(self):
+        """A reconfiguration replaces the node while its members are pinned
+        to it: the old node's indexes drain with them."""
+        cases = {
+            "partial-restart": (
+                configs.ycsb_batch, lambda engine: engine.root.cc,
+                lambda engine: engine.reconfigure_partial_restart(
+                    configs.ycsb_monolithic_2pl(), force_abort_after=0.0002
+                ),
+            ),
+            "online-splice": (
+                configs.ycsb_batch_2layer, lambda engine: engine.root.children[1].cc,
+                lambda engine: engine.reconfigure_online(configs.ycsb_2layer()),
+            ),
+        }
+        for name, (config_factory, batch_cc, reconfigure) in cases.items():
+            runner = BenchmarkRunner(_zipf(), config_factory(), seed=7)
+            try:
+                runner.add_clients(CLIENTS)
+                runner.run_additional(0.02)
+                engine = runner.engine
+                old = batch_cc(engine)
+                members, executing, writers = _indexed(old)
+                assert members and executing and writers, name
+                switch = engine.env.process(reconfigure(engine))
+                engine.env.run(until=switch)
+                if name == "partial-restart":
+                    forced = [txn.abort_reason for txn in old._active.values()]
+                    assert forced and set(forced) == {"forced-reconfiguration"}
+                commits = engine.stats.commits
+                runner.run_additional(0.02)
+                assert batch_cc(engine) is not old and batch_cc(engine).name == "2pl"
+                assert engine.stats.commits > commits, name
+                assert old._active == {} and old._executing == {} and old._writers == {}
+            finally:
+                runner.stop()
 
 
 class TestLateResolution:
