@@ -32,7 +32,6 @@ class OptimizationCandidate:
     configuration: Configuration
     rationale: str
     strategy: str
-    edge: tuple = ()
 
     def __repr__(self):
         return f"<Candidate {self.configuration.name}: {self.rationale}>"
@@ -141,7 +140,6 @@ class ConfigurationOptimizer:
                 continue
             seen.add(signature)
             candidate.configuration.name = f"{name_prefix}-{len(unique)}"
-            candidate.edge = edge
             unique.append(candidate)
         return unique
 

@@ -44,7 +44,6 @@ class ContentionProfiler:
         self.events = []
         self.aborts = Counter()
         self.abort_edges = Counter()
-        self._started_at = 0.0
 
     # -- recording interface used by the engine and CC mechanisms ---------------
 
@@ -71,11 +70,10 @@ class ContentionProfiler:
             edge = tuple(sorted((txn.txn_type, conflicting.txn_type)))
             self.abort_edges[edge] += 1
 
-    def reset(self, now=0.0):
+    def reset(self):
         self.events = []
         self.aborts = Counter()
         self.abort_edges = Counter()
-        self._started_at = now
 
     # -- analysis -------------------------------------------------------------------
 

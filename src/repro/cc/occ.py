@@ -47,7 +47,7 @@ class OptimisticCC(ConcurrencyControl):
             if latest is not None and version.committed and latest is not version:
                 self.waits.abort(txn, "occ-read-validation")
         # Write validation: first-committer-wins on the write set.
-        for key in txn.write_order:
+        for key in txn.writes:
             latest = self.engine.store.latest_committed(key)
             if latest is not None and (latest.commit_seq or 0) > snapshot_seq:
                 self.waits.abort(txn, "occ-write-validation")

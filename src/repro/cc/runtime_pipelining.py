@@ -68,14 +68,14 @@ class RuntimePipelining(ConcurrencyControl):
         # phantom inserts, exactly like passed point accesses in ``_passed``.
         self.ranges = RangeLockManager(same_group=self.same_child_group)
         self._active = {}
-        self._step_committed = {}
         # key -> {txn_id: (txn, mode)}: still-active transactions that have
         # step-committed (released) an access to the key.  Lock handoff order
         # defines the pipeline order, and it must survive the release: a
         # later conflicting access has to be ordered after these
         # transactions even though the lock table no longer sees them
         # (otherwise the rw anti-dependency of a passed *reader* is lost and
-        # ordering cycles close undetected).
+        # ordering cycles close undetected).  It is also the one record of
+        # which step-committed write a reader observes (``_exposed``).
         self._passed = {}
         # Flattened copies of the analysis lookup for the per-operation path.
         self._table_to_step = dict(self.analysis.table_to_step)
@@ -254,9 +254,6 @@ class RuntimePipelining(ConcurrencyControl):
         if passed_keys is None:
             passed_keys = state["passed_keys"] = []
         for key, mode in step_keys.items():
-            version = self.engine.store.own_uncommitted(key, txn.txn_id)
-            if version is not None:
-                self._step_committed[key] = version
             entry = passed.get(key)
             if entry is None:
                 entry = passed[key] = {}
@@ -322,50 +319,51 @@ class RuntimePipelining(ConcurrencyControl):
                 return candidate
             writer = self.engine.find_transaction(candidate.writer)
             if writer is not None and self.is_member(writer) and writer.is_active:
-                superseding = self._superseding_step_committed(key, candidate)
-                if superseding is not None:
-                    return superseding
+                # A child subtree can propose a member writer's version even
+                # after a writer in a *different* child step-committed a
+                # newer one through this node's pipeline — the child cannot
+                # see the cross-group writer.  The handoff order here already
+                # put the exposed writer after the candidate's, and every
+                # reader arriving here is ordered after the exposed writer
+                # too (``_order_after_passed``, or its own child's proposal
+                # when they share a group), so it observes the exposed one.
+                exposed = self._exposed(key) if key in self._passed else None
+                if (
+                    exposed is not None
+                    and exposed.writer != candidate.writer
+                    and self.engine.depends_transitively(
+                        exposed.writer, candidate.writer
+                    )
+                ):
+                    return exposed
                 return candidate
-        step_committed = self._step_committed.get(key)
-        if step_committed is not None:
-            writer = self.engine.find_transaction(step_committed.writer)
-            stale = (
-                step_committed.committed
-                or writer is None
-                or not writer.is_active
-            )
-            if stale:
-                self._step_committed.pop(key, None)
-            else:
-                return step_committed
+        if key in self._passed:
+            exposed = self._exposed(key)
+            if exposed is not None:
+                return exposed
         latest = self.engine.store.latest_committed(key)
         if candidate is not None and candidate.committed:
             if latest is None or (candidate.commit_seq or 0) >= (latest.commit_seq or 0):
                 return candidate
         return latest
 
-    def _superseding_step_committed(self, key, candidate):
-        """A step-committed version at this node superseding ``candidate``.
+    def _exposed(self, key):
+        """The step-committed write of ``key`` a reader at this node observes.
 
-        A child subtree can propose a member writer's still-uncommitted
-        version even after a writer in a *different* child step-committed a
-        newer one through this node's pipeline — the child cannot see the
-        cross-group writer.  The handoff order at this node already recorded
-        that the slot writer is ordered after the candidate's writer, and
-        every reader arriving here is ordered after the slot writer too
-        (``_order_after_passed``, or its own child's proposal when they share
-        a group), so the superseding version is the one such a reader must
-        observe.
+        Derived where it is asked for: the uncommitted version of the last
+        transaction, in handoff order, that passed the key ``EXCLUSIVE`` and
+        is still active (an entry leaves ``_passed`` when its transaction
+        finishes here).  When that writer aborts, its predecessor in
+        ``_passed[key]`` — after which ``_order_after_passed`` has already
+        ordered the reader — is exposed again, not the committed version
+        underneath both.
         """
-        slot = self._step_committed.get(key)
-        if slot is None or slot.writer == candidate.writer or slot.committed:
-            return None
-        writer = self.engine.find_transaction(slot.writer)
-        if writer is None or not writer.is_active:
-            self._step_committed.pop(key, None)
-            return None
-        if self.engine.depends_transitively(slot.writer, candidate.writer):
-            return slot
+        own_uncommitted = self.engine.store.own_uncommitted
+        for writer_id, (writer, mode) in reversed(self._passed[key].items()):
+            if mode == EXCLUSIVE and writer.is_active:
+                version = own_uncommitted(key, writer_id)
+                if version is not None:
+                    return version
         return None
 
     def select_version(self, txn, key):

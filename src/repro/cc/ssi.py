@@ -30,13 +30,14 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
     read_optimized = True
     extra_start_rtts = 1  # centralized timestamp server
 
-    def __init__(self, engine, node, batching=None, batch_size=16, abort_backoff=0.005):
+    def __init__(self, engine, node, batching=None, batch_size=16):
         super().__init__(engine, node)
         self.batch_size = batch_size
-        self.abort_backoff = abort_backoff
         # A batch member reads at its batch's timestamp: it is concurrent with
         # whatever finished since the batch opened, even before its own begin,
-        # and the ww/rw checks below must still find those transactions.
+        # and the ww/rw checks below must still find those transactions — so
+        # a live batch holds the engine's release back, and its timestamp is
+        # the floor of the SIREAD drain (``_drain_committed_readers``).
         self.batches = BatchManager(
             engine.oracle,
             batch_size=batch_size,
@@ -60,13 +61,13 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         self._out_antidep = set()
         self._doomed = set()
         self._commit_ts = {}
-        self._active_members = set()
         # SIREAD-style retention (Ports & Grittner): a *committed* reader
         # keeps constraining concurrent writers — its rw anti-dependency
         # into a later write is exactly the edge that closes write-skew
         # cycles after the reader has gone.  Entries are kept keyed by the
-        # reader's commit timestamp and drained once no active member's
-        # snapshot predates them.
+        # reader's commit timestamp and drained once no snapshot that is, or
+        # can still be, handed out predates them.
+        # txn_id -> start timestamp of every unfinished member.
         self._member_starts = {}
         self._committed_readers = deque()
         if batching is None:
@@ -147,8 +148,6 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
     def start(self, txn):
         state = self.state(txn)
         state["read_keys"] = set()
-        self._active_members.add(txn.txn_id)
-        member_starts = self._member_starts
         if self.batching and not txn.read_only:
             token = txn.group_token(self.node.node_id) or txn.txn_id
             batch_id, start_ts = self.batches.admit(token, txn.txn_id)
@@ -157,9 +156,7 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         else:
             state["batch_id"] = None
             state["start_ts"] = self.engine.oracle.next()
-        member_starts[txn.txn_id] = state["start_ts"]
-        if txn.start_timestamp is None:
-            txn.start_timestamp = state["start_ts"]
+        self._member_starts[txn.txn_id] = state["start_ts"]
 
     # -- execution phase ---------------------------------------------------------------
 
@@ -365,7 +362,6 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         self._commit_ts[txn.txn_id] = commit_ts
 
     def finish(self, txn, committed):
-        self._active_members.discard(txn.txn_id)
         self._member_starts.pop(txn.txn_id, None)
         state = self.state(txn)
         for key in state.get("write_keys", ()):  # prune write intents
@@ -402,16 +398,25 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
                     self._range_readers.pop(table, None)
 
     def _drain_committed_readers(self):
-        """Drop retained committed readers no active snapshot can conflict with.
+        """Drop retained committed readers no snapshot can conflict with.
 
-        Commit timestamps are monotone, so the retention deque is ordered
-        and draining its prefix is amortized O(1) per finished transaction.
+        The floor is the oldest snapshot that is, or can still be, handed
+        out: a live batch gives its timestamp to members that have not begun
+        yet, so it counts from the moment it opens, like the engine hold it
+        brackets.  Draining late never changes an outcome
+        (``_concurrent_reader`` filters by commit timestamp at use); draining
+        early loses the rw edge.  Commit timestamps are monotone, so the
+        retention deque is ordered and draining its prefix is amortized O(1)
+        per finished transaction.
         """
         retained = self._committed_readers
         if not retained:
             return
-        member_starts = self._member_starts
-        oldest = min(member_starts.values()) if member_starts else None
+        oldest = self.batches.oldest_live()
+        if self._member_starts:
+            first_member = min(self._member_starts.values())
+            if oldest is None or first_member < oldest:
+                oldest = first_member
         while retained:
             commit_ts, reader = retained[0]
             if oldest is not None and commit_ts > oldest:
@@ -424,4 +429,4 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
 
     def can_garbage_collect(self, epoch):
         # Old snapshots may still need superseded versions while members run.
-        return not self._active_members
+        return not self._member_starts

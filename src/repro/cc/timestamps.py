@@ -96,6 +96,16 @@ class BatchManager:
         entry["members"].add(txn_id)
         return entry["batch_id"], entry["timestamp"]
 
+    def oldest_live(self):
+        """The oldest timestamp a live batch can still hand out, or None.
+
+        ``_live`` is insertion ordered and the oracle monotone, so it is the
+        first entry's.
+        """
+        for entry in self._live.values():
+            return entry["timestamp"]
+        return None
+
     def discard(self, batch_id, txn_id):
         """``txn_id`` finished."""
         entry = self._live.get(batch_id)

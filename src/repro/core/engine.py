@@ -45,6 +45,7 @@ from repro.storage.mvstore import MultiVersionStore
 _ACTIVE = TransactionStatus.ACTIVE
 _VALIDATING = TransactionStatus.VALIDATING
 _COMMITTED = TransactionStatus.COMMITTED
+_ABORTED = TransactionStatus.ABORTED
 
 
 @dataclass
@@ -129,7 +130,6 @@ class TebaldiEngine:
         self._finished_order = deque()
         self._holds = {}
         self.committed_ids = set()
-        self.aborted_ids = set()
         # Optional streaming isolation recorder (see repro.isolation.history):
         # notified with every commit's installed versions and every abort, so
         # checked runs observe the authoritative version order even after GC.
@@ -356,7 +356,6 @@ class TebaldiEngine:
             # vanishes (cross-crash recoverability of the DSG).
             durability = self.durability
             global_epoch = durability.precommit(txn, self._write_set(txn))
-            txn.global_gcp_epoch = global_epoch
             durability.commit_notification(txn, global_epoch)
             if durability.halted:
                 # Crashed inside the precommit: _run parks the process.
@@ -365,7 +364,7 @@ class TebaldiEngine:
 
     @staticmethod
     def _write_set(txn):
-        return [(key, txn.writes[key]) for key in txn.write_order]
+        return list(txn.writes.items())
 
     def _commit(self, txn):
         versions = self.store.commit_transaction(txn, timestamp=txn.commit_timestamp)
@@ -528,7 +527,6 @@ class TebaldiEngine:
         self.store.abort_transaction(txn)
         for finish_hook in txn.charges.finish_hooks:
             finish_hook(txn, committed=False)
-        self.aborted_ids.add(txn.txn_id)
         self._retire(txn)
         if self.history_recorder is not None:
             self.history_recorder.on_abort(txn)
@@ -583,8 +581,10 @@ class TebaldiEngine:
         raise TransactionAborted(txn.txn_id, reason)
 
     def _check_cascading_abort(self, txn):
+        # A writer read from overlapped its reader, so the retention rule
+        # still holds it (``_release_finished``) while the reader is active.
         for dep_id in txn.read_from:
-            if dep_id in self.aborted_ids:
+            if self.find_transaction(dep_id).status is _ABORTED:
                 raise TransactionAborted(txn.txn_id, "cascading-abort")
 
     # -- operations ---------------------------------------------------------------
@@ -602,14 +602,9 @@ class TebaldiEngine:
             step = hook(txn, key)
             if step is not None:
                 yield from step
-        # Multi-versioned CCs may treat "read for update" differently (the
-        # subsequent write-write check covers the conflict, so registering an
-        # anti-dependency would double-count it).
-        txn.current_read_for_update = for_update
         candidate = charges.select_version(txn, key)
         for amend_hook in charges.amend_hooks:
             candidate = amend_hook(txn, key, candidate)
-        txn.current_read_for_update = False
         if (
             candidate is not None
             and not candidate.committed
@@ -661,7 +656,7 @@ class TebaldiEngine:
                     raise TransactionAborted(txn.txn_id, "order-conflict")
                 txn.add_dependency(pending_writer)
         version = self.store.install(key, value, txn)
-        txn.record_write(key, value)
+        txn.writes[key] = value
         if self._durable:
             self.durability.log_operation(txn, key, value)
         for after_write_hook in charges.after_write_hooks:

@@ -72,8 +72,8 @@ class Transaction:
 
     # Data accesses.
     reads: list = field(default_factory=list)
+    # key -> last value written; insertion order is first-write order.
     writes: dict = field(default_factory=dict)
-    write_order: list = field(default_factory=list)
     # Range scans (ScanRecord per ctx.scan call); empty for point workloads.
     scans: list = field(default_factory=list)
 
@@ -91,14 +91,11 @@ class Transaction:
     # CC-specific metadata.
     cc_state: dict = field(default_factory=dict)
     cc_timestamp: Optional[int] = None
-    start_timestamp: Optional[int] = None
     commit_timestamp: Optional[int] = None
-    batch_id: Optional[int] = None
     promises: frozenset = frozenset()
 
     # Durability / garbage collection.
     gc_epoch: int = 0
-    global_gcp_epoch: int = 0
     # Guards GarbageCollector.finish_transaction against double finishes
     # (abort-during-commit cleanup paths).
     gc_finished: bool = False
@@ -110,14 +107,11 @@ class Transaction:
     # as a (reason, blocking transaction id) pair, or None when running.
     # Written only by ``repro.core.waits.Waits.wait``.
     current_wait: Any = None
-    # Transient flag set around version selection of a read-for-update.
-    current_read_for_update: bool = False
 
     # Timing (virtual seconds) and outcome.
     begin_time: float = 0.0
     end_time: float = 0.0
     abort_reason: str = ""
-    retries: int = 0
     result: Any = None
 
     @property
@@ -155,11 +149,6 @@ class Transaction:
         if read_from:
             self.read_from.add(other_txn_id)
         return added
-
-    def record_write(self, key, value):
-        if key not in self.writes:
-            self.write_order.append(key)
-        self.writes[key] = value
 
     def group_token(self, node_id):
         """The child-subtree token of this transaction beneath ``node_id``."""

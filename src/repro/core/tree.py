@@ -179,7 +179,6 @@ class Route:
 
     __slots__ = (
         "nodes",
-        "ccs",
         "phase_cost",
         "start_rtts",
         "op_delay",
@@ -207,7 +206,7 @@ class Route:
 
     def __init__(self, nodes, costs, rtt, txn_type_def=None):
         self.nodes = nodes
-        ccs = self.ccs = [node.cc for node in nodes]
+        ccs = [node.cc for node in nodes]
         layers = len(nodes)
         op_rtts = 1 + sum(getattr(cc, "extra_operation_rtts", 0) for cc in ccs)
         self.phase_cost = costs.phase_cost(layers)

@@ -19,6 +19,10 @@ class TransactionAborted(ReproError):
         self.txn_id = txn_id
         self.reason = reason
 
+    def __reduce__(self):
+        # ``args`` holds only the message; a worker process sends the fields.
+        return type(self), (self.txn_id, self.reason)
+
 
 class ConfigurationError(ReproError):
     """Raised when a CC-tree configuration is malformed or unsupported."""

@@ -251,7 +251,7 @@ class BenchmarkRunner:
             self._advance(self.env.now + warmup)
         self.engine.stats.reset()
         if self.profiler is not None and hasattr(self.profiler, "reset"):
-            self.profiler.reset(self.env.now)
+            self.profiler.reset()
         self._advance(self.env.now + duration)
         result = self.result(clients, duration)
         if self.recorder is not None:

@@ -43,11 +43,9 @@ class InMemoryBackend:
 
     def __init__(self):
         self._data = {}
-        self.put_count = 0
 
     def put(self, key, value):
         self._data[key] = value
-        self.put_count += 1
 
     def get(self, key, default=None):
         return self._data.get(key, default)
@@ -78,7 +76,6 @@ class FileBackend:
     def __init__(self, path):
         self.path = path
         self._index = {}
-        self.put_count = 0
         directory = os.path.dirname(path)
         if directory:
             os.makedirs(directory, exist_ok=True)
@@ -100,7 +97,6 @@ class FileBackend:
         self._file.write(record + "\n")
         self._file.flush()
         self._index[key] = value
-        self.put_count += 1
 
     def get(self, key, default=None):
         return self._index.get(key, default)

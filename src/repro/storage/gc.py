@@ -22,7 +22,6 @@ class GarbageCollector:
         # extends the contiguous confirmed prefix above this point.
         self._collected_through = 0
         self._collected_versions = 0
-        self._collections = 0
         self._paused = False
 
     @property
@@ -107,7 +106,6 @@ class GarbageCollector:
         self._finished_epochs.difference_update(prefix)
         self._collected_through = max_epoch
         self._collected_versions += removed
-        self._collections += 1
         return removed
 
     def run(self, env, cc_nodes_provider, stop_event=None):

@@ -156,9 +156,9 @@ class MultiVersionStore:
 
     # -- loading / reading -------------------------------------------------
 
-    def load(self, key, value, writer=0, writer_type="loader"):
+    def load(self, key, value, writer=0):
         """Install an initial committed version (database population)."""
-        version = Version(key=key, value=value, writer=writer, writer_type=writer_type)
+        version = Version(key=key, value=value, writer=writer)
         version.mark_committed(next(self._commit_seq), timestamp=0.0)
         self._last_commit_seq = version.commit_seq
         self._append_committed(key, version)
@@ -323,10 +323,8 @@ class MultiVersionStore:
             key=key,
             value=value,
             writer=txn_id,
-            writer_type=txn.txn_type,
             epoch=txn.gc_epoch,
             timestamp=txn.cc_timestamp,
-            start_timestamp=txn.start_timestamp,
         )
         per_key[txn_id] = version
         if self._slots:
@@ -438,8 +436,7 @@ class MultiVersionStore:
 
     # -- snapshot / recovery helpers -------------------------------------------
 
-    def restore_version(self, key, value, writer, writer_type="recovered",
-                        commit_seq=None):
+    def restore_version(self, key, value, writer, commit_seq=None):
         """Install a committed version rebuilt from the durable log.
 
         Used by crash recovery after re-populating the initial load: the
@@ -450,8 +447,7 @@ class MultiVersionStore:
         """
         if commit_seq is None:
             commit_seq = next(self._commit_seq)
-        version = Version(key=key, value=value, writer=writer,
-                          writer_type=writer_type)
+        version = Version(key=key, value=value, writer=writer)
         version.mark_committed(commit_seq, timestamp=0.0)
         if commit_seq > self._last_commit_seq:
             self._last_commit_seq = commit_seq

@@ -16,8 +16,6 @@ class Version:
         The row/value written.  ``None`` represents a deleted object.
     writer:
         Id of the writing transaction.
-    writer_type:
-        Static transaction type of the writer (used by the profiler).
     committed:
         Whether the writing transaction committed.
     commit_seq:
@@ -25,8 +23,6 @@ class Version:
         total version order that Adya's model requires.
     timestamp:
         Optional CC-specific timestamp (SSI commit timestamp, TSO timestamp).
-    start_timestamp:
-        SSI start timestamp of the writer, used for snapshot visibility.
     epoch:
         Garbage-collection epoch of the writer.
     """
@@ -34,11 +30,9 @@ class Version:
     key: Any
     value: Any
     writer: int
-    writer_type: str = ""
     committed: bool = False
     commit_seq: Optional[int] = None
     timestamp: Optional[float] = None
-    start_timestamp: Optional[float] = None
     epoch: int = 0
     metadata: dict = field(default_factory=dict)
 

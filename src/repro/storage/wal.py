@@ -39,7 +39,6 @@ class WriteAheadLog:
         self.backend = backend
         self._lsn = count(1)
         self._buffer = []
-        self.flush_count = 0
 
     def append(self, kind, txn_id, gcp_epoch=0, body=None):
         """Append a record to the volatile tail of the log and return it."""
@@ -63,8 +62,6 @@ class WriteAheadLog:
             self.backend.put(f"wal/{self.server_id}/{record[LSN]:012d}", record)
             flushed += 1
         self._buffer = remaining
-        if flushed:
-            self.flush_count += 1
         return flushed
 
     def crash(self):

@@ -93,8 +93,6 @@ class YCSBWorkload(Workload):
         self.hot_set_fraction = hot_set_fraction
         self.insert_space = insert_space
         self.seed = seed
-        self.distribution = distribution
-        self.zipf_theta = zipf_theta
         self._zipf = (
             ZipfianGenerator(records, zipf_theta)
             if distribution == "zipfian"

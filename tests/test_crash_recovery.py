@@ -44,7 +44,7 @@ def make_txn(txn_id, txn_type="t"):
 
 
 def committed_version(key, writer, seq, value=None):
-    version = Version(key=key, value=value, writer=writer, writer_type="t")
+    version = Version(key=key, value=value, writer=writer)
     version.mark_committed(seq)
     return version
 

@@ -1,7 +1,7 @@
 """Tests for the isolation oracle, the workloads, the harness and autoconf."""
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, note, settings, strategies as st
 
 from repro.autoconf import ContentionProfiler, LatencyProfiler
 from repro.autoconf.optimizer import ConfigurationOptimizer
@@ -23,6 +23,7 @@ from repro.workloads.smallbank import SmallBankWorkload
 from repro.workloads.tpcc import TPCCWorkload
 from repro.workloads.tpcc.schema import TPCCScale
 from repro.workloads.ycsb import YCSBWorkload
+from tests.test_cc_conformance import run_micro_schedule
 
 
 def history_from(transactions, version_orders, aborted=()):
@@ -867,32 +868,14 @@ class TestHypothesisProperties:
     @settings(max_examples=15, deadline=None)
     def test_random_micro_schedules_are_serializable(self, data):
         """Random concurrent schedules under random CC trees stay serializable."""
-        from repro.core.engine import EngineOptions
-        from repro.isolation import check_engine
-        from repro.sim.environment import Environment
-        from tests.conftest import build_engine, run_transactions
-
         cc_choices = ["2pl", "ssi", "rp", "tso"]
         cross = data.draw(st.sampled_from(["2pl", "ssi", "rp"]))
         leaf_a = data.draw(st.sampled_from(cc_choices))
         leaf_b = data.draw(st.sampled_from(cc_choices))
-        config = Configuration(
-            node(cross, leaf(leaf_a, "group_a_update"), leaf(leaf_b, "group_b_update")),
-            name="random",
-        )
-        workload = CrossGroupConflictWorkload(shared_rows=3, local_rows=3, cold_rows=20)
-        env = Environment()
-        engine = build_engine(
-            env,
-            workload,
-            config,
-            options=EngineOptions(charge_costs=True, lock_timeout=0.2, commit_wait_timeout=0.4),
-        )
         count = data.draw(st.integers(min_value=4, max_value=20))
-        rng = workload.make_rng(data.draw(st.integers(0, 1000)))
-        requests = [workload.next_transaction(rng) for _ in range(count)]
-        run_transactions(env, engine, requests)
-        report = check_engine(engine)
+        seed = data.draw(st.integers(0, 1000))
+        note(f"(cross, leaf_a, leaf_b, seed, count) = {(cross, leaf_a, leaf_b, seed, count)!r}")
+        engine, report = run_micro_schedule(cross, leaf_a, leaf_b, seed, count)
         assert report.ok, report.describe()
         # Not vacuous: the oracle saw every commit.  A schedule in which
         # every one-shot attempt aborts is legal (SSI over 2PL, seed 279:

@@ -264,6 +264,15 @@ class TestMessageLayer:
         assert outcome.delay == pytest.approx(5 * cluster.network.rtt)
         assert cluster.link(0).delayed == 1
 
+    def test_reorder_delivers_behind_later_traffic(self):
+        plan = MessageFaultPlan(points=(
+            MessageFault(kind="reorder", occurrence=1, magnitude=3.0),
+        ))
+        _env, cluster, (outcome,) = run_sends(plan, [{"dsts": (0,)}])
+        assert outcome.delivered and outcome.fault == "reorder"
+        assert outcome.delay == pytest.approx(4 * cluster.network.rtt)
+        assert cluster.link(0).reordered == 1
+
     def test_duplicate_delivers_with_flag(self):
         plan = MessageFaultPlan(points=(
             MessageFault(kind="duplicate", occurrence=1),

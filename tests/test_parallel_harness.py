@@ -1,9 +1,11 @@
 """Parallel experiment executor: determinism and serial/parallel equivalence."""
 
 import multiprocessing
+import pickle
 
 import pytest
 
+from repro import errors
 from repro.core.config import monolithic
 from repro.harness.parallel import available_workers, derive_point_seed, run_tasks
 from repro.harness.sweep import client_sweep
@@ -49,6 +51,27 @@ class TestRunTasks:
 
     def test_available_workers_positive(self):
         assert available_workers() >= 1
+
+
+class TestErrorsSurviveThePool:
+    """A worker's exception reaches the parent through pickle."""
+
+    def test_every_error_class_round_trips(self):
+        classes = [
+            cls for cls in vars(errors).values()
+            if isinstance(cls, type) and issubclass(cls, errors.ReproError)
+        ]
+        assert len(classes) == 9 and errors.TransactionAborted in classes
+        for cls in classes:
+            if cls is errors.TransactionAborted:
+                # The default ``__reduce__`` replayed the message as ``txn_id``.
+                original = cls(3, "reason")
+                assert vars(original) == {"txn_id": 3, "reason": "reason"}
+            else:
+                original = cls("what went wrong")
+            copy = pickle.loads(pickle.dumps(original))
+            assert type(copy) is cls and str(copy) == str(original)
+            assert vars(copy) == vars(original)
 
 
 class TestSeedDerivation:

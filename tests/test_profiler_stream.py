@@ -18,6 +18,9 @@ Re-record rule (as for ``tests/golden/``): a refactor must never touch
 ``repro.core.waits``, by running ``PYTHONPATH=src:. python
 tests/test_profiler_stream.py`` there; re-record only when a change legitimately moves schedules or the
 reported edges (the hot-row stall fix will), with the reason in CHANGES.md.
+Re-recorded once: ``ssi/(2pl,2pl)``, ``ssi/(rp,2pl)`` and ``ssi/(batch,batch)``
+when SSI's SIREAD drain took its floor from the oldest live batch (PR 19: the
+runs keep entries they used to forget, so more ``ssi-committed-pivot`` aborts).
 """
 
 import hashlib
@@ -138,12 +141,12 @@ CONFORMANCE_STREAM = {
         "3abc0cea54d0a05fbae80c76f415c7393f9e279a83c272ac398a8553043a846d",
     ),
     "ssi/(2pl,2pl)": (
-        30, ["lock", "range-lock"],
-        "28e1f52a16a3e68ca34ba8c08d7f53ef267542bd701621ea20034f86463f68bf",
+        29, ["lock", "range-lock"],
+        "1a2b4c17b41bf5a07367f6b8d3e457ed0bb999820104f0104da09c632782fc0e",
     ),
     "ssi/(batch,batch)": (
         117, ["batch-commit-order", "batch-pred-commit", "batch-scan-wait", "batch-slot-wait"],
-        "e6483b662003ea01a062c8b10e56ab0d4443386f9cd855f3692a9a14c9e1e009",
+        "732ff754f1bd30a9b476e0dd5ff0cabe6e83e6fcfb15ada008009bdbe383c977",
     ),
     "ssi/(none,2pl)": (
         80, ["lock", "range-lock"],
@@ -155,7 +158,7 @@ CONFORMANCE_STREAM = {
     ),
     "ssi/(rp,2pl)": (
         37, ["lock", "range-lock"],
-        "ccdc0e0030149feb98f24254077e750b8915844fa5f10b700610de3779a7c3ba",
+        "a5de0a5951352b61d0d3398bc2783e0a77f878a8f1fede6d18afe34a7ca3c96f",
     ),
 }
 

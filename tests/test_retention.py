@@ -207,37 +207,44 @@ class TestRetentionBound:
             runner.stop()
         engine = runner.engine
         assert engine.bad_misses == []
-        if cell != "batch-leaf":
+        if cell not in ("batch-leaf", "2pl-over-rp"):
             # The audit is not vacuous: released transactions were looked up.
+            # (2pl-over-rp: that cell's only misses were the stale RP slot's
+            # ``find_transaction`` calls on long-gone writers.)
             assert engine.misses > 0
 
     def test_a_group_gone_quiet_stops_holding(self, env):
         """Skewed mix: group B runs once, then only group A.  B's timestamp
         batch never fills, so it stays open for late joiners and holds back
-        everything that finishes after it; the epoch tick closes it once
-        idle (``BatchManager.rotate_idle``), or ``finished`` grows with the
+        everything that finishes after it — the engine's release and, by the
+        same floor, SSI's retained SIREAD entries; the epoch tick closes it
+        once idle (``BatchManager.rotate_idle``), or all three grow with the
         run again."""
         engine = build_engine(
             env, _micro(), configs.micro_ssi_2layer(),
             options=EngineOptions(gc_epoch_length=0.02),
         )
         engine.start_services(env.event())
+        ssi = engine.root.cc
         args = {"shared_id": 0, "local_id": 0, "cold_ids": [1]}
         peaks = []
 
         def client():
             yield from engine.execute_transaction("group_b_update", args)
             for target in (300, 1200):
-                peak = 0
+                peak = (0, 0, 0)
                 while engine.stats.commits < target:
                     yield from engine.execute_transaction("group_a_update", args)
-                    peak = max(peak, len(engine.finished))
+                    sizes = len(engine.finished), len(ssi._committed_readers), len(ssi._readers)
+                    peak = tuple(map(max, peak, sizes))
                 peaks.append(peak)
 
         env.run(until=env.process(client()))
         # Two epochs of the quiet group's hold (about ten finishes each),
-        # then at most A's own open batch of 16; measured 19 and 16.
-        assert max(peaks) < 40, peaks
+        # then at most A's own open batch of 16; measured 19 and 16, for the
+        # retained readers too (their three or four keys in ``_readers``).
+        finished, retained, read_keys = map(max, *peaks)
+        assert finished < 40 and 0 < retained < 40 and read_keys < 10, peaks
         assert len(engine._holds) == 1
 
     def test_partial_restart_drops_its_force_abort_deadline(self, env):
@@ -268,6 +275,40 @@ class TestRetentionBound:
             "net_backoff_base", "net_backoff_cap", "net_backoff_seed",
             "net_park_threshold",
         ]
+
+
+class TestPipelineHandoffRetention:
+    """RP keeps one record of step-committed accesses, ``_passed`` (release
+    rule: an entry leaves when its transaction finishes); the write a reader
+    observes is derived from it, so there is no second table to release."""
+
+    CELLS = {
+        "tpcc/tebaldi-3layer": (_tiny_tpcc, configs.tpcc_tebaldi_3layer),
+        "micro/2layer": (_micro, configs.micro_2layer),
+    }
+
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    def test_passed_names_only_members_in_flight_and_empties_on_drain(self, cell):
+        workload_factory, config_factory = self.CELLS[cell]
+        runner = BenchmarkRunner(workload_factory(), config_factory(), seed=7)
+        try:
+            runner.add_clients(CLIENTS)
+            pipelines = [n.cc for n in runner.engine.nodes if n.cc.name == "rp"]
+            assert pipelines
+            peak = 0
+            while runner.engine.stats.commits < 600:
+                runner.run_additional(0.01)
+                for cc in pipelines:
+                    holders = {
+                        txn_id for entry in cc._passed.values() for txn_id in entry
+                    }
+                    assert all(cc._passed.values()) and holders <= set(cc._active)
+                    peak = max(peak, len(holders))
+            assert 0 < peak <= CLIENTS
+            _drain(runner)
+            assert [cc._passed for cc in pipelines] == [{}] * len(pipelines)
+        finally:
+            runner.stop()
 
 
 class TestHolds:
