@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: unit/property tests, the quick speed and perf-ledger smokes,
 # quick checked-run / crash / chaos smokes (isolation oracle in the loop),
-# an examples smoke and, last, the src/ line total.
+# an examples smoke and, last, the src/ line total and the import time.
 #
 # Usage: scripts/check.sh [--quick]
 #
@@ -95,6 +95,11 @@ echo
 echo "== src/ size =="
 # Every PR's size claim is reproducible from this line of the CI log.
 find src -name '*.py' | xargs wc -l | tail -1
+# What every engine start pays before it runs anything: wall time of a
+# fresh interpreter importing the CLI, best of three.
+echo -n "import repro.harness.cli: "
+python -m timeit -n 1 -r 3 -s 'import subprocess, sys' \
+  'subprocess.run([sys.executable, "-c", "import repro.harness.cli"], check=True)'
 
 echo
 echo "check.sh: all good"

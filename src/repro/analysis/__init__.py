@@ -1,15 +1,12 @@
-"""Static analysis utilities: transaction profiles, runtime-pipelining
-analysis and transaction chopping (SC-graph) analysis."""
+"""Static analysis utilities: transaction profiles and the
+runtime-pipelining step analysis."""
 
 from repro.analysis.profiles import TransactionProfile, TransactionType
 from repro.analysis.rp_analysis import RPAnalysis, analyze_pipeline
-from repro.analysis.chopping import SCGraph, check_choppable
 
 __all__ = [
     "TransactionProfile",
     "TransactionType",
     "RPAnalysis",
     "analyze_pipeline",
-    "SCGraph",
-    "check_choppable",
 ]

@@ -1,7 +1,7 @@
 """Static transaction profiles.
 
-CC mechanisms that rely on static analysis (runtime pipelining, transaction
-chopping) and preprocessing (TSO promises) need a static description of each
+CC mechanisms that rely on static analysis (runtime pipelining) and
+preprocessing (TSO promises) need a static description of each
 transaction type: the ordered sequence of table accesses and whether the
 transaction is read-only.  Workloads declare one
 :class:`TransactionProfile` per stored procedure; this mirrors the paper's

@@ -70,7 +70,7 @@ class ConcurrencyControl:
     * ``handles_contention`` — designed to improve heavily contended groups.
     * ``efficient_internal`` — can enforce consistent ordering efficiently as
       an internal (cross-group) node without resorting to batching.
-    * ``requires_profiles`` — needs static transaction profiles (RP, chopping).
+    * ``requires_profiles`` — needs static transaction profiles (RP).
     * ``read_optimized`` — optimised for read-write conflicts (SSI).
     * ``write_optimized`` — optimised for write-write contention (RP, TSO).
     """

@@ -35,7 +35,7 @@ from repro.cc.base import ConcurrencyControl, register_cc
 from repro.core.waits import NONE
 from repro.errors import ConfigurationError
 from repro.sim.events import Event
-from repro.sim.resources import Condition
+from repro.sim.events import Condition
 
 #: Ancestors that delegate in-group ordering to the child CC.  RP and TSO
 #: amend reads against their own pipeline/timestamp state and would override

@@ -19,7 +19,7 @@ is most efficient as a leaf, as the paper notes.
 from repro.cc.base import ConcurrencyControl, register_cc
 from repro.cc.timestamps import BatchManager
 from repro.core.waits import NONE
-from repro.sim.resources import Condition
+from repro.sim.events import Condition
 
 
 @register_cc

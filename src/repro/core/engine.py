@@ -37,7 +37,7 @@ from repro.core.waits import ALL, Waits
 from repro.errors import ConfigurationError, TransactionAborted
 from repro.sim.events import Event, Timeout, any_of
 from repro.sim.network import TIMESTAMP_SERVER, ClusterModel
-from repro.sim.resources import Condition
+from repro.sim.events import Condition
 from repro.storage.durability import DurabilityConfig, DurabilityManager
 from repro.storage.gc import GarbageCollector
 from repro.storage.mvstore import MultiVersionStore

@@ -38,10 +38,6 @@ class TreeNode:
     def is_leaf(self):
         return not self.children
 
-    @property
-    def is_root(self):
-        return self.parent is None
-
     def is_member(self, txn):
         """Whether ``txn`` is assigned to this subtree."""
         return txn.txn_type in self.subtree_types

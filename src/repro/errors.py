@@ -46,7 +46,3 @@ class AnalysisError(ReproError):
 
 class IsolationViolation(ReproError):
     """Raised by the isolation checker when a committed history is invalid."""
-
-
-class ReconfigurationError(ReproError):
-    """Raised when an online reconfiguration cannot be applied."""

@@ -2,8 +2,7 @@
 
 from repro.harness.runner import BenchmarkRunner, RunResult, run_benchmark
 from repro.harness.parallel import available_workers, derive_point_seed, run_tasks
-from repro.harness.sweep import client_sweep, peak_throughput
-from repro.harness.report import format_table, format_series, format_run_results
+from repro.harness.report import format_table, format_run_results
 
 __all__ = [
     "BenchmarkRunner",
@@ -12,9 +11,6 @@ __all__ = [
     "available_workers",
     "derive_point_seed",
     "run_tasks",
-    "client_sweep",
-    "peak_throughput",
     "format_table",
-    "format_series",
     "format_run_results",
 ]

@@ -302,6 +302,10 @@ def main(argv=None):
         parser.error(f"--duration must be positive, got {args.duration}")
     if args.warmup < 0:
         parser.error(f"--warmup must be non-negative, got {args.warmup}")
+    if args.history_window is not None and args.history_window < 1:
+        parser.error(
+            f"--history-window must be a positive integer, got {args.history_window}"
+        )
     for flag, count in (("--faults", args.faults), ("--net-faults", args.net_faults)):
         if count < 0:
             parser.error(f"{flag} must be a non-negative integer, got {count}")

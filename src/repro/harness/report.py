@@ -28,15 +28,6 @@ def format_table(rows, headers):
     return "\n".join(lines)
 
 
-def format_series(series, label="clients", value="throughput"):
-    """Format an (x, y) series as a two-column table (empty/None y-safe)."""
-    rows = [
-        (x, f"{y:.1f}" if y is not None else "-")
-        for x, y in (series if series is not None else ())
-    ]
-    return format_table(rows, headers=[label, value])
-
-
 def format_run_results(results):
     """Format :class:`~repro.harness.runner.RunResult` objects (empty-safe)."""
     rows = [

@@ -7,7 +7,7 @@ the anomalies (aborted/intermediate reads) and DSG cycles they proscribe.
 
 from repro.isolation.history import History, HistoryRecorder
 from repro.isolation.cycles import IncrementalCycleDetector, find_cycle
-from repro.isolation.dsg import DirectSerializationGraph, build_dsg, iter_dsg_edges
+from repro.isolation.dsg import iter_dsg_edges
 from repro.isolation.levels import ISOLATION_LEVELS, LEVEL_EDGE_KINDS
 from repro.isolation.streaming import StreamingDSGChecker
 from repro.isolation.checker import (
@@ -22,8 +22,6 @@ __all__ = [
     "HistoryRecorder",
     "IncrementalCycleDetector",
     "find_cycle",
-    "DirectSerializationGraph",
-    "build_dsg",
     "iter_dsg_edges",
     "ISOLATION_LEVELS",
     "LEVEL_EDGE_KINDS",

@@ -4,13 +4,14 @@ Given a committed history the checker verifies the three conditions of the
 paper's correctness definition (Definition 4.2.1): no aborted reads, no
 intermediate reads, no circularity in the Direct Serialization Graph.
 
-Circularity is answered natively (no networkx on this path): a recorder
+Circularity is answered natively (standard library only): a recorder
 built with a streaming level already holds the incremental verdict — its
 :class:`~repro.isolation.streaming.StreamingDSGChecker` folded every edge
 in at commit time — and :func:`check_history` falls back to one batch
 Tarjan pass (:func:`repro.isolation.cycles.find_cycle`) over the natively
-derived edges.  The networkx graph in :mod:`repro.isolation.dsg` remains
-the cross-checked reference implementation.
+derived edges.  The networkx graph both are cross-checked against is
+test-only (``tests/reference_dsg.py``); it consumes the same
+:func:`~repro.isolation.dsg.iter_dsg_edges`.
 """
 
 from dataclasses import dataclass, field

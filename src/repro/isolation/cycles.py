@@ -1,7 +1,8 @@
-"""Native cycle detection for dependency graphs — no networkx on the hot path.
+"""Native cycle detection and SCCs for dependency graphs — standard library only.
 
 Two detectors, sharing nothing but the edge-list cycle representation
-(``[(u, v), (v, w), ..., (x, u)]``, the shape ``nx.find_cycle`` returns):
+(``[(u, v), (v, w), ..., (x, u)]``, the shape ``networkx.find_cycle``
+returns), and the Tarjan generator the second one is built on:
 
 * :class:`IncrementalCycleDetector` — ordering-based incremental cycle
   detection (Pearce & Kelly's dynamic topological order).  Each ``add_edge``
@@ -13,6 +14,8 @@ Two detectors, sharing nothing but the edge-list cycle representation
 * :func:`find_cycle` — batch fallback: one iterative Tarjan SCC pass over a
   prebuilt adjacency mapping, O(V + E).  Used by the post-hoc checker path
   (hand-built histories, recorders without streaming enabled).
+* :func:`strongly_connected_components` — that Tarjan pass as a generator;
+  the runtime-pipelining analysis condenses its table graph with it.
 """
 
 
@@ -45,10 +48,6 @@ class IncrementalCycleDetector:
 
     def __contains__(self, node):
         return node in self._ord
-
-    @property
-    def num_nodes(self):
-        return len(self._ord)
 
     def has_cycle(self):
         return self.cycle is not None
@@ -125,70 +124,79 @@ class IncrementalCycleDetector:
         return None
 
 
-def find_cycle(adjacency):
-    """Find one cycle in ``{node: successors}``; edge list or ``None``.
+def strongly_connected_components(adjacency):
+    """Yield the strongly connected components of ``{node: successors}``.
 
-    Batch fallback for the post-hoc checker path: a single iterative Tarjan
-    strongly-connected-components pass (O(V + E), no recursion) locates a
-    non-trivial SCC or a self-loop; a bounded walk inside that SCC then
-    extracts a concrete cycle for the report.
+    The one Tarjan under ``src/``: iterative (no recursion limit), O(V + E),
+    lazy.  Roots are tried in the mapping's iteration order and successors in
+    theirs, so with insertion-ordered containers the result is deterministic.
+    Each component is the list of its nodes as they came off Tarjan's stack
+    (its root last), and components arrive in the order their roots *close* —
+    a reverse topological order of the condensation.  Both orders are part of
+    the contract: :func:`find_cycle`'s witness and the runtime-pipelining
+    step order (:mod:`repro.analysis.rp_analysis`) are derived from them.
+    A node that only appears as a successor has no successors of its own.
     """
     index_of = {}
     lowlink = {}
     on_stack = set()
-    scc_stack = []
-    counter = 0
-    target_scc = None
-
+    stack = []
     for root in adjacency:
         if root in index_of:
             continue
-        work = [(root, iter(adjacency.get(root, ())))]
-        index_of[root] = lowlink[root] = counter
-        counter += 1
-        scc_stack.append(root)
+        index_of[root] = lowlink[root] = len(index_of)
+        stack.append(root)
         on_stack.add(root)
+        work = [(root, iter(adjacency.get(root, ())))]
         while work:
             node, successors = work[-1]
-            advanced = False
             for successor in successors:
-                if successor == node:
-                    return [(node, node)]
                 if successor not in index_of:
-                    index_of[successor] = lowlink[successor] = counter
-                    counter += 1
-                    scc_stack.append(successor)
+                    index_of[successor] = lowlink[successor] = len(index_of)
+                    stack.append(successor)
                     on_stack.add(successor)
                     work.append((successor, iter(adjacency.get(successor, ()))))
-                    advanced = True
                     break
-                if successor in on_stack:
-                    if index_of[successor] < lowlink[node]:
-                        lowlink[node] = index_of[successor]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if lowlink[node] < lowlink[parent]:
-                    lowlink[parent] = lowlink[node]
-            if lowlink[node] == index_of[node]:
-                component = set()
-                while True:
-                    member = scc_stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                if len(component) > 1:
-                    target_scc = component
-                    break
-        if target_scc is not None:
+                if successor in on_stack and index_of[successor] < lowlink[node]:
+                    lowlink[node] = index_of[successor]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if lowlink[node] < lowlink[parent]:
+                        lowlink[parent] = lowlink[node]
+                if lowlink[node] == index_of[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    yield component
+
+
+def find_cycle(adjacency):
+    """Find one cycle in ``{node: successors}``; edge list or ``None``.
+
+    Batch fallback for the post-hoc checker path: the first component
+    :func:`strongly_connected_components` closes that holds a cycle — more
+    than one node, or one node with a self-loop — is the witness's home; a
+    bounded walk inside it then extracts a concrete cycle for the report.
+    """
+    for component in strongly_connected_components(adjacency):
+        if len(component) > 1:
             break
-    if target_scc is None:
+        node = component[0]
+        if node in adjacency.get(node, ()):
+            return [(node, node)]
+    else:
         return None
 
-    # Walk inside the SCC until a node repeats: that suffix is a cycle.
+    # Walk inside the SCC until a node repeats: that suffix is a cycle.  The
+    # walk starts at the set's first member, not the list's, so the witness a
+    # report names for a given history is the one it has always named.
+    target_scc = set(component)
     start = next(iter(target_scc))
     path = [start]
     position = {start: 0}

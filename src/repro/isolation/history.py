@@ -156,6 +156,11 @@ class HistoryRecorder:
     def __init__(self, max_transactions=None, level=None, trace_edges=False):
         if max_transactions is None and level is not None:
             max_transactions = self.STREAMING_WINDOW_DEFAULT
+        if max_transactions is not None and max_transactions < 1:
+            # A ring of no records answers every check with "nothing wrong".
+            raise ValueError(
+                f"max_transactions must be at least 1, got {max_transactions}"
+            )
         self.max_transactions = max_transactions
         self.level = level
         self.streaming_checker = None

@@ -1,9 +1,9 @@
 """Streaming DSG maintenance: dependency edges derived at commit time.
 
 The post-hoc checker rebuilds the whole Direct Serialization Graph from a
-recorded history after the run (one networkx pass, roughly linear in
-reads+writes but with a large constant — the wall-clock cliff of checked
-runs).  :class:`StreamingDSGChecker` instead derives every ``ww``/``wr``/
+recorded history after the run (history materialisation plus one batch
+pass, roughly linear in reads+writes but with a large constant — the
+wall-clock cliff of checked runs).  :class:`StreamingDSGChecker` instead derives every ``ww``/``wr``/
 ``rw`` edge *as transactions commit* and feeds them to an
 :class:`~repro.isolation.cycles.IncrementalCycleDetector`, in the spirit
 of DGCC's on-the-path dependency bookkeeping.  The aborted-read and
@@ -11,7 +11,7 @@ intermediate-read anomalies are detected in the same pass, so the
 post-measurement "check" is just a sweep of the parked-reader frontier —
 no history materialisation, no graph build.
 
-Edge derivation per commit of ``T`` (mirrors :func:`~repro.isolation.dsg.build_dsg`):
+Edge derivation per commit of ``T`` (mirrors :func:`~repro.isolation.dsg.iter_dsg_edges`):
 
 * reads ``(key, version)``: a ``wr`` edge from the version's committed
   writer; an ``rw`` anti-dependency from ``T`` to the *next* committed

@@ -11,7 +11,7 @@ instances; ``yield from`` composes sub-coroutines.
 """
 
 from repro.sim.environment import Environment
-from repro.sim.events import Event, Interrupt, Timeout
+from repro.sim.events import Condition, Event, Interrupt, Timeout
 from repro.sim.faults import (
     FaultInjector,
     FaultPlan,
@@ -19,7 +19,6 @@ from repro.sim.faults import (
     MessageFaultInjector,
     MessageFaultPlan,
 )
-from repro.sim.resources import Condition
 from repro.sim.network import ClusterModel, Delivery, LinkState, NetworkModel
 
 __all__ = [

@@ -8,6 +8,9 @@ Events are the single most allocated object of the simulator, so the class
 is deliberately lean: ``__slots__``, no precomputed display names, and the
 hot state (``_value``/``_is_error``/``_processed``) is read directly by the
 scheduler instead of through properties.
+
+:class:`Condition`, the one synchronisation primitive the engine and the CC
+mechanisms build on events, lives here too.
 """
 
 from heapq import heappush
@@ -176,6 +179,29 @@ def any_of(env, events, name="any_of"):
     See :class:`AnyOf`; used for lock waits with deadlock timeouts.
     """
     return AnyOf(env, events, name=name)
+
+
+class Condition:
+    """Broadcast condition variable: wait until the next notification."""
+
+    __slots__ = ("env", "name", "_event")
+
+    def __init__(self, env, name=""):
+        self.env = env
+        self.name = name
+        self._event = Event(env, name=f"cond:{name}")
+
+    def wait(self):
+        """Wait for the next :meth:`notify_all` call."""
+        event = self._event
+        yield event
+        return event.value
+
+    def notify_all(self, value=None):
+        """Wake every process currently waiting and reset the condition."""
+        event, self._event = self._event, Event(self.env, name=f"cond:{self.name}")
+        if not event.triggered:
+            event.succeed(value)
 
 
 class Interrupt(Exception):

@@ -394,10 +394,6 @@ class MultiVersionStore:
                     self._unindex_dead_key(version.key)
         return len(versions)
 
-    def writes_of(self, txn_id):
-        """Uncommitted versions currently installed by ``txn_id``."""
-        return list(self._writes_by_txn.get(txn_id, []))
-
     # -- garbage collection ---------------------------------------------------
 
     def prune(self, key, keep_last=1):
@@ -429,10 +425,6 @@ class MultiVersionStore:
             chain.replace(head + versions[-keep_last:], dropped, self._effective_ts)
             removed += len(dropped)
         return removed
-
-    def version_count(self):
-        """Total number of committed versions currently retained."""
-        return sum(len(chain.versions) for chain in self._committed.values())
 
     # -- snapshot / recovery helpers -------------------------------------------
 

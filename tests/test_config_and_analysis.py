@@ -1,13 +1,23 @@
 """Tests for CC-tree configurations, static analysis and transaction profiles."""
 
+import itertools
+
 import pytest
 
-from repro.analysis.chopping import check_choppable
 from repro.analysis.profiles import TransactionProfile, TransactionType
 from repro.analysis.rp_analysis import analyze_pipeline
 from repro.core.config import CCSpec, Configuration, leaf, monolithic, node
 from repro.errors import AnalysisError, ConfigurationError
+from repro.workloads.micro import (
+    CrossGroupConflictWorkload,
+    HierarchyMicroWorkload,
+    NoConflictWorkload,
+)
+from repro.workloads.queue import QueueWorkload
+from repro.workloads.seats import SEATSWorkload
+from repro.workloads.smallbank import SmallBankWorkload
 from repro.workloads.tpcc import TPCCWorkload
+from repro.workloads.ycsb import YCSBWorkload
 from repro.workloads.tpcc.transactions import PROFILES
 
 
@@ -157,33 +167,132 @@ class TestRPAnalysis:
         assert "2 steps" in analysis.describe()
 
 
-class TestChopping:
-    def test_disjoint_transactions_are_choppable(self):
-        profiles = [
-            TransactionProfile("t1", accesses=(("a", "w"), ("b", "w"))),
-            TransactionProfile("t2", accesses=(("c", "w"), ("d", "w"))),
-        ]
-        choppable, _graph = check_choppable(profiles)
-        assert choppable
+def _workload_profiles(*workloads):
+    profiles = {}
+    for workload in workloads:
+        for name, txn_type in workload.transaction_types().items():
+            assert name not in profiles, name
+            profiles[name] = txn_type.profile
+    return profiles
 
-    def test_interleaved_conflicts_create_sc_cycle(self):
-        profiles = [
-            TransactionProfile("t1", accesses=(("a", "w"), ("b", "w"))),
-            TransactionProfile("t2", accesses=(("a", "w"), ("b", "w"))),
-        ]
-        choppable, graph = check_choppable(profiles)
-        assert not choppable
-        assert graph.has_sc_cycle()
 
-    def test_single_piece_transactions_never_cycle(self):
-        profiles = [
-            TransactionProfile("t1", accesses=(("a", "w"), ("b", "w"))),
-            TransactionProfile("t2", accesses=(("a", "w"), ("b", "w"))),
-        ]
-        choppable, _ = check_choppable(
-            profiles, pieces_per_transaction={"t1": 1, "t2": 1}
-        )
-        assert choppable
+#: ``analyze_pipeline(...).steps`` — steps in order, the tables of a merged
+#: step joined by ``+`` — recorded on the networkx implementation for every RP
+#: group the registry, the conformance and open trees, the micro shapes and
+#: the benchmarks build.  The key is the argument order — RP passes profiles
+#: sorted by name; ``payment,new_order`` is here because ties break by it
+#: (``history`` / ``customer_last_order``).
+PINNED_STEPS = {
+    "new_order,payment": (
+        "warehouse district orders new_order item stock order_line customer "
+        "customer_last_order history"
+    ),
+    "payment,new_order": (
+        "warehouse district orders new_order item stock order_line customer "
+        "history customer_last_order"
+    ),
+    "new_order": (
+        "warehouse district orders new_order item stock order_line customer "
+        "customer_last_order"
+    ),
+    "delivery": "customer+new_order+new_order_ptr+order_line+orders",
+    "delivery,new_order,payment": (
+        "warehouse district "
+        "customer+item+new_order+new_order_ptr+order_line+orders+stock "
+        "customer_last_order history"
+    ),
+    "new_order,payment,stock_level": (
+        "warehouse district orders new_order item order_line+stock customer "
+        "customer_last_order history"
+    ),
+    "hot_item,new_order,payment": (
+        "warehouse district orders new_order item stock order_line customer "
+        "item_stats customer_last_order history"
+    ),
+    "new_order,stock_level": (
+        "warehouse district orders new_order item order_line+stock customer "
+        "customer_last_order"
+    ),
+    "deposit_checking,transact_savings,write_check": "savings checking",
+    "read_modify_write,update_record": "usertable",
+    "group_a_update": "shared local_a cold_0 cold_1 cold_2 cold_3 cold_4",
+    "group_b_update": "shared local_b cold_0 cold_1 cold_2 cold_3 cold_4",
+    "group_a_update,group_b_update": (
+        "shared local_a local_b cold_0 cold_1 cold_2 cold_3 cold_4"
+    ),
+    "t2_update": "table_a table_b table_c table_d table_e",
+    "t2_update,t3_update": "table_a table_b+table_c+table_d+table_e",
+    "t1_read,t2_update": "table_a table_b table_c table_d table_e",
+    "write_only": "payload",
+    "alpha": "rows",
+    "beta,reader": "rows",
+    "alpha,reader": "rows",
+    "alpha,beta": "rows",
+    "alpha,beta,reader": "rows",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_profiles():
+    from tests.test_cc_conformance import ConformanceWorkload
+
+    return _workload_profiles(
+        TPCCWorkload(include_hot_item=True, include_payment_by_name=True),
+        SmallBankWorkload(),
+        YCSBWorkload(),
+        CrossGroupConflictWorkload(),
+        HierarchyMicroWorkload(),
+        NoConflictWorkload(),
+        ConformanceWorkload(),
+    )
+
+
+@pytest.mark.parametrize("group", sorted(PINNED_STEPS))
+def test_rp_steps_are_the_recorded_ones(group, pinned_profiles):
+    """Which tables share a step, and in which order, is behaviour: pin it."""
+    analysis = analyze_pipeline([pinned_profiles[name] for name in group.split(",")])
+    assert " ".join("+".join(sorted(step)) for step in analysis.steps) == PINNED_STEPS[group]
+    assert analysis.table_to_step == {
+        table: index for index, step in enumerate(analysis.steps) for table in step
+    }
+    assert analysis.merged_components == [s for s in analysis.steps if len(s) > 1]
+
+
+def _orderings(names):
+    """Every permutation of up to four names, every larger subset once."""
+    for size in range(1, len(names) + 1):
+        if size <= 4:
+            yield from itertools.permutations(names, size)
+        else:
+            yield from itertools.combinations(names, size)
+
+
+def test_rp_analysis_matches_the_networkx_reference_on_every_ordering():
+    """The native analysis against the networkx one it replaced, kept in tests/."""
+    pytest.importorskip("networkx")
+    from tests.reference_rp_analysis import analyze_pipeline as reference
+
+    workloads = (
+        TPCCWorkload(include_hot_item=True, include_payment_by_name=True),
+        SEATSWorkload(),
+        SmallBankWorkload(),
+        QueueWorkload(),
+        YCSBWorkload(),
+        CrossGroupConflictWorkload(),
+        HierarchyMicroWorkload(),
+        NoConflictWorkload(),
+    )
+    cases = 0
+    different = []
+    for workload in workloads:
+        profiles = _workload_profiles(workload)
+        for ordering in _orderings(sorted(profiles)):
+            group = [profiles[name] for name in ordering]
+            cases += 1
+            if analyze_pipeline(group) != reference(group):
+                different.append(ordering)
+    assert cases == 2464
+    assert different == []
 
 
 class TestTPCCProfilesMatchProcedures:

@@ -10,11 +10,10 @@ from repro.core.config import Configuration, leaf, monolithic, node
 from repro.core.transaction import Transaction
 from repro.database import Database
 from repro.harness import configs
-from repro.harness.report import format_run_results, format_series, format_table
+from repro.harness.report import format_run_results, format_table
 from repro.harness.runner import BenchmarkRunner, run_benchmark
-from repro.harness.sweep import client_sweep, peak_throughput, sweep_throughputs
 from repro.isolation.checker import check_history
-from repro.isolation.dsg import build_dsg
+from repro.isolation.dsg import iter_dsg_edges
 from repro.isolation.history import History, HistoryRecorder, HistoryTransaction
 from repro.workloads.micro import CrossGroupConflictWorkload
 from repro.workloads.queue import QueueWorkload
@@ -80,8 +79,7 @@ class TestIsolationOracle:
         t1 = HistoryTransaction(1, "w", writes=[("x", 1)])
         t2 = HistoryTransaction(2, "rw", reads=[("x", 1, 1)], writes=[("x", 2)])
         history = history_from([t1, t2], {"x": [(1, 1), (2, 2)]})
-        dsg = build_dsg(history)
-        kinds = {kind for _s, _t, kind in dsg.edges()}
+        kinds = {kind for _s, _t, kind in iter_dsg_edges(history)}
         assert kinds == {"ww", "wr"}
 
     def test_report_raise_on_violation(self):
@@ -133,7 +131,7 @@ class TestIsolationOracle:
         cycle_kinds = {
             kind
             for source, target in report.cycles[0]
-            for s, t, kind in build_dsg(history).edges()
+            for s, t, kind in iter_dsg_edges(history)
             if (s, t) == (source, target)
         }
         assert cycle_kinds == {"rw"}
@@ -446,28 +444,9 @@ class TestHarness:
         assert result.throughput > 0
         assert result.clients == 10
 
-    def test_client_sweep_and_peak(self):
-        def workload_factory():
-            return CrossGroupConflictWorkload(shared_rows=10, cold_rows=100)
-
-        def config_factory():
-            return monolithic("2pl", ("group_a_update", "group_b_update"))
-
-        series = client_sweep(
-            workload_factory, config_factory, client_counts=(5, 15), duration=0.2, warmup=0.05
-        )
-        assert len(series) == 2
-        best = peak_throughput(series)
-        assert best.throughput == max(r.throughput for _c, r in series)
-        assert len(sweep_throughputs(series)) == 2
-
     def test_format_table_alignment(self):
         text = format_table([{"a": 1, "b": "xx"}], headers=["a", "b"])
         assert "a" in text and "xx" in text
-
-    def test_format_series(self):
-        text = format_series([(10, 100.0), (20, 200.0)])
-        assert "10" in text and "200.0" in text
 
     def test_named_configurations_are_valid(self):
         for configurations in configs.WORKLOAD_CONFIGURATIONS.values():
@@ -487,21 +466,7 @@ class TestHarness:
             is configs.WORKLOAD_CONFIGURATIONS["ycsb"]
         )
 
-    # -- empty-input edge cases (sweep.py / report.py) -----------------------
-
-    def test_peak_throughput_empty_returns_default(self):
-        assert peak_throughput([]) is None
-        assert peak_throughput(None) is None
-        sentinel = object()
-        assert peak_throughput([], default=sentinel) is sentinel
-        assert sweep_throughputs(None) == []
-        assert sweep_throughputs([]) == []
-
-    def test_format_series_empty_and_none_values(self):
-        text = format_series([])
-        assert "clients" in text and "(no data)" in text
-        assert format_series(None).endswith("(no data)")
-        assert "-" in format_series([(10, None)])
+    # -- empty-input edge cases (report.py) ----------------------------------
 
     def test_format_run_results_empty(self):
         text = format_run_results([])
@@ -699,6 +664,18 @@ class TestHarnessCLI:
             main(["--workload", "micro", "--warmup", "-1"])
         assert excinfo.value.code == 2
         assert "--warmup" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", ["0", "-5"])
+    def test_cli_rejects_non_positive_history_window(self, capsys, window):
+        """0 evicted every record and still printed "all 1 checked runs
+        passed"; -5 died with ``KeyError`` in ``HistoryRecorder.on_commit``."""
+        from repro.harness.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--workload", "micro", "--config", "2pl", "--quick",
+                  "--history-window", window])
+        assert excinfo.value.code == 2
+        assert "--history-window" in capsys.readouterr().err
 
     def test_cli_all_rejects_workload_filter(self, capsys):
         from repro.harness.cli import main

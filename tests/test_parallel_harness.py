@@ -2,13 +2,14 @@
 
 import multiprocessing
 import pickle
+from functools import partial
 
 import pytest
 
 from repro import errors
 from repro.core.config import monolithic
 from repro.harness.parallel import available_workers, derive_point_seed, run_tasks
-from repro.harness.sweep import client_sweep
+from repro.harness.runner import run_benchmark
 from repro.workloads.micro import CrossGroupConflictWorkload
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -61,7 +62,7 @@ class TestErrorsSurviveThePool:
             cls for cls in vars(errors).values()
             if isinstance(cls, type) and issubclass(cls, errors.ReproError)
         ]
-        assert len(classes) == 9 and errors.TransactionAborted in classes
+        assert len(classes) == 8 and errors.TransactionAborted in classes
         for cls in classes:
             if cls is errors.TransactionAborted:
                 # The default ``__reduce__`` replayed the message as ``txn_id``.
@@ -100,39 +101,41 @@ def _micro_config():
     return monolithic("2pl", ("group_a_update", "group_b_update"))
 
 
-def _sweep_signature(series):
+def _sweep_point(clients, duration, warmup):
+    """One fresh-database point, seeded from what identifies it (as the CLI does)."""
+    workload = _micro_workload()
+    configuration = _micro_config()
+    seed = derive_point_seed(7, type(workload).__name__, configuration.name, clients)
+    return run_benchmark(
+        workload, configuration, clients=clients, duration=duration, warmup=warmup, seed=seed
+    )
+
+
+def _sweep_signature(client_counts, workers, duration, warmup):
+    results = run_tasks(
+        [partial(_sweep_point, clients, duration, warmup) for clients in client_counts],
+        workers=workers,
+    )
     return [
         (clients, result.commits, result.aborts, result.throughput)
-        for clients, result in series
+        for clients, result in zip(client_counts, results)
     ]
 
 
 class TestSerialParallelEquivalence:
     @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
-    def test_client_sweep_identical_across_worker_counts(self):
-        kwargs = dict(
-            client_counts=(4, 8),
-            duration=0.15,
-            warmup=0.05,
-        )
-        serial = client_sweep(_micro_workload, _micro_config, workers=1, **kwargs)
-        parallel = client_sweep(_micro_workload, _micro_config, workers=2, **kwargs)
-        assert _sweep_signature(serial) == _sweep_signature(parallel)
+    def test_sweep_points_identical_across_worker_counts(self):
+        serial = _sweep_signature((4, 8), workers=1, duration=0.15, warmup=0.05)
+        parallel = _sweep_signature((4, 8), workers=2, duration=0.15, warmup=0.05)
+        assert serial == parallel
 
     def test_sweep_points_use_distinct_derived_seeds(self):
-        series = client_sweep(
-            _micro_workload,
-            _micro_config,
-            client_counts=(4, 8),
-            duration=0.1,
-            warmup=0.0,
-            workers=1,
-        )
+        series = _sweep_signature((4, 8), workers=1, duration=0.1, warmup=0.0)
         # Different client counts derive different seeds; with the same
         # seed the 4-client prefix of both runs would coincide — commits
         # differing while both runs stay deterministic is the cheap proxy.
         assert len(series) == 2
-        assert all(result.commits > 0 for _clients, result in series)
+        assert all(commits > 0 for _clients, commits, _aborts, _tps in series)
 
     @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
     def test_cli_registry_slice_identical_serial_vs_parallel(self, capsys):
@@ -164,8 +167,6 @@ class TestRunnerStillSerialByDefault:
     def test_run_benchmark_unchanged_by_executor(self):
         """Direct run_benchmark calls (fixed-seed tests, bench_speed) are
         untouched by the executor: same seed plumbing as before."""
-        from repro.harness.runner import run_benchmark
-
         workload = _micro_workload()
         result = run_benchmark(
             workload,

@@ -7,7 +7,7 @@ from repro.errors import SimulationError
 from repro.sim.environment import Environment
 from repro.sim.events import Event, any_of
 from repro.sim.network import CostModel, NetworkModel
-from repro.sim.resources import Condition
+from repro.sim.events import Condition
 
 
 class TestEvents:

@@ -1,4 +1,5 @@
-"""State census: nothing under ``src/repro`` is written and never read.
+"""State census: nothing under ``src/repro`` is written and never read, and
+nothing is defined and never used.
 
 A second copy of a fact, kept by different rules than its source, is how the
 RP stale slot and the SSI drain floor went wrong; the cheapest mirror to keep
@@ -10,16 +11,25 @@ other position) somewhere under ``src/``, be read by a test
 (``READ_BY_TESTS``, checked the same way under ``tests/``), or be kept for a
 stated reason (``KEPT_UNREAD``).
 
+The second census is over definitions: every module-level function or
+class and every public method under ``src/repro`` must be *referenced* —
+loaded as a name or an attribute, outside its own ``def`` line — somewhere
+under ``src/``, ``benchmarks/`` or ``examples/``, or be named in
+``USED_BY_TESTS`` with the test module that reads it.  An import or an
+``__all__`` entry is not a use; a class handed to ``@register_cc`` is (the
+registry instantiates it by its ``name``).
+
 Names are matched without types — ``retries`` on one class covers
-``retries`` on another — so the census can miss a dead attribute that shares
-its name with a live one; it never reports a live one.
+``retries`` on another — so either census can miss a dead name that shares
+its spelling with a live one; it never reports a live one.
 """
 
 import ast
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src" / "repro"
+REPO = TESTS.parent
+SRC = REPO / "src" / "repro"
 
 #: Dataclasses whose fields are state even when only the constructor sets them.
 FIELD_CLASSES = {"Transaction", "Version"}
@@ -45,6 +55,17 @@ KEPT_UNREAD = {
 }
 
 
+def _is_literal_getattr(node):
+    """``getattr(obj, "name", ...)`` is a load by another spelling."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "getattr"
+        and len(node.args) >= 2
+        and isinstance(node.args[1], ast.Constant)
+    )
+
+
 def _census(root):
     """Attribute names stored (with the first site) and loaded under ``root``."""
     stores, loads = {}, set()
@@ -60,14 +81,7 @@ def _census(root):
                 for item in node.body:
                     if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
                         stores.setdefault(item.target.id, f"{where}:{item.lineno}")
-            elif (
-                # getattr(obj, "name", ...) is a load by another spelling.
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "getattr"
-                and len(node.args) >= 2
-                and isinstance(node.args[1], ast.Constant)
-            ):
+            elif _is_literal_getattr(node):
                 loads.add(node.args[1].value)
     return stores, loads
 
@@ -93,3 +107,122 @@ def test_the_exceptions_are_what_they_say():
     assert exceptions <= set(stores), "an exception names state that is gone"
     assert not exceptions & loads, "an exception is read under src/ after all"
     assert READ_BY_TESTS <= test_loads, "no test reads it any more"
+
+
+# -- definitions -------------------------------------------------------------
+
+#: definition -> the test module that uses it (nothing under ``src/``,
+#: ``benchmarks/`` or ``examples/`` does).  Inspection surface for tests and
+#: callers of the library, kept on purpose; anything else the census turns
+#: up is deleted instead.
+USED_BY_TESTS = {
+    "TransactionProfile.write_tables": "test_config_and_analysis",
+    "TransactionProfile.read_tables": "test_config_and_analysis",
+    "RPAnalysis.step_of": "test_config_and_analysis",
+    "LockTable.try_acquire": "test_engine_and_cc",
+    "LockTable.acquire": "test_engine_and_cc",
+    "TimestampOracle.last": "test_engine_and_cc",
+    "TransactionContext.think": "test_cc_conformance",
+    "PartitionedCC.instances": "test_engine_and_cc",
+    "Database.read_row": "test_isolation_workloads_autoconf",
+    "Database.reconfigure": "test_retention",
+    "IncrementalCycleDetector.has_cycle": "test_streaming_checker",
+    "StreamingDSGChecker.has_cycle": "test_streaming_checker",
+    "History.writers_of": "test_crash_recovery",
+    "Process.is_alive": "test_sim_kernel",
+    "Process.interrupt": "test_sim_kernel",
+    # The only backend whose values leave the process (ROADMAP: stays).
+    "FileBackend": "test_storage",
+    "DurabilityManager.persistent_gcp_epoch": "test_crash_recovery",
+    "DurabilityManager.current_epoch": "test_storage",
+    "DurabilityManager.wait_durable": "test_storage",
+    "RecoveryResult.require_transaction": "test_storage",
+    "GarbageCollector.current_epoch": "test_storage",
+    "GarbageCollector.collected_versions": "test_isolation_workloads_autoconf",
+    "MultiVersionStore.version_by_writer": "test_storage",
+    "MultiVersionStore.unresolved_slots_of": "test_batch_reference",
+    "MultiVersionStore.prune": "test_storage",
+    "KeyRange.contains_key": "test_scans",
+    "Catalog.table_names": "test_storage",
+    "Workload.transaction_names": "test_engine_and_cc",
+}
+
+#: Decorators that hand the class to a registry which instantiates it by name.
+REGISTERING_DECORATORS = {"register_cc"}
+
+
+def _registers_itself(node):
+    return any(
+        isinstance(decorator, ast.Name) and decorator.id in REGISTERING_DECORATORS
+        for decorator in node.decorator_list
+    )
+
+
+def _definitions(root):
+    """``name`` / ``Class.method`` -> site, for what the census covers."""
+    found = {}
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for path in sorted(root.rglob("*.py")):
+        where = path.relative_to(root)
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, kinds) or _registers_itself(node):
+                continue
+            found.setdefault(node.name, f"{where}:{node.lineno}")
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, kinds[:2]) and not item.name.startswith("_"):
+                        found.setdefault(
+                            f"{node.name}.{item.name}", f"{where}:{item.lineno}"
+                        )
+    return found
+
+
+def _referenced(paths):
+    """Every name loaded in ``paths``: ``name``, ``obj.name``, ``getattr``."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif _is_literal_getattr(node):
+                names.add(node.args[1].value)
+    return names
+
+
+def _used_outside_tests():
+    roots = (REPO / "src", REPO / "benchmarks", REPO / "examples")
+    return _referenced(path for root in roots for path in sorted(root.rglob("*.py")))
+
+
+def _bare(definition):
+    return definition.rpartition(".")[2]
+
+
+def test_every_definition_under_src_is_used():
+    definitions = _definitions(SRC)
+    assert len(definitions) > 500, "the census walked nothing"
+    used = _used_outside_tests()
+    unused = {
+        name: site
+        for name, site in definitions.items()
+        if _bare(name) not in used and name not in USED_BY_TESTS
+    }
+    assert unused == {}, (
+        "defined under src/repro, referenced nowhere under src/, benchmarks/ or "
+        f"examples/ — delete it, or name its reader in USED_BY_TESTS: {unused}"
+    )
+
+
+def test_the_test_only_definitions_are_what_they_say():
+    assert set(USED_BY_TESTS) <= set(_definitions(SRC)), "an entry names a definition that is gone"
+    used = _used_outside_tests()
+    live = {name for name in USED_BY_TESTS if _bare(name) in used}
+    assert not live, f"used outside tests/ after all: {live}"
+    read_by = {
+        module: _referenced([TESTS / f"{module}.py"])
+        for module in set(USED_BY_TESTS.values())
+    }
+    for name, module in USED_BY_TESTS.items():
+        assert _bare(name) in read_by[module], (name, module)

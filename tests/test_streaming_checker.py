@@ -13,15 +13,17 @@ Three layers of equivalence:
 
 from types import SimpleNamespace
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.harness.runner import BenchmarkRunner
 from repro.core.config import monolithic
 from repro.isolation.checker import check_history, check_recorder
-from repro.isolation.cycles import IncrementalCycleDetector, find_cycle
-from repro.isolation.dsg import build_dsg
+from repro.isolation.cycles import (
+    IncrementalCycleDetector,
+    find_cycle,
+    strongly_connected_components,
+)
 from repro.isolation.history import History, HistoryRecorder, HistoryTransaction
 from repro.isolation.levels import LEVEL_EDGE_KINDS
 from repro.isolation.streaming import StreamingDSGChecker
@@ -29,6 +31,18 @@ from repro.storage.ranges import bounded_range
 from repro.workloads.micro import CrossGroupConflictWorkload
 from repro.workloads.queue import QueueWorkload
 from repro.workloads.smallbank import SmallBankWorkload
+
+
+def build_dsg(history):
+    """The networkx reference graph of ``history`` (skips without networkx).
+
+    Called last in tests that also compare the two native detectors, so
+    those comparisons have run — and would have failed — before the skip.
+    """
+    pytest.importorskip("networkx")
+    from tests.reference_dsg import build_dsg as reference
+
+    return reference(history)
 
 
 edge_streams = st.lists(
@@ -78,6 +92,7 @@ class TestIncrementalCycleDetector:
     @given(edge_streams)
     @settings(max_examples=60, deadline=None)
     def test_matches_networkx_at_every_prefix(self, edges):
+        nx = pytest.importorskip("networkx")
         detector = IncrementalCycleDetector()
         reference = nx.DiGraph()
         cyclic = False
@@ -91,6 +106,7 @@ class TestIncrementalCycleDetector:
     @given(edge_streams)
     @settings(max_examples=60, deadline=None)
     def test_batch_tarjan_matches_networkx(self, edges):
+        nx = pytest.importorskip("networkx")
         adjacency = {}
         reference = nx.DiGraph()
         for source, target in edges:
@@ -103,6 +119,12 @@ class TestIncrementalCycleDetector:
                 assert step_to == step_from
             for source, target in cycle:
                 assert target in adjacency[source]
+        # The generator under it (and under the RP step analysis) finds the
+        # same components, each node exactly once.
+        components = list(strongly_connected_components(adjacency))
+        assert sorted(map(sorted, components)) == sorted(
+            map(sorted, nx.strongly_connected_components(reference))
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +366,13 @@ class TestStreamingCheckedRuns:
     def test_recorder_rejects_unknown_stream_level(self):
         with pytest.raises(ValueError):
             HistoryRecorder(level="serialisable")
+
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_recorder_rejects_a_window_that_keeps_nothing(self, window):
+        with pytest.raises(ValueError, match="max_transactions"):
+            HistoryRecorder(max_transactions=window)
+        with pytest.raises(ValueError, match="max_transactions"):
+            HistoryRecorder(max_transactions=window, level="serializable")
 
 
 class TestStreamingCheckerUnit:
