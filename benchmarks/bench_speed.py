@@ -275,8 +275,11 @@ def census_by_owner(runner):
     untracked objects, which may still lead to tracked ones — and books
     every unfrozen tracked object to the first root that reaches it; the
     runner, engine and environment are hubs that reach everything and are
-    not walked.  A by-type count cannot say that the largest owner of plain
-    dicts, lists and tuples is the log; this can.
+    not walked, and a walk stops at another owner's root (a finished
+    transaction reaches every CC node of its route, and through them the
+    whole tree: their lock records and maps are theirs, not
+    ``engine.finished``'s).  A by-type count cannot say that the largest
+    owner of plain dicts, lists and tuples is the log; this can.
     """
     unfrozen = {id(obj) for obj in gc.get_objects()}
     total = len(unfrozen)
@@ -294,13 +297,14 @@ def census_by_owner(runner):
     roots.append(("engine.finished", engine.finished))
     roots.extend((f"cc node {node.node_id}", node.cc) for node in engine.nodes)
     seen = {id(runner), id(engine), id(engine.env)}
+    root_ids = {id(root) for _owner, root in roots}
     counts = {}
     for owner, root in roots:
         count = 0
         stack = [root]
         while stack:
             obj = stack.pop()
-            if id(obj) in seen:
+            if id(obj) in seen or (id(obj) in root_ids and obj is not root):
                 continue
             seen.add(id(obj))
             count += id(obj) in unfrozen

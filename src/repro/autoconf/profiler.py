@@ -138,14 +138,6 @@ class ContentionProfiler:
             return None
         return edge, score
 
-    def report(self, top=5):
-        lines = ["contention profile:"]
-        for edge, score in self.edge_scores(abort_penalty=0.0).most_common(top):
-            lines.append(f"  {edge[0]} <-> {edge[1]}: {score:.3f}s blocked")
-        for reason, count in self.aborts.most_common(top):
-            lines.append(f"  aborts[{reason}] = {count}")
-        return "\n".join(lines)
-
 
 class LatencyProfiler:
     """Callas' latency-based profiling baseline (Section 5.3.1, Figure 5.5).

@@ -7,9 +7,12 @@ Modular Concurrency Control: transactions of the same child subtree never
 conflict at this node — their conflicts are delegated to the child CC.
 
 The table is on the per-operation hot path of every lock-based CC, so the
-uncontended acquire is allocation-free: lock records are keyed by transaction
-id (no Python-level ``__hash__`` dispatch), conflict detection avoids building
-lists until a block is certain, and records are only allocated on first use.
+uncontended acquire is cheap: lock records are keyed by transaction id (no
+Python-level ``__hash__`` dispatch) and conflict detection avoids building
+lists until a block is certain.  A record exists only while its key has a
+holder or a waiter — every path that removes one drops the record it leaves
+idle — so the table is as large as the locks in flight, not as the keys the
+run has touched.
 """
 
 from collections import deque
@@ -67,10 +70,6 @@ class LockTable:
         self._held_by_txn = {}
         self._waiting_keys = {}
         self.timeout_count = 0
-        # Idle lock records are swept in batches (amortized O(1) per release)
-        # instead of deleted eagerly, which would re-allocate a record on the
-        # next access of the same key — the common case under step-locking.
-        self._sweep_threshold = 8192
 
     # -- introspection ------------------------------------------------------
 
@@ -79,9 +78,6 @@ class LockTable:
         if not record:
             return {}
         return {txn: mode for txn, mode in record.holders.values()}
-
-    def held_keys(self, txn_id):
-        return set(self._held_by_txn.get(txn_id, ()))
 
     def waiting(self, key):
         record = self._locks.get(key)
@@ -136,28 +132,21 @@ class LockTable:
         """
         txn_id = txn.txn_id
         record = self._locks.get(key)
-        if record is None:
-            record = self._locks[key] = _LockRecord()
-            holders = record.holders
-        else:
-            holders = record.holders
-            if holders:
-                entry = holders.get(txn_id)
-                if entry is not None:
-                    held = entry[1]
-                    if held == EXCLUSIVE or held == mode:
-                        return None
-                conflicting = self._conflicts(record, txn, mode)
-                if conflicting or record.queue:
-                    return self._blocking_acquire(txn, key, mode, record, conflicting)
-                self._grant(record, txn, key, mode)
-                return None
-            if record.queue:
-                # Idle holders but queued waiters (cancelled-wait leftovers):
-                # respect FIFO ordering.
-                return self._blocking_acquire(txn, key, mode, record, [])
-        # Fresh or idle record: grant inline (no conflicts, no upgrade).
-        holders[txn_id] = (txn, mode)
+        if record is not None:
+            entry = record.holders.get(txn_id)
+            if entry is not None:
+                held = entry[1]
+                if held == EXCLUSIVE or held == mode:
+                    return None
+            conflicting = self._conflicts(record, txn, mode)
+            if conflicting or record.queue:
+                # Waiters and no conflicting holder: respect FIFO ordering.
+                return self._blocking_acquire(txn, key, mode, record, conflicting)
+            self._grant(record, txn, key, mode)
+            return None
+        # No record, so nobody holds or waits for the key: grant inline.
+        record = self._locks[key] = _LockRecord()
+        record.holders[txn_id] = (txn, mode)
         held_keys = self._held_by_txn.get(txn_id)
         if held_keys is None:
             held_keys = self._held_by_txn[txn_id] = {}
@@ -210,6 +199,7 @@ class LockTable:
         except TransactionAborted as abort:
             if request in record.queue:
                 record.queue.remove(request)
+            self._drop_if_idle(key, record)
             if abort.reason == "deadlock-timeout":
                 self.timeout_count += 1
             raise
@@ -237,56 +227,43 @@ class LockTable:
 
     def release_all(self, txn):
         """Release every lock held by ``txn`` and grant eligible waiters."""
-        keys = self._held_by_txn.pop(txn.txn_id, None)
+        txn_id = txn.txn_id
+        keys = self._held_by_txn.pop(txn_id, None)
         if keys is None:
             return {}
+        locks = self._locks
         for key in keys:
-            record = self._locks.get(key)
-            if record is None:
-                continue
-            record.holders.pop(txn.txn_id, None)
+            record = locks[key]
+            del record.holders[txn_id]
             if record.queue:
                 self._grant_from_queue(record, key)
-        self._maybe_sweep()
+            if not record.holders and not record.queue:
+                del locks[key]
         return keys
 
     def release(self, txn, keys):
         """Release a specific set of keys (used by RP step-commit)."""
-        held = self._held_by_txn.get(txn.txn_id)
+        txn_id = txn.txn_id
+        held = self._held_by_txn.get(txn_id)
         if held is None:
             return
+        locks = self._locks
         for key in keys:
             if key not in held:
                 continue
             del held[key]
-            record = self._locks.get(key)
-            if record is None:
-                continue
-            record.holders.pop(txn.txn_id, None)
+            record = locks[key]
+            del record.holders[txn_id]
             if record.queue:
                 self._grant_from_queue(record, key)
+            if not record.holders and not record.queue:
+                del locks[key]
 
     def _drop_if_idle(self, key, record):
-        if not record.holders and not record.queue:
-            self._locks.pop(key, None)
-
-    def _maybe_sweep(self):
-        """Batch-drop idle lock records once the table grows large.
-
-        The threshold doubles after every sweep, so sweeps become geometric:
-        total sweep work is O(peak table size) over the whole run and hot
-        keys keep their records instead of re-allocating them per access.
-        """
-        if len(self._locks) <= self._sweep_threshold:
-            return
-        idle = [
-            key
-            for key, record in self._locks.items()
-            if not record.holders and not record.queue
-        ]
-        for key in idle:
+        # A waiter found inactive at the head of the queue is popped by the
+        # release that meets it, which may already have dropped the record.
+        if not record.holders and not record.queue and self._locks.get(key) is record:
             del self._locks[key]
-        self._sweep_threshold = max(self._sweep_threshold * 2, 2 * len(self._locks))
 
     def cancel_waits(self, txn):
         """Drop any queued (not yet granted) requests of an aborting txn."""

@@ -405,7 +405,7 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         yet, so it counts from the moment it opens, like the engine hold it
         brackets.  Draining late never changes an outcome
         (``_concurrent_reader`` filters by commit timestamp at use); draining
-        early loses the rw edge.  Commit timestamps are monotone, so the
+        early loses the rw edge.  Commit timestamps are monotonic, so the
         retention deque is ordered and draining its prefix is amortized O(1)
         per finished transaction.
         """

@@ -99,7 +99,7 @@ class BatchManager:
     def oldest_live(self):
         """The oldest timestamp a live batch can still hand out, or None.
 
-        ``_live`` is insertion ordered and the oracle monotone, so it is the
+        ``_live`` is insertion ordered and the oracle monotonic, so it is the
         first entry's.
         """
         for entry in self._live.values():

@@ -76,13 +76,3 @@ class Database:
     def check_serializability(self):
         """Run the Adya isolation checker over the committed history."""
         return check_engine(self.engine)
-
-    def reconfigure(self, new_configuration, protocol="online"):
-        """Switch the live database to a new configuration."""
-        if protocol == "online":
-            coroutine = self.engine.reconfigure_online(new_configuration)
-        else:
-            coroutine = self.engine.reconfigure_partial_restart(new_configuration)
-        process = self.env.process(coroutine, name="reconfigure")
-        self.env.run(until=process)
-        return self.engine.configuration

@@ -98,10 +98,6 @@ class History:
                 final[(key, writer)] = seq
         return final
 
-    def first_writer(self, key):
-        order = self.version_orders.get(key, [])
-        return order[0][1] if order else None
-
 
 #: A retained record is one flat tuple: ``txn_type, begin_time, end_time,
 #: scans, num_writes``, then ``key, commit_seq`` per write from this index

@@ -6,19 +6,19 @@ chains directly; they go through the engine, which calls
 :meth:`MultiVersionStore.install`, :meth:`commit_transaction` and
 :meth:`abort_transaction`.
 
-Hot-path lookups are index-backed rather than scan-based:
+Per-key state is as flat as the traffic allows:
 
 * uncommitted versions are kept per key in a ``{writer_id: version}`` map,
   so :meth:`own_uncommitted` (one call per read) is O(1);
-* each committed chain carries a parallel array of effective timestamps, so
-  :meth:`latest_committed_before` is a :func:`bisect.bisect` while the chain
-  stays timestamp-ordered (the common case — timestamps are assigned in
-  commit order), with a transparent fallback to the linear scan when mixed
-  CCs break monotonicity;
-* each chain tracks its committed ``{writer_id: version}`` map so
-  :meth:`version_by_writer` never scans;
-* all of that per-key state lives on one :class:`_Chain` object, so the
-  common lookups cost a single dict probe.
+* a key's committed chain is one plain ``list`` of versions in commit
+  order and nothing beside it: a key written once costs its list and its
+  :class:`Version`.  :meth:`latest_committed_before` walks the list from
+  the newest version back and stops at the first visible one.  A reader
+  sits as far from the tail as there were commits on that key since its
+  snapshot — a property of concurrency, not of chain length — and every
+  registry cell answers from the tail or a few versions behind it
+  (PERFORMANCE.md, *Where snapshot reads land*;
+  ``tests/test_retention.py`` pins the distance).
 
 The store also maintains a per-table ordered key index so that range scans
 (:meth:`range_keys`) are a bisect plus a slice instead of a full key sweep.
@@ -27,7 +27,7 @@ in-flight insert so the per-key CC hooks (locks, snapshot visibility) can
 decide what the scanning transaction observes.
 """
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from itertools import count
 
 from repro.errors import StorageError
@@ -35,47 +35,11 @@ from repro.storage.ranges import slice_sorted_pks
 from repro.storage.versions import Version
 
 
-class _Chain:
-    """Committed-version state of one key."""
-
-    __slots__ = ("versions", "ts", "monotone", "by_writer")
-
-    def __init__(self):
-        self.versions = []
-        # Effective timestamps parallel to ``versions`` (None treated as 0.0).
-        self.ts = []
-        # Whether ``ts`` is nondecreasing (bisect-safe).
-        self.monotone = True
-        # writer_id -> committed version (last committed write wins).
-        self.by_writer = {}
-
-    def append(self, version, ts):
-        ts_list = self.ts
-        if ts_list and ts < ts_list[-1]:
-            self.monotone = False
-        self.versions.append(version)
-        ts_list.append(ts)
-        self.by_writer[version.writer] = version
-
-    def replace(self, new_versions, removed, effective_ts):
-        """Install a pruned version list and refresh the derived indexes."""
-        self.versions = new_versions
-        self.ts = [effective_ts(version) for version in new_versions]
-        ts_list = self.ts
-        self.monotone = all(
-            ts_list[i] <= ts_list[i + 1] for i in range(len(ts_list) - 1)
-        )
-        by_writer = self.by_writer
-        for version in removed:
-            if by_writer.get(version.writer) is version:
-                del by_writer[version.writer]
-
-
 class MultiVersionStore:
     """In-memory multi-version storage for a Tebaldi instance."""
 
     def __init__(self):
-        # key -> _Chain of committed versions (commit-sequence order).
+        # key -> list of committed versions (commit-sequence order).
         self._committed = {}
         # key -> {writer_id: uncommitted version}, insertion (install) order.
         self._uncommitted = {}
@@ -142,17 +106,12 @@ class MultiVersionStore:
         start, stop = slice_sorted_pks(pks, lo, hi)
         return [(table, pk) for pk in pks[start:stop]]
 
-    # -- committed-chain bookkeeping ----------------------------------------
-
-    @staticmethod
-    def _effective_ts(version):
-        return version.timestamp if version.timestamp is not None else 0.0
-
     def _append_committed(self, key, version):
         chain = self._committed.get(key)
         if chain is None:
-            chain = self._committed[key] = _Chain()
-        chain.append(version, self._effective_ts(version))
+            self._committed[key] = [version]
+        else:
+            chain.append(version)
 
     # -- loading / reading -------------------------------------------------
 
@@ -172,7 +131,7 @@ class MultiVersionStore:
     def committed_versions(self, key):
         """Committed versions of ``key`` in install (commit-sequence) order."""
         chain = self._committed.get(key)
-        return chain.versions if chain is not None else []
+        return chain if chain is not None else []
 
     def uncommitted_versions(self, key):
         """In-flight uncommitted versions of ``key`` (install order)."""
@@ -192,7 +151,7 @@ class MultiVersionStore:
     def latest_committed(self, key):
         """Most recently committed version of ``key`` or ``None``."""
         chain = self._committed.get(key)
-        return chain.versions[-1] if chain is not None else None
+        return chain[-1] if chain is not None else None
 
     def latest_committed_before(self, key, timestamp, strict=True):
         """Latest committed version with CC timestamp below ``timestamp``.
@@ -202,26 +161,12 @@ class MultiVersionStore:
         back to treating their commit as happening at timestamp 0, i.e. they
         are visible to every snapshot.
         """
-        chain = self._committed.get(key)
-        if chain is None:
-            return None
-        ts_list = chain.ts
-        if chain.monotone:
-            # Timestamps are assigned in commit order, so the chain is
-            # timestamp-ordered and the newest visible version is the one
-            # just left of the bisection point.
-            if strict:
-                index = bisect_left(ts_list, timestamp)
-            else:
-                index = bisect_right(ts_list, timestamp)
-            return chain.versions[index - 1] if index else None
-        # Mixed-CC chain (out-of-order timestamps): scan backwards and stop
-        # at the first visible version, exactly as before the index rewrite.
-        versions = chain.versions
-        for index in range(len(versions) - 1, -1, -1):
-            ts = ts_list[index]
+        for version in reversed(self._committed.get(key, ())):
+            ts = version.timestamp
+            if ts is None:
+                ts = 0.0
             if ts < timestamp if strict else ts <= timestamp:
-                return versions[index]
+                return version
         return None
 
     def own_uncommitted(self, key, txn_id):
@@ -230,18 +175,6 @@ class MultiVersionStore:
         if per_key is None:
             return None
         return per_key.get(txn_id)
-
-    def version_by_writer(self, key, txn_id):
-        """The (committed or uncommitted) version of ``key`` written by a txn."""
-        per_key = self._uncommitted.get(key)
-        if per_key is not None:
-            version = per_key.get(txn_id)
-            if version is not None:
-                return version
-        chain = self._committed.get(key)
-        if chain is not None:
-            return chain.by_writer.get(txn_id)
-        return None
 
     def last_commit_seq(self):
         """Commit sequence number of the most recent commit."""
@@ -364,15 +297,9 @@ class MultiVersionStore:
                     del uncommitted[key]
             chain = committed_chains.get(key)
             if chain is None:
-                chain = committed_chains[key] = _Chain()
-            ts = version.timestamp
-            ts = ts if ts is not None else 0.0
-            ts_list = chain.ts
-            if ts_list and ts < ts_list[-1]:
-                chain.monotone = False
-            chain.versions.append(version)
-            ts_list.append(ts)
-            chain.by_writer[version.writer] = version
+                committed_chains[key] = [version]
+            else:
+                chain.append(version)
         self._last_commit_seq = seq
         if self._slots_by_txn:
             # Declared-but-unwritten keys (conditional writes) release their
@@ -401,11 +328,11 @@ class MultiVersionStore:
         if keep_last < 1:
             raise StorageError("prune() must keep at least one version")
         chain = self._committed.get(key)
-        if chain is None or len(chain.versions) <= keep_last:
+        if chain is None or len(chain) <= keep_last:
             return 0
-        removed = chain.versions[:-keep_last]
-        chain.replace(chain.versions[-keep_last:], removed, self._effective_ts)
-        return len(removed)
+        removed = len(chain) - keep_last
+        del chain[:removed]
+        return removed
 
     def prune_epochs(self, max_epoch, keep_last=1):
         """Drop committed versions from GC epochs ``<= max_epoch``.
@@ -415,15 +342,13 @@ class MultiVersionStore:
         """
         removed = 0
         for chain in self._committed.values():
-            versions = chain.versions
-            if len(versions) <= keep_last:
+            if len(chain) <= keep_last:
                 continue
-            head = [v for v in versions[:-keep_last] if v.epoch > max_epoch]
-            if len(head) + keep_last == len(versions):
-                continue
-            dropped = [v for v in versions[:-keep_last] if v.epoch <= max_epoch]
-            chain.replace(head + versions[-keep_last:], dropped, self._effective_ts)
-            removed += len(dropped)
+            head = [v for v in chain[:-keep_last] if v.epoch > max_epoch]
+            dropped = len(chain) - keep_last - len(head)
+            if dropped:
+                chain[:-keep_last] = head
+                removed += dropped
         return removed
 
     # -- snapshot / recovery helpers -------------------------------------------
@@ -460,11 +385,7 @@ class MultiVersionStore:
 
     def latest_state(self):
         """Map of key -> value of the latest committed version (for recovery)."""
-        return {
-            key: chain.versions[-1].value
-            for key, chain in self._committed.items()
-            if chain.versions
-        }
+        return {key: chain[-1].value for key, chain in self._committed.items()}
 
     def clear(self):
         """Drop all state (used by recovery before replaying logs)."""

@@ -115,6 +115,74 @@ class TestLockTable:
         locks.cancel_waits(b)
         assert locks.waiting("k") == 0
 
+    def _abort(self, locks, txn):
+        """What a lock-based CC's ``finish`` does for an aborted member."""
+        txn.status = TransactionStatus.ABORTED
+        locks.cancel_waits(txn)
+        locks.release_all(txn)
+
+    def test_an_aborted_lone_waiter_leaves_no_record_behind(self, env):
+        """By ``deadlock-timeout`` and by ``wait-deadlock``: once the holder
+        has released too, the table has no record for the key."""
+        locks = LockTable(env, timeout=0.5)
+        a, b, c, d = (self._txn(txn_id) for txn_id in (1, 2, 3, 4))
+        # The wait-for walk only follows transactions it knows as active.
+        locks.waits.active.update({txn.txn_id: txn for txn in (a, b, c, d)})
+        reasons = []
+
+        def waiter(txn, key, delay):
+            yield env.timeout(delay)
+            try:
+                yield from locks.acquire(txn, key, EXCLUSIVE)
+            except TransactionAborted as aborted:
+                reasons.append((aborted.reason, env.now))
+                self._abort(locks, txn)
+
+        # a holds "k"; b waits for it alone and runs into the deadline.
+        assert locks.request(a, "k", SHARED) is None
+        env.process(waiter(b, "k", 0.1))
+        env.run(until=1)
+        assert reasons == [("deadlock-timeout", 0.6)]
+        assert locks.holders("k") == {a: SHARED} and locks.waiting("k") == 0
+        locks.release_all(a)
+        assert locks._locks == {}
+
+        # c holds "x" and waits for "y"; d holds "y" and asks for "x".
+        assert locks.request(c, "x", EXCLUSIVE) is None
+        assert locks.request(d, "y", EXCLUSIVE) is None
+        env.process(waiter(c, "y", 0.0))
+        env.process(waiter(d, "x", 0.1))
+        env.run(until=2)
+        assert reasons[1:] == [("wait-deadlock", 1.1)]
+        assert locks.holders("y") == {c: EXCLUSIVE} and set(locks._locks) == {"x", "y"}
+        locks.release_all(c)
+        assert locks._locks == {} and locks._waiting_keys == {}
+
+    def test_a_late_abort_leaves_the_next_holders_record_alone(self, env):
+        """A waiter flagged aborted from outside (forced reconfiguration) is
+        popped by the release that meets it; its own deadline fires later
+        and must drop neither a missing record nor somebody else's."""
+        locks = LockTable(env, timeout=0.5)
+        a, b, c = self._txn(1), self._txn(2), self._txn(3)
+        reasons = []
+
+        def waiter():
+            try:
+                yield from locks.acquire(b, "k", EXCLUSIVE)
+            except TransactionAborted as aborted:
+                reasons.append(aborted.reason)
+
+        assert locks.request(a, "k", EXCLUSIVE) is None
+        env.process(waiter())
+        env.run(until=0.2)
+        b.status = TransactionStatus.ABORTED
+        locks.release_all(a)
+        assert locks._locks == {}
+        assert locks.request(c, "k", EXCLUSIVE) is None
+        env.run(until=1)
+        assert reasons == ["deadlock-timeout"]
+        assert locks.holders("k") == {c: EXCLUSIVE}
+
     def test_upgrade_for_single_holder(self, env):
         locks = LockTable(env)
         a = self._txn(1)

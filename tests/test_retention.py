@@ -20,20 +20,31 @@ These things are pinned here:
   flight, and a flat record still resolves a pipelined read late;
 * **batch leaf** — a sealed batch and its members form no reference cycle,
   and the leaf's two indexes of members in flight name nobody who finished,
-  died before the seal, was force-aborted or had the node spliced out.
+  died before the seal, was force-aborted or had the node spliced out;
+* **lock tables and chains** — a lock record exists only while its key has
+  a holder or a waiter (and *drop ≡ never drop*), a key written once costs
+  the store its list and its ``Version``, tracked objects per commit on
+  ``tpcc/3layer`` stay under a bound, snapshot reads land at or next to the
+  tail of their chain, and the profiler's owner census books a lock table
+  to its CC node.
 """
 
 import gc
 import hashlib
 import random
+from collections import Counter
 from dataclasses import fields
 
 import pytest
 
+from benchmarks.bench_speed import census_by_owner
+from repro.cc import runtime_pipelining, two_phase_locking
+from repro.cc.locks import LockTable
 from repro.cc.timestamps import BatchManager, TimestampOracle
 from repro.core.config import Configuration, leaf, node
 from repro.core.engine import EngineOptions, TebaldiEngine
 from repro.core.transaction import ReadRecord, Transaction
+from repro.core.tree import PartitionedCC
 from repro.harness import configs
 from repro.harness import runner as runner_module
 from repro.harness.degraded import NetFaultLane
@@ -51,6 +62,7 @@ from repro.workloads.tpcc import TPCCWorkload
 from repro.workloads.tpcc.schema import TPCCScale
 from repro.workloads.ycsb import YCSBWorkload
 from tests.conftest import OverlapAuditEngine, build_engine, run_transactions
+from tests.snapshot_read_census import census_of_run
 from tests.test_cc_conformance import CONFORMANCE_TREES, ConformanceWorkload
 
 
@@ -131,6 +143,25 @@ def _outcome(runner):
     return stats.commits, stats.aborts, dict(stats.abort_reasons), _digest(runner.store)
 
 
+def _run_conformance_tree(tree, engine_class=TebaldiEngine):
+    """Sixty fixed scripted requests in six lanes under ``tree``; the engine."""
+    workload = ConformanceWorkload()
+    rng = random.Random(99)
+    requests = [workload.next_transaction(rng) for _ in range(60)]
+    env = Environment()
+    engine = build_engine(
+        env,
+        workload,
+        CONFORMANCE_TREES[tree](),
+        options=EngineOptions(
+            charge_costs=True, lock_timeout=0.2, commit_wait_timeout=0.4
+        ),
+        engine_class=engine_class,
+    )
+    run_transactions(env, engine, requests, lanes=6)
+    return engine
+
+
 class TestReleaseEqualsNeverRelease:
     @pytest.mark.parametrize("cell", sorted(RUNNER_CELLS))
     def test_closed_loop_cell(self, cell, monkeypatch):
@@ -146,22 +177,9 @@ class TestReleaseEqualsNeverRelease:
 
     @pytest.mark.parametrize("tree", ["rp/(rp,rp)", "mono-tso", "mono-occ"])
     def test_conformance_tree(self, tree):
-        workload = ConformanceWorkload()
-        rng = random.Random(99)
-        requests = [workload.next_transaction(rng) for _ in range(60)]
         outcomes = []
         for engine_class in (TebaldiEngine, KeepEverythingEngine):
-            env = Environment()
-            engine = build_engine(
-                env,
-                workload,
-                CONFORMANCE_TREES[tree](),
-                options=EngineOptions(
-                    charge_costs=True, lock_timeout=0.2, commit_wait_timeout=0.4
-                ),
-                engine_class=engine_class,
-            )
-            run_transactions(env, engine, requests, lanes=6)
+            engine = _run_conformance_tree(tree, engine_class)
             stats = engine.stats
             assert stats.commits > 0
             outcomes.append(
@@ -392,6 +410,31 @@ class TestHolds:
         assert engine.finished == {}
 
 
+def _tracked_per_commit(runner, first, last):
+    """GC-tracked objects the run adds per commit between two commit counts."""
+    stats = runner.engine.stats
+    census = []
+    for target in (first, last):
+        while stats.commits < target:
+            runner.run_additional(0.01)
+        for _ in range(4):
+            gc.collect()
+        census.append((stats.commits, len(gc.get_objects())))
+    (commits_0, tracked_0), (commits_1, tracked_1) = census
+    return (tracked_1 - tracked_0) / (commits_1 - commits_0)
+
+
+def tpcc_tracked_objects_per_commit():
+    """The figure ``scripts/check.sh`` prints: ``tpcc/3layer``, seed 7, 16
+    clients, tracked objects added per commit between 600 and 2,400."""
+    runner = BenchmarkRunner(_tiny_tpcc(), configs.tpcc_tebaldi_3layer(), seed=7)
+    try:
+        runner.add_clients(CLIENTS)
+        return _tracked_per_commit(runner, 600, 2400)
+    finally:
+        runner.stop()
+
+
 class TestFlatRetention:
     """The log and the history ring are data the cyclic collector cannot see."""
 
@@ -405,19 +448,10 @@ class TestFlatRetention:
         )
         try:
             runner.add_clients(CLIENTS)
-            stats = runner.engine.stats
-            census = []
             # Below 1,200 commits the per-key structures are still filling.
-            for target in (1200, 4800):
-                while stats.commits < target:
-                    runner.run_additional(0.01)
-                for _ in range(4):
-                    gc.collect()
-                census.append((stats.commits, len(gc.get_objects())))
-            (commits_0, tracked_0), (commits_1, tracked_1) = census
             # What is left is the detector's two sets and the store's Version
             # per commit: 3.2 measured, 17.5 before records were flat.
-            assert (tracked_1 - tracked_0) / (commits_1 - commits_0) < 6
+            assert _tracked_per_commit(runner, 1200, 4800) < 6
 
             # A GCP flush, then some more commits: records on both sides of it.
             runner.manager.advance_gcp_epoch()
@@ -605,3 +639,182 @@ class TestLateResolution:
         read, _version, report = self._pipelined_read(level, writer_commits=False)
         assert read == (("x",), 1, None)
         assert report.aborted_reads == [(2, ("x",), 1)]
+
+
+def _lock_tables(engine):
+    """``(tree node, lock table)`` for every lock table in the CC tree, one
+    per instance of a partitioned node."""
+    tables = []
+    for tree_node in engine.nodes:
+        cc = tree_node.cc
+        for instance in cc.instances() if isinstance(cc, PartitionedCC) else [cc]:
+            locks = vars(instance).get("locks")
+            if isinstance(locks, LockTable):
+                tables.append((tree_node, locks))
+    return tables
+
+
+def _lock_records(engine):
+    return sum(len(table._locks) for _node, table in _lock_tables(engine))
+
+
+class _KeptRecords(dict):
+    """A lock map that forgets nothing."""
+
+    def __delitem__(self, key):
+        pass
+
+
+class KeepEveryRecordLockTable(LockTable):
+    """Test-only: the table as it was before it dropped an idle record."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._locks = _KeptRecords()
+
+
+LOCK_CELLS = {
+    "tpcc/3layer": (_tiny_tpcc, configs.tpcc_tebaldi_3layer),
+    "smallbank/3layer": (_smallbank, configs.smallbank_3layer),
+    "micro/2pl": (_micro, configs.micro_monolithic_2pl),
+}
+
+
+class TestLockRecordRetention:
+    """Release rule of a lock record: the last holder or waiter to leave
+    takes it along, whichever way it leaves."""
+
+    @pytest.mark.parametrize("cell", sorted(LOCK_CELLS))
+    def test_every_record_has_a_holder_or_a_waiter(self, cell):
+        workload_factory, config_factory = LOCK_CELLS[cell]
+        runner = BenchmarkRunner(workload_factory(), config_factory(), seed=7)
+        try:
+            runner.add_clients(CLIENTS)
+            tables = [table for _node, table in _lock_tables(runner.engine)]
+            assert tables
+            for target in (300, 1200):
+                peak = 0
+                while runner.engine.stats.commits < target:
+                    runner.run_additional(0.01)
+                    for table in tables:
+                        in_use = {k for keys in table._held_by_txn.values() for k in keys}
+                        in_use.update(k for keys in table._waiting_keys.values() for k in keys)
+                        assert set(table._locks) <= in_use, (target, table.name)
+                    peak = max(peak, sum(len(table._locks) for table in tables))
+                assert peak > 0
+            _drain(runner)
+            assert [table._locks for table in tables] == [{}] * len(tables)
+        finally:
+            runner.stop()
+
+    @pytest.mark.parametrize("cell", ["tpcc/3layer", "smallbank/3layer"])
+    def test_drop_equals_never_drop(self, cell, monkeypatch):
+        dropped = _run_cell(cell, TebaldiEngine, monkeypatch)
+        for module in (two_phase_locking, runtime_pipelining):
+            monkeypatch.setattr(module, "LockTable", KeepEveryRecordLockTable)
+        kept = _run_cell(cell, TebaldiEngine, monkeypatch)
+
+        def per_type(runner):
+            return runner.engine.stats.summary()["per_type"]
+
+        assert _outcome(dropped) == _outcome(kept)
+        assert per_type(dropped) == per_type(kept)
+        assert dropped.engine.stats.commits > 100
+        # The pin compares two different tables: one let go, one did not.
+        assert 0 < 4 * _lock_records(dropped.engine) < _lock_records(kept.engine)
+
+    def test_drop_equals_never_drop_on_a_conformance_tree(self, monkeypatch):
+        outcomes = []
+        for table_class in (LockTable, KeepEveryRecordLockTable):
+            for module in (two_phase_locking, runtime_pipelining):
+                monkeypatch.setattr(module, "LockTable", table_class)
+            engine = _run_conformance_tree("2pl/(rp,rp)")
+            stats = engine.stats
+            assert stats.commits > 0
+            outcomes.append((
+                stats.summary()["per_type"], stats.aborts, _digest(engine.store),
+                _lock_records(engine),
+            ))
+        (*dropped, dropped_records), (*kept, kept_records) = outcomes
+        assert dropped == kept
+        assert dropped_records == 0 < kept_records
+
+
+class TestChainRetention:
+    """A key's committed chain is one list; nothing else is kept per key."""
+
+    def test_a_key_written_once_costs_its_list_and_its_version(self):
+        store = MultiVersionStore()
+        store.load(("t", -1), {"v": 0})         # the table's index entry exists
+        writer = Transaction(txn_id=1, txn_type="w")
+        counts = []
+        for insert in (
+            lambda pk: store.load(("t", pk), {"v": pk}),
+            lambda pk: store.install(("t", 1000 + pk), {"v": pk}, writer),
+        ):
+            gc.collect()
+            before = len(gc.get_objects())
+            for pk in range(500):
+                insert(pk)
+            store.commit_transaction(writer)
+            gc.collect()
+            counts.append(len(gc.get_objects()) - before)
+        assert counts == [1000, 1000]
+
+    def test_tpcc_tracked_objects_per_commit_stay_under_the_bound(self):
+        # Its new keys' lists and versions, the versions of its updates and
+        # what SSI keeps per commit: 13.7 measured; 27.2 with a wrapper, two
+        # arrays and a writer map beside every chain and idle lock records
+        # kept until a sweep.
+        assert tpcc_tracked_objects_per_commit() < 20
+
+
+#: name -> (workload, configuration, clients, simulated seconds): the
+#: flagship, the hottest snapshot-reading cell (64 clients on 100 zipfian
+#: keys) and the one cell whose timestamp batches hand out old snapshots.
+SNAPSHOT_READ_CELLS = {
+    "tpcc/3layer": (_tiny_tpcc, configs.tpcc_tebaldi_3layer, 12, 1.2),
+    "ycsb-zipf/ssi": (_zipf, configs.ycsb_monolithic_ssi, 64, 0.2),
+    "micro/ssi-2layer": (_micro, configs.micro_ssi_2layer, 8, 3.0),
+}
+
+
+class TestSnapshotReadsLandNearTheTail:
+    """``latest_committed_before`` walks back from the newest version: a
+    workload that reads deep must fail here, not silently pay the walk."""
+
+    @pytest.mark.parametrize("cell", sorted(SNAPSHOT_READ_CELLS))
+    def test_mean_and_longest_walk(self, cell):
+        workload_factory, config_factory, clients, duration = SNAPSHOT_READ_CELLS[cell]
+        summary, commits = census_of_run(
+            workload_factory(), config_factory(), clients, duration, seed=11
+        )
+        # Measured: tail in 95.1 % of 2,498 / 93.7 % of 3,688 / 80.3 % of
+        # 6,086 calls, mean 0.05 / 0.06 / 0.25, at most 2 / 1 / 4 back.
+        assert commits > 500 and summary["calls"] > 2000
+        assert summary["mean"] < 0.5 and summary["max"] <= 16, summary
+        assert summary["unordered"] == 0
+
+
+class TestOwnerCensus:
+    """``bench_speed --profile``'s census: a finished transaction reaches
+    every CC node of its route, which must not make their state its own."""
+
+    def test_lock_records_are_booked_to_their_cc_node(self):
+        runner = BenchmarkRunner(_tiny_tpcc(), configs.tpcc_tebaldi_3layer(), seed=7)
+        try:
+            runner.add_clients(CLIENTS)
+            while runner.engine.stats.commits < 300:
+                runner.run_additional(0.01)
+            engine = runner.engine
+            assert engine.finished
+            total, owners = census_by_owner(runner)
+            records = Counter()
+            for tree_node, table in _lock_tables(engine):
+                records[f"cc node {tree_node.node_id}"] += len(table._locks)
+            assert sum(records.values()) > 0
+            for owner, count in records.items():
+                assert owners[owner] >= count, (owner, owners)
+            assert sum(owners.values()) == total
+        finally:
+            runner.stop()

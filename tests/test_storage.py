@@ -85,12 +85,6 @@ class TestMultiVersionStore:
         assert store.own_uncommitted(("t", 1), 1).value == {"v": 1}
         assert store.own_uncommitted(("t", 1), 3) is None
 
-    def test_version_by_writer_finds_committed(self, store):
-        txn = make_txn(1)
-        store.install(("t", 1), {"v": 1}, txn)
-        store.commit_transaction(txn)
-        assert store.version_by_writer(("t", 1), 1).committed
-
     def test_prune_keeps_latest(self, store):
         for txn_id in range(1, 6):
             txn = make_txn(txn_id)

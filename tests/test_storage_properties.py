@@ -1,14 +1,12 @@
 """Property tests for :class:`MultiVersionStore` invariants and the log's
 serialiser.
 
-The store's hot-path lookups are index-backed (per-key writer maps, bisect
-over the timestamp-ordered committed chain).  These tests drive random
-operation sequences against the store while mirroring them in a naive
-list-based model with the pre-index semantics, and assert the two always
-agree — in particular that install/commit/abort/prune never lose the newest
-committed version and that ``latest_committed_before`` matches a naive
-backward scan (including non-monotone chains, where the bisect fast path
-must fall back).
+These tests drive random operation sequences against the store while
+mirroring them in a naive list-based model, and assert the two always agree
+— in particular that install/commit/abort/prune never lose the newest
+committed version (the prunes edit the chain in place) and that
+``latest_committed_before`` matches a naive backward scan, on chains whose
+timestamps are out of commit order too.
 
 The write-ahead log serialises every row once, at append; the round-trip
 property at the end of the file is what that serialiser owes: whatever rows
@@ -34,16 +32,6 @@ def _naive_latest_before(chain, timestamp, strict):
     for version in reversed(chain):
         ts = version.timestamp if version.timestamp is not None else 0.0
         if ts < timestamp if strict else ts <= timestamp:
-            return version
-    return None
-
-
-def _naive_version_by_writer(uncommitted, committed, txn_id):
-    for version in reversed(uncommitted):
-        if version.writer == txn_id:
-            return version
-    for version in reversed(committed):
-        if version.writer == txn_id:
             return version
     return None
 
@@ -155,9 +143,6 @@ def test_store_agrees_with_naive_model(ops):
                         key, timestamp, strict=strict
                     ) is _naive_latest_before(chain, timestamp, strict)
             for writer in seen_writers:
-                assert store.version_by_writer(key, writer) is _naive_version_by_writer(
-                    uncommitted[key], chain, writer
-                )
                 own = store.own_uncommitted(key, writer)
                 naive_own = next(
                     (v for v in reversed(uncommitted[key]) if v.writer == writer),
@@ -171,7 +156,8 @@ def test_store_agrees_with_naive_model(ops):
     probe=st.integers(0, 9),
 )
 def test_bisect_matches_naive_on_sorted_chains(timestamps, probe):
-    """Monotone chains (the bisect fast path) with duplicate timestamps."""
+    """Timestamp-ordered chains with duplicate timestamps: the strict /
+    non-strict boundary sits inside a run of equal timestamps."""
     store = MultiVersionStore()
     chain = []
     for index, ts in enumerate(sorted(timestamps)):
