@@ -152,9 +152,9 @@ class ConcurrencyControl:
         override this to park arriving transactions while their backlog of
         sealed-but-unfinished batches is full — the admission valve runs
         before the transaction exists, so parked work never inflates the
-        active set, the dependency graph or the GC horizon.  Like the other
-        hooks, return ``None`` to admit immediately or a generator for the
-        engine to drive.
+        active set, the dependency graph or what the engine retains.  Like
+        the other hooks, return ``None`` to admit immediately or a generator
+        for the engine to drive.
         """
 
     def start(self, txn):
@@ -228,14 +228,10 @@ class ConcurrencyControl:
     def finish(self, txn, committed):
         """Called once after commit or abort: release resources, wake waiters."""
 
-    # -- background services ----------------------------------------------------
-
-    def can_garbage_collect(self, epoch):
-        """Confirm no ongoing/future transaction can be ordered before ``epoch``."""
-        return True
+    # -- epoch tick ---------------------------------------------------------------
 
     def on_epoch(self):
-        """Called once per GC epoch tick, before collection."""
+        """Called once per epoch tick (``EngineOptions.gc_epoch_length``)."""
 
     def describe(self):
         return f"{self.name}@{self.node.node_id}"

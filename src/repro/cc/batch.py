@@ -452,6 +452,3 @@ class DeterministicBatch(ConcurrencyControl):
         # Unwritten declared slots were retracted by the store at commit or
         # abort; wake anything waiting on them (or on this commit's order).
         self.progress.notify_all()
-
-    def can_garbage_collect(self, epoch):
-        return not self._active

@@ -426,7 +426,3 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
 
     def on_epoch(self):
         self.batches.rotate_idle()
-
-    def can_garbage_collect(self, epoch):
-        # Old snapshots may still need superseded versions while members run.
-        return not self._member_starts

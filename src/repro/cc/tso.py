@@ -44,7 +44,15 @@ class TimestampOrdering(ConcurrencyControl):
             use_promises = bool(promises)
         self.batch_size = batch_size
         self.use_promises = use_promises
-        self.batches = BatchManager(engine.oracle, batch_size=batch_size)
+        # A batch member reads at its batch's timestamp, which can predate
+        # its own begin: a live batch holds the engine's release back (as
+        # SSI's do), so the versions that timestamp selects stay.
+        self.batches = BatchManager(
+            engine.oracle,
+            batch_size=batch_size,
+            on_open=lambda batch_id: engine.hold_finished((self, batch_id)),
+            on_dead=lambda batch_id: engine.drop_hold((self, batch_id)),
+        )
         self.batching = (not node.is_leaf) if batching is None else batching
         self._reads = {}
         # table -> {txn_id: (txn, ts, [KeyRange, ...])}: active range reads.
@@ -267,5 +275,5 @@ class TimestampOrdering(ConcurrencyControl):
             self.batches.discard(batch_id, txn.txn_id)
         self.progress.notify_all()
 
-    def can_garbage_collect(self, epoch):
-        return not self._active
+    def on_epoch(self):
+        self.batches.rotate_idle()

@@ -14,7 +14,12 @@ The engine implements the four-phase execution protocol of Section 4.3.1:
   every CC releases its resources.
 
 The engine also hosts the shared services: multi-version storage, timestamp
-oracle, garbage collection, durability and the contention profiler.
+oracle, durability, the contention profiler and the epoch tick that lets a
+CC close what went idle.  Nothing collects garbage in the background: one
+retention rule (:meth:`TebaldiEngine._release_finished`) says which finished
+transactions something live may still be concurrent with, and the store
+drops a superseded version on the commit path once its successor's writer
+is not among them.
 
 Hot-path design notes: the CC path and its cost constants are resolved once
 per transaction in :meth:`begin` (pinned on the transaction as
@@ -39,7 +44,6 @@ from repro.sim.events import Event, Timeout, any_of
 from repro.sim.network import TIMESTAMP_SERVER, ClusterModel
 from repro.sim.events import Condition
 from repro.storage.durability import DurabilityConfig, DurabilityManager
-from repro.storage.gc import GarbageCollector
 from repro.storage.mvstore import MultiVersionStore
 
 _ACTIVE = TransactionStatus.ACTIVE
@@ -56,6 +60,10 @@ class EngineOptions:
     commit_wait_timeout: float = 1.0
     retry_backoff: float = 0.005
     charge_costs: bool = True
+    # Period of the epoch tick (``start_services``): every CC's ``on_epoch``,
+    # which today closes SSI / TSO timestamp batches gone idle
+    # (``BatchManager.rotate_idle``) and with them their ``hold_finished``.
+    # It paces no collection: versions are dropped on the commit path.
     gc_epoch_length: float = 0.5
     durability: DurabilityConfig = field(default_factory=DurabilityConfig)
     # Degraded-mode (message fault) tunables.  All inert unless a
@@ -99,7 +107,6 @@ class TebaldiEngine:
         self.cluster = cluster or ClusterModel(env)
         self.oracle = TimestampOracle()
         self.stats = StatsCollector(env)
-        self.gc = GarbageCollector(self.store, epoch_length=self.options.gc_epoch_length)
         # The crash harness injects a shared manager that survives engine
         # rebuilds across simulated crashes; ``txn_id_start`` likewise keeps
         # transaction ids unique across incarnations.
@@ -132,7 +139,8 @@ class TebaldiEngine:
         self.committed_ids = set()
         # Optional streaming isolation recorder (see repro.isolation.history):
         # notified with every commit's installed versions and every abort, so
-        # checked runs observe the authoritative version order even after GC.
+        # checked runs observe the authoritative version order whatever the
+        # store has dropped since.
         self.history_recorder = None
         self._paused_types = set()
         self._draining = False
@@ -251,7 +259,6 @@ class TebaldiEngine:
             leaf_node_id = route.leaf_node_id
             txn.group_tokens[leaf_node_id] = (leaf_node_id, txn.partition_value)
         txn.finish_event = Event(self.env, "finish")
-        self.gc.register_transaction(txn)
         self.active[txn_id] = txn
         return txn
 
@@ -367,7 +374,9 @@ class TebaldiEngine:
         return list(txn.writes.items())
 
     def _commit(self, txn):
-        versions = self.store.commit_transaction(txn, timestamp=txn.commit_timestamp)
+        versions = self.store.commit_transaction(
+            txn, timestamp=txn.commit_timestamp, retained=self.finished
+        )
         txn.status = TransactionStatus.COMMITTED
         txn.end_time = self.env.now
         self.committed_ids.add(txn.txn_id)
@@ -377,7 +386,6 @@ class TebaldiEngine:
         self.stats.record_commit(txn)
         if self.history_recorder is not None:
             self.history_recorder.on_commit(txn, versions)
-        self.gc.finish_transaction(txn)
         return versions
 
     # -- phase transports -------------------------------------------------------
@@ -531,7 +539,6 @@ class TebaldiEngine:
         if self.history_recorder is not None:
             self.history_recorder.on_abort(txn)
         self.stats.record_abort(txn, reason)
-        self.gc.finish_transaction(txn)
         self.commit_condition.notify_all()
 
     def _retire(self, txn):
@@ -793,14 +800,16 @@ class TebaldiEngine:
 
     # -- background services --------------------------------------------------------------
 
+    def _epoch_tick(self, stop_event):
+        """Every ``gc_epoch_length``: each CC's ``on_epoch``, tree order."""
+        while stop_event is None or not stop_event.triggered:
+            yield self.env.timeout(self.options.gc_epoch_length)
+            for node in self.nodes:
+                node.cc.on_epoch()
+
     def start_services(self, stop_event=None):
-        """Spawn garbage collection and durability flusher processes."""
-        processes = [
-            self.env.process(
-                self.gc.run(self.env, lambda: [node.cc for node in self.nodes], stop_event),
-                name="gc",
-            )
-        ]
+        """Spawn the epoch tick and the durability flusher processes."""
+        processes = [self.env.process(self._epoch_tick(stop_event), name="epoch")]
         if self.durability.enabled and self.durability.config.asynchronous:
             processes.append(
                 self.env.process(
@@ -824,7 +833,6 @@ class TebaldiEngine:
         is set, a single deadline timeout — no polling.
         """
         self._draining = True
-        self.gc.pause()
         deadline_event = None
         if force_abort_after is not None:
             deadline_event = self.env.timeout(force_abort_after)
@@ -848,7 +856,6 @@ class TebaldiEngine:
             if deadline_event is not None:
                 deadline_event.cancel()
         self._swap_configuration(new_configuration)
-        self.gc.resume()
         self._draining = False
         self.admission_condition.notify_all()
 

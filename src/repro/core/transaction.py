@@ -94,12 +94,6 @@ class Transaction:
     commit_timestamp: Optional[int] = None
     promises: frozenset = frozenset()
 
-    # Durability / garbage collection.
-    gc_epoch: int = 0
-    # Guards GarbageCollector.finish_transaction against double finishes
-    # (abort-during-commit cleanup paths).
-    gc_finished: bool = False
-
     # Set by the engine at begin time: a one-shot event triggered when the
     # transaction commits or aborts (used for targeted dependency waits).
     finish_event: Any = None

@@ -134,9 +134,6 @@ class PartitionedCC:
     def finish(self, txn, committed):
         return self.instance_for(txn).finish(txn, committed)
 
-    def can_garbage_collect(self, epoch):
-        return all(cc.can_garbage_collect(epoch) for cc in self._instances.values())
-
     def on_epoch(self):
         for cc in self._instances.values():
             cc.on_epoch()

@@ -28,10 +28,6 @@ class ConfigurationError(ReproError):
     """Raised when a CC-tree configuration is malformed or unsupported."""
 
 
-class StorageError(ReproError):
-    """Raised on invalid storage-module operations."""
-
-
 class RecoveryError(ReproError):
     """Raised when the recovery protocol encounters inconsistent logs."""
 

@@ -6,9 +6,9 @@ storage module this is everything Adya's graph-based definitions need.
 
 :class:`HistoryRecorder` streams the history out of a *running* engine: the
 engine notifies it on every commit and abort, so the recorder observes every
-committed version (including ones GC later prunes) in commit order.  It is
-the only source of histories — the engine itself keeps no transaction past
-the last one concurrent with it — and the backbone of the harness's
+committed version (including ones the store later drops) in commit order.
+It is the only source of histories — the engine itself keeps no transaction
+past the last one concurrent with it — and the backbone of the harness's
 ``check_isolation`` mode.
 """
 
@@ -111,8 +111,8 @@ class HistoryRecorder:
 
     The engine calls :meth:`on_commit` (with the freshly committed versions)
     and :meth:`on_abort` from its commit/abort paths, so the recorder sees
-    the authoritative per-key version order even when garbage collection
-    later prunes the chains.
+    the authoritative per-key version order even though the store drops
+    superseded versions from the chains.
 
     A retained record is one flat tuple (layout at :data:`_WRITES_AT`): a
     read of a version already sequenced when its reader commits is kept as

@@ -122,9 +122,6 @@ class DurabilityManager:
         servers = {self.server_for(key) for key, _value in writes}
         return tuple(sorted(servers)) if servers else (0,)
 
-    def current_epoch(self, server_id):
-        return self._current_gcp_epoch[server_id]
-
     def _trip(self, site, **detail):
         """Report an instrumented site to the fault injector; on a planned
         crash the manager halts (everything volatile is about to be lost).

@@ -18,7 +18,15 @@ Per-key state is as flat as the traffic allows:
   snapshot — a property of concurrency, not of chain length — and every
   registry cell answers from the tail or a few versions behind it
   (PERFORMANCE.md, *Where snapshot reads land*;
-  ``tests/test_retention.py`` pins the distance).
+  ``tests/test_retention.py`` pins the distance);
+* a superseded version lives only while something may still read it: it is
+  dead once the writer of the *next* version on its key is no longer
+  ``retained`` (the engine passes ``engine.finished``: every live
+  transaction then began after that writer finished, and a CC whose members
+  can be older keeps the writer there with ``hold_finished``).  Dead
+  versions are dropped by :meth:`commit_transaction` on the key being
+  written, oldest first — the one place the chain is already in hand
+  (PERFORMANCE.md, *The rule applied to versions*).
 
 The store also maintains a per-table ordered key index so that range scans
 (:meth:`range_keys`) are a bisect plus a slice instead of a full key sweep.
@@ -30,7 +38,6 @@ decide what the scanning transaction observes.
 from bisect import bisect_left, insort
 from itertools import count
 
-from repro.errors import StorageError
 from repro.storage.ranges import slice_sorted_pks
 from repro.storage.versions import Version
 
@@ -256,7 +263,6 @@ class MultiVersionStore:
             key=key,
             value=value,
             writer=txn_id,
-            epoch=txn.gc_epoch,
             timestamp=txn.cc_timestamp,
         )
         per_key[txn_id] = version
@@ -272,11 +278,18 @@ class MultiVersionStore:
         writes.append(version)
         return version
 
-    def commit_transaction(self, txn, timestamp=None):
+    def commit_transaction(self, txn, timestamp=None, retained=()):
         """Move every uncommitted version of ``txn`` to the committed chains.
 
         Returns the list of committed versions.  The global commit sequence
         defines the total order of versions per object.
+
+        ``retained`` holds the ids of finished writers something live may
+        still be concurrent with (``engine.finished``).  Before the append,
+        each written key's chain loses its leading versions whose successor
+        was written by nobody in it: no reader can be ordered before that
+        successor any more.  The chain's tail always stays — its successor
+        is the version appended here, whose writer is still running.
         """
         versions = self._writes_by_txn.pop(txn.txn_id, [])
         uncommitted = self._uncommitted
@@ -299,6 +312,11 @@ class MultiVersionStore:
             if chain is None:
                 committed_chains[key] = [version]
             else:
+                if len(chain) > 1 and chain[1].writer not in retained:
+                    dead, tail = 1, len(chain) - 1
+                    while dead < tail and chain[dead + 1].writer not in retained:
+                        dead += 1
+                    del chain[:dead]
                 chain.append(version)
         self._last_commit_seq = seq
         if self._slots_by_txn:
@@ -320,36 +338,6 @@ class MultiVersionStore:
                     del self._uncommitted[version.key]
                     self._unindex_dead_key(version.key)
         return len(versions)
-
-    # -- garbage collection ---------------------------------------------------
-
-    def prune(self, key, keep_last=1):
-        """Drop all but the last ``keep_last`` committed versions of ``key``."""
-        if keep_last < 1:
-            raise StorageError("prune() must keep at least one version")
-        chain = self._committed.get(key)
-        if chain is None or len(chain) <= keep_last:
-            return 0
-        removed = len(chain) - keep_last
-        del chain[:removed]
-        return removed
-
-    def prune_epochs(self, max_epoch, keep_last=1):
-        """Drop committed versions from GC epochs ``<= max_epoch``.
-
-        The newest committed version of each key is always retained so that
-        future readers observe the current database state.
-        """
-        removed = 0
-        for chain in self._committed.values():
-            if len(chain) <= keep_last:
-                continue
-            head = [v for v in chain[:-keep_last] if v.epoch > max_epoch]
-            dropped = len(chain) - keep_last - len(head)
-            if dropped:
-                chain[:-keep_last] = head
-                removed += dropped
-        return removed
 
     # -- snapshot / recovery helpers -------------------------------------------
 

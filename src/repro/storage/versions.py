@@ -23,8 +23,6 @@ class Version:
         total version order that Adya's model requires.
     timestamp:
         Optional CC-specific timestamp (SSI commit timestamp, TSO timestamp).
-    epoch:
-        Garbage-collection epoch of the writer.
     """
 
     key: Any
@@ -33,7 +31,6 @@ class Version:
     committed: bool = False
     commit_seq: Optional[int] = None
     timestamp: Optional[float] = None
-    epoch: int = 0
     metadata: dict = field(default_factory=dict)
 
     def mark_committed(self, commit_seq, timestamp=None):

@@ -75,13 +75,13 @@ def tiny_tpcc():
 
 
 def build_engine(env, workload, configuration, options=None, profiler=None,
-                 engine_class=TebaldiEngine):
+                 engine_class=TebaldiEngine, store_class=MultiVersionStore):
     """Create an engine with the workload's data loaded.
 
     A streaming :class:`HistoryRecorder` is attached, so ``check_engine``
     has a history to check (the engine keeps none of its own).
     """
-    store = MultiVersionStore()
+    store = store_class()
     workload.populate(store)
     engine = engine_class(
         env,

@@ -440,13 +440,6 @@ class TestEngineLifecycle:
         report = check_engine(engine)
         assert report.ok and report.num_transactions == 2
 
-    def test_gc_epoch_assignment(self, env, noconflict_workload):
-        engine = build_engine(
-            env, noconflict_workload, monolithic("2pl", ("write_only",))
-        )
-        txn = engine.begin("write_only", {"ids": [1]})
-        assert txn.gc_epoch == engine.gc.current_epoch
-
     def test_durability_logs_written_when_enabled(self, env, noconflict_workload):
         options = EngineOptions(charge_costs=False)
         options.durability.enabled = True

@@ -14,6 +14,13 @@ These things are pinned here:
   real one does, one fixed-seed cell per mechanism family;
 * **no early release** — an engine that audits every ``find_transaction``
   miss with its own clock never finds one for an overlapped transaction;
+* **versions** — the same rule applied to the store: a superseded version is
+  dropped, by the next commit on its key, once the writer of its successor
+  is no longer in ``engine.finished``.  The longest chain does not grow with
+  the run, *prune ≡ never prune* (a test-only store that keeps every version
+  returns the same version to every read), an active straggler and a
+  timestamp batch's hold (SSI and TSO) keep what they can still read, and
+  ``Database`` — no services, no tick — prunes like everything else;
 * **flat and released** — log records and retained history records are
   untracked tuples, tracked objects grow by a few per commit however long a
   durable checked run is, the precommit dedup table holds only exchanges in
@@ -45,6 +52,7 @@ from repro.core.config import Configuration, leaf, node
 from repro.core.engine import EngineOptions, TebaldiEngine
 from repro.core.transaction import ReadRecord, Transaction
 from repro.core.tree import PartitionedCC
+from repro.database import Database
 from repro.harness import configs
 from repro.harness import runner as runner_module
 from repro.harness.degraded import NetFaultLane
@@ -71,6 +79,34 @@ class KeepEverythingEngine(TebaldiEngine):
 
     def _release_finished(self):
         pass
+
+
+class _EveryWriter:
+    def __contains__(self, writer):
+        return True
+
+
+class KeepEveryVersionStore(MultiVersionStore):
+    """Test-only: the store as it was before a commit dropped anything."""
+
+    def commit_transaction(self, txn, timestamp=None, retained=()):
+        return super().commit_transaction(txn, timestamp, _EveryWriter())
+
+
+class ReadLogEngine(TebaldiEngine):
+    """Test-only: keeps what every read of every finished transaction,
+    committed or aborted, returned — ``(key, writer, commit_seq)``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.read_log = {}
+
+    def _retire(self, txn):
+        self.read_log[txn.txn_id] = [
+            (read.key, read.version and (read.version.writer, read.version.commit_seq))
+            for read in txn.reads
+        ]
+        super()._retire(txn)
 
 
 def _micro():
@@ -120,9 +156,10 @@ def _digest(store):
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _run_cell(name, engine_class, monkeypatch):
+def _run_cell(name, engine_class, monkeypatch, store_class=MultiVersionStore):
     workload_factory, config_factory, clients, duration = RUNNER_CELLS[name]
     monkeypatch.setattr(runner_module, "TebaldiEngine", engine_class)
+    monkeypatch.setattr(runner_module, "MultiVersionStore", store_class)
     runner = BenchmarkRunner(workload_factory(), config_factory(), seed=11)
     try:
         runner.run(clients, duration=duration, warmup=0.0)
@@ -143,7 +180,15 @@ def _outcome(runner):
     return stats.commits, stats.aborts, dict(stats.abort_reasons), _digest(runner.store)
 
 
-def _run_conformance_tree(tree, engine_class=TebaldiEngine):
+def _versions(store):
+    return sum(map(len, store._committed.values()))
+
+
+def _longest_chain(store):
+    return max(map(len, store._committed.values()))
+
+
+def _run_conformance_tree(tree, engine_class=TebaldiEngine, store_class=MultiVersionStore):
     """Sixty fixed scripted requests in six lanes under ``tree``; the engine."""
     workload = ConformanceWorkload()
     rng = random.Random(99)
@@ -157,6 +202,7 @@ def _run_conformance_tree(tree, engine_class=TebaldiEngine):
             charge_costs=True, lock_timeout=0.2, commit_wait_timeout=0.4
         ),
         engine_class=engine_class,
+        store_class=store_class,
     )
     run_transactions(env, engine, requests, lanes=6)
     return engine
@@ -188,6 +234,43 @@ class TestReleaseEqualsNeverRelease:
         (*released, released_held), (*kept, kept_held) = outcomes
         assert released == kept
         assert released_held < kept_held == 60
+
+
+class TestPruneEqualsNeverPrune:
+    """The store's half of the pin above: with every version kept, every
+    read of every transaction returns the same version and the runs end in
+    the same state — a dropped version is one nothing would have read."""
+
+    @pytest.mark.parametrize("cell", sorted(RUNNER_CELLS))
+    def test_closed_loop_cell(self, cell, monkeypatch):
+        pruned = _run_cell(cell, ReadLogEngine, monkeypatch)
+        kept = _run_cell(cell, ReadLogEngine, monkeypatch, KeepEveryVersionStore)
+        assert _outcome(pruned) == _outcome(kept)
+        assert pruned.engine.read_log == kept.engine.read_log
+        assert pruned.engine.stats.commits > 100
+        assert sum(map(len, pruned.engine.read_log.values())) > 900
+        # The pin compares two different stores: one let go, one did not
+        # (the scan cell only inserts: nothing there is ever superseded).
+        superseded = _versions(kept.store) - len(kept.store._committed)
+        dropped = _versions(kept.store) - _versions(pruned.store)
+        assert dropped > superseded // 4 if superseded else cell == "ycsb-scan/2layer"
+
+    @pytest.mark.parametrize(
+        "tree", ["rp/(rp,rp)", "mono-tso", "mono-occ", "mono-ssi", "ssi/(none,2pl)"]
+    )
+    def test_conformance_tree(self, tree):
+        outcomes = []
+        for store_class in (MultiVersionStore, KeepEveryVersionStore):
+            engine = _run_conformance_tree(tree, ReadLogEngine, store_class)
+            stats = engine.stats
+            assert stats.commits > 0
+            outcomes.append((
+                stats.commits, stats.aborts, _digest(engine.store), engine.read_log,
+                _versions(engine.store),
+            ))
+        (*pruned, pruned_versions), (*kept, kept_versions) = outcomes
+        assert pruned == kept
+        assert pruned_versions < kept_versions
 
 
 #: Cells for the bound and the audit: a 2PL tree, an SSI-rooted tree (with
@@ -295,6 +378,78 @@ class TestRetentionBound:
         ]
 
 
+#: Cells for the chain bound: the three ledger-like trees that overwrite,
+#: and the one whose timestamp batches hold the release back.
+CHAIN_CELLS = {
+    "tpcc/3layer": (_tiny_tpcc, configs.tpcc_tebaldi_3layer),
+    "ycsb-zipf/batch": (_zipf, configs.ycsb_batch),
+    "smallbank/3layer": (_smallbank, configs.smallbank_3layer),
+    "micro/ssi-2layer": (_micro, configs.micro_ssi_2layer),
+}
+
+
+class TestVersionRetention:
+    """The rule applied to versions: dead once the successor's writer has
+    left ``engine.finished``, dropped by the next commit on the key."""
+
+    @pytest.mark.parametrize("cell", sorted(CHAIN_CELLS))
+    def test_the_longest_chain_does_not_grow_with_the_run(self, cell):
+        workload_factory, config_factory = CHAIN_CELLS[cell]
+        runner = BenchmarkRunner(workload_factory(), config_factory(), seed=7)
+        try:
+            runner.add_clients(CLIENTS)
+            peaks = []
+            for target in (300, 1200):
+                peak = 0
+                while runner.engine.stats.commits < target:
+                    runner.run_additional(0.01)
+                    peak = max(peak, _longest_chain(runner.store))
+                peaks.append(peak)
+            # Measured 23 and 29 on tpcc (its long transactions keep that many
+            # overwriters of the hottest row retained), 3-8 elsewhere; that
+            # row is overwritten by every other commit, so unpruned its chain
+            # is hundreds long here.
+            assert 2 < peaks[1] < 4 * CLIENTS and peaks[1] <= peaks[0] + CLIENTS, peaks
+        finally:
+            runner.stop()
+
+    def test_an_active_straggler_keeps_what_it_can_still_read(self, env):
+        """What the epoch collector's unfinished-middle-epoch rule was for:
+        nothing a live transaction overlapped goes, and it goes — on the next
+        write of the key — once the straggler has finished."""
+        engine = build_engine(env, _micro(), configs.micro_monolithic_2pl())
+        args = {"shared_id": 0, "local_id": 0, "cold_ids": [1]}
+        key = ("shared", 0)
+
+        def overwrite(times):
+            outcomes, _ = run_transactions(
+                env, engine, [("group_a_update", args)] * times, lanes=1
+            )
+            assert all(txn.committed for txn in outcomes)
+            return [version.writer for version in engine.store.committed_versions(key)]
+
+        assert overwrite(2) == [1, 2]
+        straggler = engine.begin("group_b_update", args)
+        assert straggler.txn_id == 3
+        # Whoever finishes while the straggler runs is retained, and so is
+        # what each of them superseded; 2 finished before it began, so 1 went.
+        assert overwrite(4) == [2, 4, 5, 6, 7]
+        assert list(engine.finished) == [4, 5, 6, 7]
+        engine._finish_abort(straggler, "done")
+        assert engine.finished == {}
+        assert len(overwrite(1)) == 2
+
+    def test_database_prunes_without_services(self):
+        """``Database`` starts no services: no tick, and none is needed."""
+        db = Database(_micro(), configs.micro_monolithic_2pl())
+        for _ in range(20):
+            db.execute("group_a_update", shared_id=0, local_id=0, cold_ids=[1])
+        chain = db.store.committed_versions(("shared", 0))
+        assert db.read_row("shared", 0) == {"value": 20}
+        assert [version.value["value"] for version in chain] == [19, 20]
+        assert _longest_chain(db.store) == 2
+
+
 class TestPipelineHandoffRetention:
     """RP keeps one record of step-committed accesses, ``_passed`` (release
     rule: an entry leaves when its transaction finishes); the write a reader
@@ -393,6 +548,84 @@ class TestHolds:
         manager.rotate_idle()                 # idle, but member 12 unfinished
         assert dead == [first] and manager.admit("g", 13)[0] == busy
 
+    @staticmethod
+    def _late_joiner_read(env, engine, requests):
+        """Run ``requests`` one after another; what the last one read first."""
+        run_transactions(env, engine, requests, lanes=1)
+        assert len(engine.read_log) == len(requests)
+        return engine.read_log[len(requests)][0]
+
+    @pytest.mark.parametrize("held", [True, False], ids=["held", "hold-dropped"])
+    def test_ssi_late_joiner_finds_the_version_its_batch_timestamp_selects(
+        self, env, held, monkeypatch
+    ):
+        """Group B's batch opens first and stays open; group A overwrites the
+        shared row three times, each writer finished before the next began;
+        then a second B member joins the old batch.  Its snapshot predates
+        all three writers: it reads the loaded version — which only the hold
+        keeps, the second overwrite would drop it (mutation: no hold)."""
+        if not held:
+            monkeypatch.setattr(TebaldiEngine, "hold_finished", lambda self, key: None)
+        engine = build_engine(
+            env, _micro(), configs.micro_ssi_2layer(), engine_class=ReadLogEngine
+        )
+        args = {"shared_id": 0, "local_id": 0, "cold_ids": [1]}
+        other = {"shared_id": 1, "local_id": 1, "cold_ids": [2]}
+        key, (writer, _seq) = self._late_joiner_read(
+            env, engine,
+            [("group_b_update", other)] + [("group_a_update", args)] * 3
+            + [("group_b_update", args)],
+        )
+        assert key == ("shared", 0)
+        assert len(engine.store.committed_versions(key)) == (4 if held else 2)
+        assert writer == (0 if held else 4)
+
+    @pytest.mark.parametrize("held", [True, False], ids=["held", "hold-dropped"])
+    def test_tso_late_joiner_finds_the_version_its_batch_timestamp_selects(
+        self, env, held, monkeypatch
+    ):
+        """The same schedule under a TSO root, whose timestamp batches hand
+        out old timestamps exactly as SSI's do: the reader joins the batch
+        the first reader opened, after three finished writers of key 0."""
+        if not held:
+            monkeypatch.setattr(TebaldiEngine, "hold_finished", lambda self, key: None)
+        tree = Configuration(
+            node("tso", leaf("2pl", "alpha"), leaf("2pl", "beta", "reader")),
+            name="tso-2pl-2pl",
+        )
+        engine = build_engine(
+            env, ConformanceWorkload(), tree, engine_class=ReadLogEngine
+        )
+        key, (writer, _seq) = self._late_joiner_read(
+            env, engine,
+            [("reader", {"ops": [("r", 7)]})]
+            + [("alpha", {"ops": [("w", 0, value)]}) for value in (10, 20, 30)]
+            + [("reader", {"ops": [("r", 0)]})],
+        )
+        assert key == ("rows", 0)
+        assert len(engine.store.committed_versions(key)) == (4 if held else 2)
+        assert writer == (0 if held else 4)
+        assert len(engine._holds) == (2 if held else 0)
+
+    def test_tso_batch_gone_quiet_stops_holding(self, env):
+        """The hold needs its release rule: the epoch tick closes a TSO batch
+        nobody joined for a whole epoch, as it does SSI's."""
+        tree = Configuration(
+            node("tso", leaf("2pl", "alpha"), leaf("2pl", "beta", "reader")),
+            name="tso-2pl-2pl",
+        )
+        engine = build_engine(
+            env, ConformanceWorkload(), tree, options=EngineOptions(gc_epoch_length=0.02)
+        )
+        stop = env.event()
+        engine.start_services(stop)
+        env.process(engine.execute_transaction("reader", {"ops": [("r", 7)]}))
+        env.run(until=0.01)
+        assert len(engine._holds) == 1 and len(engine.finished) == 1
+        env.run(until=0.05)
+        assert engine._holds == {} and engine.root.cc.batches._live == {}
+        stop.succeed()
+
     def test_batching_ssi_holds_and_reconfiguration_drops(self, env):
         engine = self._engine(env, configs.micro_ssi_2layer())
         self._finish_one(env, engine)
@@ -424,13 +657,16 @@ def _tracked_per_commit(runner, first, last):
     return (tracked_1 - tracked_0) / (commits_1 - commits_0)
 
 
-def tpcc_tracked_objects_per_commit():
-    """The figure ``scripts/check.sh`` prints: ``tpcc/3layer``, seed 7, 16
-    clients, tracked objects added per commit between 600 and 2,400."""
+def tpcc_retention_census():
+    """The figures ``scripts/check.sh`` prints: ``tpcc/3layer``, seed 7, 16
+    clients — tracked objects added per commit between 600 and 2,400, then
+    versions per key and the longest chain in the store at the end."""
     runner = BenchmarkRunner(_tiny_tpcc(), configs.tpcc_tebaldi_3layer(), seed=7)
     try:
         runner.add_clients(CLIENTS)
-        return _tracked_per_commit(runner, 600, 2400)
+        tracked = _tracked_per_commit(runner, 600, 2400)
+        store = runner.store
+        return tracked, _versions(store) / len(store._committed), _longest_chain(store)
     finally:
         runner.stop()
 
@@ -763,10 +999,15 @@ class TestChainRetention:
 
     def test_tpcc_tracked_objects_per_commit_stay_under_the_bound(self):
         # Its new keys' lists and versions, the versions of its updates and
-        # what SSI keeps per commit: 13.7 measured; 27.2 with a wrapper, two
-        # arrays and a writer map beside every chain and idle lock records
-        # kept until a sweep.
-        assert tpcc_tracked_objects_per_commit() < 20
+        # what SSI keeps per commit: 8.7 measured, 13.7 while superseded
+        # versions stayed; 27.2 with a wrapper, two arrays and a writer map
+        # beside every chain and idle lock records kept until a sweep.  The
+        # store ends on 1.35 versions per key, the hottest row on 6 (in-run
+        # peak 29: what its long transactions retain); unpruned, 2.48 and
+        # 1,018.
+        tracked, versions_per_key, hottest = tpcc_retention_census()
+        assert tracked < 14
+        assert versions_per_key < 1.6 and hottest < 4 * CLIENTS
 
 
 #: name -> (workload, configuration, clients, simulated seconds): the

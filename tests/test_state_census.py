@@ -137,13 +137,9 @@ USED_BY_TESTS = {
     # The only backend whose values leave the process (ROADMAP: stays).
     "FileBackend": "test_storage",
     "DurabilityManager.persistent_gcp_epoch": "test_crash_recovery",
-    "DurabilityManager.current_epoch": "test_storage",
     "DurabilityManager.wait_durable": "test_storage",
     "RecoveryResult.require_transaction": "test_storage",
-    "GarbageCollector.current_epoch": "test_storage",
-    "GarbageCollector.collected_versions": "test_isolation_workloads_autoconf",
     "MultiVersionStore.unresolved_slots_of": "test_batch_reference",
-    "MultiVersionStore.prune": "test_storage",
     "KeyRange.contains_key": "test_scans",
     "Catalog.table_names": "test_storage",
     "Workload.transaction_names": "test_engine_and_cc",

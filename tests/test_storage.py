@@ -1,13 +1,11 @@
-"""Tests for the multi-version store, tables, WAL, durability and GC."""
+"""Tests for the multi-version store, tables, WAL and durability."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.transaction import Transaction
-from repro.errors import StorageError
 from repro.storage.backends import FileBackend, InMemoryBackend
 from repro.storage.durability import DurabilityConfig, DurabilityManager
-from repro.storage.gc import GarbageCollector
 from repro.storage.mvstore import MultiVersionStore
 from repro.storage.tables import Catalog, Table, TableSchema, composite_key
 from repro.storage.wal import BODY, LSN, TXN_ID, WriteAheadLog, record_body
@@ -65,7 +63,7 @@ class TestMultiVersionStore:
         for ts in (1, 5, 9):
             txn = make_txn(ts)
             store.install(("t", 1), {"v": ts}, txn)
-            store.commit_transaction(txn, timestamp=ts)
+            store.commit_transaction(txn, timestamp=ts, retained=(1, 5, 9))
         assert store.latest_committed_before(("t", 1), 6).value == {"v": 5}
         assert store.latest_committed_before(("t", 1), 1) is None
         assert store.latest_committed_before(("t", 1), 100).value == {"v": 9}
@@ -85,30 +83,6 @@ class TestMultiVersionStore:
         assert store.own_uncommitted(("t", 1), 1).value == {"v": 1}
         assert store.own_uncommitted(("t", 1), 3) is None
 
-    def test_prune_keeps_latest(self, store):
-        for txn_id in range(1, 6):
-            txn = make_txn(txn_id)
-            store.install(("t", 1), {"v": txn_id}, txn)
-            store.commit_transaction(txn)
-        removed = store.prune(("t", 1), keep_last=2)
-        assert removed == 3
-        assert len(store.committed_versions(("t", 1))) == 2
-        assert store.latest_committed(("t", 1)).value == {"v": 5}
-
-    def test_prune_requires_positive_keep(self, store):
-        with pytest.raises(StorageError):
-            store.prune(("t", 1), keep_last=0)
-
-    def test_prune_epochs_respects_epoch(self, store):
-        for txn_id, epoch in ((1, 1), (2, 1), (3, 2)):
-            txn = make_txn(txn_id)
-            txn.gc_epoch = epoch
-            store.install(("t", 1), {"v": txn_id}, txn)
-            store.commit_transaction(txn)
-        removed = store.prune_epochs(max_epoch=1)
-        assert removed == 2
-        assert store.latest_committed(("t", 1)).value == {"v": 3}
-
     def test_latest_state_snapshot(self, store):
         store.load(("t", 1), {"v": 1})
         store.load(("t", 2), {"v": 2})
@@ -125,7 +99,7 @@ class TestMultiVersionStore:
         for index, writer in enumerate(writer_ids, start=1):
             txn = make_txn(index, txn_type=f"w{writer}")
             store.install(("k",), {"v": index}, txn)
-            store.commit_transaction(txn)
+            store.commit_transaction(txn, retained=expected)
             expected.append(index)
         chain = store.committed_versions(("k",))
         assert [v.writer for v in chain] == expected
@@ -368,113 +342,72 @@ class TestDurability:
             result.require_transaction(2)
 
 
-class TestGarbageCollector:
-    def test_register_assigns_epoch(self, store):
-        gc = GarbageCollector(store)
-        txn = make_txn(1)
-        assert gc.register_transaction(txn) == gc.current_epoch
+class TestVersionRetention:
+    """The one rule: a superseded version is dead once the writer of the next
+    version on its key is no longer retained (``engine.finished``); it is
+    dropped by the next commit on that key.  The engine-level half — what is
+    retained, holds, bounds, prune ≡ never prune — is tests/test_retention.py.
+    """
 
-    def test_collect_prunes_finished_epochs(self, store):
-        gc = GarbageCollector(store)
-        txn = make_txn(1)
-        gc.register_transaction(txn)
-        store.install(("k",), {"v": 1}, txn)
-        store.commit_transaction(txn)
-        # A newer version in a later epoch supersedes the old one.
-        gc.advance_epoch()
-        txn2 = make_txn(2)
-        gc.register_transaction(txn2)
-        store.install(("k",), {"v": 2}, txn2)
-        store.commit_transaction(txn2)
-        gc.finish_transaction(txn)
-        gc.finish_transaction(txn2)
-        gc.advance_epoch()
-        removed = gc.collect(cc_nodes=())
-        assert removed >= 1
-        assert store.latest_committed(("k",)).value == {"v": 2}
-
-    def test_collect_respects_cc_veto(self, store):
-        class VetoCC:
-            def can_garbage_collect(self, epoch):
-                return False
-
-        gc = GarbageCollector(store)
-        txn = make_txn(1)
-        gc.register_transaction(txn)
-        store.install(("k",), {"v": 1}, txn)
-        store.commit_transaction(txn)
-        gc.finish_transaction(txn)
-        gc.advance_epoch()
-        assert gc.collect(cc_nodes=(VetoCC(),)) == 0
-
-    def test_paused_collector_does_nothing(self, store):
-        gc = GarbageCollector(store)
-        gc.pause()
-        assert gc.collect() == 0
-        gc.resume()
-
-    def _commit_in_epoch(self, store, gc, txn_id, value):
+    @staticmethod
+    def _overwrite(store, txn_id, retained=()):
         txn = make_txn(txn_id)
-        gc.register_transaction(txn)
-        store.install(("k",), value, txn)
-        store.commit_transaction(txn)
-        return txn
+        store.install(("k",), {"v": txn_id}, txn)
+        store.commit_transaction(txn, retained=retained)
 
-    def test_collect_prunes_only_contiguous_confirmed_prefix(self, store):
-        """Regression: an unconfirmed middle epoch must block later epochs.
+    @staticmethod
+    def _writers(store):
+        return [version.writer for version in store.committed_versions(("k",))]
 
-        ``prune_epochs(max_epoch)`` drops everything up to ``max_epoch``, so
-        collecting ``max(collectable)`` while epoch 2 is vetoed used to drop
-        epoch-2 versions that a CC explicitly still needed.
-        """
+    def test_nothing_retained_leaves_the_newest_and_what_it_superseded(self, store):
+        store.load(("k",), {"v": 0})
+        for txn_id in range(1, 6):
+            self._overwrite(store, txn_id)
+        # 4 stays although dead: 5's own commit ran while 5 was still live.
+        assert self._writers(store) == [4, 5]
+        assert store.latest_committed(("k",)).value == {"v": 5}
 
-        class VetoEpoch2:
-            def can_garbage_collect(self, epoch):
-                return epoch != 2
+    def test_a_retained_writer_keeps_the_version_it_superseded(self, store):
+        store.load(("k",), {"v": 0})
+        self._overwrite(store, 1)
+        self._overwrite(store, 2, retained={1})
+        self._overwrite(store, 3, retained={1, 2})
+        assert self._writers(store) == [0, 1, 2, 3]
+        # 1 is released: the load goes; 1's own version stays while 2 is kept.
+        self._overwrite(store, 4, retained={2, 3})
+        assert self._writers(store) == [1, 2, 3, 4]
+        self._overwrite(store, 5)
+        assert self._writers(store) == [4, 5]
 
-        gc = GarbageCollector(store)
-        txns = []
+    def test_the_drop_stops_at_the_first_retained_successor(self, store):
+        """Oldest first: a released writer behind a retained one waits for it
+        (release order is finish order, a chain is in commit order — the two
+        differ only by what overlapped)."""
+        store.load(("k",), {"v": 0})
+        everyone = {1, 2, 3}
         for txn_id in (1, 2, 3):
-            txns.append(self._commit_in_epoch(store, gc, txn_id, {"v": txn_id}))
-            gc.advance_epoch()
-        for txn in txns:
-            gc.finish_transaction(txn)
-        removed = gc.collect(cc_nodes=(VetoEpoch2(),))
-        # Only epoch 1 is collectable: epoch 2 is vetoed and epoch 3 must
-        # wait behind it.
-        assert removed == 1
-        remaining = [v.value for v in store.committed_versions(("k",))]
-        assert remaining == [{"v": 2}, {"v": 3}]
+            self._overwrite(store, txn_id, retained=everyone)
+        self._overwrite(store, 4, retained={1})
+        assert self._writers(store) == [0, 1, 2, 3, 4]
+        self._overwrite(store, 5, retained={3})
+        assert self._writers(store) == [2, 3, 4, 5]
 
-    def test_collect_blocked_by_unfinished_middle_epoch(self, store):
-        gc = GarbageCollector(store)
-        first = self._commit_in_epoch(store, gc, 1, {"v": 1})
-        gc.advance_epoch()
-        straggler = self._commit_in_epoch(store, gc, 2, {"v": 2})
-        gc.advance_epoch()
-        third = self._commit_in_epoch(store, gc, 3, {"v": 3})
-        gc.advance_epoch()
-        gc.finish_transaction(first)
-        gc.finish_transaction(third)  # epoch 2's transaction still running
-        assert gc.collect(cc_nodes=()) == 1
-        remaining = [v.value for v in store.committed_versions(("k",))]
-        assert remaining == [{"v": 2}, {"v": 3}]
-        # Once the straggler finishes, the prefix extends through epoch 3.
-        gc.finish_transaction(straggler)
-        assert gc.collect(cc_nodes=()) == 1
-        assert [v.value for v in store.committed_versions(("k",))] == [{"v": 3}]
+    def test_only_the_written_key_is_touched(self, store):
+        for txn_id in (1, 2, 3):
+            txn = make_txn(txn_id)
+            store.install(("a",), txn_id, txn)
+            store.install(("b",), txn_id, txn)
+            store.commit_transaction(txn, retained=(1, 2, 3))
+        txn = make_txn(4)
+        store.install(("a",), 4, txn)
+        store.commit_transaction(txn)
+        assert [v.writer for v in store.committed_versions(("a",))] == [3, 4]
+        assert [v.writer for v in store.committed_versions(("b",))] == [1, 2, 3]
 
-    def test_finish_transaction_is_idempotent(self, store):
-        """Regression: a double finish must not retire a live epoch."""
-        gc = GarbageCollector(store)
-        done = make_txn(1)
-        live = make_txn(2)
-        gc.register_transaction(done)
-        gc.register_transaction(live)
-        gc.finish_transaction(done)
-        gc.finish_transaction(done)  # abort-during-commit style double finish
-        gc.advance_epoch()
-        # The epoch still has a live transaction, so it must not be finished.
-        assert 1 not in gc._finished_epochs
-        gc.finish_transaction(live)
-        assert 1 in gc._finished_epochs
+    def test_restored_versions_go_with_the_first_overwrite(self, store):
+        # Recovery appends pre-crash writers the new engine never retains.
+        for seq, writer in enumerate((7, 8, 9), start=1):
+            store.restore_version(("k",), {"v": writer}, writer, commit_seq=seq)
+        store.advance_commit_seq(3)
+        self._overwrite(store, 20)
+        assert self._writers(store) == [9, 20]

@@ -3,8 +3,9 @@ serialiser.
 
 These tests drive random operation sequences against the store while
 mirroring them in a naive list-based model, and assert the two always agree
-— in particular that install/commit/abort/prune never lose the newest
-committed version (the prunes edit the chain in place) and that
+— in particular that install/commit/abort never lose the newest committed
+version, that a commit drops from the key it writes exactly what the
+retention rule calls dead (the drop edits the chain in place) and that
 ``latest_committed_before`` matches a naive backward scan, on chains whose
 timestamps are out of commit order too.
 
@@ -28,6 +29,17 @@ KEYS = ("a", "b", "c")
 PROBE_TIMESTAMPS = (0.0, 1.0, 5.0, 10.5, 21.0)
 
 
+def _naive_survivors(chain, retained):
+    """The retention rule on one chain: oldest first, a version goes while
+    the writer of its successor is not retained; the newest always stays.
+    (``engine.finished`` releases in finish order, which is commit order, so
+    in an engine the retained writers are a suffix of the chain and this is
+    "survives iff newest or its successor's writer is retained".)"""
+    while len(chain) > 1 and chain[1].writer not in retained:
+        chain = chain[1:]
+    return chain
+
+
 def _naive_latest_before(chain, timestamp, strict):
     for version in reversed(chain):
         ts = version.timestamp if version.timestamp is not None else 0.0
@@ -48,11 +60,11 @@ _OPS = st.lists(
             st.just("commit"),
             st.integers(0, 3),
             st.one_of(st.none(), st.integers(0, 20)),
+            # Which writers are still retained, as a bit mask over txn ids.
+            st.integers(0, 2**12 - 1),
         ),
         st.tuples(st.just("abort"), st.integers(0, 3)),
         st.tuples(st.just("load"), st.sampled_from(KEYS), st.integers(0, 5)),
-        st.tuples(st.just("prune"), st.sampled_from(KEYS), st.integers(1, 3)),
-        st.tuples(st.just("prune_epochs"), st.integers(0, 3)),
     ),
     max_size=50,
 )
@@ -75,7 +87,6 @@ def test_store_agrees_with_naive_model(ops):
             index = slot % (len(open_txns) + 1)
             if index == len(open_txns):
                 txn = Transaction(txn_id=next_txn_id, txn_type="t")
-                txn.gc_epoch = next_txn_id % 3
                 next_txn_id += 1
                 open_txns.append(txn)
                 writes[txn.txn_id] = []
@@ -89,15 +100,18 @@ def test_store_agrees_with_naive_model(ops):
                 uncommitted[key].append(version)
                 writes[txn.txn_id].append(version)
         elif kind == "commit":
-            _, slot, timestamp = op
+            _, slot, timestamp, mask = op
             if not open_txns:
                 continue
             txn = open_txns.pop(slot % len(open_txns))
             ts = float(timestamp) if timestamp is not None else None
-            store.commit_transaction(txn, timestamp=ts)
+            retained = {writer for writer in seen_writers if mask >> writer % 12 & 1}
+            store.commit_transaction(txn, timestamp=ts, retained=retained)
             for version in writes.pop(txn.txn_id):
                 uncommitted[version.key].remove(version)
-                committed[version.key].append(version)
+                # Only the key being written loses versions, before the append.
+                chain = _naive_survivors(committed[version.key], retained)
+                committed[version.key] = chain + [version]
         elif kind == "abort":
             _, slot = op
             if not open_txns:
@@ -110,21 +124,6 @@ def test_store_agrees_with_naive_model(ops):
             _, key, value = op
             version = store.load(key, {"v": value})
             committed[key].append(version)
-        elif kind == "prune":
-            _, key, keep_last = op
-            if not committed[key]:
-                continue
-            store.prune(key, keep_last=keep_last)
-            committed[key] = committed[key][-keep_last:]
-        elif kind == "prune_epochs":
-            (_, max_epoch) = op
-            store.prune_epochs(max_epoch)
-            for key, chain in committed.items():
-                if len(chain) <= 1:
-                    continue
-                committed[key] = [
-                    v for v in chain[:-1] if v.epoch > max_epoch
-                ] + chain[-1:]
 
         # -- invariants after every operation ------------------------------
         for key in KEYS:
@@ -160,10 +159,11 @@ def test_bisect_matches_naive_on_sorted_chains(timestamps, probe):
     non-strict boundary sits inside a run of equal timestamps."""
     store = MultiVersionStore()
     chain = []
+    everyone = range(1, len(timestamps) + 1)
     for index, ts in enumerate(sorted(timestamps)):
         txn = Transaction(txn_id=index + 1, txn_type="t")
         store.install(("k",), {"v": index}, txn)
-        store.commit_transaction(txn, timestamp=float(ts))
+        store.commit_transaction(txn, timestamp=float(ts), retained=everyone)
         chain.append(store.latest_committed(("k",)))
     for strict in (True, False):
         assert store.latest_committed_before(
@@ -171,18 +171,16 @@ def test_bisect_matches_naive_on_sorted_chains(timestamps, probe):
         ) is _naive_latest_before(chain, float(probe), strict)
 
 
-def test_newest_committed_survives_prune_cycles():
-    """Explicit regression: prune/prune_epochs always keep the newest version."""
+def test_newest_committed_survives_every_drop():
+    """Explicit regression: whatever is retained, the newest version stays
+    and stays readable."""
     store = MultiVersionStore()
     for index in range(6):
         txn = Transaction(txn_id=index + 1, txn_type="t")
-        txn.gc_epoch = index
         store.install(("k",), {"v": index}, txn)
-        store.commit_transaction(txn, timestamp=float(index))
-    assert store.prune(("k",), keep_last=3) == 3
-    assert store.latest_committed(("k",)).value == {"v": 5}
-    assert store.prune_epochs(max_epoch=10) == 2
-    assert store.latest_committed(("k",)).value == {"v": 5}
+        store.commit_transaction(txn, timestamp=float(index), retained={2, 3} if index < 4 else ())
+        assert store.latest_committed(("k",)).value == {"v": index}
+    assert [v.value["v"] for v in store.committed_versions(("k",))] == [4, 5]
     assert store.latest_committed_before(("k",), 100.0).value == {"v": 5}
 
 
