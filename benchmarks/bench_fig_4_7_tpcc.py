@@ -23,7 +23,7 @@ def run_figure():
     results = measure_keyed(
         ((name, clients), deferred_measure(tpcc_workload, factory, clients))
         for clients in CLIENT_COUNTS
-        for name, factory in configs.TPCC_CONFIGURATIONS.items()
+        for name, factory in configs.WORKLOAD_CONFIGURATIONS["tpcc"].items()
     )
     rows = [
         result_row(f"{name} @ {clients} clients", result)

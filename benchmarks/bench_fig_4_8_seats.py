@@ -16,8 +16,8 @@ from common import (
 from repro.harness import configs
 
 SETTINGS = [
-    ("monolithic 2PL", configs.seats_monolithic_2pl),
-    ("2-layer (SSI + 2PL)", configs.seats_2layer),
+    ("monolithic 2PL", configs.WORKLOAD_CONFIGURATIONS["seats"]["2pl"]),
+    ("2-layer (SSI + 2PL)", configs.WORKLOAD_CONFIGURATIONS["seats"]["2layer"]),
     ("3-layer (SSI + 2PL + per-flight TSO)", configs.seats_3layer),
 ]
 

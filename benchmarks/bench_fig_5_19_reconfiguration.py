@@ -14,7 +14,7 @@ CLIENTS = 50
 
 
 def run_protocol(protocol):
-    runner = BenchmarkRunner(tpcc_workload(), configs.tpcc_tebaldi_2layer())
+    runner = BenchmarkRunner(tpcc_workload(), configs.WORKLOAD_CONFIGURATIONS["tpcc"]["tebaldi-2layer"]())
     runner.add_clients(CLIENTS)
     runner.env.run(until=0.6)
     runner.engine.stats.reset()

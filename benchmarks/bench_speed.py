@@ -1,32 +1,17 @@
-"""Wall-clock speed benchmark: simulated transactions per wall-second.
+"""Behaviour-fingerprint gate and profiler for the simulator.
 
-Unlike the `bench_fig_*` / `bench_table_*` scripts, which reproduce the
-*shape* of the paper's results in virtual time, this benchmark measures how
-fast the simulator itself runs on real hardware.  It is the baseline every
-perf-oriented PR is measured against (ROADMAP: "as fast as the hardware
-allows").
+Wall-clock numbers are the perf ledger's job (``benchmarks/ledger/run.py``,
+contract ``BENCHMARK.json``); this script keeps the two jobs the ledger does
+not do:
 
-Three representative scenarios are timed:
-
-* ``tpcc-3layer``   — TPC-C under the Tebaldi 3-layer tree (Figure 4.6d),
-* ``seats-3layer``  — SEATS under the 3-layer per-flight tree (Figure 4.8),
-* ``micro-2layer``  — the cross-group micro workload under a 2-layer tree.
-
-For each scenario the benchmark runs a closed-loop simulation for a fixed
-span of *virtual* time and reports ``commits / wall_seconds`` (simulated
-committed transactions per wall-clock second, best of ``--repeat`` runs).
-
-The script maintains ``BENCH_speed.json`` at the repository root:
-
-* ``--record-baseline`` stores the measurements *and* a fixed-seed behavior
-  fingerprint as the baseline (run this once before an optimisation lands);
-* a plain run stores the measurements as ``current``, computes the
-  ``speedup`` ratio per scenario against the recorded baseline, and **fails**
-  if the behavior fingerprint (commit/abort counts and final store state of
-  deterministic micro runs) differs from the baseline — a speedup that
-  changes simulation outcomes is a bug, not an optimisation;
-* ``--quick`` is a fast CI smoke: tiny runs plus the fingerprint check
-  against the stored baseline, with no JSON rewrite;
+* **the fixed-seed behaviour fingerprint.**  A plain run computes the commit
+  and abort counts and the final store state of deterministic micro runs and
+  **fails** if they differ from the ones recorded in ``BENCH_speed.json`` —
+  a speedup that changes simulation outcomes is a bug, not an optimisation.
+  ``--quick`` checks only the short (0.5 sim-s) fingerprint, the CI smoke
+  ``scripts/check.sh`` runs.  Re-record only when a PR legitimately changes
+  schedules, justified in CHANGES.md, by pasting the ``current`` line the
+  failure prints over the recorded entry;
 * ``--profile [SCENARIO]`` runs one scenario (default ``tpcc-3layer``)
   under cProfile and dumps the stats to ``--profile-out`` (default
   ``bench_speed.prof``), so perf work starts from data instead of guesses
@@ -34,14 +19,15 @@ The script maintains ``BENCH_speed.json`` at the repository root:
   with a cyclic-GC summary, the one cost the profile table cannot show
   (pauses, full collections, and the objects the collector found
   unreachable — the number that exposes a reference cycle), and a census of
-  the tracked objects the run left behind, by owner.  Besides the three
-  timed scenarios it accepts two of the perf ledger's cells, built object
-  for object: ``smallbank-durable-checked`` (durable, oracle-checked) and
-  ``ycsb-zipf-batch`` (one deterministic batch leaf, 64 members in flight).
+  the tracked objects the run left behind, by owner.  Scenarios:
+  ``tpcc-3layer`` (Figure 4.6d), ``seats-3layer`` (Figure 4.8),
+  ``micro-2layer`` (the cross-group micro workload), and two of the perf
+  ledger's cells, built object for object: ``smallbank-durable-checked``
+  (durable, oracle-checked) and ``ycsb-zipf-batch`` (one deterministic
+  batch leaf, 64 members in flight).
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_speed.py --record-baseline
     PYTHONPATH=src python benchmarks/bench_speed.py
     PYTHONPATH=src python benchmarks/bench_speed.py --quick
     PYTHONPATH=src python benchmarks/bench_speed.py --profile micro-2layer
@@ -58,14 +44,9 @@ import time
 import types
 from pathlib import Path
 
-from repro.core.config import Configuration, leaf, monolithic, node
+from repro.core.config import Configuration, leaf
 from repro.core.engine import EngineOptions
-from repro.harness.configs import (
-    YCSB_TRANSACTIONS,
-    seats_3layer,
-    smallbank_3layer,
-    tpcc_tebaldi_3layer,
-)
+from repro.harness.configs import WORKLOAD_CONFIGURATIONS, YCSB_TRANSACTIONS
 from repro.harness.runner import BenchmarkRunner
 from repro.storage.durability import DurabilityConfig
 from repro.workloads.micro import CrossGroupConflictWorkload
@@ -82,60 +63,38 @@ FINGERPRINT_DURATION = 2.0
 QUICK_FINGERPRINT_DURATION = 0.5
 
 
-def micro_2layer_config():
-    return Configuration(
-        node(
-            "2pl",
-            leaf("rp", "group_a_update"),
-            leaf("rp", "group_b_update"),
-        ),
-        name="micro-2layer",
-    )
-
-
-def micro_ssi_config():
-    return monolithic("ssi", ("group_a_update", "group_b_update"), name="micro-ssi")
-
-
-def _scenarios(quick=False):
-    """name -> (workload factory, configuration factory, clients, duration, warmup)."""
-    scale = 0.25 if quick else 1.0
+def _profile_scenarios():
+    """name -> (workload factory, configuration factory, clients, duration,
+    warmup); a sixth element holds the runner keywords that replace the
+    default ``EngineOptions()``."""
     return {
         "tpcc-3layer": (
             lambda: TPCCWorkload(warehouses=2),
-            tpcc_tebaldi_3layer,
+            WORKLOAD_CONFIGURATIONS["tpcc"]["tebaldi-3layer"],
             40,
-            1.0 * scale,
-            0.2 * scale,
+            1.0,
+            0.2,
         ),
         "seats-3layer": (
             lambda: SEATSWorkload(flights=10),
-            seats_3layer,
+            WORKLOAD_CONFIGURATIONS["seats"]["3layer"],
             40,
-            1.0 * scale,
-            0.2 * scale,
+            1.0,
+            0.2,
         ),
         "micro-2layer": (
             lambda: CrossGroupConflictWorkload(shared_rows=20, cold_rows=1000, operations=5),
-            micro_2layer_config,
+            WORKLOAD_CONFIGURATIONS["micro"]["2layer"],
             40,
-            1.0 * scale,
-            0.2 * scale,
+            1.0,
+            0.2,
         ),
-    }
-
-
-def _profile_scenarios():
-    """The timed scenarios plus the ``--profile``-only ones; a sixth element
-    holds the runner keywords that replace the default ``EngineOptions()``."""
-    return {
-        **_scenarios(),
         # The ledger's smallbank-durable-checked, object for object: the one
         # path through recorder, streaming oracle, WAL and precommit.  5
         # warm-up and 120 measured slices of 0.02 sim-s, 20 clients.
         "smallbank-durable-checked": (
             lambda: SmallBankWorkload(customers=500, hot_accounts=50),
-            smallbank_3layer,
+            WORKLOAD_CONFIGURATIONS["smallbank"]["3layer"],
             20,
             2.4,
             0.1,
@@ -166,33 +125,6 @@ def _profile_scenarios():
     }
 
 
-def measure_scenario(name, spec, repeat=3):
-    """Best-of-``repeat`` wall-clock measurement of one scenario."""
-    workload_factory, config_factory, clients, duration, warmup = spec
-    best = None
-    for _ in range(repeat):
-        runner = BenchmarkRunner(
-            workload_factory(), config_factory(), options=EngineOptions(), seed=7
-        )
-        try:
-            start = time.perf_counter()
-            result = runner.run(clients, duration=duration, warmup=warmup)
-            wall = time.perf_counter() - start
-        finally:
-            runner.stop()
-        sample = {
-            "clients": clients,
-            "sim_duration": duration,
-            "commits": result.commits,
-            "aborts": result.aborts,
-            "wall_seconds": round(wall, 4),
-            "sim_tps_wall": round(result.commits / wall, 1) if wall > 0 else 0.0,
-        }
-        if best is None or sample["sim_tps_wall"] > best["sim_tps_wall"]:
-            best = sample
-    return best
-
-
 def behavior_fingerprint(seed=FINGERPRINT_SEED, duration=FINGERPRINT_DURATION):
     """Deterministic outcome digest of fixed-seed micro workload runs.
 
@@ -203,15 +135,15 @@ def behavior_fingerprint(seed=FINGERPRINT_SEED, duration=FINGERPRINT_DURATION):
     (write-write and pivot aborts), so both commit and abort paths are pinned.
     """
     runs = {}
-    for label, config_factory in (
-        ("2layer", micro_2layer_config),
-        ("ssi", micro_ssi_config),
-    ):
+    for label in ("2layer", "ssi"):
         workload = CrossGroupConflictWorkload(
             shared_rows=10, cold_rows=200, operations=5
         )
         runner = BenchmarkRunner(
-            workload, config_factory(), options=EngineOptions(), seed=seed
+            workload,
+            WORKLOAD_CONFIGURATIONS["micro"][label](),
+            options=EngineOptions(),
+            seed=seed,
         )
         try:
             runner.run(20, duration=duration, warmup=0.0)
@@ -357,39 +289,31 @@ def profile_scenario(name, spec, output_path):
     return result
 
 
-def load_report():
-    if OUTPUT_PATH.exists():
-        with OUTPUT_PATH.open() as handle:
-            return json.load(handle)
-    return {}
-
-
-def _check_fingerprint(stored, current, label):
-    if stored is None:
-        print(f"no stored {label} fingerprint; record a baseline first")
-        return True
+def check_fingerprint(key, duration):
+    """Compare a fresh fingerprint with the one ``BENCH_speed.json`` records."""
+    with OUTPUT_PATH.open() as handle:
+        stored = json.load(handle)[key]
+    current = behavior_fingerprint(duration=duration)
+    for label, run in current["runs"].items():
+        print(
+            f"   fingerprint[{label}, {duration} sim-s]: commits={run['commits']} "
+            f"aborts={run['aborts']} state={run['state_sha256'][:12]}..."
+        )
     if stored != current:
-        print("FAIL: behavior fingerprint drifted from the recorded baseline", file=sys.stderr)
-        print(f"  baseline: {stored}", file=sys.stderr)
-        print(f"  current:  {current}", file=sys.stderr)
+        print(f"FAIL: {key} drifted from the one recorded in {OUTPUT_PATH.name}", file=sys.stderr)
+        print(f"  recorded: {json.dumps(stored)}", file=sys.stderr)
+        print(f"  current:  {json.dumps(current)}", file=sys.stderr)
         return False
-    print("behavior fingerprint OK (identical to baseline)")
     return True
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--record-baseline",
-        action="store_true",
-        help="store this run's measurements + fingerprint as the baseline",
-    )
-    parser.add_argument(
         "--quick",
         action="store_true",
-        help="fast CI smoke: tiny runs + fingerprint check, no JSON rewrite",
+        help="fast CI smoke: only the short fingerprint",
     )
-    parser.add_argument("--repeat", type=int, default=3, help="runs per scenario (best-of)")
     parser.add_argument(
         "--profile",
         nargs="?",
@@ -411,58 +335,11 @@ def main(argv=None):
         )
         return 0
 
-    quick = args.quick
-    repeat = 1 if quick else args.repeat
-    scenarios = _scenarios(quick=quick)
-
-    results = {}
-    for name, spec in scenarios.items():
-        results[name] = measure_scenario(name, spec, repeat=repeat)
-        print(
-            f"{name:>14}: {results[name]['sim_tps_wall']:>9.1f} sim-txn/s (wall) "
-            f"[{results[name]['commits']} commits in {results[name]['wall_seconds']:.2f}s]"
-        )
-
-    report = load_report()
-
-    if quick:
-        fingerprint = behavior_fingerprint(duration=QUICK_FINGERPRINT_DURATION)
-        stored = report.get("baseline", {}).get("behavior_fingerprint_quick")
-        return 0 if _check_fingerprint(stored, fingerprint, "quick") else 1
-
-    fingerprint = behavior_fingerprint(duration=FINGERPRINT_DURATION)
-    fingerprint_quick = behavior_fingerprint(duration=QUICK_FINGERPRINT_DURATION)
-    for label, run in fingerprint["runs"].items():
-        print(
-            f"   fingerprint[{label}]: commits={run['commits']} aborts={run['aborts']} "
-            f"state={run['state_sha256'][:12]}..."
-        )
-
-    entry = {
-        "scenarios": results,
-        "behavior_fingerprint": fingerprint,
-        "behavior_fingerprint_quick": fingerprint_quick,
-    }
-    report["benchmark"] = "bench_speed"
-    report["unit"] = "simulated committed transactions per wall-clock second"
-    if args.record_baseline or "baseline" not in report:
-        report["baseline"] = entry
-    report["current"] = entry
-    baseline = report["baseline"]["scenarios"]
-    report["speedup"] = {
-        name: round(results[name]["sim_tps_wall"] / baseline[name]["sim_tps_wall"], 2)
-        for name in results
-        if name in baseline and baseline[name]["sim_tps_wall"] > 0
-    }
-    with OUTPUT_PATH.open("w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {OUTPUT_PATH}")
-    for name, ratio in report["speedup"].items():
-        print(f"{name:>14}: {ratio:.2f}x vs baseline")
-    ok = _check_fingerprint(
-        report["baseline"]["behavior_fingerprint"], fingerprint, "full"
-    )
+    ok = check_fingerprint("behavior_fingerprint_quick", QUICK_FINGERPRINT_DURATION)
+    if not args.quick:
+        ok = check_fingerprint("behavior_fingerprint", FINGERPRINT_DURATION) and ok
+    if ok:
+        print("behavior fingerprint OK (identical to the recorded one)")
     return 0 if ok else 1
 
 

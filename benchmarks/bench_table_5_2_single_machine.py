@@ -14,8 +14,8 @@ def run_table():
     results = {}
     rows = []
     for label, factory in (
-        ("single-machine 2PL (MySQL-like)", configs.tpcc_monolithic_2pl),
-        ("single-machine SSI (Postgres-like)", configs.tpcc_monolithic_ssi),
+        ("single-machine 2PL (MySQL-like)", configs.WORKLOAD_CONFIGURATIONS["tpcc"]["2pl"]),
+        ("single-machine SSI (Postgres-like)", configs.WORKLOAD_CONFIGURATIONS["tpcc"]["ssi"]),
         ("Tebaldi 3-layer MCC", configs.tpcc_tebaldi_3layer),
     ):
         result = measure(tpcc_workload(), factory(), clients=TPCC_CLIENTS)

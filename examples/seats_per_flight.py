@@ -17,8 +17,8 @@ from repro.workloads.seats import SEATSWorkload
 
 def main(clients=80, duration=1.0, warmup=0.3):
     candidates = {
-        "monolithic 2PL": configs.seats_monolithic_2pl(),
-        "2-layer (SSI + 2PL)": configs.seats_2layer(),
+        "monolithic 2PL": configs.WORKLOAD_CONFIGURATIONS["seats"]["2pl"](),
+        "2-layer (SSI + 2PL)": configs.WORKLOAD_CONFIGURATIONS["seats"]["2layer"](),
         "3-layer (SSI + 2PL + per-flight TSO)": configs.seats_3layer(per_flight=True),
     }
     results = []

@@ -20,7 +20,7 @@ from repro.workloads.tpcc import TPCCWorkload
 
 def main(clients=80, duration=1.0, warmup=0.3):
     results = []
-    for name, factory in configs.TPCC_CONFIGURATIONS.items():
+    for name, factory in configs.WORKLOAD_CONFIGURATIONS["tpcc"].items():
         workload = TPCCWorkload(warehouses=2)
         result = run_benchmark(
             workload, factory(), clients=clients, duration=duration, warmup=warmup

@@ -1,21 +1,21 @@
 #!/usr/bin/env bash
-# Tier-1 gate: unit/property tests, the quick speed and perf-ledger smokes,
-# quick checked-run / crash / chaos smokes (isolation oracle in the loop),
-# an examples smoke and, last, the src/ line total, the GC-tracked objects a
-# tpcc/3layer commit leaves behind with the versions its store ends on, and
-# the import time.
+# Tier-1 gate: unit/property tests, the behaviour-fingerprint and perf-ledger
+# smokes, quick checked-run / crash / chaos smokes (isolation oracle in the
+# loop), an import of every figure script and example and, last, the src/
+# line total, the GC-tracked objects a tpcc/3layer commit leaves behind with
+# the versions its store ends on, and the import time.
 #
 # Usage: scripts/check.sh [--quick]
 #
-#   --quick   skip the examples run smoke (compile-only) for the fastest
+#   --quick   skip the examples run smoke (import-only) for the fastest
 #             useful gate; everything else always runs.
 #
-# The speed smoke (benchmarks/bench_speed.py --quick) runs tiny versions of
-# the three benchmark scenarios and verifies the fixed-seed behavior
-# fingerprint against the recorded baseline in BENCH_speed.json, so both
-# functional and performance regressions fail loudly.  The ledger smoke
-# (benchmarks/ledger/run.py --quick, ~18 s) drives the four BENCHMARK.json
-# workloads end to end: its numbers are not comparable, its checks are.
+# The fingerprint smoke (benchmarks/bench_speed.py --quick) verifies the
+# fixed-seed behavior fingerprint of two micro runs against the one recorded
+# in BENCH_speed.json, so a change of schedules fails loudly.  The ledger
+# smoke (benchmarks/ledger/run.py --quick, ~18 s) drives the four
+# BENCHMARK.json workloads end to end: its numbers are not comparable, its
+# checks are.
 # The checked-run smoke gates micro and SmallBank runs under two CC trees
 # each — plus the
 # deterministic-batch YCSB cells (zipfian + scan-heavy) — on the Adya
@@ -50,7 +50,7 @@ fi
 python -m pytest -x -q "${PYTEST_FILTER[@]}"
 
 echo
-echo "== speed smoke (quick) =="
+echo "== behaviour-fingerprint smoke (quick) =="
 python benchmarks/bench_speed.py --quick
 
 echo
@@ -84,13 +84,26 @@ echo "== network-chaos smoke (degraded-mode oracle) =="
 python -m repro.harness --workload queue --config 2layer --config 3layer --net-faults 2 --quick --workers "$WORKERS"
 
 echo
-echo "== examples smoke =="
+echo "== figure scripts and examples smoke =="
+# Nothing in tier-1 imports these, and they bind registry names at import:
+# collecting the figure scripts (16 tests, ~1 s) and importing each example
+# runs none of them and fails on a name that is gone.
+python -m pytest --collect-only -q benchmarks/bench_*.py
 python -m compileall -q examples
+python - <<'PY'
+import importlib.util
+import pathlib
+
+for path in sorted(pathlib.Path("examples").glob("*.py")):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    print(f"{path} imports")
+PY
 if [[ "$QUICK" == "0" ]]; then
   python examples/quickstart.py > /dev/null
   echo "examples/quickstart.py ran clean"
 else
-  echo "(compile-only: --quick)"
+  echo "(import-only: --quick)"
 fi
 
 echo

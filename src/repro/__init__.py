@@ -6,8 +6,12 @@ Public entry points:
   workload under any CC-tree configuration.
 * :class:`repro.harness.BenchmarkRunner` — closed-loop benchmark runs over the
   simulated cluster (the paper's evaluation methodology).
-* :mod:`repro.harness.configs` — the named configurations from the paper
-  (Callas-1/2, Tebaldi 2-/3-layer, SEATS trees, the initial configuration).
+* :mod:`repro.core.config` — the CC-tree vocabulary (``leaf``, ``node``) and
+  the shapes the paper keeps using: ``monolithic``, ``two_layer``,
+  ``three_layer`` and Figure 5.2's ``initial_configuration``.
+* :mod:`repro.harness.configs` — one grouping row per workload, the registry
+  of named trees derived from it, and the paper trees that are no instance
+  of a shape (Callas-1/2, Table 3.1, the four-layer ``hot_item`` tree).
 * :class:`repro.autoconf.AutoConfigurator` — the automatic configuration
   algorithm of Chapter 5.
 """

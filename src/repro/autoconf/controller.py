@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from repro.autoconf.optimizer import ConfigurationOptimizer
 from repro.autoconf.preprocess import apply_preprocessing
 from repro.autoconf.profiler import ContentionProfiler
-from repro.harness.configs import initial_configuration as _initial_configuration
+from repro.core.config import initial_configuration as _initial_configuration
 from repro.harness.runner import BenchmarkRunner
 
 

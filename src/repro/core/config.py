@@ -181,7 +181,34 @@ class Configuration:
         return f"<Configuration {self.name!r} depth={self.depth()}>"
 
 
+# -- the shapes the paper's evaluation keeps coming back to ------------------
+
 def monolithic(cc, transaction_types, params=None, name=None):
     """A single-group configuration running one CC over every transaction."""
     root = leaf(cc, *transaction_types, params=params, label=f"monolithic-{cc}")
     return Configuration(root, name=name or f"monolithic-{cc}")
+
+
+def two_layer(read_only, updates, name, label=""):
+    """SSI over {read-only types under no CC, the ``updates`` spec} (Figure 5.2)."""
+    root = node("ssi", leaf("none", *read_only, label="ReadOnly"), updates, label=label)
+    return Configuration(root, name=name)
+
+
+def three_layer(read_only, groups, name, label=""):
+    """SSI over {read-only types, 2PL over the update ``groups``} (Figure 4.6d)."""
+    return two_layer(read_only, node("2pl", *groups, label="Updates"), name, label)
+
+
+def initial_configuration(transaction_types, read_only_types):
+    """The automatic-configuration starting point (Figure 5.2).
+
+    SSI at the root separating a read-only group (no CC) from a single 2PL
+    group holding every update transaction — effectively MV2PL.
+    """
+    read_only = sorted(t for t in transaction_types if t in read_only_types)
+    updates = sorted(t for t in transaction_types if t not in read_only_types)
+    group = leaf("2pl", *updates, label="2PL updates")
+    if not read_only:
+        return Configuration(group, name="initial")
+    return two_layer(read_only, group, name="initial", label="Initial")

@@ -81,6 +81,32 @@ class EngineOptions:
     net_park_threshold: int = 12
 
 
+def _node_built_from(spec):
+    """What one runtime node is built from.  ``signature()`` is the
+    optimizer's structural key: it leaves out params and which
+    ``instance_key`` callable a leaf partitions by."""
+    return (
+        spec.cc,
+        sorted(spec.transactions),
+        spec.params,
+        spec.instance_key,
+        len(spec.children),
+    )
+
+
+def _built_from(spec):
+    """What a runtime subtree is built from: its nodes' keys in pre-order
+    (the child counts make the order determine the shape)."""
+    return [_node_built_from(node) for node in spec.iter_nodes()]
+
+
+def _spec_at(configuration, path):
+    spec = configuration.root
+    for index in path:
+        spec = spec.children[index]
+    return spec
+
+
 class TebaldiEngine:
     """A single Tebaldi database instance (simulated cluster)."""
 
@@ -871,13 +897,17 @@ class TebaldiEngine:
         """
         change_path = self._lowest_changed_subtree(new_configuration)
         if change_path is None:
-            # Nothing structural changed; just adopt the new configuration.
+            # Nothing a mechanism is built from changed; adopt the new object.
             self.configuration = new_configuration
             return
         if not change_path:
             yield from self.reconfigure_partial_restart(new_configuration)
             return
-        affected = self._affected_types(new_configuration)
+        # The splice replaces every mechanism instance of the subtree, so
+        # every type routed through it, before or after, is drained.
+        affected = set()
+        for configuration in (self.configuration, new_configuration):
+            affected.update(_spec_at(configuration, change_path).all_transactions())
         self._paused_types |= affected
         while any(txn.txn_type in affected for txn in self.active.values()):
             # Event-driven drain: every commit/abort notifies the condition.
@@ -889,27 +919,23 @@ class TebaldiEngine:
     def _lowest_changed_subtree(self, new_configuration):
         """Child-index path to the lowest subtree containing all changes.
 
-        Returns ``None`` if the configurations are structurally identical and
-        ``[]`` (the root) when the change cannot be localised below the root.
+        Returns ``None`` if both configurations build the same runtime tree
+        and ``[]`` (the root) when the change cannot be localised below the
+        root.
         """
         old_spec, new_spec = self.configuration.root, new_configuration.root
-        if old_spec.signature() == new_spec.signature():
+        if _built_from(old_spec) == _built_from(new_spec):
             return None
         path = []
         while True:
-            if (
-                old_spec.cc != new_spec.cc
-                or old_spec.is_leaf
-                or new_spec.is_leaf
-                or len(old_spec.children) != len(new_spec.children)
-            ):
+            if old_spec.is_leaf or _node_built_from(old_spec) != _node_built_from(new_spec):
                 return path
             diffs = [
                 index
                 for index, (old_child, new_child) in enumerate(
                     zip(old_spec.children, new_spec.children)
                 )
-                if old_child.signature() != new_child.signature()
+                if _built_from(old_child) != _built_from(new_child)
             ]
             if len(diffs) != 1:
                 return path
@@ -924,9 +950,7 @@ class TebaldiEngine:
         old_node = self.root
         for index in change_path:
             old_node = old_node.children[index]
-        new_spec = new_configuration.root
-        for index in change_path:
-            new_spec = new_spec.children[index]
+        new_spec = _spec_at(new_configuration, change_path)
         sub_config = Configuration(new_spec, name=f"{new_configuration.name}-subtree")
         sub_root, sub_nodes, _sub_leaves = build_tree(self, sub_config)
         # Renumber the spliced nodes to occupy the replaced position.
@@ -956,21 +980,6 @@ class TebaldiEngine:
                 for txn_type in node.spec.transactions:
                     self._leaf_by_type[txn_type] = node
         self._rebuild_routes()
-
-    def _affected_types(self, new_configuration):
-        """Transaction types whose leaf group or path changes."""
-        affected = set()
-        for txn_type in self.configuration.transaction_types:
-            old_leaf = self.configuration.leaf_for(txn_type)
-            try:
-                new_leaf = new_configuration.leaf_for(txn_type)
-            except ConfigurationError:
-                affected.add(txn_type)
-                continue
-            if old_leaf.signature() != new_leaf.signature():
-                affected.add(txn_type)
-        affected |= new_configuration.transaction_types - self.configuration.transaction_types
-        return affected
 
     def _swap_configuration(self, new_configuration):
         self._check_configuration(new_configuration)

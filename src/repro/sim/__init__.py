@@ -11,7 +11,7 @@ instances; ``yield from`` composes sub-coroutines.
 """
 
 from repro.sim.environment import Environment
-from repro.sim.events import Condition, Event, Interrupt, Timeout
+from repro.sim.events import Condition, Event, Timeout
 from repro.sim.faults import (
     FaultInjector,
     FaultPlan,
@@ -24,7 +24,6 @@ from repro.sim.network import ClusterModel, Delivery, LinkState, NetworkModel
 __all__ = [
     "Environment",
     "Event",
-    "Interrupt",
     "Timeout",
     "Condition",
     "ClusterModel",

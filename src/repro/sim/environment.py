@@ -4,7 +4,7 @@ from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappus
 from itertools import count
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, Interrupt, Timeout
+from repro.sim.events import Event, Timeout
 
 
 class _ResumeSentinel:
@@ -26,13 +26,12 @@ class Process(Event):
     other with ``yield other_process``.
     """
 
-    __slots__ = ("generator", "_target", "_interrupts")
+    __slots__ = ("generator", "_target")
 
     def __init__(self, env, generator, name=""):
         super().__init__(env, name=name or getattr(generator, "__name__", "process"))
         self.generator = generator
         self._target = None
-        self._interrupts = []
         # Kick off the process at the current simulation time.  The scheduler
         # invokes the bound method directly — no throwaway "init" Event.
         env._schedule_callback(self._start)
@@ -41,26 +40,10 @@ class Process(Event):
     def is_alive(self):
         return not self.triggered
 
-    def interrupt(self, cause=None):
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
-            return
-        self._interrupts.append(Interrupt(cause))
-        self.env._schedule_callback(self._wake)
-
     def _start(self):
         if not self.triggered:
             self._target = _RESUME
             self(_RESUME)
-
-    def _wake(self):
-        # Scheduled (non-event) wake-up used by interrupt().  If the pending
-        # interrupt was already delivered by another resume in the meantime,
-        # there is nothing left to do.
-        if self.triggered or not self._interrupts:
-            return
-        self._target = _RESUME
-        self(_RESUME)
 
     def _subscribe(self, event):
         self._target = event
@@ -75,15 +58,12 @@ class Process(Event):
         # The process object is the callback registered on its target event;
         # this is the hottest resume path, so it delegates straight to _step.
         if self.triggered or event is not self._target:
-            # Stale wake-up from an event we are no longer waiting on
-            # (e.g. the original target after an interrupt).
+            # Stale wake-up from an event we are no longer waiting on.
             return
         self._target = None
         generator = self.generator
         try:
-            if self._interrupts:
-                next_event = generator.throw(self._interrupts.pop(0))
-            elif event._is_error:
+            if event._is_error:
                 next_event = generator.throw(event._value)
             else:
                 next_event = generator.send(event._value)
@@ -105,7 +85,7 @@ class Process(Event):
     def _finish(self, value=None, exception=None):
         self.generator.close()
         if exception is not None:
-            if not self.callbacks and not isinstance(exception, Interrupt):
+            if not self.callbacks:
                 # Nobody is waiting for this process: re-raise so bugs in the
                 # engine do not pass silently.
                 raise exception

@@ -202,15 +202,3 @@ class Condition:
         event, self._event = self._event, Event(self.env, name=f"cond:{self.name}")
         if not event.triggered:
             event.succeed(value)
-
-
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it.
-
-    Used by the deadlock-timeout machinery in 2PL and by the reconfiguration
-    protocols to force-abort in-flight transactions.
-    """
-
-    def __init__(self, cause=None):
-        super().__init__(cause)
-        self.cause = cause

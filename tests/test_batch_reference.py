@@ -167,12 +167,13 @@ def test_conformance_trees_answer_as_the_scans_did():
 YCSB_CELLS = {
     "ycsb-zipf/batch": (*pinned.CELLS["ycsb-zipf/batch"], False),
     "ycsb-scan/batch": (
-        lambda: YCSBWorkload(records=300, profile="e"), configs.ycsb_batch, 16, 0.1, True,
+        lambda: YCSBWorkload(records=300, profile="e"),
+        configs.WORKLOAD_CONFIGURATIONS["ycsb-scan"]["batch"], 16, 0.1, True,
     ),
     # Scans run outside the leaf here: only the inserts are members.
     "ycsb-scan/batch-2layer": (
         lambda: YCSBWorkload(records=300, profile="e"),
-        configs.ycsb_batch_2layer, 16, 0.1, False,
+        configs.WORKLOAD_CONFIGURATIONS["ycsb-scan"]["batch-2layer"], 16, 0.1, False,
     ),
 }
 

@@ -288,9 +288,9 @@ class TestEngineLifecycle:
             build_engine(env, micro_workload, monolithic("2pl", ("group_a_update",)))
 
     def test_user_abort_rolls_back(self, env, tiny_tpcc):
-        from repro.harness.configs import tpcc_monolithic_2pl
+        from repro.harness.configs import WORKLOAD_CONFIGURATIONS
 
-        engine = build_engine(env, tiny_tpcc, tpcc_monolithic_2pl())
+        engine = build_engine(env, tiny_tpcc, WORKLOAD_CONFIGURATIONS["tpcc"]["2pl"]())
 
         def aborting_client():
             txn = engine.begin("payment", {"w_id": 1, "d_id": 1, "c_w_id": 1,
@@ -535,6 +535,76 @@ class TestReconfiguration:
         process = env.process(reconfigure())
         env.run(until=process)
         assert engine.configuration.name == "same"
+
+    PROTOCOLS = ("reconfigure_online", "reconfigure_partial_restart")
+
+    def _reconfigure(self, env, engine, protocol, new_config):
+        env.run(until=env.process(getattr(engine, protocol)(new_config)))
+        assert engine.configuration is new_config
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_root_params_only_change_is_applied(self, env, micro_workload, protocol):
+        """``signature()`` leaves params out: the online protocol used to
+        adopt such a configuration and keep the old mechanism instances."""
+        workload, engine = self._engine(env, micro_workload)
+        assert engine.root.cc.batch_size == 16
+        new_config = engine.configuration.clone(name="smaller-batches")
+        new_config.root.params["batch_size"] = 4
+        self._reconfigure(env, engine, protocol, new_config)
+        assert engine.root.cc.batch_size == 4
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_leaf_params_only_change_is_applied(self, env, micro_workload, protocol):
+        workload, engine = self._engine(env, micro_workload)
+        old_root_cc = engine.root.cc
+        new_config = engine.configuration.clone(name="short-timeout")
+        new_config.leaf_for("group_a_update").params["lock_timeout"] = 0.125
+        self._reconfigure(env, engine, protocol, new_config)
+        assert engine.root.children[1].cc.locks.timeout == 0.125
+        # Online, only the differing leaf is drained and spliced.
+        assert (engine.root.cc is old_root_cc) == (protocol == "reconfigure_online")
+
+    def test_online_update_sees_a_swapped_instance_key(self, env, micro_workload):
+        workload, engine = self._engine(env, micro_workload)
+        by_shared = engine.configuration.clone(name="by-shared")
+        by_shared.leaf_for("group_a_update").instance_key = lambda args: args["shared_id"]
+        self._reconfigure(env, engine, "reconfigure_online", by_shared)
+        by_local = by_shared.clone(name="by-local")
+        by_local.leaf_for("group_a_update").instance_key = lambda args: args["local_id"]
+        assert by_local.signature() == by_shared.signature()
+        old_leaf_cc = engine.root.children[1].cc
+        self._reconfigure(env, engine, "reconfigure_online", by_local)
+        assert engine.root.children[1].cc is not old_leaf_cc
+        assert engine.root.children[1].spec.instance_key is by_local.root.children[1].instance_key
+
+    def test_online_update_drains_every_type_under_the_spliced_subtree(
+        self, env, micro_workload
+    ):
+        """The changed node is internal and its leaf is not: the leaf's
+        type still runs through the replaced instance and must drain."""
+        config = Configuration(
+            node("2pl", node("2pl", leaf("2pl", "group_a_update")), leaf("rp", "group_b_update"))
+        )
+        engine = build_engine(env, micro_workload, config, options=EngineOptions())
+        new_config = config.clone(name="short-timeout")
+        new_config.root.children[0].params["lock_timeout"] = 0.125
+        finished = {}
+
+        def in_flight():
+            yield from engine.execute_transaction(
+                "group_a_update", {"shared_id": 0, "local_id": 0, "cold_ids": [1, 2, 3]}
+            )
+            finished["txn"] = env.now
+
+        def reconfigure():
+            yield from engine.reconfigure_online(new_config)
+            finished["reconfiguration"] = env.now
+
+        env.process(in_flight())
+        env.process(reconfigure())
+        env.run()
+        assert 0 < finished["txn"] <= finished["reconfiguration"]
+        assert engine.root.children[0].cc.locks.timeout == 0.125
 
     def test_transactions_work_after_reconfiguration(self, env, micro_workload):
         workload, engine = self._engine(env, micro_workload)

@@ -6,7 +6,7 @@ from hypothesis import assume, given, note, settings, strategies as st
 from repro.autoconf import ContentionProfiler, LatencyProfiler
 from repro.autoconf.optimizer import ConfigurationOptimizer
 from repro.autoconf.preprocess import apply_preprocessing
-from repro.core.config import Configuration, leaf, monolithic, node
+from repro.core.config import Configuration, initial_configuration, leaf, monolithic, node
 from repro.core.transaction import Transaction
 from repro.database import Database
 from repro.harness import configs
@@ -23,6 +23,8 @@ from repro.workloads.tpcc import TPCCWorkload
 from repro.workloads.tpcc.schema import TPCCScale
 from repro.workloads.ycsb import YCSBWorkload
 from tests.test_cc_conformance import run_micro_schedule
+
+TREES = configs.WORKLOAD_CONFIGURATIONS
 
 
 def history_from(transactions, version_orders, aborted=()):
@@ -291,7 +293,7 @@ class TestWorkloads:
                             customers_per_district=5, items=20,
                             initial_orders_per_district=2)
         )
-        db = Database(workload, configs.tpcc_monolithic_2pl())
+        db = Database(workload, TREES["tpcc"]["2pl"]())
         before = db.read_row("district", 1, 1)["d_next_o_id"]
         result = db.execute("new_order", w_id=1, d_id=1, c_id=1, items=[(1, 1, 3)])
         after = db.read_row("district", 1, 1)["d_next_o_id"]
@@ -305,7 +307,7 @@ class TestWorkloads:
                             customers_per_district=5, items=10,
                             initial_orders_per_district=2)
         )
-        db = Database(workload, configs.tpcc_monolithic_2pl())
+        db = Database(workload, TREES["tpcc"]["2pl"]())
         db.execute("payment", w_id=1, d_id=1, c_w_id=1, c_d_id=1, c_id=2, h_amount=25.0)
         assert db.read_row("warehouse", 1)["w_ytd"] == pytest.approx(25.0)
         assert db.read_row("customer", 1, 1, 2)["c_balance"] == pytest.approx(-25.0)
@@ -316,14 +318,14 @@ class TestWorkloads:
                             customers_per_district=5, items=10,
                             initial_orders_per_district=2)
         )
-        db = Database(workload, configs.tpcc_monolithic_2pl())
+        db = Database(workload, TREES["tpcc"]["2pl"]())
         result = db.execute("delivery", w_id=1, carrier_id=3, districts=[1, 2])
         assert len(result["delivered"]) == 2
         assert db.read_row("new_order_ptr", 1, 1)["first_undelivered"] == 2
 
     def test_seats_reservation_lifecycle(self):
         workload = SEATSWorkload(flights=3, seats_per_flight=50, customers=20)
-        db = Database(workload, configs.seats_monolithic_2pl())
+        db = Database(workload, TREES["seats"]["2pl"]())
         outcome = db.execute("new_reservation", f_id=1, c_id=1, seat=7, price=100.0)
         assert outcome["reserved"]
         assert db.read_row("flight", 1)["seats_left"] == 49
@@ -335,7 +337,7 @@ class TestWorkloads:
 
     def test_seats_find_open_seats_excludes_taken(self):
         workload = SEATSWorkload(flights=2, seats_per_flight=20, customers=10)
-        db = Database(workload, configs.seats_monolithic_2pl())
+        db = Database(workload, TREES["seats"]["2pl"]())
         db.execute("new_reservation", f_id=1, c_id=1, seat=5, price=10.0)
         result = db.execute("find_open_seats", f_id=1, seats=[4, 5, 6])
         assert 5 not in result["open_seats"]
@@ -351,7 +353,7 @@ class TestWorkloads:
 
     def test_smallbank_balance_and_deposit(self):
         workload = SmallBankWorkload(customers=10, hot_accounts=2)
-        db = Database(workload, configs.smallbank_monolithic_2pl())
+        db = Database(workload, TREES["smallbank"]["2pl"]())
         before = db.execute("balance", c_id=3)["balance"]
         db.execute("deposit_checking", c_id=3, amount=50.0)
         after = db.execute("balance", c_id=3)["balance"]
@@ -359,7 +361,7 @@ class TestWorkloads:
 
     def test_smallbank_send_payment_conserves_money(self):
         workload = SmallBankWorkload(customers=10)
-        db = Database(workload, configs.smallbank_monolithic_2pl())
+        db = Database(workload, TREES["smallbank"]["2pl"]())
         total_before = sum(
             db.execute("balance", c_id=c)["balance"] for c in (1, 2)
         )
@@ -372,14 +374,14 @@ class TestWorkloads:
 
     def test_smallbank_amalgamate_zeroes_source(self):
         workload = SmallBankWorkload(customers=10)
-        db = Database(workload, configs.smallbank_monolithic_2pl())
+        db = Database(workload, TREES["smallbank"]["2pl"]())
         moved = db.execute("amalgamate", from_c_id=4, to_c_id=5)["moved"]
         assert moved == pytest.approx(20_000.0)
         assert db.execute("balance", c_id=4)["balance"] == pytest.approx(0.0)
 
     def test_smallbank_transact_savings_rejects_overdraft(self):
         workload = SmallBankWorkload(customers=5, initial_balance=10.0)
-        db = Database(workload, configs.smallbank_monolithic_2pl())
+        db = Database(workload, TREES["smallbank"]["2pl"]())
         outcome = db.execute("transact_savings", c_id=1, amount=-100.0)
         assert not outcome["ok"]
         assert db.read_row("savings", 1)["balance"] == pytest.approx(10.0)
@@ -411,7 +413,7 @@ class TestWorkloads:
 
     def test_ycsb_operations(self):
         workload = YCSBWorkload(records=50, profile="a")
-        db = Database(workload, configs.ycsb_monolithic_2pl())
+        db = Database(workload, TREES["ycsb"]["2pl"]())
         assert db.execute("read_record", key=7)["row"]["field0"] == 49
         db.execute("update_record", key=7, value=123)
         assert db.execute("read_record", key=7)["row"]["field0"] == 123
@@ -574,7 +576,7 @@ class TestCheckedWorkloadRuns:
         """
         result = run_benchmark(
             TPCCWorkload(warehouses=2),
-            configs.tpcc_tebaldi_2layer(),
+            TREES["tpcc"]["tebaldi-2layer"](),
             clients=8,
             duration=0.3,
             warmup=0.1,
@@ -592,7 +594,7 @@ class TestCheckedWorkloadRuns:
         """
         result = run_benchmark(
             SmallBankWorkload(customers=100, hot_accounts=5),
-            configs.smallbank_monolithic_ssi(),
+            TREES["smallbank"]["ssi"](),
             clients=16,
             duration=0.3,
             warmup=0.05,
@@ -753,7 +755,7 @@ class TestOptimizer:
 
     def test_single_type_candidates_split_leaf(self):
         optimizer, workload = self._optimizer()
-        config = configs.initial_configuration(
+        config = initial_configuration(
             set(workload.transaction_types()), {"order_status", "stock_level"}
         )
         candidates = optimizer.propose(config, ("new_order", "new_order"))
@@ -766,7 +768,7 @@ class TestOptimizer:
 
     def test_same_group_candidates_add_cross_cc(self):
         optimizer, workload = self._optimizer()
-        config = configs.initial_configuration(
+        config = initial_configuration(
             set(workload.transaction_types()), {"order_status", "stock_level"}
         )
         candidates = optimizer.propose(config, ("new_order", "payment"))
@@ -784,7 +786,7 @@ class TestOptimizer:
 
     def test_candidates_are_deduplicated(self):
         optimizer, workload = self._optimizer()
-        config = configs.initial_configuration(
+        config = initial_configuration(
             set(workload.transaction_types()), {"order_status", "stock_level"}
         )
         candidates = optimizer.propose(config, ("payment", "payment"))

@@ -57,13 +57,13 @@ CELLS = {
         lambda: SEATSWorkload(flights=2, seats_per_flight=100, customers=50),
         configs.seats_3layer, 12, 0.15,
     ),
-    "ycsb-zipf/batch": (_zipf, configs.ycsb_batch, 16, 0.08),
+    "ycsb-zipf/batch": (_zipf, configs.WORKLOAD_CONFIGURATIONS["ycsb"]["batch"], 16, 0.08),
     "ycsb-zipf/tso": (
         _zipf,
         lambda: monolithic("tso", sorted(_zipf().transaction_types()), name="ycsb-tso"),
         16, 0.1,
     ),
-    "queue/2pl": (QueueWorkload, configs.queue_monolithic_2pl, 12, 0.2),
+    "queue/2pl": (QueueWorkload, configs.WORKLOAD_CONFIGURATIONS["queue"]["2pl"], 12, 0.2),
 }
 
 #: name -> (blocking events, kinds seen, digest of the whole stream)

@@ -73,6 +73,8 @@ from tests.conftest import OverlapAuditEngine, build_engine, run_transactions
 from tests.snapshot_read_census import census_of_run
 from tests.test_cc_conformance import CONFORMANCE_TREES, ConformanceWorkload
 
+TREES = configs.WORKLOAD_CONFIGURATIONS
+
 
 class KeepEverythingEngine(TebaldiEngine):
     """Test-only: the engine as it was before it released anything."""
@@ -143,7 +145,7 @@ RUNNER_CELLS = {
     "ycsb-scan/2layer": (
         lambda: YCSBWorkload(records=300, profile="e"), configs.ycsb_2layer, 10, 0.2,
     ),
-    "ycsb-zipf/batch": (_zipf, configs.ycsb_batch, 16, 0.08),
+    "ycsb-zipf/batch": (_zipf, TREES["ycsb"]["batch"], 16, 0.08),
     # SSI over two update groups: timestamp batches, the one place where a
     # snapshot predates its transaction's begin (engine.hold_finished).
     "micro/ssi-2layer": (_micro, configs.micro_ssi_2layer, 8, 0.4),
@@ -279,7 +281,7 @@ BOUND_CELLS = {
     "2pl-over-rp": (_micro, configs.micro_2layer),
     "ssi-root": (_smallbank, configs.smallbank_3layer),
     "ssi-batching": (_micro, configs.micro_ssi_2layer),
-    "batch-leaf": (_zipf, configs.ycsb_batch),
+    "batch-leaf": (_zipf, TREES["ycsb"]["batch"]),
 }
 CLIENTS = 16
 #: finished transactions / queue entries allowed per client.  Measured peaks
@@ -356,7 +358,7 @@ class TestRetentionBound:
         env.process(engine.execute_transaction("group_a_update", args))
         restart = env.process(
             engine.reconfigure_partial_restart(
-                configs.micro_monolithic_2pl(), force_abort_after=5.0
+                TREES["micro"]["2pl"](), force_abort_after=5.0
             )
         )
         env.run(until=restart)
@@ -382,7 +384,7 @@ class TestRetentionBound:
 #: and the one whose timestamp batches hold the release back.
 CHAIN_CELLS = {
     "tpcc/3layer": (_tiny_tpcc, configs.tpcc_tebaldi_3layer),
-    "ycsb-zipf/batch": (_zipf, configs.ycsb_batch),
+    "ycsb-zipf/batch": (_zipf, TREES["ycsb"]["batch"]),
     "smallbank/3layer": (_smallbank, configs.smallbank_3layer),
     "micro/ssi-2layer": (_micro, configs.micro_ssi_2layer),
 }
@@ -417,7 +419,7 @@ class TestVersionRetention:
         """What the epoch collector's unfinished-middle-epoch rule was for:
         nothing a live transaction overlapped goes, and it goes — on the next
         write of the key — once the straggler has finished."""
-        engine = build_engine(env, _micro(), configs.micro_monolithic_2pl())
+        engine = build_engine(env, _micro(), TREES["micro"]["2pl"]())
         args = {"shared_id": 0, "local_id": 0, "cold_ids": [1]}
         key = ("shared", 0)
 
@@ -441,7 +443,7 @@ class TestVersionRetention:
 
     def test_database_prunes_without_services(self):
         """``Database`` starts no services: no tick, and none is needed."""
-        db = Database(_micro(), configs.micro_monolithic_2pl())
+        db = Database(_micro(), TREES["micro"]["2pl"]())
         for _ in range(20):
             db.execute("group_a_update", shared_id=0, local_id=0, cold_ids=[1])
         chain = db.store.committed_versions(("shared", 0))
@@ -755,7 +757,7 @@ class TestBatchLeafRetention:
     def test_a_drained_run_leaves_no_cyclic_garbage(self):
         """A sealed batch used to list the members whose state lists the
         batch, so every member waited for the cyclic collector."""
-        runner = BenchmarkRunner(_zipf(), configs.ycsb_batch(), seed=7)
+        runner = BenchmarkRunner(_zipf(), TREES["ycsb"]["batch"](), seed=7)
         gc.disable()                          # after the runner's own collect
         try:
             runner.run(CLIENTS, duration=0.08, warmup=0.0)
@@ -766,7 +768,7 @@ class TestBatchLeafRetention:
             gc.enable()
 
     def test_indexes_name_only_members_in_flight_and_empty_on_drain(self):
-        runner = BenchmarkRunner(_zipf(), configs.ycsb_batch(), seed=7)
+        runner = BenchmarkRunner(_zipf(), TREES["ycsb"]["batch"](), seed=7)
         cc = runner.engine.root.cc
         try:
             runner.add_clients(CLIENTS)
@@ -786,7 +788,7 @@ class TestBatchLeafRetention:
             runner.stop()
 
     def test_a_member_that_dies_before_the_seal_is_never_indexed(self, env):
-        engine = build_engine(env, _zipf(), configs.ycsb_batch())
+        engine = build_engine(env, _zipf(), TREES["ycsb"]["batch"]())
         cc = engine.root.cc
         casualty = engine.begin("update_record", {"key": 1, "value": 0})
         parked = cc.start(casualty)
@@ -810,13 +812,13 @@ class TestBatchLeafRetention:
         to it: the old node's indexes drain with them."""
         cases = {
             "partial-restart": (
-                configs.ycsb_batch, lambda engine: engine.root.cc,
+                TREES["ycsb"]["batch"], lambda engine: engine.root.cc,
                 lambda engine: engine.reconfigure_partial_restart(
-                    configs.ycsb_monolithic_2pl(), force_abort_after=0.0002
+                    TREES["ycsb"]["2pl"](), force_abort_after=0.0002
                 ),
             ),
             "online-splice": (
-                configs.ycsb_batch_2layer, lambda engine: engine.root.children[1].cc,
+                TREES["ycsb"]["batch-2layer"], lambda engine: engine.root.children[1].cc,
                 lambda engine: engine.reconfigure_online(configs.ycsb_2layer()),
             ),
         }
@@ -912,7 +914,7 @@ class KeepEveryRecordLockTable(LockTable):
 LOCK_CELLS = {
     "tpcc/3layer": (_tiny_tpcc, configs.tpcc_tebaldi_3layer),
     "smallbank/3layer": (_smallbank, configs.smallbank_3layer),
-    "micro/2pl": (_micro, configs.micro_monolithic_2pl),
+    "micro/2pl": (_micro, TREES["micro"]["2pl"]),
 }
 
 
@@ -1015,7 +1017,7 @@ class TestChainRetention:
 #: keys) and the one cell whose timestamp batches hand out old snapshots.
 SNAPSHOT_READ_CELLS = {
     "tpcc/3layer": (_tiny_tpcc, configs.tpcc_tebaldi_3layer, 12, 1.2),
-    "ycsb-zipf/ssi": (_zipf, configs.ycsb_monolithic_ssi, 64, 0.2),
+    "ycsb-zipf/ssi": (_zipf, TREES["ycsb"]["ssi"], 64, 0.2),
     "micro/ssi-2layer": (_micro, configs.micro_ssi_2layer, 8, 3.0),
 }
 

@@ -21,7 +21,7 @@ from repro.core.engine import EngineOptions
 from repro.core.transaction import Transaction
 from repro.database import Database
 from repro.errors import TransactionAborted
-from repro.harness import configs
+from repro.harness.configs import WORKLOAD_CONFIGURATIONS as TREES
 from repro.isolation.checker import check_history, check_recorder
 from repro.isolation.history import History, HistoryRecorder, HistoryTransaction
 from repro.sim.environment import Environment
@@ -106,7 +106,7 @@ class TestStoreRangeIndex:
 class TestQueueWorkload:
     def _db(self, config=None):
         workload = QueueWorkload(initial_messages=3, window=5)
-        return Database(workload, config or configs.queue_monolithic_2pl())
+        return Database(workload, config or TREES["queue"]["2pl"]())
 
     def test_enqueue_assigns_tail_ids(self):
         db = self._db()
@@ -144,7 +144,7 @@ class TestQueueWorkload:
         assert db.read_row("messages", 1) is None
 
     def test_lifecycle_under_hierarchical_tree(self):
-        db = self._db(configs.queue_3layer())
+        db = self._db(TREES["queue"]["3layer"]())
         assert db.execute("enqueue", payload=1)["m_id"] == 4
         assert db.execute("dequeue")["m_id"] == 1
         assert db.execute("peek")["backlog"] == 3
@@ -158,7 +158,7 @@ class TestPaymentByName:
                             initial_orders_per_district=2),
             include_payment_by_name=True,
         )
-        return Database(workload, configs.tpcc_scan_monolithic_2pl())
+        return Database(workload, TREES["tpcc-scan"]["2pl"]())
 
     def test_scan_locates_midpoint_customer(self):
         db = self._db()
@@ -191,7 +191,7 @@ class TestPaymentByName:
                             initial_orders_per_district=2),
             include_payment_by_name=True,
         )
-        db = Database(workload, configs.tpcc_scan_monolithic_2pl())
+        db = Database(workload, TREES["tpcc-scan"]["2pl"]())
         result = db.execute(
             "payment_by_name", w_id=1, d_id=1, c_w_id=1, c_d_id=1,
             c_last=customer_last_name(3), h_amount=10.0,
@@ -339,7 +339,7 @@ class TestPhantomScenarios:
         engine = build_engine(
             env,
             workload,
-            configs.queue_3layer(),
+            TREES["queue"]["3layer"](),
             options=EngineOptions(
                 charge_costs=True, lock_timeout=0.3, commit_wait_timeout=0.5
             ),

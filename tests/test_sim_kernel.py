@@ -156,27 +156,6 @@ class TestProcesses:
         env.run()
         assert order == ["a", "b", "c"]
 
-    def test_interrupt_wakes_process(self, env):
-        from repro.sim.events import Interrupt
-
-        outcome = []
-
-        def sleeper():
-            try:
-                yield env.timeout(100)
-            except Interrupt as interrupt:
-                outcome.append(interrupt.cause)
-
-        process = env.process(sleeper())
-
-        def interrupter():
-            yield env.timeout(1)
-            process.interrupt("wake up")
-
-        env.process(interrupter())
-        env.run()
-        assert outcome == ["wake up"]
-
     def test_any_of_returns_first(self, env):
         def proc():
             first = env.timeout(5, value="slow")

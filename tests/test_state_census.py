@@ -44,7 +44,6 @@ READ_BY_TESTS = {
     "duplicate_precommits",  # DurabilityManager
     "records_written",       # DurabilityManager
     "sent", "dropped", "delayed", "reordered",  # LinkState, one per fault kind
-    "cause",                 # Interrupt
 }
 
 #: attribute -> why it stays although nothing reads it.
@@ -133,7 +132,6 @@ USED_BY_TESTS = {
     "StreamingDSGChecker.has_cycle": "test_streaming_checker",
     "History.writers_of": "test_crash_recovery",
     "Process.is_alive": "test_sim_kernel",
-    "Process.interrupt": "test_sim_kernel",
     # The only backend whose values leave the process (ROADMAP: stays).
     "FileBackend": "test_storage",
     "DurabilityManager.persistent_gcp_epoch": "test_crash_recovery",
