@@ -16,8 +16,8 @@
 # smoke (benchmarks/ledger/run.py --quick, ~18 s) drives the four
 # BENCHMARK.json workloads end to end: its numbers are not comparable, its
 # checks are.
-# The checked-run smoke gates micro and SmallBank runs under two CC trees
-# each — plus the
+# The checked-run smoke gates micro runs under three CC trees (one with a
+# timestamp-batching SSI root) and SmallBank runs under two — plus the
 # deterministic-batch YCSB cells (zipfian + scan-heavy) — on the Adya
 # isolation oracle (python -m repro.harness --quick); its independent
 # cells fan out across --workers processes (WORKERS env var overrides;
@@ -60,7 +60,8 @@ python3 benchmarks/ledger/run.py --quick
 echo
 echo "== checked-run smoke (isolation oracle) =="
 WORKERS="${WORKERS:-$(python -c 'import os; print(os.cpu_count() or 1)')}"
-python -m repro.harness --workload micro --config 2pl --config 2layer --quick --workers "$WORKERS"
+# micro/ssi-2layer: the one registry cell whose SSI root batches timestamps.
+python -m repro.harness --workload micro --config 2pl --config 2layer --config ssi-2layer --quick --workers "$WORKERS"
 python -m repro.harness --workload smallbank --config ssi --config 3layer --quick --workers "$WORKERS"
 # Deterministic batch cells: monolithic on the zipfian mix, 2-layer on the
 # scan-heavy profile (declared ranges carry the phantom story).

@@ -228,10 +228,5 @@ class ConcurrencyControl:
     def finish(self, txn, committed):
         """Called once after commit or abort: release resources, wake waiters."""
 
-    # -- epoch tick ---------------------------------------------------------------
-
-    def on_epoch(self):
-        """Called once per epoch tick (``EngineOptions.gc_epoch_length``)."""
-
     def describe(self):
         return f"{self.name}@{self.node.node_id}"

@@ -8,7 +8,9 @@ batches) with both an incoming and an outgoing read-write anti-dependency.
 As an internal node of the CC tree SSI must respect consistent ordering: it
 *procrastinates* by batching, i.e. every transaction of the same child group
 admitted into the same batch shares one start timestamp, so their relative
-order stays with the child CC.  When the node has at most one update child
+order stays with the child CC.  A batch lives while one of its members does:
+a group's next transaction after the last one finished starts a new batch
+at a fresh timestamp.  When the node has at most one update child
 group (the common "read-only group at the root" configuration, Figure 5.2)
 batching and pivot tracking are unnecessary and are switched off, which is
 the optimisation described at the end of Section 4.4.3.
@@ -34,10 +36,12 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         super().__init__(engine, node)
         self.batch_size = batch_size
         # A batch member reads at its batch's timestamp: it is concurrent with
-        # whatever finished since the batch opened, even before its own begin,
-        # and the ww/rw checks below must still find those transactions — so
-        # a live batch holds the engine's release back, and its timestamp is
-        # the floor of the SIREAD drain (``_drain_committed_readers``).
+        # whatever finished since the batch opened, even before its own begin
+        # (a late joiner of a batch whose first members still run), and the
+        # ww/rw checks below must still find those transactions — so a live
+        # batch holds the engine's release back until its last member
+        # finishes, and its timestamp is the floor of the SIREAD drain
+        # (``_drain_committed_readers``).
         self.batches = BatchManager(
             engine.oracle,
             batch_size=batch_size,
@@ -423,6 +427,3 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
                 break
             retained.popleft()
             self._prune_reader(reader, self.state(reader))
-
-    def on_epoch(self):
-        self.batches.rotate_idle()

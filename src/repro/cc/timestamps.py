@@ -56,13 +56,14 @@ class BatchManager:
 
     Batching is the paper's *procrastination* strategy (Section 4.2.2): all
     transactions of a batch share a start timestamp, so their relative order
-    is left to the child CC.  Batches rotate after ``batch_size`` admissions,
-    on :meth:`rotate`, or from the owner's epoch tick once idle
-    (:meth:`rotate_idle`).
+    is left to the child CC.  That is for members that run *concurrently*: a
+    batch closes after ``batch_size`` admissions, or when its last member
+    finishes — nobody is left to share its timestamp with, so the group's
+    next member opens a fresh batch.
 
     ``on_open(batch_id)`` / ``on_dead(batch_id)`` bracket a batch's life —
-    dead means closed to admissions and every member finished — for an owner
-    whose members' snapshot (the batch timestamp) can predate their begin.
+    dead means every member finished — for an owner whose members' snapshot
+    (the batch timestamp) can predate their begin.
     """
 
     def __init__(self, oracle, batch_size=16, on_open=None, on_dead=None):
@@ -78,7 +79,8 @@ class BatchManager:
         """Assign (batch_id, shared timestamp) to a transaction of a group."""
         entry = self._current.get(group_token)
         if entry is None or entry["count"] >= self.batch_size:
-            full = entry
+            # A full batch leaves ``_current`` with members still running;
+            # the last of them ends it in :meth:`discard`.
             entry = self._current[group_token] = {
                 "batch_id": next(self._batch_ids),
                 "timestamp": self.oracle.next(),
@@ -89,10 +91,7 @@ class BatchManager:
             self._live[entry["batch_id"]] = entry
             if self.on_open is not None:
                 self.on_open(entry["batch_id"])
-            if full is not None:
-                self._reap(full)
         entry["count"] += 1
-        entry["idle"] = False
         entry["members"].add(txn_id)
         return entry["batch_id"], entry["timestamp"]
 
@@ -107,32 +106,16 @@ class BatchManager:
         return None
 
     def discard(self, batch_id, txn_id):
-        """``txn_id`` finished."""
+        """``txn_id`` finished; with the batch's last member the batch dies,
+        closed to admissions if it was still its group's current one."""
         entry = self._live.get(batch_id)
-        if entry is not None:
-            entry["members"].discard(txn_id)
-            self._reap(entry)
-
-    def _reap(self, entry):
-        if not entry["members"] and self._current.get(entry["token"]) is not entry:
-            del self._live[entry["batch_id"]]
+        if entry is None:
+            return
+        members = entry["members"]
+        members.discard(txn_id)
+        if not members:
+            del self._live[batch_id]
+            if self._current.get(entry["token"]) is entry:
+                del self._current[entry["token"]]
             if self.on_dead is not None:
-                self.on_dead(entry["batch_id"])
-
-    def rotate(self, group_token=None):
-        """Force the next admission (of one group or all) to open a new batch."""
-        tokens = list(self._current) if group_token is None else [group_token]
-        for token in tokens:
-            entry = self._current.pop(token, None)
-            if entry is not None:
-                self._reap(entry)
-
-    def rotate_idle(self):
-        """Epoch tick: close every current batch that has no unfinished
-        member and admitted nobody since the previous tick, so a group gone
-        quiet stops keeping its batch — and what the owner holds for it."""
-        for token, entry in list(self._current.items()):
-            if entry["idle"] and not entry["members"]:
-                self.rotate(token)
-            else:
-                entry["idle"] = True
+                self.on_dead(batch_id)

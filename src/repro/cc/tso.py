@@ -274,6 +274,3 @@ class TimestampOrdering(ConcurrencyControl):
         if batch_id is not None:
             self.batches.discard(batch_id, txn.txn_id)
         self.progress.notify_all()
-
-    def on_epoch(self):
-        self.batches.rotate_idle()

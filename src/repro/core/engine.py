@@ -14,8 +14,8 @@ The engine implements the four-phase execution protocol of Section 4.3.1:
   every CC releases its resources.
 
 The engine also hosts the shared services: multi-version storage, timestamp
-oracle, durability, the contention profiler and the epoch tick that lets a
-CC close what went idle.  Nothing collects garbage in the background: one
+oracle, durability and the contention profiler.  Nothing runs in the
+background but the durability flusher, and nothing collects garbage: one
 retention rule (:meth:`TebaldiEngine._release_finished`) says which finished
 transactions something live may still be concurrent with, and the store
 drops a superseded version on the commit path once its successor's writer
@@ -51,6 +51,14 @@ _VALIDATING = TransactionStatus.VALIDATING
 _COMMITTED = TransactionStatus.COMMITTED
 _ABORTED = TransactionStatus.ABORTED
 
+# Degraded-mode (message fault) protocol, inert unless a MessageFaultInjector
+# with a non-empty plan is attached to the cluster: per-phase reply timeout,
+# retry budget of a never-applied request, capped exponential backoff.
+NET_PHASE_TIMEOUT = 0.002
+NET_RETRY_LIMIT = 8
+NET_BACKOFF_BASE = 0.0004
+NET_BACKOFF_CAP = 0.0064
+
 
 @dataclass
 class EngineOptions:
@@ -58,25 +66,11 @@ class EngineOptions:
 
     lock_timeout: float = 0.5
     commit_wait_timeout: float = 1.0
-    retry_backoff: float = 0.005
     charge_costs: bool = True
-    # Period of the epoch tick (``start_services``): every CC's ``on_epoch``,
-    # which today closes SSI / TSO timestamp batches gone idle
-    # (``BatchManager.rotate_idle``) and with them their ``hold_finished``.
-    # It paces no collection: versions are dropped on the commit path.
-    gc_epoch_length: float = 0.5
     durability: DurabilityConfig = field(default_factory=DurabilityConfig)
-    # Degraded-mode (message fault) tunables.  All inert unless a
-    # MessageFaultInjector with a non-empty plan is attached to the cluster:
-    # per-phase reply timeout, bounded retry budget for never-applied
-    # requests, and capped exponential backoff with seeded deterministic
-    # randomization.  ``net_park_threshold`` is the admission valve: once
-    # that many exchanges are backed up in retry, new transactions park
-    # until the backlog drains to half the threshold.
-    net_phase_timeout: float = 0.002
-    net_retry_limit: int = 8
-    net_backoff_base: float = 0.0004
-    net_backoff_cap: float = 0.0064
+    # Degraded mode: the seed of the backoff randomization, and the
+    # admission valve — once ``net_park_threshold`` exchanges are backed up
+    # in retry, new transactions park until the backlog drains to half.
     net_backoff_seed: int = 0
     net_park_threshold: int = 12
 
@@ -483,7 +477,7 @@ class TebaldiEngine:
         exchange returns ``apply_fn``'s result once a reply arrives.
 
         A request that was never applied aborts the transaction after
-        ``net_retry_limit`` failed attempts.  Once applied, the TC retries
+        ``NET_RETRY_LIMIT`` failed attempts.  Once applied, the TC retries
         without bound — the effect may be durable, so abandoning it would
         manufacture a phantom commit — which terminates because fault
         plans are finite and partitions heal by time.  Failed attempts
@@ -503,7 +497,7 @@ class TebaldiEngine:
                     phase=phase,
                     txn_id=txn.txn_id,
                     round_trips=round_trips,
-                    timeout=options.net_phase_timeout,
+                    timeout=NET_PHASE_TIMEOUT,
                 )
                 if outcome.request_reached:
                     if not applied:
@@ -520,7 +514,7 @@ class TebaldiEngine:
                 if outcome.delivered:
                     return result
                 stats["retries"] += 1
-                if not applied and attempts > options.net_retry_limit:
+                if not applied and attempts > NET_RETRY_LIMIT:
                     stats["unreachable_aborts"] += 1
                     raise TransactionAborted(txn.txn_id, f"net-unreachable-{phase}")
                 if not backlogged:
@@ -533,8 +527,7 @@ class TebaldiEngine:
                         self._net_degraded = True
                         stats["degraded_windows"] += 1
                 delay = min(
-                    options.net_backoff_base * (2 ** min(attempts - 1, 6)),
-                    options.net_backoff_cap,
+                    NET_BACKOFF_BASE * (2 ** min(attempts - 1, 6)), NET_BACKOFF_CAP
                 )
                 # Seeded deterministic "randomization": spreads concurrent
                 # retries apart without forfeiting reproducibility.
@@ -826,23 +819,12 @@ class TebaldiEngine:
 
     # -- background services --------------------------------------------------------------
 
-    def _epoch_tick(self, stop_event):
-        """Every ``gc_epoch_length``: each CC's ``on_epoch``, tree order."""
-        while stop_event is None or not stop_event.triggered:
-            yield self.env.timeout(self.options.gc_epoch_length)
-            for node in self.nodes:
-                node.cc.on_epoch()
-
     def start_services(self, stop_event=None):
-        """Spawn the epoch tick and the durability flusher processes."""
-        processes = [self.env.process(self._epoch_tick(stop_event), name="epoch")]
+        """Spawn the durability flusher, if durability is asynchronous."""
         if self.durability.enabled and self.durability.config.asynchronous:
-            processes.append(
-                self.env.process(
-                    self.durability.run_flusher(self.env, stop_event), name="gcp-flusher"
-                )
+            self.env.process(
+                self.durability.run_flusher(self.env, stop_event), name="gcp-flusher"
             )
-        return processes
 
     # -- reconfiguration (Section 5.5) -------------------------------------------------------
 

@@ -134,10 +134,6 @@ class PartitionedCC:
     def finish(self, txn, committed):
         return self.instance_for(txn).finish(txn, committed)
 
-    def on_epoch(self):
-        for cc in self._instances.values():
-            cc.on_epoch()
-
     def describe(self):
         return f"{self.name}@{self.node.node_id} ({len(self._instances)} instances)"
 

@@ -47,16 +47,9 @@ def default_degraded_durability():
 
 
 def default_degraded_options(seed=7):
-    """Chaos-tuned engine options: tight timeouts and a low valve threshold
-    so sub-second runs actually exercise retry, backoff and degradation."""
-    return EngineOptions(
-        net_phase_timeout=0.002,
-        net_retry_limit=8,
-        net_backoff_base=0.0004,
-        net_backoff_cap=0.0064,
-        net_backoff_seed=seed,
-        net_park_threshold=6,
-    )
+    """Chaos-tuned engine options: backoff jitter seeded by the run and a
+    low valve threshold, so sub-second runs actually exercise degradation."""
+    return EngineOptions(net_backoff_seed=seed, net_park_threshold=6)
 
 
 def retransmit_violations(manager):

@@ -30,6 +30,10 @@ from repro.sim.events import any_of
 from repro.storage.durability import DurabilityManager
 from repro.storage.mvstore import MultiVersionStore
 
+#: First delay before a client retries an aborted transaction (doubling,
+#: capped at 0.1 s).
+RETRY_BACKOFF = 0.005
+
 
 @dataclass
 class RunResult:
@@ -98,7 +102,6 @@ class BenchmarkRunner:
         seed=7,
         profiler=None,
         mix=None,
-        start_services=True,
         check_isolation=False,
         isolation_level="serializable",
         history_window=None,
@@ -108,7 +111,6 @@ class BenchmarkRunner:
         self.configuration = configuration
         self.seed = seed
         self.mix = mix
-        self.start_services = start_services
         self.profiler = profiler
         self.lanes = tuple(lanes)
         for lane in self.lanes:
@@ -165,8 +167,7 @@ class BenchmarkRunner:
         )
         self.engine.history_recorder = self.recorder
         self._stop_event = self.env.event(name="stop")
-        if self.start_services:
-            self.engine.start_services(self._stop_event)
+        self.engine.start_services(self._stop_event)
         for lane in self.lanes:
             lane.attach(self)
 
@@ -174,7 +175,6 @@ class BenchmarkRunner:
 
     def _client(self, client_id, rng, mix):
         """The closed loop: draw a transaction, retry it until it commits."""
-        backoff = self.options.retry_backoff
         while not self._stop_event.triggered:
             txn_type, args = self.workload.next_transaction(rng, mix)
             attempts = 0
@@ -185,10 +185,9 @@ class BenchmarkRunner:
                     break
                 except TransactionAborted:
                     self.engine.stats.record_retry(None)
-                    if backoff > 0:
-                        # Exponential backoff (capped) calms cascading-abort storms.
-                        delay = min(backoff * (2 ** min(attempts - 1, 5)), 0.1)
-                        yield self.env.timeout(delay)
+                    # Exponential backoff (capped) calms cascading-abort storms.
+                    delay = min(RETRY_BACKOFF * (2 ** min(attempts - 1, 5)), 0.1)
+                    yield self.env.timeout(delay)
 
     def add_clients(self, count, mix=None):
         """Spawn ``count`` closed-loop client processes."""

@@ -19,8 +19,10 @@ Everything in the registry's vocabulary is in: cross-group RP-over-RP trees
 (whose stale-read corner is now closed — see ``TestRpOverRpStaleRead`` for
 the pinned multi-step adversary) and the deterministic batch trees included.
 What random draws found since is at the end, as plain seed tuples: the two
-stale mirrors that were fixed (``TestStaleMirrorAdversaries``) and the
-families that are still open (``TestOpenFamilies``, strict xfail).
+stale mirrors that were fixed (``TestStaleMirrorAdversaries``), the
+timestamp batches that outlived their members
+(``TestBatchEndsWithItsLastMember``) and the families that are still open
+(``TestOpenFamilies``, strict xfail).
 """
 
 import random
@@ -581,6 +583,31 @@ class TestStaleMirrorAdversaries:
         assert report.ok, report.describe()
 
 
+class TestBatchEndsWithItsLastMember:
+    """A timestamp batch used to stay open after its members had finished,
+    until it filled or an idle tick closed it, and handed its old timestamp
+    to whichever member of its group came next: a joiner that read other
+    groups' keys at that stale snapshot and its own group's at the child's
+    newest proposal.  Every tuple below failed the oracle at the parent of
+    the commit that made a batch die with its last member."""
+
+    #: (tree, seed, requests, lanes) for ``replay_conformance``.
+    SCHEDULES = [
+        ("ssi/(rp,2pl)", 2414, 11, 2),
+        ("ssi/(rp,2pl)", 3364, 11, 2),
+        ("ssi/(rp,2pl)", 440, 7, 2),
+        ("ssi/(2pl,2pl)", 415, 10, 2),
+        ("ssi/(batch,batch)", 4661, 12, 2),
+        ("ssi/(batch,batch)", 5012, 12, 2),
+    ]
+
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=_tuple_id)
+    def test_no_joiner_after_the_last_member(self, schedule):
+        report, committed = replay_conformance(*schedule)
+        assert report.ok, f"{schedule}: {report.describe()}"
+        assert committed > 0
+
+
 class TestOpenFamilies:
     """Cycles that are *not* fixed, as plain tuples instead of cached
     Hypothesis examples: each reproduces at HEAD and, identically, before
@@ -597,8 +624,11 @@ class TestOpenFamilies:
         ("mono-ssi", 896, 4, 2),
         # SSI: two writers past the ww check before either installs.
         ("ssi/(2pl,2pl)", 7743, 9, None),
-        # SSI: a late joiner's stale batch snapshot beside child proposals.
-        ("ssi/(rp,2pl)", 2414, 11, 2),
+        # SSI: a late joiner's stale batch snapshot beside child proposals —
+        # narrowed, not closed, by ending a batch with its last member: here
+        # the joiner arrives while an earlier member still runs.
+        ("ssi/(rp,2pl)", 2036, 10, 2),
+        ("ssi/(rp,2pl)", 3238, 6, 3),
     ]
     MICRO = [("2pl", "tso", "tso", 147, 20), ("2pl", "tso", "tso", 172, 8)]
 

@@ -218,10 +218,10 @@ class TestTimestamps:
         batch_b, _ = manager.admit("g2", 2)
         assert batch_a != batch_b
 
-    def test_rotate_forces_new_batch(self):
+    def test_last_member_finishing_forces_new_batch(self):
         manager = BatchManager(TimestampOracle(), batch_size=10)
         first, _ = manager.admit("g1", 1)
-        manager.rotate("g1")
+        manager.discard(first, 1)
         second, _ = manager.admit("g1", 2)
         assert second != first
 

@@ -18,9 +18,12 @@ Re-record rule (as for ``tests/golden/``): a refactor must never touch
 ``repro.core.waits``, by running ``PYTHONPATH=src:. python
 tests/test_profiler_stream.py`` there; re-record only when a change legitimately moves schedules or the
 reported edges (the hot-row stall fix will), with the reason in CHANGES.md.
-Re-recorded once: ``ssi/(2pl,2pl)``, ``ssi/(rp,2pl)`` and ``ssi/(batch,batch)``
-when SSI's SIREAD drain took its floor from the oldest live batch (PR 19: the
-runs keep entries they used to forget, so more ``ssi-committed-pivot`` aborts).
+Re-recorded twice, both times ``ssi/(2pl,2pl)``, ``ssi/(rp,2pl)`` and
+``ssi/(batch,batch)`` only: when SSI's SIREAD drain took its floor from the
+oldest live batch (the runs keep entries they used to forget, so more
+``ssi-committed-pivot`` aborts), and when a timestamp batch began to close
+with its last member (a group's next transaction gets a fresh timestamp
+instead of the finished batch's, so other aborts and waits).
 """
 
 import hashlib
@@ -141,12 +144,12 @@ CONFORMANCE_STREAM = {
         "3abc0cea54d0a05fbae80c76f415c7393f9e279a83c272ac398a8553043a846d",
     ),
     "ssi/(2pl,2pl)": (
-        29, ["lock", "range-lock"],
-        "1a2b4c17b41bf5a07367f6b8d3e457ed0bb999820104f0104da09c632782fc0e",
+        42, ["lock", "range-lock"],
+        "35c3f5ee57d7fd789a7b84a7c21cbea8026d5b791d74cbfa468d45c88a3ab011",
     ),
     "ssi/(batch,batch)": (
-        117, ["batch-commit-order", "batch-pred-commit", "batch-scan-wait", "batch-slot-wait"],
-        "732ff754f1bd30a9b476e0dd5ff0cabe6e83e6fcfb15ada008009bdbe383c977",
+        167, ["batch-commit-order", "batch-install-order", "batch-pred-commit", "batch-scan-wait", "batch-slot-wait", "commit-order"],
+        "f0b6483e693c442025a48a63b8cbb0c2b6d5991084883d41dcb4718074e1811c",
     ),
     "ssi/(none,2pl)": (
         80, ["lock", "range-lock"],
@@ -157,8 +160,8 @@ CONFORMANCE_STREAM = {
         "e71f302aaa648fe905bfa1272519e5f0cf274edd30a239e40a86d30d94b68df7",
     ),
     "ssi/(rp,2pl)": (
-        37, ["lock", "range-lock"],
-        "a5de0a5951352b61d0d3398bc2783e0a77f878a8f1fede6d18afe34a7ca3c96f",
+        38, ["lock", "range-lock"],
+        "bc9309ad9e60c541fe1f45a100d2f9e45e4a9a276236b9cbd6e52d6f74f05350",
     ),
 }
 

@@ -20,7 +20,8 @@ These things are pinned here:
   the run, *prune ≡ never prune* (a test-only store that keeps every version
   returns the same version to every read), an active straggler and a
   timestamp batch's hold (SSI and TSO) keep what they can still read, and
-  ``Database`` — no services, no tick — prunes like everything else;
+  ``Database`` — no services — prunes like everything else, over a
+  batching root too: a batch closes when its last member finishes;
 * **flat and released** — log records and retained history records are
   untracked tuples, tracked objects grow by a few per commit however long a
   durable checked run is, the precommit dedup table holds only exchanges in
@@ -71,7 +72,11 @@ from repro.workloads.tpcc.schema import TPCCScale
 from repro.workloads.ycsb import YCSBWorkload
 from tests.conftest import OverlapAuditEngine, build_engine, run_transactions
 from tests.snapshot_read_census import census_of_run
-from tests.test_cc_conformance import CONFORMANCE_TREES, ConformanceWorkload
+from tests.test_cc_conformance import (
+    CONFORMANCE_TREES,
+    ConformanceWorkload,
+    TwoStepWorkload,
+)
 
 TREES = configs.WORKLOAD_CONFIGURATIONS
 
@@ -318,16 +323,11 @@ class TestRetentionBound:
 
     def test_a_group_gone_quiet_stops_holding(self, env):
         """Skewed mix: group B runs once, then only group A.  B's timestamp
-        batch never fills, so it stays open for late joiners and holds back
-        everything that finishes after it — the engine's release and, by the
-        same floor, SSI's retained SIREAD entries; the epoch tick closes it
-        once idle (``BatchManager.rotate_idle``), or all three grow with the
-        run again."""
-        engine = build_engine(
-            env, _micro(), configs.micro_ssi_2layer(),
-            options=EngineOptions(gc_epoch_length=0.02),
-        )
-        engine.start_services(env.event())
+        batch never fills; it closes when its one member finishes, or it
+        would hold back everything that finishes after it — the engine's
+        release and, by the same floor, SSI's retained SIREAD entries — and
+        all three would grow with the run.  No service runs."""
+        engine = build_engine(env, _micro(), configs.micro_ssi_2layer())
         ssi = engine.root.cc
         args = {"shared_id": 0, "local_id": 0, "cold_ids": [1]}
         peaks = []
@@ -343,12 +343,13 @@ class TestRetentionBound:
                 peaks.append(peak)
 
         env.run(until=env.process(client()))
-        # Two epochs of the quiet group's hold (about ten finishes each),
-        # then at most A's own open batch of 16; measured 19 and 16, for the
-        # retained readers too (their three or four keys in ``_readers``).
+        # One transaction at a time: each batch dies with its one member, so
+        # the last finish waits only for the next retire (``drop_hold`` runs
+        # in the finish hook, after the retire's release), and no snapshot
+        # that could meet a committed reader is left to retain it for.
         finished, retained, read_keys = map(max, *peaks)
-        assert finished < 40 and 0 < retained < 40 and read_keys < 10, peaks
-        assert len(engine._holds) == 1
+        assert finished <= 1 and retained == read_keys == 0, peaks
+        assert engine._holds == {}
 
     def test_partial_restart_drops_its_force_abort_deadline(self, env):
         """A drain that ends before ``force_abort_after`` cancels the deadline
@@ -373,10 +374,8 @@ class TestRetentionBound:
         names = [option.name for option in fields(EngineOptions)]
         assert "history_limit" not in names and "keep_history" not in names
         assert names == [
-            "lock_timeout", "commit_wait_timeout", "retry_backoff", "charge_costs",
-            "gc_epoch_length", "durability", "net_phase_timeout", "net_retry_limit",
-            "net_backoff_base", "net_backoff_cap", "net_backoff_seed",
-            "net_park_threshold",
+            "lock_timeout", "commit_wait_timeout", "charge_costs", "durability",
+            "net_backoff_seed", "net_park_threshold",
         ]
 
 
@@ -442,7 +441,7 @@ class TestVersionRetention:
         assert len(overwrite(1)) == 2
 
     def test_database_prunes_without_services(self):
-        """``Database`` starts no services: no tick, and none is needed."""
+        """``Database`` starts no services, and needs none."""
         db = Database(_micro(), TREES["micro"]["2pl"]())
         for _ in range(20):
             db.execute("group_a_update", shared_id=0, local_id=0, cold_ids=[1])
@@ -450,6 +449,23 @@ class TestVersionRetention:
         assert db.read_row("shared", 0) == {"value": 20}
         assert [version.value["value"] for version in chain] == [19, 20]
         assert _longest_chain(db.store) == 2
+
+    @pytest.mark.parametrize("commits", [100, 1000])
+    def test_database_over_a_batching_root_keeps_nothing_for_a_quiet_group(
+        self, commits
+    ):
+        """One group B transaction, then only group A, under the batching
+        SSI root.  When only an idle tick closed a batch, ``Database`` —
+        which runs none — kept B's batch open for good, and its hold kept
+        every later finish and every version the shared row ever had."""
+        db = Database(_micro(), configs.micro_ssi_2layer())
+        args = {"shared_id": 0, "local_id": 0, "cold_ids": [1]}
+        db.execute("group_b_update", **args)
+        for _ in range(commits):
+            db.execute("group_a_update", **args)
+        assert db.stats.commits == commits + 1
+        assert db.engine._holds == {} and len(db.engine.finished) == 1
+        assert len(db.store.committed_versions(("shared", 0))) == 3
 
 
 class TestPipelineHandoffRetention:
@@ -511,138 +527,164 @@ class TestHolds:
         after = self._finish_one(env, engine)  # the next retire releases
         assert engine.finished == {} and after.committed
 
-    def test_batch_manager_brackets_live_batches(self):
-        events = []
-        manager = BatchManager(
+    @staticmethod
+    def _manager(events, batch_size):
+        return BatchManager(
             TimestampOracle(),
-            batch_size=2,
+            batch_size=batch_size,
             on_open=lambda batch: events.append(("open", batch)),
             on_dead=lambda batch: events.append(("dead", batch)),
         )
+
+    def test_a_batch_closes_at_its_last_discard(self):
+        events = []
+        manager = self._manager(events, batch_size=4)
+        first, ts = manager.admit("g", 10)
+        assert manager.admit("g", 11) == (first, ts)   # concurrent: joins
+        manager.discard(first, 10)
+        assert manager.admit("g", 12) == (first, ts)   # 11 still runs: joins
+        manager.discard(first, 11)
+        assert events == [("open", first)] and manager.oldest_live() == ts
+        manager.discard(first, 12)                      # the last member
+        assert events == [("open", first), ("dead", first)]
+        assert manager._current == {} and manager.oldest_live() is None
+        second, later = manager.admit("g", 13)          # nobody left to share ts
+        assert second != first and later > ts
+
+    def test_a_full_batch_still_rotates_by_size(self):
+        events = []
+        manager = self._manager(events, batch_size=2)
         first, _ = manager.admit("g", 10)
         manager.admit("g", 11)
-        second, _ = manager.admit("g", 12)    # closes the first; members remain
+        second, _ = manager.admit("g", 12)    # full: 10 and 11 run on in it
+        assert second != first
         assert events == [("open", first), ("open", second)]
         manager.discard(first, 10)
-        assert events[-1] == ("open", second)
         manager.discard(first, 11)
         assert events[-1] == ("dead", first)
-        manager.rotate("g")                   # closed, member 12 unfinished
-        assert events[-1] == ("dead", first)
-        manager.discard(second, 12)
-        assert events[-1] == ("dead", second)
-        assert manager._live == {}
+        assert manager.admit("g", 13)[0] == second
 
-    def test_epoch_tick_closes_a_batch_idle_for_a_whole_epoch(self):
-        dead = []
-        manager = BatchManager(TimestampOracle(), batch_size=4, on_dead=dead.append)
-        first, _ = manager.admit("g", 10)
-        manager.rotate_idle()                 # admitted since the last tick
-        manager.discard(first, 10)
-        assert manager.admit("g", 11)[0] == first   # empty, still joinable
-        manager.discard(first, 11)
-        manager.rotate_idle()                 # admitted since the last tick
-        assert dead == []
-        manager.rotate_idle()                 # a whole epoch with nobody
-        assert dead == [first] and manager._current == {}
-        busy, _ = manager.admit("g", 12)
-        manager.rotate_idle()
-        manager.rotate_idle()                 # idle, but member 12 unfinished
-        assert dead == [first] and manager.admit("g", 13)[0] == busy
+    def test_on_open_and_on_dead_bracket_each_batch_exactly_once(self):
+        """Random admissions and finishes over two groups."""
+        events = []
+        manager = self._manager(events, batch_size=3)
+        rng = random.Random(5)
+        running = {}
+        for txn_id in range(400):
+            if running and rng.random() < 0.5:
+                member = rng.choice(sorted(running))
+                manager.discard(running.pop(member), member)
+            running[txn_id] = manager.admit(rng.choice("gh"), txn_id)[0]
+        for member in sorted(running):
+            manager.discard(running.pop(member), member)
+        opened = [batch for kind, batch in events if kind == "open"]
+        died = [batch for kind, batch in events if kind == "dead"]
+        assert len(opened) > 100 and len(set(opened)) == len(opened)
+        assert sorted(died) == opened
+        assert all(
+            events.index(("open", batch)) < events.index(("dead", batch))
+            for batch in opened
+        )
+        assert manager._live == {} and manager._current == {}
 
     @staticmethod
-    def _late_joiner_read(env, engine, requests):
-        """Run ``requests`` one after another; what the last one read first."""
-        run_transactions(env, engine, requests, lanes=1)
-        assert len(engine.read_log) == len(requests)
-        return engine.read_log[len(requests)][0]
+    def _late_joiner_read(env, cc, writer, held, monkeypatch):
+        """Three lanes under ``cc`` over two 2PL leaves, no costs charged:
+
+        1. a ``beta`` member opens its group's batch, alive until t=1.0;
+        2. ``writer`` 2 overwrites hot.0 at once; ``writer`` 3 begins after
+           it and overwrites hot.0 again at t=1.2;
+        3. the joiner 4 begins after 2 finished — admitted to lane 1's batch,
+           whose member still runs — and reads hot.0 at t=1.5.
+
+        2 finished while 1 ran; from 1's finish on, nothing active began
+        before 2 finished.  Returns the engine and the joiner's read,
+        ``(key, (writer, commit_seq) or None)``."""
+        if not held:
+            monkeypatch.setattr(TebaldiEngine, "hold_finished", lambda self, key: None)
+        tree = Configuration(
+            node(cc, leaf("2pl", "alpha"), leaf("2pl", "beta")), name=f"{cc}-2pl-2pl"
+        )
+        engine = build_engine(env, TwoStepWorkload(), tree, engine_class=ReadLogEngine)
+        lanes = [
+            [("beta", [("think", 1.0)])],
+            [(writer, [("w", "hot", 0, 10)]),
+             (writer, [("think", 1.2), ("w", "hot", 0, 20)])],
+            [("beta", [("think", 1.5), ("r", "hot", 0)])],
+        ]
+
+        def lane(requests):
+            for txn_type, ops in requests:
+                txn = yield from engine.execute_transaction(txn_type, {"ops": ops})
+                assert txn.committed
+
+        for requests in lanes:
+            env.process(lane(requests))
+        env.run()
+        assert sorted(engine.read_log) == [1, 2, 3, 4]
+        assert engine._holds == {}            # every batch died with its members
+        return engine, engine.read_log[4][0]
 
     @pytest.mark.parametrize("held", [True, False], ids=["held", "hold-dropped"])
     def test_ssi_late_joiner_finds_the_version_its_batch_timestamp_selects(
         self, env, held, monkeypatch
     ):
-        """Group B's batch opens first and stays open; group A overwrites the
-        shared row three times, each writer finished before the next began;
-        then a second B member joins the old batch.  Its snapshot predates
-        all three writers: it reads the loaded version — which only the hold
-        keeps, the second overwrite would drop it (mutation: no hold)."""
-        if not held:
-            monkeypatch.setattr(TebaldiEngine, "hold_finished", lambda self, key: None)
-        engine = build_engine(
-            env, _micro(), configs.micro_ssi_2layer(), engine_class=ReadLogEngine
-        )
-        args = {"shared_id": 0, "local_id": 0, "cold_ids": [1]}
-        other = {"shared_id": 1, "local_id": 1, "cold_ids": [2]}
-        key, (writer, _seq) = self._late_joiner_read(
-            env, engine,
-            [("group_b_update", other)] + [("group_a_update", args)] * 3
-            + [("group_b_update", args)],
-        )
-        assert key == ("shared", 0)
-        assert len(engine.store.committed_versions(key)) == (4 if held else 2)
-        assert writer == (0 if held else 4)
+        """Under SSI the writers are the other group's.  The first finishes
+        before the joiner begins, so once the batch's first member is gone
+        only the hold keeps it, and with it the loaded version the second
+        overwrite would drop — which is what the joiner's snapshot, the
+        batch timestamp, selects (mutation: no hold)."""
+        engine, read = self._late_joiner_read(env, "ssi", "alpha", held, monkeypatch)
+        key = ("hot", 0)
+        assert read[0] == key
+        assert len(engine.store.committed_versions(key)) == (3 if held else 2)
+        # Without the hold, nothing at or below the snapshot is left to read.
+        assert read[1] == ((0, 1) if held else None)
 
     @pytest.mark.parametrize("held", [True, False], ids=["held", "hold-dropped"])
     def test_tso_late_joiner_finds_the_version_its_batch_timestamp_selects(
         self, env, held, monkeypatch
     ):
-        """The same schedule under a TSO root, whose timestamp batches hand
-        out old timestamps exactly as SSI's do: the reader joins the batch
-        the first reader opened, after three finished writers of key 0."""
-        if not held:
-            monkeypatch.setattr(TebaldiEngine, "hold_finished", lambda self, key: None)
-        tree = Configuration(
-            node("tso", leaf("2pl", "alpha"), leaf("2pl", "beta", "reader")),
-            name="tso-2pl-2pl",
-        )
-        engine = build_engine(
-            env, ConformanceWorkload(), tree, engine_class=ReadLogEngine
-        )
-        key, (writer, _seq) = self._late_joiner_read(
-            env, engine,
-            [("reader", {"ops": [("r", 7)]})]
-            + [("alpha", {"ops": [("w", 0, value)]}) for value in (10, 20, 30)]
-            + [("reader", {"ops": [("r", 0)]})],
-        )
-        assert key == ("rows", 0)
-        assert len(engine.store.committed_versions(key)) == (4 if held else 2)
-        assert writer == (0 if held else 4)
-        assert len(engine._holds) == (2 if held else 0)
+        """Under TSO a later batch's writer commits only after every earlier
+        timestamp's member has finished, so while a batch lives only its own
+        members overwrite: here the writers are the joiner's group, and the
+        joiner, reading strictly below its batch timestamp, skips their
+        versions for the loaded one — which only the hold keeps."""
+        engine, read = self._late_joiner_read(env, "tso", "beta", held, monkeypatch)
+        key = ("hot", 0)
+        assert read[0] == key
+        assert len(engine.store.committed_versions(key)) == (3 if held else 2)
+        # Without the hold, only the child's proposal is left: 3's version.
+        assert read[1][0] == (0 if held else 3)
 
     def test_tso_batch_gone_quiet_stops_holding(self, env):
-        """The hold needs its release rule: the epoch tick closes a TSO batch
-        nobody joined for a whole epoch, as it does SSI's."""
+        """The hold needs its release rule: a TSO batch closes with its last
+        member, as SSI's do; no service runs."""
         tree = Configuration(
             node("tso", leaf("2pl", "alpha"), leaf("2pl", "beta", "reader")),
             name="tso-2pl-2pl",
         )
-        engine = build_engine(
-            env, ConformanceWorkload(), tree, options=EngineOptions(gc_epoch_length=0.02)
-        )
-        stop = env.event()
-        engine.start_services(stop)
-        env.process(engine.execute_transaction("reader", {"ops": [("r", 7)]}))
-        env.run(until=0.01)
-        assert len(engine._holds) == 1 and len(engine.finished) == 1
-        env.run(until=0.05)
+        engine = build_engine(env, ConformanceWorkload(), tree)
+        run_transactions(env, engine, [("reader", {"ops": [("r", 7)]})])
         assert engine._holds == {} and engine.root.cc.batches._live == {}
-        stop.succeed()
 
     def test_batching_ssi_holds_and_reconfiguration_drops(self, env):
-        engine = self._engine(env, configs.micro_ssi_2layer())
-        self._finish_one(env, engine)
-        assert [key[0] for key in engine._holds] == [engine.root.cc]
-        assert len(engine.finished) == 1       # held for the open batch
-        # Replacing the SSI node takes its holds with it.
-        two_pl = Configuration(
-            node("2pl", leaf("rp", "group_a_update"), leaf("rp", "group_b_update")),
-            name="after",
+        """A live member keeps its batch's hold; replacing the SSI node takes
+        the hold with it, though the member, force-aborted, is still in flight."""
+        tree = Configuration(
+            node("ssi", leaf("2pl", "alpha"), leaf("2pl", "beta")), name="ssi-2pl-2pl"
         )
-        env.process(engine.reconfigure_partial_restart(two_pl))
-        env.run()
-        assert engine._holds == {}
-        self._finish_one(env, engine)
-        assert engine.finished == {}
+        engine = build_engine(env, TwoStepWorkload(), tree)
+        env.process(engine.execute_transaction("beta", {"ops": [("think", 1.0)]}))
+        env.run(until=0.5)
+        assert [key[0] for key in engine._holds] == [engine.root.cc]
+        two_pl = Configuration(
+            node("2pl", leaf("rp", "alpha"), leaf("rp", "beta")), name="after"
+        )
+        env.run(until=env.process(
+            engine.reconfigure_partial_restart(two_pl, force_abort_after=0.1)
+        ))
+        assert len(engine.active) == 1 and engine._holds == {}
 
 
 def _tracked_per_commit(runner, first, last):
@@ -1032,8 +1074,8 @@ class TestSnapshotReadsLandNearTheTail:
         summary, commits = census_of_run(
             workload_factory(), config_factory(), clients, duration, seed=11
         )
-        # Measured: tail in 95.1 % of 2,498 / 93.7 % of 3,688 / 80.3 % of
-        # 6,086 calls, mean 0.05 / 0.06 / 0.25, at most 2 / 1 / 4 back.
+        # Measured: tail in 95.1 % of 2,498 / 93.7 % of 3,688 / 91.3 % of
+        # 20,960 calls, mean 0.05 / 0.06 / 0.10, at most 2 / 1 / 5 back.
         assert commits > 500 and summary["calls"] > 2000
         assert summary["mean"] < 0.5 and summary["max"] <= 16, summary
         assert summary["unordered"] == 0
