@@ -8,7 +8,8 @@
 # Usage: scripts/check.sh [--quick]
 #
 #   --quick   skip the examples run smoke (import-only) for the fastest
-#             useful gate; everything else always runs.
+#             useful gate; everything else always runs.  The full lane also
+#             compares the autoconf example's stdout with its golden.
 #
 # The fingerprint smoke (benchmarks/bench_speed.py --quick) verifies the
 # fixed-seed behavior fingerprint of two micro runs against the one recorded
@@ -103,6 +104,10 @@ PY
 if [[ "$QUICK" == "0" ]]; then
   python examples/quickstart.py > /dev/null
   echo "examples/quickstart.py ran clean"
+  # Autoconf is deterministic: the bottlenecks it finds, the throughputs it
+  # measures and the tree it picks are pinned byte for byte (~15 s).
+  python examples/automatic_configuration.py | cmp - tests/golden/autoconf_tpcc.txt
+  echo "examples/automatic_configuration.py matches tests/golden/autoconf_tpcc.txt"
 else
   echo "(import-only: --quick)"
 fi

@@ -1,8 +1,9 @@
 """Concurrency-control mechanisms federated by the hierarchical MCC engine.
 
 Each mechanism implements the four-phase interface of
-:class:`repro.cc.base.ConcurrencyControl` and can serve either as a leaf
-(in-group) or as an internal (cross-group) node of the CC tree.
+:class:`repro.cc.base.ConcurrencyControl`.  Where it may sit in the CC tree
+(leaf only or also internal, below which ancestors) is declared on its class
+and checked for every tree by :func:`repro.cc.base.check_composition`.
 """
 
 from repro.cc.base import ConcurrencyControl, CC_REGISTRY, register_cc, create_cc

@@ -19,8 +19,49 @@ def register_cc(cls):
     """Class decorator registering a CC mechanism under ``cls.name``."""
     if not getattr(cls, "name", None):
         raise ConfigurationError(f"CC class {cls.__name__} has no registry name")
+    if inspect.isgeneratorfunction(cls.pre_commit):
+        raise ConfigurationError(f"{cls.name!r}: pre_commit must be synchronous")
     CC_REGISTRY[cls.name] = cls
     return cls
+
+
+def check_composition(root, profile_of=None):
+    """Refuse a spec tree that puts a mechanism where its class forbids.
+
+    One row per rule attribute of :class:`ConcurrencyControl`, plus
+    partition-by-instance on leaves only.  The declared-writes row reads the
+    profiles (``profile_of``: type name -> profile), which only the engine
+    has.  A node is named ``cc@node_id``, as the runtime tree numbers it.
+    """
+
+    def walk(spec, node_id, ancestors):
+        # An unknown name has no rules here; create_cc reports it.
+        cls = CC_REGISTRY.get(spec.cc, ConcurrencyControl)
+        where = f"{spec.cc}@{node_id}"
+        if spec.children and cls.leaf_only:
+            raise ConfigurationError(f"leaf-only: {where} cannot regulate child groups")
+        for ancestor, ancestor_at in ancestors:
+            if ancestor in cls.forbidden_ancestors:
+                raise ConfigurationError(
+                    f"forbidden ancestor: {where} sits below {ancestor_at}, "
+                    f"whose reads would override {spec.cc!r}'s"
+                )
+        if spec.instance_key is not None and spec.children:
+            raise ConfigurationError(f"partition-by-instance: {where} is not a leaf")
+        if spec.instance_key is not None and not cls.supports_partitioning:
+            raise ConfigurationError(f"partition-by-instance: {where} orders its whole group")
+        if cls.needs_declared_writes and profile_of is not None:
+            for txn_type in spec.transactions:
+                profile = profile_of(txn_type)
+                writes = any(mode == "w" for _table, mode in profile.accesses)
+                if writes and profile.promise_keys is None:
+                    raise ConfigurationError(
+                        f"declared writes: {where} needs promise_keys for writer {txn_type!r}"
+                    )
+        for index, child in enumerate(spec.children):
+            walk(child, f"{node_id}.{index}", ancestors + ((spec.cc, where),))
+
+    walk(root, "0", ())
 
 
 _ACCEPTED_PARAMS = {}
@@ -73,6 +114,10 @@ class ConcurrencyControl:
     * ``requires_profiles`` — needs static transaction profiles (RP).
     * ``read_optimized`` — optimised for read-write conflicts (SSI).
     * ``write_optimized`` — optimised for write-write contention (RP, TSO).
+
+    The attributes after them are the composition rules, which
+    :func:`check_composition` enforces for every tree (PERFORMANCE.md, *What
+    may sit where*, has the evidence for each).
     """
 
     name = ""
@@ -86,6 +131,13 @@ class ConcurrencyControl:
     #: group (deterministic batch) cannot be split into independent
     #: per-partition instances.
     supports_partitioning = True
+    #: Whether the mechanism may only regulate its own group, never child groups.
+    leaf_only = False
+    #: Mechanisms that may not sit anywhere above this one.
+    forbidden_ancestors = frozenset()
+    #: Whether every writing member type must declare its write keys
+    #: (``promise_keys``) in its profile.
+    needs_declared_writes = False
 
     def __init__(self, engine, node):
         self.engine = engine
@@ -222,7 +274,7 @@ class ConcurrencyControl:
         Synchronous by contract: the hook runs inside the server-side commit
         apply, which must not interleave with other transactions, so it may
         raise :class:`TransactionAborted` but never yield.  A generator
-        override is rejected when the routes are built.
+        override is rejected when the class is registered.
         """
 
     def finish(self, txn, committed):

@@ -19,14 +19,14 @@ layer, BOHM's version pre-assignment, DGCC's dependency graphs): contention
 does not cause aborts or lock convoys, at the price of requiring declarable
 write sets.  Transaction types whose write keys cannot be computed from the
 arguments alone (e.g. a dequeue that finds its victim by scanning) are
-rejected at configuration time.
+rejected when the engine builds its tree.
 
 As a member of the hierarchical CC tree the mechanism is leaf-only and
 composes under delegating ancestors (2PL / SSI / OCC nexus): members appear
 to the ancestor as one child group, so cross-group conflicts are mediated by
-the nexus while in-group conflicts are sequenced here.  Ancestors that
-aggressively re-order reads against their own clocks (RP, TSO) would
-override the sequence and are rejected.
+the nexus while in-group conflicts are sequenced here.  An RP ancestor
+re-orders reads against its own pipeline and would override the sequence,
+so it is rejected (TSO cannot be an internal node at all).
 """
 
 from itertools import count
@@ -36,11 +36,6 @@ from repro.core.waits import NONE
 from repro.errors import ConfigurationError
 from repro.sim.events import Event
 from repro.sim.events import Condition
-
-#: Ancestors that delegate in-group ordering to the child CC.  RP and TSO
-#: amend reads against their own pipeline/timestamp state and would override
-#: the batch sequence, so they cannot sit above a batch group.
-_DELEGATING_ANCESTORS = frozenset({"2pl", "ssi", "occ", "none"})
 
 
 class _Batch:
@@ -69,8 +64,14 @@ class DeterministicBatch(ConcurrencyControl):
     requires_profiles = True
     write_optimized = True
     # One total order per group: independent per-partition instances would
-    # split the sequence, so partition-by-instance is rejected at build time.
+    # split the sequence, and the sequencer cannot federate child groups.
     supports_partitioning = False
+    leaf_only = True
+    # RP amends member reads against its pipeline and would override the
+    # batch sequence.
+    forbidden_ancestors = frozenset({"rp"})
+    # The seal pre-declares every member's version slots.
+    needs_declared_writes = True
     extra_start_rtts = 1  # sequencer round-trip
 
     def __init__(
@@ -91,29 +92,6 @@ class DeterministicBatch(ConcurrencyControl):
         self.batch_size = batch_size
         self.batch_window = batch_window
         self.max_inflight_batches = max_inflight_batches
-        if not node.is_leaf:
-            raise ConfigurationError(
-                "batch is a leaf (in-group) mechanism: the sequencer orders "
-                "one group's transactions, it cannot federate child groups"
-            )
-        ancestor = node.parent
-        while ancestor is not None:
-            if ancestor.spec.cc not in _DELEGATING_ANCESTORS:
-                raise ConfigurationError(
-                    f"batch group cannot run under a {ancestor.spec.cc!r} "
-                    "ancestor: it amends member reads against its own "
-                    "ordering and would override the batch sequence"
-                )
-            ancestor = ancestor.parent
-        for txn_type in node.spec.transactions:
-            profile = engine.profile_of(txn_type)
-            writes = any(mode == "w" for _table, mode in profile.accesses)
-            if writes and profile.promise_keys is None:
-                raise ConfigurationError(
-                    f"batch group requires declarable write sets: type "
-                    f"{txn_type!r} writes but its profile declares no "
-                    "promise_keys"
-                )
         self._open_batch = None
         self._inflight = 0
         self._seq_counter = count(1)

@@ -30,6 +30,9 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
     handles_contention = True
     efficient_internal = True
     read_optimized = True
+    # A lock-based ancestor prefers the latest committed version to the
+    # snapshot this node proposes, even for its own group's writes.
+    forbidden_ancestors = frozenset({"2pl", "rp"})
     extra_start_rtts = 1  # centralized timestamp server
 
     def __init__(self, engine, node, batching=None, batch_size=16):

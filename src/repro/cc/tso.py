@@ -9,32 +9,31 @@ rejected if a reader with a larger timestamp has already missed it.  The
 time so that later readers wait for the write instead of forcing the writer
 to abort.
 
-Consistent ordering as an internal node is obtained by batching (transactions
-of the same child group share a timestamp) and by committing transactions in
-timestamp order, which introduces the spurious dependencies that the
-partition-by-instance optimisation removes (Section 5.4.2, Table 5.1).  TSO
-is most efficient as a leaf, as the paper notes.
+TSO is leaf-only.  The paper obtains consistent ordering at an internal node
+by batching (transactions of one child group share a timestamp), but that
+composition keeps no reader retention and fails the isolation oracle
+(PERFORMANCE.md, *What may sit where*), so the composition table rejects it.
+Committing in timestamp order introduces the spurious dependencies that the
+partition-by-instance optimisation removes (Section 5.4.2, Table 5.1).
 """
 
 from repro.cc.base import ConcurrencyControl, register_cc
-from repro.cc.timestamps import BatchManager
 from repro.core.waits import NONE
 from repro.sim.events import Condition
 
 
 @register_cc
 class TimestampOrdering(ConcurrencyControl):
-    """Multiversioned timestamp ordering with promises and batching."""
+    """Multiversioned timestamp ordering with promises."""
 
     name = "tso"
     handles_contention = True
     efficient_internal = False
     write_optimized = True
+    leaf_only = True
     extra_start_rtts = 1  # centralized timestamp server
 
-    def __init__(
-        self, engine, node, batching=None, batch_size=8, use_promises=True, promises=None
-    ):
+    def __init__(self, engine, node, use_promises=True, promises=None):
         # ``promises`` is the spec param recorded by autoconf preprocessing
         # (preprocess_tso_promises): the transaction types with declared
         # write keys.  A preprocessed empty list disables the optimisation,
@@ -42,18 +41,7 @@ class TimestampOrdering(ConcurrencyControl):
         super().__init__(engine, node)
         if promises is not None and use_promises:
             use_promises = bool(promises)
-        self.batch_size = batch_size
         self.use_promises = use_promises
-        # A batch member reads at its batch's timestamp, which can predate
-        # its own begin: a live batch holds the engine's release back (as
-        # SSI's do), so the versions that timestamp selects stay.
-        self.batches = BatchManager(
-            engine.oracle,
-            batch_size=batch_size,
-            on_open=lambda batch_id: engine.hold_finished((self, batch_id)),
-            on_dead=lambda batch_id: engine.drop_hold((self, batch_id)),
-        )
-        self.batching = (not node.is_leaf) if batching is None else batching
         self._reads = {}
         # table -> {txn_id: (txn, ts, [KeyRange, ...])}: active range reads.
         # A scan at timestamp T observes the *absence* of every matching key
@@ -75,26 +63,12 @@ class TimestampOrdering(ConcurrencyControl):
             return ts
         return version.timestamp if version.timestamp is not None else 0
 
-    def _same_batch(self, txn, other):
-        if other is None or other.txn_id == txn.txn_id:
-            return True
-        if not self.batching:
-            return False
-        return self.state(txn).get("batch_id") == self.state(other).get("batch_id")
-
     # -- start phase -----------------------------------------------------------------
 
     def start(self, txn):
         state = self.state(txn)
         state["read_keys"] = set()
-        if self.batching:
-            token = txn.group_token(self.node.node_id) or txn.txn_id
-            batch_id, ts = self.batches.admit(token, txn.txn_id)
-            state["batch_id"] = batch_id
-        else:
-            ts = self.engine.oracle.next()
-            state["batch_id"] = None
-        state["ts"] = ts
+        state["ts"] = ts = self.engine.oracle.next()
         txn.cc_timestamp = ts
         self._active[txn.txn_id] = txn
         if self.use_promises:
@@ -160,7 +134,7 @@ class TimestampOrdering(ConcurrencyControl):
         readers = self._reads.get(key)
         if readers:
             for reader_id, (reader, reader_ts, read_version_ts) in list(readers.items()):
-                if reader_id == txn.txn_id or self._same_batch(txn, reader):
+                if reader_id == txn.txn_id:
                     continue
                 if reader_ts > my_ts and read_version_ts < my_ts:
                     # A later reader already missed this write: abort the writer.
@@ -170,7 +144,7 @@ class TimestampOrdering(ConcurrencyControl):
         if range_readers:
             pk = key[1] if isinstance(key, tuple) and len(key) == 2 else key
             for reader_id, (reader, reader_ts, ranges) in list(range_readers.items()):
-                if reader_id == txn.txn_id or self._same_batch(txn, reader):
+                if reader_id == txn.txn_id:
                     continue
                 if reader_ts <= my_ts:
                     continue
@@ -186,9 +160,8 @@ class TimestampOrdering(ConcurrencyControl):
     def _timestamp_read(self, txn, key, candidate):
         my_ts = self._ts(txn)
         if candidate is not None and not candidate.committed:
-            if candidate.writer == txn.txn_id or self._same_batch(
-                txn, self.engine.find_transaction(candidate.writer)
-            ):
+            writer_id = candidate.writer
+            if writer_id == txn.txn_id or self.engine.find_transaction(writer_id) is None:
                 self._record_read(txn, key, self._version_ts(candidate))
                 return candidate
         best = None
@@ -270,7 +243,4 @@ class TimestampOrdering(ConcurrencyControl):
             promisors = self._promises.get(key)
             if promisors is not None:
                 promisors.discard(txn.txn_id)
-        batch_id = state.get("batch_id")
-        if batch_id is not None:
-            self.batches.discard(batch_id, txn.txn_id)
         self.progress.notify_all()

@@ -10,6 +10,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.cc.base import check_composition
 from repro.errors import ConfigurationError
 
 
@@ -151,6 +152,7 @@ class Configuration:
                 )
         if not seen:
             raise ConfigurationError("configuration assigns no transactions")
+        check_composition(self.root)
         self._leaf_by_type = seen
 
     @property

@@ -6,10 +6,7 @@ transaction types of its subtree, which is how membership and child-group
 tokens are resolved.
 """
 
-from inspect import isgeneratorfunction
-
-from repro.cc.base import CC_REGISTRY, ConcurrencyControl, create_cc
-from repro.errors import ConfigurationError
+from repro.cc.base import ConcurrencyControl, check_composition, create_cc
 
 
 def _overrides(cc, hook_name):
@@ -244,13 +241,6 @@ class Route:
         self.pre_commit_hooks = tuple(
             cc.pre_commit for cc in up if _overrides(cc, "pre_commit")
         )
-        for cc in up:
-            sample = cc._sample_instance() if isinstance(cc, PartitionedCC) else cc
-            if isgeneratorfunction(sample.pre_commit):
-                raise ConfigurationError(
-                    f"{sample.describe()}: pre_commit must be synchronous (it runs "
-                    "inside the commit apply), not a generator function"
-                )
         self.finish_hooks = tuple(cc.finish for cc in up if _overrides(cc, "finish"))
         # Without partition-by-instance anywhere on the path, every
         # transaction of this type shares one immutable token map; the
@@ -294,6 +284,9 @@ def build_routes(leaf_by_type, cluster, transaction_types=None):
 
 def build_tree(engine, configuration):
     """Compile a configuration into runtime nodes with CC instances."""
+    # Again, with the profiles, and over the specs as they are now (autoconf
+    # preprocessing sets instance keys after a Configuration is built).
+    check_composition(configuration.root, engine.profile_of)
     nodes = []
 
     def _build(spec, node_id, parent):
@@ -307,16 +300,6 @@ def build_tree(engine, configuration):
     root = _build(configuration.root, "0", None)
     for node in nodes:
         if node.spec.instance_key is not None:
-            if not node.is_leaf:
-                raise ConfigurationError(
-                    "partition-by-instance is only supported on leaf groups"
-                )
-            cls = CC_REGISTRY.get(node.spec.cc)
-            if cls is not None and not cls.supports_partitioning:
-                raise ConfigurationError(
-                    f"{node.spec.cc!r} does not support partition-by-instance "
-                    "(the mechanism sequences one total order per group)"
-                )
             node.cc = PartitionedCC(
                 engine,
                 node,

@@ -6,8 +6,8 @@ newest version back, so what a read costs is the number of versions
 committed on its key since its snapshot.  :class:`SnapshotReadCensus` counts
 exactly that, from outside (a test-only subclass of the store); run as a
 script it prints the table PERFORMANCE.md carries (*Where snapshot reads
-land*) for the 44 registry cells at the CLI's ``--quick`` size plus the two
-conformance trees that read by timestamp under a lock-based parent::
+land*) for the 44 registry cells at the CLI's ``--quick`` size plus two
+conformance trees that read by timestamp, alone and beside a 2PL group::
 
     PYTHONPATH=src python -m tests.snapshot_read_census
 
@@ -27,16 +27,11 @@ from repro.harness.runner import BenchmarkRunner
 from repro.sim.environment import Environment
 from repro.storage.mvstore import MultiVersionStore
 from tests import conftest
-from tests.test_cc_conformance import (
-    CONFORMANCE_TREES,
-    OPEN_TREES,
-    ConformanceWorkload,
-    random_requests,
-)
+from tests.test_cc_conformance import ALL_TREES, ConformanceWorkload, random_requests
 
 #: The CLI's ``--quick`` cell: clients, measured and warm-up simulated seconds.
 QUICK = (8, 0.3, 0.1)
-CONFORMANCE = ("mono-tso", "rp/(ssi,tso)")
+CONFORMANCE = ("mono-tso", "2pl/(2pl,tso)")
 
 
 class SnapshotReadCensus(MultiVersionStore):
@@ -112,15 +107,15 @@ def census_of_registry_cell(workload_name, config_name):
 
 
 def census_of_conformance_tree(tree_name, seed=99, count=600, lanes=6):
-    with counting_stores(conftest):
-        engine = conftest.build_engine(
-            Environment(),
-            ConformanceWorkload(),
-            (CONFORMANCE_TREES.get(tree_name) or OPEN_TREES[tree_name])(),
-            options=EngineOptions(
-                charge_costs=True, lock_timeout=0.2, commit_wait_timeout=0.4
-            ),
-        )
+    engine = conftest.build_engine(
+        Environment(),
+        ConformanceWorkload(),
+        ALL_TREES[tree_name](),
+        options=EngineOptions(
+            charge_costs=True, lock_timeout=0.2, commit_wait_timeout=0.4
+        ),
+        store_class=SnapshotReadCensus,
+    )
     conftest.run_transactions(
         engine.env, engine, random_requests(seed, count), lanes=lanes
     )

@@ -21,11 +21,13 @@ the pinned multi-step adversary) and the deterministic batch trees included.
 What random draws found since is at the end, as plain seed tuples: the two
 stale mirrors that were fixed (``TestStaleMirrorAdversaries``), the
 timestamp batches that outlived their members
-(``TestBatchEndsWithItsLastMember``) and the families that are still open
-(``TestOpenFamilies``, strict xfail).
+(``TestBatchEndsWithItsLastMember``), the families that are still open
+(``TestOpenFamilies``, strict xfail) and the shapes that no longer build
+(``TestRejectedAtBuildTime``).
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, note, settings, strategies as st
@@ -33,7 +35,7 @@ from hypothesis import given, note, settings, strategies as st
 from repro.analysis.profiles import TransactionProfile, TransactionType
 from repro.core.config import Configuration, leaf, monolithic, node
 from repro.core.engine import EngineOptions
-from repro.errors import TransactionAborted
+from repro.errors import ConfigurationError, TransactionAborted
 from repro.isolation.checker import check_history, check_recorder
 from repro.isolation.history import HistoryRecorder
 from repro.sim.environment import Environment
@@ -185,10 +187,24 @@ CONFORMANCE_TREES = {
 }
 
 
-#: The two trees that put a TSO leaf under an RP parent beside an SSI
-#: sibling.  Not in ``CONFORMANCE_TREES``: with this workload's scans and
-#: read-only type they are not oracle-green yet (``TestOpenFamilies``).
+#: Two TSO leaves under a lock-based parent.  Not in ``CONFORMANCE_TREES``:
+#: with this workload's scans and read-only type they are not oracle-green
+#: yet (``TestOpenFamilies``), though ``rp/(tso,tso)`` is the tree autoconf
+#: picks for TPC-C.
 OPEN_TREES = {
+    "2pl/(tso,tso)": lambda: Configuration(
+        node("2pl", leaf("tso", "alpha"), leaf("tso", "beta", "reader")),
+        name="conf-2pl-tso-tso",
+    ),
+    "rp/(tso,tso)": lambda: Configuration(
+        node("rp", leaf("tso", "alpha"), leaf("tso", "beta", "reader")),
+        name="conf-rp-tso-tso",
+    ),
+}
+
+#: Shapes the oracle showed unsound, which the composition rules now refuse
+#: to build (``TestRejectedAtBuildTime``).
+REJECTED_TREES = {
     "rp/(ssi,tso)": lambda: Configuration(
         node("rp", leaf("ssi", "alpha", "reader"), leaf("tso", "beta")),
         name="conf-rp-ssi-tso",
@@ -197,7 +213,14 @@ OPEN_TREES = {
         node("rp", leaf("tso", "alpha"), leaf("ssi", "beta", "reader")),
         name="conf-rp-tso-ssi",
     ),
+    "tso/(2pl,2pl)": lambda: Configuration(
+        node("tso", leaf("2pl", "alpha", "reader"), leaf("2pl", "beta")),
+        name="conf-tso-2pl-2pl",
+    ),
 }
+
+#: Every tree a ``(tree, seed, count, lanes)`` tuple may name.
+ALL_TREES = {**CONFORMANCE_TREES, **OPEN_TREES, **REJECTED_TREES}
 
 
 def run_conformance(tree_name, requests, lanes=None):
@@ -213,7 +236,7 @@ def run_conformance(tree_name, requests, lanes=None):
     engine = build_engine(
         env,
         workload,
-        (CONFORMANCE_TREES.get(tree_name) or OPEN_TREES[tree_name])(),
+        ALL_TREES[tree_name](),
         options=EngineOptions(
             charge_costs=True, lock_timeout=0.2, commit_wait_timeout=0.4
         ),
@@ -504,19 +527,15 @@ class TestStaleMirrorAdversaries:
     * RP kept the step-committed version a reader observes in a slot per
       key beside ``_passed[key]``, overwritten by the latest step-committer
       and dropped when that one aborted — although an earlier step-committer,
-      after which the reader had just been ordered, was still active.
+      after which the reader had just been ordered, was still active.  Its
+      seed tuples all put SSI below RP, which no longer builds
+      (``TestRejectedAtBuildTime``); the five-step handoff test below pins
+      the rule.
     * SSI drained retained SIREAD entries below the oldest snapshot of the
       members that had *begun*, while an open timestamp batch would still
       hand its older snapshot to a member that had not.
     """
 
-    #: (cross, leaf_a, leaf_b, seed, requests) for ``run_micro_schedule``.
-    RP_SLOT = [
-        ("rp", "ssi", "tso", 262, 20),
-        ("rp", "ssi", "tso", 165, 17),
-        ("rp", "tso", "ssi", 252, 20),
-        ("rp", "tso", "ssi", 948, 17),
-    ]
     #: (tree, seed, requests, lanes) for ``replay_conformance``.
     SSI_FLOOR = [
         ("ssi/(2pl,2pl)", 23, 9, 2),
@@ -525,12 +544,6 @@ class TestStaleMirrorAdversaries:
         ("ssi/(batch,batch)", 102, 11, 2),
         ("ssi/(batch,batch)", 2396, 11, 2),
     ]
-
-    @pytest.mark.parametrize("schedule", RP_SLOT, ids=_tuple_id)
-    def test_rp_reader_sees_the_last_active_step_committer(self, schedule):
-        engine, report = run_micro_schedule(*schedule)
-        assert report.ok, f"{schedule}: {report.describe()}"
-        assert report.num_transactions == engine.stats.commits > 0
 
     @pytest.mark.parametrize("schedule", SSI_FLOOR, ids=_tuple_id)
     def test_ssi_keeps_readers_an_open_batch_can_still_meet(self, schedule):
@@ -616,10 +629,6 @@ class TestOpenFamilies:
     family flips its tuples, which then move up to the adversaries."""
 
     CONFORMANCE = [
-        # An RP parent prefers the latest committed version to its SSI
-        # child's snapshot even when the child's own group wrote it.
-        ("rp/(tso,ssi)", 924, 9, None),
-        ("rp/(ssi,tso)", 3612, 4, None),
         # SSI: an rw edge found between a pivot's validation and its commit.
         ("mono-ssi", 896, 4, 2),
         # SSI: two writers past the ww check before either installs.
@@ -629,6 +638,10 @@ class TestOpenFamilies:
         # the joiner arrives while an earlier member still runs.
         ("ssi/(rp,2pl)", 2036, 10, 2),
         ("ssi/(rp,2pl)", 3238, 6, 3),
+        # TSO leaves under a lock-based parent: both trees fail on the same
+        # draw with the same cycle, [(1, 4), (4, 1)].
+        ("2pl/(tso,tso)", 9116, 4, None),
+        ("rp/(tso,tso)", 9116, 4, None),
     ]
     MICRO = [("2pl", "tso", "tso", 147, 20), ("2pl", "tso", "tso", 172, 8)]
 
@@ -643,3 +656,44 @@ class TestOpenFamilies:
     def test_micro_schedule(self, schedule):
         _engine, report = run_micro_schedule(*schedule)
         assert report.ok, f"{schedule}: {report.describe()}"
+
+
+class TestRejectedAtBuildTime:
+    """Shapes the oracle showed unsound are not fixed but outlawed: the
+    composition rules (``repro.cc.base.check_composition``) refuse them when
+    the ``Configuration`` is built.  The conformance tuples failed the oracle
+    at the parent of the commit that added the rule named beside them; the
+    micro tuples passed it there, as the RP step-committer slot's
+    adversaries (``TestStaleMirrorAdversaries``), on shapes that no longer
+    build."""
+
+    #: (tree, seed, requests, lanes) for ``replay_conformance``, and the rule.
+    CONFORMANCE = [
+        # (i) an RP parent prefers the latest committed version to its SSI
+        # child's snapshot even when the child's own group wrote it.
+        (("rp/(tso,ssi)", 924, 9, None), "forbidden ancestor: ssi@0.1"),
+        (("rp/(ssi,tso)", 3612, 4, None), "forbidden ancestor: ssi@0.0"),
+        # (vi) TSO as an internal node keeps no reader retention.
+        (("tso/(2pl,2pl)", 2207, 6, 2), "leaf-only: tso@0"),
+    ]
+    #: (cross, leaf_a, leaf_b, seed, requests) for ``run_micro_schedule``.
+    MICRO = [
+        (("rp", "ssi", "tso", 262, 20), "forbidden ancestor: ssi@0.0"),
+        (("rp", "ssi", "tso", 165, 17), "forbidden ancestor: ssi@0.0"),
+        (("rp", "tso", "ssi", 252, 20), "forbidden ancestor: ssi@0.1"),
+        (("rp", "tso", "ssi", 948, 17), "forbidden ancestor: ssi@0.1"),
+    ]
+
+    @pytest.mark.parametrize(
+        "schedule, rule", CONFORMANCE, ids=[_tuple_id(t) for t, _rule in CONFORMANCE]
+    )
+    def test_conformance_schedule(self, schedule, rule):
+        with pytest.raises(ConfigurationError, match=re.escape(rule)):
+            replay_conformance(*schedule)
+
+    @pytest.mark.parametrize(
+        "schedule, rule", MICRO, ids=[_tuple_id(t) for t, _rule in MICRO]
+    )
+    def test_micro_schedule(self, schedule, rule):
+        with pytest.raises(ConfigurationError, match=re.escape(rule)):
+            run_micro_schedule(*schedule)

@@ -239,31 +239,6 @@ class TestRegistry:
                 monolithic("nonexistent", noconflict_workload.transaction_names()),
             )
 
-    def test_generator_pre_commit_rejected_at_build(self, env, noconflict_workload):
-        """pre_commit runs inside the synchronous commit apply: a generator
-        override would be silently skipped, so the route build refuses it."""
-        from repro.cc.no_op import NoOpCC
-
-        class YieldingPreCommit(NoOpCC):
-            name = "test-yielding-pre-commit"
-
-            def pre_commit(self, txn):
-                yield self.engine.env.timeout(0)
-
-        CC_REGISTRY[YieldingPreCommit.name] = YieldingPreCommit
-        try:
-            with pytest.raises(ConfigurationError, match="pre_commit must be synchronous"):
-                build_engine(
-                    env,
-                    noconflict_workload,
-                    monolithic(
-                        YieldingPreCommit.name,
-                        noconflict_workload.transaction_names(),
-                    ),
-                )
-        finally:
-            del CC_REGISTRY[YieldingPreCommit.name]
-
 
 class TestEngineLifecycle:
     def test_commit_updates_store_and_stats(self, env, noconflict_workload):
@@ -471,12 +446,6 @@ class TestPartitionByInstance:
         tso_nodes = [n for n in engine.nodes if n.spec.cc == "tso"]
         assert len(tso_nodes) == 1
         assert len(tso_nodes[0].cc.instances()) == 2  # flights 1 and 2
-
-    def test_partition_on_internal_node_rejected(self, env, micro_workload):
-        spec = node("2pl", leaf("rp", "group_a_update"), leaf("rp", "group_b_update"))
-        spec.instance_key = lambda args: 1
-        with pytest.raises(ConfigurationError):
-            build_engine(env, micro_workload, Configuration(spec))
 
 
 class TestReconfiguration:
@@ -712,42 +681,6 @@ class TestDeterministicBatch:
     def test_registered(self):
         assert "batch" in CC_REGISTRY
         assert CC_REGISTRY["batch"].supports_partitioning is False
-
-    def test_internal_batch_node_rejected(self, env):
-        config = Configuration(
-            node(
-                "batch",
-                leaf("2pl", "declared_write", "rogue_write"),
-                leaf("2pl", "plain_read"),
-            )
-        )
-        with pytest.raises(ConfigurationError, match="leaf"):
-            build_engine(env, batch_micro_workload(), config)
-
-    @pytest.mark.parametrize("ancestor", ["rp", "tso"])
-    def test_ordering_ancestor_rejected(self, env, ancestor):
-        config = Configuration(
-            node(
-                ancestor,
-                leaf("batch", "declared_write", "rogue_write"),
-                leaf("none", "plain_read"),
-            )
-        )
-        with pytest.raises(ConfigurationError, match="batch group cannot run under"):
-            build_engine(env, batch_micro_workload(), config)
-
-    def test_undeclarable_write_set_rejected(self, env, noconflict_workload):
-        # NoConflictWorkload's writer has no promise_keys: the sequencer
-        # cannot pre-declare its slots, so the tree must not build.
-        with pytest.raises(ConfigurationError, match="promise_keys"):
-            build_engine(
-                env, noconflict_workload, monolithic("batch", ("write_only",))
-            )
-
-    def test_partition_by_instance_rejected(self, env):
-        config = Configuration(leaf("batch", *self.ALL_TYPES, instance_key="pk"))
-        with pytest.raises(ConfigurationError, match="partition-by-instance"):
-            build_engine(env, batch_micro_workload(), config)
 
     def test_bad_params_rejected(self, env):
         with pytest.raises(ConfigurationError, match="batch_size"):

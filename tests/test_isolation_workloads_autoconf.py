@@ -6,6 +6,7 @@ from hypothesis import assume, given, note, settings, strategies as st
 from repro.autoconf import ContentionProfiler, LatencyProfiler
 from repro.autoconf.optimizer import ConfigurationOptimizer
 from repro.autoconf.preprocess import apply_preprocessing
+from repro.cc.base import CC_REGISTRY
 from repro.core.config import Configuration, initial_configuration, leaf, monolithic, node
 from repro.core.transaction import Transaction
 from repro.database import Database
@@ -23,6 +24,7 @@ from repro.workloads.tpcc import TPCCWorkload
 from repro.workloads.tpcc.schema import TPCCScale
 from repro.workloads.ycsb import YCSBWorkload
 from tests.test_cc_conformance import run_micro_schedule
+from tests.test_composition import verdicts
 
 TREES = configs.WORKLOAD_CONFIGURATIONS
 
@@ -793,6 +795,51 @@ class TestOptimizer:
         signatures = [c.configuration.signature() for c in candidates]
         assert len(signatures) == len(set(signatures))
 
+    #: The tree ``examples/automatic_configuration.py`` picks for TPC-C.
+    AUTO_1_3 = staticmethod(lambda: Configuration(
+        node(
+            "ssi",
+            leaf("none", "order_status", "stock_level"),
+            node(
+                "2pl",
+                leaf("2pl", "delivery"),
+                node("rp", leaf("tso", "new_order"), leaf("tso", "payment")),
+            ),
+        ),
+        name="auto-1-3",
+    ))
+
+    def test_an_illegal_tree_is_never_proposed(self):
+        """Moving payment to SSI would put SSI below RP: only RP is left."""
+        optimizer, _workload = self._optimizer()
+        candidates = optimizer.propose(self.AUTO_1_3(), ("payment", "payment"))
+        assert [c.rationale for c in candidates] == [
+            "optimize self-conflicts of payment with rp"
+        ]
+
+    @pytest.mark.parametrize("name", ["tpcc", "seats"])
+    def test_every_candidate_passes_the_literal_table(self, name):
+        if name == "tpcc":
+            workload = TPCCWorkload(warehouses=1)
+            known = self.AUTO_1_3()
+        else:
+            workload = SEATSWorkload(flights=2, seats_per_flight=10, customers=10)
+            known = configs.seats_3layer()
+        transaction_types = workload.transaction_types()
+        read_only = {t for t, ttype in transaction_types.items() if ttype.read_only}
+        optimizer = ConfigurationOptimizer(transaction_types)
+        types = sorted(transaction_types)
+        proposed = 0
+        for start in (initial_configuration(set(types), read_only), known):
+            for type_a in types:
+                for type_b in types:
+                    for candidate in optimizer.propose(start, (type_a, type_b)):
+                        proposed += 1
+                        assert not verdicts(candidate.configuration.root), (
+                            candidate.rationale
+                        )
+        assert proposed > 50
+
     def test_preprocessing_records_pipeline(self):
         _optimizer, workload = self._optimizer()
         config = configs.tpcc_tebaldi_3layer()
@@ -847,9 +894,14 @@ class TestHypothesisProperties:
     @given(st.data())
     @settings(max_examples=15, deadline=None)
     def test_random_micro_schedules_are_serializable(self, data):
-        """Random concurrent schedules under random CC trees stay serializable."""
-        cc_choices = ["2pl", "ssi", "rp", "tso"]
+        """Random concurrent schedules under random legal CC trees stay
+        serializable (the leaves a cross node forbids do not build)."""
         cross = data.draw(st.sampled_from(["2pl", "ssi", "rp"]))
+        cc_choices = [
+            cc
+            for cc in ("2pl", "ssi", "rp", "tso")
+            if cross not in CC_REGISTRY[cc].forbidden_ancestors
+        ]
         leaf_a = data.draw(st.sampled_from(cc_choices))
         leaf_b = data.draw(st.sampled_from(cc_choices))
         count = data.draw(st.integers(min_value=4, max_value=20))

@@ -19,7 +19,7 @@ These things are pinned here:
   is no longer in ``engine.finished``.  The longest chain does not grow with
   the run, *prune ≡ never prune* (a test-only store that keeps every version
   returns the same version to every read), an active straggler and a
-  timestamp batch's hold (SSI and TSO) keep what they can still read, and
+  timestamp batch's hold (SSI's) keep what they can still read, and
   ``Database`` — no services — prunes like everything else, over a
   batching root too: a batch closes when its last member finishes;
 * **flat and released** — log records and retained history records are
@@ -588,11 +588,11 @@ class TestHolds:
         assert manager._live == {} and manager._current == {}
 
     @staticmethod
-    def _late_joiner_read(env, cc, writer, held, monkeypatch):
-        """Three lanes under ``cc`` over two 2PL leaves, no costs charged:
+    def _late_joiner_read(env, held, monkeypatch):
+        """Three lanes under SSI over two 2PL leaves, no costs charged:
 
         1. a ``beta`` member opens its group's batch, alive until t=1.0;
-        2. ``writer`` 2 overwrites hot.0 at once; ``writer`` 3 begins after
+        2. ``alpha`` 2 overwrites hot.0 at once; ``alpha`` 3 begins after
            it and overwrites hot.0 again at t=1.2;
         3. the joiner 4 begins after 2 finished — admitted to lane 1's batch,
            whose member still runs — and reads hot.0 at t=1.5.
@@ -603,13 +603,13 @@ class TestHolds:
         if not held:
             monkeypatch.setattr(TebaldiEngine, "hold_finished", lambda self, key: None)
         tree = Configuration(
-            node(cc, leaf("2pl", "alpha"), leaf("2pl", "beta")), name=f"{cc}-2pl-2pl"
+            node("ssi", leaf("2pl", "alpha"), leaf("2pl", "beta")), name="ssi-2pl-2pl"
         )
         engine = build_engine(env, TwoStepWorkload(), tree, engine_class=ReadLogEngine)
         lanes = [
             [("beta", [("think", 1.0)])],
-            [(writer, [("w", "hot", 0, 10)]),
-             (writer, [("think", 1.2), ("w", "hot", 0, 20)])],
+            [("alpha", [("w", "hot", 0, 10)]),
+             ("alpha", [("think", 1.2), ("w", "hot", 0, 20)])],
             [("beta", [("think", 1.5), ("r", "hot", 0)])],
         ]
 
@@ -634,39 +634,12 @@ class TestHolds:
         only the hold keeps it, and with it the loaded version the second
         overwrite would drop — which is what the joiner's snapshot, the
         batch timestamp, selects (mutation: no hold)."""
-        engine, read = self._late_joiner_read(env, "ssi", "alpha", held, monkeypatch)
+        engine, read = self._late_joiner_read(env, held, monkeypatch)
         key = ("hot", 0)
         assert read[0] == key
         assert len(engine.store.committed_versions(key)) == (3 if held else 2)
         # Without the hold, nothing at or below the snapshot is left to read.
         assert read[1] == ((0, 1) if held else None)
-
-    @pytest.mark.parametrize("held", [True, False], ids=["held", "hold-dropped"])
-    def test_tso_late_joiner_finds_the_version_its_batch_timestamp_selects(
-        self, env, held, monkeypatch
-    ):
-        """Under TSO a later batch's writer commits only after every earlier
-        timestamp's member has finished, so while a batch lives only its own
-        members overwrite: here the writers are the joiner's group, and the
-        joiner, reading strictly below its batch timestamp, skips their
-        versions for the loaded one — which only the hold keeps."""
-        engine, read = self._late_joiner_read(env, "tso", "beta", held, monkeypatch)
-        key = ("hot", 0)
-        assert read[0] == key
-        assert len(engine.store.committed_versions(key)) == (3 if held else 2)
-        # Without the hold, only the child's proposal is left: 3's version.
-        assert read[1][0] == (0 if held else 3)
-
-    def test_tso_batch_gone_quiet_stops_holding(self, env):
-        """The hold needs its release rule: a TSO batch closes with its last
-        member, as SSI's do; no service runs."""
-        tree = Configuration(
-            node("tso", leaf("2pl", "alpha"), leaf("2pl", "beta", "reader")),
-            name="tso-2pl-2pl",
-        )
-        engine = build_engine(env, ConformanceWorkload(), tree)
-        run_transactions(env, engine, [("reader", {"ops": [("r", 7)]})])
-        assert engine._holds == {} and engine.root.cc.batches._live == {}
 
     def test_batching_ssi_holds_and_reconfiguration_drops(self, env):
         """A live member keeps its batch's hold; replacing the SSI node takes
