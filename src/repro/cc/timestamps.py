@@ -3,7 +3,8 @@
 SSI and TSO order transactions with timestamps handed out by a centralized
 timestamp server (Section 4.6 runs one extra machine for "timestamp assignment
 and batch management").  In the simulation the oracle is a monotonic counter;
-contacting it costs one network round-trip, charged by the engine.
+contacting it costs one network round-trip, charged by the engine's phase
+transport.
 """
 
 from itertools import count
@@ -15,35 +16,11 @@ class TimestampOracle:
     def __init__(self, start=1):
         self._counter = count(start)
         self._last = start - 1
-        self._reserved = {}
-        self.duplicate_requests = 0
 
     def next(self):
         """Allocate and return the next timestamp."""
         self._last = next(self._counter)
         return self._last
-
-    def next_for(self, token):
-        """Idempotent allocation keyed by a request ``token``.
-
-        The engine's degraded mode routes the start-phase timestamp
-        round-trip through the message layer, where the request can be
-        duplicated or retransmitted after a lost reply; the server must
-        hand back the *same* timestamp for the same request, not burn a
-        new one per arrival.  Repeated calls with one token return the
-        first allocation and count the duplicate.
-        """
-        value = self._reserved.get(token)
-        if value is not None:
-            self.duplicate_requests += 1
-            return value
-        value = self.next()
-        self._reserved[token] = value
-        return value
-
-    def release(self, token):
-        """Forget a reservation (the requesting transaction finished)."""
-        self._reserved.pop(token, None)
 
     @property
     def last(self):

@@ -21,6 +21,15 @@ transactions something live may still be concurrent with, and the store
 drops a superseded version on the commit path once its successor's writer
 is not among them.
 
+Each phase is one TC/DS exchange over the engine's phase transport.  The
+engine's own is the constant-delay one (:meth:`TebaldiEngine._delay_phase`),
+one precomputed ``Timeout`` per phase at the cost constants of
+:mod:`repro.sim.network`.  A run with armed message faults installs a
+:class:`~repro.sim.network.MessageTransport` in its place before any
+transaction begins.  Both end the commit phase in
+:meth:`TebaldiEngine.apply_commit`, and the engine's one admission park loop
+also holds new work while that transport's valve is closed.
+
 Hot-path design notes: the CC path and its cost constants are resolved once
 per transaction in :meth:`begin` (pinned on the transaction as
 ``charges``), transitive-dependency queries are memoized against
@@ -28,7 +37,6 @@ a dependency-graph generation counter, and finished transactions are
 released as soon as nothing active is concurrent with them (O(1) amortized).
 """
 
-import random
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -40,9 +48,7 @@ from repro.core.transaction import ReadRecord, ScanRecord, Transaction, Transact
 from repro.core.tree import build_routes, build_tree
 from repro.core.waits import ALL, Waits
 from repro.errors import ConfigurationError, TransactionAborted
-from repro.sim.events import Event, Timeout, any_of
-from repro.sim.network import TIMESTAMP_SERVER, ClusterModel
-from repro.sim.events import Condition
+from repro.sim.events import Condition, Event, Timeout, any_of
 from repro.storage.durability import DurabilityConfig, DurabilityManager
 from repro.storage.mvstore import MultiVersionStore
 
@@ -50,14 +56,6 @@ _ACTIVE = TransactionStatus.ACTIVE
 _VALIDATING = TransactionStatus.VALIDATING
 _COMMITTED = TransactionStatus.COMMITTED
 _ABORTED = TransactionStatus.ABORTED
-
-# Degraded-mode (message fault) protocol, inert unless a MessageFaultInjector
-# with a non-empty plan is attached to the cluster: per-phase reply timeout,
-# retry budget of a never-applied request, capped exponential backoff.
-NET_PHASE_TIMEOUT = 0.002
-NET_RETRY_LIMIT = 8
-NET_BACKOFF_BASE = 0.0004
-NET_BACKOFF_CAP = 0.0064
 
 
 @dataclass
@@ -68,11 +66,6 @@ class EngineOptions:
     commit_wait_timeout: float = 1.0
     charge_costs: bool = True
     durability: DurabilityConfig = field(default_factory=DurabilityConfig)
-    # Degraded mode: the seed of the backoff randomization, and the
-    # admission valve — once ``net_park_threshold`` exchanges are backed up
-    # in retry, new transactions park until the backlog drains to half.
-    net_backoff_seed: int = 0
-    net_park_threshold: int = 12
 
 
 def _node_built_from(spec):
@@ -112,7 +105,6 @@ class TebaldiEngine:
         store=None,
         options=None,
         profiler=None,
-        cluster=None,
         durability=None,
         txn_id_start=1,
     ):
@@ -124,7 +116,6 @@ class TebaldiEngine:
         self._check_configuration(configuration)
         self.configuration = configuration
         self.store = store if store is not None else MultiVersionStore()
-        self.cluster = cluster or ClusterModel(env)
         self.oracle = TimestampOracle()
         self.stats = StatsCollector(env)
         # The crash harness injects a shared manager that survives engine
@@ -156,7 +147,6 @@ class TebaldiEngine:
         self.finished = {}
         self._finished_order = deque()
         self._holds = {}
-        self.committed_ids = set()
         # Optional streaming isolation recorder (see repro.isolation.history):
         # notified with every commit's installed versions and every abort, so
         # checked runs observe the authoritative version order whatever the
@@ -164,21 +154,13 @@ class TebaldiEngine:
         self.history_recorder = None
         self._paused_types = set()
         self._draining = False
-
-        # Degraded-mode state: retry backlog and the admission valve.  The
-        # backoff RNG is seeded (integers only) so retry schedules — and
-        # therefore whole degraded runs — reproduce byte-identically.
-        self._net_rng = random.Random((int(self.options.net_backoff_seed) << 8) ^ 0xB0FF)
-        self._net_backlog = 0
-        self._net_degraded = False
-        self.net_stats = {
-            "retries": 0,
-            "duplicate_deliveries": 0,
-            "retransmit_applies": 0,
-            "unreachable_aborts": 0,
-            "parked": 0,
-            "degraded_windows": 0,
-        }
+        # The phase transport: the constant-delay one unless a message
+        # transport (repro.sim.network) installs itself before any
+        # transaction begins.  One whose retry backlog is high closes
+        # admission by setting ``throttled`` to its park counter, which
+        # every arrival it parks calls once.
+        self.transport = self._delay_phase
+        self.throttled = None
 
         # Memoized transitive-dependency reachability, invalidated whenever
         # the dependency graph changes shape (new edge, transaction retired).
@@ -192,9 +174,7 @@ class TebaldiEngine:
     def _rebuild_routes(self):
         """Per-type routes over the current tree; holds of CCs no longer in
         it go with them."""
-        self._routes = build_routes(
-            self._leaf_by_type, self.cluster, self.transaction_types
-        )
+        self._routes = build_routes(self._leaf_by_type, self.transaction_types)
         live = set(self.nodes)
         self._holds = {
             key: at for key, at in self._holds.items() if key[0].node in live
@@ -254,14 +234,6 @@ class TebaldiEngine:
         # in-flight transactions are unaffected by online reconfigurations
         # swapping parts of the tree, and the hot path never rebuilds them.
         txn.charges = route
-        # The phase transport is pinned the same way.  With a non-empty
-        # message fault plan attached to the cluster every protocol
-        # round-trip goes through the message layer; an absent injector or
-        # an empty plan keeps the constant-delay transport, event for event
-        # — pinned byte-identical by the chaos suite.
-        faults = self.cluster.message_faults
-        degraded = faults is not None and faults.enabled
-        txn.transport = self._message_phase if degraded else self._delay_phase
         txn.dep_listener = self._on_new_dependency
         if route.static_group_tokens is not None:
             # Immutable token map shared by every transaction of this type.
@@ -289,7 +261,7 @@ class TebaldiEngine:
         :class:`TransactionAborted` if the attempt aborts (the caller decides
         whether to retry).
         """
-        if self._draining or self._net_degraded or txn_type in self._paused_types:
+        if self._draining or self.throttled or txn_type in self._paused_types:
             yield from self._wait_for_admission(txn_type)
         route = self._routes.get(txn_type)
         if route is not None and route.admission_hooks:
@@ -311,24 +283,23 @@ class TebaldiEngine:
         return txn
 
     def _wait_for_admission(self, txn_type):
-        if self._net_degraded:
-            # The admission valve: retry queues backed up past the
-            # threshold, so new work parks instead of piling onto a
-            # partitioned link.  Parked transactions resume when the
-            # backlog drains (partition healed, retries succeeded).
-            self.net_stats["parked"] += 1
-        while self._draining or self._net_degraded or txn_type in self._paused_types:
+        if self.throttled is not None:
+            # Parked by a message transport's admission valve, not by a
+            # reconfiguration: the transport counts it.  Parked
+            # transactions resume when its backlog drains.
+            self.throttled()
+        while self._draining or self.throttled or txn_type in self._paused_types:
             yield from self.admission_condition.wait()
 
     def _run(self, txn):
         """Coroutine: the four protocol phases of one transaction attempt.
 
-        Each phase is one TC/DS exchange over the transport pinned in
-        :meth:`begin`, then the phase's CC hooks; the commit exchange carries
-        the server-side apply (:meth:`_apply_commit`) itself.
+        Each phase is one TC/DS exchange over the engine's phase transport,
+        then the phase's CC hooks; the commit exchange carries the
+        server-side apply (:meth:`apply_commit`) itself.
         """
         charges = txn.charges
-        transport = txn.transport
+        transport = self.transport
         # Start phase -------------------------------------------------------
         yield from transport(txn, "start")
         for start_hook in charges.start_hooks:
@@ -366,9 +337,9 @@ class TebaldiEngine:
         self.commit_condition.notify_all()
         return result
 
-    def _apply_commit(self, txn):
+    def apply_commit(self, txn):
         """The server-side apply of the commit request, shared by both
-        transports: cascading-abort check, pre-commit validation hooks,
+        phase transports: cascading-abort check, pre-commit validation hooks,
         durable precommit and the installation of the versions.  It runs
         synchronously at delivery, which preserves the no-interleaving
         guarantee OCC's backward validation relies on."""
@@ -382,16 +353,12 @@ class TebaldiEngine:
             # durable reader can never survive recovery while its writer
             # vanishes (cross-crash recoverability of the DSG).
             durability = self.durability
-            global_epoch = durability.precommit(txn, self._write_set(txn))
+            global_epoch = durability.precommit(txn, list(txn.writes.items()))
             durability.commit_notification(txn, global_epoch)
             if durability.halted:
                 # Crashed inside the precommit: _run parks the process.
                 return
         self._commit(txn)
-
-    @staticmethod
-    def _write_set(txn):
-        return list(txn.writes.items())
 
     def _commit(self, txn):
         versions = self.store.commit_transaction(
@@ -399,7 +366,6 @@ class TebaldiEngine:
         )
         txn.status = TransactionStatus.COMMITTED
         txn.end_time = self.env.now
-        self.committed_ids.add(txn.txn_id)
         if not txn.finish_event.triggered:
             txn.finish_event.succeed(True)
         self._retire(txn)
@@ -408,7 +374,7 @@ class TebaldiEngine:
             self.history_recorder.on_commit(txn, versions)
         return versions
 
-    # -- phase transports -------------------------------------------------------
+    # -- phase transport ---------------------------------------------------------
 
     def _delay_phase(self, txn, phase):
         """Constant-delay transport: the phase's round-trips and CPU are one
@@ -418,132 +384,7 @@ class TebaldiEngine:
             delay = charges.start_delay if phase == "start" else charges.phase_delay
             yield Timeout(self.env, delay)
         if phase == "precommit":
-            self._apply_commit(txn)
-
-    def _message_phase(self, txn, phase):
-        """Message-layer transport (degraded mode): every round-trip is a
-        :meth:`_robust_exchange` over ``cluster.send`` with timeout/retry/
-        backoff.
-
-        The start phase adds, for CCs that use the centralized timestamp
-        server (SSI, TSO), the timestamp request — idempotent at the server,
-        so a duplicated or retransmitted request cannot burn a second
-        timestamp.  The commit request applies :meth:`_apply_commit` exactly
-        once at delivery; retransmits after a lost reply and duplicated
-        deliveries re-enter only the durability layer, whose commit-ticket
-        dedup must absorb them.
-        """
-        charges = txn.charges
-        if self.options.charge_costs:
-            yield Timeout(self.env, charges.phase_cost)
-        if phase == "precommit":
-            participants = (0,)
-            retransmit = None
-            if self._durable:
-                writes = self._write_set(txn)
-                participants = self.durability.participants_for(writes)
-                retransmit = lambda: self.durability.precommit(txn, writes)
-            yield from self._robust_exchange(
-                txn,
-                phase,
-                dsts=participants,
-                apply_fn=lambda: self._apply_commit(txn),
-                retransmit_fn=retransmit,
-            )
-            return
-        yield from self._robust_exchange(txn, phase)
-        if phase == "start" and charges.start_rtts:
-            token = ("timestamp", txn.txn_id)
-            allocate = lambda: self.oracle.next_for(token)
-            yield from self._robust_exchange(
-                txn,
-                "timestamp",
-                dsts=(TIMESTAMP_SERVER,),
-                round_trips=charges.start_rtts,
-                apply_fn=allocate,
-                retransmit_fn=allocate,
-            )
-            self.oracle.release(token)
-
-    def _robust_exchange(self, txn, phase, dsts=(0,), round_trips=1,
-                         apply_fn=None, retransmit_fn=None):
-        """Coroutine: one protocol exchange with timeout/retry/backoff.
-
-        ``apply_fn`` runs exactly once, synchronously, the first time the
-        request reaches the servers; duplicated deliveries and retransmits
-        after a lost reply invoke ``retransmit_fn`` instead — the
-        receiver-side dedup path (commit-ticket dedup at the durability
-        layer, idempotent allocation at the timestamp server).  The
-        exchange returns ``apply_fn``'s result once a reply arrives.
-
-        A request that was never applied aborts the transaction after
-        ``NET_RETRY_LIMIT`` failed attempts.  Once applied, the TC retries
-        without bound — the effect may be durable, so abandoning it would
-        manufacture a phantom commit — which terminates because fault
-        plans are finite and partitions heal by time.  Failed attempts
-        enter the retry backlog that drives the admission valve.
-        """
-        options = self.options
-        stats = self.net_stats
-        applied = False
-        result = None
-        attempts = 0
-        backlogged = False
-        try:
-            while True:
-                attempts += 1
-                outcome = yield from self.cluster.send(
-                    dsts=dsts,
-                    phase=phase,
-                    txn_id=txn.txn_id,
-                    round_trips=round_trips,
-                    timeout=NET_PHASE_TIMEOUT,
-                )
-                if outcome.request_reached:
-                    if not applied:
-                        result = apply_fn() if apply_fn is not None else None
-                        applied = True
-                        if outcome.duplicated:
-                            stats["duplicate_deliveries"] += 1
-                            if retransmit_fn is not None:
-                                retransmit_fn()
-                    else:
-                        stats["retransmit_applies"] += 1
-                        if retransmit_fn is not None:
-                            retransmit_fn()
-                if outcome.delivered:
-                    return result
-                stats["retries"] += 1
-                if not applied and attempts > NET_RETRY_LIMIT:
-                    stats["unreachable_aborts"] += 1
-                    raise TransactionAborted(txn.txn_id, f"net-unreachable-{phase}")
-                if not backlogged:
-                    backlogged = True
-                    self._net_backlog += 1
-                    if (
-                        not self._net_degraded
-                        and self._net_backlog >= options.net_park_threshold
-                    ):
-                        self._net_degraded = True
-                        stats["degraded_windows"] += 1
-                delay = min(
-                    NET_BACKOFF_BASE * (2 ** min(attempts - 1, 6)), NET_BACKOFF_CAP
-                )
-                # Seeded deterministic "randomization": spreads concurrent
-                # retries apart without forfeiting reproducibility.
-                delay *= 0.5 + self._net_rng.random()
-                yield Timeout(self.env, delay)
-        finally:
-            if backlogged:
-                self._net_backlog -= 1
-                if (
-                    self._net_degraded
-                    and self._net_backlog <= options.net_park_threshold // 2
-                ):
-                    # Hysteresis: reopen admission only once the backlog
-                    # drained to half the threshold, not at the first lull.
-                    self._net_degraded = False
-                    self.admission_condition.notify_all()
+            self.apply_commit(txn)
 
     def _finish_abort(self, txn, reason):
         txn.status = TransactionStatus.ABORTED

@@ -60,15 +60,14 @@ class Transaction:
     read_only: bool = False
 
     # Routing through the CC tree.  ``charges`` (the type's ``Route``: its
-    # ``nodes``, ``ccs``, hook tables and cost constants) and the phase
-    # ``transport`` are resolved once in ``engine.begin()`` and pinned here,
-    # so in-flight transactions are unaffected by online reconfigurations
-    # and the per operation hot path never rebuilds them.
+    # ``nodes``, ``ccs``, hook tables and cost constants) is resolved once
+    # in ``engine.begin()`` and pinned here, so in-flight transactions are
+    # unaffected by online reconfigurations and the per operation hot path
+    # never rebuilds it.
     leaf_node_id: str = ""
     group_tokens: dict = field(default_factory=dict)
     partition_value: Any = None
     charges: Any = None
-    transport: Any = None
 
     # Data accesses.
     reads: list = field(default_factory=list)

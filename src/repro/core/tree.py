@@ -7,6 +7,7 @@ tokens are resolved.
 """
 
 from repro.cc.base import ConcurrencyControl, check_composition, create_cc
+from repro.sim.network import CC_LAYER_CPU, OPERATION_CPU, PHASE_CPU, RTT
 
 
 def _overrides(cc, hook_name):
@@ -159,8 +160,8 @@ class Route:
     (``extra_operation_rtts`` / ``extra_start_rtts``) on every read, write and
     phase.  ``op_delay``/``phase_delay``/``start_delay`` are the cheap-path
     virtual-time charges of the constant-delay transport (CPU cost plus
-    network round-trips at the cluster's fixed RTT); the message-layer
-    transport charges ``phase_cost`` and sends the round-trips for real.
+    network round-trips at the fixed ``RTT``); the message transport
+    charges ``phase_cost`` and sends the round-trips for real.
     """
 
     __slots__ = (
@@ -190,16 +191,16 @@ class Route:
         "leaf_node_id",
     )
 
-    def __init__(self, nodes, costs, rtt, txn_type_def=None):
+    def __init__(self, nodes, txn_type_def=None):
         self.nodes = nodes
         ccs = [node.cc for node in nodes]
         layers = len(nodes)
         op_rtts = 1 + sum(getattr(cc, "extra_operation_rtts", 0) for cc in ccs)
-        self.phase_cost = costs.phase_cost(layers)
+        self.phase_cost = PHASE_CPU + CC_LAYER_CPU * layers
         self.start_rtts = sum(getattr(cc, "extra_start_rtts", 0) for cc in ccs)
-        self.op_delay = costs.operation_cost(layers) + op_rtts * rtt
-        self.phase_delay = self.phase_cost + rtt
-        self.start_delay = self.phase_cost + (1 + self.start_rtts) * rtt
+        self.op_delay = OPERATION_CPU + CC_LAYER_CPU * layers + op_rtts * RTT
+        self.phase_delay = self.phase_cost + RTT
+        self.start_delay = self.phase_cost + (1 + self.start_rtts) * RTT
         # Specialised hook tables: only CCs that actually implement a hook
         # appear (as pre-bound methods), so the per-operation loops never
         # dispatch into the base-class no-ops.  Hook order is preserved:
@@ -266,18 +267,11 @@ class Route:
             self.read_only = False
 
 
-def build_routes(leaf_by_type, cluster, transaction_types=None):
+def build_routes(leaf_by_type, transaction_types=None):
     """Compile the per-type :class:`Route` table for a runtime tree."""
-    costs = cluster.costs
-    # The base rtt, not a round_trip() sample: routes precompute per-phase
-    # delay constants, and a jitter draw taken here would be frozen into
-    # every transaction of the type instead of varying per message.
-    rtt = cluster.network.rtt
     transaction_types = transaction_types or {}
     return {
-        txn_type: Route(
-            leaf.path_from_root(), costs, rtt, transaction_types.get(txn_type)
-        )
+        txn_type: Route(leaf.path_from_root(), transaction_types.get(txn_type))
         for txn_type, leaf in leaf_by_type.items()
     }
 

@@ -7,10 +7,11 @@ engine over the shared :class:`DurabilityManager` (whose persistent backends
 survive crashes), until either the measurement horizon or the crash event
 this lane arms fires.  On a crash the lane:
 
-1. snapshots what the dying incarnation believed (committed ids, commit
-   sequences, in-flight count), then drops the volatile durability state
-   (:meth:`DurabilityManager.crash`) and replays the persistent logs
-   (:meth:`DurabilityManager.recover`);
+1. snapshots what the dying incarnation believed (its commits — the
+   transactions its logs hold a precommit of, bar those still in flight —,
+   commit sequences and in-flight count), then drops the volatile
+   durability state (:meth:`DurabilityManager.crash`) and replays the
+   persistent logs (:meth:`DurabilityManager.recover`);
 2. classifies every transaction: *survivors* were durable, *vanished* ones
    committed in memory but were not durable (recovery discarded them),
    *ghosts* were durable but never acknowledged (crash between precommit
@@ -111,10 +112,6 @@ class CrashLane(Lane):
         self.durability = durability or default_crash_durability()
         self.injector = None
         self.crashes = []
-        # Ids that ever committed in memory (any incarnation) or were
-        # resurrected as ghosts: distinguishes ghosts from known survivors
-        # when classifying a recovery.
-        self._known_committed = set()
 
     def attach(self, runner):
         if self.injector is None:
@@ -139,15 +136,17 @@ class CrashLane(Lane):
         recorder = self.recorder
         info = self.injector.crash_info or {}
         crash_time = engine.env.now
-        committed_here = set(engine.committed_ids)
+        # A logged precommit is followed by the commit unless the crash
+        # fired inside it, and the logs hold this incarnation alone (each
+        # recovery checkpoints them).
+        committed_here = manager.precommitted_transactions() - set(engine.active)
         last_seq = store.last_commit_seq()
         manager.crash()
         recovery = manager.recover()
         recovered = set(recovery.recovered_transactions)
         vanished = committed_here - recovered
-        ghosts = recovered - self._known_committed - committed_here
+        ghosts = recovered - committed_here
         recorder.on_crash(vanished)
-        self._known_committed |= committed_here - vanished
 
         # Rebuild committed state: deterministic re-population (the catalog
         # rows are immutable, so the initial versions reproduce exactly),
@@ -179,7 +178,6 @@ class CrashLane(Lane):
             recorder.on_recovered(
                 ghost, ghost_versions.get(ghost, []), now=crash_time
             )
-            self._known_committed.add(ghost)
 
         # Checkpoint: wipe the logs and persist the recovered state as the
         # next incarnation's base, so a discarded epoch's records cannot

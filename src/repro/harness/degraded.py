@@ -23,14 +23,17 @@ stake are different:
   the partition heals; the whole run (pre-, intra- and post-degradation)
   is recorded as **one** history and checked as a single DSG.
 
-Everything derives from the run seed (fault plan, backoff jitter, client
-RNGs), so a failing run reproduces byte-identically.
+The lane owns the run's :class:`~repro.sim.network.MessageTransport` — the
+timeouts, retries, backoff, valve and counters — and installs it on each
+engine it attaches to, so that state outlives an engine rebuild.  Everything
+derives from the run seed (fault plan, backoff jitter, client RNGs), so a
+failing run reproduces byte-identically.
 """
 
-from repro.core.engine import EngineOptions
 from repro.harness.crash import exactly_once_violations
 from repro.harness.runner import Lane, run_benchmark
 from repro.sim.faults import MessageFaultInjector, MessageFaultPlan
+from repro.sim.network import MessageTransport
 from repro.storage.durability import DurabilityConfig
 from repro.storage.wal import KIND, TXN_ID, record_body
 
@@ -44,12 +47,6 @@ def default_degraded_durability():
         asynchronous=False,
         num_servers=4,
     )
-
-
-def default_degraded_options(seed=7):
-    """Chaos-tuned engine options: backoff jitter seeded by the run and a
-    low valve threshold, so sub-second runs actually exercise degradation."""
-    return EngineOptions(net_backoff_seed=seed, net_park_threshold=6)
 
 
 def retransmit_violations(manager):
@@ -77,9 +74,9 @@ def retransmit_violations(manager):
 
 
 class NetFaultLane(Lane):
-    """Seeded message faults: attaches the injector to the cluster's message
-    layer and checks exactly-once application and committed-means-durable
-    after the run.
+    """Seeded message faults: builds the run's message transport over the
+    injector and installs it on every incarnation's engine, then checks
+    exactly-once application and committed-means-durable after the run.
 
     ``fault_plan=None`` derives the plan from the run seed.
     ``dedup_enabled=False`` is the mutation-test hook: it disables the
@@ -94,33 +91,37 @@ class NetFaultLane(Lane):
         self.durability = durability or default_degraded_durability()
         self.dedup_enabled = dedup_enabled
         self.injector = None
-
-    def engine_options(self, seed):
-        return default_degraded_options(seed)
+        self.transport = None
 
     def attach(self, runner):
-        if self.injector is None:
+        if self.transport is None:
             if self.plan is None:
                 self.plan = MessageFaultPlan.from_seed(runner.seed)
             self.injector = MessageFaultInjector(self.plan)
+            self.transport = MessageTransport(self.injector, seed=runner.seed)
         runner.manager.dedup_enabled = self.dedup_enabled
-        runner.engine.cluster.message_faults = self.injector
+        # An empty plan keeps the constant-delay transport, event for event
+        # (pinned by the chaos suite).
+        if self.injector.enabled:
+            self.transport.install(runner.engine)
 
     def finish(self, runner, result):
-        manager, recorder, engine = runner.manager, runner.recorder, runner.engine
+        manager, recorder = runner.manager, runner.recorder
         result.fault_log = list(self.injector.fault_log)
-        result.net_stats = dict(engine.net_stats)
+        result.net_stats = dict(self.transport.stats)
         result.extra["injector_stats"] = dict(self.injector.stats)
         result.extra["pending_faults"] = self.injector.has_pending()
         history = recorder.history()
         is_queue = runner.workload.name == "queue"
         # Committed means durable and visible: replaying the persistent log
         # must recover exactly the committed writers, and the recovered
-        # values must match the store's latest committed state.
+        # values must match the store's latest committed state.  Writers,
+        # because the recorder's version orders name every one of them
+        # however small its ring, while a read-only commit may have left it.
         recovery = manager.recover()
         recovered = recovery.recovered_transactions
         committed_writers = {
-            txn.txn_id for txn in history.transactions.values() if txn.writes
+            writer for order in history.version_orders.values() for _seq, writer in order
         }
         latest = runner.store.latest_state()
         stale = {
@@ -134,7 +135,9 @@ class NetFaultLane(Lane):
             "duplicate_commits": list(recorder.duplicate_commits),
             "double_dequeues": exactly_once_violations(history) if is_queue else {},
             "committed_not_durable": sorted(committed_writers - recovered),
-            "durable_not_committed": sorted(recovered - set(engine.committed_ids)),
+            "durable_not_committed": sorted(
+                recovery.recovered_writers - committed_writers
+            ),
             "recovered_state_mismatch": stale,
         }
         result.violations.update(

@@ -51,7 +51,8 @@ class RunResult:
     abort_reasons: dict = field(default_factory=dict)
     incarnations: int = 1
     # Filled by fault lanes: per-crash reports, the message faults that
-    # fired, the engine's retry counters and every broken post-run invariant.
+    # fired, the message transport's retry counters and every broken
+    # post-run invariant.
     crashes: list = field(default_factory=list)
     fault_log: list = field(default_factory=list)
     net_stats: dict = field(default_factory=dict)
@@ -77,9 +78,6 @@ class Lane:
     client_seed_tag = None
     durability = None
     stop_event = None
-
-    def engine_options(self, seed):
-        """Default :class:`EngineOptions` for runs with this lane, or None."""
 
     def attach(self, runner):
         """Wire the lane into a freshly built incarnation."""
@@ -113,8 +111,6 @@ class BenchmarkRunner:
         self.mix = mix
         self.profiler = profiler
         self.lanes = tuple(lanes)
-        for lane in self.lanes:
-            options = options or lane.engine_options(seed)
         self.options = options or EngineOptions()
         self._tag = next(
             (lane.client_seed_tag for lane in self.lanes if lane.client_seed_tag), None

@@ -19,17 +19,15 @@ from repro.sim.faults import (
     MessageFaultInjector,
     MessageFaultPlan,
 )
-from repro.sim.network import ClusterModel, Delivery, LinkState, NetworkModel
+from repro.sim.network import Delivery, MessageTransport
 
 __all__ = [
     "Environment",
     "Event",
     "Timeout",
     "Condition",
-    "ClusterModel",
     "Delivery",
-    "LinkState",
-    "NetworkModel",
+    "MessageTransport",
     "FaultInjector",
     "FaultPlan",
     "MessageFault",

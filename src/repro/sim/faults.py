@@ -20,9 +20,9 @@ The *message* half mirrors the same split: a :class:`MessageFaultPlan` is
 seed-derived pure data naming what goes wrong on the TC/DS wire (drop,
 delay spike, duplicate, reorder, partition-and-heal), and the
 :class:`MessageFaultInjector` is consulted by
-:meth:`~repro.sim.network.ClusterModel.send` for every protocol exchange.
-The engine's timeout/retry/backoff loop and the durability layer's
-commit-ticket dedup are what make the system survive the plan — see
+:meth:`~repro.sim.network.MessageTransport.send` for every protocol
+exchange.  The transport's timeout/retry/backoff loop and the durability
+layer's commit-ticket dedup are what make the system survive the plan — see
 :mod:`repro.harness.degraded`.
 """
 
@@ -179,7 +179,8 @@ class FaultInjector:
 #:   times slower.
 #: * ``duplicate`` — the request is delivered twice; the duplicate must be
 #:   absorbed by the receiver (commit-ticket dedup at the durability
-#:   layer, idempotent allocation at the timestamp server).
+#:   layer; the timestamp exchange applies nothing, the CC's ``start`` hook
+#:   takes the timestamp).
 #: * ``reorder``   — the message is held back ``magnitude`` extra base
 #:   round-trips, so traffic sent after it overtakes it.
 #: * ``partition`` — the TC loses the affected destinations for
@@ -286,7 +287,7 @@ _PARTITION_WINDOW = MessageFault(kind="partition", occurrence=1, duration=1e-9)
 class MessageFaultInjector:
     """Runtime message-fault scheduler consulted by the message layer.
 
-    :meth:`~repro.sim.network.ClusterModel.send` calls :meth:`disposition`
+    :meth:`~repro.sim.network.MessageTransport.send` calls :meth:`disposition`
     once per exchange; the injector answers with the fault to apply (or
     ``None``).  Partition points open a heal-by-time window over the
     affected destinations; subsequent sends touching a partitioned
@@ -312,10 +313,6 @@ class MessageFaultInjector:
 
     def has_pending(self):
         return self._next_index < len(self.plan.points)
-
-    def partitioned_until(self, dst):
-        """Virtual time at which the window over ``dst`` heals (0 if none)."""
-        return self._partitioned_until.get(dst, 0.0)
 
     def disposition(self, now, dsts, phase):
         """The fault to apply to a send at ``now`` addressed to ``dsts``."""

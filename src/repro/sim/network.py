@@ -1,4 +1,5 @@
-"""Cluster cost and message model: network round-trips, faults and CPU costs.
+"""The TC/DS link: what a protocol round trip costs, and the message
+transport that carries the phases when message faults are armed.
 
 The paper's cluster (Section 4.6) has transaction coordinators (TCs) and data
 servers (DSs) connected by a 10 GbE network with ~0.1 ms ping.  The four-phase
@@ -6,102 +7,53 @@ protocol is optimised so that each phase costs a single TC-to-DS round-trip
 regardless of the CC-tree depth (Section 4.5.2); individual CC mechanisms may
 add extra round-trips (SSI's timestamp server, RP's per-step coordination).
 
-The :class:`NetworkModel` captures these costs as virtual-time delays —
-including seeded, deterministic jitter — and :class:`CostModel` the CPU
-cost of operations and phases.
+Four constants are the cost model: :data:`RTT` and the CPU costs
+:data:`OPERATION_CPU`, :data:`PHASE_CPU` and :data:`CC_LAYER_CPU`, which
+:class:`~repro.core.tree.Route` folds into per-type delay constants.  The
+engine's constant-delay transport charges those and nothing else.
 
-Beyond the constant-delay pipe, :meth:`ClusterModel.send` is a real message
-layer: every protocol round-trip the engine routes through it consults the
-attached :class:`~repro.sim.faults.MessageFaultInjector` (if any) and may be
+:class:`MessageTransport` is the other phase transport, the link as its own
+component with its own failure model.  The degraded harness
+(:mod:`repro.harness.degraded`) builds one per run and installs it on every
+engine of the run.  Each protocol round trip becomes a :meth:`send` that
+consults the :class:`~repro.sim.faults.MessageFaultInjector` and may be
 dropped, delayed, duplicated, reordered or caught in a TC/DS partition
-window.  Per-destination :class:`LinkState` records what happened on each
-link, and the :class:`Delivery` outcome tells the engine whether the request
-reached the servers and whether the reply made it back — the engine's
-timeout/retry/backoff loop (:meth:`TebaldiEngine._robust_exchange`, the message-layer transport) is built
-on exactly that distinction.
+window; :meth:`exchange` wraps it in timeout / retry / seeded backoff, and
+the retry backlog drives the engine's admission valve.  The counters and the
+backoff stream live as long as the run, not as long as one engine.
 """
 
-from dataclasses import dataclass, field
-
 import random
+from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.errors import TransactionAborted
+from repro.sim.events import Timeout
+
+#: One TC <-> DS round trip, and the CPU cost of one read/write, of one
+#: non-operation phase, and of each CC layer either traverses (seconds).
+RTT = 120e-6
+OPERATION_CPU = 12e-6
+PHASE_CPU = 6e-6
+CC_LAYER_CPU = 4e-6
 
 #: Destination token for the centralized timestamp / batch server (the one
-#: extra machine of Section 4.6).  Sends addressed to it are charged the
-#: ``timestamp_rtt`` and can be partitioned away from the TC like any DS.
+#: extra machine of Section 4.6).  It can be partitioned away from the TC
+#: like any DS.
 TIMESTAMP_SERVER = "ts"
 
-
-@dataclass
-class NetworkModel:
-    """Virtual-time network cost parameters (seconds).
-
-    ``jitter`` adds a seeded, deterministic ``uniform(0, jitter)`` component
-    to every round-trip.  With ``jitter=0.0`` (the default) no RNG is ever
-    consulted, so jitter-free schedules are byte-identical to the historical
-    constant-delay model — pinned by the ``bench_speed`` fingerprints.
-    """
-
-    rtt: float = 120e-6
-    timestamp_rtt: float = 120e-6
-    jitter: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.rtt < 0:
-            raise ConfigurationError(f"network rtt must be >= 0, got {self.rtt}")
-        if self.timestamp_rtt < 0:
-            raise ConfigurationError(
-                f"network timestamp_rtt must be >= 0, got {self.timestamp_rtt}"
-            )
-        if self.jitter < 0:
-            raise ConfigurationError(
-                f"network jitter must be >= 0, got {self.jitter}"
-            )
-        self._rng = None
-
-    def _jitter(self):
-        if self.jitter <= 0:
-            return 0.0
-        rng = self._rng
-        if rng is None:
-            # random.Random over integers only (no salted hashes), so the
-            # jitter stream reproduces across processes for a fixed seed.
-            rng = self._rng = random.Random((int(self.seed) << 8) ^ 0x31EB)
-        return rng.uniform(0.0, self.jitter)
-
-    def round_trip(self):
-        """Cost of one TC <-> DS round-trip (jittered when enabled)."""
-        return self.rtt + self._jitter()
-
-    def timestamp_round_trip(self):
-        """Cost of contacting the centralized timestamp / batch server."""
-        return self.timestamp_rtt + self._jitter()
+#: Degraded-mode protocol: per-exchange reply timeout, retry budget of a
+#: never-applied request, capped exponential backoff, and the retry backlog
+#: at which the admission valve closes (it reopens at half).
+PHASE_TIMEOUT = 0.002
+RETRY_LIMIT = 8
+BACKOFF_BASE = 0.0004
+BACKOFF_CAP = 0.0064
+PARK_THRESHOLD = 6
 
 
-@dataclass
-class CostModel:
-    """Per-operation CPU cost parameters (seconds)."""
-
-    operation_cpu: float = 12e-6
-    phase_cpu: float = 6e-6
-    cc_layer_cpu: float = 4e-6
-    commit_cpu: float = 10e-6
-    durability_flush_cpu: float = 15e-6
-
-    def operation_cost(self, cc_layers):
-        """CPU cost of one read/write that traverses ``cc_layers`` CC nodes."""
-        return self.operation_cpu + self.cc_layer_cpu * cc_layers
-
-    def phase_cost(self, cc_layers):
-        """CPU cost of one non-operation phase (start/validate/commit)."""
-        return self.phase_cpu + self.cc_layer_cpu * cc_layers
-
-
-@dataclass
+@dataclass(frozen=True)
 class Delivery:
-    """Outcome of one :meth:`ClusterModel.send` exchange, as the TC sees it.
+    """Outcome of one :meth:`MessageTransport.send`, as the TC sees it.
 
     ``request_reached`` and ``delivered`` are distinct on purpose: a lost
     *reply* leaves the request applied at the servers while the TC times
@@ -111,138 +63,185 @@ class Delivery:
 
     delivered: bool
     request_reached: bool
-    delay: float
-    fault: str = ""
     duplicated: bool = False
 
 
-@dataclass
-class LinkState:
-    """Per TC->destination link bookkeeping (message counts, fault windows)."""
+class MessageTransport:
+    """The phase transport of a run with armed message faults.
 
-    dst: object
-    sent: int = 0
-    delivered: int = 0
-    dropped: int = 0
-    duplicated: int = 0
-    delayed: int = 0
-    reordered: int = 0
-    partitioned_until: float = 0.0
-
-
-@dataclass
-class ClusterModel:
-    """The cluster as the engine sees it: network and cost models plus the
-    message layer.
-
-    ``message_faults`` (a :class:`~repro.sim.faults.MessageFaultInjector`)
-    is attached by the degraded harness; without one, :meth:`send` is a
-    plain jittered round-trip that always delivers.
+    ``faults`` is the run's :class:`~repro.sim.faults.MessageFaultInjector`;
+    ``seed`` seeds the backoff randomization (integers only), so retry
+    schedules — and therefore whole degraded runs — reproduce
+    byte-identically.  :meth:`install` hands it an engine before any
+    transaction begins; ``stats`` counts over every engine it was installed
+    on.
     """
 
-    env: object
-    network: NetworkModel = field(default_factory=NetworkModel)
-    costs: CostModel = field(default_factory=CostModel)
-    message_faults: object = None
+    def __init__(self, faults, seed=0):
+        self.faults = faults
+        self._rng = random.Random((int(seed) << 8) ^ 0xB0FF)
+        self._engine = None
+        self._backlog = 0
+        self.stats = {
+            "retries": 0,
+            "duplicate_deliveries": 0,
+            "retransmit_applies": 0,
+            "unreachable_aborts": 0,
+            "parked": 0,
+            "degraded_windows": 0,
+        }
 
-    def __post_init__(self):
-        self.links = {}
+    def install(self, engine):
+        """Carry every protocol phase of ``engine`` from now on.  The
+        previous engine's exchanges died with it, and so did its backlog."""
+        self._engine = engine
+        self._backlog = 0
+        engine.transport = self.phase
 
-    def link(self, dst):
-        """The (lazily created) per-destination link state."""
-        state = self.links.get(dst)
-        if state is None:
-            state = self.links[dst] = LinkState(dst)
-        return state
+    def phase(self, txn, phase):
+        """Coroutine: one protocol phase as real round trips.
 
-    def send(self, dsts=(0,), phase="rpc", txn_id=None, round_trips=1, timeout=None):
-        """Coroutine: one TC -> servers exchange over the message layer.
-
-        Waits out the (jittered, possibly faulted) exchange and returns a
-        :class:`Delivery`.  ``dsts`` names the destination servers (data
-        server ids, or :data:`TIMESTAMP_SERVER`); ``timeout`` is how long
-        the TC waits for a reply that never comes before giving up on this
-        attempt (default: four base round-trips).  The send itself never
-        retries — that is the engine's job — and never raises on a fault.
+        The start phase adds, for CCs that use the centralized timestamp
+        server (SSI, TSO, batch), its round trips; only their cost and
+        faults are modelled here, the CC's ``start`` hook takes the
+        timestamp.  The commit request applies the engine's
+        ``apply_commit`` exactly once at delivery; retransmits after a lost
+        reply and duplicated deliveries re-enter only the durability layer,
+        whose commit-ticket dedup must absorb them.
         """
-        if round_trips < 1:
-            raise ConfigurationError(
-                f"send round_trips must be >= 1, got {round_trips}"
+        engine = self._engine
+        charges = txn.charges
+        if engine.options.charge_costs:
+            yield Timeout(engine.env, charges.phase_cost)
+        if phase == "precommit":
+            participants = (0,)
+            retransmit = None
+            durability = engine.durability
+            if durability.enabled:
+                writes = list(txn.writes.items())
+                participants = durability.participants_for(writes)
+                retransmit = lambda: durability.precommit(txn, writes)
+            yield from self.exchange(
+                txn,
+                phase,
+                dsts=participants,
+                apply_fn=lambda: engine.apply_commit(txn),
+                retransmit_fn=retransmit,
             )
-        network = self.network
-        per_trip = (
-            network.timestamp_round_trip
-            if all(dst == TIMESTAMP_SERVER for dst in dsts)
-            else network.round_trip
-        )
+            return
+        yield from self.exchange(txn, phase)
+        if phase == "start" and charges.start_rtts:
+            yield from self.exchange(
+                txn,
+                "timestamp",
+                dsts=(TIMESTAMP_SERVER,),
+                round_trips=charges.start_rtts,
+            )
+
+    def exchange(self, txn, phase, dsts=(0,), round_trips=1,
+                 apply_fn=None, retransmit_fn=None):
+        """Coroutine: one protocol exchange with timeout/retry/backoff.
+
+        ``apply_fn`` runs exactly once, synchronously, the first time the
+        request reaches the servers; duplicated deliveries and retransmits
+        after a lost reply invoke ``retransmit_fn`` instead — the
+        receiver-side dedup path.  The exchange returns once a reply
+        arrives.
+
+        A request that was never applied aborts the transaction after
+        :data:`RETRY_LIMIT` failed attempts.  Once applied, the TC retries
+        without bound — the effect may be durable, so abandoning it would
+        manufacture a phantom commit — which terminates because fault
+        plans are finite and partitions heal by time.  Failed attempts
+        enter the retry backlog that drives the admission valve.
+        """
+        engine = self._engine
+        stats = self.stats
+        applied = False
+        attempts = 0
+        backlogged = False
+        try:
+            while True:
+                attempts += 1
+                outcome = yield from self.send(engine.env, dsts, phase, round_trips)
+                if outcome.request_reached:
+                    if not applied:
+                        if apply_fn is not None:
+                            apply_fn()
+                        applied = True
+                        if outcome.duplicated:
+                            stats["duplicate_deliveries"] += 1
+                            if retransmit_fn is not None:
+                                retransmit_fn()
+                    else:
+                        stats["retransmit_applies"] += 1
+                        if retransmit_fn is not None:
+                            retransmit_fn()
+                if outcome.delivered:
+                    return
+                stats["retries"] += 1
+                if not applied and attempts > RETRY_LIMIT:
+                    stats["unreachable_aborts"] += 1
+                    raise TransactionAborted(txn.txn_id, f"net-unreachable-{phase}")
+                if not backlogged:
+                    backlogged = True
+                    self._backlog += 1
+                    if engine.throttled is None and self._backlog >= PARK_THRESHOLD:
+                        # The admission valve: new work parks instead of
+                        # piling onto a partitioned link.
+                        engine.throttled = self._count_park
+                        stats["degraded_windows"] += 1
+                delay = min(BACKOFF_BASE * (2 ** min(attempts - 1, 6)), BACKOFF_CAP)
+                # Seeded deterministic "randomization": spreads concurrent
+                # retries apart without forfeiting reproducibility.
+                delay *= 0.5 + self._rng.random()
+                yield Timeout(engine.env, delay)
+        finally:
+            # An exchange of an engine since replaced is closed, not
+            # finished: the backlog it joined is gone.
+            if backlogged and engine is self._engine:
+                self._backlog -= 1
+                if (
+                    engine.throttled is not None
+                    and self._backlog <= PARK_THRESHOLD // 2
+                ):
+                    # Hysteresis: reopen admission only once the backlog
+                    # drained to half the threshold, not at the first lull.
+                    engine.throttled = None
+                    engine.admission_condition.notify_all()
+
+    def _count_park(self):
+        """The closed valve's park counter: the engine calls it once for
+        every arrival it holds back."""
+        self.stats["parked"] += 1
+
+    def send(self, env, dsts, phase, round_trips=1):
+        """Coroutine: one TC -> servers exchange; returns a :class:`Delivery`.
+
+        ``dsts`` names the destination servers (data server ids, or
+        :data:`TIMESTAMP_SERVER`).  A lost exchange costs the TC
+        :data:`PHASE_TIMEOUT`, its wait for a reply that never comes.  The
+        send itself never retries — :meth:`exchange` does — and never
+        raises on a fault.
+        """
         delay = 0.0
-        for _ in range(int(round_trips)):
-            delay += per_trip()
-        if timeout is None:
-            timeout = 4 * delay
-        links = [self.link(dst) for dst in dsts]
-        for link in links:
-            link.sent += 1
-        faults = self.message_faults
-        fault = (
-            faults.disposition(self.env.now, dsts, phase)
-            if faults is not None
-            else None
-        )
-        if fault is None:
-            if delay > 0:
-                yield self.env.timeout(delay)
-            for link in links:
-                link.delivered += 1
-            return Delivery(delivered=True, request_reached=True, delay=delay)
-        kind = fault.kind
+        for _ in range(round_trips):
+            delay += RTT
+        fault = self.faults.disposition(env.now, dsts, phase)
+        kind = None if fault is None else fault.kind
         if kind == "delay":
             # A latency spike: the exchange completes, just late.  The TC
             # accepts late replies (no spurious retransmit on slow links).
             delay *= fault.magnitude
-            for link in links:
-                link.delayed += 1
-            yield self.env.timeout(delay)
-            for link in links:
-                link.delivered += 1
-            return Delivery(True, True, delay, fault="delay")
-        if kind == "reorder":
+        elif kind == "reorder":
             # Held back behind later traffic: an extra ``magnitude`` base
             # round-trips, so messages sent afterwards overtake this one.
-            delay += fault.magnitude * network.rtt
-            for link in links:
-                link.reordered += 1
-            yield self.env.timeout(delay)
-            for link in links:
-                link.delivered += 1
-            return Delivery(True, True, delay, fault="reorder")
-        if kind == "duplicate":
-            for link in links:
-                link.duplicated += 1
-            yield self.env.timeout(delay)
-            for link in links:
-                link.delivered += 1
-            return Delivery(True, True, delay, fault="duplicate", duplicated=True)
-        if kind == "partition":
-            for link in links:
-                link.dropped += 1
-                if faults is not None:
-                    link.partitioned_until = max(
-                        link.partitioned_until, faults.partitioned_until(link.dst)
-                    )
-            if timeout > 0:
-                yield self.env.timeout(timeout)
-            return Delivery(False, False, timeout, fault="partition")
-        # kind == "drop"
-        for link in links:
-            link.dropped += 1
-        if fault.lost_reply:
-            # The request made it to every server; the *reply* was lost.
-            # The servers applied the request — only retransmit dedup keeps
-            # the inevitable retry from applying it twice.
-            if timeout > 0:
-                yield self.env.timeout(timeout)
-            return Delivery(False, True, timeout, fault="drop-reply")
-        if timeout > 0:
-            yield self.env.timeout(timeout)
-        return Delivery(False, False, timeout, fault="drop")
+            delay += fault.magnitude * RTT
+        elif kind in ("partition", "drop"):
+            yield Timeout(env, PHASE_TIMEOUT)
+            # A lost *reply*: the request made it to every server, which
+            # applied it — only retransmit dedup keeps the inevitable retry
+            # from applying it twice.
+            return Delivery(False, kind == "drop" and fault.lost_reply)
+        yield Timeout(env, delay)
+        return Delivery(True, True, duplicated=kind == "duplicate")

@@ -23,7 +23,7 @@ from itertools import count
 
 from repro.errors import ConfigurationError, RecoveryError
 from repro.storage.backends import InMemoryBackend
-from repro.storage.wal import WriteAheadLog, record_body
+from repro.storage.wal import KIND, TXN_ID, WriteAheadLog, record_body
 
 
 @dataclass
@@ -210,8 +210,7 @@ class DurabilityManager:
 
     def release_precommit(self, txn):
         """The precommit exchange of ``txn`` ended: nothing can retransmit
-        it any more, so its dedup entry goes (the rule the timestamp
-        server's cache has, ``TimestampOracle.release``)."""
+        it any more, so its dedup entry goes."""
         self._precommit_epochs.pop(txn.txn_id, None)
 
     def commit_notification(self, txn, global_epoch):
@@ -283,6 +282,19 @@ class DurabilityManager:
             self.advance_gcp_epoch()
 
     # -- crash / recovery ---------------------------------------------------
+
+    def precommitted_transactions(self):
+        """Ids with a precommit record in the logs, durable or still
+        buffered.  With durability on every commit in memory writes one (a
+        read-only commit too, at server 0), so before :meth:`crash` drops the buffers these
+        are the incarnation's commits plus any transaction the crash caught
+        inside its precommit."""
+        return {
+            record[TXN_ID]
+            for log in self.logs
+            for record in log.records()
+            if record[KIND] == "precommit"
+        }
 
     def crash(self):
         """Lose all volatile state: log buffers, waiters, epoch counters.
@@ -358,6 +370,7 @@ class DurabilityManager:
             discarded_transactions=set(precommits) - survivors,
             state=state,
             state_writers=writers,
+            recovered_writers={txn_id for _order, txn_id, writes in replayable if writes},
         )
 
     def checkpoint(self, result):
@@ -400,6 +413,9 @@ class RecoveryResult:
     #: key -> txn id of the surviving writer that produced ``state[key]``
     #: (0 for initial-load values restored from a checkpoint).
     state_writers: dict = field(default_factory=dict)
+    #: The recovered transactions whose precommit carried writes (a
+    #: read-only commit's share is empty).
+    recovered_writers: set = field(default_factory=set)
 
     def require_transaction(self, txn_id):
         if txn_id not in self.recovered_transactions:

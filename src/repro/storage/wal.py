@@ -86,3 +86,8 @@ class WriteAheadLog:
             record
             for _key, record in sorted(self.backend.scan(f"wal/{self.server_id}/"))
         ]
+
+    def records(self):
+        """Every record of this server: the durable ones, then the volatile
+        tail a crash would lose."""
+        return self.persisted_records() + self._buffer

@@ -415,6 +415,33 @@ class TestCrashScenarios:
         assert history.transactions[ghost].txn_type == "recovered"
         assert result.extra["isolation"].ok
 
+    def test_crash_report_does_not_depend_on_the_history_window(self):
+        """The crash is classified from the durable log and the engine, not
+        from the recorder's ring: a window far below the incarnation's
+        commits (peeks among them) reports the same commits, vanished
+        transactions and single ghost as an unbounded recorder."""
+
+        def crash_with(window):
+            lane = CrashLane(
+                fault_plan=FaultPlan((CrashPoint("precommit-done", 25),)),
+                durability=default_crash_durability(asynchronous=False),
+            )
+            runner = BenchmarkRunner(
+                _queue_workload(),
+                WORKLOAD_CONFIGURATIONS["queue"]["3layer"](),
+                seed=11,
+                history_window=window,
+                lanes=[lane],
+            )
+            result = run_and_stop(runner, 8, duration=0.5)
+            assert result.extra["isolation"].ok
+            return result.crashes[0]
+
+        windowed, unbounded = crash_with(5), crash_with(None)
+        assert windowed.committed_before > 5
+        assert len(windowed.ghosts) == 1
+        assert windowed == unbounded
+
     def test_vanished_transactions_on_async_crash(self):
         """A crash before any GCP flush wipes every commit since the start:
         all of them vanish, the oracle still accepts the stitched run."""
@@ -523,12 +550,11 @@ class TestEmptyPlanIsByteIdentical:
             lanes=[lane],
         )
         result = run_and_stop(runner, 8, duration=0.3)
-        engine = runner.engine
         return (
             result.commits,
             result.aborts,
             result.incarnations,
-            sorted(engine.committed_ids),
+            sorted(runner.recorder.history().committed_ids()),
             sorted((repr(k), repr(v)) for k, v in runner.store.latest_state().items()),
             runner.env.now,
         )

@@ -2,9 +2,10 @@
 
 ``BENCH_speed.json`` pins the plain path's schedules; these goldens do the
 same for the crash lane (``--faults``) and the message-fault lane
-(``--net-faults``): the whole CLI report of the queue cells at seed 7 —
-commit counts, crash points and recovery classification, fault times, retry
-counters — must match ``tests/golden/`` byte for byte.
+(``--net-faults``): the whole CLI report at seed 7 — commit counts, crash
+points and recovery classification, fault times, retry and park counters —
+must match ``tests/golden/`` byte for byte.  The crash lane is pinned on the
+queue cells, the message-fault lane on every chaos workload's cells.
 
 Re-record rule: a refactor must never touch these files.  Re-record only
 when a change *legitimately* moves fault-lane schedules (a CC or recovery
@@ -13,6 +14,8 @@ the golden's name into it, e.g.::
 
     PYTHONPATH=src python -m repro.harness --workload queue --faults 1 \
         --quick --workers 1 > tests/golden/queue_faults_1_quick.txt
+
+(``ycsb_zipf`` in a golden's name is the ``ycsb-zipf`` workload.)
 """
 
 from pathlib import Path
@@ -25,13 +28,15 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize(
-    "flag,count,golden",
+    "workload,flag,count,golden",
     [
-        ("--faults", "1", "queue_faults_1_quick.txt"),
-        ("--net-faults", "2", "queue_net_faults_2_quick.txt"),
+        ("queue", "--faults", "1", "queue_faults_1_quick.txt"),
+        ("queue", "--net-faults", "2", "queue_net_faults_2_quick.txt"),
+        ("smallbank", "--net-faults", "2", "smallbank_net_faults_2_quick.txt"),
+        ("ycsb-zipf", "--net-faults", "2", "ycsb_zipf_net_faults_2_quick.txt"),
     ],
 )
-def test_fault_lane_stdout_matches_golden(capsys, flag, count, golden):
-    code = main(["--workload", "queue", flag, count, "--quick", "--workers", "1"])
+def test_fault_lane_stdout_matches_golden(capsys, workload, flag, count, golden):
+    code = main(["--workload", workload, flag, count, "--quick", "--workers", "1"])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()

@@ -4,16 +4,16 @@ backoff, and graceful degradation under the oracle.
 Four layers of coverage:
 
 * unit tests for the message fault plan/injector (determinism, validation,
-  gap scheduling, phase targeting, partition windows) and the jittered
-  network model (seeded determinism, jitter=0 byte-compat, parameter
-  validation);
+  gap scheduling, phase targeting, partition windows) and for the message
+  transport's sends, one per fault kind;
 * unit tests for retry idempotency at the receivers: commit-ticket dedup in
-  the durability layer, idempotent allocation at the timestamp server, and
-  the engine's robust-exchange semantics (drop-then-retry commits once,
-  lost replies apply exactly once, unreachable servers abort cleanly);
+  the durability layer, and the transport's exchange semantics
+  (drop-then-retry commits once, lost replies apply exactly once,
+  unreachable servers abort cleanly);
 * the admission valve: a long partition backs the retry queues up past the
   threshold, new transactions park, and the engine recovers when the
-  partition heals — all in one checked history;
+  partition heals — all in one checked history; and the transport, with
+  its counters, outlives an engine rebuild;
 * fixed-seed end-to-end scenarios: every chaos cell (queue, smallbank,
   ycsb-zipf x monolithic/2-layer/3-layer trees) runs through at least one
   drop-with-retry and one partition-and-heal window and passes the oracle
@@ -26,16 +26,14 @@ Four layers of coverage:
 
 import pytest
 
-from repro.cc.timestamps import TimestampOracle
 from repro.core.engine import EngineOptions, TebaldiEngine
-from repro.errors import ConfigurationError, TransactionAborted
+from repro.errors import TransactionAborted
 from repro.harness.cli import build_workload, main as harness_main
 from repro.harness.configs import CHAOS_CELLS, WORKLOAD_CONFIGURATIONS
 from repro.harness.runner import BenchmarkRunner, Lane
 from repro.harness.degraded import (
     NetFaultLane,
     default_degraded_durability,
-    default_degraded_options,
     retransmit_violations,
     run_degraded_benchmark,
 )
@@ -46,7 +44,13 @@ from repro.sim.faults import (
     MessageFaultInjector,
     MessageFaultPlan,
 )
-from repro.sim.network import TIMESTAMP_SERVER, ClusterModel, NetworkModel
+from repro.sim.network import (
+    PARK_THRESHOLD,
+    PHASE_TIMEOUT,
+    RTT,
+    TIMESTAMP_SERVER,
+    MessageTransport,
+)
 from repro.storage.durability import DurabilityManager
 from repro.storage.mvstore import MultiVersionStore
 from repro.workloads.queue import QueueWorkload
@@ -141,14 +145,14 @@ class TestMessageFaultInjector:
         injector = MessageFaultInjector(plan)
         fired = injector.disposition(0.0, (0, 1), "precommit")
         assert fired.kind == "partition"
-        assert injector.partitioned_until(0) == pytest.approx(0.5)
-        assert injector.partitioned_until(1) == pytest.approx(0.5)
+        assert injector.fault_log[0]["heals_at"] == pytest.approx(0.5)
         # Inside the window: every touching send fails as a partition but
         # the second planned point is still pending.
-        inside = injector.disposition(0.25, (0,), "start")
-        assert inside.kind == "partition"
+        for dst in (0, 1):
+            inside = injector.disposition(0.25, (dst,), "start")
+            assert inside.kind == "partition"
         assert injector.has_pending()
-        assert injector.stats["partitioned_sends"] == 1
+        assert injector.stats["partitioned_sends"] == 2
         # Healed: the drop point fires on the next counted send.
         after = injector.disposition(0.75, (0,), "start")
         assert after is not None and after.kind == "drop"
@@ -166,143 +170,115 @@ class TestMessageFaultInjector:
 
 
 # ---------------------------------------------------------------------------
-# Network model: jitter, validation, the send() message layer
+# The message transport's send(), one fault kind at a time
 # ---------------------------------------------------------------------------
 
 
-class TestNetworkModel:
-    def test_zero_jitter_is_exact_and_never_draws(self):
-        network = NetworkModel(rtt=100e-6, jitter=0.0, seed=9)
-        for _ in range(5):
-            assert network.round_trip() == 100e-6
-        # The RNG is lazily created on the first non-zero draw; with
-        # jitter pinned to 0.0 it must never exist at all.
-        assert network._rng is None
-
-    def test_jitter_is_seeded_and_deterministic(self):
-        first = NetworkModel(rtt=100e-6, jitter=50e-6, seed=3)
-        second = NetworkModel(rtt=100e-6, jitter=50e-6, seed=3)
-        draws_a = [first.round_trip() for _ in range(20)]
-        draws_b = [second.round_trip() for _ in range(20)]
-        assert draws_a == draws_b
-        assert all(100e-6 <= draw <= 150e-6 for draw in draws_a)
-        assert len(set(draws_a)) > 1
-        other = NetworkModel(rtt=100e-6, jitter=50e-6, seed=4)
-        assert [other.round_trip() for _ in range(20)] != draws_a
-
-    def test_negative_parameters_are_rejected(self):
-        with pytest.raises(ConfigurationError):
-            NetworkModel(rtt=-1e-6)
-        with pytest.raises(ConfigurationError):
-            NetworkModel(timestamp_rtt=-1e-6)
-        with pytest.raises(ConfigurationError):
-            NetworkModel(jitter=-1e-6)
-
-    def test_negative_round_trip_counts_are_rejected(self):
-        env = Environment()
-        cluster = ClusterModel(env)
-        with pytest.raises(ConfigurationError):
-            next(cluster.send(round_trips=0))
-
-
-def run_sends(plan, sends, network=None):
-    """Drive ``sends`` (kwargs dicts) through one cluster; return deliveries."""
+def run_sends(plan, sends):
+    """Drive ``sends`` (kwargs dicts) through one transport; return the
+    environment, the injector and the deliveries."""
     env = Environment()
-    cluster = ClusterModel(env, network=network or NetworkModel())
-    if plan is not None:
-        cluster.message_faults = MessageFaultInjector(plan)
+    transport = MessageTransport(MessageFaultInjector(plan))
     deliveries = []
 
     def driver():
         for kwargs in sends:
-            outcome = yield from cluster.send(**kwargs)
+            outcome = yield from transport.send(env, phase="start", **kwargs)
             deliveries.append(outcome)
 
     env.process(driver(), name="driver")
     env.run()
-    return env, cluster, deliveries
+    return env, transport.faults, deliveries
 
 
 class TestMessageLayer:
     def test_clean_send_delivers_at_base_rtt(self):
-        env, cluster, (outcome,) = run_sends(None, [{"dsts": (0,)}])
+        env, injector, (outcome,) = run_sends(None, [{"dsts": (0,)}])
         assert outcome.delivered and outcome.request_reached
-        assert outcome.delay == pytest.approx(cluster.network.rtt)
-        assert env.now == pytest.approx(cluster.network.rtt)
-        link = cluster.link(0)
-        assert (link.sent, link.delivered, link.dropped) == (1, 1, 0)
+        assert env.now == pytest.approx(RTT)
+        assert injector.stats["sends"] == 1 and injector.fault_log == []
 
-    def test_timestamp_sends_use_timestamp_rtt(self):
-        network = NetworkModel(rtt=100e-6, timestamp_rtt=300e-6)
-        _env, _cluster, (outcome,) = run_sends(
-            None, [{"dsts": (TIMESTAMP_SERVER,)}], network=network
+    def test_round_trips_to_the_timestamp_server_add_up(self):
+        env, _injector, (outcome,) = run_sends(
+            None, [{"dsts": (TIMESTAMP_SERVER,), "round_trips": 3}]
         )
-        assert outcome.delay == pytest.approx(300e-6)
+        assert outcome.delivered
+        assert env.now == RTT + RTT + RTT
 
     def test_drop_times_out_without_reaching(self):
         plan = MessageFaultPlan(points=(MessageFault(kind="drop", occurrence=1),))
-        _env, cluster, (outcome,) = run_sends(plan, [{"dsts": (0,)}])
+        env, injector, (outcome,) = run_sends(plan, [{"dsts": (0,)}])
         assert not outcome.delivered and not outcome.request_reached
-        assert outcome.fault == "drop"
-        assert cluster.link(0).dropped == 1
+        assert env.now == pytest.approx(PHASE_TIMEOUT)
+        assert [fault["kind"] for fault in injector.fault_log] == ["drop"]
 
     def test_lost_reply_reaches_but_does_not_deliver(self):
         plan = MessageFaultPlan(points=(
             MessageFault(kind="drop", occurrence=1, lost_reply=True),
         ))
-        _env, _cluster, (outcome,) = run_sends(plan, [{"dsts": (0,)}])
+        env, injector, (outcome,) = run_sends(plan, [{"dsts": (0,)}])
         assert not outcome.delivered
         assert outcome.request_reached
-        assert outcome.fault == "drop-reply"
+        assert env.now == pytest.approx(PHASE_TIMEOUT)
+        assert injector.fault_log[0]["lost_reply"]
 
     def test_delay_spike_still_delivers(self):
         plan = MessageFaultPlan(points=(
             MessageFault(kind="delay", occurrence=1, magnitude=5.0),
         ))
-        env, cluster, (outcome,) = run_sends(plan, [{"dsts": (0,)}])
-        assert outcome.delivered and outcome.fault == "delay"
-        assert outcome.delay == pytest.approx(5 * cluster.network.rtt)
-        assert cluster.link(0).delayed == 1
+        env, injector, (outcome,) = run_sends(plan, [{"dsts": (0,)}])
+        assert outcome.delivered and not outcome.duplicated
+        assert env.now == pytest.approx(5 * RTT)
+        assert injector.fault_log[0]["kind"] == "delay"
 
     def test_reorder_delivers_behind_later_traffic(self):
         plan = MessageFaultPlan(points=(
             MessageFault(kind="reorder", occurrence=1, magnitude=3.0),
         ))
-        _env, cluster, (outcome,) = run_sends(plan, [{"dsts": (0,)}])
-        assert outcome.delivered and outcome.fault == "reorder"
-        assert outcome.delay == pytest.approx(4 * cluster.network.rtt)
-        assert cluster.link(0).reordered == 1
+        env, injector, (outcome,) = run_sends(plan, [{"dsts": (0,)}])
+        assert outcome.delivered
+        assert env.now == pytest.approx(4 * RTT)
+        assert injector.fault_log[0]["kind"] == "reorder"
 
     def test_duplicate_delivers_with_flag(self):
         plan = MessageFaultPlan(points=(
             MessageFault(kind="duplicate", occurrence=1),
         ))
-        _env, cluster, (outcome,) = run_sends(plan, [{"dsts": (0,)}])
+        env, injector, (outcome,) = run_sends(plan, [{"dsts": (0,)}])
         assert outcome.delivered and outcome.duplicated
-        assert cluster.link(0).duplicated == 1
+        assert env.now == pytest.approx(RTT)
+        assert injector.fault_log[0]["kind"] == "duplicate"
 
     def test_partition_fails_sends_until_heal(self):
         plan = MessageFaultPlan(points=(
             MessageFault(kind="partition", occurrence=1, duration=0.01),
         ))
-        sends = [{"dsts": (0,), "timeout": 0.002}] * 3
-        _env, cluster, deliveries = run_sends(plan, sends)
-        # First send opens the window; the second (at ~0.002) is inside it;
-        # the third lands after depending on the timeouts — at minimum the
-        # first two fail as partitions.
-        assert deliveries[0].fault == "partition"
-        assert deliveries[1].fault == "partition"
-        assert cluster.link(0).partitioned_until == pytest.approx(0.01)
+        env, injector, deliveries = run_sends(plan, [{"dsts": (0,)}] * 3)
+        # The first send opens the window; the next two, each one reply
+        # timeout later, still fall inside it.
+        assert not any(outcome.delivered for outcome in deliveries)
+        assert not any(outcome.request_reached for outcome in deliveries)
+        assert env.now == pytest.approx(3 * PHASE_TIMEOUT)
+        assert injector.fault_log[0]["heals_at"] == pytest.approx(0.01)
+        assert injector.stats["partitioned_sends"] == 2
+
+    def test_partition_cuts_only_the_partitioned_destination(self):
+        plan = MessageFaultPlan(points=(
+            MessageFault(kind="partition", occurrence=1, duration=0.01),
+        ))
+        sends = [{"dsts": (TIMESTAMP_SERVER,)}, {"dsts": (0,)}, {"dsts": (TIMESTAMP_SERVER,)}]
+        _env, injector, deliveries = run_sends(plan, sends)
+        assert [outcome.delivered for outcome in deliveries] == [False, True, False]
+        assert injector.fault_log[0]["dsts"] == (TIMESTAMP_SERVER,)
 
     def test_partition_heals_by_time(self):
         plan = MessageFaultPlan(points=(
-            MessageFault(kind="partition", occurrence=1, duration=0.004),
+            MessageFault(kind="partition", occurrence=1, duration=0.003),
         ))
-        sends = [{"dsts": (0,), "timeout": 0.005}] * 2
-        _env, _cluster, deliveries = run_sends(plan, sends)
-        assert deliveries[0].fault == "partition"
-        # The second send starts at 0.005 > heal time 0.004: clean delivery.
-        assert deliveries[1].delivered
+        _env, _injector, deliveries = run_sends(plan, [{"dsts": (0,)}] * 3)
+        assert not deliveries[0].delivered and not deliveries[1].delivered
+        # The third send starts at two reply timeouts, past the heal time.
+        assert deliveries[2].delivered
 
 
 # ---------------------------------------------------------------------------
@@ -350,33 +326,14 @@ class TestCommitTicketDedup:
         assert retransmit_violations(manager) == {}
 
 
-class TestIdempotentTimestamps:
-    def test_next_for_returns_cached_value(self):
-        oracle = TimestampOracle()
-        token = ("timestamp", 5)
-        first = oracle.next_for(token)
-        again = oracle.next_for(token)
-        assert again == first
-        assert oracle.duplicate_requests == 1
-        # A different token advances normally.
-        assert oracle.next_for(("timestamp", 6)) > first
-
-    def test_release_frees_the_reservation(self):
-        oracle = TimestampOracle()
-        token = ("timestamp", 5)
-        first = oracle.next_for(token)
-        oracle.release(token)
-        assert oracle.next_for(token) > first
-
-
 # ---------------------------------------------------------------------------
-# Engine-level robust exchange semantics
+# The transport's exchange semantics, on an engine
 # ---------------------------------------------------------------------------
 
 
-def build_chaos_engine(plan, workload=None, config_name="2layer",
-                       durable=True, options=None):
-    """Engine + env wired for degraded mode over the queue workload."""
+def build_chaos_engine(plan, workload=None, config_name="2layer", durable=True):
+    """Engine + env wired for degraded mode over the queue workload; returns
+    ``(env, engine, manager, transport)``."""
     workload = workload or QueueWorkload(initial_messages=6, window=8)
     configuration = WORKLOAD_CONFIGURATIONS["queue"][config_name]()
     manager = DurabilityManager(default_degraded_durability()) if durable else None
@@ -388,11 +345,11 @@ def build_chaos_engine(plan, workload=None, config_name="2layer",
         configuration,
         workload.transaction_types(),
         store=store,
-        options=options or default_degraded_options(seed=5),
         durability=manager,
     )
-    engine.cluster.message_faults = MessageFaultInjector(plan)
-    return env, engine, manager, workload
+    transport = MessageTransport(MessageFaultInjector(plan), seed=5)
+    transport.install(engine)
+    return env, engine, manager, transport
 
 
 def run_one(env, engine, txn_type, args):
@@ -415,10 +372,10 @@ class TestRobustExchange:
         plan = MessageFaultPlan(points=(
             MessageFault(kind="drop", occurrence=1, phases=("precommit",)),
         ))
-        env, engine, manager, _workload = build_chaos_engine(plan)
+        env, engine, manager, transport = build_chaos_engine(plan)
         outcome = run_one(env, engine, "enqueue", {"payload": "m"})
         assert "txn" in outcome
-        assert engine.net_stats["retries"] >= 1
+        assert transport.stats["retries"] >= 1
         assert engine.stats.commits == 1
         assert retransmit_violations(manager) == {}
 
@@ -427,11 +384,11 @@ class TestRobustExchange:
             MessageFault(kind="drop", occurrence=1, lost_reply=True,
                          phases=("precommit",)),
         ))
-        env, engine, manager, _workload = build_chaos_engine(plan)
+        env, engine, manager, transport = build_chaos_engine(plan)
         outcome = run_one(env, engine, "enqueue", {"payload": "m"})
         assert "txn" in outcome
         # The retransmit re-entered the durability layer and was absorbed.
-        assert engine.net_stats["retransmit_applies"] >= 1
+        assert transport.stats["retransmit_applies"] >= 1
         assert manager.duplicate_precommits >= 1
         assert retransmit_violations(manager) == {}
         assert engine.stats.commits == 1
@@ -440,10 +397,10 @@ class TestRobustExchange:
         plan = MessageFaultPlan(points=(
             MessageFault(kind="duplicate", occurrence=1, phases=("precommit",)),
         ))
-        env, engine, manager, _workload = build_chaos_engine(plan)
+        env, engine, manager, transport = build_chaos_engine(plan)
         outcome = run_one(env, engine, "enqueue", {"payload": "m"})
         assert "txn" in outcome
-        assert engine.net_stats["duplicate_deliveries"] == 1
+        assert transport.stats["duplicate_deliveries"] == 1
         assert manager.duplicate_precommits >= 1
         assert retransmit_violations(manager) == {}
         assert engine.stats.commits == 1
@@ -453,11 +410,11 @@ class TestRobustExchange:
             MessageFault(kind="partition", occurrence=1, duration=5.0,
                          phases=("start",)),
         ))
-        env, engine, _manager, _workload = build_chaos_engine(plan)
+        env, engine, _manager, transport = build_chaos_engine(plan)
         outcome = run_one(env, engine, "enqueue", {"payload": "m"})
         aborted = outcome["aborted"]
         assert aborted.reason.startswith("net-unreachable")
-        assert engine.net_stats["unreachable_aborts"] == 1
+        assert transport.stats["unreachable_aborts"] == 1
         assert engine.stats.commits == 0
 
     def test_broken_dedup_double_applies_and_is_caught(self):
@@ -468,7 +425,7 @@ class TestRobustExchange:
             MessageFault(kind="drop", occurrence=1, lost_reply=True,
                          phases=("precommit",)),
         ))
-        env, engine, manager, _workload = build_chaos_engine(plan)
+        env, engine, manager, transport = build_chaos_engine(plan)
         manager.dedup_enabled = False
         outcome = run_one(env, engine, "enqueue", {"payload": "m"})
         assert "txn" in outcome
@@ -485,22 +442,21 @@ class TestRobustExchange:
 class TestAdmissionValve:
     def test_partition_parks_new_transactions_and_heals(self):
         # Partition every durability server for a long window; the retry
-        # backlog passes the (low) threshold, new transactions park, and
-        # once the window heals the engine drains and keeps committing.
+        # backlog passes the threshold, new transactions park, and once the
+        # window heals the engine drains and keeps committing.  Sixteen
+        # clients: with ten, the valve closes but no client reaches a new
+        # transaction before it reopens.
         plan = MessageFaultPlan(points=(
             MessageFault(kind="partition", occurrence=10, duration=0.05,
                          servers=(0, 1, 2, 3)),
         ))
-        options = default_degraded_options(seed=3)
-        options.net_park_threshold = 3
         runner = BenchmarkRunner(
             build_workload("smallbank"),
             WORKLOAD_CONFIGURATIONS["smallbank"]["2layer"](),
             seed=3,
-            options=options,
             lanes=[NetFaultLane(fault_plan=plan)],
         )
-        result = run_and_stop(runner, clients=10, duration=0.4)
+        result = run_and_stop(runner, clients=16, duration=0.4)
         assert result.net_stats["degraded_windows"] >= 1
         assert result.net_stats["parked"] >= 1
         heal = result.fault_log[0]["heals_at"]
@@ -510,6 +466,70 @@ class TestAdmissionValve:
         ]
         assert post_heal, "the engine must recover and commit after the heal"
         assert result.violations == {}
+
+
+class TestTransportOutlivesTheEngine:
+    def test_second_incarnation_keeps_the_message_path_and_its_counters(self):
+        # A partition in the first incarnation, a drop in the second: the
+        # one transport the lane installs on both engines counts the
+        # retries of both.
+        plan = MessageFaultPlan(points=(
+            MessageFault(kind="partition", occurrence=5, duration=0.01),
+            MessageFault(kind="drop", occurrence=400),
+        ))
+        lane = NetFaultLane(fault_plan=plan)
+        runner = BenchmarkRunner(
+            build_workload("smallbank"),
+            WORKLOAD_CONFIGURATIONS["smallbank"]["2pl"](),
+            seed=11,
+            lanes=[lane],
+        )
+        try:
+            runner.add_clients(8)
+            runner.run_additional(0.02)
+            assert [fault["kind"] for fault in lane.injector.fault_log] == ["partition"]
+            first_retries = lane.transport.stats["retries"]
+            first = runner.engine
+            runner._next_incarnation(runner.store)
+            assert runner.engine is not first
+            assert runner.engine.transport == lane.transport.phase
+            result = runner.run(0, duration=0.05, warmup=0.0)
+        finally:
+            runner.stop()
+        assert [fault["kind"] for fault in result.fault_log] == ["partition", "drop"]
+        assert result.fault_log[1]["time"] > 0.02
+        assert result.net_stats["retries"] > first_retries > 0
+        assert result.incarnations == 2
+        assert result.violations == {}
+
+    def test_a_replaced_engines_exchanges_leave_the_new_backlog_alone(self):
+        # Exchanges stuck behind a long partition close the first engine's
+        # valve; the transport then moves to a second engine, and the stale
+        # exchanges are closed the way the collector closes an abandoned
+        # incarnation's.  The second engine's valve must still close at the
+        # threshold: the stale exchanges took nothing off its backlog.
+        plan = MessageFaultPlan(points=(
+            MessageFault(kind="partition", occurrence=1, duration=1.0, servers=(0,)),
+        ))
+
+        def stall(env, engine):
+            processes = [
+                env.process(engine.execute_transaction("enqueue", {"payload": n}))
+                for n in range(PARK_THRESHOLD)
+            ]
+            env.run(until=0.01)
+            return processes
+
+        env, engine, _manager, transport = build_chaos_engine(plan)
+        stale = stall(env, engine)
+        assert engine.throttled == transport._count_park
+        env2, engine2, _manager2, _unused = build_chaos_engine(MessageFaultPlan())
+        transport.install(engine2)
+        for process in stale:
+            process.generator.close()
+        assert engine2.throttled is None
+        stall(env2, engine2)
+        assert engine2.throttled == transport._count_park
 
 
 # ---------------------------------------------------------------------------
@@ -538,13 +558,11 @@ class SeedTagOnly(Lane):
 
 def run_pinned(lane):
     workload = QueueWorkload(initial_messages=6, window=8)
-    options = default_degraded_options(13)
-    options.durability = default_degraded_durability()
     runner = BenchmarkRunner(
         workload,
         WORKLOAD_CONFIGURATIONS["queue"]["3layer"](),
         seed=13,
-        options=options,
+        options=EngineOptions(durability=default_degraded_durability()),
         check_isolation=True,
         lanes=[lane],
     )
@@ -553,7 +571,7 @@ def run_pinned(lane):
     return (
         engine.stats.commits,
         engine.stats.aborts,
-        sorted(engine.committed_ids),
+        sorted(runner.recorder.history().committed_ids()),
         sorted((repr(k), repr(v)) for k, v in runner.store.latest_state().items()),
         runner.env.now,
     )
@@ -565,6 +583,15 @@ class TestEmptyPlanIsByteIdentical:
         plain = run_pinned(SeedTagOnly())
         empty = run_pinned(NetFaultLane(fault_plan=MessageFaultPlan()))
         assert plain == empty
+
+    def test_empty_plan_installs_no_transport(self):
+        runner = BenchmarkRunner(
+            QueueWorkload(initial_messages=6, window=8),
+            WORKLOAD_CONFIGURATIONS["queue"]["3layer"](),
+            lanes=[NetFaultLane(fault_plan=MessageFaultPlan())],
+        )
+        runner.stop()
+        assert runner.engine.transport == runner.engine._delay_phase
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +624,23 @@ class TestChaosCells:
         assert "drop" in kinds
         assert "partition" in kinds
         assert result.commits > 0
+        assert result.violations == {}
+        assert result.extra["isolation"].ok
+
+    def test_checks_hold_with_a_history_window_below_the_commit_count(self):
+        # The recorder's ring evicts read-only commits (balance) long before
+        # the run ends; the durability checks must not mistake them for
+        # durable transactions that never committed.
+        result = run_degraded_benchmark(
+            build_workload("smallbank"),
+            WORKLOAD_CONFIGURATIONS["smallbank"]["2pl"](),
+            clients=8,
+            duration=0.4,
+            seed=11,
+            history_window=100,
+            raise_on_violation=False,
+        )
+        assert result.commits > 100
         assert result.violations == {}
         assert result.extra["isolation"].ok
 

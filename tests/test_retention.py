@@ -375,7 +375,6 @@ class TestRetentionBound:
         assert "history_limit" not in names and "keep_history" not in names
         assert names == [
             "lock_timeout", "commit_wait_timeout", "charge_costs", "durability",
-            "net_backoff_seed", "net_park_threshold",
         ]
 
 
@@ -751,7 +750,7 @@ class TestPrecommitDedupRelease:
                 assert peak <= CLIENTS, (target, peak)
             assert runner.manager.records_written > 1200
             if net_faults:
-                assert runner.engine.net_stats["retries"] > 0
+                assert runner.lanes[0].transport.stats["retries"] > 0
         finally:
             runner.stop()
 

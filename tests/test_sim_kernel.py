@@ -3,11 +3,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.config import Configuration, leaf, monolithic, node
 from repro.errors import SimulationError
 from repro.sim.environment import Environment
 from repro.sim.events import Event, any_of
-from repro.sim.network import CostModel, NetworkModel
+from repro.sim.network import CC_LAYER_CPU, OPERATION_CPU, PHASE_CPU, RTT
 from repro.sim.events import Condition
+from tests.conftest import build_engine
 
 
 class TestEvents:
@@ -319,12 +321,22 @@ class TestResources:
         assert sorted(woken) == ["a", "b", "c"]
 
 
-class TestClusterModel:
-    def test_network_round_trip_cost(self):
-        network = NetworkModel(rtt=0.001)
-        assert network.round_trip() == pytest.approx(0.001)
+def _route(env, workload, configuration):
+    """The compiled route of ``group_a_update`` under ``configuration``."""
+    return build_engine(env, workload, configuration)._routes["group_a_update"]
 
-    def test_cost_model_scales_with_layers(self):
-        costs = CostModel(operation_cpu=10e-6, cc_layer_cpu=2e-6)
-        assert costs.operation_cost(3) == pytest.approx(16e-6)
-        assert costs.operation_cost(1) < costs.operation_cost(4)
+
+class TestCostConstants:
+    def test_route_charges_a_round_trip_plus_cpu(self, env, micro_workload):
+        route = _route(env, micro_workload, monolithic("2pl", micro_workload.transaction_names()))
+        assert route.op_delay == pytest.approx(OPERATION_CPU + CC_LAYER_CPU + RTT)
+        assert route.phase_delay == pytest.approx(PHASE_CPU + CC_LAYER_CPU + RTT)
+
+    def test_route_charges_scale_with_layers(self, env, micro_workload):
+        shallow = _route(env, micro_workload, monolithic("2pl", micro_workload.transaction_names()))
+        deep = _route(env, micro_workload, Configuration(node(
+            "2pl", node("2pl", leaf("2pl", "group_a_update")), leaf("rp", "group_b_update")
+        )))
+        assert len(deep.nodes) == 3
+        assert deep.op_delay - shallow.op_delay == pytest.approx(2 * CC_LAYER_CPU)
+        assert deep.phase_cost - shallow.phase_cost == pytest.approx(2 * CC_LAYER_CPU)

@@ -40,10 +40,8 @@ READ_BY_TESTS = {
     "timeout_count",         # LockTable
     "graph_edges",           # DeterministicBatch
     "batches_sealed",        # DeterministicBatch
-    "duplicate_requests",    # TimestampOracle
     "duplicate_precommits",  # DurabilityManager
     "records_written",       # DurabilityManager
-    "sent", "dropped", "delayed", "reordered",  # LinkState, one per fault kind
 }
 
 #: attribute -> why it stays although nothing reads it.
