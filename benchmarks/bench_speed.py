@@ -219,10 +219,8 @@ def census_by_owner(runner):
     roots = []
     if recorder is not None:
         roots.append(("recorder records", recorder._records))
-        checker = recorder.streaming_checker
-        if checker is not None:
-            roots.append(("cycle detector", checker.detector))
-            roots.append(("streaming checker", checker))
+        roots.append(("cycle detector", recorder.streaming_checker.detector))
+        roots.append(("streaming checker", recorder.streaming_checker))
         roots.append(("recorder, the rest", recorder))
     roots.append(("durability manager", runner.manager))
     roots.append(("store", runner.store))

@@ -9,7 +9,8 @@
 #
 #   --quick   skip the examples run smoke (import-only) for the fastest
 #             useful gate; everything else always runs.  The full lane also
-#             compares the autoconf example's stdout with its golden.
+#             compares the quickstart and autoconf examples' stdout with
+#             their goldens.
 #
 # The fingerprint smoke (benchmarks/bench_speed.py --quick) verifies the
 # fixed-seed behavior fingerprint of two micro runs against the one recorded
@@ -102,8 +103,9 @@ for path in sorted(pathlib.Path("examples").glob("*.py")):
     print(f"{path} imports")
 PY
 if [[ "$QUICK" == "0" ]]; then
-  python examples/quickstart.py > /dev/null
-  echo "examples/quickstart.py ran clean"
+  # The quickstart ends on Database.check_serializability()'s verdict line.
+  python examples/quickstart.py | cmp - tests/golden/quickstart.txt
+  echo "examples/quickstart.py matches tests/golden/quickstart.txt"
   # Autoconf is deterministic: the bottlenecks it finds, the throughputs it
   # measures and the tree it picks are pinned byte for byte (~15 s).
   python examples/automatic_configuration.py | cmp - tests/golden/autoconf_tpcc.txt

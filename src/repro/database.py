@@ -32,8 +32,7 @@ class Database:
             profiler=profiler,
         )
         # What check_serializability() checks; the engine keeps no history.
-        # A ring of the last 200k commits, as the engine's own window was.
-        self.engine.history_recorder = HistoryRecorder(max_transactions=200_000)
+        self.engine.history_recorder = HistoryRecorder(level="serializable")
 
     # -- synchronous single-transaction API ----------------------------------------
 
@@ -74,5 +73,5 @@ class Database:
         return self.configuration.describe()
 
     def check_serializability(self):
-        """Run the Adya isolation checker over the committed history."""
+        """The Adya isolation oracle's verdict on the committed history."""
         return check_engine(self.engine)

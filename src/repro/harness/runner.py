@@ -121,9 +121,8 @@ class BenchmarkRunner:
         # bounds recorder memory (ring of the most recent committed
         # transactions) for long runs.  The recorder streams dependency
         # edges into the incremental DSG checker as commits happen, so the
-        # post-measurement check is just the two linear anomaly passes.  One
-        # recorder spans every incarnation of a crash-enabled run.
-        self.isolation_level = isolation_level
+        # post-measurement check reads the verdict off.  One recorder spans
+        # every incarnation of a crash-enabled run.
         self.recorder = None
         if check_isolation or self.lanes:
             # The recorder validates the level (ValueError on unknown names).
@@ -269,7 +268,7 @@ class BenchmarkRunner:
             raise ValueError(
                 "runner was not built with check_isolation=True; no history recorded"
             )
-        return check_recorder(self.recorder, level=self.isolation_level)
+        return check_recorder(self.recorder)
 
     def run_additional(self, duration):
         """Continue the measurement for ``duration`` more virtual seconds."""

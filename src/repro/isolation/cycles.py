@@ -1,21 +1,16 @@
 """Native cycle detection and SCCs for dependency graphs — standard library only.
 
-Two detectors, sharing nothing but the edge-list cycle representation
-(``[(u, v), (v, w), ..., (x, u)]``, the shape ``networkx.find_cycle``
-returns), and the Tarjan generator the second one is built on:
-
 * :class:`IncrementalCycleDetector` — ordering-based incremental cycle
   detection (Pearce & Kelly's dynamic topological order).  Each ``add_edge``
   costs O(1) when the edge respects the current order (the overwhelmingly
   common case for edges streamed in commit order) and O(affected region)
   when it does not; the first edge that closes a cycle is reported with the
-  full cycle path.  This is what the streaming DSG checker feeds at commit
-  time.
-* :func:`find_cycle` — batch fallback: one iterative Tarjan SCC pass over a
-  prebuilt adjacency mapping, O(V + E).  Used by the post-hoc checker path
-  (hand-built histories, recorders without streaming enabled).
-* :func:`strongly_connected_components` — that Tarjan pass as a generator;
-  the runtime-pipelining analysis condenses its table graph with it.
+  full cycle path as an edge list (``[(u, v), (v, w), ..., (x, u)]``, the
+  shape networkx's cycle finder returns).  This is what the streaming DSG
+  checker feeds at commit time.
+* :func:`strongly_connected_components` — one iterative Tarjan pass as a
+  generator; the runtime-pipelining analysis condenses its table graph with
+  it.
 """
 
 
@@ -48,9 +43,6 @@ class IncrementalCycleDetector:
 
     def __contains__(self, node):
         return node in self._ord
-
-    def has_cycle(self):
-        return self.cycle is not None
 
     def _add_node(self, node):
         if node not in self._ord:
@@ -133,8 +125,9 @@ def strongly_connected_components(adjacency):
     Each component is the list of its nodes as they came off Tarjan's stack
     (its root last), and components arrive in the order their roots *close* —
     a reverse topological order of the condensation.  Both orders are part of
-    the contract: :func:`find_cycle`'s witness and the runtime-pipelining
-    step order (:mod:`repro.analysis.rp_analysis`) are derived from them.
+    the contract: the runtime-pipelining step order
+    (:mod:`repro.analysis.rp_analysis`) and the cycle witness of the tests'
+    post-hoc reference pass are derived from them.
     A node that only appears as a successor has no successors of its own.
     """
     index_of = {}
@@ -175,43 +168,3 @@ def strongly_connected_components(adjacency):
                             break
                     yield component
 
-
-def find_cycle(adjacency):
-    """Find one cycle in ``{node: successors}``; edge list or ``None``.
-
-    Batch fallback for the post-hoc checker path: the first component
-    :func:`strongly_connected_components` closes that holds a cycle — more
-    than one node, or one node with a self-loop — is the witness's home; a
-    bounded walk inside it then extracts a concrete cycle for the report.
-    """
-    for component in strongly_connected_components(adjacency):
-        if len(component) > 1:
-            break
-        node = component[0]
-        if node in adjacency.get(node, ()):
-            return [(node, node)]
-    else:
-        return None
-
-    # Walk inside the SCC until a node repeats: that suffix is a cycle.  The
-    # walk starts at the set's first member, not the list's, so the witness a
-    # report names for a given history is the one it has always named.
-    target_scc = set(component)
-    start = next(iter(target_scc))
-    path = [start]
-    position = {start: 0}
-    while True:
-        current = path[-1]
-        step = next(
-            successor
-            for successor in adjacency.get(current, ())
-            if successor in target_scc
-        )
-        if step in position:
-            loop = path[position[step]:]
-            return [
-                (loop[index], loop[(index + 1) % len(loop)])
-                for index in range(len(loop))
-            ]
-        position[step] = len(path)
-        path.append(step)

@@ -1,17 +1,19 @@
 """Streaming DSG maintenance: dependency edges derived at commit time.
 
-The post-hoc checker rebuilds the whole Direct Serialization Graph from a
+A post-hoc checker rebuilds the whole Direct Serialization Graph from a
 recorded history after the run (history materialisation plus one batch
 pass, roughly linear in reads+writes but with a large constant — the
-wall-clock cliff of checked runs).  :class:`StreamingDSGChecker` instead derives every ``ww``/``wr``/
-``rw`` edge *as transactions commit* and feeds them to an
-:class:`~repro.isolation.cycles.IncrementalCycleDetector`, in the spirit
-of DGCC's on-the-path dependency bookkeeping.  The aborted-read and
-intermediate-read anomalies are detected in the same pass, so the
+wall-clock cliff of checked runs).  :class:`StreamingDSGChecker` instead
+derives every ``ww``/``wr``/``rw`` edge *as transactions commit* and feeds
+them to an :class:`~repro.isolation.cycles.IncrementalCycleDetector`, in
+the spirit of DGCC's on-the-path dependency bookkeeping.  The aborted-read
+and intermediate-read anomalies are detected in the same pass, so the
 post-measurement "check" is just a sweep of the parked-reader frontier —
-no history materialisation, no graph build.
+no history materialisation, no graph build.  It is the one isolation
+oracle; the post-hoc pass it is held to lives with the tests
+(``tests/reference_checker.py``).
 
-Edge derivation per commit of ``T`` (mirrors :func:`~repro.isolation.dsg.iter_dsg_edges`):
+Edge derivation per commit of ``T`` (mirrors the reference's whole-history one):
 
 * reads ``(key, version)``: a ``wr`` edge from the version's committed
   writer; an ``rw`` anti-dependency from ``T`` to the *next* committed
@@ -27,7 +29,7 @@ Waiting sets are popped when the successor commits, so steady-state memory
 is the per-key frontier (readers of each key's latest version), not the
 whole run.  Writer id 0 (database population) is treated as an always
 committed pseudo-transaction that never appears as a graph node, matching
-the post-hoc builder.
+the post-hoc reference.
 
 Scans add the *phantom* rw edges item-level derivation cannot see: a
 committed scan whose predicate covers a key it never read anti-depends on
@@ -48,9 +50,9 @@ from repro.storage.ranges import slice_sorted_pks
 class StreamingDSGChecker:
     """Incremental DSG circularity + anomaly check over a commit/abort stream.
 
-    ``trace_edges=True`` additionally records the deduplicated typed edge
-    set in ``_edge_seen`` — test instrumentation for equivalence against
-    the post-hoc graph builder; production runs skip it.
+    It also owns the run's per-key version order (``_writers`` / ``_seqs``,
+    never evicted, purged only by :meth:`on_crash`), which the
+    :class:`~repro.isolation.history.HistoryRecorder` feeding it reads.
     """
 
     __slots__ = (
@@ -64,13 +66,12 @@ class StreamingDSGChecker:
         "_final",
         "_table_pks",
         "_scan_watch",
-        "_edge_seen",
         "aborted_reads",
         "intermediate_reads",
         "num_edges",
     )
 
-    def __init__(self, kinds, trace_edges=False):
+    def __init__(self, kinds):
         self.kinds = frozenset(kinds)
         self.detector = IncrementalCycleDetector()
         self._writers = {}   # key -> [writer, ...] in commit order
@@ -81,7 +82,6 @@ class StreamingDSGChecker:
         self._final = {}     # (key, writer) -> final commit_seq of that version
         self._table_pks = {}   # table -> sorted pks with a committed version
         self._scan_watch = {}  # table -> [(scanner, KeyRange, read keys), ...]
-        self._edge_seen = set() if trace_edges else None
         self.aborted_reads = []
         self.intermediate_reads = []
         self.num_edges = 0
@@ -91,15 +91,10 @@ class StreamingDSGChecker:
         """The first forbidden cycle (edge list) or ``None``."""
         return self.detector.cycle
 
-    def has_cycle(self):
-        return self.detector.cycle is not None
-
     def _add_edge(self, source, target, kind):
         if source == target:
             return
         self.num_edges += 1
-        if self._edge_seen is not None:
-            self._edge_seen.add((source, target, kind))
         if kind in self.kinds:
             self.detector.add_edge(source, target)
 
@@ -125,7 +120,7 @@ class StreamingDSGChecker:
                 if seq is None:
                     # Committed writer but an unsequenced version object: a
                     # replaced intermediate; no rw edge is derivable (the
-                    # post-hoc builder skips it identically).
+                    # post-hoc reference skips it identically).
                     continue
                 if final.get((key, writer), seq) != seq:
                     self.intermediate_reads.append((txn_id, key, writer))
@@ -299,8 +294,9 @@ class StreamingDSGChecker:
                 entry for entry in watchers if entry[0] not in vanished
             ]
         # Anomalies already charged to a now-vanished reader evaporate with
-        # it (it left no trace); anomalies *against* vanished writers are
-        # re-derived by the checker's stitched-history pass.
+        # it (it left no trace); a surviving reader of a vanished writer is
+        # still parked (pending_aborted_reads flags it) or is handed back by
+        # HistoryRecorder.on_crash, which holds the reads.
         self.aborted_reads = [
             entry for entry in self.aborted_reads if entry[0] not in vanished
         ]

@@ -1,11 +1,10 @@
 """The networkx reference DSG the native detectors are held to (test-only).
 
-``DirectSerializationGraph`` / ``build_dsg`` are the graph
-``repro.isolation.dsg`` shipped until the runtime stopped importing
-networkx, moved here verbatim: the edges still come from
-:func:`repro.isolation.dsg.iter_dsg_edges` — the one derivation — so an
-equivalence test compares detectors, not derivations.  Importing this
-module needs networkx; tests that use it start with
+``DirectSerializationGraph`` / ``build_dsg`` are the graph the runtime
+shipped until it stopped importing networkx: the edges come from the
+post-hoc reference's :func:`~tests.reference_checker.iter_dsg_edges`, so an
+equivalence test against it compares detectors, not derivations.
+Importing this module needs networkx; tests that use it start with
 ``pytest.importorskip("networkx")``.
 """
 
@@ -13,7 +12,7 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
-from repro.isolation.dsg import ALL_EDGE_KINDS, iter_dsg_edges
+from tests.reference_checker import ALL_EDGE_KINDS, iter_dsg_edges
 
 
 @dataclass

@@ -36,13 +36,14 @@ from repro.analysis.profiles import TransactionProfile, TransactionType
 from repro.core.config import Configuration, leaf, monolithic, node
 from repro.core.engine import EngineOptions
 from repro.errors import ConfigurationError, TransactionAborted
-from repro.isolation.checker import check_history, check_recorder
+from repro.isolation.checker import check_recorder
 from repro.isolation.history import HistoryRecorder
 from repro.sim.environment import Environment
 from repro.storage.tables import Catalog, Table, TableSchema
 from repro.workloads.base import Workload
 from repro.workloads.micro import CrossGroupConflictWorkload
 from tests.conftest import OverlapAuditEngine, build_engine, run_transactions
+from tests.reference_checker import check_history
 
 TXN_TYPES = ("alpha", "beta", "reader")
 KEYSPACE = 8          # loaded keys 0..7
@@ -245,7 +246,7 @@ def run_conformance(tree_name, requests, lanes=None):
     recorder = engine.history_recorder
     outcomes, _processes = run_transactions(env, engine, requests, lanes=lanes)
     assert not engine.bad_misses, f"{tree_name}: released too early {engine.bad_misses}"
-    report = check_recorder(recorder, level="serializable")
+    report = check_recorder(recorder)
     committed = sum(1 for o in outcomes if not isinstance(o, TransactionAborted))
     return report, committed, recorder
 
@@ -296,7 +297,7 @@ class TestConformanceFuzz:
         report, committed, recorder = run_conformance(tree_name, requests)
         assert report.ok, f"{tree_name}: {report.describe()}"
         assert committed > 0
-        # Streaming and post-hoc passes agree on the same recorded history.
+        # Streaming and post-hoc reference passes agree on the same history.
         posthoc = check_history(recorder.history(), level="serializable")
         assert posthoc.ok == report.ok
 
@@ -456,7 +457,7 @@ class TestRpOverRpStaleRead:
         recorder = HistoryRecorder(level="serializable")
         engine.history_recorder = recorder
         outcomes, _processes = run_transactions(env, engine, self.REQUESTS)
-        report = check_recorder(recorder, level="serializable")
+        report = check_recorder(recorder)
         assert report.ok, report.describe()
         # The reader must not mix pipeline generations: whichever writer its
         # hot.1 read observed, its hot.0 read must not come from an *earlier*
@@ -504,7 +505,7 @@ def run_micro_schedule(cross, leaf_a, leaf_b, seed, count):
     rng = workload.make_rng(seed)
     requests = [workload.next_transaction(rng) for _ in range(count)]
     run_transactions(env, engine, requests)
-    return engine, check_recorder(engine.history_recorder, level="serializable")
+    return engine, check_recorder(engine.history_recorder)
 
 
 def _tuple_id(schedule):
@@ -592,7 +593,7 @@ class TestStaleMirrorAdversaries:
         assert leader.committed and reader.committed
         (read,) = reader.reads
         assert read.key == ("hot", 0) and read.version.writer == leader.txn_id
-        report = check_recorder(engine.history_recorder, level="serializable")
+        report = check_recorder(engine.history_recorder)
         assert report.ok, report.describe()
 
 

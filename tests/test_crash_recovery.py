@@ -30,13 +30,14 @@ from repro.harness.crash import (
     exactly_once_violations,
     run_crash_benchmark,
 )
-from repro.isolation.checker import check_history, check_recorder
+from repro.isolation.checker import check_recorder
 from repro.isolation.history import HistoryRecorder
 from repro.sim.faults import SITES, CrashPoint, FaultInjector, FaultPlan
 from repro.storage.durability import DurabilityConfig, DurabilityManager
 from repro.storage.versions import Version
 from repro.workloads.queue import QueueWorkload
 from repro.workloads.smallbank import SmallBankWorkload
+from tests.reference_checker import check_history, writers_of
 
 
 def make_txn(txn_id, txn_type="t"):
@@ -268,9 +269,23 @@ class TestHistoryStitch:
         record_commit(recorder, 1, [v1])
         record_commit(recorder, 2, [], reads=[v1])
         recorder.on_crash({1})
-        report = check_recorder(recorder, level="serializable")
+        report = check_recorder(recorder)
         assert (2, ("t", 1), 1) in [tuple(e) for e in report.aborted_reads]
         assert recorder.seq_of(("t", 1), 1) is None
+
+    def test_vanished_writer_flags_a_reader_already_released(self):
+        """2 read 1's version and 3 overwrote it before the crash lost 1:
+        2 is no longer parked on 1, so the crash stitch itself must flag
+        the read — once."""
+        recorder = HistoryRecorder(level="serializable")
+        v1 = committed_version(("t", 1), writer=1, seq=10)
+        record_commit(recorder, 1, [v1])
+        record_commit(recorder, 2, [], reads=[v1])
+        record_commit(recorder, 3, [committed_version(("t", 1), writer=3, seq=11)])
+        recorder.on_crash({1})
+        report = check_recorder(recorder)
+        assert report.aborted_reads == [(2, ("t", 1), 1)]
+        assert check_history(recorder.history()).aborted_reads == report.aborted_reads
 
     def test_vanished_transaction_leaves_no_trace(self):
         recorder = HistoryRecorder(level="serializable")
@@ -279,11 +294,11 @@ class TestHistoryStitch:
         v2 = committed_version(("t", 1), writer=2, seq=11)
         record_commit(recorder, 2, [v2], reads=[v1])
         recorder.on_crash({2})  # the reader vanished, not the writer
-        report = check_recorder(recorder, level="serializable")
+        report = check_recorder(recorder)
         assert report.ok
         history = recorder.history()
         assert 2 not in history.transactions
-        assert history.writers_of(("t", 1)) == [1]
+        assert writers_of(history, ("t", 1)) == [1]
 
     def test_ghost_survivor_joins_the_version_order(self):
         recorder = HistoryRecorder(level="serializable")
@@ -294,11 +309,11 @@ class TestHistoryStitch:
         recorder.on_recovered(5, [ghost])
         # A post-recovery transaction reads the ghost's version: clean.
         record_commit(recorder, 6, [], reads=[ghost])
-        report = check_recorder(recorder, level="serializable")
+        report = check_recorder(recorder)
         assert report.ok
         assert recorder.seq_of(("t", 1), 5) == 20
         history = recorder.history()
-        assert history.writers_of(("t", 1)) == [1, 5]
+        assert writers_of(history, ("t", 1)) == [1, 5]
         assert history.transactions[5].txn_type == "recovered"
 
     def test_streaming_purge_matches_posthoc_verdict(self):
@@ -309,7 +324,7 @@ class TestHistoryStitch:
         record_commit(recorder, 2, [v2], reads=[v1])
         record_commit(recorder, 3, [], reads=[v2])
         recorder.on_crash({2})
-        streaming = check_recorder(recorder, level="serializable")
+        streaming = check_recorder(recorder)
         posthoc = check_history(recorder.history(), level="serializable")
         assert streaming.ok == posthoc.ok is False  # 3 read vanished data
         flagged = {tuple(e) for e in streaming.aborted_reads}

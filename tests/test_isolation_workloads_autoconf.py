@@ -8,14 +8,13 @@ from repro.autoconf.optimizer import ConfigurationOptimizer
 from repro.autoconf.preprocess import apply_preprocessing
 from repro.cc.base import CC_REGISTRY
 from repro.core.config import Configuration, initial_configuration, leaf, monolithic, node
-from repro.core.transaction import Transaction
+from repro.core.transaction import ReadRecord, Transaction
 from repro.database import Database
 from repro.harness import configs
 from repro.harness.report import format_run_results, format_table
 from repro.harness.runner import BenchmarkRunner, run_benchmark
-from repro.isolation.checker import check_history
-from repro.isolation.dsg import iter_dsg_edges
 from repro.isolation.history import History, HistoryRecorder, HistoryTransaction
+from repro.storage.versions import Version
 from repro.workloads.micro import CrossGroupConflictWorkload
 from repro.workloads.queue import QueueWorkload
 from repro.workloads.seats import SEATSWorkload
@@ -23,6 +22,7 @@ from repro.workloads.smallbank import SmallBankWorkload
 from repro.workloads.tpcc import TPCCWorkload
 from repro.workloads.tpcc.schema import TPCCScale
 from repro.workloads.ycsb import YCSBWorkload
+from tests.reference_checker import check_history, iter_dsg_edges
 from tests.test_cc_conformance import run_micro_schedule
 from tests.test_composition import verdicts
 
@@ -236,6 +236,28 @@ class TestHistoryRecorder:
         finally:
             runner.stop()
 
+    def test_database_check_covers_every_commit_and_can_fail(self):
+        """Database.check_serializability() is the streaming verdict over
+        every commit, not a vacuous pass, and it flags an aborted read."""
+        db = Database(SmallBankWorkload(customers=10), TREES["smallbank"]["2pl"]())
+        db.execute("deposit_checking", c_id=3, amount=50.0)
+        db.execute("send_payment", from_c_id=1, to_c_id=2, amount=75.0)
+        db.execute("balance", c_id=3)
+        report = db.check_serializability()
+        assert report.ok, report.describe()
+        assert report.num_transactions == db.stats.commits > 0
+        assert report.num_edges > 0
+        # A committed read of a version whose writer aborted.
+        recorder = db.engine.history_recorder
+        recorder.on_abort(Transaction(txn_id=9001, txn_type="w"))
+        reader = Transaction(txn_id=9002, txn_type="r")
+        key = ("checking", 3)
+        reader.reads.append(ReadRecord(key, Version(key=key, value=None, writer=9001)))
+        recorder.on_commit(reader, [])
+        report = db.check_serializability()
+        assert report.aborted_reads == [(9002, key, 9001)]
+        assert not report.ok
+
     def test_recorder_read_of_later_committed_writer_resolves(self):
         # A read of a then-uncommitted version must pick up the writer's
         # final commit_seq when the history is materialised.
@@ -246,8 +268,6 @@ class TestHistoryRecorder:
         writer = Transaction(txn_id=1, txn_type="w")
         version = store.install(("x",), {"v": 1}, writer)
         reader = Transaction(txn_id=2, txn_type="r")
-        from repro.core.transaction import ReadRecord
-
         reader.reads.append(ReadRecord(("x",), version))
         recorder.on_commit(reader, [])          # reader commits first
         versions = store.commit_transaction(writer)

@@ -71,6 +71,7 @@ from repro.workloads.tpcc import TPCCWorkload
 from repro.workloads.tpcc.schema import TPCCScale
 from repro.workloads.ycsb import YCSBWorkload
 from tests.conftest import OverlapAuditEngine, build_engine, run_transactions
+from tests.reference_checker import check_history
 from tests.snapshot_read_census import census_of_run
 from tests.test_cc_conformance import (
     CONFORMANCE_TREES,
@@ -863,9 +864,11 @@ class TestLateResolution:
     """Where a flat record could quietly weaken the oracle: a committed read
     of a *then-uncommitted* version must not freeze the missing sequence."""
 
-    def _pipelined_read(self, level, writer_commits):
+    def _pipelined_read(self, oracle, writer_commits):
+        """The reader's resolved read and the report of ``oracle``: the
+        streaming verdict, or the post-hoc reference over ``history()``."""
         store = MultiVersionStore()
-        recorder = HistoryRecorder(level=level)
+        recorder = HistoryRecorder()
         writer = Transaction(txn_id=1, txn_type="w")
         version = store.install(("x",), {"v": 1}, writer)
         reader = Transaction(txn_id=2, txn_type="r")
@@ -876,19 +879,22 @@ class TestLateResolution:
         else:
             store.abort_transaction(writer)
             recorder.on_abort(writer)
-        (read,) = recorder.history().transactions[2].reads
+        history = recorder.history()
+        (read,) = history.transactions[2].reads
+        if oracle == "post-hoc":
+            return read, version, check_history(history)
         return read, version, check_recorder(recorder)
 
-    @pytest.mark.parametrize("level", [None, "serializable"], ids=["post-hoc", "streaming"])
-    def test_resolves_to_the_final_sequence_once_the_writer_commits(self, level):
-        read, version, report = self._pipelined_read(level, writer_commits=True)
+    @pytest.mark.parametrize("oracle", ["post-hoc", "streaming"])
+    def test_resolves_to_the_final_sequence_once_the_writer_commits(self, oracle):
+        read, version, report = self._pipelined_read(oracle, writer_commits=True)
         assert version.commit_seq is not None
         assert read == (("x",), 1, version.commit_seq)
         assert report.ok and report.num_edges == 1
 
-    @pytest.mark.parametrize("level", [None, "serializable"], ids=["post-hoc", "streaming"])
-    def test_stays_unsequenced_and_aborted_when_the_writer_aborts(self, level):
-        read, _version, report = self._pipelined_read(level, writer_commits=False)
+    @pytest.mark.parametrize("oracle", ["post-hoc", "streaming"])
+    def test_stays_unsequenced_and_aborted_when_the_writer_aborts(self, oracle):
+        read, _version, report = self._pipelined_read(oracle, writer_commits=False)
         assert read == (("x",), 1, None)
         assert report.aborted_reads == [(2, ("x",), 1)]
 

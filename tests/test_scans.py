@@ -22,7 +22,7 @@ from repro.core.transaction import Transaction
 from repro.database import Database
 from repro.errors import TransactionAborted
 from repro.harness.configs import WORKLOAD_CONFIGURATIONS as TREES
-from repro.isolation.checker import check_history, check_recorder
+from repro.isolation.checker import check_recorder
 from repro.isolation.history import History, HistoryRecorder, HistoryTransaction
 from repro.sim.environment import Environment
 from repro.storage.mvstore import MultiVersionStore
@@ -36,6 +36,7 @@ from repro.workloads.tpcc.schema import TPCCScale, customer_last_name
 from repro.workloads.ycsb import YCSBWorkload
 from repro.workloads.ycsb.workload import ZipfianGenerator
 from tests.conftest import build_engine, run_transactions
+from tests.reference_checker import check_history
 
 
 class TestKeyRange:
@@ -311,7 +312,7 @@ def run_phantom_scenario(cc_name):
         engine,
         [("scanner", {"delay": 0.05}), ("inserter", {"key": 5, "delay": 0.01})],
     )
-    report = check_recorder(recorder, level="serializable")
+    report = check_recorder(recorder)
     aborted = [o for o in outcomes if isinstance(o, TransactionAborted)]
     return report, aborted, recorder
 
@@ -322,7 +323,7 @@ class TestPhantomScenarios:
         report, aborted, recorder = run_phantom_scenario("none")
         assert not aborted, "no-op CC must not abort anything"
         assert not report.serializable, report.describe()
-        # The post-hoc pass over the same recorded history agrees.
+        # The post-hoc reference over the same recorded history agrees.
         posthoc = check_history(recorder.history(), level="serializable")
         assert not posthoc.serializable
 
@@ -349,7 +350,7 @@ class TestPhantomScenarios:
         rng = workload.make_rng(5)
         requests = [workload.next_transaction(rng) for _ in range(30)]
         run_transactions(env, engine, requests)
-        report = check_recorder(recorder, level="serializable")
+        report = check_recorder(recorder)
         assert report.ok, report.describe()
 
     # -- oracle unit level: hand-built scan histories ------------------------
@@ -416,14 +417,10 @@ class TestRecorderRetention:
             recorder.on_commit(txn, [version])
         assert recorder.recorded_commits == total
         assert len(recorder) <= window
-        report = check_recorder(recorder, level="serializable")
+        report = check_recorder(recorder)
         assert report.ok, report.describe()
         assert report.num_transactions == total
 
     def test_explicit_window_still_wins(self):
         recorder = HistoryRecorder(max_transactions=10, level="serializable")
         assert recorder.max_transactions == 10
-
-    def test_record_only_mode_keeps_everything(self):
-        recorder = HistoryRecorder()
-        assert recorder.max_transactions is None

@@ -2,13 +2,14 @@
 
 Three layers of equivalence:
 
-* the incremental (Pearce-Kelly) detector and the batch Tarjan fallback
-  against ``networkx`` on random edge streams (Hypothesis);
-* the streaming edge derivation against the post-hoc builder on the
-  adversarial hand-built histories (intermediate read, G1c, G2, read-only
-  anomaly) replayed commit-by-commit through a streaming recorder;
+* the incremental (Pearce-Kelly) detector and the reference's batch
+  Tarjan against ``networkx`` on random edge streams (Hypothesis);
+* the streaming edge derivation against the post-hoc reference
+  (``tests/reference_checker.py``) on the adversarial hand-built histories
+  (intermediate read, G1c, G2, read-only anomaly) replayed commit-by-commit
+  through a streaming recorder;
 * end-to-end checked runs, where the streaming verdict must agree with the
-  full post-hoc pass over the same recorded history.
+  full post-hoc reference pass over the same recorded history.
 """
 
 from types import SimpleNamespace
@@ -18,12 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.harness.runner import BenchmarkRunner
 from repro.core.config import monolithic
-from repro.isolation.checker import check_history, check_recorder
-from repro.isolation.cycles import (
-    IncrementalCycleDetector,
-    find_cycle,
-    strongly_connected_components,
-)
+from repro.isolation.checker import check_recorder
+from repro.isolation.cycles import IncrementalCycleDetector, strongly_connected_components
 from repro.isolation.history import History, HistoryRecorder, HistoryTransaction
 from repro.isolation.levels import LEVEL_EDGE_KINDS
 from repro.isolation.streaming import StreamingDSGChecker
@@ -31,6 +28,7 @@ from repro.storage.ranges import bounded_range
 from repro.workloads.micro import CrossGroupConflictWorkload
 from repro.workloads.queue import QueueWorkload
 from repro.workloads.smallbank import SmallBankWorkload
+from tests.reference_checker import check_history, find_cycle, iter_dsg_edges
 
 
 def build_dsg(history):
@@ -45,6 +43,20 @@ def build_dsg(history):
     return reference(history)
 
 
+class TracingChecker(StreamingDSGChecker):
+    """A streaming checker that also keeps the deduplicated typed edge set
+    it derived, for comparison with the reference's ``iter_dsg_edges``."""
+
+    def __init__(self, kinds):
+        super().__init__(kinds)
+        self.edges = set()
+
+    def _add_edge(self, source, target, kind):
+        if source != target:
+            self.edges.add((source, target, kind))
+        super()._add_edge(source, target, kind)
+
+
 edge_streams = st.lists(
     st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(lambda e: e[0] != e[1]),
     min_size=0,
@@ -57,7 +69,7 @@ class TestIncrementalCycleDetector:
         detector = IncrementalCycleDetector()
         for source in range(10):
             assert detector.add_edge(source, source + 1) is None
-        assert not detector.has_cycle()
+        assert detector.cycle is None
 
     def test_back_edge_closes_cycle_with_path(self):
         detector = IncrementalCycleDetector()
@@ -73,7 +85,7 @@ class TestIncrementalCycleDetector:
     def test_self_loop_is_a_cycle(self):
         detector = IncrementalCycleDetector()
         assert detector.add_edge(4, 4) == [(4, 4)]
-        assert detector.has_cycle()
+        assert detector.cycle == [(4, 4)]
 
     def test_duplicate_edges_are_ignored(self):
         detector = IncrementalCycleDetector()
@@ -101,7 +113,7 @@ class TestIncrementalCycleDetector:
             reference.add_edge(source, target)
             if not cyclic:
                 cyclic = not nx.is_directed_acyclic_graph(reference)
-            assert detector.has_cycle() == cyclic, (edges, source, target)
+            assert (detector.cycle is not None) == cyclic, (edges, source, target)
 
     @given(edge_streams)
     @settings(max_examples=60, deadline=None)
@@ -141,7 +153,8 @@ def replay_history(history, level="serializable"):
     objects the writers install — exactly what the engine hands the
     recorder at runtime.
     """
-    recorder = HistoryRecorder(level=level, trace_edges=True)
+    recorder = HistoryRecorder(level=level)
+    recorder.streaming_checker = TracingChecker(LEVEL_EDGE_KINDS[level])
     stubs = {}
     for key, order in history.version_orders.items():
         for seq, writer in order:
@@ -283,7 +296,7 @@ class TestStreamingReplayEquivalence:
         history = history_from(transactions, version_orders, aborted)
         reference = check_history(history, level=level)
         recorder = replay_history(history, level=level)
-        streamed = check_recorder(recorder, level=level)
+        streamed = check_recorder(recorder)
         assert streamed.serializable == reference.serializable, name
         assert bool(streamed.aborted_reads) == bool(reference.aborted_reads)
         assert bool(streamed.intermediate_reads) == bool(reference.intermediate_reads)
@@ -291,16 +304,16 @@ class TestStreamingReplayEquivalence:
 
     @pytest.mark.parametrize("name", sorted(ADVERSARIAL_HISTORIES))
     def test_streaming_edges_match_reference_dsg(self, name):
-        """The streamed edge set equals the post-hoc builder's (deduplicated)."""
+        """The streamed edge set equals the post-hoc reference's (deduplicated)."""
         transactions, version_orders, aborted = ADVERSARIAL_HISTORIES[name]
         history = history_from(transactions, version_orders, aborted)
         recorder = replay_history(history)
         reference_edges = {
             (source, target, kind)
-            for source, target, kind in build_dsg(history).edges()
+            for source, target, kind in iter_dsg_edges(history)
             if source != target
         }
-        assert recorder.streaming_checker._edge_seen == reference_edges
+        assert recorder.streaming_checker.edges == reference_edges
 
 
 class TestStreamingCheckedRuns:
@@ -332,8 +345,7 @@ class TestStreamingCheckedRuns:
             workload, monolithic(config_cc, workload.transaction_names())
         )
         recorder = runner.recorder
-        assert recorder.streaming_checker is not None
-        streamed = check_recorder(recorder, level="serializable")
+        streamed = check_recorder(recorder)
         posthoc = check_history(recorder.history(), level="serializable")
         assert streamed.serializable == posthoc.serializable
         assert streamed.ok == posthoc.ok
@@ -349,64 +361,73 @@ class TestStreamingCheckedRuns:
             duration=0.3,
             history_window=25,
         )
-        report = check_recorder(runner.recorder, level="serializable")
+        report = check_recorder(runner.recorder)
         assert runner.recorder._evicted
         assert report.ok, report.describe()
 
-    def test_check_recorder_falls_back_on_level_mismatch(self):
+    def test_read_committed_run_matches_reference(self):
+        """A run checked at read-committed streams at read-committed: its
+        verdict and edge count are the reference's at that level over the
+        same recorded history — and a recorder built without a level
+        streams at serializable over the default ring."""
         workload = CrossGroupConflictWorkload(shared_rows=5, cold_rows=50)
         runner = self._run(
-            workload, monolithic("2pl", workload.transaction_names())
+            workload,
+            monolithic("2pl", workload.transaction_names()),
+            isolation_level="read-committed",
         )
-        # The recorder streams at serializable; asking for read-committed
-        # must fall back to the post-hoc pass, not reuse the wrong kinds.
-        report = check_recorder(runner.recorder, level="read-committed")
+        report = runner.check_isolation()
         assert report.ok, report.describe()
+        assert runner.recorder.streaming_checker.kinds == LEVEL_EDGE_KINDS["read-committed"]
+        reference = check_history(runner.recorder.history(), level="read-committed")
+        assert reference.ok, reference.describe()
+        assert (report.num_transactions, report.num_edges) == (
+            reference.num_transactions, reference.num_edges
+        )
+        default = HistoryRecorder()
+        assert default.streaming_checker.kinds == LEVEL_EDGE_KINDS["serializable"]
+        assert default.max_transactions == HistoryRecorder.STREAMING_WINDOW_DEFAULT
 
     def test_recorder_rejects_unknown_stream_level(self):
         with pytest.raises(ValueError):
             HistoryRecorder(level="serialisable")
+        with pytest.raises(ValueError):
+            HistoryRecorder(level=None)
 
     @pytest.mark.parametrize("window", [0, -5])
     def test_recorder_rejects_a_window_that_keeps_nothing(self, window):
         with pytest.raises(ValueError, match="max_transactions"):
             HistoryRecorder(max_transactions=window)
-        with pytest.raises(ValueError, match="max_transactions"):
-            HistoryRecorder(max_transactions=window, level="serializable")
 
 
 class TestStreamingCheckerUnit:
     def test_pipelined_read_resolves_wr_at_writer_commit(self):
         # Reader consumes an in-flight version, commits first; the wr edge
         # lands when the writer commits (runtime-pipelining shape).
-        checker = StreamingDSGChecker(
-            LEVEL_EDGE_KINDS["serializable"], trace_edges=True
-        )
+        checker = TracingChecker(LEVEL_EDGE_KINDS["serializable"])
         version = SimpleNamespace(key="x", writer=1, commit_seq=None)
         checker.on_commit(2, [], [("x", version)])
         version.commit_seq = 5
         checker.on_commit(1, [version], [])
-        assert (1, 2, "wr") in checker._edge_seen
+        assert (1, 2, "wr") in checker.edges
         # A later writer then closes the reader's rw anti-dependency.
         version2 = SimpleNamespace(key="x", writer=3, commit_seq=6)
         checker.on_commit(3, [version2], [])
-        assert (2, 3, "rw") in checker._edge_seen
-        assert not checker.has_cycle()
+        assert (2, 3, "rw") in checker.edges
+        assert checker.cycle is None
 
     def test_pipelined_intermediate_read_flagged_at_writer_commit(self):
         # Regression: a reader that commits before its writer and observed
         # a sequenced non-final version must be flagged when the writer's
         # final version lands — the post-hoc reference flags it, and at
         # read-committed no rw cycle would mask the miss.
-        checker = StreamingDSGChecker(
-            LEVEL_EDGE_KINDS["read-committed"], trace_edges=True
-        )
+        checker = TracingChecker(LEVEL_EDGE_KINDS["read-committed"])
         stale = SimpleNamespace(key="x", writer=1, commit_seq=1)
         final = SimpleNamespace(key="x", writer=1, commit_seq=2)
         checker.on_commit(2, [], [("x", stale)])
         checker.on_commit(1, [final], [])
         assert checker.intermediate_reads == [(2, "x", 1)]
-        assert (1, 2, "wr") in checker._edge_seen
+        assert (1, 2, "wr") in checker.edges
 
     def test_parked_reader_of_never_committed_writer_is_aborted_read(self):
         checker = StreamingDSGChecker(LEVEL_EDGE_KINDS["serializable"])
@@ -426,7 +447,6 @@ class TestStreamingCheckerUnit:
         y2 = SimpleNamespace(key="y", writer=2, commit_seq=4)
         checker.on_commit(1, [x1], [("y", y0)])
         checker.on_commit(2, [y2], [("x", x0)])
-        assert checker.has_cycle()
         cycle_nodes = {node for edge in checker.cycle for node in edge}
         assert cycle_nodes == {1, 2}
 
@@ -438,7 +458,7 @@ class TestStreamingCheckerUnit:
         y2 = SimpleNamespace(key="y", writer=2, commit_seq=4)
         checker.on_commit(1, [x1], [("y", y0)])
         checker.on_commit(2, [y2], [("x", x0)])
-        assert not checker.has_cycle()
+        assert checker.cycle is None
 
 
 class TestSubgraphCaching:
