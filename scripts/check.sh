@@ -3,7 +3,8 @@
 # smokes, quick checked-run / crash / chaos smokes (isolation oracle in the
 # loop), an import of every figure script and example and, last, the src/
 # line total, the GC-tracked objects a tpcc/3layer commit leaves behind with
-# the versions its store ends on, and the import time.
+# the versions its store ends on, the batch leaf's blocked wait passes per
+# commit, and the import time.
 #
 # Usage: scripts/check.sh [--quick]
 #
@@ -26,8 +27,9 @@
 # results are identical whatever the worker count).  The crash-recovery
 # smoke additionally crashes the queue cells at a seeded fault point and
 # checks the stitched pre-crash + post-recovery history as one, then runs
-# one smallbank crash cell under two PYTHONHASHSEED salts and requires
-# identical output (fixed-seed runs must not depend on the hash salt).  The
+# one smallbank crash cell and the ycsb-zipf/batch cell under two
+# PYTHONHASHSEED salts and requires identical output (fixed-seed runs must
+# not depend on the hash salt).  The
 # network-chaos smoke runs the queue cells through a seeded drop and a
 # partition-and-heal window (timeouts, retries, commit-ticket dedup, the
 # admission valve) and checks the whole degraded run as a single history.
@@ -77,10 +79,14 @@ SALT_DIR="$(mktemp -d)"
 for salt in 1 2; do
   PYTHONHASHSEED=$salt python -m repro.harness --workload smallbank --config 2pl \
     --faults 2 --quick --workers 1 > "$SALT_DIR/salt-$salt.txt"
+  # The batch leaf's wakes, in the order same-instant waiters resume.
+  PYTHONHASHSEED=$salt python -m repro.harness --workload ycsb-zipf --config batch \
+    --quick --workers 1 > "$SALT_DIR/batch-salt-$salt.txt"
 done
 cmp "$SALT_DIR/salt-1.txt" "$SALT_DIR/salt-2.txt"
+cmp "$SALT_DIR/batch-salt-1.txt" "$SALT_DIR/batch-salt-2.txt"
 rm -r "$SALT_DIR"
-echo "smallbank/2pl --faults 2: identical under PYTHONHASHSEED=1 and =2"
+echo "smallbank/2pl --faults 2 and ycsb-zipf/batch: identical under PYTHONHASHSEED=1 and =2"
 
 echo
 echo "== network-chaos smoke (degraded-mode oracle) =="
@@ -124,6 +130,10 @@ find src -name '*.py' | xargs wc -l | tail -1
 # bounds all three.
 python -c 'from tests.test_retention import tpcc_retention_census as census
 print("GC-tracked objects per tpcc/3layer commit: {:.1f}; versions per key: {:.2f}, hottest chain: {}".format(*census()))'
+# The batch leaf wakes only whom a change concerns (0.56); one broadcast
+# waking every waiter on every install, commit point and finish made 1.71.
+python -c 'from tests.test_profiler_stream import batch_wait_passes_per_commit as passes
+print("batch blocked wait passes per ycsb-zipf/batch commit: {:.2f}".format(passes()))'
 # What every engine start pays before it runs anything: wall time of a
 # fresh interpreter importing the CLI, best of three.
 echo -n "import repro.harness.cli: "

@@ -29,13 +29,13 @@ re-orders reads against its own pipeline and would override the sequence,
 so it is rejected (TSO cannot be an internal node at all).
 """
 
+from heapq import heappop, heappush
 from itertools import count
 
 from repro.cc.base import ConcurrencyControl, register_cc
 from repro.core.waits import NONE
 from repro.errors import ConfigurationError
-from repro.sim.events import Event
-from repro.sim.events import Condition
+from repro.sim.events import Condition, Event
 
 
 class _Batch:
@@ -109,24 +109,57 @@ class DeterministicBatch(ConcurrencyControl):
         self.graph_edges = 0
         self.batches_sealed = 0
         self.admission = Condition(engine.env, name=f"batch-admit@{node.node_id}")
-        self.progress = Condition(engine.env, name=f"batch@{node.node_id}")
+        # Wakes go only to whom a change concerns; an entry is dropped when
+        # it fires.
+        #: txn_id -> Event: fires when that member installs or finishes, the
+        #: only moments it can stop heading a slot, install-order or scan
+        #: wait.  The first waiter on a member creates it.
+        self._moved = {}
+        #: heap of (seq, Event), one per member waiting at its commit point:
+        #: a turn fires once no member sequenced before it is executing.
+        self._turns = []
 
     # -- helpers -----------------------------------------------------------------
 
-    def _wait_for_progress(self, txn, pending, reason):
+    def _wait_for_progress(self, txn, pending, reason, events):
         """Wait until ``pending()`` (earlier-sequenced members in the way)
-        is empty, re-checking whenever any member installs or finishes.
+        is empty, re-checking whenever ``events(head)`` fires.
 
         ``pending()`` yields the lowest-sequenced such member first and may
         stop there: the wait reads its head and whether there is one.
         """
-        return self.waits.wait(
-            txn,
-            pending,
-            reason,
-            events=lambda blocker: [self.progress._event],
-            check=NONE,
-        )
+        return self.waits.wait(txn, pending, reason, events=events, check=NONE)
+
+    def _moved_event(self, blocker):
+        """``events=`` of the slot and scan waits: the head's next move."""
+        moved = self._moved
+        event = moved.get(blocker.txn_id)
+        if event is None:
+            event = moved[blocker.txn_id] = Event(self.env, name="batch-moved")
+        return [event]
+
+    def _fire_moved(self, txn):
+        event = self._moved.pop(txn.txn_id, None)
+        if event is not None:
+            event.succeed()
+
+    def _take_turn(self, seq):
+        """``events=`` of the commit-order wait.  Called at most once per
+        wait: the turn fires only when the wait is over, and a deadline that
+        fires first ends it with an abort."""
+        turn = Event(self.env, name="batch-turn")
+        heappush(self._turns, (seq, turn))
+        return [turn]
+
+    def _pass_turns(self):
+        """``_executing`` lost an entry: fire every turn sequenced before its
+        new head.  No earlier sequence can enter it again, so a fired turn's
+        member is never blocked again."""
+        turns = self._turns
+        if turns:
+            head = next(iter(self._executing), None)
+            while turns and (head is None or turns[0][0] < head):
+                heappop(turns)[1].succeed()
 
     def _seq(self, txn):
         return self.state(txn).get("seq", 0)
@@ -284,6 +317,7 @@ class DeterministicBatch(ConcurrencyControl):
             txn,
             lambda: self._pending_slot_writers(txn, my_seq, key),
             "batch-slot-wait",
+            self._moved_event,
         )
 
     def before_write(self, txn, key, value):
@@ -304,6 +338,7 @@ class DeterministicBatch(ConcurrencyControl):
             txn,
             lambda: self._pending_slot_writers(txn, my_seq, key),
             "batch-install-order",
+            self._moved_event,
         )
 
     def before_scan(self, txn, key_range):
@@ -322,6 +357,7 @@ class DeterministicBatch(ConcurrencyControl):
             txn,
             lambda: self._pending_range_writers(my_seq, key_range),
             "batch-scan-wait",
+            self._moved_event,
         )
 
     def select_version(self, txn, key):
@@ -356,8 +392,8 @@ class DeterministicBatch(ConcurrencyControl):
 
     def after_write(self, txn, key, version):
         version.metadata["batch_seq"] = self._seq(txn)
-        # Installing resolved this key's slot: wake slot waiters.
-        self.progress.notify_all()
+        # Installing resolved this key's slot: wake whoever this member heads.
+        self._fire_moved(txn)
 
     # -- validation & commit -------------------------------------------------------
 
@@ -383,7 +419,7 @@ class DeterministicBatch(ConcurrencyControl):
         # waiting on this transaction as soon as it stops executing.
         executing = self._executing
         del executing[my_seq]
-        self.progress.notify_all()
+        self._pass_turns()
 
         def _executing_earlier():
             # The lowest-sequenced member still executing, if it is earlier.
@@ -392,7 +428,10 @@ class DeterministicBatch(ConcurrencyControl):
             return ()
 
         yield from self._wait_for_progress(
-            txn, _executing_earlier, "batch-commit-order"
+            txn,
+            _executing_earlier,
+            "batch-commit-order",
+            lambda blocker: self._take_turn(my_seq),
         )
 
         def _active_preds():
@@ -411,7 +450,8 @@ class DeterministicBatch(ConcurrencyControl):
         if batch is not None:
             if batch.sealed:
                 # An abort may come before the commit point.
-                self._executing.pop(state["seq"], None)
+                if self._executing.pop(state["seq"], None) is not None:
+                    self._pass_turns()
                 writers = self._writers
                 for key in state["write_keys"]:
                     holders = writers[key]
@@ -428,5 +468,5 @@ class DeterministicBatch(ConcurrencyControl):
                 except ValueError:
                     pass
         # Unwritten declared slots were retracted by the store at commit or
-        # abort; wake anything waiting on them (or on this commit's order).
-        self.progress.notify_all()
+        # abort: wake whoever this member heads.
+        self._fire_moved(txn)

@@ -12,6 +12,11 @@ member, and asserts on every call that the leaf gave the same one: the same
 head blocker (all a wait reads of its blockers), the same predecessors in
 the same set-iteration order (the predecessor wait blocks on the first the
 set yields).
+
+:class:`WakeCheckingBatch` adds the second reference, for whom a change
+wakes: every check above runs with it, and it asserts that no waiter is left
+asleep once its blockers are gone and that no turn at the commit point
+fires while its member is still blocked.
 """
 
 import contextlib
@@ -88,9 +93,9 @@ class ScanningBatch(DeterministicBatch):
         self.ref_committing.discard(txn.txn_id)
         super().finish(txn, committed)
 
-    def _wait_for_progress(self, txn, pending, reason):
+    def _wait_for_progress(self, txn, pending, reason, events):
         if reason != "batch-commit-order":
-            return super()._wait_for_progress(txn, pending, reason)
+            return super()._wait_for_progress(txn, pending, reason, events)
         my_seq = self._seq(txn)
 
         def compared():
@@ -101,7 +106,7 @@ class ScanningBatch(DeterministicBatch):
             ]
             return self._compare_head("executing", pending(), expected)
 
-        return super()._wait_for_progress(txn, compared, reason)
+        return super()._wait_for_progress(txn, compared, reason, events)
 
     def _pending_range_writers(self, my_seq, key_range):
         store = self.engine.store
@@ -122,10 +127,68 @@ class ScanningBatch(DeterministicBatch):
         return self._compare_head("range", answer, expected)
 
 
+class WakeCheckingBatch(ScanningBatch):
+    """Reference for the targeted wakes: no lost wakeup, no early turn.
+
+    The leaf wakes a waiter only through the one event it subscribed to —
+    its head's *moved* event, or its own turn — where a broadcast used to
+    wake everyone.  This records every suspended waiter's ``blockers``
+    callable and that event and, after every wake site (install, finish,
+    the commit point) and at drain, asserts that no waiter whose blockers
+    are gone still sits on an event that has not fired.  A turn must only
+    fire once its member's blockers are gone for good: on waking from one,
+    the wait must find none.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.suspended = {}  # txn_id -> (reason, blockers, subscribed event)
+
+    def check_wakes(self):
+        for reason, blockers, event in self.suspended.values():
+            if not event.triggered:
+                assert blockers(), ("lost wakeup", reason)
+                self.asked["still-blocked"] += 1
+
+    def _wait_for_progress(self, txn, pending, reason, events):
+        self.check_wakes()                    # validate calls this at its commit point
+        suspended = self.suspended
+
+        def subscribe(blocker):
+            subscribed = events(blocker)
+            suspended[txn.txn_id] = (reason, pending, subscribed[0])
+            return subscribed
+
+        def resumed():
+            entry = suspended.pop(txn.txn_id, None)
+            answer = pending()
+            if entry is not None and entry[0] == "batch-commit-order" and entry[2].triggered:
+                assert not answer, ("turn fired early", txn)
+                self.asked["turns"] += 1
+            return answer
+
+        wait = super()._wait_for_progress(txn, resumed, reason, subscribe)
+        return self._forgetting(txn, wait)
+
+    def _forgetting(self, txn, wait):
+        try:
+            yield from wait
+        finally:                              # returned, or aborted at a deadline
+            self.suspended.pop(txn.txn_id, None)
+
+    def after_write(self, txn, key, version):
+        super().after_write(txn, key, version)
+        self.check_wakes()
+
+    def finish(self, txn, committed):
+        super().finish(txn, committed)
+        self.check_wakes()
+
+
 @contextlib.contextmanager
 def reference_leaf():
-    """Every ``batch`` node built inside is a :class:`ScanningBatch`."""
-    CC_REGISTRY["batch"] = ScanningBatch
+    """Every ``batch`` node built inside is a :class:`WakeCheckingBatch`."""
+    CC_REGISTRY["batch"] = WakeCheckingBatch
     try:
         yield
     finally:
@@ -134,12 +197,14 @@ def reference_leaf():
 
 def _totals(engine):
     leaves = [node.cc for node in engine.nodes if node.cc.name == "batch"]
-    assert leaves and all(isinstance(cc, ScanningBatch) for cc in leaves)
+    assert leaves and all(isinstance(cc, WakeCheckingBatch) for cc in leaves)
     asked, answered = Counter(), Counter()
     for cc in leaves:
+        cc.check_wakes()
         asked.update(cc.asked)
         answered.update(cc.answered)
         assert cc.ref_seqs == {} and cc._executing == {} and cc._writers == {}
+        assert cc.suspended == {} and cc._moved == {} and cc._turns == []
     return asked, answered
 
 
@@ -161,6 +226,7 @@ def test_conformance_trees_answer_as_the_scans_did():
         # Multi-key writers: predecessors gathered over several keys had to
         # be put back in sequence order.
         assert answered["preds-of-several"] > 0, tree
+        assert asked["turns"] > 0 and asked["still-blocked"] > 0, tree
 
 
 #: (workload factory, configuration factory, clients, sim seconds, has scans)
@@ -196,8 +262,12 @@ def test_ycsb_cells_answer_as_the_scans_did():
         asked, answered = _totals(engine)
         assert asked["preds"] > 0 and asked["executing"] > 0, name
         assert (asked["range"] > 0) == scans, name
+        # No deadline fires here: every blocked commit-order wait was woken
+        # once, by its turn, and found nothing more in its way.
+        assert asked["turns"] == answered["executing"], name
         if name == "ycsb-zipf/batch":
             assert answered["preds"] > 0 and answered["executing"] > 0
+            assert asked["still-blocked"] > 0
 
 
 @given(

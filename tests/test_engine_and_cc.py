@@ -768,6 +768,8 @@ class TestDeterministicBatch:
                 runner.stop()
             commits.append(runner.engine.stats.commits)
             per_commit.append(lookups[0] / commits[-1])
-        # Same simulation as with the scans: the schedule is pinned too.
-        assert commits == [1598, 5808, 8017]
+        # The schedule is pinned too: the indexes left it as the scans had it
+        # (1,598 / 5,808 / 8,017); targeted wakes resume same-instant waiters
+        # in another order, so other arrivals seal together.
+        assert commits == [1616, 5840, 7983]
         assert per_commit[2] <= 1.5 * per_commit[0], per_commit

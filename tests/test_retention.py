@@ -27,8 +27,9 @@ These things are pinned here:
   durable checked run is, the precommit dedup table holds only exchanges in
   flight, and a flat record still resolves a pipelined read late;
 * **batch leaf** — a sealed batch and its members form no reference cycle,
-  and the leaf's two indexes of members in flight name nobody who finished,
-  died before the seal, was force-aborted or had the node spliced out;
+  and the leaf's two indexes of members in flight, and its two sets of
+  pending wakes, name nobody who finished, died before the seal, was
+  force-aborted or had the node spliced out;
 * **lock tables and chains** — a lock record exists only while its key has
   a holder or a waiter (and *drop ≡ never drop*), a key written once costs
   the store its list and its ``Version``, tracked objects per commit on
@@ -764,10 +765,18 @@ def _indexed(cc):
     return executing | set(writers), len(cc._executing), len(writers)
 
 
+def _assert_drained(cc):
+    """Nothing of a member outlives it: not its index entries, not its wakes."""
+    assert cc._active == {} and cc._executing == {} and cc._writers == {}
+    assert cc._moved == {} and cc._turns == []
+
+
 class TestBatchLeafRetention:
     """The batch leaf keeps its members in flight in two indexes (still
-    executing, by sequence; declared writers, by key): release rule — a
-    member leaves both when it finishes."""
+    executing, by sequence; declared writers, by key) and its pending wakes
+    in two sets (a member's next move, by id; turns at the commit point, by
+    sequence): release rule — a member leaves the indexes when it finishes,
+    a wake leaves its set when it fires."""
 
     def test_a_drained_run_leaves_no_cyclic_garbage(self):
         """A sealed batch used to list the members whose state lists the
@@ -787,18 +796,22 @@ class TestBatchLeafRetention:
         cc = runner.engine.root.cc
         try:
             runner.add_clients(CLIENTS)
-            peak_executing = peak_writers = 0
+            peak_executing = peak_writers = peak_wakes = 0
             while runner.engine.stats.commits < 1200:
                 runner.run_additional(0.0005)
                 members, executing, writers = _indexed(cc)
                 assert members <= set(cc._active) and len(cc._active) <= CLIENTS
                 # YCSB members declare at most one key each.
                 assert executing <= len(cc._active) and writers <= len(cc._active)
+                assert set(cc._moved) <= set(cc._active)
+                wakes = len(cc._moved) + len(cc._turns)
+                assert wakes <= len(cc._active)
                 peak_executing = max(peak_executing, executing)
                 peak_writers = max(peak_writers, writers)
-            assert peak_executing > 1 and peak_writers > 1
+                peak_wakes = max(peak_wakes, wakes)
+            assert peak_executing > 1 and peak_writers > 1 and peak_wakes > 1
             _drain(runner)
-            assert cc._active == {} and cc._executing == {} and cc._writers == {}
+            _assert_drained(cc)
         finally:
             runner.stop()
 
@@ -819,7 +832,7 @@ class TestBatchLeafRetention:
         env.run(until=survivor)
         assert survivor.value.committed and batch.sealed and batch.members is None
         assert "seq" not in cc.state(casualty) and cc.state(survivor.value)["preds"] == set()
-        assert cc._active == {} and cc._executing == {} and cc._writers == {}
+        _assert_drained(cc)
         assert cc._inflight == 0
 
     def test_forced_restart_and_spliced_node_let_go_of_their_members(self):
@@ -841,11 +854,13 @@ class TestBatchLeafRetention:
             runner = BenchmarkRunner(_zipf(), config_factory(), seed=7)
             try:
                 runner.add_clients(CLIENTS)
-                runner.run_additional(0.02)
                 engine = runner.engine
                 old = batch_cc(engine)
-                members, executing, writers = _indexed(old)
-                assert members and executing and writers, name
+                # Switch while both indexes name members in flight and
+                # some of them wait for a wake.
+                while not (all(_indexed(old)) and (old._moved or old._turns)):
+                    runner.run_additional(0.0005)
+                    assert engine.env.now < 0.1, name
                 switch = engine.env.process(reconfigure(engine))
                 engine.env.run(until=switch)
                 if name == "partial-restart":
@@ -855,7 +870,7 @@ class TestBatchLeafRetention:
                 runner.run_additional(0.02)
                 assert batch_cc(engine) is not old and batch_cc(engine).name == "2pl"
                 assert engine.stats.commits > commits, name
-                assert old._active == {} and old._executing == {} and old._writers == {}
+                _assert_drained(old)
             finally:
                 runner.stop()
 
