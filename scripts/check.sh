@@ -3,8 +3,8 @@
 # smokes, quick checked-run / crash / chaos smokes (isolation oracle in the
 # loop), an import of every figure script and example and, last, the src/
 # line total, the GC-tracked objects a tpcc/3layer commit leaves behind with
-# the versions its store ends on, the batch leaf's blocked wait passes per
-# commit, and the import time.
+# the versions its store ends on, the blocked wait passes per commit of the
+# batch leaf and of TSO's promise waits, and the import time.
 #
 # Usage: scripts/check.sh [--quick]
 #
@@ -130,10 +130,13 @@ find src -name '*.py' | xargs wc -l | tail -1
 # bounds all three.
 python -c 'from tests.test_retention import tpcc_retention_census as census
 print("GC-tracked objects per tpcc/3layer commit: {:.1f}; versions per key: {:.2f}, hottest chain: {}".format(*census()))'
-# The batch leaf wakes only whom a change concerns (0.56); one broadcast
-# waking every waiter on every install, commit point and finish made 1.71.
-python -c 'from tests.test_profiler_stream import batch_wait_passes_per_commit as passes
-print("batch blocked wait passes per ycsb-zipf/batch commit: {:.2f}".format(passes()))'
+# Waits are woken only by whom they wait for: the batch leaf's (0.56; one
+# broadcast waking every waiter on every install, commit point and finish
+# made 1.71) and TSO's promise waits (0.04; its broadcast on every write
+# and finish made 0.07).
+python -c 'from tests.test_profiler_stream import wait_passes_per_commit as passes
+print("blocked wait passes per commit: batch {:.2f} (ycsb-zipf/batch), tso-promise {:.2f} (ycsb-zipf/tso)".format(
+    passes("ycsb-zipf/batch", "batch-"), passes("ycsb-zipf/tso", "tso-promise")))'
 # What every engine start pays before it runs anything: wall time of a
 # fresh interpreter importing the CLI, best of three.
 echo -n "import repro.harness.cli: "

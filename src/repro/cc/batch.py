@@ -33,7 +33,7 @@ from heapq import heappop, heappush
 from itertools import count
 
 from repro.cc.base import ConcurrencyControl, register_cc
-from repro.core.waits import NONE
+from repro.core.waits import NONE, MovedEvents
 from repro.errors import ConfigurationError
 from repro.sim.events import Condition, Event
 
@@ -109,12 +109,9 @@ class DeterministicBatch(ConcurrencyControl):
         self.graph_edges = 0
         self.batches_sealed = 0
         self.admission = Condition(engine.env, name=f"batch-admit@{node.node_id}")
-        # Wakes go only to whom a change concerns; an entry is dropped when
-        # it fires.
-        #: txn_id -> Event: fires when that member installs or finishes, the
-        #: only moments it can stop heading a slot, install-order or scan
-        #: wait.  The first waiter on a member creates it.
-        self._moved = {}
+        # Wakes go only to whom a change concerns; an entry leaves when it fires.
+        #: A member moves when it installs or finishes.
+        self._moved = MovedEvents(engine.env)
         #: heap of (seq, Event), one per member waiting at its commit point:
         #: a turn fires once no member sequenced before it is executing.
         self._turns = []
@@ -129,19 +126,6 @@ class DeterministicBatch(ConcurrencyControl):
         stop there: the wait reads its head and whether there is one.
         """
         return self.waits.wait(txn, pending, reason, events=events, check=NONE)
-
-    def _moved_event(self, blocker):
-        """``events=`` of the slot and scan waits: the head's next move."""
-        moved = self._moved
-        event = moved.get(blocker.txn_id)
-        if event is None:
-            event = moved[blocker.txn_id] = Event(self.env, name="batch-moved")
-        return [event]
-
-    def _fire_moved(self, txn):
-        event = self._moved.pop(txn.txn_id, None)
-        if event is not None:
-            event.succeed()
 
     def _take_turn(self, seq):
         """``events=`` of the commit-order wait.  Called at most once per
@@ -317,7 +301,7 @@ class DeterministicBatch(ConcurrencyControl):
             txn,
             lambda: self._pending_slot_writers(txn, my_seq, key),
             "batch-slot-wait",
-            self._moved_event,
+            self._moved.events,
         )
 
     def before_write(self, txn, key, value):
@@ -338,7 +322,7 @@ class DeterministicBatch(ConcurrencyControl):
             txn,
             lambda: self._pending_slot_writers(txn, my_seq, key),
             "batch-install-order",
-            self._moved_event,
+            self._moved.events,
         )
 
     def before_scan(self, txn, key_range):
@@ -357,7 +341,7 @@ class DeterministicBatch(ConcurrencyControl):
             txn,
             lambda: self._pending_range_writers(my_seq, key_range),
             "batch-scan-wait",
-            self._moved_event,
+            self._moved.events,
         )
 
     def select_version(self, txn, key):
@@ -393,7 +377,7 @@ class DeterministicBatch(ConcurrencyControl):
     def after_write(self, txn, key, version):
         version.metadata["batch_seq"] = self._seq(txn)
         # Installing resolved this key's slot: wake whoever this member heads.
-        self._fire_moved(txn)
+        self._moved.fire(txn)
 
     # -- validation & commit -------------------------------------------------------
 
@@ -469,4 +453,4 @@ class DeterministicBatch(ConcurrencyControl):
                     pass
         # Unwritten declared slots were retracted by the store at commit or
         # abort: wake whoever this member heads.
-        self._fire_moved(txn)
+        self._moved.fire(txn)

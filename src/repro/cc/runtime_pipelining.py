@@ -17,6 +17,7 @@ conflicts across child subtrees follow the pipeline rules above.
 from repro.analysis.rp_analysis import RPAnalysis, analyze_pipeline
 from repro.cc.base import ConcurrencyControl, register_cc
 from repro.cc.locks import EXCLUSIVE, SHARED, LockTable, RangeLockManager
+from repro.core.waits import MovedEvents
 
 
 @register_cc
@@ -68,6 +69,8 @@ class RuntimePipelining(ConcurrencyControl):
         # phantom inserts, exactly like passed point accesses in ``_passed``.
         self.ranges = RangeLockManager(same_group=self.same_child_group)
         self._active = {}
+        #: A transaction moves when it advances a step or finishes.
+        self._moved = MovedEvents(engine.env)
         # key -> {txn_id: (txn, mode)}: still-active transactions that have
         # step-committed (released) an access to the key.  Lock handoff order
         # defines the pipeline order, and it must survive the release: a
@@ -142,7 +145,7 @@ class RuntimePipelining(ConcurrencyControl):
             # point access would; its per-key reads then reuse the step.
             self._step_commit(txn, state)
             state["step"] = target
-            self._signal_advance(txn, state)
+            self._moved.fire(txn)
             yield from self._wait_for_pipeline(txn, target)
         yield from self.waits.wait(
             txn, lambda: self.ranges.conflicting_writers(txn, key_range), "range-lock"
@@ -177,7 +180,7 @@ class RuntimePipelining(ConcurrencyControl):
     def _advance_and_acquire(self, txn, key, mode, state, target):
         self._step_commit(txn, state)
         state["step"] = target
-        self._signal_advance(txn, state)
+        self._moved.fire(txn)
         yield from self._wait_for_pipeline(txn, target)
         wait = self.locks.request(txn, key, mode)
         if wait is not None:
@@ -220,23 +223,6 @@ class RuntimePipelining(ConcurrencyControl):
                 passed.pop(other_id, None)
             if not passed:
                 self._passed.pop(key, None)
-
-    def _signal_advance(self, txn, state=None):
-        """Wake transactions waiting for this transaction's pipeline progress."""
-        state = state if state is not None else self.state(txn)
-        event = state.get("advance_event")
-        if event is not None and not event.triggered:
-            event.succeed(None)
-        state["advance_event"] = None
-
-    def _advance_event(self, txn):
-        """The one-shot event triggered at this transaction's next advance."""
-        state = self.state(txn)
-        event = state.get("advance_event")
-        if event is None or event.triggered:
-            event = self.env.event(name="rp-advance")
-            state["advance_event"] = event
-        return event
 
     def _step_commit(self, txn, state):
         """Release the previous step's locks and expose its writes.
@@ -308,7 +294,7 @@ class RuntimePipelining(ConcurrencyControl):
             txn,
             _blockers,
             "rp-pipeline",
-            events=lambda blocker: [self._advance_event(blocker), blocker.finish_event],
+            events=lambda blocker: [*self._moved.events(blocker), blocker.finish_event],
         )
 
     # -- read resolution -----------------------------------------------------------------
@@ -395,7 +381,7 @@ class RuntimePipelining(ConcurrencyControl):
         self.locks.cancel_waits(txn)
         self.locks.release_all(txn)
         self.ranges.release(txn)
-        self._signal_advance(txn, state)
+        self._moved.fire(txn)
 
     def describe(self):
         return f"rp@{self.node.node_id} ({self.analysis.num_steps} steps)"

@@ -18,8 +18,7 @@ partition-by-instance optimisation removes (Section 5.4.2, Table 5.1).
 """
 
 from repro.cc.base import ConcurrencyControl, register_cc
-from repro.core.waits import NONE
-from repro.sim.events import Condition
+from repro.core.waits import NONE, MovedEvents
 
 
 @register_cc
@@ -49,8 +48,11 @@ class TimestampOrdering(ConcurrencyControl):
         # range is a write the scan already missed and must abort.
         self._range_reads = {}
         self._promises = {}
+        #: txn_id -> txn in timestamp order: ``start`` adds each right after
+        #: the oracle hands it a timestamp larger than any before.
         self._active = {}
-        self.progress = Condition(engine.env, name=f"tso@{node.node_id}")
+        #: A promisor moves when it writes a promised key or finishes.
+        self._moved = MovedEvents(engine.env)
 
     # -- helpers -----------------------------------------------------------------
 
@@ -101,7 +103,7 @@ class TimestampOrdering(ConcurrencyControl):
             txn,
             _pending_promisors,
             "tso-promise",
-            events=lambda blocker: [self.progress._event],
+            events=self._moved.events,
             check=NONE,
         )
 
@@ -203,7 +205,7 @@ class TimestampOrdering(ConcurrencyControl):
             promisors = self._promises.get(key)
             if promisors is not None:
                 promisors.discard(txn.txn_id)
-        self.progress.notify_all()
+            self._moved.fire(txn)
 
     # -- validation & commit ------------------------------------------------------------------
 
@@ -211,11 +213,10 @@ class TimestampOrdering(ConcurrencyControl):
         my_ts = self._ts(txn)
 
         def _earlier_active():
-            return [
-                other
-                for other in self._active.values()
-                if other.txn_id != txn.txn_id and self._ts(other) < my_ts
-            ]
+            # The earliest active transaction, if earlier: all ``check=FIRST`` reads.
+            for head in self._active.values():
+                return (head,) if self._ts(head) < my_ts else ()
+            return ()
 
         # Commit in timestamp order: wait (targeted) for every earlier
         # transaction of this TSO instance to finish first.
@@ -243,4 +244,4 @@ class TimestampOrdering(ConcurrencyControl):
             promisors = self._promises.get(key)
             if promisors is not None:
                 promisors.discard(txn.txn_id)
-        self.progress.notify_all()
+        self._moved.fire(txn)

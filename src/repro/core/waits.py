@@ -15,7 +15,7 @@ does and does not contain.
 """
 
 from repro.errors import TransactionAborted
-from repro.sim.events import Timeout, any_of
+from repro.sim.events import Event, Timeout, any_of
 
 #: ``check=``: the slice of a pass's blockers handed to the deadlock check.
 ALL = slice(None)
@@ -26,6 +26,31 @@ NONE = slice(0)
 def _finish_event(blocker):
     """The default ``events=``: only the blocker's commit or abort ends the wait."""
     return [blocker.finish_event]
+
+
+class MovedEvents(dict):
+    """``txn_id`` -> one-shot event fired at that transaction's next *move*
+    (what a node's waits wait for a blocker to do).  The first waiter on a
+    blocker creates it, :meth:`fire` pops and succeeds it.  One per node: a
+    move at one node wakes nobody waiting at another."""
+
+    __slots__ = ("env",)
+
+    def __init__(self, env):
+        self.env = env
+
+    def events(self, blocker):
+        """``events=`` of a wait on the head's next move."""
+        event = self.get(blocker.txn_id)
+        if event is None:
+            event = self[blocker.txn_id] = Event(self.env, name="moved")
+        return [event]
+
+    def fire(self, txn):
+        """``txn`` moved: wake whoever waits on it."""
+        event = self.pop(txn.txn_id, None)
+        if event is not None:
+            event.succeed()
 
 
 class Waits:

@@ -198,7 +198,8 @@ class Condition:
         return event.value
 
     def notify_all(self, value=None):
-        """Wake every process currently waiting and reset the condition."""
-        event, self._event = self._event, Event(self.env, name=f"cond:{self.name}")
-        if not event.triggered:
+        """Wake every process currently waiting, if any, and reset the condition."""
+        event = self._event
+        if event.callbacks:
+            self._event = Event(self.env, name=f"cond:{self.name}")
             event.succeed(value)

@@ -14,9 +14,10 @@ the same set-iteration order (the predecessor wait blocks on the first the
 set yields).
 
 :class:`WakeCheckingBatch` adds the second reference, for whom a change
-wakes: every check above runs with it, and it asserts that no waiter is left
-asleep once its blockers are gone and that no turn at the commit point
-fires while its member is still blocked.
+wakes: every check above runs with it, and it asserts that no member is
+left waiting for its turn at the commit point once its blockers are gone
+and that no turn fires while its member is still blocked.  The other waits'
+*moved* events run under ``tests/test_wake_reference.py``'s reference.
 """
 
 import contextlib
@@ -33,6 +34,7 @@ from repro.harness.runner import BenchmarkRunner
 from repro.workloads.ycsb import YCSBWorkload
 from tests import test_profiler_stream as pinned
 from tests.test_retention import _drain, _zipf
+from tests.test_wake_reference import assert_drained, checked_wakes, moved_counts
 
 
 class ScanningBatch(DeterministicBatch):
@@ -128,41 +130,44 @@ class ScanningBatch(DeterministicBatch):
 
 
 class WakeCheckingBatch(ScanningBatch):
-    """Reference for the targeted wakes: no lost wakeup, no early turn.
+    """Reference for the commit-order turns: no lost turn, no early turn.
 
-    The leaf wakes a waiter only through the one event it subscribed to —
-    its head's *moved* event, or its own turn — where a broadcast used to
-    wake everyone.  This records every suspended waiter's ``blockers``
-    callable and that event and, after every wake site (install, finish,
-    the commit point) and at drain, asserts that no waiter whose blockers
-    are gone still sits on an event that has not fired.  A turn must only
-    fire once its member's blockers are gone for good: on waking from one,
-    the wait must find none.
+    The commit-order wait is woken only by its own turn, where a broadcast
+    used to wake everyone.  This records every waiter's ``blockers``
+    callable and its turn and, wherever a turn can pass (a commit point, an
+    abort's finish) and at drain, asserts that no waiter whose blockers are
+    gone still waits for a turn that has not fired.  A turn must only fire
+    once its member's blockers are gone for good: on waking from one, the
+    wait must find none.  The slot, install-order and scan waits' *moved*
+    events are held to ``tests/test_wake_reference.py``'s reference, which
+    :func:`reference_leaf` enters as well.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.suspended = {}  # txn_id -> (reason, blockers, subscribed event)
+        self.suspended = {}  # txn_id -> (blockers, turn)
 
-    def check_wakes(self):
-        for reason, blockers, event in self.suspended.values():
-            if not event.triggered:
-                assert blockers(), ("lost wakeup", reason)
-                self.asked["still-blocked"] += 1
+    def check_turns(self):
+        for blockers, turn in self.suspended.values():
+            if not turn.triggered:
+                assert blockers(), "lost turn"
+                self.asked["still-waiting"] += 1
 
     def _wait_for_progress(self, txn, pending, reason, events):
-        self.check_wakes()                    # validate calls this at its commit point
+        self.check_turns()                    # validate calls this at its commit point
+        if reason != "batch-commit-order":
+            return super()._wait_for_progress(txn, pending, reason, events)
         suspended = self.suspended
 
         def subscribe(blocker):
             subscribed = events(blocker)
-            suspended[txn.txn_id] = (reason, pending, subscribed[0])
+            suspended[txn.txn_id] = (pending, subscribed[0])
             return subscribed
 
         def resumed():
             entry = suspended.pop(txn.txn_id, None)
             answer = pending()
-            if entry is not None and entry[0] == "batch-commit-order" and entry[2].triggered:
+            if entry is not None and entry[1].triggered:
                 assert not answer, ("turn fired early", txn)
                 self.asked["turns"] += 1
             return answer
@@ -176,31 +181,30 @@ class WakeCheckingBatch(ScanningBatch):
         finally:                              # returned, or aborted at a deadline
             self.suspended.pop(txn.txn_id, None)
 
-    def after_write(self, txn, key, version):
-        super().after_write(txn, key, version)
-        self.check_wakes()
-
     def finish(self, txn, committed):
         super().finish(txn, committed)
-        self.check_wakes()
+        self.check_turns()
 
 
 @contextlib.contextmanager
 def reference_leaf():
-    """Every ``batch`` node built inside is a :class:`WakeCheckingBatch`."""
+    """Every ``batch`` node built inside is a :class:`WakeCheckingBatch`,
+    and every moved event a checked one; yields the moved-event helpers."""
     CC_REGISTRY["batch"] = WakeCheckingBatch
     try:
-        yield
+        with checked_wakes() as helpers:
+            yield helpers
     finally:
         CC_REGISTRY["batch"] = DeterministicBatch
 
 
-def _totals(engine):
+def _totals(engine, helpers):
     leaves = [node.cc for node in engine.nodes if node.cc.name == "batch"]
     assert leaves and all(isinstance(cc, WakeCheckingBatch) for cc in leaves)
-    asked, answered = Counter(), Counter()
+    assert_drained(helpers)
+    asked, answered = moved_counts(helpers), Counter()
     for cc in leaves:
-        cc.check_wakes()
+        cc.check_turns()
         asked.update(cc.asked)
         answered.update(cc.answered)
         assert cc.ref_seqs == {} and cc._executing == {} and cc._writers == {}
@@ -216,11 +220,11 @@ def test_conformance_trees_answer_as_the_scans_did():
     abort path), with the reference comparing each answer on the way."""
     for tree in BATCH_TREES:
         profiler = ContentionProfiler()
-        with reference_leaf():
+        with reference_leaf() as helpers:
             engine = pinned._run_conformance(tree, profiler)
         # It is the pinned run that was compared, not one the reference moved.
         assert pinned._stream(profiler) == pinned.CONFORMANCE_STREAM[tree]
-        asked, answered = _totals(engine)
+        asked, answered = _totals(engine, helpers)
         for question in ("executing", "preds", "range"):
             assert asked[question] > 0 and answered[question] > 0, (tree, question)
         # Multi-key writers: predecessors gathered over several keys had to
@@ -245,21 +249,21 @@ YCSB_CELLS = {
 
 
 def _run_cell(workload, configuration, clients, duration):
-    with reference_leaf():
+    with reference_leaf() as helpers:
         runner = BenchmarkRunner(workload, configuration, seed=11)
-    try:
-        runner.run(clients, duration=duration, warmup=0.0)
-        _drain(runner)                        # the indexes must empty
-    finally:
-        runner.stop()
-    return runner.engine
+        try:
+            runner.run(clients, duration=duration, warmup=0.0)
+            _drain(runner)                    # the indexes must empty
+        finally:
+            runner.stop()
+    return runner.engine, helpers
 
 
 def test_ycsb_cells_answer_as_the_scans_did():
     for name, (workload, configuration, clients, duration, scans) in YCSB_CELLS.items():
-        engine = _run_cell(workload(), configuration(), clients, duration)
+        engine, helpers = _run_cell(workload(), configuration(), clients, duration)
         assert engine.stats.commits > 100, name
-        asked, answered = _totals(engine)
+        asked, answered = _totals(engine, helpers)
         assert asked["preds"] > 0 and asked["executing"] > 0, name
         assert (asked["range"] > 0) == scans, name
         # No deadline fires here: every blocked commit-order wait was woken
@@ -282,6 +286,6 @@ def test_any_batch_shape_answers_as_the_scans_did(batch_size, inflight, clients)
         configs.YCSB_TRANSACTIONS,
         params={"batch_size": batch_size, "max_inflight_batches": inflight},
     )
-    engine = _run_cell(_zipf(), configuration, clients, 0.03)
-    asked, _answered = _totals(engine)
+    engine, helpers = _run_cell(_zipf(), configuration, clients, 0.03)
+    asked, _answered = _totals(engine, helpers)
     assert engine.stats.commits > 0 and asked["preds"] >= engine.stats.commits

@@ -30,6 +30,12 @@ the batch leaf stopped broadcasting every change and began to wake only the
 waiters a change concerns.  A wait now records one event per wake of its own
 head instead of one per broadcast, and same-instant waiters resume in
 per-blocker subscription order, so different arrivals seal together.
+Re-recorded once more, the three TSO-promise digests (``ycsb-zipf/tso``,
+``mono-tso``, ``2pl/(2pl,tso)``) only: when TSO's broadcast ``progress``
+condition gave way to per-promisor *moved* events.  A promise wait now
+records one pass per move of its head instead of one per broadcast; the
+commits, aborts, final state and each transaction's total blocked time per
+kind are unchanged, so only pass boundaries moved.
 """
 
 import hashlib
@@ -98,16 +104,16 @@ STREAM = {
         "5cbba2366ec3e209759de6201a9a7bffe4a03f1393888aae257edb96b5ad46c9",
     ),
     "ycsb-zipf/tso": (
-        8460, ["tso-commit-order", "tso-promise"],
-        "52dadb85955fd48ef5c7e7ea582fdc04fa4df68dc1c85bea4ad118fa36a22fb7",
+        8434, ["tso-commit-order", "tso-promise"],
+        "68438ae170b90ff1d19c8099a28bb238dbe45c409ed2ec4264d4be3cfc7951db",
     ),
 }
 
 #: conformance tree -> the same triple
 CONFORMANCE_STREAM = {
     "2pl/(2pl,tso)": (
-        161, ["lock", "range-lock", "tso-commit-order", "tso-promise"],
-        "aa29dfe3a93bf6ec1f6ab46d8d618771eed0cc89c127b5c42373c332d0be9f28",
+        157, ["lock", "range-lock", "tso-commit-order", "tso-promise"],
+        "fd51072f8526eba43882844b1f9724f8ae0bf71abb1af052ed1babec4c1031fe",
     ),
     "2pl/(batch,2pl)": (
         97, ["batch-commit-order", "batch-install-order", "batch-pred-commit", "batch-scan-wait", "batch-slot-wait", "commit-order", "lock", "range-lock"],
@@ -138,8 +144,8 @@ CONFORMANCE_STREAM = {
         "36c4703e81bee0288fcd7c193c59678e2ce3bbcd7c9694cd656b5585be8587c6",
     ),
     "mono-tso": (
-        326, ["tso-commit-order", "tso-promise"],
-        "d9b1ce1b0f5486658f7b3608b520fe293a3f59b1a815f9e00b768e5654adb32d",
+        302, ["tso-commit-order", "tso-promise"],
+        "9a14d4c334c74337fc052c475e16e51bf7f4aa707b863c46c3171d151f75d826",
     ),
     "rp/(rp,2pl)": (
         127, ["lock", "range-lock"],
@@ -215,13 +221,14 @@ def _stream(profiler):
     return len(events), kinds, hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def batch_wait_passes_per_commit():
-    """Blocked wait passes of the batch leaf per commit on the pinned
-    ``ycsb-zipf/batch`` cell (the profiler records one event per pass):
-    ``scripts/check.sh`` prints it, so a slide back to broadcast wakes shows."""
+def wait_passes_per_commit(cell, kind):
+    """Blocked wait passes whose kind starts with ``kind``, per commit, on
+    the pinned ``cell`` (the profiler records one event per pass):
+    ``scripts/check.sh`` prints the batch leaf's and TSO's promise waits, so
+    a slide back to broadcast wakes shows."""
     profiler = ContentionProfiler()
-    runner = _run("ycsb-zipf/batch", profiler)
-    passes = sum(event.kind.startswith("batch-") for event in profiler.events)
+    runner = _run(cell, profiler)
+    passes = sum(event.kind.startswith(kind) for event in profiler.events)
     return passes / runner.engine.stats.commits
 
 

@@ -30,6 +30,8 @@ These things are pinned here:
   and the leaf's two indexes of members in flight, and its two sets of
   pending wakes, name nobody who finished, died before the seal, was
   force-aborted or had the node spliced out;
+* **moved events** — RP, TSO and the batch leaf keep a transaction's moved
+  event only while it is a member in flight, and none after a drain;
 * **lock tables and chains** — a lock record exists only while its key has
   a holder or a waiter (and *drop ≡ never drop*), a key written once costs
   the store its list and its ``Version``, tracked objects per commit on
@@ -50,10 +52,11 @@ from benchmarks.bench_speed import census_by_owner
 from repro.cc import runtime_pipelining, two_phase_locking
 from repro.cc.locks import LockTable
 from repro.cc.timestamps import BatchManager, TimestampOracle
-from repro.core.config import Configuration, leaf, node
+from repro.core.config import Configuration, leaf, monolithic, node
 from repro.core.engine import EngineOptions, TebaldiEngine
 from repro.core.transaction import ReadRecord, Transaction
 from repro.core.tree import PartitionedCC
+from repro.core.waits import MovedEvents
 from repro.database import Database
 from repro.harness import configs
 from repro.harness import runner as runner_module
@@ -766,9 +769,59 @@ def _indexed(cc):
 
 
 def _assert_drained(cc):
-    """Nothing of a member outlives it: not its index entries, not its wakes."""
-    assert cc._active == {} and cc._executing == {} and cc._writers == {}
-    assert cc._moved == {} and cc._turns == []
+    """Nothing of a member outlives it: not its index entries, not its wakes
+    (an RP, TSO or batch node)."""
+    assert cc._active == {} and cc._moved == {}
+    if cc.name == "batch":
+        assert cc._executing == {} and cc._writers == {} and cc._turns == []
+
+
+def _moved_nodes(engine):
+    """Every mechanism instance in the tree that keeps moved events."""
+    found = []
+    for tree_node in engine.nodes:
+        cc = tree_node.cc
+        for instance in cc.instances() if isinstance(cc, PartitionedCC) else [cc]:
+            if isinstance(vars(instance).get("_moved"), MovedEvents):
+                found.append(instance)
+    return found
+
+
+#: name -> (workload, configuration): RP leaves, a TSO leaf (the batch leaf's
+#: moved events are checked with its indexes, in ``TestBatchLeafRetention``).
+MOVED_CELLS = {
+    "tpcc/3layer": (_tiny_tpcc, configs.tpcc_tebaldi_3layer),
+    "ycsb-zipf/tso": (
+        _zipf, lambda: monolithic("tso", sorted(_zipf().transaction_types()), name="ycsb-tso"),
+    ),
+}
+
+
+class TestMovedEventRetention:
+    """Release rule of a moved event: it leaves the map when it fires, at
+    its transaction's next move and at the latest when it finishes, so a
+    node never keeps more of them than it has members in flight."""
+
+    @pytest.mark.parametrize("cell", sorted(MOVED_CELLS))
+    def test_events_name_only_members_in_flight_and_empty_on_drain(self, cell):
+        workload_factory, config_factory = MOVED_CELLS[cell]
+        runner = BenchmarkRunner(workload_factory(), config_factory(), seed=7)
+        try:
+            runner.add_clients(CLIENTS)
+            nodes = _moved_nodes(runner.engine)
+            assert nodes
+            peak = 0
+            while runner.engine.stats.commits < 600:
+                runner.run_additional(0.0005)
+                for cc in nodes:
+                    assert set(cc._moved) <= set(cc._active), cell
+                    peak = max(peak, len(cc._moved))
+            assert peak > 0
+            _drain(runner)
+            for cc in nodes:
+                _assert_drained(cc)
+        finally:
+            runner.stop()
 
 
 class TestBatchLeafRetention:

@@ -320,6 +320,27 @@ class TestResources:
         env.run()
         assert sorted(woken) == ["a", "b", "c"]
 
+    def test_notify_without_a_waiter_schedules_nothing(self, env):
+        condition = Condition(env, "c")
+        env.timeout(1)
+        queued = list(env._queue)
+        condition.notify_all()
+        assert env._queue == queued
+        woken = []
+
+        def waiter():
+            yield from condition.wait()
+            woken.append(env.now)
+
+        def notifier():
+            yield env.timeout(2)
+            condition.notify_all()
+
+        env.process(waiter())
+        env.process(notifier())
+        env.run()
+        assert woken == [2]
+
 
 def _route(env, workload, configuration):
     """The compiled route of ``group_a_update`` under ``configuration``."""
