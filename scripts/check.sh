@@ -4,7 +4,8 @@
 # loop), an import of every figure script and example and, last, the src/
 # line total, the GC-tracked objects a tpcc/3layer commit leaves behind with
 # the versions its store ends on, the blocked wait passes per commit of the
-# batch leaf and of TSO's promise waits, and the import time.
+# batch leaf and of TSO's promise waits, the run-queue entries per
+# tpcc/3layer commit, and the import time.
 #
 # Usage: scripts/check.sh [--quick]
 #
@@ -137,6 +138,11 @@ print("GC-tracked objects per tpcc/3layer commit: {:.1f}; versions per key: {:.2
 python -c 'from tests.test_profiler_stream import wait_passes_per_commit as passes
 print("blocked wait passes per commit: batch {:.2f} (ycsb-zipf/batch), tso-promise {:.2f} (ycsb-zipf/tso)".format(
     passes("ycsb-zipf/batch", "batch-"), passes("ycsb-zipf/tso", "tso-promise")))'
+# A charge is a timed wake, not an Event: run-queue entries pushed per
+# tpcc/3layer commit (37.6 sleeps and 15.4 events; with every sleep a
+# Timeout, 0 and 53.0).  tests/test_sim_kernel.py bounds both.
+python -c 'from tests.test_sim_kernel import kernel_entries_per_commit as entries
+print("kernel entries per tpcc/3layer commit: sleeps {:.1f}, events {:.1f}".format(*entries()))'
 # What every engine start pays before it runs anything: wall time of a
 # fresh interpreter importing the CLI, best of three.
 echo -n "import repro.harness.cli: "

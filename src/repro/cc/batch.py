@@ -90,7 +90,7 @@ class DeterministicBatch(ConcurrencyControl):
         if max_inflight_batches < 1:
             raise ConfigurationError("max_inflight_batches must be >= 1")
         self.batch_size = batch_size
-        self.batch_window = batch_window
+        self.batch_window = float(batch_window)
         self.max_inflight_batches = max_inflight_batches
         self._open_batch = None
         self._inflight = 0
@@ -227,7 +227,7 @@ class DeterministicBatch(ConcurrencyControl):
         yield batch.sealed_event
 
     def _window(self, batch):
-        yield self.env.timeout(self.batch_window)
+        yield self.batch_window
         if not batch.sealed:
             self._seal(batch)
 

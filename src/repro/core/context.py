@@ -119,4 +119,4 @@ class TransactionContext:
     def think(self, duration):
         """Spend ``duration`` virtual seconds of application compute time."""
         if duration > 0:
-            yield self._engine.env.timeout(duration)
+            yield float(duration)

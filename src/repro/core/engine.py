@@ -23,7 +23,7 @@ is not among them.
 
 Each phase is one TC/DS exchange over the engine's phase transport.  The
 engine's own is the constant-delay one (:meth:`TebaldiEngine._delay_phase`),
-one precomputed ``Timeout`` per phase at the cost constants of
+one precomputed sleep per phase at the cost constants of
 :mod:`repro.sim.network`.  A run with armed message faults installs a
 :class:`~repro.sim.network.MessageTransport` in its place before any
 transaction begins.  Both end the commit phase in
@@ -48,7 +48,7 @@ from repro.core.transaction import ReadRecord, ScanRecord, Transaction, Transact
 from repro.core.tree import build_routes, build_tree
 from repro.core.waits import ALL, Waits
 from repro.errors import ConfigurationError, TransactionAborted
-from repro.sim.events import Condition, Event, Timeout, any_of
+from repro.sim.events import Condition, Event, any_of
 from repro.storage.durability import DurabilityConfig, DurabilityManager
 from repro.storage.mvstore import MultiVersionStore
 
@@ -331,7 +331,7 @@ class TebaldiEngine:
             self.durability.release_precommit(txn)
             delay = self.durability.flush_delay()
             if delay:
-                yield self.env.timeout(delay)
+                yield delay
         for finish_hook in charges.finish_hooks:
             finish_hook(txn, committed=True)
         self.commit_condition.notify_all()
@@ -378,11 +378,11 @@ class TebaldiEngine:
 
     def _delay_phase(self, txn, phase):
         """Constant-delay transport: the phase's round-trips and CPU are one
-        precomputed ``Timeout``; the commit apply runs inline at its end."""
+        precomputed sleep; the commit apply runs inline at its end."""
         if self.options.charge_costs:
             charges = txn.charges
             delay = charges.start_delay if phase == "start" else charges.phase_delay
-            yield Timeout(self.env, delay)
+            yield delay
         if phase == "precommit":
             self.apply_commit(txn)
 
@@ -463,7 +463,7 @@ class TebaldiEngine:
             raise TransactionAborted(txn.txn_id, txn.abort_reason or "not-active")
         charges = txn.charges
         if self.options.charge_costs:
-            yield Timeout(self.env, charges.op_delay)
+            yield charges.op_delay
         hooks = charges.update_read_hooks if for_update else charges.read_hooks
         for hook in hooks:
             step = hook(txn, key)
@@ -502,7 +502,7 @@ class TebaldiEngine:
             raise TransactionAborted(txn.txn_id, txn.abort_reason or "not-active")
         charges = txn.charges
         if self.options.charge_costs:
-            yield Timeout(self.env, charges.op_delay)
+            yield charges.op_delay
         for hook in charges.write_hooks:
             step = hook(txn, key, value)
             if step is not None:
@@ -555,7 +555,7 @@ class TebaldiEngine:
         if self.options.charge_costs:
             # One operation charge for the index probe; every enumerated key
             # then pays the normal per-read charge in perform_read.
-            yield Timeout(self.env, charges.op_delay)
+            yield charges.op_delay
         for hook in charges.scan_hooks:
             step = hook(txn, key_range)
             if step is not None:

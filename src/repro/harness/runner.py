@@ -182,7 +182,7 @@ class BenchmarkRunner:
                     self.engine.stats.record_retry(None)
                     # Exponential backoff (capped) calms cascading-abort storms.
                     delay = min(RETRY_BACKOFF * (2 ** min(attempts - 1, 5)), 0.1)
-                    yield self.env.timeout(delay)
+                    yield delay
 
     def add_clients(self, count, mix=None):
         """Spawn ``count`` closed-loop client processes."""

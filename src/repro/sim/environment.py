@@ -2,85 +2,87 @@
 
 from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
 from itertools import count
+from weakref import proxy
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, Timeout
-
-
-class _ResumeSentinel:
-    """Fake 'event' used to resume a process with (None, no-error)."""
-
-    __slots__ = ()
-    _value = None
-    _is_error = False
-
-
-_RESUME = _ResumeSentinel()
+from repro.sim.events import _PENDING, Event, Timeout
 
 
 class Process(Event):
     """A running process: wraps a generator and is itself an Event.
 
-    The process event triggers when the generator returns (with the return
-    value) or raises (with the exception), so processes can wait for each
-    other with ``yield other_process``.
+    The generator yields an :class:`Event` to wait for it, or a bare
+    non-negative ``float`` to sleep that many virtual seconds: a sleep puts
+    the process's own resume on the run queue, with no event, callbacks list
+    or subscription.  The process event triggers when the generator returns
+    (with the return value) or raises (with the exception), so processes can
+    wait for each other with ``yield other_process``.
+
+    The process holds its environment weakly (the run queue holds every
+    sleeper, so a strong edge back would make each one a cycle); a resume
+    is handed the environment by whoever calls it.
     """
 
     __slots__ = ("generator", "_target")
 
     def __init__(self, env, generator, name=""):
-        super().__init__(env, name=name or getattr(generator, "__name__", "process"))
+        super().__init__(proxy(env), name=name or getattr(generator, "__name__", "process"))
         self.generator = generator
         self._target = None
-        # Kick off the process at the current simulation time.  The scheduler
-        # invokes the bound method directly — no throwaway "init" Event.
-        env._schedule_callback(self._start)
+        # Kick off the process at the current simulation time.
+        env._schedule_callback(self._resume)
 
     @property
     def is_alive(self):
         return not self.triggered
 
-    def _start(self):
-        if not self.triggered:
-            self._target = _RESUME
-            self(_RESUME)
-
     def _subscribe(self, event):
         self._target = event
         if event._processed:
             # The event already fired; resume on the next scheduler step.
-            self.env._schedule_callback(lambda: self(event))
+            self.env._schedule_callback(lambda env: self(event))
         else:
             # The process object is its own callback (no closure per resume).
             event.callbacks.append(self)
 
     def __call__(self, event):
-        # The process object is the callback registered on its target event;
-        # this is the hottest resume path, so it delegates straight to _step.
-        if self.triggered or event is not self._target:
+        # The process object is the callback registered on its target event.
+        if self._value is not _PENDING or event is not self._target:
             # Stale wake-up from an event we are no longer waiting on.
             return
         self._target = None
-        generator = self.generator
+        self._resume(event.env, event._value, event._is_error)
+
+    def _resume(self, env, value=None, is_error=False):
+        """Run the generator to its next yield.  The run loop calls it with
+        itself for the first step and at the end of a sleep."""
         try:
-            if event._is_error:
-                next_event = generator.throw(event._value)
+            if is_error:
+                yielded = self.generator.throw(value)
             else:
-                next_event = generator.send(event._value)
+                yielded = self.generator.send(value)
         except StopIteration as stop:
             self._finish(value=stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate into waiters
             self._finish(exception=exc)
             return
-        if not isinstance(next_event, Event):
+        if isinstance(yielded, float):
+            if yielded >= 0.0:
+                # The (time, seq) key a Timeout built at the yield would
+                # take; the bound method is made afresh, never kept.
+                _heappush(env._queue, (env._now + yielded, next(env._seq), self._resume))
+            else:
+                # Raised at the yield, where a negative Timeout raises.
+                self._resume(env, SimulationError(f"negative sleep: {yielded}"), True)
+        elif isinstance(yielded, Event):
+            self._subscribe(yielded)
+        else:
             self._finish(
                 exception=SimulationError(
-                    f"process {self.name!r} yielded {next_event!r}, not an Event"
+                    f"process {self.name!r} yielded {yielded!r}, not an Event or a float"
                 )
             )
-            return
-        self._subscribe(next_event)
 
     def _finish(self, value=None, exception=None):
         self.generator.close()
@@ -97,13 +99,14 @@ class Process(Event):
 class Environment:
     """Priority-queue based discrete-event simulation environment.
 
-    The run queue holds two kinds of entries: :class:`Event` objects (whose
-    callbacks run when dispatched) and bare callables (scheduler hooks used
-    by the process machinery, dispatched by calling them) — the latter avoid
-    allocating a throwaway Event per process resume.
+    The run queue holds :class:`Event` objects, whose callbacks run when
+    dispatched, and bare callables, called with the environment: a
+    process's first step, its timed wake (it yielded a ``float``) and its
+    resume on an event that had fired before it was yielded.  None of the
+    three allocates an Event.
     """
 
-    __slots__ = ("_now", "_queue", "_seq", "_active", "_cancelled")
+    __slots__ = ("_now", "_queue", "_seq", "_active", "_cancelled", "__weakref__")
 
     def __init__(self, initial_time=0.0):
         self._now = float(initial_time)
@@ -181,7 +184,7 @@ class Environment:
                     callback(item)
             else:
                 self._now = entry[0]
-                item()
+                item(self)
             if stop_event is not None and stop_event.triggered:
                 if stop_event._is_error:
                     raise stop_event.value

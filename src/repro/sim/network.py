@@ -27,7 +27,6 @@ import random
 from dataclasses import dataclass
 
 from repro.errors import TransactionAborted
-from repro.sim.events import Timeout
 
 #: One TC <-> DS round trip, and the CPU cost of one read/write, of one
 #: non-operation phase, and of each CC layer either traverses (seconds).
@@ -112,7 +111,7 @@ class MessageTransport:
         engine = self._engine
         charges = txn.charges
         if engine.options.charge_costs:
-            yield Timeout(engine.env, charges.phase_cost)
+            yield charges.phase_cost
         if phase == "precommit":
             participants = (0,)
             retransmit = None
@@ -195,7 +194,7 @@ class MessageTransport:
                 # Seeded deterministic "randomization": spreads concurrent
                 # retries apart without forfeiting reproducibility.
                 delay *= 0.5 + self._rng.random()
-                yield Timeout(engine.env, delay)
+                yield delay
         finally:
             # An exchange of an engine since replaced is closed, not
             # finished: the backlog it joined is gone.
@@ -238,10 +237,10 @@ class MessageTransport:
             # round-trips, so messages sent afterwards overtake this one.
             delay += fault.magnitude * RTT
         elif kind in ("partition", "drop"):
-            yield Timeout(env, PHASE_TIMEOUT)
+            yield PHASE_TIMEOUT
             # A lost *reply*: the request made it to every server, which
             # applied it — only retransmit dedup keeps the inevitable retry
             # from applying it twice.
             return Delivery(False, kind == "drop" and fault.lost_reply)
-        yield Timeout(env, delay)
+        yield delay
         return Delivery(True, True, duplicated=kind == "duplicate")

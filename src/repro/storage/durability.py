@@ -52,6 +52,9 @@ class DurabilityConfig:
                 "durability flush delays must be non-negative, got "
                 f"sync={self.sync_flush_delay} async={self.async_flush_delay}"
             )
+        # They are slept, and a process sleeps only on a float.
+        for name in ("gcp_epoch_length", "sync_flush_delay", "async_flush_delay"):
+            setattr(self, name, float(getattr(self, name)))
 
 
 class DurabilityManager:
@@ -278,7 +281,7 @@ class DurabilityManager:
     def run_flusher(self, env, stop_event=None):
         """Background process flushing GCP epochs periodically."""
         while stop_event is None or not stop_event.triggered:
-            yield env.timeout(self.config.gcp_epoch_length)
+            yield self.config.gcp_epoch_length
             self.advance_gcp_epoch()
 
     # -- crash / recovery ---------------------------------------------------

@@ -1,15 +1,24 @@
 """Tests for the discrete-event simulation kernel."""
 
+import gc
+import sys
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.config import Configuration, leaf, monolithic, node
+from repro.core.context import TransactionContext
 from repro.errors import SimulationError
-from repro.sim.environment import Environment
+from repro.harness import configs
+from repro.harness.runner import BenchmarkRunner
+from repro.sim import environment, events
+from repro.sim.environment import Environment, Process
 from repro.sim.events import Event, any_of
 from repro.sim.network import CC_LAYER_CPU, OPERATION_CPU, PHASE_CPU, RTT
 from repro.sim.events import Condition
 from tests.conftest import build_engine
+from tests.test_retention import CLIENTS, _tiny_tpcc
 
 
 class TestEvents:
@@ -167,6 +176,182 @@ class TestProcesses:
 
         process = env.process(proc())
         assert env.run(until=process) == (1, "fast")
+
+
+class TestSleeps:
+    """A process that yields a bare ``float`` sleeps that long: its resume
+    goes on the run queue under the key a ``Timeout`` built at the yield
+    would have taken, with no Event in between."""
+
+    def test_a_sleep_queues_no_event(self, env):
+        def sleeper():
+            yield 1.5
+            return env.now
+
+        process = env.process(sleeper())
+        env.run(until=0)
+        ((time, _seq, wake),) = env._queue
+        assert time == 1.5 and not isinstance(wake, Event)
+        assert env.run(until=process) == 1.5
+
+    @given(
+        schedule=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.5, 1.0]),   # delay of every sleep
+                st.integers(min_value=1, max_value=3),  # sleeps
+                st.booleans(),                      # sleeps by float
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    def test_float_and_timeout_sleeps_interleave_identically(self, schedule):
+        """Each process alternates a sleep with a wait on an event it has
+        just triggered, so same-instant Event entries sit between the
+        sleeps: turning any subset of the sleeps into floats moves nothing."""
+
+        def run(floats):
+            env = Environment()
+            log = []
+
+            def proc(label, delay, sleeps, as_float):
+                for _ in range(sleeps):
+                    yield delay if floats and as_float else env.timeout(delay)
+                    log.append((env.now, label, "slept"))
+                    yield env.event().succeed()
+                    log.append((env.now, label, "woken"))
+
+            for label, (delay, sleeps, as_float) in enumerate(schedule):
+                env.process(proc(label, delay, sleeps, as_float))
+            env.run()
+            return log
+
+        assert run(floats=True) == run(floats=False)
+
+    def test_a_negative_sleep_raises_in_the_yielding_process(self, env):
+        with pytest.raises(SimulationError):
+            env.timeout(-1)
+
+        def proc():
+            try:
+                yield -1.0
+            except SimulationError:
+                yield 0.5
+                return "raised"
+
+        process = env.process(proc())
+        assert env.run(until=process) == "raised" and env.now == 0.5
+
+    def test_yielding_an_int_fails_the_process(self, env):
+        """Only a ``float`` is a sleep: ``yield 1`` is a mistake, not one
+        virtual second."""
+
+        def proc():
+            yield 1
+
+        def parent():
+            try:
+                yield env.process(proc())
+            except SimulationError:
+                return "rejected"
+
+        process = env.process(parent())
+        assert env.run(until=process) == "rejected" and env.now == 0
+
+    def test_think_sleeps_on_its_duration_as_a_float(self):
+        context = TransactionContext(None, None)
+        (delay,) = context.think(2)
+        assert type(delay) is float and delay == 2.0
+        assert list(context.think(0)) == []
+
+    def _leaves_no_cyclic_garbage(self, scenario):
+        gc.collect()
+        gc.disable()
+        try:
+            scenario()
+            return gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_a_finished_process_leaves_no_cyclic_garbage(self):
+        def scenario():
+            env = Environment()
+
+            def child():
+                yield 1.0
+                return "child"
+
+            def parent():
+                result = yield env.process(child())
+                yield 2.0
+                return result
+
+            assert env.run(until=env.process(parent())) == "child"
+
+        assert self._leaves_no_cyclic_garbage(scenario)
+
+    def test_dropping_the_environment_mid_sleep_leaves_no_cyclic_garbage(self):
+        """The run queue holds the sleeper; the sleeper holds its
+        environment only weakly."""
+
+        def sleeper():
+            while True:
+                yield 1.0
+
+        def scenario():
+            env = Environment()
+            env.process(sleeper())
+            env.run(until=2.5)
+
+        assert self._leaves_no_cyclic_garbage(scenario)
+
+
+def kernel_entries_per_commit(first=300, last=1200):
+    """Run-queue entries pushed per commit on ``tpcc/3layer`` (seed 7, 16
+    clients) between two commit counts: timed wakes (a process yielded a
+    float) and Event entries (timeouts, triggered events, finished
+    processes).  ``scripts/check.sh`` prints both, so plain sleeps turned
+    back into events show."""
+    counts = Counter()
+    sleep_code = Process._resume.__code__
+
+    def counting(push):
+        def heappush(queue, entry):
+            if isinstance(entry[2], Event):
+                counts["events"] += 1
+            elif sys._getframe(1).f_code is sleep_code:
+                counts["sleeps"] += 1
+            push(queue, entry)
+
+        return heappush
+
+    pushes = environment._heappush, events.heappush
+    environment._heappush, events.heappush = map(counting, pushes)
+    runner = BenchmarkRunner(_tiny_tpcc(), configs.tpcc_tebaldi_3layer(), seed=7)
+    try:
+        runner.add_clients(CLIENTS)
+        stats = runner.engine.stats
+        window = []
+        for target in (first, last):
+            while stats.commits < target:
+                runner.run_additional(0.01)
+            window.append((stats.commits, counts["sleeps"], counts["events"]))
+    finally:
+        environment._heappush, events.heappush = pushes
+        runner.stop()
+    (commits_0, sleeps_0, events_0), (commits_1, sleeps_1, events_1) = window
+    commits = commits_1 - commits_0
+    return (sleeps_1 - sleeps_0) / commits, (events_1 - events_0) / commits
+
+
+def test_plain_sleeps_are_not_events():
+    """Every charge of ``tpcc/3layer`` — per operation, per phase, the
+    retry backoff — is a timed wake; what is left as Event entries is the
+    waits, the finish events and the lock-wait deadlines.  Measured: 37.6
+    sleeps and 15.4 events; with every sleep a ``Timeout`` it was 0 and
+    53.0, so one charge site turned back into an Event fails this."""
+    sleeps, events_ = kernel_entries_per_commit()
+    assert sleeps > 37 and events_ < 16
 
 
 class TestTimeoutCancel:
