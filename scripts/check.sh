@@ -5,7 +5,8 @@
 # line total, the GC-tracked objects a tpcc/3layer commit leaves behind with
 # the versions its store ends on, the blocked wait passes per commit of the
 # batch leaf and of TSO's promise waits, the run-queue entries per
-# tpcc/3layer commit, and the import time.
+# tpcc/3layer commit, the entries a read-only-optimised SSI root holds, and
+# the import time.
 #
 # Usage: scripts/check.sh [--quick]
 #
@@ -131,6 +132,13 @@ find src -name '*.py' | xargs wc -l | tail -1
 # bounds all three.
 python -c 'from tests.test_retention import tpcc_retention_census as census
 print("GC-tracked objects per tpcc/3layer commit: {:.1f}; versions per key: {:.2f}, hottest chain: {}".format(*census()))'
+# Under the read-only optimisation an SSI node only hands out snapshots: it
+# keeps no read set, rw flag, intent or commit timestamp per transaction
+# (0; with that tracking the root held one commit timestamp per commit).
+# tests/test_retention.py pins it on three cells.
+python -c 'from tests.test_retention import ssi_root_holds
+_ssi, (held,) = ssi_root_holds("ycsb-scan/2layer", (1200,))
+print("entries an ROO SSI root holds after 1,200 ycsb-scan/2layer commits: {}".format(sum(held.values())))'
 # Waits are woken only by whom they wait for: the batch leaf's (0.56; one
 # broadcast waking every waiter on every install, commit point and finish
 # made 1.71) and TSO's promise waits (0.04; its broadcast on every write

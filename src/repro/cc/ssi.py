@@ -10,10 +10,7 @@ As an internal node of the CC tree SSI must respect consistent ordering: it
 admitted into the same batch shares one start timestamp, so their relative
 order stays with the child CC.  A batch lives while one of its members does:
 a group's next transaction after the last one finished starts a new batch
-at a fresh timestamp.  When the node has at most one update child
-group (the common "read-only group at the root" configuration, Figure 5.2)
-batching and pivot tracking are unnecessary and are switched off, which is
-the optimisation described at the end of Section 4.4.3.
+at a fresh timestamp.
 """
 
 from collections import deque
@@ -24,7 +21,18 @@ from repro.cc.timestamps import BatchManager
 
 @register_cc
 class SerializableSnapshotIsolation(ConcurrencyControl):
-    """Distributed SSI with batching for consistent ordering."""
+    """Distributed SSI with batching for consistent ordering.
+
+    With at most one update child group (the common "read-only group at the
+    root" configuration, Figure 5.2) the node only hands out snapshots, the
+    optimisation at the end of Section 4.4.3: that group commits in an order
+    consistent with its dependencies, so a snapshot is a prefix of a serial
+    order, and a read-only reader's every edge — the phantom rw edges of its
+    scans included — comes from an update committed before its snapshot or
+    goes to one committed after it.  No cycle passes through it and no
+    transaction here has both an incoming and an outgoing rw edge, so there
+    is no pivot to look for and no read set or commit timestamp to keep.
+    """
 
     name = "ssi"
     handles_contention = True
@@ -80,10 +88,7 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         if batching is None:
             batching = self._needs_batching()
         self.batching = batching
-        # Read-only optimisation (end of Section 4.4.3): with at most one
-        # update child group, update transactions never observe read-only
-        # writes, so they keep their child CC's reads untouched and SSI only
-        # provides consistent snapshots to the read-only group.
+        # Snapshots only (see the class docstring).
         self.read_only_optimization = (not node.is_leaf) and not batching
 
     def _needs_batching(self):
@@ -115,8 +120,6 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
             return True
         if not self.same_child_group(txn, other):
             return False
-        if not self.batching:
-            return True
         return self.state(txn).get("batch_id") == self.state(other).get("batch_id")
 
     def _writer_commit_ts(self, version):
@@ -154,6 +157,9 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
 
     def start(self, txn):
         state = self.state(txn)
+        if self.read_only_optimization:
+            state["start_ts"] = self.engine.oracle.next()
+            return
         state["read_keys"] = set()
         if self.batching and not txn.read_only:
             token = txn.group_token(self.node.node_id) or txn.txn_id
@@ -176,10 +182,7 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         phantom rw anti-dependency (and dooms pivots) exactly like a missed
         item-level write.
         """
-        if self.read_only_optimization and not txn.read_only:
-            # Update-group scans are fully regulated by the child CC, and
-            # read-only snapshots cannot observe phantoms (their whole scan
-            # is evaluated against one consistent snapshot).
+        if self.read_only_optimization:  # see the class docstring
             return
         per_table = self._range_readers.get(key_range.table)
         if per_table is None:
@@ -210,8 +213,8 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
                     self._mark_antidependency(txn, writer)
 
     def before_write(self, txn, key, value):
-        if self.read_only_optimization and not txn.read_only:
-            # Update-group writes are fully regulated by the child CC.
+        if self.read_only_optimization:
+            # Update-group writes are the child CC's; read-only ones fail.
             return
         state = self.state(txn)
         intents = self._write_intents.get(key)
@@ -286,7 +289,6 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         if self.read_only_optimization and not txn.read_only:
             # Update-group reads keep the child CC's choice (MV2PL behaviour).
             return candidate
-        state = self.state(txn)
         start_ts = self._start_ts(txn)
         chosen = None
         if candidate is not None and not candidate.committed:
@@ -308,6 +310,8 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
                     or (candidate.commit_seq or 0) >= (chosen.commit_seq or 0)
                 ):
                     chosen = candidate
+        if self.read_only_optimization:
+            return chosen
         readers = self._readers.get(key)
         if readers is None:
             readers = self._readers[key] = {}
@@ -340,7 +344,7 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
                 if chosen is not None and chosen.writer == writer_id:
                     continue
                 self._mark_antidependency(txn, writer)
-        state["read_keys"].add(key)
+        self.state(txn)["read_keys"].add(key)
         return chosen
 
     def select_version(self, txn, key):
@@ -353,12 +357,13 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
     # -- validation & commit -------------------------------------------------------------
 
     def validate(self, txn):
-        entity = self._entity(txn)
-        if entity in self._doomed or (
-            entity in self._in_antidep and entity in self._out_antidep
-        ):
-            if not txn.read_only:
-                self.waits.abort(txn, "ssi-pivot")
+        if not self.read_only_optimization:
+            entity = self._entity(txn)
+            if entity in self._doomed or (
+                entity in self._in_antidep and entity in self._out_antidep
+            ):
+                if not txn.read_only:
+                    self.waits.abort(txn, "ssi-pivot")
         deps = self.subtree_dependencies(txn)
         if deps:
             yield from self.engine.wait_for_transactions(txn, deps)
@@ -366,9 +371,12 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
     def pre_commit(self, txn):
         commit_ts = self.engine.oracle.next()
         txn.commit_timestamp = commit_ts
-        self._commit_ts[txn.txn_id] = commit_ts
+        if not self.read_only_optimization:
+            self._commit_ts[txn.txn_id] = commit_ts
 
     def finish(self, txn, committed):
+        if self.read_only_optimization:
+            return
         self._member_starts.pop(txn.txn_id, None)
         state = self.state(txn)
         for key in state.get("write_keys", ()):  # prune write intents

@@ -7,6 +7,7 @@ tokens are resolved.
 """
 
 from repro.cc.base import ConcurrencyControl, check_composition, create_cc
+from repro.errors import ConfigurationError
 from repro.sim.network import CC_LAYER_CPU, OPERATION_CPU, PHASE_CPU, RTT
 
 
@@ -18,6 +19,13 @@ def _overrides(cc, hook_name):
     """
     return getattr(type(cc), hook_name, None) is not getattr(
         ConcurrencyControl, hook_name
+    )
+
+
+def _refuse_write(txn, key, value):
+    """A read-only route's only write hook: no CC sees the write."""
+    raise ConfigurationError(
+        f"transaction type {txn.txn_type!r} is declared read-only but wrote {key!r}"
     )
 
 
@@ -262,6 +270,8 @@ class Route:
         if txn_type_def is not None:
             self.procedure = txn_type_def.procedure
             self.read_only = txn_type_def.read_only
+            if self.read_only:
+                self.write_hooks = (_refuse_write,)
         else:
             self.procedure = None
             self.read_only = False

@@ -152,6 +152,20 @@ CONFORMANCE_TREES = {
         node("ssi", leaf("none", "reader"), leaf("2pl", "alpha", "beta")),
         name="conf-ssi-none-2pl",
     ),
+    # Three read-only-optimised SSI roots (one update child group): the
+    # last is the shape of the TPC-C and SmallBank flagship trees.
+    "ssi/(none,rp)": lambda: Configuration(
+        node("ssi", leaf("none", "reader"), leaf("rp", "alpha", "beta")),
+        name="conf-ssi-none-rp",
+    ),
+    "ssi/(none,2pl/(rp,2pl))": lambda: Configuration(
+        node(
+            "ssi",
+            leaf("none", "reader"),
+            node("2pl", leaf("rp", "alpha"), leaf("2pl", "beta")),
+        ),
+        name="conf-ssi-none-2pl-rp-2pl",
+    ),
     "ssi/(2pl,2pl)": lambda: Configuration(
         node("ssi", leaf("2pl", "alpha", "reader"), leaf("2pl", "beta")),
         name="conf-ssi-2pl-2pl",

@@ -262,6 +262,27 @@ class TestEngineLifecycle:
         with pytest.raises(ConfigurationError):
             build_engine(env, micro_workload, monolithic("2pl", ("group_a_update",)))
 
+    @pytest.mark.parametrize("tree", ["ssi/(none,2pl)", "mono-2pl"])
+    def test_a_read_only_type_that_writes_fails_loudly(self, tree):
+        """A read-only route's one write hook refuses the write before any
+        CC sees it — the read-only-optimised SSI root's hooks no longer look
+        at writes at all."""
+        from tests.test_cc_conformance import CONFORMANCE_TREES, ConformanceWorkload
+
+        env = Environment()
+        engine = build_engine(env, ConformanceWorkload(), CONFORMANCE_TREES[tree]())
+        route = engine._routes["reader"]
+        assert route.read_only and len(route.write_hooks) == 1
+        assert not engine._routes["alpha"].read_only
+        reader = env.process(
+            engine.execute_transaction("reader", {"ops": [("r", 1), ("w", 3, 7)]})
+        )
+        with pytest.raises(ConfigurationError, match="'reader' is declared read-only"):
+            env.run(until=reader)
+        key = ("rows", 3)
+        assert engine.store.uncommitted_versions(key) == []
+        assert engine.store.latest_committed(key).value == {"v": 3}
+
     def test_user_abort_rolls_back(self, env, tiny_tpcc):
         from repro.harness.configs import WORKLOAD_CONFIGURATIONS
 

@@ -167,9 +167,17 @@ CONFORMANCE_STREAM = {
         80, ["lock", "range-lock"],
         "e133916418959d2ae1f6507c8ffa701060a73533213a3165468df78209a80dce",
     ),
+    "ssi/(none,2pl/(rp,2pl))": (
+        81, ["lock", "range-lock"],
+        "af932e0b65dc2aac742a0fe9487883cde16759c9b73d3e9b8cc04a9bf72fc81f",
+    ),
     "ssi/(none,batch)": (
         110, ["batch-commit-order", "batch-install-order", "batch-pred-commit", "batch-scan-wait", "batch-slot-wait", "commit-order"],
         "a0b54e6d194f42ce55280d5dc4667a1516610d62705fda649a7dea287a07295b",
+    ),
+    "ssi/(none,rp)": (
+        79, ["lock", "range-lock"],
+        "eaeff4fa5e03bb1469701432c735d58f345754e21c8c2fd6a3cce7c696a4fcb2",
     ),
     "ssi/(rp,2pl)": (
         38, ["lock", "range-lock"],

@@ -12,6 +12,9 @@ These things are pinned here:
 * **release ≡ never release** — a test-only engine that keeps everything
   (the release step is a no-op) commits, aborts and writes exactly what the
   real one does, one fixed-seed cell per mechanism family;
+* **snapshots only** — an SSI root under the read-only optimisation (at most one
+  update child group) keeps no read set, rw flag, write intent, commit
+  timestamp or retained SIREAD entry, however long the run is;
 * **no early release** — an engine that audits every ``find_transaction``
   miss with its own clock never finds one for an overlapped transaction;
 * **versions** — the same rule applied to the store: a superseded version is
@@ -391,6 +394,70 @@ CHAIN_CELLS = {
     "smallbank/3layer": (_smallbank, configs.smallbank_3layer),
     "micro/ssi-2layer": (_micro, configs.micro_ssi_2layer),
 }
+
+
+#: What an SSI node keeps across its transactions for pivot tracking and
+#: SIREAD retention.
+SSI_TRACKING = (
+    "_readers",
+    "_range_readers",
+    "_write_intents",
+    "_in_antidep",
+    "_out_antidep",
+    "_commit_ts",
+    "_member_starts",
+    "_committed_readers",
+)
+
+
+def ssi_root_holds(cell, targets=(300, 1200)):
+    """The SSI root of ``RUNNER_CELLS[cell]`` (seed 7, 16 clients) and, once
+    per commit count in ``targets``, ``{structure: entries}``: the
+    structures above, and ``read_keys`` — how many transactions still
+    active or held carry a read set in the root's state.  ``scripts/check.sh``
+    prints the sum on ``ycsb-scan/2layer`` after 1,200 commits."""
+    workload_factory, config_factory, _clients, _duration = RUNNER_CELLS[cell]
+    runner = BenchmarkRunner(workload_factory(), config_factory(), seed=7)
+    engine = runner.engine
+    ssi = engine.root.cc
+    node_id = engine.root.node_id
+    holds = []
+    try:
+        runner.add_clients(CLIENTS)
+        for target in targets:
+            while engine.stats.commits < target:
+                runner.run_additional(0.01)
+            held = {name: len(getattr(ssi, name)) for name in SSI_TRACKING}
+            live = [*engine.active.values(), *engine.finished.values()]
+            held["read_keys"] = sum(
+                "read_keys" in txn.cc_state.get(node_id, ()) for txn in live
+            )
+            holds.append(held)
+    finally:
+        runner.stop()
+    return ssi, holds
+
+
+class TestReadOnlyOptimisedSSIRoot:
+    """With at most one update child group an SSI node only hands out
+    snapshots: nothing it keeps grows with the run, because it keeps
+    nothing per transaction at all."""
+
+    @pytest.mark.parametrize(
+        "cell", ["smallbank/3layer", "tpcc/3layer", "ycsb-scan/2layer"]
+    )
+    def test_holds_nothing_per_transaction(self, cell):
+        ssi, holds = ssi_root_holds(cell)
+        assert ssi.name == "ssi" and ssi.read_only_optimization
+        for held in holds:
+            assert set(held.values()) == {0}, (cell, holds)
+
+    def test_the_census_sees_a_batching_root(self):
+        """Not blind: the batching root (two update groups) keeps a commit
+        timestamp per commit."""
+        ssi, holds = ssi_root_holds("micro/ssi-2layer", (300,))
+        assert ssi.batching and not ssi.read_only_optimization
+        assert holds[0]["_commit_ts"] >= 300, holds
 
 
 class TestVersionRetention:
