@@ -18,8 +18,12 @@ not do:
   (inspect with ``python -m pstats bench_speed.prof`` or snakeviz); it ends
   with a cyclic-GC summary, the one cost the profile table cannot show
   (pauses, full collections, and the objects the collector found
-  unreachable — the number that exposes a reference cycle), and a census of
-  the tracked objects the run left behind, by owner.  Scenarios:
+  unreachable — the number that exposes a reference cycle), a census of
+  the tracked objects the run left behind, by owner, and a sampled
+  self-time table from a second, un-instrumented pass (``SIGPROF``): share
+  by module and the top lines, GC pauses as their own row.  cProfile
+  charges per call and books time in C (an ``insort``) to a ``python``
+  row; a sample books it to the line that called it.  Scenarios:
   ``tpcc-3layer`` (Figure 4.6d), ``seats-3layer`` (Figure 4.8),
   ``micro-2layer`` (the cross-group micro workload), and two of the perf
   ledger's cells, built object for object: ``smallbank-durable-checked``
@@ -39,9 +43,11 @@ import gc
 import hashlib
 import json
 import pstats
+import signal
 import sys
 import time
 import types
+from collections import Counter
 from pathlib import Path
 
 from repro.core.config import Configuration, leaf
@@ -187,6 +193,81 @@ class GcPauses:
             self.gen2_max = max(self.gen2_max, pause)
 
 
+#: CPU seconds between two samples of the sampled pass.
+SAMPLE_INTERVAL = 0.001
+GC_ROW = "(cyclic-GC pauses)"
+
+
+class SelfTimeSampler:
+    """CPU self time by source line, sampled on ``SIGPROF``: no per-call cost.
+
+    Each sample weighs the CPU time since the previous one, so a signal held
+    back by a long C call or a collection still counts in full.  A signal
+    raised during a collection is delivered in the next Python frame to run,
+    the sampler's own GC callback: that sample is booked to ``GC_ROW``.
+    """
+
+    def __init__(self):
+        self.self_time = Counter()
+        self._last = 0.0
+
+    def _gc_landing(self, phase, info):
+        """A Python frame for a signal raised inside a collection to land in."""
+
+    def _sample(self, _signum, frame):
+        now = time.process_time()
+        if frame is None or frame.f_code is SelfTimeSampler._gc_landing.__code__:
+            where = GC_ROW
+        else:
+            code = frame.f_code
+            where = (code.co_filename, frame.f_lineno or code.co_firstlineno, code.co_name)
+        self.self_time[where] += now - self._last
+        self._last = now
+
+    def run(self, call):
+        """``call()`` under the sampler; returns what it returns."""
+        previous = signal.signal(signal.SIGPROF, self._sample)
+        gc.callbacks.append(self._gc_landing)
+        self._last = time.process_time()
+        signal.setitimer(signal.ITIMER_PROF, SAMPLE_INTERVAL, SAMPLE_INTERVAL)
+        try:
+            return call()
+        finally:
+            signal.setitimer(signal.ITIMER_PROF, 0)
+            gc.callbacks.remove(self._gc_landing)
+            signal.signal(signal.SIGPROF, previous)
+
+    def print_table(self, modules=12, lines=15):
+        total = sum(self.self_time.values()) or 1.0
+
+        def module_of(filename):
+            index = filename.rfind("/src/repro/")
+            if index >= 0:
+                return filename[index + len("/src/repro/"):]
+            return Path(filename).name
+
+        by_module, by_line = Counter(), Counter()
+        for where, spent in self.self_time.items():
+            if where == GC_ROW:
+                module = line = GC_ROW
+            else:
+                filename, lineno, function = where
+                module = module_of(filename)
+                line = f"{module}:{lineno} {function}"
+            by_module[module] += spent
+            by_line[line] += spent
+        print(
+            f"\nsampled self time (second pass, no profiler; SIGPROF every "
+            f"{SAMPLE_INTERVAL * 1e3:g} ms of CPU, {total:.2f} s CPU):"
+        )
+        print("  by module:")
+        for label, spent in by_module.most_common(modules):
+            print(f"    {spent / total:6.1%}  {label}")
+        print("  top lines:")
+        for label, spent in by_line.most_common(lines):
+            print(f"    {spent / total:6.1%}  {label}")
+
+
 #: Objects the census counts but does not walk through: a class, module,
 #: function or suspended frame reaches the whole process.
 _CENSUS_OPAQUE = (
@@ -245,20 +326,26 @@ def census_by_owner(runner):
     return total, counts
 
 
-def profile_scenario(name, spec, output_path):
-    """Run one scenario under cProfile and dump the stats to a file.
-
-    Ends with what cProfile has no row for: the collector's share of the
-    run, its full collections, and the tracked objects the run left outside
-    the heap the runner froze, by owner.
-    """
-    workload_factory, config_factory, clients, duration, warmup, *runner_kwargs = spec
-    runner = BenchmarkRunner(
+def _scenario_runner(spec):
+    workload_factory, config_factory, _clients, _duration, _warmup, *runner_kwargs = spec
+    return BenchmarkRunner(
         workload_factory(),
         config_factory(),
         seed=7,
         **(runner_kwargs[0] if runner_kwargs else {"options": EngineOptions()}),
     )
+
+
+def profile_scenario(name, spec, output_path):
+    """Run one scenario under cProfile and dump the stats to a file.
+
+    Ends with what cProfile has no row for: the collector's share of the
+    run, its full collections, the tracked objects the run left outside
+    the heap the runner froze, by owner, and the sampled self-time table of
+    a second run of the scenario without the profiler.
+    """
+    _workload, _config, clients, duration, warmup, *_ = spec
+    runner = _scenario_runner(spec)
     profiler = cProfile.Profile()
     pauses = GcPauses()
     gc.callbacks.append(pauses)
@@ -284,6 +371,13 @@ def profile_scenario(name, spec, output_path):
     for owner, count in sorted(owners.items(), key=lambda item: -item[1]):
         if count:
             print(f"    {count:>9,}  {owner}")
+    sampler = SelfTimeSampler()
+    runner = _scenario_runner(spec)
+    try:
+        sampler.run(lambda: runner.run(clients, duration=duration, warmup=warmup))
+    finally:
+        runner.stop()
+    sampler.print_table()
     return result
 
 

@@ -5,8 +5,9 @@
 # line total, the GC-tracked objects a tpcc/3layer commit leaves behind with
 # the versions its store ends on, the blocked wait passes per commit of the
 # batch leaf and of TSO's promise waits, the run-queue entries per
-# tpcc/3layer commit, the entries a read-only-optimised SSI root holds, and
-# the import time.
+# tpcc/3layer commit, the entries a read-only-optimised SSI root holds, the
+# scan indexes a tpcc/3layer and a ycsb-scan/2layer store hold, and the
+# import time.
 #
 # Usage: scripts/check.sh [--quick]
 #
@@ -151,6 +152,12 @@ print("blocked wait passes per commit: batch {:.2f} (ycsb-zipf/batch), tso-promi
 # Timeout, 0 and 53.0).  tests/test_sim_kernel.py bounds both.
 python -c 'from tests.test_sim_kernel import kernel_entries_per_commit as entries
 print("kernel entries per tpcc/3layer commit: sleeps {:.1f}, events {:.1f}".format(*entries()))'
+# A table's ordered scan index is built by its first scan: no tpcc/3layer
+# type scans (0; every table was indexed at population), ycsb-scan's scans
+# read one table.  tests/test_retention.py pins both.
+python -c 'from tests.test_retention import scan_indexes_held as held
+print("scan indexes held after a tpcc/3layer run: {} tables (ycsb-scan/2layer: {})".format(
+    len(held("tpcc/3layer")), len(held("ycsb-scan/2layer"))))'
 # What every engine start pays before it runs anything: wall time of a
 # fresh interpreter importing the CLI, best of three.
 echo -n "import repro.harness.cli: "

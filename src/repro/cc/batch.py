@@ -356,7 +356,7 @@ class DeterministicBatch(ConcurrencyControl):
         per_key = store.uncommitted_map(key)
         if per_key:
             for writer_id, version in per_key.items():
-                seq = version.metadata.get("batch_seq")
+                seq = version.batch_seq
                 if seq is None or seq >= my_seq or seq <= best_seq:
                     continue
                 if writer_id in self._active:
@@ -368,14 +368,14 @@ class DeterministicBatch(ConcurrencyControl):
         # active; the guard keeps reads sequence-consistent even if an
         # ancestor re-proposes the chain tail.
         for version in reversed(store.committed_versions(key)):
-            seq = version.metadata.get("batch_seq")
+            seq = version.batch_seq
             if seq is not None and seq >= my_seq:
                 continue
             return version
         return None
 
     def after_write(self, txn, key, version):
-        version.metadata["batch_seq"] = self._seq(txn)
+        version.batch_seq = self._seq(txn)
         # Installing resolved this key's slot: wake whoever this member heads.
         self._moved.fire(txn)
 

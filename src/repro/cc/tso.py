@@ -60,7 +60,7 @@ class TimestampOrdering(ConcurrencyControl):
         return self.state(txn).get("ts", 0)
 
     def _version_ts(self, version):
-        ts = version.metadata.get("tso_ts")
+        ts = version.tso_ts
         if ts is not None:
             return ts
         return version.timestamp if version.timestamp is not None else 0
@@ -200,7 +200,7 @@ class TimestampOrdering(ConcurrencyControl):
         return self._timestamp_read(txn, key, candidate)
 
     def after_write(self, txn, key, version):
-        version.metadata["tso_ts"] = self._ts(txn)
+        version.tso_ts = self._ts(txn)
         if key in txn.promises:
             promisors = self._promises.get(key)
             if promisors is not None:

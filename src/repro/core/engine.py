@@ -32,9 +32,8 @@ also holds new work while that transport's valve is closed.
 
 Hot-path design notes: the CC path and its cost constants are resolved once
 per transaction in :meth:`begin` (pinned on the transaction as
-``charges``), transitive-dependency queries are memoized against
-a dependency-graph generation counter, and finished transactions are
-released as soon as nothing active is concurrent with them (O(1) amortized).
+``charges``), and finished transactions are released as soon as nothing
+active is concurrent with them (O(1) amortized).
 """
 
 from collections import deque
@@ -161,12 +160,6 @@ class TebaldiEngine:
         # every arrival it parks calls once.
         self.transport = self._delay_phase
         self.throttled = None
-
-        # Memoized transitive-dependency reachability, invalidated whenever
-        # the dependency graph changes shape (new edge, transaction retired).
-        self._dep_generation = 0
-        self._reach_cache = {}
-        self._reach_cache_generation = -1
 
         self.root, self.nodes, self._leaf_by_type = build_tree(self, configuration)
         self._rebuild_routes()
@@ -404,9 +397,6 @@ class TebaldiEngine:
     def _retire(self, txn):
         txn_id = txn.txn_id
         self.active.pop(txn_id, None)
-        # Retiring removes the transaction's outgoing edges from the active
-        # dependency graph, so memoized reachability must be invalidated.
-        self._dep_generation += 1
         if txn_id not in self.finished:
             # Every transaction that overlapped this one began before now,
             # so its id is at most the horizon recorded here.
@@ -579,61 +569,40 @@ class TebaldiEngine:
         return rows
 
     def _on_new_dependency(self, txn, other_id):
-        """Maintain reverse dependency edges and invalidate reachability."""
-        self._dep_generation += 1
-        # Only active transactions relay ordering (see _ordered_after), so
-        # an edge into a finished one needs no reverse entry.
+        """Maintain reverse dependency edges."""
+        # Only active transactions relay ordering (see depends_transitively),
+        # so an edge into a finished one needs no reverse entry.
         other = self.active.get(other_id)
         if other is not None:
             other.dependents.add(txn.txn_id)
-
-    def _ordered_after(self, target):
-        """Set of active txn ids transitively ordered after ``target``.
-
-        Walks the engine-maintained reverse dependency edges; only active
-        transactions can relay an ordering constraint, exactly mirroring the
-        forward walk the engine used to do per query.  The result is memoized
-        until the dependency graph changes shape (edge added / txn retired).
-        """
-        active = self.active
-        closure = set()
-        frontier = [target]
-        while frontier:
-            node = frontier.pop()
-            for dep_id in node.dependents:
-                if dep_id in closure:
-                    continue
-                dependent = active.get(dep_id)
-                if dependent is None:
-                    continue
-                closure.add(dep_id)
-                frontier.append(dependent)
-        return closure
 
     def depends_transitively(self, source_id, target_id):
         """True if active transaction ``source_id`` is ordered after ``target_id``.
 
         Used to detect (and break, by aborting) ordering cycles before they
-        can cause unserializable pipelining or wait-for deadlocks.  The query
-        is answered from the reverse-reachability closure of ``target_id``
-        (typically a handful of transactions), which is memoized against a
-        dependency-graph generation counter bumped on every new edge and
-        every retire — so bursts of queries against the same transaction
-        (lock conflict scans, pipeline-entry checks) share one walk.
+        can cause unserializable pipelining or wait-for deadlocks.  Walks the
+        engine-maintained reverse dependency edges from ``target_id``; only
+        active transactions relay an ordering constraint, and the walk stops
+        at ``source_id`` (the closure is typically a transaction or none).
         """
         if source_id == target_id:
             return True
-        cache = self._reach_cache
-        if self._reach_cache_generation != self._dep_generation:
-            cache.clear()
-            self._reach_cache_generation = self._dep_generation
-        closure = cache.get(target_id)
-        if closure is None:
-            target = self.active.get(target_id)
-            if target is None:
-                return False
-            closure = cache[target_id] = self._ordered_after(target)
-        return source_id in closure
+        active = self.active
+        target = active.get(target_id)
+        if target is None or not target.dependents or source_id not in active:
+            return False
+        seen = {target_id}
+        frontier = [target]
+        while frontier:
+            for dep_id in frontier.pop().dependents:
+                if dep_id == source_id:
+                    return True
+                if dep_id not in seen:
+                    seen.add(dep_id)
+                    dependent = active.get(dep_id)
+                    if dependent is not None:
+                        frontier.append(dependent)
+        return False
 
     # -- waiting helpers ------------------------------------------------------------
 

@@ -83,8 +83,8 @@ class Transaction:
     dependents: set = field(default_factory=set)
     read_from: set = field(default_factory=set)
     # Invoked with (txn, other_txn_id) whenever a *new* dependency edge is
-    # recorded; the engine uses it to maintain reverse edges and invalidate
-    # its memoized reachability (``depends_transitively``).
+    # recorded; the engine uses it to maintain the reverse edges that
+    # ``depends_transitively`` walks.
     dep_listener: Any = None
 
     # CC-specific metadata.

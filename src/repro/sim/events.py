@@ -4,9 +4,10 @@ An :class:`Event` is a one-shot synchronisation object.  Processes yield an
 event to suspend until the event is triggered; the value (or exception)
 passed when triggering is delivered to every waiting process.
 
-Events are the single most allocated object of the simulator, so the class
-is deliberately lean: ``__slots__``, no precomputed display names, and the
-hot state (``_value``/``_is_error``/``_processed``) is read directly by the
+A process's timed sleep is a bare run-queue entry, not an event; every other
+wait (a finish, a wake, a deadline) allocates one, so the class is
+deliberately lean: ``__slots__``, no precomputed display names, and the hot
+state (``_value``/``_is_error``/``_processed``) is read directly by the
 scheduler instead of through properties.
 
 :class:`Condition`, the one synchronisation primitive the engine and the CC
@@ -87,8 +88,8 @@ class Timeout(Event):
     def __init__(self, env, delay, value=None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        # Inlined Event.__init__ and scheduling — timeouts are the most
-        # allocated event kind of the simulator.
+        # Inlined Event.__init__ and scheduling — one per deadline a wait
+        # arms (a plain delay is a yielded float, not a Timeout).
         self.env = env
         self.name = "timeout"
         self.callbacks = []

@@ -28,11 +28,14 @@ Per-key state is as flat as the traffic allows:
   written, oldest first — the one place the chain is already in hand
   (PERFORMANCE.md, *The rule applied to versions*).
 
-The store also maintains a per-table ordered key index so that range scans
-(:meth:`range_keys`) are a bisect plus a slice instead of a full key sweep.
-The index covers committed *and* uncommitted keys: a scan must enumerate an
-in-flight insert so the per-key CC hooks (locks, snapshot visibility) can
-decide what the scanning transaction observes.
+A table's ordered key index — what makes a range scan (:meth:`range_keys`)
+a bisect plus a slice instead of a full key sweep — is built by that
+table's first scan, from the key maps (committed chains, uncommitted
+versions, declared slots: its one source), and kept up to date from then
+on; a table nothing scans holds no index, and a write to it pays one dict
+miss.  The index covers committed *and* uncommitted keys: a scan must
+enumerate an in-flight insert so the per-key CC hooks (locks, snapshot
+visibility) can decide what the scanning transaction observes.
 """
 
 from bisect import bisect_left, insort
@@ -54,8 +57,9 @@ class MultiVersionStore:
         self._commit_seq = count(1)
         self._last_commit_seq = 0
         # table -> (sorted pk list, pk membership set): the ordered key
-        # index behind range scans.  Keys enter on first load/install and
-        # leave only when an aborted insert leaves no version behind.
+        # index behind range scans, only for tables scanned so far.  Keys
+        # enter on first load/install/declaration and leave only when an
+        # aborted insert or a retracted slot leaves nothing behind.
         self._table_index = {}
         # key -> {writer_id: seq}: pre-assigned version slots declared by a
         # sequencing CC (deterministic batch execution) before the writers
@@ -75,7 +79,7 @@ class MultiVersionStore:
         table, pk = key
         entry = self._table_index.get(table)
         if entry is None:
-            entry = self._table_index[table] = ([], set())
+            return
         pks, members = entry
         if pk not in members:
             members.add(pk)
@@ -83,13 +87,13 @@ class MultiVersionStore:
 
     def _unindex_dead_key(self, key):
         """Drop an index entry whose key has no versions left (aborted insert)."""
-        if key in self._committed or key in self._uncommitted or key in self._slots:
-            return
         if not isinstance(key, tuple) or len(key) != 2:
             return
         table, pk = key
         entry = self._table_index.get(table)
         if entry is None:
+            return
+        if key in self._committed or key in self._uncommitted or key in self._slots:
             return
         pks, members = entry
         if pk in members:
@@ -97,6 +101,16 @@ class MultiVersionStore:
             index = bisect_left(pks, pk)
             if index < len(pks) and pks[index] == pk:
                 del pks[index]
+
+    def _build_index(self, table):
+        """``(sorted pks, pk set)`` of every key of ``table`` the store holds."""
+        members = {
+            key[1]
+            for keys in (self._committed, self._uncommitted, self._slots)
+            for key in keys
+            if isinstance(key, tuple) and len(key) == 2 and key[0] == table
+        }
+        return sorted(members), members
 
     def range_keys(self, table, lo=None, hi=None):
         """Storage keys of ``table`` with ``lo <= pk <= hi``, in key order.
@@ -108,7 +122,7 @@ class MultiVersionStore:
         """
         entry = self._table_index.get(table)
         if entry is None:
-            return []
+            entry = self._table_index[table] = self._build_index(table)
         pks, _members = entry
         start, stop = slice_sorted_pks(pks, lo, hi)
         return [(table, pk) for pk in pks[start:stop]]

@@ -1,6 +1,6 @@
 """Object versions stored by the multi-version storage module."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 
@@ -23,6 +23,11 @@ class Version:
         total version order that Adya's model requires.
     timestamp:
         Optional CC-specific timestamp (SSI commit timestamp, TSO timestamp).
+    batch_seq, tso_ts:
+        Set at install by a deterministic batch leaf (the writer's sequence)
+        or a TSO leaf (its timestamp).  Two slots, not one: a TSO leaf must
+        never read a batch order as a timestamp.  A version is a fixed header
+        plus the row and holds no container of its own.
     """
 
     key: Any
@@ -31,7 +36,8 @@ class Version:
     committed: bool = False
     commit_seq: Optional[int] = None
     timestamp: Optional[float] = None
-    metadata: dict = field(default_factory=dict)
+    batch_seq: Optional[int] = None
+    tso_ts: Optional[int] = None
 
     def mark_committed(self, commit_seq, timestamp=None):
         """Flip the version to committed state with its global order."""

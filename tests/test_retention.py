@@ -37,7 +37,8 @@ These things are pinned here:
   event only while it is a member in flight, and none after a drain;
 * **lock tables and chains** — a lock record exists only while its key has
   a holder or a waiter (and *drop ≡ never drop*), a key written once costs
-  the store its list and its ``Version``, tracked objects per commit on
+  the store its list and its ``Version`` (which holds no container of its
+  own), only a scanned table holds a scan index, tracked objects per commit on
   ``tpcc/3layer`` stay under a bound, snapshot reads land at or next to the
   tail of their chain, and the profiler's owner census books a lock table
   to its CC node.
@@ -1138,7 +1139,8 @@ class TestChainRetention:
 
     def test_a_key_written_once_costs_its_list_and_its_version(self):
         store = MultiVersionStore()
-        store.load(("t", -1), {"v": 0})         # the table's index entry exists
+        store.load(("t", -1), {"v": 0})
+        store.range_keys("t")                   # the table's index exists
         writer = Transaction(txn_id=1, txn_type="w")
         counts = []
         for insert in (
@@ -1165,6 +1167,43 @@ class TestChainRetention:
         tracked, versions_per_key, hottest = tpcc_retention_census()
         assert tracked < 14
         assert versions_per_key < 1.6 and hottest < 4 * CLIENTS
+
+
+def scan_indexes_held(cell):
+    """The tables whose ordered scan index the store of ``RUNNER_CELLS[cell]``
+    (seed 7, 16 clients) holds at the end of its run.  ``scripts/check.sh``
+    prints the count on ``tpcc/3layer`` and ``ycsb-scan/2layer``."""
+    workload_factory, config_factory, _clients, duration = RUNNER_CELLS[cell]
+    runner = BenchmarkRunner(workload_factory(), config_factory(), seed=7)
+    try:
+        runner.run(CLIENTS, duration=duration, warmup=0.0)
+        assert runner.engine.stats.commits > 100
+        return sorted(runner.store._table_index)
+    finally:
+        runner.stop()
+
+
+class TestStorePaysOnlyForWhatIsRead:
+    """A table's scan index is built by its first scan, and a version is a
+    fixed header plus its row."""
+
+    def test_only_a_scanned_table_holds_a_scan_index(self):
+        # No tpcc/3layer type scans; ycsb-scan's scans read one table.  The
+        # store used to index every table at population.
+        assert scan_indexes_held("tpcc/3layer") == []
+        assert scan_indexes_held("ycsb-scan/2layer") == ["usertable"]
+
+    def test_an_installed_version_references_no_container_of_its_own(self):
+        store = MultiVersionStore()
+        version = store.install(("t", 1), {"v": 1}, Transaction(txn_id=1, txn_type="w"))
+        own = [
+            ref
+            for ref in gc.get_referents(version)
+            if isinstance(ref, (dict, list, set, tuple))
+            and ref is not version.key
+            and ref is not version.value
+        ]
+        assert own == []
 
 
 #: name -> (workload, configuration, clients, simulated seconds): the

@@ -5,9 +5,10 @@ These tests drive random operation sequences against the store while
 mirroring them in a naive list-based model, and assert the two always agree
 — in particular that install/commit/abort never lose the newest committed
 version, that a commit drops from the key it writes exactly what the
-retention rule calls dead (the drop edits the chain in place) and that
+retention rule calls dead (the drop edits the chain in place), that
 ``latest_committed_before`` matches a naive backward scan, on chains whose
-timestamps are out of commit order too.
+timestamps are out of commit order too, and that ``range_keys`` lists a
+table's live keys in order whenever its first scan builds the index.
 
 The write-ahead log serialises every row once, at append; the round-trip
 property at the end of the file is what that serialiser owes: whatever rows
@@ -25,7 +26,9 @@ from repro.storage.backends import FileBackend, InMemoryBackend
 from repro.storage.durability import DurabilityConfig, DurabilityManager
 from repro.storage.mvstore import MultiVersionStore
 
-KEYS = ("a", "b", "c")
+# Table keys are ``(table, pk)``; a key of another shape is never scanned.
+KEYS = (("t", 2), ("t", 0), ("u", 1), "a")
+TABLES = ("t", "u")
 PROBE_TIMESTAMPS = (0.0, 1.0, 5.0, 10.5, 21.0)
 
 
@@ -65,9 +68,33 @@ _OPS = st.lists(
         ),
         st.tuples(st.just("abort"), st.integers(0, 3)),
         st.tuples(st.just("load"), st.sampled_from(KEYS), st.integers(0, 5)),
+        st.tuples(
+            st.just("declare"),
+            st.lists(st.sampled_from(KEYS), min_size=1, max_size=3),
+            st.integers(0, 3),
+        ),
+        st.tuples(st.just("retract"), st.integers(0, 3)),
+        st.tuples(
+            st.just("scan"),
+            st.sampled_from(TABLES),
+            st.one_of(st.none(), st.integers(0, 2)),
+            st.one_of(st.none(), st.integers(0, 2)),
+        ),
     ),
     max_size=50,
 )
+
+
+def _open_txn(open_txns, writes, seen_writers, slot, next_txn_id):
+    """The open transaction ``slot`` picks, or a new one; the next free id."""
+    index = slot % (len(open_txns) + 1)
+    if index == len(open_txns):
+        txn = Transaction(txn_id=next_txn_id, txn_type="t")
+        next_txn_id += 1
+        open_txns.append(txn)
+        writes[txn.txn_id] = []
+        seen_writers.add(txn.txn_id)
+    return open_txns[index], next_txn_id
 
 
 @given(ops=_OPS)
@@ -75,24 +102,24 @@ def test_store_agrees_with_naive_model(ops):
     store = MultiVersionStore()
     committed = {key: [] for key in KEYS}
     uncommitted = {key: [] for key in KEYS}
+    # key -> ids of the writers holding an unresolved pre-assigned slot.
+    slots = {key: set() for key in KEYS}
     open_txns = []
     writes = {}
     seen_writers = {0}
     next_txn_id = 1
 
+    def retract(txn_id):
+        for holders in slots.values():
+            holders.discard(txn_id)
+
     for op in ops:
         kind = op[0]
         if kind == "install":
             _, key, slot, value = op
-            index = slot % (len(open_txns) + 1)
-            if index == len(open_txns):
-                txn = Transaction(txn_id=next_txn_id, txn_type="t")
-                next_txn_id += 1
-                open_txns.append(txn)
-                writes[txn.txn_id] = []
-                seen_writers.add(txn.txn_id)
-            txn = open_txns[index]
+            txn, next_txn_id = _open_txn(open_txns, writes, seen_writers, slot, next_txn_id)
             version = store.install(key, {"v": value}, txn)
+            slots[key].discard(txn.txn_id)
             existing = [v for v in uncommitted[key] if v.writer == txn.txn_id]
             if existing:
                 assert version is existing[0]
@@ -107,6 +134,7 @@ def test_store_agrees_with_naive_model(ops):
             ts = float(timestamp) if timestamp is not None else None
             retained = {writer for writer in seen_writers if mask >> writer % 12 & 1}
             store.commit_transaction(txn, timestamp=ts, retained=retained)
+            retract(txn.txn_id)
             for version in writes.pop(txn.txn_id):
                 uncommitted[version.key].remove(version)
                 # Only the key being written loses versions, before the append.
@@ -118,12 +146,39 @@ def test_store_agrees_with_naive_model(ops):
                 continue
             txn = open_txns.pop(slot % len(open_txns))
             store.abort_transaction(txn)
+            retract(txn.txn_id)
             for version in writes.pop(txn.txn_id):
                 uncommitted[version.key].remove(version)
         elif kind == "load":
             _, key, value = op
             version = store.load(key, {"v": value})
             committed[key].append(version)
+        elif kind == "declare":
+            _, keys, slot = op
+            txn, next_txn_id = _open_txn(open_txns, writes, seen_writers, slot, next_txn_id)
+            store.declare_slots(txn.txn_id, len(seen_writers), keys)
+            for key in keys:
+                slots[key].add(txn.txn_id)
+        elif kind == "retract":
+            _, slot = op
+            if not open_txns:
+                continue
+            txn_id = open_txns[slot % len(open_txns)].txn_id
+            store.retract_slots(txn_id)
+            retract(txn_id)
+        elif kind == "scan":
+            # The table's first scan builds its index; every later op keeps it.
+            _, table, lo, hi = op
+            live = sorted(
+                key[1]
+                for key in KEYS
+                if isinstance(key, tuple)
+                and key[0] == table
+                and (committed[key] or uncommitted[key] or slots[key])
+                and (lo is None or lo <= key[1])
+                and (hi is None or key[1] <= hi)
+            )
+            assert store.range_keys(table, lo, hi) == [(table, pk) for pk in live]
 
         # -- invariants after every operation ------------------------------
         for key in KEYS:
