@@ -23,7 +23,8 @@ class TransactionProfile:
     ``accesses`` is the ordered tuple of ``(table, mode)`` pairs the
     transaction performs, where mode is ``"r"`` or ``"w"``.  Repeated
     accesses to the same table may be collapsed; order is what matters for
-    runtime pipelining.
+    runtime pipelining.  A type that scans must declare it (``scans`` or
+    ``scan_ranges``): its route refuses an undeclared scan.
     """
 
     name: str
@@ -36,7 +37,13 @@ class TransactionProfile:
     #: execution builds its dependency graph from declared write keys and
     #: declared scan ranges); ``None`` means the type declares no ranges.
     scan_ranges: Optional[Callable] = None
+    #: Tables the transaction may scan; declaring ``scan_ranges`` implies one.
+    scans: tuple = ()
     description: str = ""
+
+    @property
+    def declares_scan(self):
+        return bool(self.scans) or self.scan_ranges is not None
 
     def tables(self):
         """Tables touched, in first-access order."""

@@ -10,6 +10,7 @@ hook must return either ``None`` or an iterable — nothing else.
 
 import inspect
 
+from repro.cc.locks import RangeLockManager
 from repro.errors import ConfigurationError
 
 CC_REGISTRY = {}
@@ -166,6 +167,14 @@ class ConcurrencyControl:
         token_a = txn_a.group_token(self.node.node_id)
         token_b = txn_b.group_token(self.node.node_id)
         return token_a is not None and token_a == token_b
+
+    def phantom_guard(self):
+        """Range locks for this node, or ``None`` when no type routed through
+        it declares a scan (and so none can reach it: see ``Route``)."""
+        profile_of = self.engine.profile_of
+        if any(profile_of(name).declares_scan for name in self.node.subtree_types):
+            return RangeLockManager(same_group=self.same_child_group)
+        return None
 
     def is_member(self, txn):
         """True if ``txn`` is regulated by this node (assigned to its subtree)."""

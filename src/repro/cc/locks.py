@@ -312,6 +312,9 @@ class RangeLockManager:
     observes the other — there is no race window.  Same-child-group
     transactions never conflict (nexus delegation: their phantoms are the
     child CC's job), mirroring :class:`LockTable`.
+
+    A 2PL or RP node holds one only when a type routed through it declares
+    a scan (``phantom_guard``): no other scan can reach the node.
     """
 
     def __init__(self, same_group=None):

@@ -16,7 +16,7 @@ conflicts across child subtrees follow the pipeline rules above.
 
 from repro.analysis.rp_analysis import RPAnalysis, analyze_pipeline
 from repro.cc.base import ConcurrencyControl, register_cc
-from repro.cc.locks import EXCLUSIVE, SHARED, LockTable, RangeLockManager
+from repro.cc.locks import EXCLUSIVE, SHARED, LockTable
 from repro.core.waits import MovedEvents
 
 
@@ -67,7 +67,7 @@ class RuntimePipelining(ConcurrencyControl):
         # Predicate locks for scans.  Unlike step locks these are held until
         # finish: a step-committed scan's predicate must keep excluding
         # phantom inserts, exactly like passed point accesses in ``_passed``.
-        self.ranges = RangeLockManager(same_group=self.same_child_group)
+        self.ranges = self.phantom_guard()
         self._active = {}
         #: A transaction moves when it advances a step or finishes.
         self._moved = MovedEvents(engine.env)
@@ -117,6 +117,8 @@ class RuntimePipelining(ConcurrencyControl):
         return self._pipelined_access(txn, key, EXCLUSIVE)
 
     def before_write(self, txn, key, value):
+        if self.ranges is None:
+            return self._pipelined_access(txn, key, EXCLUSIVE)
         self.ranges.register_intent(txn, key)
         inner = self._pipelined_access(txn, key, EXCLUSIVE)
         if inner is None and not self.ranges.conflicting_scanners(txn, key):
@@ -380,7 +382,8 @@ class RuntimePipelining(ConcurrencyControl):
             state["passed_keys"] = []
         self.locks.cancel_waits(txn)
         self.locks.release_all(txn)
-        self.ranges.release(txn)
+        if self.ranges is not None:
+            self.ranges.release(txn)
         self._moved.fire(txn)
 
     def describe(self):

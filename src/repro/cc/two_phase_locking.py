@@ -11,7 +11,7 @@ in-subtree dependencies have committed (the nexus-lock release order).
 """
 
 from repro.cc.base import ConcurrencyControl, register_cc
-from repro.cc.locks import EXCLUSIVE, SHARED, LockTable, RangeLockManager
+from repro.cc.locks import EXCLUSIVE, SHARED, LockTable
 
 
 @register_cc
@@ -36,7 +36,7 @@ class TwoPhaseLocking(ConcurrencyControl):
         # Predicate locks close the phantom window point locks cannot see:
         # a scan's range conflicts with inserts of keys that match it but do
         # not exist yet (and vice versa).  Held until finish, like the locks.
-        self.ranges = RangeLockManager(same_group=self.same_child_group)
+        self.ranges = self.phantom_guard()
 
     # -- execution phase -------------------------------------------------------
 
@@ -50,6 +50,8 @@ class TwoPhaseLocking(ConcurrencyControl):
         return self.locks.request(txn, key, EXCLUSIVE)
 
     def before_write(self, txn, key, value):
+        if self.ranges is None:
+            return self.locks.request(txn, key, EXCLUSIVE)
         # The write intent is registered before any wait so a concurrent
         # scan registering its range afterwards is guaranteed to see it.
         self.ranges.register_intent(txn, key)
@@ -101,4 +103,5 @@ class TwoPhaseLocking(ConcurrencyControl):
     def finish(self, txn, committed):
         self.locks.cancel_waits(txn)
         self.locks.release_all(txn)
-        self.ranges.release(txn)
+        if self.ranges is not None:
+            self.ranges.release(txn)

@@ -755,15 +755,9 @@ class TebaldiEngine:
             old_node.parent.children[position] = sub_root
         else:
             self.root = sub_root
-        # Refresh subtree membership up the ancestor chain.
-        ancestor = sub_root.parent
-        while ancestor is not None:
-            ancestor.subtree_types = frozenset(
-                txn_type
-                for child in ancestor.children
-                for txn_type in child.subtree_types
-            )
-            ancestor = ancestor.parent
+        # The ancestors keep their subtree types, and the range locks built
+        # for them: the change path stops above any type that moved, so the
+        # splice moves none across its root.
         self.configuration = new_configuration
         self.nodes = list(self.root.iter_subtree())
         self._leaf_by_type = {}

@@ -29,6 +29,11 @@ def _refuse_write(txn, key, value):
     )
 
 
+def _refuse_scan(txn, key_range):
+    """An undeclared scan's only scan hook: no range lock was built for it."""
+    raise ConfigurationError(f"type {txn.txn_type!r} declares no scan of {key_range.table!r}")
+
+
 class TreeNode:
     """One runtime node of the compiled CC tree."""
 
@@ -272,6 +277,8 @@ class Route:
             self.read_only = txn_type_def.read_only
             if self.read_only:
                 self.write_hooks = (_refuse_write,)
+            if not txn_type_def.profile.declares_scan:
+                self.scan_hooks = (_refuse_scan,)
         else:
             self.procedure = None
             self.read_only = False

@@ -130,16 +130,17 @@ class QueueWorkload(Workload):
                     ("messages", "w"),
                     ("queue_ptr", "w"),
                 ),
+                scans=("messages",),
                 description="scan from the head and consume the oldest pending message",
             ),
             "sweep": TransactionProfile(
                 name="sweep",
-                accesses=(("queue_ptr", "r"), ("messages", "w")),
+                accesses=(("queue_ptr", "r"), ("messages", "w")), scans=("messages",),
                 description="delete consumed messages behind the head",
             ),
             "peek": TransactionProfile(
                 name="peek",
-                accesses=(("queue_ptr", "r"), ("messages", "r")),
+                accesses=(("queue_ptr", "r"), ("messages", "r")), scans=("messages",),
                 read_only=True,
                 description="report the pending backlog at the head",
             ),

@@ -285,6 +285,7 @@ PROFILES = {
             ("customer", "w"),
             ("history", "w"),
         ),
+        scans=("customer_name_idx",),
         description="record a payment located by a customer-last-name scan",
     ),
     "delivery": TransactionProfile(

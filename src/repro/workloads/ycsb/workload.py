@@ -167,7 +167,7 @@ class YCSBWorkload(Workload):
             ),
             "scan_records": TransactionProfile(
                 name="scan_records", accesses=(("usertable", "r"),), read_only=True,
-                scan_ranges=scan_range,
+                scans=("usertable",), scan_ranges=scan_range,
                 description="short range scan",
             ),
             "read_modify_write": TransactionProfile(

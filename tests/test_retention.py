@@ -74,6 +74,8 @@ from repro.storage.durability import DurabilityConfig
 from repro.storage.mvstore import MultiVersionStore
 from repro.storage.versions import Version
 from repro.workloads.micro import CrossGroupConflictWorkload
+from repro.workloads.queue import QueueWorkload
+from repro.workloads.seats import SEATSWorkload
 from repro.workloads.smallbank import SmallBankWorkload
 from repro.workloads.tpcc import TPCCWorkload
 from repro.workloads.tpcc.schema import TPCCScale
@@ -1181,6 +1183,54 @@ def scan_indexes_held(cell):
         return sorted(runner.store._table_index)
     finally:
         runner.stop()
+
+
+#: name -> (workload, configuration): the trees whose lock nodes
+#: :func:`range_managers_held` reads.
+RANGE_CELLS = {
+    "tpcc/3layer": (_tiny_tpcc, configs.tpcc_tebaldi_3layer),
+    "seats/3layer": (
+        lambda: SEATSWorkload(flights=2, seats_per_flight=100, customers=50),
+        TREES["seats"]["3layer"],
+    ),
+    "smallbank/3layer": (_smallbank, configs.smallbank_3layer),
+    "ycsb-scan/2layer": (lambda: YCSBWorkload(records=300, profile="e"), configs.ycsb_2layer),
+    "queue/3layer": (QueueWorkload, TREES["queue"]["3layer"]),
+}
+
+
+def range_managers_held(cell):
+    """Ids of the nodes of ``RANGE_CELLS[cell]``'s engine that hold a
+    range-lock manager.  ``scripts/check.sh`` prints the count on
+    ``tpcc/3layer`` and ``queue/3layer``."""
+    workload_factory, config_factory = RANGE_CELLS[cell]
+    engine = build_engine(Environment(), workload_factory(), config_factory())
+    held = []
+    for tree_node in engine.nodes:
+        cc = tree_node.cc
+        if isinstance(cc, PartitionedCC):
+            cc = cc._sample_instance()
+        if getattr(cc, "ranges", None) is not None:
+            held.append(tree_node.node_id)
+    return held
+
+
+class TestLockNodesPayOnlyForReachablePhantoms:
+    """A 2PL or RP node builds its range locks only when a type routed
+    through it declares a scan; every node used to build them."""
+
+    @pytest.mark.parametrize(
+        "cell", ["tpcc/3layer", "seats/3layer", "smallbank/3layer", "ycsb-scan/2layer"]
+    )
+    def test_no_lock_node_of_a_scanless_route_holds_range_locks(self, cell):
+        # ycsb-scan's scans run under the SSI root beside the one 2PL node,
+        # which routes only insert_record, update_record and read_modify_write.
+        assert range_managers_held(cell) == []
+
+    def test_only_the_nodes_a_scanner_reaches_hold_range_locks(self):
+        # dequeue and sweep scan through the cross-group 2PL node and the
+        # consumer leaf; the producer leaf routes only enqueue.
+        assert range_managers_held("queue/3layer") == ["0.1", "0.1.1"]
 
 
 class TestStorePaysOnlyForWhatIsRead:

@@ -13,14 +13,17 @@ Four layers of coverage:
   accumulating per-transaction records.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.profiles import TransactionProfile, TransactionType
+from repro.cc.base import CC_REGISTRY
 from repro.core.config import monolithic
 from repro.core.engine import EngineOptions
 from repro.core.transaction import Transaction
 from repro.database import Database
-from repro.errors import TransactionAborted
+from repro.errors import ConfigurationError, TransactionAborted
 from repro.harness.configs import WORKLOAD_CONFIGURATIONS as TREES
 from repro.isolation.checker import check_recorder
 from repro.isolation.history import History, HistoryRecorder, HistoryTransaction
@@ -275,7 +278,9 @@ class PhantomScenarioWorkload(Workload):
                 name="scanner",
                 procedure=self._scanner,
                 profile=TransactionProfile(
-                    name="scanner", accesses=(("items", "r"), ("result", "w"))
+                    name="scanner",
+                    accesses=(("items", "r"), ("result", "w")),
+                    scans=("items",),
                 ),
             ),
             "inserter": TransactionType(
@@ -291,6 +296,16 @@ class PhantomScenarioWorkload(Workload):
         if txn_type == "scanner":
             return {"delay": 0.05}
         return {"key": 5, "delay": 0.01}
+
+
+class UndeclaredScanWorkload(PhantomScenarioWorkload):
+    """The scan-skew race with a scanner whose profile declares no scan."""
+
+    def build_transaction_types(self):
+        types = super().build_transaction_types()
+        scanner = types["scanner"]
+        scanner.profile = dataclasses.replace(scanner.profile, scans=())
+        return types
 
 
 def run_phantom_scenario(cc_name):
@@ -350,6 +365,86 @@ class TestPhantomScenarios:
         rng = workload.make_rng(5)
         requests = [workload.next_transaction(rng) for _ in range(30)]
         run_transactions(env, engine, requests)
+        report = check_recorder(recorder)
+        assert report.ok, report.describe()
+
+    # -- a scan is declared: the lock nodes it can reach hold range locks ----
+
+    @pytest.mark.parametrize("cc_name", ["2pl", "rp", "ssi"])
+    def test_an_undeclared_scan_fails_before_any_cc_hook(self, cc_name, monkeypatch):
+        """No range lock was built for a scan nobody declared, so its route
+        refuses it before a mechanism can see (or miss) the predicate."""
+        seen = []
+        monkeypatch.setattr(
+            CC_REGISTRY[cc_name], "before_scan", lambda cc, txn, key_range: seen.append(txn)
+        )
+        workload = UndeclaredScanWorkload()
+        env = Environment()
+        engine = build_engine(
+            env, workload, monolithic(cc_name, ("scanner", "inserter"))
+        )
+        assert getattr(engine.root.cc, "ranges", None) is None
+        scanner = env.process(engine.execute_transaction("scanner", {"delay": 0.05}))
+        with pytest.raises(ConfigurationError, match="'scanner' declares no scan"):
+            env.run(until=scanner)
+        assert seen == []
+        assert engine.store.uncommitted_versions(("result", "scan_count")) == []
+
+    def test_an_online_splice_keeps_the_guard_on_every_node_dequeue_reaches(self):
+        workload = QueueWorkload(initial_messages=3, window=6)
+        env = Environment()
+        config = TREES["queue"]["3layer"]()
+        engine = build_engine(
+            env,
+            workload,
+            config,
+            options=EngineOptions(
+                charge_costs=True, lock_timeout=0.3, commit_wait_timeout=0.5
+            ),
+        )
+        recorder = HistoryRecorder(level="serializable")
+        engine.history_recorder = recorder
+
+        def guarded():
+            return {
+                tree_node.node_id: tree_node.cc.ranges
+                for tree_node in engine.nodes
+                if getattr(tree_node.cc, "ranges", None) is not None
+            }
+
+        def reaches_dequeue():
+            return {
+                tree_node.node_id
+                for tree_node in engine.nodes
+                if "dequeue" in tree_node.subtree_types and tree_node.spec.cc in ("2pl", "rp")
+            }
+
+        before = guarded()
+        assert set(before) == reaches_dequeue() == {"0.1", "0.1.1"}
+        # Splice the consumer leaf alone: it decides again, and its ancestor
+        # keeps its instance and the manager it built (the splice moves no
+        # type across its root, so the ancestor's types are unchanged).
+        consumer = config.clone(name="consumer-rp")
+        consumer.root.children[1].children[1].cc = "rp"
+        env.run(until=env.process(engine.reconfigure_online(consumer)))
+        after = guarded()
+        assert set(after) == reaches_dequeue() == {"0.1", "0.1.1"}
+        assert after["0.1"] is before["0.1"] and after["0.1.1"] is not before["0.1.1"]
+        # Splice the cross-group node: it and both leaves are rebuilt.
+        cross = consumer.clone(name="cross-short-timeout")
+        cross.root.children[1].params["lock_timeout"] = 0.25
+        env.run(until=env.process(engine.reconfigure_online(cross)))
+        assert engine.root.children[1].cc.locks.timeout == 0.25
+        assert set(guarded()) == reaches_dequeue() == {"0.1", "0.1.1"}
+        assert guarded()["0.1"] is not after["0.1"]
+        # Every node routes what a fresh build of the final tree would.
+        fresh = build_engine(Environment(), QueueWorkload(), cross)
+        assert {n.node_id: n.subtree_types for n in engine.nodes} == {
+            n.node_id: n.subtree_types for n in fresh.nodes
+        }
+        # The spliced tree still keeps dequeue's window free of phantoms.
+        rng = workload.make_rng(5)
+        run_transactions(env, engine, [workload.next_transaction(rng) for _ in range(30)])
         report = check_recorder(recorder)
         assert report.ok, report.describe()
 
