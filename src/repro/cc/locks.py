@@ -199,6 +199,7 @@ class LockTable:
         except TransactionAborted as abort:
             if request in record.queue:
                 record.queue.remove(request)
+                self._grant_from_queue(record, key)
             self._drop_if_idle(key, record)
             if abort.reason == "deadlock-timeout":
                 self.timeout_count += 1
@@ -273,11 +274,12 @@ class LockTable:
             if record is None or not record.queue:
                 continue
             record.queue = deque(req for req in record.queue if req.txn is not txn)
+            self._grant_from_queue(record, key)
             self._drop_if_idle(key, record)
 
     def _grant_from_queue(self, record, key):
         # Strict FIFO: grant consecutive head-of-queue requests while they are
-        # compatible with the current holders.
+        # compatible with the holders; run after a release or a leaving request.
         while record.queue:
             request = record.queue[0]
             if not request.txn.is_active:

@@ -183,6 +183,35 @@ class TestLockTable:
         assert reasons == ["deadlock-timeout"]
         assert locks.holders("k") == {c: EXCLUSIVE}
 
+    @pytest.mark.parametrize("leaves_by", ["deadline", "cancel_waits"])
+    def test_a_compatible_waiter_behind_a_leaving_head_is_granted(self, env, leaves_by):
+        """a holds "k" shared, b queues for it exclusive, c shared behind b.
+        Once b leaves the queue, c is compatible with a: it is granted then,
+        not left to run into its own deadline at 0.7."""
+        locks = LockTable(env, timeout=0.5)
+        a, b, c = self._txn(1), self._txn(2), self._txn(3)
+        outcomes = {}
+
+        def waiter(txn, mode, delay):
+            yield env.timeout(delay)
+            try:
+                yield from locks.acquire(txn, "k", mode)
+                outcomes[txn.txn_id] = ("granted", env.now)
+            except TransactionAborted as aborted:
+                outcomes[txn.txn_id] = (aborted.reason, env.now)
+
+        assert locks.request(a, "k", SHARED) is None
+        env.process(waiter(b, EXCLUSIVE, 0.1))
+        env.process(waiter(c, SHARED, 0.2))
+        if leaves_by == "cancel_waits":
+            env.run(until=0.3)
+            self._abort(locks, b)
+        env.run(until=1)
+        left_at = 0.3 if leaves_by == "cancel_waits" else 0.6
+        assert outcomes == {2: ("deadlock-timeout", 0.6), 3: ("granted", left_at)}
+        assert locks.holders("k") == {a: SHARED, c: SHARED}
+        assert locks.waiting("k") == 0
+
     def test_upgrade_for_single_holder(self, env):
         locks = LockTable(env)
         a = self._txn(1)

@@ -35,7 +35,11 @@ Re-recorded once more, the three TSO-promise digests (``ycsb-zipf/tso``,
 condition gave way to per-promisor *moved* events.  A promise wait now
 records one pass per move of its head instead of one per broadcast; the
 commits, aborts, final state and each transaction's total blocked time per
-kind are unchanged, so only pass boundaries moved.
+kind are unchanged, so only pass boundaries moved.  Re-recorded once more,
+``2pl/(rp,rp)``, ``mono-2pl``, ``mono-rp``, ``rp/(rp,2pl)`` and
+``ssi/(none,2pl)`` only: when a lock request that leaves its queue (at its
+deadline, or when its transaction aborts) began to grant the compatible
+requests behind it, which used to wait on until their own deadline.
 """
 
 import hashlib
@@ -121,11 +125,11 @@ CONFORMANCE_STREAM = {
     ),
     "2pl/(rp,rp)": (
         120, ["lock", "range-lock"],
-        "b97e93c0c969868c6bc27306375fa04f60846d1ced1640ff09d78bc6ab3de7fa",
+        "7c16517dbac4cb24975ebfd5c7e7e08a22254410f5b9eea3bd247706f4f4cfae",
     ),
     "mono-2pl": (
-        124, ["lock", "range-lock"],
-        "5668c9cd8c41f38177abdecbea9ce4cf5b1356d17c39a0d26d4680a14fb239bf",
+        123, ["lock", "range-lock"],
+        "a35ef9f8dfcf444731a40dadec9b1999576aa3f9b02f07b8ba90175d479fb42c",
     ),
     "mono-batch": (
         163, ["batch-commit-order", "batch-install-order", "batch-pred-commit", "batch-scan-wait", "batch-slot-wait", "commit-order"],
@@ -136,8 +140,8 @@ CONFORMANCE_STREAM = {
         "684cb9843c88ab1a54d0e2de75b12927a502cc1c0d93a1dd6bb840fa342e029a",
     ),
     "mono-rp": (
-        120, ["lock", "range-lock"],
-        "1ef9ab334b610106f5422d1b8b0d336ec03757a397aa389b555f7d9b5410eb2c",
+        123, ["lock", "range-lock"],
+        "d1e56a5c4f1da2fb8b772f7a41858509dc9a91fd68f7d49ace005adf78afcb52",
     ),
     "mono-ssi": (
         0, [],
@@ -149,7 +153,7 @@ CONFORMANCE_STREAM = {
     ),
     "rp/(rp,2pl)": (
         127, ["lock", "range-lock"],
-        "f015679145eefb4c90151d492ea0d8c0339e214fa62de8cefba882fd792907be",
+        "22db0a686f9cbdc08cd425dcd95b5e53d999f197ec52e69341c6ec9af6825adc",
     ),
     "rp/(rp,rp)": (
         120, ["lock", "range-lock"],
@@ -165,7 +169,7 @@ CONFORMANCE_STREAM = {
     ),
     "ssi/(none,2pl)": (
         80, ["lock", "range-lock"],
-        "e133916418959d2ae1f6507c8ffa701060a73533213a3165468df78209a80dce",
+        "daab378aa0395cebfa91c49036d71050265da6b49c74db27d9f583be1a130fcf",
     ),
     "ssi/(none,2pl/(rp,2pl))": (
         81, ["lock", "range-lock"],
