@@ -6,15 +6,17 @@
 # the versions its store ends on, the blocked wait passes per commit of the
 # batch leaf and of TSO's promise waits, the run-queue entries per
 # tpcc/3layer commit, the entries a read-only-optimised SSI root holds, the
-# scan indexes a tpcc/3layer and a ycsb-scan/2layer store hold, and the
-# import time.
+# scan indexes a tpcc/3layer and a ycsb-scan/2layer store hold, the lock
+# nodes holding range locks on tpcc/3layer and queue/3layer, and the import
+# time.
 #
 # Usage: scripts/check.sh [--quick]
 #
-#   --quick   skip the examples run smoke (import-only) for the fastest
-#             useful gate; everything else always runs.  The full lane also
-#             compares the quickstart and autoconf examples' stdout with
-#             their goldens.
+#   --quick   skip the examples run smoke (import-only) and the figure
+#             scripts run (collect-only) for the fastest useful gate;
+#             everything else always runs.  The full lane also compares the
+#             quickstart and autoconf examples' stdout with their goldens
+#             and runs every paper-figure script (~3.5 min on 2 vCPUs).
 #
 # The fingerprint smoke (benchmarks/bench_speed.py --quick) verifies the
 # fixed-seed behavior fingerprint of two micro runs against the one recorded
@@ -119,6 +121,13 @@ if [[ "$QUICK" == "0" ]]; then
   # measures and the tree it picks are pinned byte for byte (~15 s).
   python examples/automatic_configuration.py | cmp - tests/golden/autoconf_tpcc.txt
   echo "examples/automatic_configuration.py matches tests/golden/autoconf_tpcc.txt"
+  # The paper's figures, tables and the batch contention study, run with
+  # their asserts (bench_speed.py is the fingerprint smoke above).
+  FIGURES=()
+  for script in benchmarks/bench_*.py; do
+    [[ "$script" == benchmarks/bench_speed.py ]] || FIGURES+=("$script")
+  done
+  python -m pytest -q --benchmark-disable "${FIGURES[@]}"
 else
   echo "(import-only: --quick)"
 fi
@@ -158,6 +167,13 @@ print("kernel entries per tpcc/3layer commit: sleeps {:.1f}, events {:.1f}".form
 python -c 'from tests.test_retention import scan_indexes_held as held
 print("scan indexes held after a tpcc/3layer run: {} tables (ycsb-scan/2layer: {})".format(
     len(held("tpcc/3layer")), len(held("ycsb-scan/2layer"))))'
+# A 2PL or RP node builds its range locks only when a type routed through
+# it declares a scan: no tpcc/3layer type scans (0); on queue/3layer the
+# cross-group 2PL node and the consumer leaf do (2; every lock node used to).
+# tests/test_retention.py pins five cells.
+python -c 'from tests.test_retention import range_managers_held as held
+print("range managers held: tpcc/3layer {}, queue/3layer {}".format(
+    len(held("tpcc/3layer")), len(held("queue/3layer"))))'
 # What every engine start pays before it runs anything: wall time of a
 # fresh interpreter importing the CLI, best of three.
 echo -n "import repro.harness.cli: "

@@ -419,6 +419,12 @@ class TestPhantomScenarios:
                 if "dequeue" in tree_node.subtree_types and tree_node.spec.cc in ("2pl", "rp")
             }
 
+        def routes_as_built(configuration):
+            fresh = build_engine(Environment(), QueueWorkload(), configuration)
+            return {n.node_id: n.subtree_types for n in engine.nodes} == {
+                n.node_id: n.subtree_types for n in fresh.nodes
+            }
+
         before = guarded()
         assert set(before) == reaches_dequeue() == {"0.1", "0.1.1"}
         # Splice the consumer leaf alone: it decides again, and its ancestor
@@ -430,6 +436,7 @@ class TestPhantomScenarios:
         after = guarded()
         assert set(after) == reaches_dequeue() == {"0.1", "0.1.1"}
         assert after["0.1"] is before["0.1"] and after["0.1.1"] is not before["0.1.1"]
+        assert routes_as_built(consumer)
         # Splice the cross-group node: it and both leaves are rebuilt.
         cross = consumer.clone(name="cross-short-timeout")
         cross.root.children[1].params["lock_timeout"] = 0.25
@@ -437,11 +444,7 @@ class TestPhantomScenarios:
         assert engine.root.children[1].cc.locks.timeout == 0.25
         assert set(guarded()) == reaches_dequeue() == {"0.1", "0.1.1"}
         assert guarded()["0.1"] is not after["0.1"]
-        # Every node routes what a fresh build of the final tree would.
-        fresh = build_engine(Environment(), QueueWorkload(), cross)
-        assert {n.node_id: n.subtree_types for n in engine.nodes} == {
-            n.node_id: n.subtree_types for n in fresh.nodes
-        }
+        assert routes_as_built(cross)
         # The spliced tree still keeps dequeue's window free of phantoms.
         rng = workload.make_rng(5)
         run_transactions(env, engine, [workload.next_transaction(rng) for _ in range(30)])
