@@ -23,7 +23,10 @@ not do:
   self-time table from a second, un-instrumented pass (``SIGPROF``): share
   by module and the top lines, GC pauses as their own row.  cProfile
   charges per call and books time in C (an ``insort``) to a ``python``
-  row; a sample books it to the line that called it.  Scenarios:
+  row; a sample books it to the line that called it.  Last comes a
+  young-generation census: the sampled pass's collections by generation,
+  and the tracked objects young collections visit per commit, by type (a
+  short tuple by its items' types), from a third pass.  Scenarios:
   ``tpcc-3layer`` (Figure 4.6d), ``seats-3layer`` (Figure 4.8),
   ``micro-2layer`` (the cross-group micro workload), and two of the perf
   ledger's cells, built object for object: ``smallbank-durable-checked``
@@ -209,10 +212,14 @@ class SelfTimeSampler:
 
     def __init__(self):
         self.self_time = Counter()
+        self.passes = Counter()
         self._last = 0.0
 
     def _gc_landing(self, phase, info):
-        """A Python frame for a signal raised inside a collection to land in."""
+        """A Python frame for a signal raised inside a collection to land in;
+        it also counts the collections by generation."""
+        if phase == "start":
+            self.passes[info["generation"]] += 1
 
     def _sample(self, _signum, frame):
         now = time.process_time()
@@ -266,6 +273,28 @@ class SelfTimeSampler:
         print("  top lines:")
         for label, spent in by_line.most_common(lines):
             print(f"    {spent / total:6.1%}  {label}")
+
+
+def _young_label(obj):
+    """A type name; a short tuple also names its items' types, because keys,
+    lock holders and records are all tuples."""
+    if type(obj) is tuple and len(obj) <= 3:
+        return "(" + ", ".join(type(item).__name__ for item in obj) + ")"
+    return type(obj).__name__
+
+
+class YoungCensus:
+    """What the young collections of a run visit, through ``gc.callbacks``:
+    every object in generation 0 when a generation-0 collection starts, by
+    :func:`_young_label`.  The sampled table shows the collector as one row
+    and cannot say who feeds it; this can."""
+
+    def __init__(self):
+        self.visited = Counter()
+
+    def __call__(self, phase, info):
+        if phase == "start" and info["generation"] == 0:
+            self.visited.update(map(_young_label, gc.get_objects(generation=0)))
 
 
 #: Objects the census counts but does not walk through: a class, module,
@@ -341,8 +370,11 @@ def profile_scenario(name, spec, output_path):
 
     Ends with what cProfile has no row for: the collector's share of the
     run, its full collections, the tracked objects the run left outside
-    the heap the runner froze, by owner, and the sampled self-time table of
-    a second run of the scenario without the profiler.
+    the heap the runner froze, by owner, the sampled self-time table of
+    a second run of the scenario without the profiler, and a young-generation
+    census: that run's collections by generation, and from a third run (no
+    warm-up split) the tracked objects its young collections visited per
+    commit, by type.
     """
     _workload, _config, clients, duration, warmup, *_ = spec
     runner = _scenario_runner(spec)
@@ -378,6 +410,23 @@ def profile_scenario(name, spec, output_path):
     finally:
         runner.stop()
     sampler.print_table()
+    census = YoungCensus()
+    runner = _scenario_runner(spec)
+    gc.callbacks.append(census)
+    try:
+        runner.run(clients, duration=warmup + duration, warmup=0.0)
+        commits = runner.engine.stats.commits
+    finally:
+        gc.callbacks.remove(census)
+        runner.stop()
+    young, middle, full = (sampler.passes[generation] for generation in range(3))
+    print(
+        f"\nyoung-generation census: the sampled pass made {young} young, "
+        f"{middle} middle and {full} full collections"
+    )
+    print(f"  tracked objects young collections visited per commit (third pass, {commits} commits):")
+    for label, count in census.visited.most_common(8):
+        print(f"    {count / commits:7.1f}  {label}")
     return result
 
 

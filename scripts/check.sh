@@ -7,8 +7,9 @@
 # batch leaf and of TSO's promise waits, the run-queue entries per
 # tpcc/3layer commit, the entries a read-only-optimised SSI root holds, the
 # scan indexes a tpcc/3layer and a ycsb-scan/2layer store hold, the lock
-# nodes holding range locks on tpcc/3layer and queue/3layer, and the import
-# time.
+# nodes holding range locks on tpcc/3layer and queue/3layer, the read
+# records per commit of tpcc/3layer and of a checked smallbank/3layer, and
+# the import time.
 #
 # Usage: scripts/check.sh [--quick]
 #
@@ -174,6 +175,13 @@ print("scan indexes held after a tpcc/3layer run: {} tables (ycsb-scan/2layer: {
 python -c 'from tests.test_retention import range_managers_held as held
 print("range managers held: tpcc/3layer {}, queue/3layer {}".format(
     len(held("tpcc/3layer")), len(held("queue/3layer"))))'
+# A transaction records its reads and scans only for a reader: no
+# tpcc/3layer route runs OCC (0; every read used to leave one, 11.5), while
+# a checked run's recorder gets one per read and per scan (1.86).
+# tests/test_retention.py pins both.
+python -c 'from tests.test_retention import read_records_per_commit as records
+print("read records per commit: tpcc/3layer {:.0f}, smallbank/3layer checked {:.2f}".format(
+    records("tpcc/3layer"), records("smallbank/3layer", check_isolation=True)))'
 # What every engine start pays before it runs anything: wall time of a
 # fresh interpreter importing the CLI, best of three.
 echo -n "import repro.harness.cli: "

@@ -139,6 +139,8 @@ class ConcurrencyControl:
     #: Whether every writing member type must declare its write keys
     #: (``promise_keys``) in its profile.
     needs_declared_writes = False
+    #: Whether ``pre_commit`` validates the read set: a route through it records it.
+    validates_reads = False
 
     def __init__(self, engine, node):
         self.engine = engine

@@ -21,6 +21,7 @@ class OptimisticCC(ConcurrencyControl):
     name = "occ"
     handles_contention = False
     efficient_internal = False
+    validates_reads = True
 
     def start(self, txn):
         state = self.state(txn)

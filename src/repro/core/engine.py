@@ -142,15 +142,12 @@ class TebaldiEngine:
         self.waits = Waits(
             env, self.active, profiler, timeout=self.options.commit_wait_timeout
         )
+        self._first_txn_id = txn_id_start
         self._last_txn_id = txn_id_start - 1
         self.finished = {}
         self._finished_order = deque()
         self._holds = {}
-        # Optional streaming isolation recorder (see repro.isolation.history):
-        # notified with every commit's installed versions and every abort, so
-        # checked runs observe the authoritative version order whatever the
-        # store has dropped since.
-        self.history_recorder = None
+        self._recorder = None
         self._paused_types = set()
         self._draining = False
         # The phase transport: the constant-delay one unless a message
@@ -205,6 +202,16 @@ class TebaldiEngine:
 
     # -- lifecycle --------------------------------------------------------------
 
+    def _attach_recorder(self, recorder):
+        if recorder is not None and self._last_txn_id >= self._first_txn_id:
+            raise ConfigurationError("attach the history recorder before the first begin()")
+        self._recorder = recorder
+
+    #: Optional streaming isolation recorder (see repro.isolation.history),
+    #: notified with every commit and abort.  Attached before the first
+    #: ``begin()``: a transaction begun without it records no reads.
+    history_recorder = property(lambda self: self._recorder, _attach_recorder)
+
     def begin(self, txn_type, args=None, client_id=-1):
         """Create and register a new transaction instance."""
         route = self._routes.get(txn_type)
@@ -227,6 +234,8 @@ class TebaldiEngine:
         # in-flight transactions are unaffected by online reconfigurations
         # swapping parts of the tree, and the hot path never rebuilds them.
         txn.charges = route
+        if route.records_reads or self._recorder is not None:
+            txn.reads, txn.scans = [], []
         txn.dep_listener = self._on_new_dependency
         if route.static_group_tokens is not None:
             # Immutable token map shared by every transaction of this type.
@@ -363,8 +372,8 @@ class TebaldiEngine:
             txn.finish_event.succeed(True)
         self._retire(txn)
         self.stats.record_commit(txn)
-        if self.history_recorder is not None:
-            self.history_recorder.on_commit(txn, versions)
+        if self._recorder is not None:
+            self._recorder.on_commit(txn, versions)
         return versions
 
     # -- phase transport ---------------------------------------------------------
@@ -389,8 +398,8 @@ class TebaldiEngine:
         for finish_hook in txn.charges.finish_hooks:
             finish_hook(txn, committed=False)
         self._retire(txn)
-        if self.history_recorder is not None:
-            self.history_recorder.on_abort(txn)
+        if self._recorder is not None:
+            self._recorder.on_abort(txn)
         self.stats.record_abort(txn, reason)
         self.commit_condition.notify_all()
 
@@ -473,7 +482,8 @@ class TebaldiEngine:
             self.waits.abort(
                 txn, "order-conflict", self.active.get(candidate.writer)
             )
-        txn.reads.append(ReadRecord(key, candidate, self.env._now))
+        if txn.reads is not None:
+            txn.reads.append(ReadRecord(key, candidate))
         if candidate is None:
             return None
         if candidate.writer != txn.txn_id and (
@@ -533,10 +543,10 @@ class TebaldiEngine:
         skipping missing/deleted rows; ``limit`` bounds the number of rows
         returned (not keys examined).
 
-        The scan is recorded on the transaction (``txn.scans``) with its
-        *effective* range — truncated to the last enumerated key when the
-        limit stopped it early — which is what the isolation oracle uses to
-        derive phantom anti-dependencies.
+        ``txn.scans`` exists only for a reader (OCC, the oracle), and gets
+        the scan's *effective* range — truncated to the last enumerated key
+        when the limit stopped it early — from which the oracle derives
+        phantom anti-dependencies.
         """
         status = txn.status
         if status is not _ACTIVE and status is not _VALIDATING:
@@ -565,7 +575,8 @@ class TebaldiEngine:
         effective = key_range
         if truncated and last_key is not None:
             effective = key_range.truncated(last_key[1])
-        txn.scans.append(ScanRecord(effective, self.env._now))
+        if txn.scans is not None:
+            txn.scans.append(ScanRecord(effective))
         return rows
 
     def _on_new_dependency(self, txn, other_id):

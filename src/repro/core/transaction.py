@@ -17,13 +17,13 @@ class TransactionStatus(Enum):
 class ReadRecord(NamedTuple):
     """One read performed by a transaction: the key and the version observed.
 
-    A named tuple (not a dataclass): one record is allocated per read, and
-    tuple construction is measurably cheaper on that path.
+    A named tuple (not a dataclass): one record is allocated per read of a
+    transaction that records its reads (see :class:`Transaction`), and tuple
+    construction is measurably cheaper on that path.
     """
 
     key: Any
     version: Any
-    at: float = 0.0
 
 
 class ScanRecord(NamedTuple):
@@ -33,23 +33,23 @@ class ScanRecord(NamedTuple):
     early is truncated to the last key it enumerated, because the
     transaction only depended on the key space up to that point.  The keys
     the scan actually observed are in ``txn.reads`` (one
-    :class:`ReadRecord` per enumerated key); the isolation oracle derives
-    phantom rw anti-dependencies from the difference.
+    :class:`ReadRecord` per enumerated key); the isolation oracle and OCC's
+    phantom validation derive phantoms from the difference.
     """
 
     key_range: Any
-    at: float = 0.0
 
 
 @dataclass(slots=True)
 class Transaction:
     """Runtime state of one transaction instance.
 
-    The transaction carries both generic state (read/write sets, direct
-    dependency set, status) and per-CC scratch space (``cc_state``), so that
-    CC mechanisms along the tree path can keep their metadata without being
-    aware of each other — mirroring the paper's separation between the
-    framework and individual CC protocols.
+    The transaction carries both generic state (direct dependency set,
+    status, write set, and the read and scan sets for whoever reads them)
+    and per-CC scratch space (``cc_state``), so that CC mechanisms along the
+    tree path can keep their metadata without being aware of each other —
+    mirroring the paper's separation between the framework and individual
+    CC protocols.
     """
 
     txn_id: int
@@ -69,12 +69,12 @@ class Transaction:
     partition_value: Any = None
     charges: Any = None
 
-    # Data accesses.
-    reads: list = field(default_factory=list)
+    # Data accesses.  A ReadRecord per read and a ScanRecord per ctx.scan
+    # call, only for a reader (OCC's validation, the history recorder).
+    reads: Optional[list] = None
+    scans: Optional[list] = None
     # key -> last value written; insertion order is first-write order.
     writes: dict = field(default_factory=dict)
-    # Range scans (ScanRecord per ctx.scan call); empty for point workloads.
-    scans: list = field(default_factory=list)
 
     # Direct dependencies (txn ids this transaction must be ordered after)
     # and the reverse edges (txn ids ordered after this transaction), which
@@ -130,7 +130,8 @@ class Transaction:
         """Record that this transaction directly depends on ``other_txn_id``.
 
         Returns True when a new edge was recorded (and notifies
-        ``dep_listener`` so reachability caches can be invalidated).
+        ``dep_listener``, through which the engine keeps the reverse edge
+        that ``depends_transitively`` walks).
         """
         if other_txn_id == self.txn_id or other_txn_id == 0:
             return False

@@ -6,7 +6,7 @@ transaction types of its subtree, which is how membership and child-group
 tokens are resolved.
 """
 
-from repro.cc.base import ConcurrencyControl, check_composition, create_cc
+from repro.cc.base import CC_REGISTRY, ConcurrencyControl, check_composition, create_cc
 from repro.errors import ConfigurationError
 from repro.sim.network import CC_LAYER_CPU, OPERATION_CPU, PHASE_CPU, RTT
 
@@ -200,6 +200,7 @@ class Route:
         "partitioned",
         "procedure",
         "read_only",
+        "records_reads",
         "instance_key",
         "leaf_node_id",
     )
@@ -214,6 +215,7 @@ class Route:
         self.op_delay = OPERATION_CPU + CC_LAYER_CPU * layers + op_rtts * RTT
         self.phase_delay = self.phase_cost + RTT
         self.start_delay = self.phase_cost + (1 + self.start_rtts) * RTT
+        self.records_reads = any(CC_REGISTRY[node.spec.cc].validates_reads for node in nodes)
         # Specialised hook tables: only CCs that actually implement a hook
         # appear (as pre-bound methods), so the per-operation loops never
         # dispatch into the base-class no-ops.  Hook order is preserved:

@@ -250,7 +250,7 @@ class TestHistoryRecorder:
         # A committed read of a version whose writer aborted.
         recorder = db.engine.history_recorder
         recorder.on_abort(Transaction(txn_id=9001, txn_type="w"))
-        reader = Transaction(txn_id=9002, txn_type="r")
+        reader = Transaction(txn_id=9002, txn_type="r", reads=[])
         key = ("checking", 3)
         reader.reads.append(ReadRecord(key, Version(key=key, value=None, writer=9001)))
         recorder.on_commit(reader, [])
@@ -265,9 +265,9 @@ class TestHistoryRecorder:
 
         store = MultiVersionStore()
         recorder = HistoryRecorder()
-        writer = Transaction(txn_id=1, txn_type="w")
+        writer = Transaction(txn_id=1, txn_type="w", reads=[])
         version = store.install(("x",), {"v": 1}, writer)
-        reader = Transaction(txn_id=2, txn_type="r")
+        reader = Transaction(txn_id=2, txn_type="r", reads=[])
         reader.reads.append(ReadRecord(("x",), version))
         recorder.on_commit(reader, [])          # reader commits first
         versions = store.commit_transaction(writer)

@@ -62,6 +62,7 @@ from repro.core.transaction import ReadRecord, Transaction
 from repro.core.tree import PartitionedCC
 from repro.core.waits import MovedEvents
 from repro.database import Database
+from repro.errors import ConfigurationError
 from repro.harness import configs
 from repro.harness import runner as runner_module
 from repro.harness.degraded import NetFaultLane
@@ -85,6 +86,7 @@ from tests.reference_checker import check_history
 from tests.snapshot_read_census import census_of_run
 from tests.test_cc_conformance import (
     CONFORMANCE_TREES,
+    TXN_TYPES,
     ConformanceWorkload,
     TwoStepWorkload,
 )
@@ -113,11 +115,18 @@ class KeepEveryVersionStore(MultiVersionStore):
 
 class ReadLogEngine(TebaldiEngine):
     """Test-only: keeps what every read of every finished transaction,
-    committed or aborted, returned — ``(key, writer, commit_seq)``."""
+    committed or aborted, returned — ``(key, writer, commit_seq)``.  It
+    reads every read set, so every transaction records one."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.read_log = {}
+
+    def begin(self, *args, **kwargs):
+        txn = super().begin(*args, **kwargs)
+        if txn.reads is None:
+            txn.reads = []
+        return txn
 
     def _retire(self, txn):
         self.read_log[txn.txn_id] = [
@@ -1007,9 +1016,9 @@ class TestLateResolution:
         streaming verdict, or the post-hoc reference over ``history()``."""
         store = MultiVersionStore()
         recorder = HistoryRecorder()
-        writer = Transaction(txn_id=1, txn_type="w")
+        writer = Transaction(txn_id=1, txn_type="w", reads=[])
         version = store.install(("x",), {"v": 1}, writer)
-        reader = Transaction(txn_id=2, txn_type="r")
+        reader = Transaction(txn_id=2, txn_type="r", reads=[])
         reader.reads.append(ReadRecord(("x",), version))
         recorder.on_commit(reader, [])          # the reader commits first
         if writer_commits:
@@ -1254,6 +1263,143 @@ class TestStorePaysOnlyForWhatIsRead:
             and ref is not version.value
         ]
         assert own == []
+
+
+class ReadCountEngine(TebaldiEngine):
+    """Test-only: for each committed transaction, its type, the reads and
+    scans it performed, and the read and scan records it carried when it
+    finished (``None`` where it kept no list)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.performed = Counter()
+        self.committed = []
+
+    def perform_read(self, txn, key, for_update=False):
+        value = yield from super().perform_read(txn, key, for_update)
+        self.performed[txn.txn_id, "read"] += 1
+        return value
+
+    def perform_scan(self, txn, key_range, limit=None, for_update=False):
+        rows = yield from super().perform_scan(txn, key_range, limit, for_update)
+        self.performed[txn.txn_id, "scan"] += 1
+        return rows
+
+    def _retire(self, txn):
+        reads = self.performed.pop((txn.txn_id, "read"), 0)
+        scans = self.performed.pop((txn.txn_id, "scan"), 0)
+        if txn.committed:
+            self.committed.append((
+                txn.txn_type,
+                reads,
+                scans,
+                None if txn.reads is None else len(txn.reads),
+                None if txn.scans is None else len(txn.scans),
+            ))
+        super()._retire(txn)
+
+
+def _recording(engine):
+    """The transactions ``engine`` still holds that carry a read or scan list."""
+    live = (*engine.active.values(), *engine.finished.values())
+    return [txn.txn_id for txn in live if txn.reads is not None or txn.scans is not None]
+
+
+def read_record_census(cell, check_isolation=False):
+    """Run ``RUNNER_CELLS[cell]`` (seed 7, 16 clients) on a
+    :class:`ReadCountEngine`: its committed rows, and the transactions it
+    holds at the end that carry a read or scan list."""
+    workload_factory, config_factory, _clients, duration = RUNNER_CELLS[cell]
+    original = runner_module.TebaldiEngine
+    runner_module.TebaldiEngine = ReadCountEngine
+    try:
+        runner = BenchmarkRunner(
+            workload_factory(), config_factory(), seed=7, check_isolation=check_isolation
+        )
+    finally:
+        runner_module.TebaldiEngine = original
+    try:
+        runner.run(CLIENTS, duration=duration, warmup=0.0)
+        assert runner.engine.stats.commits > 100
+        return runner.engine.committed, _recording(runner.engine)
+    finally:
+        runner.stop()
+
+
+def read_records_per_commit(cell, check_isolation=False):
+    """Read and scan records a committed transaction of ``cell`` carried, per
+    commit.  ``scripts/check.sh`` prints it for ``tpcc/3layer`` and a checked
+    ``smallbank/3layer``."""
+    committed, _live = read_record_census(cell, check_isolation)
+    records = sum((row[3] or 0) + (row[4] or 0) for row in committed)
+    return records / len(committed)
+
+
+class TestReadsAreRecordedOnlyForAReader:
+    """A transaction records its reads and scans only for a reader: a route
+    through a mechanism that validates them (OCC) or an attached history
+    recorder.  Every transaction used to record both."""
+
+    def test_only_a_reader_gets_a_record_per_read(self):
+        # No reader: the flagship, and the scan cell.
+        for cell in ("tpcc/3layer", "ycsb-scan/2layer"):
+            committed, live = read_record_census(cell)
+            assert live == []
+            assert {row[3:] for row in committed} == {(None, None)}
+            assert sum(row[1] for row in committed) > 4 * len(committed)
+        # The recorder reads them: one record per read and per scan.
+        committed, live = read_record_census("smallbank/3layer", check_isolation=True)
+        assert live and sum(row[1] for row in committed) > 900
+        assert all(row[1:3] == row[3:] for row in committed)
+        # OCC's pre_commit reads them, on its own route only (no recorder).
+        workload = ConformanceWorkload()
+        rng = random.Random(99)
+        requests = [workload.next_transaction(rng) for _ in range(60)]
+        engine = build_engine(
+            Environment(),
+            workload,
+            Configuration(node("2pl", leaf("occ", "alpha"), leaf("2pl", "beta", "reader"))),
+            options=EngineOptions(
+                charge_costs=True, lock_timeout=0.2, commit_wait_timeout=0.4
+            ),
+            engine_class=ReadCountEngine,
+        )
+        engine.history_recorder = None
+        run_transactions(engine.env, engine, requests, lanes=6)
+        by_type = {}
+        for txn_type, *row in engine.committed:
+            by_type.setdefault(txn_type, []).append(row)
+        assert sorted(by_type) == ["alpha", "beta", "reader"]
+        assert all(row[:2] == row[2:] and row[0] for row in by_type["alpha"])
+        assert all(row[2:] == [None, None] for row in by_type["beta"] + by_type["reader"])
+
+    @pytest.mark.parametrize("cc, records", [("occ", True), ("2pl", False)])
+    def test_a_partitioned_leaf_records_as_its_mechanism_does(self, cc, records):
+        config = Configuration(leaf(cc, *TXN_TYPES, instance_key=lambda args: 0))
+        engine = build_engine(Environment(), ConformanceWorkload(), config)
+        assert isinstance(engine.root.cc, PartitionedCC)
+        assert {route.records_reads for route in engine._routes.values()} == {records}
+
+    def test_a_recorder_attached_after_a_begin_is_refused(self):
+        # Without the refusal the begun transaction would commit with no
+        # reads and the oracle would pass without having looked.  A crash
+        # lane's rebuilt engine starts at a later id, and attaches first.
+        workload = ConformanceWorkload()
+        store = MultiVersionStore()
+        workload.populate(store)
+        engine = TebaldiEngine(
+            Environment(),
+            CONFORMANCE_TREES["mono-2pl"](),
+            workload.transaction_types(),
+            store=store,
+            txn_id_start=50,
+        )
+        engine.history_recorder = HistoryRecorder()
+        engine.history_recorder = None
+        engine.begin("alpha")
+        with pytest.raises(ConfigurationError, match="before the first begin"):
+            engine.history_recorder = HistoryRecorder()
+        assert engine.history_recorder is None
 
 
 #: name -> (workload, configuration, clients, simulated seconds): the

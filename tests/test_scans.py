@@ -507,7 +507,7 @@ class TestRecorderRetention:
         recorder = HistoryRecorder(level="serializable")
         window = HistoryRecorder.STREAMING_WINDOW_DEFAULT
         total = window + 64
-        txn = Transaction(txn_id=0, txn_type="w")
+        txn = Transaction(txn_id=0, txn_type="w", reads=[])
         for index in range(1, total + 1):
             version = Version(key=("t", index), value=index, writer=index)
             version.mark_committed(index)
