@@ -48,8 +48,9 @@ class OptimisticCC(ConcurrencyControl):
             if latest is not None and version.committed and latest is not version:
                 self.waits.abort(txn, "occ-read-validation")
         # Write validation: first-committer-wins on the write set.
-        for key in txn.writes:
-            latest = self.engine.store.latest_committed(key)
+        pending = self.engine.store.pending_versions(txn.txn_id)
+        for version in pending:
+            latest = self.engine.store.latest_committed(version.key)
             if latest is not None and (latest.commit_seq or 0) > snapshot_seq:
                 self.waits.abort(txn, "occ-write-validation")
         # Scan (phantom) validation: re-enumerate every scanned range; a key
@@ -57,7 +58,7 @@ class OptimisticCC(ConcurrencyControl):
         # snapshot is a phantom the scan missed.
         if txn.scans:
             read_keys = {record.key for record in txn.reads}
-            own_writes = txn.writes
+            own_writes = {version.key for version in pending}
             store = self.engine.store
             for scan in txn.scans:
                 key_range = scan.key_range

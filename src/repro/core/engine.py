@@ -355,7 +355,8 @@ class TebaldiEngine:
             # durable reader can never survive recovery while its writer
             # vanishes (cross-crash recoverability of the DSG).
             durability = self.durability
-            global_epoch = durability.precommit(txn, list(txn.writes.items()))
+            writes = [(v.key, v.value) for v in self.store.pending_versions(txn.txn_id)]
+            global_epoch = durability.precommit(txn, writes)
             durability.commit_notification(txn, global_epoch)
             if durability.halted:
                 # Crashed inside the precommit: _run parks the process.
@@ -523,7 +524,6 @@ class TebaldiEngine:
                     raise TransactionAborted(txn.txn_id, "order-conflict")
                 txn.add_dependency(pending_writer)
         version = self.store.install(key, value, txn)
-        txn.writes[key] = value
         if self._durable:
             self.durability.log_operation(txn, key, value)
         for after_write_hook in charges.after_write_hooks:

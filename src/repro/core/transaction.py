@@ -45,11 +45,11 @@ class Transaction:
     """Runtime state of one transaction instance.
 
     The transaction carries both generic state (direct dependency set,
-    status, write set, and the read and scan sets for whoever reads them)
-    and per-CC scratch space (``cc_state``), so that CC mechanisms along the
-    tree path can keep their metadata without being aware of each other —
-    mirroring the paper's separation between the framework and individual
-    CC protocols.
+    status, and the read and scan sets for whoever reads them) and per-CC
+    scratch space (``cc_state``), so that CC mechanisms along the tree path
+    can keep their metadata without being aware of each other — mirroring
+    the paper's separation between the framework and individual CC
+    protocols.  Its write set is the store's ``pending_versions``.
     """
 
     txn_id: int
@@ -73,8 +73,6 @@ class Transaction:
     # call, only for a reader (OCC's validation, the history recorder).
     reads: Optional[list] = None
     scans: Optional[list] = None
-    # key -> last value written; insertion order is first-write order.
-    writes: dict = field(default_factory=dict)
 
     # Direct dependencies (txn ids this transaction must be ordered after)
     # and the reverse edges (txn ids ordered after this transaction), which

@@ -117,7 +117,8 @@ class MessageTransport:
             retransmit = None
             durability = engine.durability
             if durability.enabled:
-                writes = list(txn.writes.items())
+                pending = engine.store.pending_versions(txn.txn_id)
+                writes = [(version.key, version.value) for version in pending]
                 participants = durability.participants_for(writes)
                 retransmit = lambda: durability.precommit(txn, writes)
             yield from self.exchange(

@@ -292,6 +292,10 @@ class MultiVersionStore:
         writes.append(version)
         return version
 
+    def pending_versions(self, txn_id):
+        """``txn_id``'s uncommitted versions, one per key in first-write order."""
+        return self._writes_by_txn.get(txn_id, ())
+
     def commit_transaction(self, txn, timestamp=None, retained=()):
         """Move every uncommitted version of ``txn`` to the committed chains.
 

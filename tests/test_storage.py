@@ -292,8 +292,8 @@ class TestDurability:
     @pytest.mark.parametrize("asynchronous", [False, True])
     def test_log_holds_a_copy_of_the_row(self, asynchronous):
         """``ctx.update`` returns the dict it handed to ``perform_write``,
-        which is also ``Version.value`` and ``txn.writes[key]``: mutating it
-        after the log calls returned must change nothing recovery rebuilds."""
+        which is also ``Version.value`` and the precommit's value: mutating
+        it after the log calls returned must change nothing recovery rebuilds."""
         manager = self._manager(asynchronous=asynchronous)
         txn = make_txn(3)
         row = {"v": 1, "tags": ["a"]}
