@@ -17,9 +17,8 @@ class TransactionStatus(Enum):
 class ReadRecord(NamedTuple):
     """One read performed by a transaction: the key and the version observed.
 
-    A named tuple (not a dataclass): one record is allocated per read of a
-    transaction that records its reads (see :class:`Transaction`), and tuple
-    construction is measurably cheaper on that path.
+    A named tuple (not a dataclass): one record is allocated per recorded
+    read, and tuple construction is measurably cheaper on that path.
     """
 
     key: Any
@@ -128,8 +127,7 @@ class Transaction:
         """Record that this transaction directly depends on ``other_txn_id``.
 
         Returns True when a new edge was recorded (and notifies
-        ``dep_listener``, through which the engine keeps the reverse edge
-        that ``depends_transitively`` walks).
+        ``dep_listener``, which keeps the engine's reverse edges).
         """
         if other_txn_id == self.txn_id or other_txn_id == 0:
             return False

@@ -117,8 +117,7 @@ class MessageTransport:
             retransmit = None
             durability = engine.durability
             if durability.enabled:
-                pending = engine.store.pending_versions(txn.txn_id)
-                writes = [(version.key, version.value) for version in pending]
+                writes = [(v.key, v.value) for v in engine.store.pending_versions(txn.txn_id)]
                 participants = durability.participants_for(writes)
                 retransmit = lambda: durability.precommit(txn, writes)
             yield from self.exchange(

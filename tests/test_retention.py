@@ -41,7 +41,10 @@ These things are pinned here:
   own), only a scanned table holds a scan index, tracked objects per commit on
   ``tpcc/3layer`` stay under a bound, snapshot reads land at or next to the
   tail of their chain, and the profiler's owner census books a lock table
-  to its CC node.
+  to its CC node;
+* **records for a reader** — a transaction carries read and scan records
+  only on a route through OCC or under a history recorder, one per read and
+  per scan, and a recorder cannot be attached once a transaction has begun.
 """
 
 import gc
