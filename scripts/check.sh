@@ -8,8 +8,8 @@
 # tpcc/3layer commit, the entries a read-only-optimised SSI root holds, the
 # scan indexes a tpcc/3layer and a ycsb-scan/2layer store hold, the lock
 # nodes holding range locks on tpcc/3layer and queue/3layer, the read
-# records per commit of tpcc/3layer and of a checked smallbank/3layer, and
-# the import time.
+# records per commit of tpcc/3layer and of a checked smallbank/3layer, the
+# import time and the cycle-detector nodes a checked smallbank/3layer holds.
 #
 # Usage: scripts/check.sh [--quick]
 #
@@ -187,6 +187,12 @@ print("read records per commit: tpcc/3layer {:.0f}, smallbank/3layer checked {:.
 echo -n "import repro.harness.cli: "
 python -m timeit -n 1 -r 3 -s 'import subprocess, sys' \
   'subprocess.run([sys.executable, "-c", "import repro.harness.cli"], check=True)'
+# The oracle's cycle detector forgets a committed transaction once the engine
+# released it and nothing it depends on is left: what it holds is what the
+# engine retains (33; every commit stayed a node, 4,821, before it pruned).
+# tests/test_retention.py bounds it.
+python -c 'from tests.test_retention import detector_nodes_held as held
+print("cycle-detector nodes after 4,800 checked smallbank/3layer commits: {}".format(held((4800,))[0]))'
 
 echo
 echo "check.sh: all good"

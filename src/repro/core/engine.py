@@ -371,10 +371,10 @@ class TebaldiEngine:
         txn.end_time = self.env.now
         if not txn.finish_event.triggered:
             txn.finish_event.succeed(True)
+        if self._recorder is not None:  # before _retire, which may release txn
+            self._recorder.on_commit(txn, versions)
         self._retire(txn)
         self.stats.record_commit(txn)
-        if self._recorder is not None:
-            self._recorder.on_commit(txn, versions)
         return versions
 
     # -- phase transport ---------------------------------------------------------
@@ -429,9 +429,11 @@ class TebaldiEngine:
             held = next(iter(self._holds.values()))
             if floor is None or held < floor:
                 floor = held
-        order = self._finished_order
+        order, recorder = self._finished_order, self._recorder
         while order and (floor is None or order[0][0] < floor):
-            self.finished.pop(order.popleft()[1], None)
+            txn = self.finished.pop(order.popleft()[1])
+            if recorder is not None and txn.status is _COMMITTED:
+                recorder.on_release(txn.txn_id)
 
     def hold_finished(self, key):
         """Keep whatever finishes from now until ``drop_hold(key)`` — for a

@@ -178,6 +178,11 @@ class CrashLane(Lane):
             recorder.on_recovered(
                 ghost, ghost_versions.get(ghost, []), now=crash_time
             )
+        # Every reader from here on sees restored versions only: nothing the
+        # dead incarnation held, nor a ghost, can gain an incoming edge (the
+        # oracle checks), so release them all; an aborted one is no node.
+        for txn_id in [*engine.finished, *sorted(ghosts)]:
+            recorder.on_release(txn_id)
 
         # Checkpoint: wipe the logs and persist the recovered state as the
         # next incarnation's base, so a discarded epoch's records cannot

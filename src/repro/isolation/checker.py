@@ -26,6 +26,7 @@ class IsolationReport:
     aborted_reads: list = field(default_factory=list)
     intermediate_reads: list = field(default_factory=list)
     cycles: list = field(default_factory=list)
+    edges_into_pruned: list = field(default_factory=list)  # released too early
     num_transactions: int = 0
     num_edges: int = 0
 
@@ -35,6 +36,7 @@ class IsolationReport:
             self.serializable
             and not self.aborted_reads
             and not self.intermediate_reads
+            and not self.edges_into_pruned
         )
 
     def raise_on_violation(self):
@@ -53,6 +55,8 @@ class IsolationReport:
             problems.append(f"{len(self.aborted_reads)} aborted reads")
         if self.intermediate_reads:
             problems.append(f"{len(self.intermediate_reads)} intermediate reads")
+        if self.edges_into_pruned:
+            problems.append(f"{len(self.edges_into_pruned)} edges into pruned transactions")
         if self.cycles:
             problems.append(f"cycle {self.cycles[0]}")
         return "isolation violation: " + ", ".join(problems)
@@ -72,6 +76,7 @@ def check_recorder(recorder):
     report = IsolationReport(
         aborted_reads=checker.aborted_reads + checker.pending_aborted_reads(),
         intermediate_reads=list(checker.intermediate_reads),
+        edges_into_pruned=list(checker.edges_into_pruned),
         num_transactions=recorder.recorded_commits,
         num_edges=checker.num_edges,
     )

@@ -7,7 +7,7 @@
   when it does not; the first edge that closes a cycle is reported with the
   full cycle path as an edge list (``[(u, v), (v, w), ..., (x, u)]``, the
   shape networkx's cycle finder returns).  This is what the streaming DSG
-  checker feeds at commit time.
+  checker feeds at commit time; it prunes what nothing can reach any more.
 * :func:`strongly_connected_components` — one iterative Tarjan pass as a
   generator; the runtime-pipelining analysis condenses its table graph with
   it.
@@ -29,14 +29,18 @@ class IncrementalCycleDetector:
     Once a cycle is found the detector latches: ``cycle`` keeps the first
     cycle and later edges are recorded but no longer checked (a broken
     order cannot be repaired, and the checker only needs the first witness).
+
+    A released node is pruned once every in-neighbour is, so no pruned node
+    lies on a cycle unless an edge later enters one (the checker's guard).
     """
 
-    __slots__ = ("_out", "_in", "_ord", "_next_index", "cycle", "num_edges")
+    __slots__ = ("_out", "_in", "_ord", "_released", "_next_index", "cycle", "num_edges")
 
     def __init__(self):
         self._out = {}
         self._in = {}
         self._ord = {}
+        self._released = set()  # released nodes an unpruned in-neighbour holds
         self._next_index = 0
         self.cycle = None
         self.num_edges = 0
@@ -44,7 +48,7 @@ class IncrementalCycleDetector:
     def __contains__(self, node):
         return node in self._ord
 
-    def _add_node(self, node):
+    def add_node(self, node):
         if node not in self._ord:
             self._ord[node] = self._next_index
             self._next_index += 1
@@ -57,8 +61,8 @@ class IncrementalCycleDetector:
             if self.cycle is None:
                 self.cycle = [(source, source)]
             return self.cycle
-        self._add_node(source)
-        self._add_node(target)
+        self.add_node(source)
+        self.add_node(target)
         out_edges = self._out[source]
         if target in out_edges:
             return None
@@ -114,6 +118,21 @@ class IncrementalCycleDetector:
         for slot, node in zip(slots, backward + forward):
             order[node] = slot
         return None
+
+    def release(self, node):
+        """Prune ``node`` once no in-neighbour is left unpruned, then each
+        successor released earlier that it was the last to hold."""
+        released, ins, outs = self._released, self._in, self._out
+        stack = [node] if node in ins else []  # an aborted one is no node
+        released.update(stack)
+        while stack:
+            node = stack.pop()
+            if node in released and not ins[node]:
+                released.discard(node)
+                del ins[node], self._ord[node]
+                for successor in outs.pop(node):
+                    ins[successor].discard(node)
+                    stack.append(successor)
 
 
 def strongly_connected_components(adjacency):

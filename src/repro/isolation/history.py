@@ -80,7 +80,7 @@ class HistoryRecorder:
     The checker sees every commit (it is fed before ring eviction) and owns
     the run's per-key version order — every committed version, although the
     store drops superseded ones — which :meth:`seq_of` and :meth:`history`
-    read.
+    read; its detector forgets what the engine releases (:meth:`on_release`).
 
     A retained record is one flat tuple (layout at :data:`_WRITES_AT`): a
     read of a version already sequenced when its reader commits is kept as
@@ -162,6 +162,10 @@ class HistoryRecorder:
         aborted[txn.txn_id] = None
         while len(aborted) > self.max_transactions:
             aborted.popitem(last=False)
+
+    def on_release(self, txn_id):
+        """The engine let go of committed ``txn_id``: the detector may prune it."""
+        self.streaming_checker.detector.release(txn_id)
 
     def on_crash(self, vanished):
         """Stitch a simulated crash into the recorded history.

@@ -37,8 +37,11 @@ the key's first committed writer — whether that writer committed before
 the scan (the scan's snapshot missed it) or after (classic phantom).  The
 checker keeps a per-table index of committed keys for the backward
 direction and a per-table registry of committed scan predicates for the
-forward one; both grow with distinct keys / committed scans, like the
-detector's node set.
+forward one; both grow with distinct keys / committed scans.
+
+The detector does not: a transaction is a node from its commit until the
+engine has released it and every in-neighbour is pruned.  An edge out of a
+pruned one is dropped, an edge into one is reported (``edges_into_pruned``).
 """
 
 from bisect import bisect_left, bisect_right, insort
@@ -68,6 +71,7 @@ class StreamingDSGChecker:
         "_scan_watch",
         "aborted_reads",
         "intermediate_reads",
+        "edges_into_pruned",
         "num_edges",
     )
 
@@ -84,6 +88,7 @@ class StreamingDSGChecker:
         self._scan_watch = {}  # table -> [(scanner, KeyRange, read keys), ...]
         self.aborted_reads = []
         self.intermediate_reads = []
+        self.edges_into_pruned = []
         self.num_edges = 0
 
     @property
@@ -96,7 +101,11 @@ class StreamingDSGChecker:
             return
         self.num_edges += 1
         if kind in self.kinds:
-            self.detector.add_edge(source, target)
+            # Both ends have committed, so one that is no node was pruned.
+            if target not in self.detector:
+                self.edges_into_pruned.append((source, target))
+            elif source in self.detector:
+                self.detector.add_edge(source, target)
 
     def on_commit(self, txn_id, versions, reads, scans=()):
         """Fold one committed transaction into the graph.
@@ -110,6 +119,7 @@ class StreamingDSGChecker:
         writers_map, seqs_map, waiting = self._writers, self._seqs, self._waiting
         final = self._final
         add_edge = self._add_edge
+        self.detector.add_node(txn_id)
         for key, version in reads:
             writer = version.writer
             if writer == txn_id:

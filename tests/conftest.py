@@ -75,11 +75,13 @@ def tiny_tpcc():
 
 
 def build_engine(env, workload, configuration, options=None, profiler=None,
-                 engine_class=TebaldiEngine, store_class=MultiVersionStore):
+                 engine_class=TebaldiEngine, store_class=MultiVersionStore,
+                 recorder_class=HistoryRecorder):
     """Create an engine with the workload's data loaded.
 
-    A streaming :class:`HistoryRecorder` is attached, so ``check_engine``
-    has a history to check (the engine keeps none of its own).
+    A streaming :class:`HistoryRecorder` (or ``recorder_class``) is
+    attached, so ``check_engine`` has a history to check (the engine keeps
+    none of its own).
     """
     store = store_class()
     workload.populate(store)
@@ -91,7 +93,7 @@ def build_engine(env, workload, configuration, options=None, profiler=None,
         options=options or EngineOptions(charge_costs=False),
         profiler=profiler,
     )
-    engine.history_recorder = HistoryRecorder(level="serializable")
+    engine.history_recorder = recorder_class(level="serializable")
     return engine
 
 

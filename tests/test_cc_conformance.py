@@ -238,13 +238,14 @@ REJECTED_TREES = {
 ALL_TREES = {**CONFORMANCE_TREES, **OPEN_TREES, **REJECTED_TREES}
 
 
-def run_conformance(tree_name, requests, lanes=None):
+def run_conformance(tree_name, requests, lanes=None, recorder_class=HistoryRecorder):
     """Run scripted transactions under a tree; return the oracle report.
 
     The engine audits its own retention on the way (see
     :class:`~tests.conftest.OverlapAuditEngine`); with ``lanes`` the requests
     run as that many sequential streams, so transactions finish and are
-    released while later ones are still to come.
+    released while later ones are still to come.  ``recorder_class`` swaps
+    the oracle's recorder (the pruning pins compare one that never prunes).
     """
     workload = ConformanceWorkload()
     env = Environment()
@@ -256,6 +257,7 @@ def run_conformance(tree_name, requests, lanes=None):
             charge_costs=True, lock_timeout=0.2, commit_wait_timeout=0.4
         ),
         engine_class=OverlapAuditEngine,
+        recorder_class=recorder_class,
     )
     recorder = engine.history_recorder
     outcomes, _processes = run_transactions(env, engine, requests, lanes=lanes)
@@ -280,10 +282,10 @@ def random_requests(seed, count):
     return requests
 
 
-def replay_conformance(tree_name, seed, count, lanes):
+def replay_conformance(tree_name, seed, count, lanes, recorder_class=HistoryRecorder):
     """A ``(tree, seed, count, lanes)`` tuple: the report and the commits."""
     report, committed, _recorder = run_conformance(
-        tree_name, random_requests(seed, count), lanes
+        tree_name, random_requests(seed, count), lanes, recorder_class
     )
     return report, committed
 
@@ -499,7 +501,7 @@ class TestRpOverRpStaleRead:
 # ---------------------------------------------------------------------------
 
 
-def run_micro_schedule(cross, leaf_a, leaf_b, seed, count):
+def run_micro_schedule(cross, leaf_a, leaf_b, seed, count, recorder_class=HistoryRecorder):
     """One-shot micro requests under ``cross/(leaf_a, leaf_b)`` — what a
     ``(cross, leaf_a, leaf_b, seed, count)`` tuple of
     ``test_random_micro_schedules_are_serializable`` replays."""
@@ -515,6 +517,7 @@ def run_micro_schedule(cross, leaf_a, leaf_b, seed, count):
         options=EngineOptions(
             charge_costs=True, lock_timeout=0.2, commit_wait_timeout=0.4
         ),
+        recorder_class=recorder_class,
     )
     rng = workload.make_rng(seed)
     requests = [workload.next_transaction(rng) for _ in range(count)]

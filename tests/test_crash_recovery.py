@@ -352,8 +352,64 @@ def run_and_stop(runner, clients, duration):
         runner.stop()
 
 
+class NodeCensusCrashLane(CrashLane):
+    """Notes, at each recovery, which of the dead incarnation's transactions
+    are still nodes of the oracle's cycle detector, beside the number of
+    finished transactions that incarnation retained."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.census = []
+
+    def _crash_and_recover(self, engine, store, manager):
+        new_store = super()._crash_and_recover(engine, store, manager)
+        nodes = self.recorder.streaming_checker.detector._ord
+        last_id = engine._last_txn_id
+        self.census.append(
+            ([node for node in nodes if node <= last_id], len(engine.finished))
+        )
+        return new_store
+
+
 class TestCrashScenarios:
     """Fixed-seed end-to-end crash/recovery runs under the oracle."""
+
+    #: name -> (workload, tree, seed, fault plan, synchronous precommit).
+    RELEASE_CELLS = {
+        # Two crashes, 70 and 0 vanished transactions.
+        "smallbank/3layer": (
+            _smallbank_workload, ("smallbank", "3layer"), 13,
+            FaultPlan.from_seed(13, crashes=2), False,
+        ),
+        # One ghost (test_ghost_survivor_scenario's crash).
+        "queue/3layer-ghost": (
+            _queue_workload, ("queue", "3layer"), 11,
+            FaultPlan((CrashPoint("precommit-done", 25),)), True,
+        ),
+    }
+
+    @pytest.mark.parametrize("cell", sorted(RELEASE_CELLS))
+    def test_recovery_releases_the_dead_incarnation(self, cell):
+        """The crash lane releases whatever the dead engine still retained,
+        and every ghost: no transaction from before a crash stays a node of
+        the cycle detector once its recovery is done."""
+        workload, (name, tree), seed, plan, synchronous = self.RELEASE_CELLS[cell]
+        lane = NodeCensusCrashLane(
+            plan, durability=default_crash_durability(asynchronous=not synchronous)
+        )
+        runner = BenchmarkRunner(
+            workload(), WORKLOAD_CONFIGURATIONS[name][tree](), seed=seed, lanes=[lane]
+        )
+        result = run_and_stop(runner, 8, duration=0.6)
+        assert result.extra["isolation"].ok, result.extra["isolation"].describe()
+        assert len(lane.census) == len(result.crashes) >= 1
+        for (dead_nodes, retained), crash in zip(lane.census, result.crashes):
+            assert retained > 0 and crash.committed_before > retained
+            assert dead_nodes == []
+        dead = [
+            len(crash.vanished) + len(crash.ghosts) for crash in result.crashes
+        ]
+        assert dead[0] > 0
 
     @pytest.mark.parametrize("config_name", QUEUE_CRASH_CONFIGS)
     def test_queue_crash_recovery_checked(self, config_name):

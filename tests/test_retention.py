@@ -44,7 +44,12 @@ These things are pinned here:
   to its CC node;
 * **records for a reader** — a transaction carries read and scan records
   only on a route through OCC or under a history recorder, one per read and
-  per scan, and a recorder cannot be attached once a transaction has begun.
+  per scan, and a recorder cannot be attached once a transaction has begun;
+* **the oracle forgets** — the cycle detector prunes a committed
+  transaction once the engine released it and every in-neighbour is
+  pruned: *prune ≡ never prune* on every conformance tree and open family,
+  a release that comes too early is a named violation, a commit reaches the
+  oracle before its release, and the detector stays flat on a checked run.
 """
 
 import gc
@@ -87,11 +92,16 @@ from repro.workloads.ycsb import YCSBWorkload
 from tests.conftest import OverlapAuditEngine, build_engine, run_transactions
 from tests.reference_checker import check_history
 from tests.snapshot_read_census import census_of_run
+from tests import test_cc_conformance as conformance
 from tests.test_cc_conformance import (
     CONFORMANCE_TREES,
     TXN_TYPES,
     ConformanceWorkload,
     TwoStepWorkload,
+    random_requests,
+    replay_conformance,
+    run_conformance,
+    run_micro_schedule,
 )
 
 TREES = configs.WORKLOAD_CONFIGURATIONS
@@ -788,9 +798,10 @@ class TestFlatRetention:
         try:
             runner.add_clients(CLIENTS)
             # Below 1,200 commits the per-key structures are still filling.
-            # What is left is the detector's two sets and the store's Version
-            # per commit: 3.2 measured, 17.5 before records were flat.
-            assert _tracked_per_commit(runner, 1200, 4800) < 6
+            # What is left grows with distinct keys, not commits: 0.05
+            # measured, 2.05 while the cycle detector kept two sets per
+            # committed transaction, 17.5 before records were flat.
+            assert _tracked_per_commit(runner, 1200, 4800) < 1
 
             # A GCP flush, then some more commits: records on both sides of it.
             runner.manager.advance_gcp_epoch()
@@ -813,6 +824,158 @@ class TestFlatRetention:
             assert not any(map(gc.is_tracked, flat))
         finally:
             runner.stop()
+
+
+class NeverPruneRecorder(HistoryRecorder):
+    """Test-only: the recorder as it was before the oracle forgot anything
+    (the engine's releases are not passed on)."""
+
+    def on_release(self, txn_id):
+        pass
+
+
+def _verdict(report):
+    return (
+        report.ok, report.cycles, report.num_edges, report.aborted_reads,
+        report.intermediate_reads, report.edges_into_pruned,
+    )
+
+
+def detector_nodes_held(targets=(1200, 4800)):
+    """Nodes the oracle's cycle detector holds after each of ``targets``
+    commits of a checked ``smallbank/3layer`` run (seed 7, 16 clients).
+    Each is a transaction the engine still retains or a released one that
+    such a transaction precedes.  ``scripts/check.sh`` prints the last."""
+    runner = BenchmarkRunner(
+        _smallbank(), configs.smallbank_3layer(), seed=7, check_isolation=True
+    )
+    try:
+        runner.add_clients(CLIENTS)
+        held = []
+        for target in targets:
+            while runner.engine.stats.commits < target:
+                runner.run_additional(0.01)
+            detector = runner.recorder.streaming_checker.detector
+            assert set(detector._ord) <= set(runner.engine.finished) | detector._released
+            held.append(len(detector._ord))
+        assert runner.check_isolation().ok
+        return held
+    finally:
+        runner.stop()
+
+
+class EarlyReleaseEngine(TebaldiEngine):
+    """Test-only: hands the oracle the first transaction that commits while
+    another one is active — too early, since that one may still read under
+    its writes."""
+
+    early = None
+
+    def _commit(self, txn):
+        versions = super()._commit(txn)
+        if self.early is None and self.active:
+            self.early = txn.txn_id
+            self.history_recorder.on_release(txn.txn_id)
+        return versions
+
+
+class TestOracleForgetsWhatNoEdgeCanReach:
+    """The cycle detector prunes a committed transaction once the engine
+    released it and every in-neighbour is pruned.  The verdict is that of a
+    recorder that never prunes, on every conformance tree and on every open
+    family (which keep failing through their cycle, not through the guard);
+    a release that comes too early is a named violation; and the detector
+    stays flat on a long checked run."""
+
+    SEEDS = range(8)
+
+    @pytest.mark.parametrize("lanes", [None, 2, 3])
+    @pytest.mark.parametrize("tree", sorted(CONFORMANCE_TREES))
+    def test_prune_equals_never_prune(self, tree, lanes):
+        held = {HistoryRecorder: 0, NeverPruneRecorder: 0}
+        for seed in self.SEEDS:
+            verdicts = []
+            for recorder_class in held:
+                report, _committed, recorder = run_conformance(
+                    tree, random_requests(seed, 10), lanes, recorder_class
+                )
+                verdicts.append(_verdict(report))
+                held[recorder_class] += len(recorder.streaming_checker.detector._ord)
+            assert verdicts[0] == verdicts[1], f"seed {seed}: {verdicts}"
+            assert verdicts[0][0], f"seed {seed}: {verdicts[0]}"
+        # The pin compares two different oracles: one forgot, one did not.
+        assert held[HistoryRecorder] < held[NeverPruneRecorder]
+
+    @pytest.mark.parametrize("schedule", conformance.TestOpenFamilies.CONFORMANCE, ids=str)
+    def test_open_conformance_families_fail_through_the_cycle(self, schedule):
+        reports = [
+            replay_conformance(*schedule, recorder_class=recorder_class)[0]
+            for recorder_class in (HistoryRecorder, NeverPruneRecorder)
+        ]
+        pruned, kept = map(_verdict, reports)
+        assert pruned == kept
+        assert reports[0].cycles and reports[0].edges_into_pruned == []
+
+    @pytest.mark.parametrize("schedule", conformance.TestOpenFamilies.MICRO, ids=str)
+    def test_open_micro_families_fail_through_the_cycle(self, schedule):
+        reports = [
+            run_micro_schedule(*schedule, recorder_class=recorder_class)[1]
+            for recorder_class in (HistoryRecorder, NeverPruneRecorder)
+        ]
+        pruned, kept = map(_verdict, reports)
+        assert pruned == kept
+        assert reports[0].cycles and reports[0].edges_into_pruned == []
+
+    @pytest.mark.parametrize(
+        "schedule, committed, edges",
+        [
+            # The last commit's _retire releases that transaction itself.
+            (("mono-rp", 7057, 8, 3), 7, 9),
+            # Transaction 9's _retire releases 7 and 10, and three of the
+            # edges its commit derives enter them: fed after _retire, the
+            # oracle reports them.
+            (("mono-ssi", 2, 10, 3), 8, 13),
+        ],
+        ids=str,
+    )
+    def test_the_oracle_hears_of_a_commit_before_its_release(
+        self, schedule, committed, edges
+    ):
+        """``_commit`` feeds the recorder before ``_retire``, which releases
+        whatever the committing transaction was the last to overlap — itself
+        included when it is the oldest one active."""
+        report, commits = replay_conformance(*schedule)
+        assert report.ok, report.describe()
+        assert (commits, report.num_edges) == (committed, edges)
+
+    def test_an_early_release_is_a_named_violation(self):
+        requests = [
+            ("reader", {"ops": [("r", 0), ("r", 1), ("r", 2), ("r", 3)]}),
+            ("beta", {"ops": [("w", 0, 99)]}),
+        ]
+        env = Environment()
+        engine = build_engine(
+            env,
+            ConformanceWorkload(),
+            CONFORMANCE_TREES["mono-ssi"](),
+            options=EngineOptions(
+                charge_costs=True, lock_timeout=0.2, commit_wait_timeout=0.4
+            ),
+            engine_class=EarlyReleaseEngine,
+        )
+        run_transactions(env, engine, requests)
+        assert engine.stats.commits == 2
+        report = check_recorder(engine.history_recorder)
+        # The reader read key 0 under the writer's version: rw reader -> writer.
+        assert report.edges_into_pruned == [(1, engine.early)]
+        assert not report.ok and report.serializable and not report.cycles
+        assert "1 edges into pruned transactions" in report.describe()
+
+    def test_detector_nodes_stay_flat_on_a_checked_run(self):
+        # 15 and 33 measured, the committed transactions the engine still
+        # retained; before the oracle pruned, every commit stayed a node
+        # (4,821 at the second count).
+        assert max(detector_nodes_held()) < PER_CLIENT * CLIENTS
 
 
 class TestPrecommitDedupRelease:

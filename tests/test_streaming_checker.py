@@ -461,6 +461,83 @@ class TestStreamingCheckerUnit:
         assert checker.cycle is None
 
 
+class TestPruning:
+    """The detector forgets a released node once every in-neighbour is
+    forgotten; the checker drops an edge out of a pruned transaction and
+    reports an edge into one."""
+
+    @staticmethod
+    def _chain(*nodes):
+        detector = IncrementalCycleDetector()
+        for node in nodes:
+            detector.add_node(node)
+        for source, target in zip(nodes, nodes[1:]):
+            detector.add_edge(source, target)
+        return detector
+
+    def test_a_prune_cascades_to_a_successor_released_earlier(self):
+        detector = self._chain(1, 2, 3)
+        detector.release(3)
+        detector.release(2)
+        assert 2 in detector and 3 in detector
+        detector.release(1)
+        assert not any(node in detector for node in (1, 2, 3))
+        assert detector._out == detector._in == detector._ord == {}
+        assert detector._released == set()
+
+    def test_a_node_with_an_unpruned_in_neighbour_waits(self):
+        detector = self._chain(1, 3)
+        detector.add_node(2)
+        detector.add_edge(2, 3)
+        detector.release(3)
+        detector.release(1)
+        assert 1 not in detector and 3 in detector
+        assert detector._in[3] == {2}
+        detector.release(2)
+        assert 3 not in detector and detector._released == set()
+
+    def test_an_unreleased_successor_stays(self):
+        detector = self._chain(1, 2)
+        detector.release(1)
+        assert 1 not in detector and 2 in detector and detector._in[2] == set()
+
+    def test_releasing_a_transaction_that_is_no_node_keeps_nothing(self):
+        detector = self._chain(1)
+        detector.release(7)  # an aborted transaction never becomes a node
+        assert 7 not in detector and detector._released == set()
+
+    @staticmethod
+    def _pruned_writer():
+        """Transaction 1 wrote x over the loader's version and was pruned."""
+        checker = StreamingDSGChecker(LEVEL_EDGE_KINDS["serializable"])
+        x1 = SimpleNamespace(key="x", writer=1, commit_seq=2)
+        checker.on_commit(1, [x1], [])
+        checker.detector.release(1)
+        assert 1 not in checker.detector and 1 in checker._committed
+        return checker
+
+    def test_an_edge_out_of_a_pruned_node_is_dropped(self):
+        checker = self._pruned_writer()
+        x2 = SimpleNamespace(key="x", writer=2, commit_seq=3)
+        checker.on_commit(2, [x2], [])  # ww 1 -> 2
+        assert checker.num_edges == 1 and checker.detector.num_edges == 0
+        assert checker.detector._in[2] == set()
+        assert checker.edges_into_pruned == []
+
+    def test_an_edge_into_a_pruned_node_is_reported(self):
+        checker = self._pruned_writer()
+        x0 = SimpleNamespace(key="x", writer=0, commit_seq=1)
+        checker.on_commit(2, [], [("x", x0)])  # rw 2 -> 1: read under 1's write
+        assert checker.edges_into_pruned == [(2, 1)]
+        assert checker.num_edges == 1 and checker.cycle is None
+        recorder = HistoryRecorder()
+        recorder.streaming_checker = checker
+        report = check_recorder(recorder)
+        assert not report.ok and report.serializable
+        assert report.edges_into_pruned == [(2, 1)]
+        assert "1 edges into pruned transactions" in report.describe()
+
+
 class TestSubgraphCaching:
     def _history(self):
         transactions = [
