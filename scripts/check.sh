@@ -9,7 +9,8 @@
 # scan indexes a tpcc/3layer and a ycsb-scan/2layer store hold, the lock
 # nodes holding range locks on tpcc/3layer and queue/3layer, the read
 # records per commit of tpcc/3layer and of a checked smallbank/3layer, the
-# import time and the cycle-detector nodes a checked smallbank/3layer holds.
+# import time, the cycle-detector nodes a checked smallbank/3layer holds and
+# the state census's allow-lists.
 #
 # Usage: scripts/check.sh [--quick]
 #
@@ -193,6 +194,10 @@ python -m timeit -n 1 -r 3 -s 'import subprocess, sys' \
 # tests/test_retention.py bounds it.
 python -c 'from tests.test_retention import detector_nodes_held as held
 print("cycle-detector nodes after 4,800 checked smallbank/3layer commits: {}".format(held((4800,))[0]))'
+# Nothing under src/ lives for the tests alone: what the state census lets
+# through — definitions only tests use, fields only tests read, fields kept
+# unread for a stated reason (tests/test_state_census.py).
+python -c 'from tests.test_state_census import allow_lists; print(allow_lists())'
 
 echo
 echo "check.sh: all good"

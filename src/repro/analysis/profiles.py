@@ -12,9 +12,6 @@ requirement that such transactions be implemented as stored procedures
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-READ = "r"
-WRITE = "w"
-
 
 @dataclass(frozen=True)
 class TransactionProfile:
@@ -52,12 +49,6 @@ class TransactionProfile:
             if table not in seen:
                 seen.append(table)
         return seen
-
-    def write_tables(self):
-        return [table for table, mode in self.accesses if mode == WRITE]
-
-    def read_tables(self):
-        return [table for table, mode in self.accesses if mode == READ]
 
     def access_pairs(self):
         """Ordered (earlier_table, later_table) pairs implied by the profile.

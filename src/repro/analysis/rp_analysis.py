@@ -21,17 +21,10 @@ class RPAnalysis:
 
     steps: list = field(default_factory=list)
     table_to_step: dict = field(default_factory=dict)
-    merged_components: list = field(default_factory=list)
 
     @property
     def num_steps(self):
         return len(self.steps)
-
-    def step_of(self, table):
-        """Pipeline step index of ``table`` (unknown tables map to the last step)."""
-        if table in self.table_to_step:
-            return self.table_to_step[table]
-        return max(len(self.steps) - 1, 0)
 
     @property
     def pipeline_efficiency(self):
@@ -114,13 +107,9 @@ def analyze_pipeline(profiles):
     ready = [key for key in keys if not indegree[key[1]]]
     heapq.heapify(ready)
     steps = []
-    merged = []
     while ready:
         _key, index = heapq.heappop(ready)
-        tables = frozenset(components[index])
-        steps.append(tables)
-        if len(tables) > 1:
-            merged.append(tables)
+        steps.append(frozenset(components[index]))
         for target in successors[index]:
             indegree[target] -= 1
             if not indegree[target]:
@@ -129,4 +118,4 @@ def analyze_pipeline(profiles):
     for index, tables in enumerate(steps):
         for table in tables:
             table_to_step[table] = index
-    return RPAnalysis(steps=steps, table_to_step=table_to_step, merged_components=merged)
+    return RPAnalysis(steps=steps, table_to_step=table_to_step)

@@ -36,11 +36,9 @@ class IterationRecord:
     iteration: int
     bottleneck: tuple
     bottleneck_score: float
-    candidates: list
     chosen: str
     baseline_throughput: float
     best_throughput: float
-    improved: bool
 
 
 @dataclass
@@ -164,11 +162,9 @@ class AutoConfigurator:
                     iteration=iteration,
                     bottleneck=edge,
                     bottleneck_score=score,
-                    candidates=[c.rationale for c in candidates],
                     chosen=best_candidate.rationale if improved else "keep current",
                     baseline_throughput=baseline.throughput,
                     best_throughput=best_result.throughput if best_result else 0.0,
-                    improved=improved,
                 )
             )
             if not improved:

@@ -31,7 +31,6 @@ class OptimizationCandidate:
 
     configuration: Configuration
     rationale: str
-    strategy: str
 
     def __repr__(self):
         return f"<Candidate {self.configuration.name}: {self.rationale}>"
@@ -166,7 +165,6 @@ class ConfigurationOptimizer:
                         rationale=(
                             f"optimize self-conflicts of {txn_type} with {cc_name}"
                         ),
-                        strategy="single-type",
                     )
                 )
             except ConfigurationError:
@@ -195,7 +193,6 @@ class ConfigurationOptimizer:
                                     f"separate {type_a} ({leaf_cc_a}) and {type_b} "
                                     f"({leaf_cc_b}) under cross-group {cross_cc}"
                                 ),
-                                strategy="same-group",
                             )
                         )
                     except ConfigurationError:
@@ -222,7 +219,6 @@ class ConfigurationOptimizer:
                                 f"regulate {mover}/{anchor} conflicts with a new "
                                 f"{cross_cc} node above {anchor}'s group"
                             ),
-                            strategy="cross-group",
                         )
                     )
                 except ConfigurationError:

@@ -37,10 +37,12 @@ class BlockingEvent:
 
 
 class ContentionProfiler:
-    """Collects blocking events and computes conflict-edge scores."""
+    """Collects blocking events and computes conflict-edge scores.
 
-    def __init__(self, enabled=True):
-        self.enabled = enabled
+    It has no off switch: an engine without one (``profiler=None``) records
+    nothing."""
+
+    def __init__(self):
         self.events = []
         self.aborts = Counter()
         self.abort_edges = Counter()
@@ -48,7 +50,7 @@ class ContentionProfiler:
     # -- recording interface used by the engine and CC mechanisms ---------------
 
     def record_wait(self, blocked, blocker, start, end, kind="lock"):
-        if not self.enabled or blocker is None or end <= start:
+        if blocker is None or end <= start:
             return
         self.events.append(
             BlockingEvent(
@@ -63,8 +65,6 @@ class ContentionProfiler:
         )
 
     def record_abort(self, txn, reason, conflicting=None):
-        if not self.enabled:
-            return
         self.aborts[reason] += 1
         if conflicting is not None:
             edge = tuple(sorted((txn.txn_type, conflicting.txn_type)))

@@ -1,23 +1,18 @@
 """Testing-stage reconfiguration driver (Section 5.5).
 
 Wraps the engine's two reconfiguration protocols — the partial restart and
-the online update — and measures the throughput dip each causes, which is the
-data behind Figure 5.19.
+the online update — and times each, which is the data behind Figure 5.19.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
 class ReconfigurationOutcome:
-    """Timing and throughput impact of one reconfiguration."""
+    """When one reconfiguration started and finished."""
 
-    protocol: str
     started_at: float
     finished_at: float
-    throughput_before: float
-    throughput_after: float
-    throughput_series: list = field(default_factory=list)
 
     @property
     def duration(self):
@@ -25,25 +20,14 @@ class ReconfigurationOutcome:
 
 
 class ReconfigurationDriver:
-    """Switches a live engine between configurations and measures the impact."""
+    """Switches a live engine between configurations and times the switch."""
 
     def __init__(self, engine):
         self.engine = engine
-        self.history = []
-
-    def _window_throughput(self, window=0.25):
-        series = self.engine.stats.throughput_series()
-        if not series:
-            return 0.0
-        recent = [rate for start, rate in series if start >= self.engine.env.now - window]
-        if not recent:
-            recent = [series[-1][1]]
-        return sum(recent) / len(recent)
 
     def switch(self, new_configuration, protocol="online", force_abort_after=None):
         """Coroutine: apply ``new_configuration`` using the chosen protocol."""
         env = self.engine.env
-        before = self._window_throughput()
         started = env.now
         if protocol == "partial-restart":
             yield from self.engine.reconfigure_partial_restart(
@@ -53,15 +37,4 @@ class ReconfigurationDriver:
             yield from self.engine.reconfigure_online(new_configuration)
         else:
             raise ValueError(f"unknown reconfiguration protocol {protocol!r}")
-        finished = env.now
-        after = self._window_throughput()
-        outcome = ReconfigurationOutcome(
-            protocol=protocol,
-            started_at=started,
-            finished_at=finished,
-            throughput_before=before,
-            throughput_after=after,
-            throughput_series=list(self.engine.stats.throughput_series()),
-        )
-        self.history.append(outcome)
-        return outcome
+        return ReconfigurationOutcome(started_at=started, finished_at=env.now)

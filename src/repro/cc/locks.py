@@ -79,10 +79,6 @@ class LockTable:
             return {}
         return {txn: mode for txn, mode in record.holders.values()}
 
-    def waiting(self, key):
-        record = self._locks.get(key)
-        return len(record.queue) if record and record.queue else 0
-
     # -- core protocol --------------------------------------------------------
 
     def _conflicts(self, record, txn, mode):
@@ -102,25 +98,6 @@ class LockTable:
                 continue
             conflicting.append(holder)
         return conflicting
-
-    def try_acquire(self, txn, key, mode):
-        """Non-blocking acquire; returns True on success."""
-        record = self._locks.get(key)
-        if record is None:
-            record = self._locks[key] = _LockRecord()
-        if record.queue and not self._already_holds(record, txn, mode):
-            return False
-        if self._conflicts(record, txn, mode):
-            return False
-        self._grant(record, txn, key, mode)
-        return True
-
-    def _already_holds(self, record, txn, mode):
-        entry = record.holders.get(txn.txn_id)
-        if entry is None:
-            return False
-        held = entry[1]
-        return held == EXCLUSIVE or held == mode
 
     def request(self, txn, key, mode):
         """Acquire if possible without waiting; otherwise return a coroutine.
@@ -152,17 +129,6 @@ class LockTable:
             held_keys = self._held_by_txn[txn_id] = {}
         held_keys[key] = None
         return None
-
-    def acquire(self, txn, key, mode):
-        """Coroutine: acquire the lock, blocking FIFO; abort on timeout.
-
-        Conflicting holders are recorded as direct dependencies of ``txn``
-        (the lock orders ``txn`` after them), and every blocking interval is
-        reported to the profiler for contention analysis.
-        """
-        wait = self.request(txn, key, mode)
-        if wait is not None:
-            yield from wait
 
     def _blocking_acquire(self, txn, key, mode, record, conflicting):
         if record.queue is None:

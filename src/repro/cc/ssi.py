@@ -45,7 +45,6 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
 
     def __init__(self, engine, node, batching=None, batch_size=16):
         super().__init__(engine, node)
-        self.batch_size = batch_size
         # A batch member reads at its batch's timestamp: it is concurrent with
         # whatever finished since the batch opened, even before its own begin
         # (a late joiner of a batch whose first members still run), and the

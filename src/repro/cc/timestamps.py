@@ -15,17 +15,10 @@ class TimestampOracle:
 
     def __init__(self, start=1):
         self._counter = count(start)
-        self._last = start - 1
 
     def next(self):
         """Allocate and return the next timestamp."""
-        self._last = next(self._counter)
-        return self._last
-
-    @property
-    def last(self):
-        """The most recently allocated timestamp (0 if none)."""
-        return self._last
+        return next(self._counter)
 
 
 class BatchManager:

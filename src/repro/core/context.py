@@ -115,8 +115,3 @@ class TransactionContext:
     def abort(self, reason="user-abort"):
         """Explicitly abort the transaction from application logic."""
         self._engine.user_abort(self._txn, reason)
-
-    def think(self, duration):
-        """Spend ``duration`` virtual seconds of application compute time."""
-        if duration > 0:
-            yield float(duration)

@@ -158,13 +158,13 @@ class TebaldiEngine:
         self.transport = self._delay_phase
         self.throttled = None
 
-        self.root, self.nodes, self._leaf_by_type = build_tree(self, configuration)
+        self.root, self.nodes = build_tree(self, configuration)
         self._rebuild_routes()
 
     def _rebuild_routes(self):
         """Per-type routes over the current tree; holds of CCs no longer in
         it go with them."""
-        self._routes = build_routes(self._leaf_by_type, self.transaction_types)
+        self._routes = build_routes(self.nodes, self.transaction_types)
         live = set(self.nodes)
         self._holds = {
             key: at for key, at in self._holds.items() if key[0].node in live
@@ -757,7 +757,7 @@ class TebaldiEngine:
             old_node = old_node.children[index]
         new_spec = _spec_at(new_configuration, change_path)
         sub_config = Configuration(new_spec, name=f"{new_configuration.name}-subtree")
-        sub_root, sub_nodes, _sub_leaves = build_tree(self, sub_config)
+        sub_root, sub_nodes = build_tree(self, sub_config)
         # Renumber the spliced nodes to occupy the replaced position.
         prefix = old_node.node_id
         for node in sub_nodes:
@@ -773,15 +773,10 @@ class TebaldiEngine:
         # splice moves none across its root.
         self.configuration = new_configuration
         self.nodes = list(self.root.iter_subtree())
-        self._leaf_by_type = {}
-        for node in self.nodes:
-            if node.is_leaf:
-                for txn_type in node.spec.transactions:
-                    self._leaf_by_type[txn_type] = node
         self._rebuild_routes()
 
     def _swap_configuration(self, new_configuration):
         self._check_configuration(new_configuration)
         self.configuration = new_configuration
-        self.root, self.nodes, self._leaf_by_type = build_tree(self, new_configuration)
+        self.root, self.nodes = build_tree(self, new_configuration)
         self._rebuild_routes()

@@ -21,9 +21,8 @@ class TypeStats:
 class StatsCollector:
     """Counts commits/aborts and latencies, with warm-up reset support."""
 
-    def __init__(self, env, bucket_width=0.5):
+    def __init__(self, env):
         self.env = env
-        self.bucket_width = bucket_width
         self.reset(at=env.now)
 
     def reset(self, at=None):
@@ -34,7 +33,6 @@ class StatsCollector:
         self.retries = 0
         self.abort_reasons = Counter()
         self.by_type = defaultdict(TypeStats)
-        self.commit_buckets = Counter()
 
     # -- recording ---------------------------------------------------------
 
@@ -45,8 +43,6 @@ class StatsCollector:
         stats.commits += 1
         stats.total_latency += latency
         stats.max_latency = max(stats.max_latency, latency)
-        bucket = int((self.env.now - self.started_at) / self.bucket_width)
-        self.commit_buckets[bucket] += 1
 
     def record_abort(self, txn, reason):
         self.aborts += 1
@@ -77,17 +73,6 @@ class StatsCollector:
         commits = sum(s.commits for s in self.by_type.values())
         return total / commits if commits else 0.0
 
-    def throughput_series(self):
-        """Commits per bucket, as a list of (bucket_start_time, txn/sec)."""
-        if not self.commit_buckets:
-            return []
-        series = []
-        for bucket in range(max(self.commit_buckets) + 1):
-            start = self.started_at + bucket * self.bucket_width
-            rate = self.commit_buckets.get(bucket, 0) / self.bucket_width
-            series.append((start, rate))
-        return series
-
     def summary(self):
         """Plain-dict summary used by the harness and the benchmarks."""
         return {
@@ -98,7 +83,6 @@ class StatsCollector:
             "throughput": self.throughput(),
             "abort_rate": self.abort_rate(),
             "mean_latency": self.mean_latency(),
-            "abort_reasons": dict(self.abort_reasons),
             "per_type": {
                 name: {
                     "commits": stats.commits,

@@ -112,10 +112,6 @@ class Transaction:
     def committed(self):
         return self.status is TransactionStatus.COMMITTED
 
-    @property
-    def aborted(self):
-        return self.status is TransactionStatus.ABORTED
-
     def state_for(self, node_id, factory=dict):
         """Per-CC-node scratch space (created on first access)."""
         state = self.cc_state.get(node_id)

@@ -102,9 +102,6 @@ class PartitionedCC:
             self._instances[value] = self._factory()
         return self._instances[value]
 
-    def instances(self):
-        return list(self._instances.values())
-
     # The four-phase interface simply dispatches on the partition value.
 
     # Mechanisms that gate admission do not support partitioning (checked at
@@ -205,7 +202,7 @@ class Route:
         "leaf_node_id",
     )
 
-    def __init__(self, nodes, txn_type_def=None):
+    def __init__(self, nodes, txn_type_def):
         self.nodes = nodes
         ccs = [node.cc for node in nodes]
         layers = len(nodes)
@@ -274,24 +271,22 @@ class Route:
         leaf = nodes[-1]
         self.instance_key = leaf.spec.instance_key
         self.leaf_node_id = leaf.node_id
-        if txn_type_def is not None:
-            self.procedure = txn_type_def.procedure
-            self.read_only = txn_type_def.read_only
-            if self.read_only:
-                self.write_hooks = (_refuse_write,)
-            if not txn_type_def.profile.declares_scan:
-                self.scan_hooks = (_refuse_scan,)
-        else:
-            self.procedure = None
-            self.read_only = False
+        self.procedure = txn_type_def.procedure
+        self.read_only = txn_type_def.read_only
+        if self.read_only:
+            self.write_hooks = (_refuse_write,)
+        if not txn_type_def.profile.declares_scan:
+            self.scan_hooks = (_refuse_scan,)
 
 
-def build_routes(leaf_by_type, transaction_types=None):
-    """Compile the per-type :class:`Route` table for a runtime tree."""
-    transaction_types = transaction_types or {}
+def build_routes(nodes, transaction_types):
+    """Compile the per-type :class:`Route` table over a runtime tree's nodes:
+    one route per type, through the leaf that runs it."""
     return {
-        txn_type: Route(leaf.path_from_root(), transaction_types.get(txn_type))
-        for txn_type, leaf in leaf_by_type.items()
+        txn_type: Route(node.path_from_root(), transaction_types[txn_type])
+        for node in nodes
+        if node.is_leaf
+        for txn_type in node.spec.transactions
     }
 
 
@@ -322,9 +317,4 @@ def build_tree(engine, configuration):
             )
         else:
             node.cc = create_cc(node.spec.cc, engine, node, params=node.spec.params)
-    leaf_by_type = {}
-    for node in nodes:
-        if node.is_leaf:
-            for txn_type in node.spec.transactions:
-                leaf_by_type[txn_type] = node
-    return root, nodes, leaf_by_type
+    return root, nodes

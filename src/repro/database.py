@@ -56,13 +56,6 @@ class Database:
             return getattr(txn, "result", None)
         raise last_error
 
-    def read_row(self, table, *parts):
-        """Convenience: read a single row through a read-only transaction path."""
-        from repro.storage.tables import composite_key
-
-        version = self.store.latest_committed(composite_key(table, *parts))
-        return None if version is None else version.value
-
     # -- introspection -----------------------------------------------------------------
 
     @property

@@ -28,10 +28,6 @@ class ConfigurationError(ReproError):
     """Raised when a CC-tree configuration is malformed or unsupported."""
 
 
-class RecoveryError(ReproError):
-    """Raised when the recovery protocol encounters inconsistent logs."""
-
-
 class SimulationError(ReproError):
     """Raised on misuse of the discrete-event simulation kernel."""
 

@@ -57,8 +57,8 @@ def retransmit_violations(manager):
     delivery, lost reply), but the durability layer's commit-ticket dedup
     must absorb every repeat — one ticket, one record set, ever.  A broken
     dedup shows up here as a second ticket over the same transaction (the
-    mutation test flips ``DurabilityManager.dedup_enabled`` off and expects
-    this to light up).  Returns ``{txn_id: sorted ticket list}``.
+    chaos suite's mutation tests break the dedup and expect this to light
+    up).  Returns ``{txn_id: sorted ticket list}``.
     """
     tickets = {}
     for log in manager.logs:
@@ -79,17 +79,13 @@ class NetFaultLane(Lane):
     exactly-once application and committed-means-durable after the run.
 
     ``fault_plan=None`` derives the plan from the run seed.
-    ``dedup_enabled=False`` is the mutation-test hook: it disables the
-    durability layer's commit-ticket dedup, which the suite must then catch
-    via :func:`retransmit_violations`.
     """
 
     client_seed_tag = "net-client"
 
-    def __init__(self, fault_plan=None, durability=None, dedup_enabled=True):
+    def __init__(self, fault_plan=None, durability=None):
         self.plan = fault_plan
         self.durability = durability or default_degraded_durability()
-        self.dedup_enabled = dedup_enabled
         self.injector = None
         self.transport = None
 
@@ -99,7 +95,6 @@ class NetFaultLane(Lane):
                 self.plan = MessageFaultPlan.from_seed(runner.seed)
             self.injector = MessageFaultInjector(self.plan)
             self.transport = MessageTransport(self.injector, seed=runner.seed)
-        runner.manager.dedup_enabled = self.dedup_enabled
         # An empty plan keeps the constant-delay transport, event for event
         # (pinned by the chaos suite).
         if self.injector.enabled:
@@ -176,7 +171,6 @@ def run_degraded_benchmark(
     require=("drop", "partition"),
     fault_plan=None,
     durability=None,
-    dedup_enabled=True,
     **kwargs,
 ):
     """One-shot helper: seeded message-fault checked run.
@@ -191,7 +185,7 @@ def run_degraded_benchmark(
             seed, faults=faults, require=require
         )
     kwargs.setdefault("warmup", 0.0)
-    lane = NetFaultLane(fault_plan, durability=durability, dedup_enabled=dedup_enabled)
+    lane = NetFaultLane(fault_plan, durability=durability)
     return run_benchmark(
         workload,
         configuration,

@@ -48,7 +48,6 @@ class RunResult:
     commits: int
     aborts: int
     per_type: dict = field(default_factory=dict)
-    abort_reasons: dict = field(default_factory=dict)
     incarnations: int = 1
     # Filled by fault lanes: per-crash reports, the message faults that
     # fired, the message transport's retry counters and every broken
@@ -287,7 +286,6 @@ class BenchmarkRunner:
             commits=summary["commits"],
             aborts=summary["aborts"],
             per_type=summary["per_type"],
-            abort_reasons=summary["abort_reasons"],
             incarnations=self.incarnation + 1,
         )
 

@@ -51,12 +51,6 @@ class History:
     def add_transaction(self, txn):
         self.transactions[txn.txn_id] = txn
 
-    def committed_ids(self):
-        """Every transaction id known to have committed."""
-        if self.extra_committed:
-            return set(self.transactions) | self.extra_committed
-        return set(self.transactions)
-
     def __len__(self):
         return len(self.transactions)
 

@@ -32,10 +32,6 @@ class Process(Event):
         # Kick off the process at the current simulation time.
         env._schedule_callback(self._resume)
 
-    @property
-    def is_alive(self):
-        return not self.triggered
-
     def _subscribe(self, event):
         self._target = event
         if event._processed:
@@ -106,13 +102,12 @@ class Environment:
     three allocates an Event.
     """
 
-    __slots__ = ("_now", "_queue", "_seq", "_active", "_cancelled", "__weakref__")
+    __slots__ = ("_now", "_queue", "_seq", "_cancelled", "__weakref__")
 
     def __init__(self, initial_time=0.0):
         self._now = float(initial_time)
         self._queue = []
         self._seq = count()
-        self._active = True
         self._cancelled = 0
 
     @property

@@ -12,8 +12,8 @@ between per-server precommit appends/flushes, after a complete precommit,
 and around the per-server flushes of a GCP epoch advance.  When the injector
 declares a crash the manager *halts*: every subsequent append or flush is a
 no-op, modelling a machine that is down.  :meth:`crash` then discards the
-volatile state (log buffers, waiters) and :meth:`recover` replays whatever
-made it to the persistent backends.
+volatile state (log buffers, the precommit dedup table) and :meth:`recover`
+replays whatever made it to the persistent backends.
 """
 
 import zlib
@@ -21,7 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import count
 
-from repro.errors import ConfigurationError, RecoveryError
+from repro.errors import ConfigurationError
 from repro.storage.backends import InMemoryBackend
 from repro.storage.wal import KIND, TXN_ID, WriteAheadLog, record_body
 
@@ -69,17 +69,13 @@ class DurabilityManager:
         ]
         self._current_gcp_epoch = [1] * self.config.num_servers
         self._persistent_gcp_epoch = 0
-        self._durable_waiters = defaultdict(list)
         self._precommit_ticket = count(1)
         self._server_of = {}
         # Retransmit dedup: txn id -> global epoch of the already-applied
         # precommit.  A duplicated or retried precommit request must apply
-        # exactly once (one ticket, one record set); the flag exists so the
-        # chaos suite's mutation test can break the dedup and prove the
-        # harness catches the resulting double-apply.  Only a retransmit
+        # exactly once (one ticket, one record set).  Only a retransmit
         # inside the commit exchange reads an entry, so the coordinator
         # releases it when that exchange ends (:meth:`release_precommit`).
-        self.dedup_enabled = True
         self._precommit_epochs = {}
         self.duplicate_precommits = 0
         self.records_written = 0
@@ -95,10 +91,6 @@ class DurabilityManager:
     def halted(self):
         """True after an injected crash fired: the machine is down."""
         return self._halted
-
-    @property
-    def persistent_gcp_epoch(self):
-        return self._persistent_gcp_epoch
 
     def server_for(self, key):
         """Hash-partition a storage key onto a data server.
@@ -175,11 +167,10 @@ class DurabilityManager:
         """
         if not self.enabled or self._halted:
             return 0
-        if self.dedup_enabled:
-            cached = self._precommit_epochs.get(txn.txn_id)
-            if cached is not None:
-                self.duplicate_precommits += 1
-                return cached
+        cached = self._precommit_epochs.get(txn.txn_id)
+        if cached is not None:
+            self.duplicate_precommits += 1
+            return cached
         txn_id = txn.txn_id
         servers = [self.server_for(write[0]) for write in writes]
         participants = sorted(set(servers)) or [0]
@@ -259,24 +250,7 @@ class DurabilityManager:
         self._persistent_gcp_epoch = max(self._persistent_gcp_epoch, closing)
         if faults is not None:
             self._trip("gcp-after", epoch=closing)
-        self._notify_durable()
         return closing
-
-    def _notify_durable(self):
-        for epoch in list(self._durable_waiters):
-            if epoch <= self._persistent_gcp_epoch:
-                for event in self._durable_waiters.pop(epoch):
-                    if not event.triggered:
-                        event.succeed(epoch)
-
-    def wait_durable(self, env, global_epoch):
-        """Coroutine: wait until ``global_epoch`` has been made persistent."""
-        if not self.enabled or global_epoch <= self._persistent_gcp_epoch:
-            return self._persistent_gcp_epoch
-        event = env.event(name=f"durable-epoch-{global_epoch}")
-        self._durable_waiters[global_epoch].append(event)
-        value = yield event
-        return value
 
     def run_flusher(self, env, stop_event=None):
         """Background process flushing GCP epochs periodically."""
@@ -300,14 +274,13 @@ class DurabilityManager:
         }
 
     def crash(self):
-        """Lose all volatile state: log buffers, waiters, epoch counters.
+        """Lose all volatile state: log buffers, the dedup table, epoch counters.
 
         Persistent backends survive.  Clears the halt so the manager can be
         reused by the next incarnation (after :meth:`recover`).
         """
         for log in self.logs:
             log.crash()
-        self._durable_waiters.clear()
         # The dedup table is volatile.  Losing it is benign: a post-crash
         # retransmit appends a fresh record set with a fresh ticket over the
         # *same* writes, and per-key last-ticket-wins replay converges.
@@ -419,8 +392,3 @@ class RecoveryResult:
     #: The recovered transactions whose precommit carried writes (a
     #: read-only commit's share is empty).
     recovered_writers: set = field(default_factory=set)
-
-    def require_transaction(self, txn_id):
-        if txn_id not in self.recovered_transactions:
-            raise RecoveryError(f"transaction {txn_id} did not survive recovery")
-        return True

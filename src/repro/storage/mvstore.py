@@ -228,14 +228,6 @@ class MultiVersionStore:
         """Live ``{writer_id: seq}`` of unresolved pre-assigned slots (or None)."""
         return self._slots.get(key)
 
-    def unresolved_slots_of(self, txn_id):
-        """Declared keys of ``txn_id`` whose slots are still unresolved."""
-        keys = self._slots_by_txn.get(txn_id)
-        if not keys:
-            return []
-        slots = self._slots
-        return [key for key in keys if txn_id in slots.get(key, ())]
-
     def retract_slots(self, txn_id):
         """Drop the remaining unresolved slots of a finished transaction."""
         keys = self._slots_by_txn.pop(txn_id, None)

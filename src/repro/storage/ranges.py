@@ -81,12 +81,6 @@ class KeyRange:
             return False
         return True
 
-    def contains_key(self, key):
-        """Whether a full storage key ``(table, pk)`` falls inside the range."""
-        if not isinstance(key, tuple) or len(key) != 2 or key[0] != self.table:
-            return False
-        return self.contains_pk(key[1])
-
     def truncated(self, hi):
         """A copy of this range with the upper bound tightened to ``hi``.
 

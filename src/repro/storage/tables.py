@@ -19,12 +19,10 @@ def composite_key(table, *parts):
 
 @dataclass(frozen=True)
 class TableSchema:
-    """Static description of a table: name, key columns and value columns."""
+    """Static description of a table: its name and key columns."""
 
     name: str
     key_columns: tuple
-    value_columns: tuple = ()
-    description: str = ""
 
     def key_for(self, *parts):
         if len(parts) != len(self.key_columns):
@@ -79,9 +77,6 @@ class Catalog:
 
     def __iter__(self):
         return iter(self._tables.values())
-
-    def table_names(self):
-        return list(self._tables)
 
     def load_into(self, store):
         """Load every table into ``store``; returns total rows loaded."""

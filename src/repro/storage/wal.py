@@ -46,11 +46,6 @@ class WriteAheadLog:
         self._buffer.append(record)
         return record
 
-    @property
-    def pending(self):
-        """Number of records not yet persisted."""
-        return len(self._buffer)
-
     def flush(self, up_to_epoch=None):
         """Persist buffered records (optionally only up to a GCP epoch)."""
         remaining = []

@@ -39,9 +39,6 @@ class Workload:
             self._transaction_types = self.build_transaction_types()
         return self._transaction_types
 
-    def transaction_names(self):
-        return sorted(self.transaction_types())
-
     def populate(self, store):
         """Load the initial database into a multi-version store."""
         return self.catalog().load_into(store)

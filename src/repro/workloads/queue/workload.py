@@ -55,8 +55,8 @@ class QueueWorkload(Workload):
     # -- schema -------------------------------------------------------------------
 
     def build_catalog(self):
-        messages = Table(TableSchema("messages", ("m_id",), ("payload", "state")))
-        pointers = Table(TableSchema("queue_ptr", ("name",), ("value",)))
+        messages = Table(TableSchema("messages", ("m_id",)))
+        pointers = Table(TableSchema("queue_ptr", ("name",)))
         for m_id in range(1, self.initial_messages + 1):
             messages.insert((m_id,), {"payload": m_id * 13, "state": PENDING})
         pointers.insert(("head",), {"value": 1})

@@ -47,23 +47,17 @@ class SEATSWorkload(Workload):
     # -- schema -------------------------------------------------------------------
 
     def build_catalog(self):
-        flight = Table(TableSchema("flight", ("f_id",), ("seats_left", "base_price")))
+        flight = Table(TableSchema("flight", ("f_id",)))
         for f_id in range(1, self.flights + 1):
             flight.insert(
                 (f_id,),
                 {"seats_left": self.seats_per_flight, "base_price": 100.0 + f_id},
             )
-        customer = Table(
-            TableSchema("customer", ("c_id",), ("balance", "reservations", "tier"))
-        )
+        customer = Table(TableSchema("customer", ("c_id",)))
         for c_id in range(1, self.customers + 1):
             customer.insert((c_id,), {"balance": 1000.0, "reservations": 0, "tier": 0})
-        reservation = Table(
-            TableSchema("reservation", ("f_id", "seat"), ("c_id", "price"))
-        )
-        res_by_customer = Table(
-            TableSchema("res_by_customer", ("f_id", "c_id"), ("seat",))
-        )
+        reservation = Table(TableSchema("reservation", ("f_id", "seat")))
+        res_by_customer = Table(TableSchema("res_by_customer", ("f_id", "c_id")))
         return Catalog([flight, customer, reservation, res_by_customer])
 
     # -- procedures -----------------------------------------------------------------

@@ -53,9 +53,9 @@ class SmallBankWorkload(Workload):
     # -- schema -------------------------------------------------------------------
 
     def build_catalog(self):
-        account = Table(TableSchema("account", ("c_id",), ("name",)))
-        savings = Table(TableSchema("savings", ("c_id",), ("balance",)))
-        checking = Table(TableSchema("checking", ("c_id",), ("balance",)))
+        account = Table(TableSchema("account", ("c_id",)))
+        savings = Table(TableSchema("savings", ("c_id",)))
+        checking = Table(TableSchema("checking", ("c_id",)))
         for c_id in range(1, self.customers + 1):
             account.insert((c_id,), {"name": f"customer-{c_id}"})
             savings.insert((c_id,), {"balance": self.initial_balance})

@@ -57,50 +57,23 @@ class TPCCScale:
 
 
 TABLES = {
-    "warehouse": TableSchema("warehouse", ("w_id",), ("w_name", "w_ytd", "w_tax")),
-    "district": TableSchema(
-        "district", ("w_id", "d_id"), ("d_name", "d_ytd", "d_tax", "d_next_o_id")
-    ),
-    "customer": TableSchema(
-        "customer",
-        ("w_id", "d_id", "c_id"),
-        (
-            "c_name",
-            "c_last",
-            "c_balance",
-            "c_ytd_payment",
-            "c_payment_cnt",
-            "c_delivery_cnt",
-        ),
-    ),
+    "warehouse": TableSchema("warehouse", ("w_id",)),
+    "district": TableSchema("district", ("w_id", "d_id")),
+    "customer": TableSchema("customer", ("w_id", "d_id", "c_id")),
     # Secondary index for payment-by-name: prefix (w_id, d_id, c_last) scans
     # enumerate the matching customer ids in order.
     "customer_name_idx": TableSchema(
-        "customer_name_idx", ("w_id", "d_id", "c_last", "c_id"), ()
+        "customer_name_idx", ("w_id", "d_id", "c_last", "c_id")
     ),
-    "history": TableSchema("history", ("h_id",), ("w_id", "d_id", "c_id", "amount")),
-    "orders": TableSchema(
-        "orders",
-        ("w_id", "d_id", "o_id"),
-        ("o_c_id", "o_carrier_id", "o_ol_cnt", "o_entry_d"),
-    ),
-    "new_order": TableSchema("new_order", ("w_id", "d_id", "o_id"), ()),
-    "new_order_ptr": TableSchema(
-        "new_order_ptr", ("w_id", "d_id"), ("first_undelivered",)
-    ),
-    "order_line": TableSchema(
-        "order_line",
-        ("w_id", "d_id", "o_id", "ol_number"),
-        ("ol_i_id", "ol_supply_w_id", "ol_quantity", "ol_amount", "ol_delivery_d"),
-    ),
-    "item": TableSchema("item", ("i_id",), ("i_name", "i_price")),
-    "stock": TableSchema(
-        "stock", ("w_id", "i_id"), ("s_quantity", "s_ytd", "s_order_cnt", "s_remote_cnt")
-    ),
-    "customer_last_order": TableSchema(
-        "customer_last_order", ("w_id", "d_id", "c_id"), ("o_id",)
-    ),
-    "item_stats": TableSchema("item_stats", ("i_id",), ("sale_count",)),
+    "history": TableSchema("history", ("h_id",)),
+    "orders": TableSchema("orders", ("w_id", "d_id", "o_id")),
+    "new_order": TableSchema("new_order", ("w_id", "d_id", "o_id")),
+    "new_order_ptr": TableSchema("new_order_ptr", ("w_id", "d_id")),
+    "order_line": TableSchema("order_line", ("w_id", "d_id", "o_id", "ol_number")),
+    "item": TableSchema("item", ("i_id",)),
+    "stock": TableSchema("stock", ("w_id", "i_id")),
+    "customer_last_order": TableSchema("customer_last_order", ("w_id", "d_id", "c_id")),
+    "item_stats": TableSchema("item_stats", ("i_id",)),
 }
 
 

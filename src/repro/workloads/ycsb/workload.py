@@ -102,7 +102,7 @@ class YCSBWorkload(Workload):
     # -- schema -------------------------------------------------------------------
 
     def build_catalog(self):
-        usertable = Table(TableSchema("usertable", ("key",), ("field0", "version")))
+        usertable = Table(TableSchema("usertable", ("key",)))
         for key in range(self.records):
             usertable.insert((key,), {"field0": key * 7, "version": 0})
         return Catalog([usertable])

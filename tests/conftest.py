@@ -30,6 +30,7 @@ from repro.core.engine import EngineOptions, TebaldiEngine
 from repro.isolation import HistoryRecorder
 from repro.sim.environment import Environment
 from repro.storage.mvstore import MultiVersionStore
+from repro.storage.tables import composite_key
 from repro.workloads.micro import CrossGroupConflictWorkload, NoConflictWorkload
 from repro.workloads.tpcc import TPCCWorkload
 from repro.workloads.tpcc.schema import TPCCScale
@@ -95,6 +96,32 @@ def build_engine(env, workload, configuration, options=None, profiler=None,
     )
     engine.history_recorder = recorder_class(level="serializable")
     return engine
+
+
+def read_row(db, table, *parts):
+    """The latest committed row of ``table`` at ``parts`` in a
+    :class:`~repro.database.Database` (``None`` when there is none)."""
+    version = db.store.latest_committed(composite_key(table, *parts))
+    return None if version is None else version.value
+
+
+def think(duration):
+    """Coroutine for a transaction procedure: spend ``duration`` virtual
+    seconds of application compute time.  A process sleeps on a bare float;
+    a zero duration does not sleep at all (a zero sleep would still add a
+    run-queue entry and move the schedule)."""
+    if duration > 0:
+        yield float(duration)
+
+
+def contains_key(key_range, key):
+    """Whether a full storage key ``(table, pk)`` falls inside ``key_range``."""
+    return (
+        isinstance(key, tuple)
+        and len(key) == 2
+        and key[0] == key_range.table
+        and key_range.contains_pk(key[1])
+    )
 
 
 class OverlapAuditEngine(TebaldiEngine):

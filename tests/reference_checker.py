@@ -57,6 +57,11 @@ def next_writer_after(history, key, commit_seq):
     return None, None
 
 
+def committed_ids(history):
+    """Every transaction id of ``history`` known to have committed."""
+    return set(history.transactions) | history.extra_committed
+
+
 def final_write_seqs(history):
     """Map of ``(key, writer) -> last committed seq`` over all versions."""
     final = {}
@@ -71,7 +76,7 @@ def final_write_seqs(history):
 
 def iter_dsg_edges(history):
     """Yield every ``(source, target, kind)`` dependency edge of a history."""
-    committed = history.committed_ids()
+    committed = committed_ids(history)
 
     # ww edges: consecutive committed versions of each key.
     for order in history.version_orders.values():
@@ -185,7 +190,7 @@ def find_cycle(adjacency):
 def _check_anomalies(history):
     """Aborted- and intermediate-read passes (Definition 4.2.1, items 1-2)."""
     report = IsolationReport(num_transactions=len(history))
-    committed = history.committed_ids()
+    committed = committed_ids(history)
 
     # Anomaly 1: aborted reads (a committed txn read a version that never committed).
     for txn in history.transactions.values():

@@ -1,7 +1,8 @@
 """The networkx runtime-pipelining analysis the native one is held to (test-only).
 
 The body of ``analyze_pipeline`` as ``repro.analysis.rp_analysis`` shipped it
-until the runtime stopped importing networkx, verbatim:
+until the runtime stopped importing networkx, verbatim but for the
+``merged_components`` list ``RPAnalysis`` no longer carries:
 ``nx.condensation`` numbers the components in the order networkx's Tarjan
 closes them and ``nx.lexicographical_topological_sort`` breaks key ties by
 that number — the implicit rule the native version states.  Importing this
@@ -51,15 +52,9 @@ def analyze_pipeline(profiles):
     # only at the tail of some transaction (e.g. TPC-C history) does not land
     # in the middle of the pipeline and stall dependents needlessly.
     order = list(nx.lexicographical_topological_sort(condensation, key=_component_key))
-    steps = []
-    merged = []
-    for component_id in order:
-        tables = frozenset(condensation.nodes[component_id]["members"])
-        steps.append(tables)
-        if len(tables) > 1:
-            merged.append(tables)
+    steps = [frozenset(condensation.nodes[c]["members"]) for c in order]
     table_to_step = {}
     for index, tables in enumerate(steps):
         for table in tables:
             table_to_step[table] = index
-    return RPAnalysis(steps=steps, table_to_step=table_to_step, merged_components=merged)
+    return RPAnalysis(steps=steps, table_to_step=table_to_step)

@@ -33,8 +33,15 @@ from repro.harness import configs
 from repro.harness.runner import BenchmarkRunner
 from repro.workloads.ycsb import YCSBWorkload
 from tests import test_profiler_stream as pinned
+from tests.conftest import contains_key
 from tests.test_retention import _drain, _zipf
 from tests.test_wake_reference import assert_drained, checked_wakes, moved_counts
+
+
+def unresolved_slots_of(store, txn_id):
+    """Declared keys of ``txn_id`` whose pre-assigned slots are still unresolved."""
+    slots = store._slots
+    return [key for key in store._slots_by_txn.get(txn_id, ()) if txn_id in slots.get(key, ())]
 
 
 class ScanningBatch(DeterministicBatch):
@@ -116,13 +123,8 @@ class ScanningBatch(DeterministicBatch):
         for writer_id, seq in self.ref_seqs.items():
             if seq >= my_seq:
                 continue
-            for key in store.unresolved_slots_of(writer_id):
-                if (
-                    isinstance(key, tuple)
-                    and len(key) == 2
-                    and key[0] == key_range.table
-                    and key_range.contains_pk(key[1])
-                ):
+            for key in unresolved_slots_of(store, writer_id):
+                if contains_key(key_range, key):
                     expected.append(self._active[writer_id])
                     break
         answer = super()._pending_range_writers(my_seq, key_range)

@@ -42,7 +42,7 @@ from repro.sim.environment import Environment
 from repro.storage.tables import Catalog, Table, TableSchema
 from repro.workloads.base import Workload
 from repro.workloads.micro import CrossGroupConflictWorkload
-from tests.conftest import OverlapAuditEngine, build_engine, run_transactions
+from tests.conftest import OverlapAuditEngine, build_engine, run_transactions, think
 from tests.reference_checker import check_history
 
 TXN_TYPES = ("alpha", "beta", "reader")
@@ -66,7 +66,7 @@ class ConformanceWorkload(Workload):
     name = "cc-conformance"
 
     def build_catalog(self):
-        rows = Table(TableSchema("rows", ("id",), ("v",)))
+        rows = Table(TableSchema("rows", ("id",)))
         for pk in range(KEYSPACE):
             rows.insert((pk,), {"v": pk})
         return Catalog([rows])
@@ -385,7 +385,7 @@ class TwoStepWorkload(Workload):
     TABLES = ("hot", "tail")
 
     def build_catalog(self):
-        tables = [Table(TableSchema(name, ("id",), ("v",))) for name in self.TABLES]
+        tables = [Table(TableSchema(name, ("id",))) for name in self.TABLES]
         for table in tables:
             for pk in range(4):
                 table.insert((pk,), {"v": pk})
@@ -401,7 +401,7 @@ class TwoStepWorkload(Workload):
             elif kind == "w":
                 yield from ctx.write(op[1], op[2], row={"v": op[3]})
             elif kind == "think":
-                yield from ctx.think(op[1])
+                yield from think(op[1])
             elif kind == "abort":
                 ctx.abort()
             else:  # pragma: no cover - script bug guard

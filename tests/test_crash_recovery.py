@@ -37,7 +37,7 @@ from repro.storage.durability import DurabilityConfig, DurabilityManager
 from repro.storage.versions import Version
 from repro.workloads.queue import QueueWorkload
 from repro.workloads.smallbank import SmallBankWorkload
-from tests.reference_checker import check_history, writers_of
+from tests.reference_checker import check_history, committed_ids, writers_of
 
 
 def make_txn(txn_id, txn_type="t"):
@@ -154,7 +154,7 @@ class TestRecoveryProtocol:
         # persistent-epoch marker never advances.
         for log in manager.logs:
             log.flush()
-        assert manager.persistent_gcp_epoch == 0
+        assert manager._persistent_gcp_epoch == 0
         result = manager.recover()
         assert 3 in result.discarded_transactions
         # After a real advance the same transaction is durable.
@@ -199,9 +199,9 @@ class TestRecoveryProtocol:
             DurabilityConfig(enabled=True, asynchronous=True, num_servers=2)
         )
         manager.precommit(make_txn(1), [(("a", 1), {"v": 1})])
-        assert sum(log.pending for log in manager.logs) > 0
+        assert sum(len(log._buffer) for log in manager.logs) > 0
         manager.crash()
-        assert sum(log.pending for log in manager.logs) == 0
+        assert sum(len(log._buffer) for log in manager.logs) == 0
         assert not manager.halted
 
     def test_checkpoint_prevents_epoch_resurrection(self):
@@ -221,7 +221,7 @@ class TestRecoveryProtocol:
         # Next incarnation commits durably, advancing the persistent epoch.
         manager.precommit(make_txn(2), [(("b", 1), {"v": "kept"})])
         manager.advance_gcp_epoch()
-        assert manager.persistent_gcp_epoch >= 1
+        assert manager._persistent_gcp_epoch >= 1
         second = manager.recover()
         assert 2 in second.recovered_transactions
         # Without the checkpoint, txn 1's epoch-1 records would now pass
@@ -625,7 +625,7 @@ class TestEmptyPlanIsByteIdentical:
             result.commits,
             result.aborts,
             result.incarnations,
-            sorted(runner.recorder.history().committed_ids()),
+            sorted(committed_ids(runner.recorder.history())),
             sorted((repr(k), repr(v)) for k, v in runner.store.latest_state().items()),
             runner.env.now,
         )

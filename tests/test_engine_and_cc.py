@@ -29,6 +29,20 @@ def micro_requests(workload, count, seed=3):
     return requests
 
 
+def acquire(locks, txn, key, mode):
+    """Coroutine: what a lock-based CC's hook does with ``LockTable.request``
+    — queue (and maybe abort) only when the lock cannot be granted now."""
+    wait = locks.request(txn, key, mode)
+    if wait is not None:
+        yield from wait
+
+
+def waiting(locks, key):
+    """Requests queued for ``key``."""
+    record = locks._locks.get(key)
+    return len(record.queue) if record and record.queue else 0
+
+
 class TestLockTable:
     def _txn(self, txn_id):
         return Transaction(txn_id=txn_id, txn_type="t")
@@ -36,20 +50,20 @@ class TestLockTable:
     def test_shared_locks_are_compatible(self, env):
         locks = LockTable(env)
         a, b = self._txn(1), self._txn(2)
-        assert locks.try_acquire(a, "k", SHARED)
-        assert locks.try_acquire(b, "k", SHARED)
+        assert locks.request(a, "k", SHARED) is None
+        assert locks.request(b, "k", SHARED) is None
 
     def test_exclusive_conflicts(self, env):
         locks = LockTable(env)
         a, b = self._txn(1), self._txn(2)
-        assert locks.try_acquire(a, "k", EXCLUSIVE)
-        assert not locks.try_acquire(b, "k", SHARED)
+        assert locks.request(a, "k", EXCLUSIVE) is None
+        assert locks.request(b, "k", SHARED) is not None
 
     def test_same_group_never_conflicts(self, env):
         locks = LockTable(env, same_group=lambda x, y: True)
         a, b = self._txn(1), self._txn(2)
-        assert locks.try_acquire(a, "k", EXCLUSIVE)
-        assert locks.try_acquire(b, "k", EXCLUSIVE)
+        assert locks.request(a, "k", EXCLUSIVE) is None
+        assert locks.request(b, "k", EXCLUSIVE) is None
 
     def test_release_grants_waiter(self, env):
         locks = LockTable(env, timeout=10)
@@ -57,14 +71,14 @@ class TestLockTable:
         order = []
 
         def holder():
-            yield from locks.acquire(a, "k", EXCLUSIVE)
+            yield from acquire(locks, a, "k", EXCLUSIVE)
             yield env.timeout(1)
             order.append(("release", env.now))
             locks.release_all(a)
 
         def waiter():
             yield env.timeout(0.1)
-            yield from locks.acquire(b, "k", EXCLUSIVE)
+            yield from acquire(locks, b, "k", EXCLUSIVE)
             order.append(("acquired", env.now))
 
         env.process(holder())
@@ -79,13 +93,13 @@ class TestLockTable:
         outcome = []
 
         def holder():
-            yield from locks.acquire(a, "k", EXCLUSIVE)
+            yield from acquire(locks, a, "k", EXCLUSIVE)
             yield env.timeout(10)
 
         def waiter():
             yield env.timeout(0.1)
             try:
-                yield from locks.acquire(b, "k", EXCLUSIVE)
+                yield from acquire(locks, b, "k", EXCLUSIVE)
             except TransactionAborted as aborted:
                 outcome.append(aborted.reason)
 
@@ -100,20 +114,20 @@ class TestLockTable:
         a, b = self._txn(1), self._txn(2)
 
         def holder():
-            yield from locks.acquire(a, "k", EXCLUSIVE)
+            yield from acquire(locks, a, "k", EXCLUSIVE)
             yield env.timeout(2)
             locks.release_all(a)
 
         def waiter():
             yield env.timeout(0.1)
-            yield from locks.acquire(b, "k", EXCLUSIVE)
+            yield from acquire(locks, b, "k", EXCLUSIVE)
 
         env.process(holder())
         env.process(waiter())
         env.run(until=1)
         b.status = TransactionStatus.ABORTED
         locks.cancel_waits(b)
-        assert locks.waiting("k") == 0
+        assert waiting(locks, "k") == 0
 
     def _abort(self, locks, txn):
         """What a lock-based CC's ``finish`` does for an aborted member."""
@@ -133,7 +147,7 @@ class TestLockTable:
         def waiter(txn, key, delay):
             yield env.timeout(delay)
             try:
-                yield from locks.acquire(txn, key, EXCLUSIVE)
+                yield from acquire(locks, txn, key, EXCLUSIVE)
             except TransactionAborted as aborted:
                 reasons.append((aborted.reason, env.now))
                 self._abort(locks, txn)
@@ -143,7 +157,7 @@ class TestLockTable:
         env.process(waiter(b, "k", 0.1))
         env.run(until=1)
         assert reasons == [("deadlock-timeout", 0.6)]
-        assert locks.holders("k") == {a: SHARED} and locks.waiting("k") == 0
+        assert locks.holders("k") == {a: SHARED} and waiting(locks, "k") == 0
         locks.release_all(a)
         assert locks._locks == {}
 
@@ -168,7 +182,7 @@ class TestLockTable:
 
         def waiter():
             try:
-                yield from locks.acquire(b, "k", EXCLUSIVE)
+                yield from acquire(locks, b, "k", EXCLUSIVE)
             except TransactionAborted as aborted:
                 reasons.append(aborted.reason)
 
@@ -195,7 +209,7 @@ class TestLockTable:
         def waiter(txn, mode, delay):
             yield env.timeout(delay)
             try:
-                yield from locks.acquire(txn, "k", mode)
+                yield from acquire(locks, txn, "k", mode)
                 outcomes[txn.txn_id] = ("granted", env.now)
             except TransactionAborted as aborted:
                 outcomes[txn.txn_id] = (aborted.reason, env.now)
@@ -210,13 +224,13 @@ class TestLockTable:
         left_at = 0.3 if leaves_by == "cancel_waits" else 0.6
         assert outcomes == {2: ("deadlock-timeout", 0.6), 3: ("granted", left_at)}
         assert locks.holders("k") == {a: SHARED, c: SHARED}
-        assert locks.waiting("k") == 0
+        assert waiting(locks, "k") == 0
 
     def test_upgrade_for_single_holder(self, env):
         locks = LockTable(env)
         a = self._txn(1)
-        assert locks.try_acquire(a, "k", SHARED)
-        assert locks.try_acquire(a, "k", EXCLUSIVE)
+        assert locks.request(a, "k", SHARED) is None
+        assert locks.request(a, "k", EXCLUSIVE) is None
         assert locks.holders("k")[a] == EXCLUSIVE
 
 
@@ -225,7 +239,7 @@ class TestTimestamps:
         oracle = TimestampOracle()
         values = [oracle.next() for _ in range(5)]
         assert values == sorted(values)
-        assert oracle.last == values[-1]
+        assert oracle.next() == values[-1] + 1
 
     def test_batch_manager_shares_timestamp_within_batch(self):
         manager = BatchManager(TimestampOracle(), batch_size=3)
@@ -265,7 +279,7 @@ class TestRegistry:
             build_engine(
                 env,
                 noconflict_workload,
-                monolithic("nonexistent", noconflict_workload.transaction_names()),
+                monolithic("nonexistent", sorted(noconflict_workload.transaction_types())),
             )
 
 
@@ -326,7 +340,7 @@ class TestEngineLifecycle:
 
         process = env.process(aborting_client())
         txn = env.run(until=process)
-        assert txn.aborted
+        assert txn.status is TransactionStatus.ABORTED
         assert engine.store.latest_committed(("warehouse", 1)).value["w_ytd"] == 0.0
         assert engine.store.uncommitted_versions(("warehouse", 1)) == []
 
@@ -334,7 +348,7 @@ class TestEngineLifecycle:
         engine = build_engine(
             env,
             micro_workload,
-            monolithic("2pl", micro_workload.transaction_names()),
+            monolithic("2pl", sorted(micro_workload.transaction_types())),
         )
         count = 30
         requests = [
@@ -355,7 +369,7 @@ class TestEngineLifecycle:
         engine = build_engine(
             env,
             micro_workload,
-            monolithic(cc, micro_workload.transaction_names()),
+            monolithic(cc, sorted(micro_workload.transaction_types())),
             options=EngineOptions(charge_costs=True, lock_timeout=0.2, commit_wait_timeout=0.4),
         )
         requests = micro_requests(micro_workload, 60, seed=5)
@@ -411,7 +425,7 @@ class TestEngineLifecycle:
         engine = build_engine(
             env,
             micro_workload,
-            monolithic("ssi", micro_workload.transaction_names()),
+            monolithic("ssi", sorted(micro_workload.transaction_types())),
             options=EngineOptions(charge_costs=True),
         )
         # Two clients updating the same shared row concurrently: SSI's
@@ -430,7 +444,7 @@ class TestEngineLifecycle:
         engine = build_engine(
             env,
             micro_workload,
-            monolithic("2pl", micro_workload.transaction_names()),
+            monolithic("2pl", sorted(micro_workload.transaction_types())),
             options=EngineOptions(charge_costs=True),
         )
         args = {"shared_id": 0, "local_id": 0, "cold_ids": [1, 2, 3, 4, 5]}
@@ -450,7 +464,7 @@ class TestEngineLifecycle:
         engine = build_engine(
             env,
             workload,
-            monolithic("rp", workload.transaction_names()),
+            monolithic("rp", sorted(workload.transaction_types())),
             options=EngineOptions(charge_costs=True),
         )
         args = {"shared_id": 0, "local_id": 0, "cold_ids": [1, 2, 3, 4, 5]}
@@ -495,7 +509,7 @@ class TestPartitionByInstance:
         assert all(getattr(o, "committed", False) for o in outcomes)
         tso_nodes = [n for n in engine.nodes if n.spec.cc == "tso"]
         assert len(tso_nodes) == 1
-        assert len(tso_nodes[0].cc.instances()) == 2  # flights 1 and 2
+        assert len(tso_nodes[0].cc._instances) == 2  # flights 1 and 2
 
 
 class TestReconfiguration:
@@ -566,11 +580,11 @@ class TestReconfiguration:
         """``signature()`` leaves params out: the online protocol used to
         adopt such a configuration and keep the old mechanism instances."""
         workload, engine = self._engine(env, micro_workload)
-        assert engine.root.cc.batch_size == 16
+        assert engine.root.cc.batches.batch_size == 16
         new_config = engine.configuration.clone(name="smaller-batches")
         new_config.root.params["batch_size"] = 4
         self._reconfigure(env, engine, protocol, new_config)
-        assert engine.root.cc.batch_size == 4
+        assert engine.root.cc.batches.batch_size == 4
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_leaf_params_only_change_is_applied(self, env, micro_workload, protocol):

@@ -22,6 +22,7 @@ from repro.workloads.smallbank import SmallBankWorkload
 from repro.workloads.tpcc import TPCCWorkload
 from repro.workloads.tpcc.schema import TPCCScale
 from repro.workloads.ycsb import YCSBWorkload
+from tests.conftest import read_row
 from tests.reference_checker import check_history, iter_dsg_edges
 from tests.test_cc_conformance import run_micro_schedule
 from tests.test_composition import verdicts
@@ -161,7 +162,7 @@ class TestIsolationOracle:
         with pytest.raises(ValueError):
             BenchmarkRunner(
                 workload,
-                monolithic("2pl", workload.transaction_names()),
+                monolithic("2pl", sorted(workload.transaction_types())),
                 check_isolation=True,
                 isolation_level="serialisable",
             )
@@ -180,7 +181,7 @@ class TestHistoryRecorder:
         workload = CrossGroupConflictWorkload(shared_rows=5, cold_rows=50)
         return BenchmarkRunner(
             workload,
-            monolithic("2pl", workload.transaction_names()),
+            monolithic("2pl", sorted(workload.transaction_types())),
             seed=11,
             check_isolation=True,
             **kwargs,
@@ -229,7 +230,7 @@ class TestHistoryRecorder:
 
     def test_checked_run_raises_without_recorder(self):
         workload = CrossGroupConflictWorkload(shared_rows=5, cold_rows=50)
-        runner = BenchmarkRunner(workload, monolithic("2pl", workload.transaction_names()))
+        runner = BenchmarkRunner(workload, monolithic("2pl", sorted(workload.transaction_types())))
         try:
             with pytest.raises(ValueError):
                 runner.check_isolation()
@@ -316,12 +317,12 @@ class TestWorkloads:
                             initial_orders_per_district=2)
         )
         db = Database(workload, TREES["tpcc"]["2pl"]())
-        before = db.read_row("district", 1, 1)["d_next_o_id"]
+        before = read_row(db, "district", 1, 1)["d_next_o_id"]
         result = db.execute("new_order", w_id=1, d_id=1, c_id=1, items=[(1, 1, 3)])
-        after = db.read_row("district", 1, 1)["d_next_o_id"]
+        after = read_row(db, "district", 1, 1)["d_next_o_id"]
         assert after == before + 1
         assert result["o_id"] == before
-        assert db.read_row("stock", 1, 1)["s_quantity"] == 97
+        assert read_row(db, "stock", 1, 1)["s_quantity"] == 97
 
     def test_tpcc_payment_updates_balances(self):
         workload = TPCCWorkload(
@@ -331,8 +332,8 @@ class TestWorkloads:
         )
         db = Database(workload, TREES["tpcc"]["2pl"]())
         db.execute("payment", w_id=1, d_id=1, c_w_id=1, c_d_id=1, c_id=2, h_amount=25.0)
-        assert db.read_row("warehouse", 1)["w_ytd"] == pytest.approx(25.0)
-        assert db.read_row("customer", 1, 1, 2)["c_balance"] == pytest.approx(-25.0)
+        assert read_row(db, "warehouse", 1)["w_ytd"] == pytest.approx(25.0)
+        assert read_row(db, "customer", 1, 1, 2)["c_balance"] == pytest.approx(-25.0)
 
     def test_tpcc_delivery_advances_pointer(self):
         workload = TPCCWorkload(
@@ -343,19 +344,19 @@ class TestWorkloads:
         db = Database(workload, TREES["tpcc"]["2pl"]())
         result = db.execute("delivery", w_id=1, carrier_id=3, districts=[1, 2])
         assert len(result["delivered"]) == 2
-        assert db.read_row("new_order_ptr", 1, 1)["first_undelivered"] == 2
+        assert read_row(db, "new_order_ptr", 1, 1)["first_undelivered"] == 2
 
     def test_seats_reservation_lifecycle(self):
         workload = SEATSWorkload(flights=3, seats_per_flight=50, customers=20)
         db = Database(workload, TREES["seats"]["2pl"]())
         outcome = db.execute("new_reservation", f_id=1, c_id=1, seat=7, price=100.0)
         assert outcome["reserved"]
-        assert db.read_row("flight", 1)["seats_left"] == 49
+        assert read_row(db, "flight", 1)["seats_left"] == 49
         taken = db.execute("new_reservation", f_id=1, c_id=2, seat=7, price=100.0)
         assert not taken["reserved"]
         deleted = db.execute("delete_reservation", f_id=1, c_id=1)
         assert deleted["deleted"]
-        assert db.read_row("flight", 1)["seats_left"] == 50
+        assert read_row(db, "flight", 1)["seats_left"] == 50
 
     def test_seats_find_open_seats_excludes_taken(self):
         workload = SEATSWorkload(flights=2, seats_per_flight=20, customers=10)
@@ -406,7 +407,7 @@ class TestWorkloads:
         db = Database(workload, TREES["smallbank"]["2pl"]())
         outcome = db.execute("transact_savings", c_id=1, amount=-100.0)
         assert not outcome["ok"]
-        assert db.read_row("savings", 1)["balance"] == pytest.approx(10.0)
+        assert read_row(db, "savings", 1)["balance"] == pytest.approx(10.0)
 
     def test_smallbank_hot_account_knob_skews_args(self):
         workload = SmallBankWorkload(customers=1000, hot_accounts=5, hot_probability=1.0)
@@ -460,7 +461,7 @@ class TestHarness:
         workload = CrossGroupConflictWorkload(shared_rows=10, cold_rows=100)
         result = run_benchmark(
             workload,
-            monolithic("2pl", workload.transaction_names()),
+            monolithic("2pl", sorted(workload.transaction_types())),
             clients=10,
             duration=0.2,
             warmup=0.05,
@@ -750,11 +751,6 @@ class TestProfilerAnalysis:
         edge, score = profiler.bottleneck_edge()
         assert edge == ("B", "C")
         assert score == pytest.approx(5.0)
-
-    def test_disabled_profiler_records_nothing(self):
-        profiler = ContentionProfiler(enabled=False)
-        profiler.record_wait(self._txn(1, "A"), self._txn(2, "B"), 0, 1)
-        assert not profiler.events
 
     def test_latency_profiler_inflation(self):
         profiler = LatencyProfiler()

@@ -54,6 +54,29 @@ from repro.sim.network import (
 from repro.storage.durability import DurabilityManager
 from repro.storage.mvstore import MultiVersionStore
 from repro.workloads.queue import QueueWorkload
+from tests.reference_checker import committed_ids
+
+
+class _ForgetfulTable(dict):
+    """A precommit dedup table that keeps nothing: every retransmitted
+    precommit misses it and mints a fresh ticket."""
+
+    def __setitem__(self, txn_id, epoch):
+        pass
+
+
+def break_dedup(manager):
+    """The mutant the suite must catch: ``manager`` applies every
+    retransmitted precommit again."""
+    manager._precommit_epochs = _ForgetfulTable()
+
+
+class BrokenDedupLane(NetFaultLane):
+    """A message-fault lane whose durability manager has its dedup broken."""
+
+    def attach(self, runner):
+        super().attach(runner)
+        break_dedup(runner.manager)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +333,7 @@ class TestCommitTicketDedup:
 
     def test_broken_dedup_mints_second_ticket_and_is_caught(self):
         manager = DurabilityManager(default_degraded_durability())
-        manager.dedup_enabled = False
+        break_dedup(manager)
         txn = make_txn_like(11)
         writes = [(("rows", 1), "a")]
         manager.precommit(txn, writes)
@@ -419,14 +442,14 @@ class TestRobustExchange:
 
     def test_broken_dedup_double_applies_and_is_caught(self):
         # The mutation test at engine level: same lost-reply plan as the
-        # exactly-once test, dedup switched off — the durable log must show
-        # the double application.
+        # exactly-once test, dedup broken — the durable log must show the
+        # double application.
         plan = MessageFaultPlan(points=(
             MessageFault(kind="drop", occurrence=1, lost_reply=True,
                          phases=("precommit",)),
         ))
         env, engine, manager, transport = build_chaos_engine(plan)
-        manager.dedup_enabled = False
+        break_dedup(manager)
         outcome = run_one(env, engine, "enqueue", {"payload": "m"})
         assert "txn" in outcome
         violations = retransmit_violations(manager)
@@ -571,7 +594,7 @@ def run_pinned(lane):
     return (
         engine.stats.commits,
         engine.stats.aborts,
-        sorted(runner.recorder.history().committed_ids()),
+        sorted(committed_ids(runner.recorder.history())),
         sorted((repr(k), repr(v)) for k, v in runner.store.latest_state().items()),
         runner.env.now,
     )
@@ -692,9 +715,7 @@ class TestChaosCells:
                          phases=("precommit",))
             for _ in range(3)
         )
-        lane = NetFaultLane(
-            fault_plan=MessageFaultPlan(points=points), dedup_enabled=False
-        )
+        lane = BrokenDedupLane(fault_plan=MessageFaultPlan(points=points))
         runner = BenchmarkRunner(
             build_workload("queue"),
             WORKLOAD_CONFIGURATIONS["queue"]["2layer"](),

@@ -62,7 +62,7 @@ class TestErrorsSurviveThePool:
             cls for cls in vars(errors).values()
             if isinstance(cls, type) and issubclass(cls, errors.ReproError)
         ]
-        assert len(classes) == 7 and errors.TransactionAborted in classes
+        assert len(classes) == 6 and errors.TransactionAborted in classes
         for cls in classes:
             if cls is errors.TransactionAborted:
                 # The default ``__reduce__`` replayed the message as ``txn_id``.

@@ -89,7 +89,7 @@ from repro.workloads.smallbank import SmallBankWorkload
 from repro.workloads.tpcc import TPCCWorkload
 from repro.workloads.tpcc.schema import TPCCScale
 from repro.workloads.ycsb import YCSBWorkload
-from tests.conftest import OverlapAuditEngine, build_engine, run_transactions
+from tests.conftest import OverlapAuditEngine, build_engine, read_row, run_transactions
 from tests.reference_checker import check_history
 from tests.snapshot_read_census import census_of_run
 from tests import test_cc_conformance as conformance
@@ -542,7 +542,7 @@ class TestVersionRetention:
         for _ in range(20):
             db.execute("group_a_update", shared_id=0, local_id=0, cold_ids=[1])
         chain = db.store.committed_versions(("shared", 0))
-        assert db.read_row("shared", 0) == {"value": 20}
+        assert read_row(db, "shared", 0) == {"value": 20}
         assert [version.value["value"] for version in chain] == [19, 20]
         assert _longest_chain(db.store) == 2
 
@@ -1026,7 +1026,7 @@ def _moved_nodes(engine):
     found = []
     for tree_node in engine.nodes:
         cc = tree_node.cc
-        for instance in cc.instances() if isinstance(cc, PartitionedCC) else [cc]:
+        for instance in cc._instances.values() if isinstance(cc, PartitionedCC) else [cc]:
             if isinstance(vars(instance).get("_moved"), MovedEvents):
                 found.append(instance)
     return found
@@ -1218,7 +1218,7 @@ def _lock_tables(engine):
     tables = []
     for tree_node in engine.nodes:
         cc = tree_node.cc
-        for instance in cc.instances() if isinstance(cc, PartitionedCC) else [cc]:
+        for instance in cc._instances.values() if isinstance(cc, PartitionedCC) else [cc]:
             locks = vars(instance).get("locks")
             if isinstance(locks, LockTable):
                 tables.append((tree_node, locks))

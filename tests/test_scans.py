@@ -38,7 +38,7 @@ from repro.workloads.tpcc import TPCCWorkload
 from repro.workloads.tpcc.schema import TPCCScale, customer_last_name
 from repro.workloads.ycsb import YCSBWorkload
 from repro.workloads.ycsb.workload import ZipfianGenerator
-from tests.conftest import build_engine, run_transactions
+from tests.conftest import build_engine, contains_key, read_row, run_transactions, think
 from tests.reference_checker import check_history
 
 
@@ -47,8 +47,8 @@ class TestKeyRange:
         key_range = bounded_range("t", 3, 7)
         assert key_range.contains_pk(3) and key_range.contains_pk(7)
         assert not key_range.contains_pk(2) and not key_range.contains_pk(8)
-        assert key_range.contains_key(("t", 5))
-        assert not key_range.contains_key(("other", 5))
+        assert contains_key(key_range, ("t", 5))
+        assert not contains_key(key_range, ("other", 5))
 
     def test_unbounded_sides(self):
         assert bounded_range("t", None, 4).contains_pk(-100)
@@ -116,14 +116,14 @@ class TestQueueWorkload:
         db = self._db()
         assert db.execute("enqueue", payload=7)["m_id"] == 4
         assert db.execute("enqueue", payload=8)["m_id"] == 5
-        assert db.read_row("queue_ptr", "tail")["value"] == 6
+        assert read_row(db, "queue_ptr", "tail")["value"] == 6
 
     def test_dequeue_consumes_oldest_and_advances_head(self):
         db = self._db()
         first = db.execute("dequeue")
         assert first["m_id"] == 1
-        assert db.read_row("queue_ptr", "head")["value"] == 2
-        assert db.read_row("messages", 1)["state"] == "consumed"
+        assert read_row(db, "queue_ptr", "head")["value"] == 2
+        assert read_row(db, "messages", 1)["state"] == "consumed"
         assert db.execute("dequeue")["m_id"] == 2
 
     def test_dequeue_empty_queue(self):
@@ -145,7 +145,7 @@ class TestQueueWorkload:
         db.execute("dequeue")
         swept = db.execute("sweep")["swept"]
         assert swept == 2
-        assert db.read_row("messages", 1) is None
+        assert read_row(db, "messages", 1) is None
 
     def test_lifecycle_under_hierarchical_tree(self):
         db = self._db(TREES["queue"]["3layer"]())
@@ -174,8 +174,8 @@ class TestPaymentByName:
             c_last=c_last, h_amount=40.0,
         )
         assert result["matched"] == 1 and result["c_id"] == 3
-        assert db.read_row("customer", 1, 1, 3)["c_balance"] == pytest.approx(-40.0)
-        assert db.read_row("warehouse", 1)["w_ytd"] == pytest.approx(40.0)
+        assert read_row(db, "customer", 1, 1, 3)["c_balance"] == pytest.approx(-40.0)
+        assert read_row(db, "warehouse", 1)["w_ytd"] == pytest.approx(40.0)
 
     def test_unknown_name_is_a_noop(self):
         db = self._db()
@@ -184,7 +184,7 @@ class TestPaymentByName:
             c_last="NOSUCHNAME", h_amount=40.0,
         )
         assert result["matched"] == 0 and result["customer"] is None
-        assert db.read_row("warehouse", 1)["w_ytd"] == pytest.approx(0.0)
+        assert read_row(db, "warehouse", 1)["w_ytd"] == pytest.approx(0.0)
 
     def test_midpoint_of_larger_candidate_set(self):
         # 205 customers -> ids {3, 103, 203} share customer 3's name; the
@@ -253,21 +253,21 @@ class PhantomScenarioWorkload(Workload):
     name = "phantom-scenario"
 
     def build_catalog(self):
-        items = Table(TableSchema("items", ("id",), ("value",)))
+        items = Table(TableSchema("items", ("id",)))
         for pk in (1, 2, 3):
             items.insert((pk,), {"value": pk})
-        result = Table(TableSchema("result", ("name",), ("count",)))
+        result = Table(TableSchema("result", ("name",)))
         result.insert(("scan_count",), {"count": -1})
         return Catalog([items, result])
 
     def _scanner(self, ctx, delay):
         matches = yield from ctx.scan("items", lo=1, hi=10)
-        yield from ctx.think(delay)
+        yield from think(delay)
         yield from ctx.write("result", "scan_count", row={"count": len(matches)})
         return {"count": len(matches)}
 
     def _inserter(self, ctx, key, delay):
-        yield from ctx.think(delay)
+        yield from think(delay)
         row = yield from ctx.read("result", "scan_count")
         yield from ctx.write("items", key, row={"value": key})
         return {"observed": (row or {}).get("count")}

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.config import Configuration, leaf, monolithic, node
-from repro.core.context import TransactionContext
 from repro.errors import SimulationError
 from repro.harness import configs
 from repro.harness.runner import BenchmarkRunner
@@ -17,7 +16,7 @@ from repro.sim.environment import Environment, Process
 from repro.sim.events import Event, any_of
 from repro.sim.network import CC_LAYER_CPU, OPERATION_CPU, PHASE_CPU, RTT
 from repro.sim.events import Condition
-from tests.conftest import build_engine
+from tests.conftest import build_engine, think
 from tests.test_retention import CLIENTS, _tiny_tpcc
 
 
@@ -259,10 +258,9 @@ class TestSleeps:
         assert env.run(until=process) == "rejected" and env.now == 0
 
     def test_think_sleeps_on_its_duration_as_a_float(self):
-        context = TransactionContext(None, None)
-        (delay,) = context.think(2)
+        (delay,) = think(2)
         assert type(delay) is float and delay == 2.0
-        assert list(context.think(0)) == []
+        assert list(think(0)) == []
 
     def _leaves_no_cyclic_garbage(self, scenario):
         gc.collect()
@@ -420,7 +418,7 @@ class TestTimeoutCancel:
         process = env.process(waiter())
         env.timeout(1).callbacks.append(lambda event: deadline.cancel())
         env.run()
-        assert resumed == [] and process.is_alive
+        assert resumed == [] and not process.triggered
         assert env.now == 1
 
     def test_any_of_survives_a_cancelled_source(self, env):
@@ -534,12 +532,12 @@ def _route(env, workload, configuration):
 
 class TestCostConstants:
     def test_route_charges_a_round_trip_plus_cpu(self, env, micro_workload):
-        route = _route(env, micro_workload, monolithic("2pl", micro_workload.transaction_names()))
+        route = _route(env, micro_workload, monolithic("2pl", sorted(micro_workload.transaction_types())))
         assert route.op_delay == pytest.approx(OPERATION_CPU + CC_LAYER_CPU + RTT)
         assert route.phase_delay == pytest.approx(PHASE_CPU + CC_LAYER_CPU + RTT)
 
     def test_route_charges_scale_with_layers(self, env, micro_workload):
-        shallow = _route(env, micro_workload, monolithic("2pl", micro_workload.transaction_names()))
+        shallow = _route(env, micro_workload, monolithic("2pl", sorted(micro_workload.transaction_types())))
         deep = _route(env, micro_workload, Configuration(node(
             "2pl", node("2pl", leaf("2pl", "group_a_update")), leaf("rp", "group_b_update")
         )))

@@ -132,7 +132,7 @@ class TestTables:
         assert "t" in catalog
         assert catalog["t"] is table
         assert catalog.load_into(store) == 1
-        assert catalog.table_names() == ["t"]
+        assert [table.name for table in catalog] == ["t"]
 
 
 class TestBackends:
@@ -169,13 +169,13 @@ class TestWriteAheadLog:
         first = wal.append("operation", 1)
         second = wal.append("operation", 2)
         assert (first[LSN], second[LSN]) == (1, 2)
-        assert wal.pending == 2
+        assert len(wal._buffer) == 2
 
     def test_flush_persists_records(self):
         wal = WriteAheadLog(0, InMemoryBackend())
         wal.append("precommit", 1, gcp_epoch=1)
         assert wal.flush() == 1
-        assert wal.pending == 0
+        assert len(wal._buffer) == 0
         records = wal.persisted_records()
         assert len(records) == 1 and records[0][TXN_ID] == 1
 
@@ -184,7 +184,7 @@ class TestWriteAheadLog:
         wal.append("precommit", 1, gcp_epoch=1)
         wal.append("precommit", 2, gcp_epoch=2)
         assert wal.flush(up_to_epoch=1) == 1
-        assert wal.pending == 1
+        assert len(wal._buffer) == 1
 
     def test_interleaved_sync_async_flushes_preserve_lsn_order(self):
         """Sync (immediate) and async (epoch-batched) flushes interleave;
@@ -201,7 +201,7 @@ class TestWriteAheadLog:
         records = wal.persisted_records()
         assert [r[TXN_ID] for r in records] == [1, 2, 3, 4]
         assert [r[LSN] for r in records] == [1, 2, 3, 4]
-        assert wal.pending == 0
+        assert len(wal._buffer) == 0
 
     def test_crash_interrupted_flush_keeps_persisted_prefix(self):
         """A crash mid-run drops the volatile buffer but never the records
@@ -213,7 +213,7 @@ class TestWriteAheadLog:
         wal.append("precommit", 3, gcp_epoch=2)
         lost = wal.crash()
         assert lost == 2
-        assert wal.pending == 0
+        assert len(wal._buffer) == 0
         assert [r[TXN_ID] for r in wal.persisted_records()] == [1]
 
     def test_reset_restarts_lsns(self):
@@ -312,34 +312,6 @@ class TestDurability:
         manager._current_gcp_epoch = [1, 3]
         manager.commit_notification(make_txn(1), global_epoch=3)
         assert manager._current_gcp_epoch == [3, 3]
-
-    def test_wait_durable(self, env):
-        manager = self._manager(asynchronous=True)
-        txn = make_txn(5)
-        epoch = manager.precommit(txn, [(("a", 1), {"v": 5})])
-        outcomes = []
-
-        def waiter():
-            value = yield from manager.wait_durable(env, epoch)
-            outcomes.append(value)
-
-        def flusher():
-            yield env.timeout(1)
-            manager.advance_gcp_epoch()
-
-        env.process(waiter())
-        env.process(flusher())
-        env.run()
-        assert outcomes and outcomes[0] >= epoch
-
-    def test_recovery_result_require_transaction(self):
-        from repro.errors import RecoveryError
-        from repro.storage.durability import RecoveryResult
-
-        result = RecoveryResult(recovered_transactions={1}, discarded_transactions=set(), state={})
-        assert result.require_transaction(1)
-        with pytest.raises(RecoveryError):
-            result.require_transaction(2)
 
 
 class TestVersionRetention:

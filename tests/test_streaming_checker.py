@@ -342,7 +342,7 @@ class TestStreamingCheckedRuns:
     def test_streaming_verdict_matches_posthoc(self, workload_factory, config_cc):
         workload = workload_factory()
         runner = self._run(
-            workload, monolithic(config_cc, workload.transaction_names())
+            workload, monolithic(config_cc, sorted(workload.transaction_types()))
         )
         recorder = runner.recorder
         streamed = check_recorder(recorder)
@@ -357,7 +357,7 @@ class TestStreamingCheckedRuns:
         workload = CrossGroupConflictWorkload(shared_rows=5, cold_rows=50)
         runner = self._run(
             workload,
-            monolithic("2pl", workload.transaction_names()),
+            monolithic("2pl", sorted(workload.transaction_types())),
             duration=0.3,
             history_window=25,
         )
@@ -373,7 +373,7 @@ class TestStreamingCheckedRuns:
         workload = CrossGroupConflictWorkload(shared_rows=5, cold_rows=50)
         runner = self._run(
             workload,
-            monolithic("2pl", workload.transaction_names()),
+            monolithic("2pl", sorted(workload.transaction_types())),
             isolation_level="read-committed",
         )
         report = runner.check_isolation()
