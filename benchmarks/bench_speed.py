@@ -335,7 +335,10 @@ def census_by_owner(runner):
     roots.append(("durability manager", runner.manager))
     roots.append(("store", runner.store))
     roots.append(("engine.finished", engine.finished))
-    roots.extend((f"cc node {node.node_id}", node.cc) for node in engine.nodes)
+    roots.extend(
+        (f"cc node {node.node_id}", node.cc if node.instances is None else node.instances)
+        for node in engine.nodes
+    )
     seen = {id(runner), id(engine), id(engine.env)}
     root_ids = {id(root) for _owner, root in roots}
     counts = {}

@@ -198,6 +198,12 @@ print("cycle-detector nodes after 4,800 checked smallbank/3layer commits: {}".fo
 # through — definitions only tests use, fields only tests read, fields kept
 # unread for a stated reason (tests/test_state_census.py).
 python -c 'from tests.test_state_census import allow_lists; print(allow_lists())'
+# A node's mechanism derives what it needs from the profiles; what a spec
+# may still set are the knobs its constructor takes (6; 12 while autoconf
+# wrote derived steps and promises into spec params).
+# tests/test_composition.py pins each mechanism's set.
+python -c 'from tests.test_composition import constructor_parameters as params
+print("cc constructor parameters: {}".format(sum(map(len, params().values()))))'
 
 echo
 echo "check.sh: all good"

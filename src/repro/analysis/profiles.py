@@ -1,8 +1,8 @@
 """Static transaction profiles.
 
-CC mechanisms that rely on static analysis (runtime pipelining) and
-preprocessing (TSO promises) need a static description of each
-transaction type: the ordered sequence of table accesses and whether the
+A mechanism derives what it needs from a static description of each
+transaction type, where it is built (runtime pipelining its steps, TSO its
+promises): the ordered sequence of table accesses and whether the
 transaction is read-only.  Workloads declare one
 :class:`TransactionProfile` per stored procedure; this mirrors the paper's
 requirement that such transactions be implemented as stored procedures

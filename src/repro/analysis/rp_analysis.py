@@ -26,13 +26,6 @@ class RPAnalysis:
     def num_steps(self):
         return len(self.steps)
 
-    @property
-    def pipeline_efficiency(self):
-        """Fraction of tables that got their own step (1.0 = finest pipeline)."""
-        if not self.table_to_step:
-            return 1.0
-        return self.num_steps / len(self.table_to_step)
-
     def describe(self):
         lines = [f"runtime pipeline with {self.num_steps} steps"]
         for index, tables in enumerate(self.steps):

@@ -125,9 +125,7 @@ class AutoConfigurator:
         """Execute the iterative algorithm; returns an :class:`AutoConfigResult`."""
         current = starting_configuration or initial_configuration(self.workload)
         current = current.clone(name="auto-0")
-        apply_preprocessing(
-            current, self._profiles(), instance_keys=self.instance_keys
-        )
+        apply_preprocessing(current, instance_keys=self.instance_keys)
         baseline, profiler = self._measure(current, with_profiler=True)
         initial_throughput = baseline.throughput
         iterations = []
@@ -144,11 +142,7 @@ class AutoConfigurator:
             best_candidate = None
             best_result = None
             for candidate in candidates:
-                apply_preprocessing(
-                    candidate.configuration,
-                    self._profiles(),
-                    instance_keys=self.instance_keys,
-                )
+                apply_preprocessing(candidate.configuration, instance_keys=self.instance_keys)
                 result, _ = self._measure(candidate.configuration)
                 if best_result is None or result.throughput > best_result.throughput:
                     best_candidate, best_result = candidate, result
@@ -177,9 +171,3 @@ class AutoConfigurator:
             configuration=current,
             iterations=iterations,
         )
-
-    def _profiles(self):
-        return {
-            name: ttype.profile
-            for name, ttype in self.workload.transaction_types().items()
-        }

@@ -44,10 +44,8 @@ class ConfigurationOptimizer:
     #: CCs considered for a new cross-group (internal) node.
     DEFAULT_CROSS_CANDIDATES = ("ssi", "rp", "2pl")
 
-    def __init__(self, transaction_types, leaf_candidates=None, cross_candidates=None):
+    def __init__(self, transaction_types):
         self.transaction_types = dict(transaction_types)
-        self.leaf_candidates = tuple(leaf_candidates or self.DEFAULT_LEAF_CANDIDATES)
-        self.cross_candidates = tuple(cross_candidates or self.DEFAULT_CROSS_CANDIDATES)
 
     # -- helpers ----------------------------------------------------------------------
 
@@ -100,23 +98,6 @@ class ConfigurationOptimizer:
                 return spec
         return None
 
-    @staticmethod
-    def _path_to(root, target):
-        """List of specs from ``root`` down to ``target`` (inclusive)."""
-        if root is target:
-            return [root]
-        for child in root.children:
-            path = ConfigurationOptimizer._path_to(child, target)
-            if path:
-                return [root] + path
-        return []
-
-    def _clone_with(self, configuration, mutate):
-        """Clone the configuration and apply ``mutate(clone_root)``."""
-        clone = configuration.root.clone()
-        mutate(clone)
-        return clone
-
     # -- candidate generation ---------------------------------------------------------------
 
     def propose(self, configuration, edge, name_prefix="candidate"):
@@ -133,7 +114,7 @@ class ConfigurationOptimizer:
         # Deduplicate structurally identical candidates and drop no-ops.
         unique = []
         seen = {configuration.signature()}
-        for index, candidate in enumerate(candidates):
+        for candidate in candidates:
             signature = candidate.configuration.signature()
             if signature in seen:
                 continue
@@ -147,18 +128,14 @@ class ConfigurationOptimizer:
         candidates = []
         original_leaf = configuration.leaf_for(txn_type)
         original_cc = original_leaf.cc
-        for cc_name in self.leaf_candidates:
+        for cc_name in self.DEFAULT_LEAF_CANDIDATES:
             if cc_name == original_cc and len(original_leaf.transactions) == 1:
                 continue
             if not self._filter_leaf_cc(cc_name, (txn_type,)):
                 continue
-
-            def mutate(root, cc_name=cc_name):
-                target = root.find_leaf_of(txn_type)
-                self._split_leaf(root, target, (txn_type,), cc_name)
-
+            new_root = configuration.root.clone()
             try:
-                new_root = self._clone_with(configuration, mutate)
+                self._split_leaf(new_root.find_leaf_of(txn_type), (txn_type,), cc_name)
                 candidates.append(
                     OptimizationCandidate(
                         configuration=Configuration(new_root),
@@ -174,18 +151,17 @@ class ConfigurationOptimizer:
     # Case 2: two types in the same leaf group.
     def _case_same_group(self, configuration, type_a, type_b):
         candidates = []
-        for cross_cc in self.cross_candidates:
+        for cross_cc in self.DEFAULT_CROSS_CANDIDATES:
             if not self._filter_cross_cc(cross_cc, [(type_a,), (type_b,)]):
                 continue
             for leaf_cc_a in self._leaf_choices(type_a):
                 for leaf_cc_b in self._leaf_choices(type_b):
-
-                    def mutate(root, cross_cc=cross_cc, cc_a=leaf_cc_a, cc_b=leaf_cc_b):
-                        target = root.find_leaf_of(type_a)
-                        self._split_pair(root, target, type_a, type_b, cross_cc, cc_a, cc_b)
-
+                    new_root = configuration.root.clone()
                     try:
-                        new_root = self._clone_with(configuration, mutate)
+                        self._split_pair(
+                            new_root.find_leaf_of(type_a),
+                            type_a, type_b, cross_cc, leaf_cc_a, leaf_cc_b,
+                        )
                         candidates.append(
                             OptimizationCandidate(
                                 configuration=Configuration(new_root),
@@ -203,15 +179,12 @@ class ConfigurationOptimizer:
     def _case_cross_group(self, configuration, type_a, type_b):
         candidates = []
         for mover, anchor in ((type_b, type_a), (type_a, type_b)):
-            for cross_cc in self.cross_candidates:
+            for cross_cc in self.DEFAULT_CROSS_CANDIDATES:
                 if not self._filter_cross_cc(cross_cc, [(mover,), (anchor,)]):
                     continue
-
-                def mutate(root, mover=mover, anchor=anchor, cross_cc=cross_cc):
-                    self._move_next_to(root, mover, anchor, cross_cc)
-
+                new_root = configuration.root.clone()
                 try:
-                    new_root = self._clone_with(configuration, mutate)
+                    self._move_next_to(new_root, mover, anchor, cross_cc)
                     candidates.append(
                         OptimizationCandidate(
                             configuration=Configuration(new_root),
@@ -229,13 +202,13 @@ class ConfigurationOptimizer:
         if self._is_read_only(txn_type):
             return ("none",)
         choices = [
-            cc for cc in self.leaf_candidates if self._filter_leaf_cc(cc, (txn_type,))
+            cc for cc in self.DEFAULT_LEAF_CANDIDATES if self._filter_leaf_cc(cc, (txn_type,))
         ]
         return tuple(choices[:2]) or ("2pl",)
 
     # -- tree surgery -------------------------------------------------------------------------
 
-    def _split_leaf(self, root, target_leaf, moved_types, new_cc):
+    def _split_leaf(self, target_leaf, moved_types, new_cc):
         """Case 1 surgery: replace ``target_leaf`` with original-CC node over
         {remaining leaf, new leaf(new_cc, moved_types)}."""
         remaining = tuple(t for t in target_leaf.transactions if t not in moved_types)
@@ -251,7 +224,7 @@ class ConfigurationOptimizer:
         target_leaf.transactions = ()
         target_leaf.children = wrapper_children
 
-    def _split_pair(self, root, target_leaf, type_a, type_b, cross_cc, cc_a, cc_b):
+    def _split_pair(self, target_leaf, type_a, type_b, cross_cc, cc_a, cc_b):
         """Case 2 surgery: pull two types out of a leaf under a new cross CC."""
         remaining = tuple(
             t for t in target_leaf.transactions if t not in (type_a, type_b)
@@ -269,8 +242,6 @@ class ConfigurationOptimizer:
             target_leaf.children = pair_node.children
             return
         sibling = CCSpec(cc=target_leaf.cc, transactions=remaining)
-        original_cc = target_leaf.cc
-        target_leaf.cc = original_cc
         target_leaf.transactions = ()
         target_leaf.children = [sibling, pair_node]
 

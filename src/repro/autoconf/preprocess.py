@@ -1,39 +1,15 @@
-"""CC-specific preprocessing hooks (Section 5.4.2).
+"""CC-specific preprocessing (Section 5.4.2): local configuration refinement.
 
-Two kinds of preprocessing are supported, mirroring the paper:
-
-1. Static analysis / code adjustment for a CC mechanism — runtime pipelining
-   derives its pipeline steps from the group's transaction profiles, and the
-   result is recorded in the spec params so a proposed configuration can be
-   inspected (and rejected) before it is ever installed.
-2. Local configuration refinement — a CC node may rewrite its own subtree;
-   the shipped refinement is *partition-by-instance* for TSO groups, which
-   splits one TSO group into per-instance groups keyed by an argument of the
-   transactions (e.g. the SEATS flight id).
+A CC node may rewrite its own subtree before a candidate configuration is
+measured.  One refinement is left, *partition-by-instance* for TSO groups,
+which splits one TSO group into per-instance groups keyed by an argument of
+the transactions (e.g. the SEATS flight id).  The paper's other kind, static
+analysis for a mechanism, needs no step here: each mechanism derives it from
+the group's profiles where it is built (runtime pipelining its steps, TSO its
+promises).
 """
 
-from repro.analysis.rp_analysis import analyze_pipeline
 from repro.errors import AnalysisError
-
-
-def preprocess_runtime_pipelining(spec, profiles):
-    """Record the derived pipeline in the spec params; raise if unusable."""
-    group_profiles = [profiles[name] for name in spec.all_transactions()]
-    analysis = analyze_pipeline(group_profiles)
-    spec.params["pipeline_steps"] = [sorted(step) for step in analysis.steps]
-    spec.params["pipeline_efficiency"] = analysis.pipeline_efficiency
-    return analysis
-
-
-def preprocess_tso_promises(spec, profiles):
-    """Enable the promise optimisation where profiles declare write keys."""
-    promised = [
-        name
-        for name in spec.all_transactions()
-        if profiles[name].promise_keys is not None
-    ]
-    spec.params["promises"] = promised
-    return promised
 
 
 def partition_by_instance(spec, instance_key, label_suffix="per-instance"):
@@ -46,28 +22,16 @@ def partition_by_instance(spec, instance_key, label_suffix="per-instance"):
     return spec
 
 
-def apply_preprocessing(configuration, profiles, instance_keys=None):
-    """Run every applicable preprocessing step over a candidate configuration.
+def apply_preprocessing(configuration, instance_keys=None):
+    """Refine a candidate configuration in place.
 
     ``instance_keys`` optionally maps a transaction type to an
     ``args -> partition value`` callable; a TSO leaf whose transactions all
     have the same callable is partitioned by instance.
     """
     instance_keys = instance_keys or {}
-    notes = []
     for spec in configuration.root.iter_nodes():
-        if spec.cc == "rp":
-            analysis = preprocess_runtime_pipelining(spec, profiles)
-            notes.append(
-                f"rp group {spec.all_transactions()}: {analysis.num_steps} steps"
-            )
-        if spec.cc == "tso":
-            preprocess_tso_promises(spec, profiles)
-            if spec.is_leaf and spec.instance_key is None:
-                keys = [instance_keys.get(name) for name in spec.transactions]
-                if keys and all(key is not None for key in keys):
-                    partition_by_instance(spec, keys[0])
-                    notes.append(
-                        f"tso group {spec.all_transactions()}: partitioned by instance"
-                    )
-    return notes
+        if spec.cc == "tso" and spec.is_leaf and spec.instance_key is None:
+            keys = [instance_keys.get(name) for name in spec.transactions]
+            if keys and all(key is not None for key in keys):
+                partition_by_instance(spec, keys[0])

@@ -65,42 +65,21 @@ def check_composition(root, profile_of=None):
     walk(root, "0", ())
 
 
-_ACCEPTED_PARAMS = {}
-
-# Spec params that are cross-CC *annotations*: autoconf preprocessing records
-# them on a group spec, and the optimizer may later re-assign the spec's CC.
-# A mechanism that does not understand one simply does not receive it; every
-# other (i.e. user-provided) param is passed through verbatim, so typos still
-# fail fast with a TypeError.
-_ANNOTATION_PARAMS = frozenset({"pipeline_steps", "pipeline_efficiency", "promises"})
-
-
-def _accepted_params(cls):
-    accepted = _ACCEPTED_PARAMS.get(cls)
-    if accepted is None:
-        accepted = _ACCEPTED_PARAMS[cls] = frozenset(
-            inspect.signature(cls.__init__).parameters
-        ) - {"self", "engine", "node"}
-    return accepted
-
-
 def create_cc(name, engine, node, params=None):
-    """Instantiate a registered CC mechanism for a runtime tree node."""
+    """Instantiate a registered CC mechanism for a runtime tree node.
+
+    This is the one way a mechanism comes into being.  It derives what it
+    needs from ``engine`` and ``node`` (the group's profiles); ``params``,
+    the spec's knobs, go to its constructor verbatim, so a misspelt one
+    fails fast with a ``TypeError``.
+    """
     try:
         cls = CC_REGISTRY[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown concurrency control {name!r}; known: {sorted(CC_REGISTRY)}"
         ) from None
-    if not params:
-        return cls(engine, node)
-    accepted = _accepted_params(cls)
-    kwargs = {
-        key: value
-        for key, value in params.items()
-        if key in accepted or key not in _ANNOTATION_PARAMS
-    }
-    return cls(engine, node, **kwargs)
+    return cls(engine, node, **(params or {}))
 
 
 class ConcurrencyControl:

@@ -14,7 +14,7 @@ share step-level locks and to execute the same step concurrently (delegation);
 conflicts across child subtrees follow the pipeline rules above.
 """
 
-from repro.analysis.rp_analysis import RPAnalysis, analyze_pipeline
+from repro.analysis.rp_analysis import analyze_pipeline
 from repro.cc.base import ConcurrencyControl, register_cc
 from repro.cc.locks import EXCLUSIVE, SHARED, LockTable
 from repro.core.waits import MovedEvents
@@ -31,21 +31,8 @@ class RuntimePipelining(ConcurrencyControl):
     write_optimized = True
     extra_operation_rtts = 1  # per-operation coordination round-trip
 
-    def __init__(
-        self,
-        engine,
-        node,
-        steps=None,
-        lock_timeout=None,
-        pipeline_steps=None,
-        pipeline_efficiency=None,
-    ):
-        # ``pipeline_steps`` / ``pipeline_efficiency`` are the spec params
-        # recorded by autoconf preprocessing (preprocess_runtime_pipelining);
-        # the efficiency is informational only.
+    def __init__(self, engine, node, lock_timeout=None):
         super().__init__(engine, node)
-        if steps is None:
-            steps = pipeline_steps
         timeout = lock_timeout if lock_timeout is not None else engine.options.lock_timeout
         self.locks = LockTable(
             engine.env,
@@ -55,15 +42,9 @@ class RuntimePipelining(ConcurrencyControl):
             order_guard=engine.depends_transitively,
             waits=self.waits,
         )
-        if steps is not None:
-            step_sets = [frozenset(step) for step in steps]
-            table_to_step = {
-                table: index for index, tables in enumerate(step_sets) for table in tables
-            }
-            self.analysis = RPAnalysis(steps=step_sets, table_to_step=table_to_step)
-        else:
-            profiles = engine.profiles_for(sorted(node.subtree_types))
-            self.analysis = analyze_pipeline(profiles)
+        # The steps come from the group's profiles, in name order: the
+        # analysis breaks ties by the order it is given the profiles in.
+        self.analysis = analyze_pipeline(engine.profiles_for(sorted(node.subtree_types)))
         # Predicate locks for scans.  Unlike step locks these are held until
         # finish: a step-committed scan's predicate must keep excluding
         # phantom inserts, exactly like passed point accesses in ``_passed``.

@@ -43,7 +43,7 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
     forbidden_ancestors = frozenset({"2pl", "rp"})
     extra_start_rtts = 1  # centralized timestamp server
 
-    def __init__(self, engine, node, batching=None, batch_size=16):
+    def __init__(self, engine, node, batch_size=16):
         super().__init__(engine, node)
         # A batch member reads at its batch's timestamp: it is concurrent with
         # whatever finished since the batch opened, even before its own begin
@@ -84,11 +84,9 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         # txn_id -> start timestamp of every unfinished member.
         self._member_starts = {}
         self._committed_readers = deque()
-        if batching is None:
-            batching = self._needs_batching()
-        self.batching = batching
+        self.batching = self._needs_batching()
         # Snapshots only (see the class docstring).
-        self.read_only_optimization = (not node.is_leaf) and not batching
+        self.read_only_optimization = (not node.is_leaf) and not self.batching
 
     def _needs_batching(self):
         """Batching is needed only with two or more update child groups."""

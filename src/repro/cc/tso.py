@@ -32,15 +32,8 @@ class TimestampOrdering(ConcurrencyControl):
     leaf_only = True
     extra_start_rtts = 1  # centralized timestamp server
 
-    def __init__(self, engine, node, use_promises=True, promises=None):
-        # ``promises`` is the spec param recorded by autoconf preprocessing
-        # (preprocess_tso_promises): the transaction types with declared
-        # write keys.  A preprocessed empty list disables the optimisation,
-        # but an explicit ``use_promises=False`` always wins.
+    def __init__(self, engine, node):
         super().__init__(engine, node)
-        if promises is not None and use_promises:
-            use_promises = bool(promises)
-        self.use_promises = use_promises
         self._reads = {}
         # table -> {txn_id: (txn, ts, [KeyRange, ...])}: active range reads.
         # A scan at timestamp T observes the *absence* of every matching key
@@ -73,20 +66,19 @@ class TimestampOrdering(ConcurrencyControl):
         state["ts"] = ts = self.engine.oracle.next()
         txn.cc_timestamp = ts
         self._active[txn.txn_id] = txn
-        if self.use_promises:
-            profile = self.engine.profile_of(txn.txn_type)
-            if profile.promise_keys is not None:
-                promised = frozenset(profile.promise_keys(txn.args))
-                txn.promises = promised
-                for key in promised:
-                    self._promises.setdefault(key, set()).add(txn.txn_id)
+        # Promises come from the profile: a type that declares its write
+        # keys promises them, and later readers wait for those writes.
+        profile = self.engine.profile_of(txn.txn_type)
+        if profile.promise_keys is not None:
+            promised = frozenset(profile.promise_keys(txn.args))
+            txn.promises = promised
+            for key in promised:
+                self._promises.setdefault(key, set()).add(txn.txn_id)
 
     # -- execution phase -----------------------------------------------------------------
 
     def before_read(self, txn, key):
         """Wait for promised writes by smaller-timestamp transactions."""
-        if not self.use_promises:
-            return
         my_ts = self._ts(txn)
 
         def _pending_promisors():

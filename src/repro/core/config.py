@@ -28,7 +28,9 @@ class CCSpec:
     children:
         For internal nodes, the child subtrees.
     params:
-        Mechanism-specific parameters (e.g. ``{"batching": False}``).
+        The mechanism's knobs, passed to its constructor verbatim (e.g.
+        ``{"lock_timeout": 0.25}``); what it derives from the profiles is
+        never a param.
     instance_key:
         Optional partition-by-instance function ``args -> hashable`` for
         leaves: the runtime creates one CC instance per distinct value and

@@ -30,10 +30,12 @@ transaction begins.  Both end the commit phase in
 :meth:`TebaldiEngine.apply_commit`, and the engine's one admission park loop
 also holds new work while that transport's valve is closed.
 
-Hot-path design notes: the CC path and its cost constants are resolved once
-per transaction in :meth:`begin` (pinned on the transaction as
-``charges``), and finished transactions are released as soon as nothing
-active is concurrent with them (O(1) amortized).
+Hot-path design notes: a transaction's route — the bound hooks of the
+mechanisms on its path, its cost constants and its group tokens — is built
+once per type (per partition value under a partition-by-instance leaf) and
+pinned on the transaction in :meth:`begin` as ``charges``, and finished
+transactions are released as soon as nothing active is concurrent with them
+(O(1) amortized).
 """
 
 from collections import deque
@@ -213,7 +215,8 @@ class TebaldiEngine:
     history_recorder = property(lambda self: self._recorder, _attach_recorder)
 
     def begin(self, txn_type, args=None, client_id=-1):
-        """Create and register a new transaction instance."""
+        """Create and register a new transaction instance, on the route of
+        its type or, under a partitioned leaf, of its partition value."""
         route = self._routes.get(txn_type)
         if route is None:
             raise ConfigurationError(f"unknown transaction type {txn_type!r}")
@@ -229,29 +232,16 @@ class TebaldiEngine:
         )
         txn.leaf_node_id = route.leaf_node_id
         if route.instance_key is not None:
-            txn.partition_value = route.instance_key(args)
-        # Pin the runtime path and its precomputed cost constants so that
-        # in-flight transactions are unaffected by online reconfigurations
-        # swapping parts of the tree, and the hot path never rebuilds them.
+            route = route.partition(self, route.instance_key(args))
+        # Pin the runtime path, its precomputed cost constants and its
+        # immutable group tokens, so that in-flight transactions are
+        # unaffected by online reconfigurations swapping parts of the tree,
+        # and the hot path never rebuilds them.
         txn.charges = route
+        txn.group_tokens = route.group_tokens
         if route.records_reads or self._recorder is not None:
             txn.reads, txn.scans = [], []
         txn.dep_listener = self._on_new_dependency
-        if route.static_group_tokens is not None:
-            # Immutable token map shared by every transaction of this type.
-            txn.group_tokens = route.static_group_tokens
-        else:
-            path = route.nodes
-            for parent, child in zip(path, path[1:]):
-                token = child.node_id
-                if child.spec.instance_key is not None:
-                    token = (child.node_id, txn.partition_value)
-                txn.group_tokens[parent.node_id] = token
-            # A leaf with per-instance partitioning also distinguishes its
-            # own partitions, which matters when it is the direct child of
-            # the root.
-            leaf_node_id = route.leaf_node_id
-            txn.group_tokens[leaf_node_id] = (leaf_node_id, txn.partition_value)
         txn.finish_event = Event(self.env, "finish")
         self.active[txn_id] = txn
         return txn

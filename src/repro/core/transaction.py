@@ -58,14 +58,13 @@ class Transaction:
     status: TransactionStatus = TransactionStatus.ACTIVE
     read_only: bool = False
 
-    # Routing through the CC tree.  ``charges`` (the type's ``Route``: its
-    # ``nodes``, ``ccs``, hook tables and cost constants) is resolved once
-    # in ``engine.begin()`` and pinned here, so in-flight transactions are
-    # unaffected by online reconfigurations and the per operation hot path
-    # never rebuilds it.
+    # Routing through the CC tree.  ``charges`` (the ``Route`` of the type,
+    # or of its partition value: its ``nodes``, hook tables, cost constants
+    # and ``group_tokens``) is resolved once in ``engine.begin()`` and pinned
+    # here, so in-flight transactions are unaffected by online
+    # reconfigurations and the per operation hot path never rebuilds it.
     leaf_node_id: str = ""
     group_tokens: dict = field(default_factory=dict)
-    partition_value: Any = None
     charges: Any = None
 
     # Data accesses.  A ReadRecord per read and a ScanRecord per ctx.scan

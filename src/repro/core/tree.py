@@ -1,9 +1,12 @@
 """Runtime CC tree: compiled form of a :class:`~repro.core.config.Configuration`.
 
-Each :class:`TreeNode` owns one CC mechanism instance (or a
-:class:`PartitionedCC` family for partition-by-instance leaves) and knows the
-transaction types of its subtree, which is how membership and child-group
-tokens are resolved.
+Each :class:`TreeNode` knows the transaction types of its subtree, which is
+how membership and child-group tokens are resolved, and holds the mechanism
+that regulates its group, built once by :func:`~repro.cc.base.create_cc` from
+its spec and the profiles: ``cc``, or for a partition-by-instance leaf one
+instance per partition value (``instances``), each built when the first
+transaction of its value begins.  A :class:`Route` binds the hooks of
+exactly the instances a transaction passes.
 """
 
 from repro.cc.base import CC_REGISTRY, ConcurrencyControl, check_composition, create_cc
@@ -12,14 +15,8 @@ from repro.sim.network import CC_LAYER_CPU, OPERATION_CPU, PHASE_CPU, RTT
 
 
 def _overrides(cc, hook_name):
-    """Whether ``cc`` implements ``hook_name`` beyond the no-op base default.
-
-    Non-subclass mechanisms (e.g. :class:`PartitionedCC`) define every hook
-    themselves and therefore always count as overriding.
-    """
-    return getattr(type(cc), hook_name, None) is not getattr(
-        ConcurrencyControl, hook_name
-    )
+    """Whether ``cc`` implements ``hook_name`` beyond the no-op base default."""
+    return getattr(type(cc), hook_name) is not getattr(ConcurrencyControl, hook_name)
 
 
 def _refuse_write(txn, key, value):
@@ -43,6 +40,9 @@ class TreeNode:
         self.parent = parent
         self.children = []
         self.cc = None
+        #: Partition value -> mechanism, for a partition-by-instance leaf
+        #: (whose ``cc`` stays ``None``); see :meth:`Route.partition`.
+        self.instances = {} if spec.instance_key is not None else None
         self.subtree_types = frozenset(spec.all_transactions())
 
     @property
@@ -75,95 +75,8 @@ class TreeNode:
         return f"<TreeNode {self.describe()} leaf={self.is_leaf}>"
 
 
-class PartitionedCC:
-    """Partition-by-instance wrapper: one CC instance per partition value.
-
-    The wrapper exposes the full CC interface and routes every call to the
-    per-partition instance selected by ``txn.partition_value`` (computed at
-    begin time from the leaf spec's ``instance_key``).  Each instance keeps
-    its own metadata (lock tables, timestamp ordering, batches), which is the
-    whole point of the optimization (Section 5.4.2, Table 5.1).
-    """
-
-    def __init__(self, engine, node, factory):
-        self.engine = engine
-        self.node = node
-        self._factory = factory
-        self._instances = {}
-        self._sample = None
-
-    @property
-    def name(self):
-        return f"partitioned-{self.node.spec.cc}"
-
-    def instance_for(self, txn):
-        value = txn.partition_value
-        if value not in self._instances:
-            self._instances[value] = self._factory()
-        return self._instances[value]
-
-    # The four-phase interface simply dispatches on the partition value.
-
-    # Mechanisms that gate admission do not support partitioning (checked at
-    # build time), so the base no-op is shared — and, being identical to the
-    # base hook, keeps partitioned leaves out of the admission hook table.
-    admit = ConcurrencyControl.admit
-
-    def start(self, txn):
-        return self.instance_for(txn).start(txn)
-
-    def before_read(self, txn, key):
-        return self.instance_for(txn).before_read(txn, key)
-
-    def before_update_read(self, txn, key):
-        return self.instance_for(txn).before_update_read(txn, key)
-
-    def before_write(self, txn, key, value):
-        return self.instance_for(txn).before_write(txn, key, value)
-
-    def before_scan(self, txn, key_range):
-        return self.instance_for(txn).before_scan(txn, key_range)
-
-    def select_version(self, txn, key):
-        return self.instance_for(txn).select_version(txn, key)
-
-    def amend_read(self, txn, key, candidate):
-        return self.instance_for(txn).amend_read(txn, key, candidate)
-
-    def after_write(self, txn, key, version):
-        return self.instance_for(txn).after_write(txn, key, version)
-
-    def validate(self, txn):
-        return self.instance_for(txn).validate(txn)
-
-    def pre_commit(self, txn):
-        return self.instance_for(txn).pre_commit(txn)
-
-    def finish(self, txn, committed):
-        return self.instance_for(txn).finish(txn, committed)
-
-    def describe(self):
-        return f"{self.name}@{self.node.node_id} ({len(self._instances)} instances)"
-
-    def _sample_instance(self):
-        """A representative instance used only for static attributes."""
-        if self._instances:
-            return next(iter(self._instances.values()))
-        if self._sample is None:
-            self._sample = self._factory()
-        return self._sample
-
-    @property
-    def extra_operation_rtts(self):
-        return getattr(self._sample_instance(), "extra_operation_rtts", 0)
-
-    @property
-    def extra_start_rtts(self):
-        return getattr(self._sample_instance(), "extra_start_rtts", 0)
-
-
 class Route:
-    """Precomputed per-transaction-type runtime path and cost constants.
+    """Precomputed runtime path of one transaction type, and its cost constants.
 
     Resolved once at tree-build (or subtree-splice) time so the per-operation
     hot path does not rebuild the CC list or re-sum per-layer cost attributes
@@ -172,10 +85,18 @@ class Route:
     virtual-time charges of the constant-delay transport (CPU cost plus
     network round-trips at the fixed ``RTT``); the message transport
     charges ``phase_cost`` and sends the round-trips for real.
+
+    Through a partition-by-instance leaf the type's route runs nothing
+    itself: it serves admission, ``read_only`` and the ``instance_key``, and
+    :meth:`partition` gives the route of one partition value, bound to that
+    value's own instance.  Both are built on first use; a partition's route
+    lives no longer than its instance, and is built again, over the same
+    instance, after a splice elsewhere rebuilds the routes.
     """
 
     __slots__ = (
         "nodes",
+        "txn_type_def",
         "phase_cost",
         "start_rtts",
         "op_delay",
@@ -193,8 +114,8 @@ class Route:
         "validate_hooks",
         "pre_commit_hooks",
         "finish_hooks",
-        "static_group_tokens",
-        "partitioned",
+        "group_tokens",
+        "partitions",
         "procedure",
         "read_only",
         "records_reads",
@@ -202,9 +123,32 @@ class Route:
         "leaf_node_id",
     )
 
-    def __init__(self, nodes, txn_type_def):
+    def __init__(self, nodes, txn_type_def, partition=None):
+        """``partition``: ``(value, instance)`` when this is the route of one
+        partition value of a partitioned leaf (see :meth:`partition`)."""
         self.nodes = nodes
-        ccs = [node.cc for node in nodes]
+        self.txn_type_def = txn_type_def
+        leaf = nodes[-1]
+        # Per-type lookups resolved once so begin()/_run() skip the dicts.
+        self.leaf_node_id = leaf.node_id
+        self.procedure = txn_type_def.procedure
+        self.read_only = txn_type_def.read_only
+        self.records_reads = any(CC_REGISTRY[node.spec.cc].validates_reads for node in nodes)
+        self.instance_key = None
+        ccs = [node.cc for node in nodes[:-1]]
+        if partition is not None:
+            value, leaf_cc = partition
+        elif leaf.instances is None:
+            value, leaf_cc = None, leaf.cc
+        else:
+            # Admission runs before the partition value is known, so only
+            # the ancestors may gate it: the one mechanism that admits in
+            # waves (deterministic batch) cannot be partitioned.
+            self.instance_key = leaf.spec.instance_key
+            self.partitions = {}
+            self.admission_hooks = tuple(cc.admit for cc in ccs if _overrides(cc, "admit"))
+            return
+        ccs.append(leaf_cc)
         layers = len(nodes)
         op_rtts = 1 + sum(getattr(cc, "extra_operation_rtts", 0) for cc in ccs)
         self.phase_cost = PHASE_CPU + CC_LAYER_CPU * layers
@@ -212,7 +156,6 @@ class Route:
         self.op_delay = OPERATION_CPU + CC_LAYER_CPU * layers + op_rtts * RTT
         self.phase_delay = self.phase_cost + RTT
         self.start_delay = self.phase_cost + (1 + self.start_rtts) * RTT
-        self.records_reads = any(CC_REGISTRY[node.spec.cc].validates_reads for node in nodes)
         # Specialised hook tables: only CCs that actually implement a hook
         # appear (as pre-bound methods), so the per-operation loops never
         # dispatch into the base-class no-ops.  Hook order is preserved:
@@ -255,28 +198,33 @@ class Route:
             cc.pre_commit for cc in up if _overrides(cc, "pre_commit")
         )
         self.finish_hooks = tuple(cc.finish for cc in up if _overrides(cc, "finish"))
-        # Without partition-by-instance anywhere on the path, every
-        # transaction of this type shares one immutable token map; the
-        # engine then skips rebuilding it per begin().
-        self.partitioned = any(node.spec.instance_key is not None for node in nodes)
-        if self.partitioned:
-            self.static_group_tokens = None
-        else:
-            tokens = {}
-            for parent, child in zip(nodes, nodes[1:]):
-                tokens[parent.node_id] = child.node_id
-            tokens[nodes[-1].node_id] = (nodes[-1].node_id, None)
-            self.static_group_tokens = tokens
-        # Per-type lookups resolved once so begin()/_run() skip the dicts.
-        leaf = nodes[-1]
-        self.instance_key = leaf.spec.instance_key
-        self.leaf_node_id = leaf.node_id
-        self.procedure = txn_type_def.procedure
-        self.read_only = txn_type_def.read_only
         if self.read_only:
             self.write_hooks = (_refuse_write,)
         if not txn_type_def.profile.declares_scan:
             self.scan_hooks = (_refuse_scan,)
+        # One immutable token map, shared by every transaction of the route:
+        # each node's child group on the path, and the leaf's own group.  A
+        # partition value is a group of its own, at the leaf's parent too.
+        leaf_token = (leaf.node_id, value)
+        tokens = {parent.node_id: child.node_id for parent, child in zip(nodes, nodes[1:])}
+        if partition is not None and leaf.parent is not None:
+            tokens[leaf.parent.node_id] = leaf_token
+        tokens[leaf.node_id] = leaf_token
+        self.group_tokens = tokens
+
+    def partition(self, engine, value):
+        """The route of this type's transactions of partition ``value``,
+        bound to that value's instance; both are built on first use."""
+        route = self.partitions.get(value)
+        if route is None:
+            leaf = self.nodes[-1]
+            cc = leaf.instances.get(value)
+            if cc is None:
+                cc = leaf.instances[value] = create_cc(
+                    leaf.spec.cc, engine, leaf, leaf.spec.params
+                )
+            route = self.partitions[value] = Route(self.nodes, self.txn_type_def, (value, cc))
+        return route
 
 
 def build_routes(nodes, transaction_types):
@@ -291,7 +239,8 @@ def build_routes(nodes, transaction_types):
 
 
 def build_tree(engine, configuration):
-    """Compile a configuration into runtime nodes with CC instances."""
+    """Compile a configuration into runtime nodes, each with the mechanism
+    its spec names (a partitioned leaf's are built per value, on first use)."""
     # Again, with the profiles, and over the specs as they are now (autoconf
     # preprocessing sets instance keys after a Configuration is built).
     check_composition(configuration.root, engine.profile_of)
@@ -307,14 +256,6 @@ def build_tree(engine, configuration):
 
     root = _build(configuration.root, "0", None)
     for node in nodes:
-        if node.spec.instance_key is not None:
-            node.cc = PartitionedCC(
-                engine,
-                node,
-                factory=lambda n=node: create_cc(
-                    n.spec.cc, engine, n, params=n.spec.params
-                ),
-            )
-        else:
-            node.cc = create_cc(node.spec.cc, engine, node, params=node.spec.params)
+        if node.instances is None:
+            node.cc = create_cc(node.spec.cc, engine, node, node.spec.params)
     return root, nodes

@@ -145,10 +145,6 @@ class MultiVersionStore:
         self._index_key(key)
         return version
 
-    def keys(self):
-        """All keys that have at least one committed version."""
-        return self._committed.keys()
-
     def committed_versions(self, key):
         """Committed versions of ``key`` in install (commit-sequence) order."""
         chain = self._committed.get(key)

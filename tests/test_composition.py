@@ -9,6 +9,7 @@ below are spelled out literally, so a loosened row fails here before a
 random draw has to find the shape unsound.
 """
 
+import inspect
 import re
 
 import pytest
@@ -50,6 +51,29 @@ NODES = {
     "tso":   (LEAF, OK,        LEAF),
     "batch": (LEAF, PARTITION, LEAF),
 }
+
+
+#: mechanism -> the knobs its constructor takes beyond ``(engine, node)``;
+#: whatever else a mechanism needs it derives from the profiles.  A new
+#: per-node knob is an edit here.
+KNOBS = {
+    "2pl": {"lock_timeout"},
+    "rp": {"lock_timeout"},
+    "ssi": {"batch_size"},
+    "tso": set(),
+    "batch": {"batch_size", "batch_window", "max_inflight_batches"},
+    "occ": set(),
+    "none": set(),
+}
+
+
+def constructor_parameters():
+    """mechanism -> the parameters its constructor takes beyond ``(engine,
+    node)``.  ``scripts/check.sh`` prints how many there are."""
+    return {
+        name: set(inspect.signature(cls.__init__).parameters) - {"self", "engine", "node"}
+        for name, cls in CC_REGISTRY.items()
+    }
 
 
 def rule_of(spec):
@@ -182,3 +206,23 @@ def test_a_generator_pre_commit_is_refused_at_registration():
     with pytest.raises(ConfigurationError, match="pre_commit must be synchronous"):
         register_cc(YieldingPreCommit)
     assert YieldingPreCommit.name not in CC_REGISTRY
+
+
+def test_every_mechanism_takes_only_its_knobs():
+    assert constructor_parameters() == KNOBS
+
+
+@pytest.mark.parametrize(
+    "cc, params",
+    [
+        ("2pl", {"lock_timeot": 0.1}),
+        ("rp", {"pipeline_steps": [["shared"]]}),
+        ("tso", {"promises": []}),
+    ],
+)
+def test_a_param_no_constructor_takes_fails_fast(env, micro_workload, cc, params):
+    """``create_cc`` hands a spec's params to the constructor verbatim: a
+    typo, or a derived value written into a spec, is a ``TypeError``."""
+    config = monolithic(cc, sorted(micro_workload.transaction_types()), params=params)
+    with pytest.raises(TypeError, match=next(iter(params))):
+        build_engine(env, micro_workload, config)

@@ -509,7 +509,8 @@ class TestPartitionByInstance:
         assert all(getattr(o, "committed", False) for o in outcomes)
         tso_nodes = [n for n in engine.nodes if n.spec.cc == "tso"]
         assert len(tso_nodes) == 1
-        assert len(tso_nodes[0].cc._instances) == 2  # flights 1 and 2
+        assert tso_nodes[0].cc is None
+        assert len(tso_nodes[0].instances) == 2  # flights 1 and 2
 
 
 class TestReconfiguration:
@@ -605,9 +606,9 @@ class TestReconfiguration:
         by_local = by_shared.clone(name="by-local")
         by_local.leaf_for("group_a_update").instance_key = lambda args: args["local_id"]
         assert by_local.signature() == by_shared.signature()
-        old_leaf_cc = engine.root.children[1].cc
+        old_instances = engine.root.children[1].instances
         self._reconfigure(env, engine, "reconfigure_online", by_local)
-        assert engine.root.children[1].cc is not old_leaf_cc
+        assert engine.root.children[1].instances is not old_instances
         assert engine.root.children[1].spec.instance_key is by_local.root.children[1].instance_key
 
     def test_online_update_drains_every_type_under_the_spliced_subtree(

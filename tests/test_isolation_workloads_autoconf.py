@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import assume, given, note, settings, strategies as st
 
+from repro.analysis.rp_analysis import analyze_pipeline
 from repro.autoconf import ContentionProfiler, LatencyProfiler
 from repro.autoconf.optimizer import ConfigurationOptimizer
 from repro.autoconf.preprocess import apply_preprocessing
@@ -11,6 +12,7 @@ from repro.core.config import Configuration, initial_configuration, leaf, monoli
 from repro.core.transaction import ReadRecord, Transaction
 from repro.database import Database
 from repro.harness import configs
+from repro.harness.cli import build_workload
 from repro.harness.report import format_run_results, format_table
 from repro.harness.runner import BenchmarkRunner, run_benchmark
 from repro.isolation.history import History, HistoryRecorder, HistoryTransaction
@@ -766,6 +768,15 @@ class TestProfilerAnalysis:
         assert not profiler.events and not profiler.aborts
 
 
+def _rp_groups(types, configuration):
+    """``(types, group types in document order)`` per RP node of a tree."""
+    return [
+        (types, spec.all_transactions())
+        for spec in configuration.root.iter_nodes()
+        if spec.cc == "rp"
+    ]
+
+
 class TestOptimizer:
     def _optimizer(self):
         workload = TPCCWorkload(warehouses=1)
@@ -856,16 +867,34 @@ class TestOptimizer:
                         )
         assert proposed > 50
 
-    def test_preprocessing_records_pipeline(self):
-        _optimizer, workload = self._optimizer()
-        config = configs.tpcc_tebaldi_3layer()
-        profiles = {n: t.profile for n, t in workload.transaction_types().items()}
-        notes = apply_preprocessing(config.clone(), profiles)
-        assert any("steps" in note for note in notes)
+    def test_an_rp_groups_steps_do_not_depend_on_its_type_order(self):
+        """Why preprocessing records no pipeline: for every RP group the
+        registry and the autoconf example build, the analysis gives the same
+        steps over the group's types in document order (what preprocessing
+        used to record) and in name order (what RP derives where it is
+        built)."""
+        groups = []
+        for name, trees in configs.WORKLOAD_CONFIGURATIONS.items():
+            types = build_workload(name).transaction_types()
+            for factory in trees.values():
+                groups.extend(_rp_groups(types, factory()))
+        # The example's two iterations on TPC-C: the candidates for the
+        # new_order/payment edge, then for payment/payment from its pick.
+        optimizer, workload = self._optimizer()
+        types = workload.transaction_types()
+        start = initial_configuration(set(types), {"order_status", "stock_level"})
+        proposed = optimizer.propose(start, ("new_order", "payment")) + optimizer.propose(
+            self.AUTO_1_3(), ("payment", "payment")
+        )
+        for configuration in [self.AUTO_1_3()] + [c.configuration for c in proposed]:
+            groups.extend(_rp_groups(types, configuration))
+        assert len(groups) > 20
+        for types, order in groups:
+            in_document_order = analyze_pipeline(types[t].profile for t in order)
+            by_name = analyze_pipeline(types[t].profile for t in sorted(order))
+            assert in_document_order.steps == by_name.steps, order
 
     def test_preprocessing_partition_by_instance(self):
-        workload = SEATSWorkload(flights=2, seats_per_flight=10, customers=10)
-        profiles = {n: t.profile for n, t in workload.transaction_types().items()}
         config = Configuration(
             node(
                 "ssi",
@@ -882,7 +911,7 @@ class TestOptimizer:
             name: (lambda args: args.get("f_id"))
             for name in ("new_reservation", "delete_reservation", "update_reservation")
         }
-        apply_preprocessing(config, profiles, instance_keys=keys)
+        apply_preprocessing(config, instance_keys=keys)
         assert config.leaf_for("new_reservation").instance_key is not None
 
 

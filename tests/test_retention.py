@@ -45,6 +45,10 @@ These things are pinned here:
 * **records for a reader** — a transaction carries read and scan records
   only on a route through OCC or under a history recorder, one per read and
   per scan, and a recorder cannot be attached once a transaction has begun;
+* **partition routes** — a partition-by-instance leaf holds one instance per
+  partition value a run touched and a route per (type, value) bound to that
+  instance's own hooks, its type's route builds none, and a splice beside
+  the leaf keeps its instances and rebuilds the routes on demand;
 * **the oracle forgets** — the cycle detector prunes a committed
   transaction once the engine released it and every in-neighbour is
   pruned: *prune ≡ never prune* on every conformance tree and open family,
@@ -62,12 +66,12 @@ import pytest
 
 from benchmarks.bench_speed import census_by_owner
 from repro.cc import runtime_pipelining, two_phase_locking
+from repro.cc.base import create_cc
 from repro.cc.locks import LockTable
 from repro.cc.timestamps import BatchManager, TimestampOracle
 from repro.core.config import Configuration, leaf, monolithic, node
 from repro.core.engine import EngineOptions, TebaldiEngine
 from repro.core.transaction import ReadRecord, Transaction
-from repro.core.tree import PartitionedCC
 from repro.core.waits import MovedEvents
 from repro.database import Database
 from repro.errors import ConfigurationError
@@ -1021,12 +1025,19 @@ def _assert_drained(cc):
         assert cc._executing == {} and cc._writers == {} and cc._turns == []
 
 
+def _mechanisms(tree_node):
+    """The node's mechanism instances: its one, or a partitioned leaf's
+    instance per partition value used so far."""
+    if tree_node.instances is None:
+        return [tree_node.cc]
+    return list(tree_node.instances.values())
+
+
 def _moved_nodes(engine):
     """Every mechanism instance in the tree that keeps moved events."""
     found = []
     for tree_node in engine.nodes:
-        cc = tree_node.cc
-        for instance in cc._instances.values() if isinstance(cc, PartitionedCC) else [cc]:
+        for instance in _mechanisms(tree_node):
             if isinstance(vars(instance).get("_moved"), MovedEvents):
                 found.append(instance)
     return found
@@ -1217,8 +1228,7 @@ def _lock_tables(engine):
     per instance of a partitioned node."""
     tables = []
     for tree_node in engine.nodes:
-        cc = tree_node.cc
-        for instance in cc._instances.values() if isinstance(cc, PartitionedCC) else [cc]:
+        for instance in _mechanisms(tree_node):
             locks = vars(instance).get("locks")
             if isinstance(locks, LockTable):
                 tables.append((tree_node, locks))
@@ -1383,8 +1393,10 @@ def range_managers_held(cell):
     held = []
     for tree_node in engine.nodes:
         cc = tree_node.cc
-        if isinstance(cc, PartitionedCC):
-            cc = cc._sample_instance()
+        if cc is None:
+            # A partitioned leaf before any run: one instance, built as the
+            # route builds each.
+            cc = create_cc(tree_node.spec.cc, engine, tree_node, tree_node.spec.params)
         if getattr(cc, "ranges", None) is not None:
             held.append(tree_node.node_id)
     return held
@@ -1543,8 +1555,11 @@ class TestReadsAreRecordedOnlyForAReader:
     def test_a_partitioned_leaf_records_as_its_mechanism_does(self, cc, records):
         config = Configuration(leaf(cc, *TXN_TYPES, instance_key=lambda args: 0))
         engine = build_engine(Environment(), ConformanceWorkload(), config)
-        assert isinstance(engine.root.cc, PartitionedCC)
+        assert engine.root.cc is None and engine.root.instances == {}
         assert {route.records_reads for route in engine._routes.values()} == {records}
+        run_transactions(engine.env, engine, [("alpha", {"ops": [("r", 1)]})])
+        (partition,) = engine._routes["alpha"].partitions.values()
+        assert partition.records_reads is records
 
     def test_a_recorder_attached_after_a_begin_is_refused(self):
         # Without the refusal the begun transaction would commit with no
@@ -1617,3 +1632,85 @@ class TestOwnerCensus:
             assert sum(owners.values()) == total
         finally:
             runner.stop()
+
+
+#: A route's hook tables (``select_version`` is the one single hook).
+HOOK_TABLES = (
+    "read_hooks", "update_read_hooks", "write_hooks", "scan_hooks", "amend_hooks",
+    "after_write_hooks", "start_hooks", "validate_hooks", "pre_commit_hooks", "finish_hooks",
+)
+
+
+def _bound_to(route):
+    """The mechanisms whose bound methods ``route`` runs."""
+    hooks = [hook for table in HOOK_TABLES for hook in getattr(route, table)]
+    hooks.append(route.select_version)
+    # The refusals of a read-only or scanless route are plain functions.
+    return [hook.__self__ for hook in hooks if hasattr(hook, "__self__")]
+
+
+class TestPartitionRoutes:
+    """A partitioned leaf holds one instance per partition value a run
+    touched, and each (type, value) a route bound to that instance's own
+    hooks; the type's route builds none.  A forwarding wrapper used to call
+    the instance from every hook, and built a sample one to read two cost
+    attributes."""
+
+    def _engine(self):
+        workload = SEATSWorkload(flights=100, seats_per_flight=20, customers=50)
+        engine = build_engine(Environment(), workload, configs.seats_3layer())
+        (partitioned,) = [node for node in engine.nodes if node.instances is not None]
+        return workload, engine, partitioned
+
+    def _run(self, workload, engine, seed, count=300):
+        rng = random.Random(seed)
+        requests = [workload.next_transaction(rng) for _ in range(count)]
+        outcomes, _ = run_transactions(engine.env, engine, requests, lanes=8)
+        return requests, [txn for txn in outcomes if isinstance(txn, Transaction)]
+
+    def test_a_seats_run_builds_what_it_touched_and_binds_it(self):
+        workload, engine, partitioned = self._engine()
+        types, key = partitioned.spec.transactions, partitioned.spec.instance_key
+        assert partitioned.cc is None and partitioned.instances == {}
+        requests, committed = self._run(workload, engine, seed=5)
+        touched = {key(args) for txn_type, args in requests if txn_type in types}
+        assert 1 < len(touched) < 100
+        # One instance per flight touched: the type routes built none.
+        assert set(partitioned.instances) == touched
+        for txn_type in types:
+            assert len(engine._routes[txn_type].partitions) <= len(touched)
+        ancestors = {id(node.cc) for node in partitioned.path_from_root()[:-1]}
+        checked = 0
+        for txn in committed:
+            if txn.txn_type not in types:
+                continue
+            # Its instance's own bound methods, and its ancestors': nothing
+            # stands between the route and the instance.
+            instance = partitioned.instances[key(txn.args)]
+            bound = {id(cc) for cc in _bound_to(txn.charges)}
+            assert id(instance) in bound and bound <= ancestors | {id(instance)}
+            checked += 1
+        assert checked > 50
+
+    def test_a_splice_beside_it_keeps_the_instances_and_rebuilds_the_routes(self):
+        workload, engine, partitioned = self._engine()
+        self._run(workload, engine, seed=6, count=100)
+        instances, built = partitioned.instances, dict(partitioned.instances)
+        new_config = engine.configuration.clone(name="short-timeout")
+        new_config.leaf_for("update_customer").params["lock_timeout"] = 0.125
+        engine.env.run(until=engine.env.process(engine.reconfigure_online(new_config)))
+        assert partitioned in engine.nodes
+        assert engine.configuration.leaf_for("update_customer").params["lock_timeout"] == 0.125
+        assert partitioned.instances is instances and instances == built
+        types = partitioned.spec.transactions
+        assert all(engine._routes[txn_type].partitions == {} for txn_type in types)
+        self._run(workload, engine, seed=7, count=100)
+        rebuilt = [
+            (value, route)
+            for txn_type in types
+            for value, route in engine._routes[txn_type].partitions.items()
+        ]
+        assert rebuilt
+        for value, route in rebuilt:
+            # Bottom-up: the leaf's own validate runs first.
+            assert route.validate_hooks[0].__self__ is instances[value]

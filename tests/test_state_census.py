@@ -25,13 +25,15 @@ stated reason (``KEPT_UNREAD``).  Attributes assigned onto other objects
   called ``throughput_series`` alive.
 
 The second census is over definitions: every module-level function or
-class and every public method under ``src/repro`` must be *referenced*
-somewhere under ``src/``, ``benchmarks/`` or ``examples/`` — a module-level
-name loaded as a name or an attribute, a method loaded or called as an
-attribute (``self.name`` by its own hierarchy only, as above) or through a
-literal ``getattr`` — or be named in ``USED_BY_TESTS`` with the test module
-that reads it.  An import or an ``__all__`` entry is not a use; a class handed
-to ``@register_cc`` is (the registry instantiates it by its ``name``).
+class and every method but a dunder under ``src/repro``, private ones
+included, must be *referenced* somewhere under ``src/``, ``benchmarks/`` or
+``examples/`` outside its own body — a module-level name loaded as a name or
+an attribute, a method loaded or called as an attribute (``self.name`` by
+its own hierarchy only, as above) or through a literal ``getattr`` — or be
+named in ``USED_BY_TESTS`` with the test module that reads it.  An import or
+an ``__all__`` entry is not a use, and neither is a recursive call; a class
+handed to ``@register_cc`` is (the registry instantiates it by its
+``name``).
 
 Outside ``self``, names are matched without types — ``retries`` on one
 object covers ``retries`` on another — so either census can miss a dead name
@@ -89,6 +91,10 @@ def _is_literal_getattr(node):
     )
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _base_name(node):
     if isinstance(node, ast.Name):
         return node.id
@@ -126,17 +132,20 @@ class _Sources(ast.NodeVisitor):
 
     ``classes``: name -> ``{"bases", "fields", "methods"}`` (fields and
     methods with their sites); ``definitions``: module-level ``name`` and
-    public ``Class.method`` -> site; ``foreign_stores``: attribute -> site,
+    every ``Class.method`` but a dunder -> site; ``foreign_stores``: attribute -> site,
     for stores onto anything but ``self``; ``names``: bare names loaded;
     ``loads`` / ``calls``: attributes loaded / called on anything but
-    ``self``; ``self_loads`` / ``self_calls``: ``(class, attribute)``.
+    ``self``; ``self_loads`` / ``self_calls``: ``(class, attribute)``.  Each
+    reference maps to the definitions it sits in (``within``): the
+    module-level name, and ``Class.method`` inside a method.
     """
 
     def __init__(self, paths, base):
         self.classes, self.definitions, self.foreign_stores = {}, {}, {}
-        self.names, self.loads, self.calls = set(), set(), set()
-        self.self_loads, self.self_calls = set(), set()
+        self.names, self.loads, self.calls = {}, {}, {}
+        self.self_loads, self.self_calls = {}, {}
         self._class = self._self = None
+        self._within = ()
         for path in paths:
             self._where = path.relative_to(base)
             module = ast.parse(path.read_text(), filename=str(path))
@@ -156,8 +165,18 @@ class _Sources(ast.NodeVisitor):
         self.definitions.setdefault(node.name, self._site(node))
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, kinds[:2]) and not item.name.startswith("_"):
+                if isinstance(item, kinds[:2]) and not _is_dunder(item.name):
                     self.definitions.setdefault(f"{node.name}.{item.name}", self._site(item))
+
+    def _note(self, table, key):
+        table.setdefault(key, set()).add(self._within)
+
+    def _enter(self, key):
+        """Visit a definition's body as within ``key`` (``None``: as it is)."""
+        outer = self._within
+        if key is not None:
+            self._within = outer + (key,)
+        return outer
 
     def visit_ClassDef(self, node):
         info = self.classes.setdefault(node.name, {"bases": [], "fields": {}, "methods": {}})
@@ -171,10 +190,10 @@ class _Sources(ast.NodeVisitor):
         for item in node.body:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 info["methods"].setdefault(item.name, self._site(item))
-        outer = self._class, self._self
+        outer = self._class, self._self, self._enter(None if self._within else node.name)
         self._class, self._self = node.name, None
         self.generic_visit(node)
-        self._class, self._self = outer
+        self._class, self._self, self._within = outer
 
     def visit_FunctionDef(self, node):
         outer = self._self
@@ -182,8 +201,15 @@ class _Sources(ast.NodeVisitor):
         if self._self is None and self._class is not None and node.args.args and not static:
             # A method's first argument is the instance (or the class).
             self._self = node.args.args[0].arg
+        if not self._within:
+            key = node.name
+        elif self._within == (self._class,):
+            key = f"{self._class}.{node.name}"
+        else:
+            key = None
+        within = self._enter(key)
         self.generic_visit(node)
-        self._self = outer
+        self._self, self._within = outer, within
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
@@ -198,21 +224,21 @@ class _Sources(ast.NodeVisitor):
         # A name in store context is not a use: a local called ``last``
         # keeps no function ``last`` alive.
         if isinstance(node.ctx, ast.Load):
-            self.names.add(node.id)
+            self._note(self.names, node.id)
 
     def visit_Call(self, node):
         func = node.func
         if isinstance(func, ast.Attribute):
             if self._on_self(func):
-                self.self_calls.add((self._class, func.attr))
+                self._note(self.self_calls, (self._class, func.attr))
             else:
-                self.calls.add(func.attr)
+                self._note(self.calls, func.attr)
                 self.visit(func.value)
             for child in (*node.args, *node.keywords):
                 self.visit(child)
             return
         if _is_literal_getattr(node):
-            self.loads.add(node.args[1].value)
+            self._note(self.loads, node.args[1].value)
         self.generic_visit(node)
 
     def visit_Attribute(self, node):
@@ -224,9 +250,9 @@ class _Sources(ast.NodeVisitor):
                 self.foreign_stores.setdefault(node.attr, self._site(node))
         elif isinstance(node.ctx, ast.Load):
             if self._on_self(node):
-                self.self_loads.add((self._class, node.attr))
+                self._note(self.self_loads, (self._class, node.attr))
             else:
-                self.loads.add(node.attr)
+                self._note(self.loads, node.attr)
         self.generic_visit(node)
 
     def hierarchy(self, name):
@@ -275,26 +301,35 @@ class _Sources(ast.NodeVisitor):
         if not cls:
             return False
         family = self.hierarchy(cls)
-        self_reads = self.self_loads
+        self_reads = set(self.self_loads)
         if not any(field in self.classes[member]["methods"] for member in family):
-            self_reads = self_reads | self.self_calls
+            self_reads |= set(self.self_calls)
         return any((member, field) in self_reads for member in family)
 
     def uses(self, definition):
         """Whether anything scanned references ``name`` or ``Class.method``.
 
         A method is reached through an attribute (``self.name`` from its own
-        hierarchy only); only a module-level name is also reached bare.
+        hierarchy only); only a module-level name is also reached bare.  A
+        reference inside the definition's own body is no use.
         """
         owner, _dot, bare = definition.rpartition(".")
-        if bare in self.loads or bare in self.calls:
+
+        def elsewhere(table, key):
+            return any(definition not in within for within in table.get(key, ()))
+
+        if elsewhere(self.loads, bare) or elsewhere(self.calls, bare):
             return True
         if not owner:
-            return bare in self.names
+            return elsewhere(self.names, bare)
         if owner not in self.classes:
             return False
-        self_uses = self.self_loads | self.self_calls
-        return any((member, bare) in self_uses for member in self.hierarchy(owner))
+        if (owner,) in self.names.get(bare, ()):
+            return True  # a bare name in the class body (``property(getter, setter)``)
+        return any(
+            elsewhere(self.self_loads, (member, bare)) or elsewhere(self.self_calls, (member, bare))
+            for member in self.hierarchy(owner)
+        )
 
 
 #: Where the library's users live: what is read or referenced here is live.
@@ -400,7 +435,9 @@ def allow_lists():
 #: knew classes missed the unread dataclass field (it counted fields of
 #: ``Transaction`` and ``Version`` only), the data field named like a live
 #: method and the dead ``self._x``; it caught the unread ``__slots__`` entry
-#: (assigned, so counted) and the test-only method.
+#: (assigned, so counted) and the test-only method.  Before private methods
+#: counted and a definition's own body was no use, it missed both recursive
+#: helpers (``ConfigurationOptimizer._path_to`` was one under ``src/``).
 PLANTED = {
     "src/repro/planted.py": '''
 from dataclasses import dataclass
@@ -459,8 +496,24 @@ class Costs:
     extra_rtts: int = 0
 
 
+class Walker:
+    def walk(self, depth):
+        return self._step(depth)
+
+    def _step(self, depth):
+        return depth
+
+    def _descend(self, depth):
+        return self._descend(depth - 1) if depth else 0
+
+
+def _countdown(n):
+    return _countdown(n - 1) if n else 0
+
+
 def run(outcome, stats, costs):
     Tool().used()
+    Walker().walk(1)
     Slotted().value()
     Pipeline().size()
     Environment()
@@ -496,6 +549,8 @@ PLANTED_DEAD = {
     "Tool.only_tests_call": "a public method only a test calls",
     "Report.series": "a data field named like the live Stats.series()",
     "Environment._active": "a dead self._active named like Pipeline's live one",
+    "Walker._descend": "a private method only its own body calls",
+    "_countdown": "a module function only its own body calls",
 }
 
 
@@ -506,7 +561,8 @@ def test_the_census_reports_a_planted_dead_name(planted, dead):
 
 
 def test_the_census_reports_nothing_live_in_the_planted_library(planted):
-    """Not the live twins of the dead names, and not ``Costs.extra_rtts``,
-    which is read through a literal ``getattr`` only."""
+    """Not the live twins of the dead names (``Walker._step`` is the
+    recursive helpers' twin), and not ``Costs.extra_rtts``, which is read
+    through a literal ``getattr`` only."""
     reported = {**unread_fields(planted), **unused_definitions(planted)}
     assert set(reported) == set(PLANTED_DEAD)
