@@ -9,8 +9,9 @@
 # scan indexes a tpcc/3layer and a ycsb-scan/2layer store hold, the lock
 # nodes holding range locks on tpcc/3layer and queue/3layer, the read
 # records per commit of tpcc/3layer and of a checked smallbank/3layer, the
-# import time, the cycle-detector nodes a checked smallbank/3layer holds and
-# the state census's allow-lists.
+# log records per durable smallbank/3layer commit, the import time, the
+# cycle-detector nodes a checked smallbank/3layer holds and the state
+# census's allow-lists.
 #
 # Usage: scripts/check.sh [--quick]
 #
@@ -183,6 +184,12 @@ print("range managers held: tpcc/3layer {}, queue/3layer {}".format(
 python -c 'from tests.test_retention import read_records_per_commit as records
 print("read records per commit: tpcc/3layer {:.0f}, smallbank/3layer checked {:.2f}".format(
     records("tpcc/3layer"), records("smallbank/3layer", check_isolation=True)))'
+# The precommit record is the log's only redo record: a durable
+# smallbank/3layer commit leaves one per participant server (1.37; 2.61 with
+# the per-write operation records nothing read).  tests/test_retention.py
+# pins that nothing else is logged.
+python -c 'from tests.test_retention import log_records_per_commit as records
+print("log records per durable smallbank/3layer commit: {:.2f}".format(records()))'
 # What every engine start pays before it runs anything: wall time of a
 # fresh interpreter importing the CLI, best of three.
 echo -n "import repro.harness.cli: "

@@ -516,8 +516,6 @@ class TebaldiEngine:
                     raise TransactionAborted(txn.txn_id, "order-conflict")
                 txn.add_dependency(pending_writer)
         version = self.store.install(key, value, txn)
-        if self._durable:
-            self.durability.log_operation(txn, key, value)
         for after_write_hook in charges.after_write_hooks:
             after_write_hook(txn, key, version)
         return version

@@ -1,9 +1,11 @@
 """Deterministic discrete-event simulation kernel.
 
 This package is the substrate that replaces the paper's CloudLab cluster:
-closed-loop clients, data-server CPUs and the network are all simulated in
-virtual time so that the concurrency-control behaviour (blocking, aborts,
-pipelining) determines throughput, not the Python GIL.
+closed-loop clients and the network are simulated in virtual time, so that
+the concurrency-control behaviour (blocking, aborts, pipelining) determines
+throughput, not the Python GIL.  A data server's CPU is not simulated: only
+its cost is, a fixed delay per operation and phase
+(:mod:`repro.sim.network`), so no server queues and none can saturate.
 
 The programming model is the classic process-based one (SimPy-like): a
 *process* is a generator that yields :class:`~repro.sim.events.Event`

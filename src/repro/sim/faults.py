@@ -42,20 +42,13 @@ from dataclasses import dataclass
 #: * ``gcp-server``      — after one server's epoch flush inside the
 #:   advance: a torn epoch (some servers flushed, marker not advanced).
 #: * ``gcp-after``       — after the persistent-epoch marker advanced.
-#: * ``operation``       — after an operation log append (soak noise).
 SITES = (
     "precommit-record",
     "precommit-done",
     "gcp-before",
     "gcp-server",
     "gcp-after",
-    "operation",
 )
-
-#: Sites used by seeded plans.  ``operation`` is excluded by default: it
-#: adds nothing a precommit-site crash does not cover, and including it
-#: would skew short runs toward the least interesting point.
-DEFAULT_SITES = SITES[:-1]
 
 
 @dataclass(frozen=True)
@@ -80,7 +73,7 @@ class FaultPlan:
     points: tuple = ()
 
     @classmethod
-    def from_seed(cls, seed, crashes=1, sites=DEFAULT_SITES, max_occurrence=25):
+    def from_seed(cls, seed, crashes=1, max_occurrence=25):
         """Derive a deterministic plan from the run seed.
 
         Uses ``random.Random`` over integers only (no salted hashes), so the
@@ -90,8 +83,7 @@ class FaultPlan:
             raise ValueError(f"crashes must be >= 0, got {crashes}")
         rng = random.Random((int(seed) << 8) ^ 0xFA17)
         points = tuple(
-            CrashPoint(site=rng.choice(tuple(sites)),
-                       occurrence=rng.randint(1, max_occurrence))
+            CrashPoint(site=rng.choice(SITES), occurrence=rng.randint(1, max_occurrence))
             for _ in range(crashes)
         )
         return cls(points=points)

@@ -50,12 +50,12 @@ class InMemoryBackend:
     def get(self, key, default=None):
         return self._data.get(key, default)
 
-    def scan(self, prefix=""):
-        """All (key, value) pairs whose key starts with ``prefix``."""
-        return [(k, v) for k, v in self._data.items() if k.startswith(prefix)]
+    def items(self):
+        """Every (key, value) pair."""
+        return list(self._data.items())
 
-    def delete(self, key):
-        self._data.pop(key, None)
+    def clear(self):
+        self._data.clear()
 
     def close(self):
         """No resources to release for the in-memory backend."""
@@ -101,11 +101,13 @@ class FileBackend:
     def get(self, key, default=None):
         return self._index.get(key, default)
 
-    def scan(self, prefix=""):
-        return [(k, v) for k, v in self._index.items() if k.startswith(prefix)]
+    def items(self):
+        return list(self._index.items())
 
-    def delete(self, key):
-        self._index.pop(key, None)
+    def clear(self):
+        """Forget every key, on disk too: a reopen must not replay them."""
+        self._file.truncate(0)
+        self._index.clear()
 
     def close(self):
         self._file.close()

@@ -62,10 +62,8 @@ class DurabilityManager:
 
     def __init__(self, config=None, backend_factory=InMemoryBackend, faults=None):
         self.config = config or DurabilityConfig()
-        self.backends = [backend_factory() for _ in range(self.config.num_servers)]
         self.logs = [
-            WriteAheadLog(server_id, backend)
-            for server_id, backend in enumerate(self.backends)
+            WriteAheadLog(backend_factory()) for _ in range(self.config.num_servers)
         ]
         self._current_gcp_epoch = [1] * self.config.num_servers
         self._persistent_gcp_epoch = 0
@@ -78,7 +76,6 @@ class DurabilityManager:
         # releases it when that exchange ends (:meth:`release_precommit`).
         self._precommit_epochs = {}
         self.duplicate_precommits = 0
-        self.records_written = 0
         #: Optional FaultInjector; assigned by the crash harness.
         self.faults = faults
         self._halted = False
@@ -99,8 +96,8 @@ class DurabilityManager:
         hashing is salted per interpreter, and the partitioning must be
         byte-identical across processes for fault schedules and recovered
         survivor sets to reproduce from a seed.  Memoised per key: a write is
-        routed at its operation log, at precommit and (under message faults)
-        when the exchange is addressed.
+        routed at precommit and, under message faults, again when the
+        exchange is addressed.
         """
         server_id = self._server_of.get(key)
         if server_id is None:
@@ -109,13 +106,22 @@ class DurabilityManager:
             )
         return server_id
 
+    def _shares(self, writes):
+        """A write set split by data server: ``[(server id, [write, ...])]``
+        in server order, each share in write order.  A write set with no
+        write is one empty share at server 0."""
+        shares = defaultdict(list)
+        for write in writes:
+            shares[self.server_for(write[0])].append(write)
+        return sorted(shares.items()) or [(0, [])]
+
     def participants_for(self, writes):
         """Sorted participant server ids of a write set (``(0,)`` if empty).
 
         The coordinator addresses its precommit exchange to exactly these
-        servers, so a partition over any participant stalls the commit."""
-        servers = {self.server_for(key) for key, _value in writes}
-        return tuple(sorted(servers)) if servers else (0,)
+        servers, and :meth:`precommit` writes one record at each of them,
+        so a partition over any participant stalls the commit."""
+        return tuple(server_id for server_id, _share in self._shares(writes))
 
     def _trip(self, site, **detail):
         """Report an instrumented site to the fault injector; on a planned
@@ -128,19 +134,6 @@ class DurabilityManager:
         return False
 
     # -- logging -----------------------------------------------------------
-
-    def log_operation(self, txn, key, value):
-        """Append an operation log for a buffered write."""
-        if not self.enabled or self._halted:
-            return None
-        server_id = self.server_for(key)
-        record = self.logs[server_id].append(
-            "operation", txn.txn_id, self._current_gcp_epoch[server_id], (key, value)
-        )
-        self.records_written += 1
-        if self.faults is not None:
-            self._trip("operation", txn_id=txn.txn_id, server_id=server_id)
-        return record
 
     def precommit(self, txn, writes):
         """Write one precommit record per participating data server.
@@ -172,21 +165,16 @@ class DurabilityManager:
             self.duplicate_precommits += 1
             return cached
         txn_id = txn.txn_id
-        servers = [self.server_for(write[0]) for write in writes]
-        participants = sorted(set(servers)) or [0]
-        total = len(participants)
+        shares = self._shares(writes)
+        total = len(shares)
         ticket = next(self._precommit_ticket)
         synchronous = not self.config.asynchronous
         global_epoch = 0
-        for index, server_id in enumerate(participants):
+        for index, (server_id, share) in enumerate(shares):
             epoch = self._current_gcp_epoch[server_id]
             global_epoch = max(global_epoch, epoch)
-            share = tuple(
-                [write for write, server in zip(writes, servers) if server == server_id]
-            )
             log = self.logs[server_id]
-            log.append("precommit", txn_id, epoch, (total, ticket, share))
-            self.records_written += 1
+            log.append("precommit", txn_id, epoch, (total, ticket, tuple(share)))
             if synchronous:
                 log.flush()
             if self.faults is not None and self._trip(
@@ -362,9 +350,7 @@ class DurabilityManager:
         """
         if not self.enabled:
             return 0
-        for server_id, (log, backend) in enumerate(zip(self.logs, self.backends)):
-            for key, _value in backend.scan(f"wal/{server_id}/"):
-                backend.delete(key)
+        for log in self.logs:
             log.reset()
         written = 0
         for key in sorted(result.state, key=repr):

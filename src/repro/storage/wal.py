@@ -1,15 +1,16 @@
 """Write-ahead logging primitives used by the durability protocol.
 
 A log record is one exact ``tuple`` of atoms, ``(lsn, kind, txn_id,
-gcp_epoch, body)``.  ``kind`` is ``"operation"`` (a buffered write; body
-``(key, value)``), ``"precommit"`` (the per-data-server precommit record;
-body ``(participants, ticket, writes)``, ``writes`` a tuple of ``(key,
-value)`` pairs) or ``"checkpoint"`` (one recovered key; body ``(key, value,
-writer)``).  The body is serialised once, at append: the log owns a copy of
-the rows, never an alias of a dict the engine may still mutate, and the
-record is flat, which is the only shape of long-lived data the cyclic
-collector stops tracking (PERFORMANCE.md, *What the cyclic collector
-charges for*).  The server id is not a slot: a record lives in one log.
+gcp_epoch, body)``.  ``kind`` is ``"precommit"`` (the per-data-server
+precommit record, the log's only redo record; body ``(participants, ticket,
+writes)``, ``writes`` a tuple of ``(key, value)`` pairs) or ``"checkpoint"``
+(one recovered key; body ``(key, value, writer)``).  The body is serialised
+once, at append: the log owns a copy of the rows, never an alias of a dict
+the engine may still mutate, and the record is flat, which is the only shape
+of long-lived data the cyclic collector stops tracking (PERFORMANCE.md,
+*What the cyclic collector charges for*).  The server id is not a slot: a
+record lives in one log, and each log owns its backend, where a durable
+record is stored under its own LSN.
 """
 
 from itertools import count
@@ -34,8 +35,7 @@ class WriteAheadLog:
     or asynchronously in GCP-epoch batches).
     """
 
-    def __init__(self, server_id, backend):
-        self.server_id = server_id
+    def __init__(self, backend):
         self.backend = backend
         self._lsn = count(1)
         self._buffer = []
@@ -54,7 +54,7 @@ class WriteAheadLog:
             if up_to_epoch is not None and record[GCP_EPOCH] > up_to_epoch:
                 remaining.append(record)
                 continue
-            self.backend.put(f"wal/{self.server_id}/{record[LSN]:012d}", record)
+            self.backend.put(record[LSN], record)
             flushed += 1
         self._buffer = remaining
         return flushed
@@ -69,18 +69,16 @@ class WriteAheadLog:
         self._buffer = []
         return lost
 
-    def reset(self, lsn_start=1):
-        """Restart the log for a new incarnation (after a checkpoint wiped
-        the backend): empty buffer, LSNs restart from ``lsn_start``."""
+    def reset(self):
+        """Restart the log for a new incarnation: the backend is wiped, the
+        buffer emptied and LSNs restart from 1."""
+        self.backend.clear()
         self._buffer = []
-        self._lsn = count(lsn_start)
+        self._lsn = count(1)
 
     def persisted_records(self):
         """Read back every durable record of this server, in LSN order."""
-        return [
-            record
-            for _key, record in sorted(self.backend.scan(f"wal/{self.server_id}/"))
-        ]
+        return [record for _lsn, record in sorted(self.backend.items())]
 
     def records(self):
         """Every record of this server: the durable ones, then the volatile

@@ -488,7 +488,7 @@ class TestEngineLifecycle:
         )
         outcomes, _ = run_transactions(env, engine, [("write_only", {"ids": [1, 2]})])
         assert outcomes[0].committed
-        assert engine.durability.records_written > 0
+        assert any(log.records() for log in engine.durability.logs)
         recovery = engine.durability.recover()
         assert outcomes[0].txn_id in recovery.recovered_transactions
 

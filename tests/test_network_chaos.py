@@ -324,10 +324,10 @@ class TestCommitTicketDedup:
         txn = make_txn_like(11)
         writes = [(("rows", 1), "a"), (("rows", 2), "b")]
         first = manager.precommit(txn, writes)
-        records_after_first = manager.records_written
+        records_after_first = [log.records() for log in manager.logs]
         second = manager.precommit(txn, writes)
         assert second == first
-        assert manager.records_written == records_after_first
+        assert [log.records() for log in manager.logs] == records_after_first
         assert manager.duplicate_precommits == 1
         assert retransmit_violations(manager) == {}
 

@@ -59,7 +59,7 @@ These things are pinned here:
 import gc
 import hashlib
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import fields
 
 import pytest
@@ -86,6 +86,7 @@ from repro.sim.faults import MessageFaultPlan
 from repro.storage.durability import DurabilityConfig
 from repro.storage.mvstore import MultiVersionStore
 from repro.storage.versions import Version
+from repro.storage.wal import KIND, TXN_ID, record_body
 from repro.workloads.micro import CrossGroupConflictWorkload
 from repro.workloads.queue import QueueWorkload
 from repro.workloads.seats import SEATSWorkload
@@ -813,7 +814,7 @@ class TestFlatRetention:
             for _ in range(4):
                 gc.collect()
             buffered = [r for log in runner.manager.logs for r in log._buffer]
-            persisted = [r for b in runner.manager.backends for _key, r in b.scan()]
+            persisted = [r for log in runner.manager.logs for r in log.persisted_records()]
             assert len(buffered) > 100 and len(persisted) > 4800
             assert not any(map(gc.is_tracked, buffered + persisted))
 
@@ -1002,11 +1003,28 @@ class TestPrecommitDedupRelease:
                     runner.run_additional(0.002)
                     peak = max(peak, len(runner.manager._precommit_epochs))
                 assert peak <= CLIENTS, (target, peak)
-            assert runner.manager.records_written > 1200
+            assert sum(len(log.records()) for log in runner.manager.logs) > 1200
             if net_faults:
                 assert runner.lanes[0].transport.stats["retries"] > 0
         finally:
             runner.stop()
+
+
+class TestLogHoldsOnlyWhatRecoveryReads:
+    """The precommit record is the log's only redo record: a commit leaves
+    one at each participant and nothing else, retransmits included."""
+
+    @pytest.mark.parametrize("net_faults", [False, True], ids=["plain", "net-faults"])
+    def test_one_precommit_record_per_participant(self, net_faults):
+        commits, records = durable_log(net_faults)
+        assert {record[KIND] for record in records} == {"precommit"}
+        participants = defaultdict(list)
+        for record in records:
+            participants[record[TXN_ID]].append(record_body(record)[0])
+        # A precommit is written before its commit is counted.
+        assert len(participants) >= commits
+        for counts in participants.values():
+            assert counts == [len(counts)] * len(counts)
 
 
 def _indexed(cc):
@@ -1511,6 +1529,35 @@ def read_records_per_commit(cell, check_isolation=False):
     committed, _live = read_record_census(cell, check_isolation)
     records = sum((row[3] or 0) + (row[4] or 0) for row in committed)
     return records / len(committed)
+
+
+def durable_log(net_faults=False, target=1200):
+    """Run a durable ``smallbank/3layer`` cell (asynchronous GCP flushes,
+    seed 7, 16 clients) to ``target`` commits, under a seeded drop and
+    partition plan when ``net_faults``: its commits, and every record its
+    logs hold, durable or still buffered."""
+    lanes, options = [], EngineOptions(durability=DurabilityConfig(enabled=True))
+    if net_faults:
+        plan = MessageFaultPlan.from_seed(7, faults=4, require=("drop", "partition"))
+        lanes, options = [NetFaultLane(plan)], None
+    runner = BenchmarkRunner(
+        _smallbank(), configs.smallbank_3layer(), options=options, seed=7, lanes=lanes
+    )
+    try:
+        runner.add_clients(CLIENTS)
+        while runner.engine.stats.commits < target:
+            runner.run_additional(0.002)
+        records = [record for log in runner.manager.logs for record in log.records()]
+        return runner.engine.stats.commits, records
+    finally:
+        runner.stop()
+
+
+def log_records_per_commit():
+    """Log records per commit of a durable ``smallbank/3layer`` run.
+    ``scripts/check.sh`` prints it."""
+    commits, records = durable_log()
+    return len(records) / commits
 
 
 class TestReadsAreRecordedOnlyForAReader:

@@ -62,7 +62,6 @@ READ_BY_TESTS = {
     "DeterministicBatch.graph_edges": "test_engine_and_cc",
     "DeterministicBatch.batches_sealed": "test_engine_and_cc",
     "DurabilityManager.duplicate_precommits": "test_network_chaos",
-    "DurabilityManager.records_written": "test_storage",
     "CrashReport.committed_before": "test_crash_recovery",
     "RecoveryResult.discarded_transactions": "test_crash_recovery",
     "History.aborted_ids": "reference_checker",

@@ -8,7 +8,7 @@ from repro.storage.backends import FileBackend, InMemoryBackend
 from repro.storage.durability import DurabilityConfig, DurabilityManager
 from repro.storage.mvstore import MultiVersionStore
 from repro.storage.tables import Catalog, Table, TableSchema, composite_key
-from repro.storage.wal import BODY, LSN, TXN_ID, WriteAheadLog, record_body
+from repro.storage.wal import BODY, KIND, LSN, TXN_ID, WriteAheadLog, record_body
 
 
 def make_txn(txn_id, txn_type="t"):
@@ -141,7 +141,9 @@ class TestBackends:
         backend.put("a", {"x": 1})
         assert backend.get("a") == {"x": 1}
         assert backend.get("missing", "default") == "default"
-        assert backend.scan("a") == [("a", {"x": 1})]
+        assert backend.items() == [("a", {"x": 1})]
+        backend.clear()
+        assert backend.items() == [] and len(backend) == 0
 
     def test_file_backend_persists(self, tmp_path):
         path = str(tmp_path / "wal" / "log.jsonl")
@@ -165,14 +167,14 @@ class TestBackends:
 
 class TestWriteAheadLog:
     def test_append_assigns_lsn(self):
-        wal = WriteAheadLog(0, InMemoryBackend())
-        first = wal.append("operation", 1)
-        second = wal.append("operation", 2)
+        wal = WriteAheadLog(InMemoryBackend())
+        first = wal.append("precommit", 1)
+        second = wal.append("precommit", 2)
         assert (first[LSN], second[LSN]) == (1, 2)
         assert len(wal._buffer) == 2
 
     def test_flush_persists_records(self):
-        wal = WriteAheadLog(0, InMemoryBackend())
+        wal = WriteAheadLog(InMemoryBackend())
         wal.append("precommit", 1, gcp_epoch=1)
         assert wal.flush() == 1
         assert len(wal._buffer) == 0
@@ -180,7 +182,7 @@ class TestWriteAheadLog:
         assert len(records) == 1 and records[0][TXN_ID] == 1
 
     def test_flush_up_to_epoch(self):
-        wal = WriteAheadLog(0, InMemoryBackend())
+        wal = WriteAheadLog(InMemoryBackend())
         wal.append("precommit", 1, gcp_epoch=1)
         wal.append("precommit", 2, gcp_epoch=2)
         assert wal.flush(up_to_epoch=1) == 1
@@ -190,7 +192,7 @@ class TestWriteAheadLog:
         """Sync (immediate) and async (epoch-batched) flushes interleave;
         persisted_records() must still return every flushed record exactly
         once, in LSN order, with no record skipped by the epoch filter."""
-        wal = WriteAheadLog(0, InMemoryBackend())
+        wal = WriteAheadLog(InMemoryBackend())
         wal.append("precommit", 1, gcp_epoch=1)
         wal.append("precommit", 2, gcp_epoch=2)
         wal.flush(up_to_epoch=1)  # async epoch flush, leaves txn 2 pending
@@ -206,7 +208,7 @@ class TestWriteAheadLog:
     def test_crash_interrupted_flush_keeps_persisted_prefix(self):
         """A crash mid-run drops the volatile buffer but never the records
         already handed to the backend."""
-        wal = WriteAheadLog(0, InMemoryBackend())
+        wal = WriteAheadLog(InMemoryBackend())
         wal.append("precommit", 1, gcp_epoch=1)
         wal.flush()
         wal.append("precommit", 2, gcp_epoch=2)
@@ -216,25 +218,33 @@ class TestWriteAheadLog:
         assert len(wal._buffer) == 0
         assert [r[TXN_ID] for r in wal.persisted_records()] == [1]
 
-    def test_reset_restarts_lsns(self):
-        wal = WriteAheadLog(0, InMemoryBackend())
-        wal.append("operation", 1)
+    def test_reset_wipes_the_backend_and_restarts_lsns(self):
+        wal = WriteAheadLog(InMemoryBackend())
+        wal.append("precommit", 1)
         wal.flush()
+        wal.append("precommit", 2)
         wal.reset()
-        record = wal.append("operation", 2)
+        assert wal.records() == []
+        record = wal.append("precommit", 3)
         assert record[LSN] == 1
+
+    def test_a_durable_record_is_stored_under_its_lsn(self):
+        wal = WriteAheadLog(InMemoryBackend())
+        records = [wal.append("precommit", txn_id) for txn_id in (1, 2)]
+        wal.flush()
+        assert wal.backend.items() == [(record[LSN], record) for record in records]
 
     def test_key_codec_roundtrips_through_file_backend(self, tmp_path):
         """A record with a composite key survives a JSON backend exactly: the
         tuple/bytes coding is FileBackend's business, not the write path's."""
         key = ("accounts", ("savings", 7))
         path = str(tmp_path / "wal.jsonl")
-        wal = WriteAheadLog(0, FileBackend(path))
+        wal = WriteAheadLog(FileBackend(path))
         written = wal.append("precommit", 1, body=(1, 1, ((key, {"v": 1}),)))
         assert type(written) is tuple and type(written[BODY]) is bytes
         wal.flush()
         wal.backend.close()
-        reloaded = WriteAheadLog(0, FileBackend(path))
+        reloaded = WriteAheadLog(FileBackend(path))
         records = reloaded.persisted_records()
         assert records == [written]
         participants, ticket, writes = record_body(records[0])
@@ -260,9 +270,11 @@ class TestDurability:
         txn = make_txn(1)
         writes = [(("a", 1), {"v": 1}), (("b", 2), {"v": 2})]
         manager.precommit(txn, writes)
-        total = sum(len(log.persisted_records()) for log in manager.logs)
-        assert total >= 1
-        assert manager.records_written >= 1
+        participants = manager.participants_for(writes)
+        for server_id, log in enumerate(manager.logs):
+            records = log.persisted_records()
+            assert len(records) == (server_id in participants)
+            assert all(record[KIND] == "precommit" for record in records)
 
     def test_synchronous_precommit_is_durable_immediately(self):
         manager = self._manager(asynchronous=False)
@@ -297,7 +309,6 @@ class TestDurability:
         manager = self._manager(asynchronous=asynchronous)
         txn = make_txn(3)
         row = {"v": 1, "tags": ["a"]}
-        manager.log_operation(txn, ("a", 1), row)
         manager.precommit(txn, [(("a", 1), row)])
         row["v"] = 99
         row["tags"].append("b")
@@ -306,6 +317,37 @@ class TestDurability:
         result = manager.recover()
         assert result.state == {("a", 1): {"v": 1, "tags": ["a"]}}
         assert result.state_writers == {("a", 1): 3}
+
+    def test_checkpoint_wipe_survives_a_file_backend_reopen(self, tmp_path):
+        """A checkpoint wipes the durable logs on disk too: reopened, they
+        hold exactly the checkpoint records, and no precommit of the wiped
+        incarnation comes back."""
+        paths = iter(str(tmp_path / f"wal-{index}.jsonl") for index in range(2))
+        manager = DurabilityManager(
+            DurabilityConfig(enabled=True, asynchronous=False, num_servers=2),
+            backend_factory=lambda: FileBackend(next(paths)),
+        )
+        try:
+            # More precommit records than checkpoint records, so the
+            # checkpoint's restarted LSNs cannot overwrite them all.
+            for txn_id in range(1, 7):
+                writes = [(("a", 1), {"v": txn_id}), (("b", 2), {"v": -txn_id})]
+                manager.precommit(make_txn(txn_id), writes)
+            base = manager.recover()
+            written = manager.checkpoint(base)
+            for log in manager.logs:
+                log.backend.close()
+                log.backend = FileBackend(log.backend.path)
+            records = [record for log in manager.logs for record in log.persisted_records()]
+            assert [record[KIND] for record in records] == ["checkpoint"] * written
+            assert written == len(base.state) == 2
+            result = manager.recover()
+            assert result.state == base.state == {("a", 1): {"v": 6}, ("b", 2): {"v": -6}}
+            assert result.state_writers == base.state_writers
+            assert result.recovered_transactions == result.discarded_transactions == set()
+        finally:
+            for log in manager.logs:
+                log.backend.close()
 
     def test_commit_notification_advances_lagging_epochs(self):
         manager = self._manager()

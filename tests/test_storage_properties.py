@@ -272,7 +272,6 @@ def _log_and_recover(manager, write_sets, reopen=None):
     for txn_id, writes in enumerate(write_sets, start=1):
         txn = Transaction(txn_id=txn_id, txn_type="t")
         for key, row in writes:
-            manager.log_operation(txn, key, row)
             expected[key], writers[key] = row, txn_id
         manager.precommit(txn, writes)
     if reopen is not None:
