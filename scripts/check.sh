@@ -7,7 +7,8 @@
 # batch leaf and of TSO's promise waits, the run-queue entries per
 # tpcc/3layer commit, the entries a read-only-optimised SSI root holds, the
 # scan indexes a tpcc/3layer and a ycsb-scan/2layer store hold, the lock
-# nodes holding range locks on tpcc/3layer and queue/3layer, the read
+# nodes holding range locks on tpcc/3layer and queue/3layer with the scan
+# registries a drained run leaves empty, the read
 # records per commit of tpcc/3layer and of a checked smallbank/3layer, the
 # log records per durable smallbank/3layer commit, the import time, the
 # cycle-detector nodes a checked smallbank/3layer holds and the state
@@ -173,10 +174,13 @@ print("scan indexes held after a tpcc/3layer run: {} tables (ycsb-scan/2layer: {
 # A 2PL or RP node builds its range locks only when a type routed through
 # it declares a scan: no tpcc/3layer type scans (0); on queue/3layer the
 # cross-group 2PL node and the consumer leaf do (2; every lock node used to).
-# tests/test_retention.py pins five cells.
-python -c 'from tests.test_retention import range_managers_held as held
-print("range managers held: tpcc/3layer {}, queue/3layer {}".format(
-    len(held("tpcc/3layer")), len(held("queue/3layer"))))'
+# tests/test_retention.py pins five cells.  Beside it, the scan registries
+# (each node's ScanSet and write-intent map) left empty once the five
+# scanning conformance trees drain (13 of 13; tests/test_retention.py
+# TestScanRegistriesDrain).
+python -c 'from tests.test_retention import range_managers_held as held, scan_registries_drained as drained
+print("range managers held: tpcc/3layer {}, queue/3layer {}; scan registries drained: {} of {}".format(
+    len(held("tpcc/3layer")), len(held("queue/3layer")), *drained()))'
 # A transaction records its reads and scans only for a reader: no
 # tpcc/3layer route runs OCC (0; every read used to leave one, 11.5), while
 # a checked run's recorder gets one per read and per scan (1.86).

@@ -9,7 +9,7 @@ requirement that such transactions be implemented as stored procedures
 (Section 5.4.2).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 
@@ -89,7 +89,6 @@ class TransactionType:
     procedure: Callable
     profile: TransactionProfile
     weight: float = 1.0
-    params: dict = field(default_factory=dict)
 
     @property
     def read_only(self):

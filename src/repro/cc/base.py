@@ -154,7 +154,7 @@ class ConcurrencyControl:
         it declares a scan (and so none can reach it: see ``Route``)."""
         profile_of = self.engine.profile_of
         if any(profile_of(name).declares_scan for name in self.node.subtree_types):
-            return RangeLockManager(same_group=self.same_child_group)
+            return RangeLockManager(self.waits, same_group=self.same_child_group)
         return None
 
     def is_member(self, txn):

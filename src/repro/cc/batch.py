@@ -36,6 +36,7 @@ from repro.cc.base import ConcurrencyControl, register_cc
 from repro.core.waits import NONE, MovedEvents
 from repro.errors import ConfigurationError
 from repro.sim.events import Condition, Event
+from repro.storage.ranges import KeyRange
 
 
 class _Batch:
@@ -148,16 +149,6 @@ class DeterministicBatch(ConcurrencyControl):
     def _seq(self, txn):
         return self.state(txn).get("seq", 0)
 
-    @staticmethod
-    def _key_in_ranges(key, ranges):
-        if not isinstance(key, tuple) or len(key) != 2:
-            return False
-        table, pk = key
-        for range_table, lo, hi in ranges:
-            if range_table == table and lo <= pk <= hi:
-                return True
-        return False
-
     def _pending_slot_writers(self, txn, my_seq, key):
         """Active members sequenced before ``txn`` with an unresolved slot on key."""
         slots = self.engine.store.slot_writers(key)
@@ -176,15 +167,9 @@ class DeterministicBatch(ConcurrencyControl):
         """The first earlier-sequenced member with an unresolved slot inside
         the range, alone: a wait reads only the head of its blockers."""
         slot_writers = self.engine.store.slot_writers
-        table = key_range.table
         head_seq, head = my_seq, None
         for key, holders in self._writers.items():
-            if (
-                isinstance(key, tuple)
-                and len(key) == 2
-                and key[0] == table
-                and key_range.contains_pk(key[1])
-            ):
+            if key_range.covers(key):
                 unresolved = slot_writers(key)
                 if not unresolved:
                     continue
@@ -261,8 +246,10 @@ class DeterministicBatch(ConcurrencyControl):
             my_writes = state["write_keys"] = frozenset(keys)
             ranges = ()
             if profile.scan_ranges is not None:
-                ranges = tuple(profile.scan_ranges(txn.args))
-            state["scan_ranges"] = ranges
+                ranges = [
+                    KeyRange(table, lo, hi)
+                    for table, lo, hi in profile.scan_ranges(txn.args)
+                ]
             # Dependency-graph build: an edge to every earlier-sequenced
             # active member whose declared writes intersect this member's
             # declared writes or scan ranges.  Reads are not declared;
@@ -275,7 +262,7 @@ class DeterministicBatch(ConcurrencyControl):
                     earlier.update(holders)
             if ranges:
                 for key, holders in writers.items():
-                    if self._key_in_ranges(key, ranges):
+                    if any(key_range.covers(key) for key_range in ranges):
                         earlier.update(holders)
             # Filled in sequence order: the predecessor wait blocks on the
             # first active member the set yields.

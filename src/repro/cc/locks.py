@@ -1,10 +1,13 @@
 """Lock table with group-aware ("nexus") compatibility and timeout deadlock
-handling.
+handling, and the range locks that guard it against phantoms.
 
-Used by 2PL (transaction-duration locks) and runtime pipelining (step-duration
-locks).  The *same-group* predicate implements the nexus-lock behaviour of
-Modular Concurrency Control: transactions of the same child subtree never
-conflict at this node — their conflicts are delegated to the child CC.
+Used by 2PL: transaction-duration locks, or step-duration ones under
+runtime pipelining, a 2PL node that releases by step.  The *same-group*
+predicate implements the nexus-lock behaviour of Modular Concurrency
+Control: transactions of the same child subtree never conflict at this
+node — their conflicts are delegated to the child CC.  A node whose
+routes scan adds a :class:`RangeLockManager`: the scans in one
+:class:`~repro.storage.ranges.ScanSet`, the writes as per-key intents.
 
 The table is on the per-operation hot path of every lock-based CC, so the
 uncontended acquire is cheap: lock records are keyed by transaction id (no
@@ -20,6 +23,7 @@ from collections import deque
 from repro.core.waits import Waits
 from repro.errors import TransactionAborted
 from repro.sim.events import Event
+from repro.storage.ranges import ScanSet
 
 
 SHARED = "S"
@@ -158,7 +162,7 @@ class LockTable:
                 f"lock:{self.name}",
                 events=lambda blocker: [granted],
                 timeout=self.timeout,
-                kind=f"lock:{key[0] if isinstance(key, tuple) else key}",
+                kind=f"lock:{key[0]}",
                 timeout_reason="deadlock-timeout",
                 deadlock_reason="wait-deadlock",
             )
@@ -267,10 +271,10 @@ class RangeLockManager:
     window with two symmetrically registered intents, both held until the
     owning transaction finishes:
 
-    * a scan registers its :class:`~repro.storage.ranges.KeyRange` as a
-      shared predicate; a later write of a key inside the range must wait
-      for the scanner to finish (strictness: the scanner's view of the
-      range stays stable until commit);
+    * a scan registers its :class:`~repro.storage.ranges.KeyRange` in the
+      node's :class:`~repro.storage.ranges.ScanSet`; a later write of a key
+      the range covers must wait for the scanner to finish (strictness: the
+      scanner's view of the range stays stable until commit);
     * a write registers a per-key write intent *before* it starts waiting
       for its point lock; a later scan whose range covers the intent must
       wait for the writer to finish.
@@ -279,37 +283,26 @@ class RangeLockManager:
     them), so under the simulator's cooperative scheduling one side always
     observes the other — there is no race window.  Same-child-group
     transactions never conflict (nexus delegation: their phantoms are the
-    child CC's job), mirroring :class:`LockTable`.
+    child CC's job), mirroring :class:`LockTable`.  Both waits block through
+    the node's ``waits`` as ``"range-lock"``.
 
-    A 2PL or RP node holds one only when a type routed through it declares
-    a scan (``phantom_guard``): no other scan can reach the node.
+    A 2PL node — runtime pipelining is one — holds one only when a type
+    routed through it declares a scan (``phantom_guard``): no other scan
+    can reach the node.
     """
 
-    def __init__(self, same_group=None):
+    def __init__(self, waits, same_group=None):
+        self.waits = waits
         self.same_group = same_group or (lambda a, b: False)
-        # table -> {txn_id: (txn, [KeyRange, ...])}
-        self._scans = {}
+        self.scans = ScanSet()
         # table -> {txn_id: (txn, set of pks with write intents)}
         self._intents = {}
 
-    @staticmethod
-    def _split(key):
-        if isinstance(key, tuple) and len(key) == 2:
-            return key
-        return key, key
-
     def register_scan(self, txn, key_range):
-        per_table = self._scans.get(key_range.table)
-        if per_table is None:
-            per_table = self._scans[key_range.table] = {}
-        entry = per_table.get(txn.txn_id)
-        if entry is None:
-            per_table[txn.txn_id] = (txn, [key_range])
-        else:
-            entry[1].append(key_range)
+        self.scans.add(txn, key_range)
 
     def register_intent(self, txn, key):
-        table, pk = self._split(key)
+        table, pk = key
         per_table = self._intents.get(table)
         if per_table is None:
             per_table = self._intents[table] = {}
@@ -321,20 +314,14 @@ class RangeLockManager:
 
     def conflicting_scanners(self, txn, key):
         """Active other-group scanners whose predicate covers ``key``."""
-        table, pk = self._split(key)
-        per_table = self._scans.get(table)
-        if not per_table:
-            return []
         txn_id = txn.txn_id
-        blockers = []
-        for scanner_id, (scanner, ranges) in per_table.items():
-            if scanner_id == txn_id or not scanner.is_active:
-                continue
-            if self.same_group(txn, scanner):
-                continue
-            if any(key_range.contains_pk(pk) for key_range in ranges):
-                blockers.append(scanner)
-        return blockers
+        return [
+            scanner
+            for scanner in self.scans.covering(key)
+            if scanner.txn_id != txn_id
+            and scanner.is_active
+            and not self.same_group(txn, scanner)
+        ]
 
     def conflicting_writers(self, txn, key_range):
         """Active other-group writers with an intent inside ``key_range``."""
@@ -352,13 +339,40 @@ class RangeLockManager:
                 blockers.append(writer)
         return blockers
 
+    def write_wait(self, txn, key, lock_wait):
+        """A write of ``key`` past the scanners covering it, after
+        ``lock_wait`` (its point lock's, or ``None``): ``None`` when neither
+        blocks, else the combined wait.  The caller registered the write's
+        intent before it requested the point lock."""
+        if lock_wait is None and not self.conflicting_scanners(txn, key):
+            return None
+        return self._write_past_scanners(txn, key, lock_wait)
+
+    def _write_past_scanners(self, txn, key, lock_wait):
+        if lock_wait is not None:
+            yield from lock_wait
+        yield from self.waits.wait(
+            txn, lambda: self.conflicting_scanners(txn, key), "range-lock"
+        )
+
+    def scan_wait(self, txn, key_range):
+        """``None`` when no writer's intent lies inside ``key_range``, else
+        the wait for those writers to finish."""
+        if not self.conflicting_writers(txn, key_range):
+            return None
+        return self.waits.wait(
+            txn, lambda: self.conflicting_writers(txn, key_range), "range-lock"
+        )
+
     def release(self, txn):
         """Drop every predicate and intent of ``txn`` (at finish)."""
         txn_id = txn.txn_id
-        for registry in (self._scans, self._intents):
-            stale = []
-            for table, per_table in registry.items():
-                if per_table.pop(txn_id, None) is not None and not per_table:
-                    stale.append(table)
-            for table in stale:
-                del registry[table]
+        self.scans.drop(txn_id)
+        intents = self._intents
+        emptied = [
+            table
+            for table, per_table in intents.items()
+            if per_table.pop(txn_id, None) is not None and not per_table
+        ]
+        for table in emptied:
+            del intents[table]

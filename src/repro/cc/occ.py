@@ -60,8 +60,7 @@ class OptimisticCC(ConcurrencyControl):
             read_keys = {record.key for record in txn.reads}
             own_writes = {version.key for version in pending}
             store = self.engine.store
-            for scan in txn.scans:
-                key_range = scan.key_range
+            for key_range in txn.scans:
                 for key in store.range_keys(key_range.table, key_range.lo, key_range.hi):
                     if key in read_keys or key in own_writes:
                         continue

@@ -12,43 +12,39 @@ queue of conflicting writers into a pipeline instead of a serial schedule.
 As an internal node, transactions of the same child subtree are allowed to
 share step-level locks and to execute the same step concurrently (delegation);
 conflicts across child subtrees follow the pipeline rules above.
+
+RP is a 2PL node that releases by step (Section 4.4.2): it inherits
+:class:`~repro.cc.two_phase_locking.TwoPhaseLocking`'s lock table, phantom
+guard, committed-read fallback and release at finish, and adds the steps,
+the step-commit and the record of passed accesses.
 """
 
 from repro.analysis.rp_analysis import analyze_pipeline
-from repro.cc.base import ConcurrencyControl, register_cc
-from repro.cc.locks import EXCLUSIVE, SHARED, LockTable
+from repro.cc.base import register_cc
+from repro.cc.locks import EXCLUSIVE, SHARED
+from repro.cc.two_phase_locking import TwoPhaseLocking
 from repro.core.waits import MovedEvents
 
 
 @register_cc
-class RuntimePipelining(ConcurrencyControl):
+class RuntimePipelining(TwoPhaseLocking):
     """Runtime pipelining over statically derived table steps."""
 
     name = "rp"
     handles_contention = True
-    efficient_internal = True
     requires_profiles = True
     write_optimized = True
     extra_operation_rtts = 1  # per-operation coordination round-trip
 
     def __init__(self, engine, node, lock_timeout=None):
-        super().__init__(engine, node)
-        timeout = lock_timeout if lock_timeout is not None else engine.options.lock_timeout
-        self.locks = LockTable(
-            engine.env,
-            same_group=self.same_child_group,
-            timeout=timeout,
-            name=f"rp@{node.node_id}",
-            order_guard=engine.depends_transitively,
-            waits=self.waits,
-        )
+        # The lock table holds step locks.  The range locks of the phantom
+        # guard are held until finish: a step-committed scan's predicate
+        # must keep excluding phantom inserts, exactly like passed point
+        # accesses in ``_passed``.
+        super().__init__(engine, node, lock_timeout)
         # The steps come from the group's profiles, in name order: the
         # analysis breaks ties by the order it is given the profiles in.
         self.analysis = analyze_pipeline(engine.profiles_for(sorted(node.subtree_types)))
-        # Predicate locks for scans.  Unlike step locks these are held until
-        # finish: a step-committed scan's predicate must keep excluding
-        # phantom inserts, exactly like passed point accesses in ``_passed``.
-        self.ranges = self.phantom_guard()
         self._active = {}
         #: A transaction moves when it advances a step or finishes.
         self._moved = MovedEvents(engine.env)
@@ -68,11 +64,7 @@ class RuntimePipelining(ConcurrencyControl):
     # -- helpers ------------------------------------------------------------------
 
     def _step_of_key(self, key):
-        table = key[0] if isinstance(key, tuple) else key
-        step = self._table_to_step.get(table)
-        if step is not None:
-            return step
-        return self._last_step
+        return self._table_to_step.get(key[0], self._last_step)
 
     def _current_step(self, txn):
         return self.state(txn).get("step", -1)
@@ -101,38 +93,29 @@ class RuntimePipelining(ConcurrencyControl):
         if self.ranges is None:
             return self._pipelined_access(txn, key, EXCLUSIVE)
         self.ranges.register_intent(txn, key)
-        inner = self._pipelined_access(txn, key, EXCLUSIVE)
-        if inner is None and not self.ranges.conflicting_scanners(txn, key):
-            return None
-        return self._write_past_ranges(txn, key, inner)
-
-    def _write_past_ranges(self, txn, key, inner):
-        if inner is not None:
-            yield from inner
-        yield from self.waits.wait(
-            txn, lambda: self.ranges.conflicting_scanners(txn, key), "range-lock"
+        return self.ranges.write_wait(
+            txn, key, self._pipelined_access(txn, key, EXCLUSIVE)
         )
 
     def before_scan(self, txn, key_range):
         state = self.state(txn)
         target = self._table_to_step.get(key_range.table, self._last_step)
         self.ranges.register_scan(txn, key_range)
-        need_advance = target > state.get("step", -1)
-        if not need_advance and not self.ranges.conflicting_writers(txn, key_range):
-            return None
-        return self._scan_past_ranges(txn, key_range, state, target, need_advance)
+        if target <= state.get("step", -1):
+            return self.ranges.scan_wait(txn, key_range)
+        return self._scan_past_ranges(txn, key_range, state, target)
 
-    def _scan_past_ranges(self, txn, key_range, state, target, need_advance):
-        if need_advance:
-            # A scan enters the scanned table's pipeline step exactly like a
-            # point access would; its per-key reads then reuse the step.
-            self._step_commit(txn, state)
-            state["step"] = target
-            self._moved.fire(txn)
-            yield from self._wait_for_pipeline(txn, target)
-        yield from self.waits.wait(
-            txn, lambda: self.ranges.conflicting_writers(txn, key_range), "range-lock"
-        )
+    def _scan_past_ranges(self, txn, key_range, state, target):
+        # A scan enters the scanned table's pipeline step exactly like a
+        # point access would; its per-key reads then reuse the step.  The
+        # writers it waits for are looked up once it has entered the step.
+        self._step_commit(txn, state)
+        state["step"] = target
+        self._moved.fire(txn)
+        yield from self._wait_for_pipeline(txn, target)
+        wait = self.ranges.scan_wait(txn, key_range)
+        if wait is not None:
+            yield from wait
 
     def _pipelined_access(self, txn, key, mode):
         state = self.state(txn)
@@ -310,11 +293,7 @@ class RuntimePipelining(ConcurrencyControl):
             exposed = self._exposed(key)
             if exposed is not None:
                 return exposed
-        latest = self.engine.store.latest_committed(key)
-        if candidate is not None and candidate.committed:
-            if latest is None or (candidate.commit_seq or 0) >= (latest.commit_seq or 0):
-                return candidate
-        return latest
+        return self._committed_read(key, candidate)
 
     def _exposed(self, key):
         """The step-committed write of ``key`` a reader at this node observes.
@@ -361,10 +340,9 @@ class RuntimePipelining(ConcurrencyControl):
                     if not entry:
                         del passed[key]
             state["passed_keys"] = []
-        self.locks.cancel_waits(txn)
-        self.locks.release_all(txn)
-        if self.ranges is not None:
-            self.ranges.release(txn)
+        super().finish(txn, committed)
+        # After the release, so lock waiters are granted before the
+        # pipeline waiters on this transaction wake.
         self._moved.fire(txn)
 
     def describe(self):

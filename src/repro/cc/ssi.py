@@ -17,6 +17,7 @@ from collections import deque
 
 from repro.cc.base import ConcurrencyControl, register_cc
 from repro.cc.timestamps import BatchManager
+from repro.storage.ranges import ScanSet
 
 
 @register_cc
@@ -58,12 +59,13 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
             on_open=lambda batch_id: engine.hold_finished((self, batch_id)),
             on_dead=lambda batch_id: engine.drop_hold((self, batch_id)),
         )
+        # key -> {txn_id: txn}: the item-level read sets.
         self._readers = {}
-        # table -> {txn_id: (txn, [KeyRange, ...])}: the range read sets of
-        # active scanners.  A write into a concurrent scanner's range is an
-        # rw anti-dependency even when the key did not exist at scan time —
+        # The range read sets of scanners, kept as long as their read sets.
+        # A write into a concurrent scanner's range is an rw
+        # anti-dependency even when the key did not exist at scan time —
         # the phantom edge item-level reader tracking cannot see.
-        self._range_readers = {}
+        self._scans = ScanSet()
         # key -> {txn_id: txn}: writes *announced* via before_write whose
         # versions are not necessarily installed yet (a child CC may block
         # the writer on a lock between the hook and the install).  Readers
@@ -181,27 +183,12 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         """
         if self.read_only_optimization:  # see the class docstring
             return
-        per_table = self._range_readers.get(key_range.table)
-        if per_table is None:
-            per_table = self._range_readers[key_range.table] = {}
-        entry = per_table.get(txn.txn_id)
-        if entry is None:
-            per_table[txn.txn_id] = (txn, [key_range])
-        else:
-            entry[1].append(key_range)
-        state = self.state(txn)
-        tables = state.get("scan_tables")
-        if tables is None:
-            tables = state["scan_tables"] = set()
-        tables.add(key_range.table)
+        self._scans.add(txn, key_range)
+        self.state(txn)["scanned"] = True
         # Announced-but-uninstalled writes inside the range are phantoms
         # this scan's snapshot will miss.
         for key, intents in list(self._write_intents.items()):
-            table = key[0] if isinstance(key, tuple) and len(key) == 2 else key
-            if table != key_range.table:
-                continue
-            pk = key[1] if isinstance(key, tuple) and len(key) == 2 else key
-            if not key_range.contains_pk(pk):
+            if not key_range.covers(key):
                 continue
             for writer_id, writer in list(intents.items()):
                 if writer_id == txn.txn_id or not writer.is_active:
@@ -241,7 +228,7 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         # falls after this transaction's snapshot) — the SIREAD retention.
         readers = self._readers.get(key)
         if readers:
-            for reader_id, (reader, reader_ts) in list(readers.items()):
+            for reader_id, reader in list(readers.items()):
                 if reader_id == txn.txn_id or not self._concurrent_reader(
                     reader, start_ts
                 ):
@@ -252,19 +239,13 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         # Scanners whose predicate covers this key missed it too (phantom):
         # this write commits after their snapshot, so the rw edge holds even
         # when the key did not exist when they scanned.
-        table = key[0] if isinstance(key, tuple) and len(key) == 2 else key
-        range_readers = self._range_readers.get(table)
-        if range_readers:
-            pk = key[1] if isinstance(key, tuple) and len(key) == 2 else key
-            for reader_id, (reader, ranges) in list(range_readers.items()):
-                if reader_id == txn.txn_id or not self._concurrent_reader(
-                    reader, start_ts
-                ):
-                    continue
-                if self._delegated(txn, reader):
-                    continue
-                if any(key_range.contains_pk(pk) for key_range in ranges):
-                    self._mark_antidependency(reader, txn)
+        for reader in self._scans.covering(key):
+            if reader.txn_id == txn.txn_id or not self._concurrent_reader(
+                reader, start_ts
+            ):
+                continue
+            if not self._delegated(txn, reader):
+                self._mark_antidependency(reader, txn)
         if self._entity(txn) in self._doomed:
             self.waits.abort(txn, "ssi-pivot")
 
@@ -312,7 +293,7 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         readers = self._readers.get(key)
         if readers is None:
             readers = self._readers[key] = {}
-        readers[txn.txn_id] = (txn, start_ts)
+        readers[txn.txn_id] = txn
         # Anti-dependencies: newer writes this snapshot read is missing.
         latest = self.engine.store.latest_committed(key)
         if latest is not None and self._writer_commit_ts(latest) > start_ts:
@@ -382,7 +363,7 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
                 intents.pop(txn.txn_id, None)
                 if not intents:
                     self._write_intents.pop(key, None)
-        if committed and (state.get("read_keys") or state.get("scan_tables")):
+        if committed and (state.get("read_keys") or state.get("scanned")):
             # Retain the committed reader's (SIREAD) entries: they still
             # constrain writers whose snapshots predate this commit.
             self._committed_readers.append(
@@ -402,12 +383,8 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
                 readers.pop(txn.txn_id, None)
                 if not readers:
                     self._readers.pop(key, None)
-        for table in state.get("scan_tables", ()):  # prune range tracking
-            range_readers = self._range_readers.get(table)
-            if range_readers is not None:
-                range_readers.pop(txn.txn_id, None)
-                if not range_readers:
-                    self._range_readers.pop(table, None)
+        if state.get("scanned"):  # prune range tracking
+            self._scans.drop(txn.txn_id)
 
     def _drain_committed_readers(self):
         """Drop retained committed readers no snapshot can conflict with.

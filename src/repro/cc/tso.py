@@ -19,6 +19,7 @@ partition-by-instance optimisation removes (Section 5.4.2, Table 5.1).
 
 from repro.cc.base import ConcurrencyControl, register_cc
 from repro.core.waits import NONE, MovedEvents
+from repro.storage.ranges import ScanSet
 
 
 @register_cc
@@ -35,11 +36,11 @@ class TimestampOrdering(ConcurrencyControl):
     def __init__(self, engine, node):
         super().__init__(engine, node)
         self._reads = {}
-        # table -> {txn_id: (txn, ts, [KeyRange, ...])}: active range reads.
-        # A scan at timestamp T observes the *absence* of every matching key
-        # that does not exist yet; a later write at timestamp W < T into the
-        # range is a write the scan already missed and must abort.
-        self._range_reads = {}
+        # The range reads of active scanners.  A scan at timestamp T
+        # observes the *absence* of every matching key that does not exist
+        # yet; a later write at timestamp W < T into the range is a write
+        # the scan already missed and must abort.
+        self._scans = ScanSet()
         self._promises = {}
         #: txn_id -> txn in timestamp order: ``start`` adds each right after
         #: the oracle hands it a timestamp larger than any before.
@@ -108,20 +109,7 @@ class TimestampOrdering(ConcurrencyControl):
         that do not exist yet, turning a later smaller-timestamp insert into
         a write-too-late abort.
         """
-        table = key_range.table
-        per_table = self._range_reads.get(table)
-        if per_table is None:
-            per_table = self._range_reads[table] = {}
-        entry = per_table.get(txn.txn_id)
-        if entry is None:
-            per_table[txn.txn_id] = (txn, self._ts(txn), [key_range])
-        else:
-            entry[2].append(key_range)
-        state = self.state(txn)
-        tables = state.get("scan_tables")
-        if tables is None:
-            tables = state["scan_tables"] = set()
-        tables.add(table)
+        self._scans.add(txn, key_range)
 
     def before_write(self, txn, key, value):
         my_ts = self._ts(txn)
@@ -133,23 +121,17 @@ class TimestampOrdering(ConcurrencyControl):
                 if reader_ts > my_ts and read_version_ts < my_ts:
                     # A later reader already missed this write: abort the writer.
                     self.waits.abort(txn, "tso-write-too-late", reader)
-        table = key[0] if isinstance(key, tuple) and len(key) == 2 else key
-        range_readers = self._range_reads.get(table)
-        if range_readers:
-            pk = key[1] if isinstance(key, tuple) and len(key) == 2 else key
-            for reader_id, (reader, reader_ts, ranges) in list(range_readers.items()):
-                if reader_id == txn.txn_id:
-                    continue
-                if reader_ts <= my_ts:
-                    continue
-                if readers and reader_id in readers:
-                    # The scanner read an actual version of this key; the
-                    # item-level rule above already decided its fate.
-                    continue
-                if any(key_range.contains_pk(pk) for key_range in ranges):
-                    # A later scan observed the absence of this key: the
-                    # write arrives too late for its position in time.
-                    self.waits.abort(txn, "tso-write-too-late", reader)
+        for reader in self._scans.covering(key):
+            reader_id = reader.txn_id
+            if reader_id == txn.txn_id or self._ts(reader) <= my_ts:
+                continue
+            if readers and reader_id in readers:
+                # The scanner read an actual version of this key; the
+                # item-level rule above already decided its fate.
+                continue
+            # A later scan observed the absence of this key: the write
+            # arrives too late for its position in time.
+            self.waits.abort(txn, "tso-write-too-late", reader)
 
     def _timestamp_read(self, txn, key, candidate):
         my_ts = self._ts(txn)
@@ -226,12 +208,7 @@ class TimestampOrdering(ConcurrencyControl):
                 readers.pop(txn.txn_id, None)
                 if not readers:
                     self._reads.pop(key, None)
-        for table in state.get("scan_tables", ()):  # prune range tracking
-            range_readers = self._range_reads.get(table)
-            if range_readers is not None:
-                range_readers.pop(txn.txn_id, None)
-                if not range_readers:
-                    self._range_reads.pop(table, None)
+        self._scans.drop(txn.txn_id)
         for key in txn.promises:
             promisors = self._promises.get(key)
             if promisors is not None:

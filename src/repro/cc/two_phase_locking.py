@@ -8,6 +8,10 @@ Modular Concurrency Control: locks acquired by transactions of the same child
 subtree never conflict (their conflicts are delegated to the child CC), and
 consistent ordering is enforced by delaying a transaction's commit until its
 in-subtree dependencies have committed (the nexus-lock release order).
+
+Runtime pipelining (:mod:`repro.cc.runtime_pipelining`) is this node with
+locks released step by step: it inherits the lock table, the phantom guard,
+the committed-read fallback and the release at finish.
 """
 
 from repro.cc.base import ConcurrencyControl, register_cc
@@ -29,7 +33,7 @@ class TwoPhaseLocking(ConcurrencyControl):
             engine.env,
             same_group=self.same_child_group,
             timeout=timeout,
-            name=f"2pl@{node.node_id}",
+            name=f"{self.name}@{node.node_id}",
             order_guard=engine.depends_transitively,
             waits=self.waits,
         )
@@ -55,25 +59,11 @@ class TwoPhaseLocking(ConcurrencyControl):
         # The write intent is registered before any wait so a concurrent
         # scan registering its range afterwards is guaranteed to see it.
         self.ranges.register_intent(txn, key)
-        wait = self.locks.request(txn, key, EXCLUSIVE)
-        if wait is None and not self.ranges.conflicting_scanners(txn, key):
-            return None
-        return self._write_past_ranges(txn, key, wait)
-
-    def _write_past_ranges(self, txn, key, wait):
-        if wait is not None:
-            yield from wait
-        yield from self.waits.wait(
-            txn, lambda: self.ranges.conflicting_scanners(txn, key), "range-lock"
-        )
+        return self.ranges.write_wait(txn, key, self.locks.request(txn, key, EXCLUSIVE))
 
     def before_scan(self, txn, key_range):
         self.ranges.register_scan(txn, key_range)
-        if not self.ranges.conflicting_writers(txn, key_range):
-            return None
-        return self.waits.wait(
-            txn, lambda: self.ranges.conflicting_writers(txn, key_range), "range-lock"
-        )
+        return self.ranges.scan_wait(txn, key_range)
 
     def amend_read(self, txn, key, candidate):
         """Accept an uncommitted proposal from this subtree, else read committed.
@@ -87,6 +77,9 @@ class TwoPhaseLocking(ConcurrencyControl):
                 writer.txn_id == txn.txn_id or self.is_member(writer)
             ):
                 return candidate
+        return self._committed_read(key, candidate)
+
+    def _committed_read(self, key, candidate):
         latest = self.engine.store.latest_committed(key)
         if candidate is not None and candidate.committed:
             # Keep the child's (possibly older snapshot) choice only if it is

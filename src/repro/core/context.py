@@ -7,7 +7,7 @@ time.  The context also offers small conveniences (read-modify-write,
 existence checks) used by the TPC-C and SEATS implementations.
 """
 
-from repro.storage.ranges import bounded_range, prefix_range
+from repro.storage.ranges import KeyRange, prefix_range
 from repro.storage.tables import composite_key
 
 
@@ -62,17 +62,16 @@ class TransactionContext:
             self._txn, composite_key(table, *parts), dict(row)
         )
 
-    def scan(self, table, *, lo=None, hi=None, prefix=None, limit=None,
-             for_update=False):
+    def scan(self, table, *, lo=None, hi=None, prefix=None):
         """Ordered range scan; returns ``[(pk, row), ...]`` in key order.
 
         The predicate is either an inclusive ``[lo, hi]`` primary-key range
         or a ``prefix`` tuple over a composite key (all keys starting with
-        the prefix).  Missing/deleted rows are skipped; ``limit`` bounds the
-        rows returned.  The scan is a first-class access: CC mechanisms see
-        the predicate (range locks, snapshot range read sets) and every
-        enumerated key goes through the normal per-key read path, so the
-        isolation oracle can hold scans to the same standard as point reads.
+        the prefix).  Missing/deleted rows are skipped.  The scan is a
+        first-class access: CC mechanisms see the predicate (range locks,
+        snapshot range read sets) and every enumerated key goes through the
+        normal per-key read path, so the isolation oracle can hold scans to
+        the same standard as point reads.
 
         Returns the engine coroutine directly (callers ``yield from`` it).
         """
@@ -81,10 +80,8 @@ class TransactionContext:
                 raise ValueError("scan() takes either prefix or lo/hi, not both")
             key_range = prefix_range(table, *prefix)
         else:
-            key_range = bounded_range(table, lo, hi)
-        return self._engine.perform_scan(
-            self._txn, key_range, limit=limit, for_update=for_update
-        )
+            key_range = KeyRange(table, lo, hi)
+        return self._engine.perform_scan(self._txn, key_range)
 
     def update(self, table, *parts, updates):
         """Read-modify-write convenience: merge ``updates`` into the row."""

@@ -45,7 +45,7 @@ from repro.cc.timestamps import TimestampOracle
 from repro.core.config import Configuration
 from repro.core.context import TransactionContext
 from repro.core.stats import StatsCollector
-from repro.core.transaction import ReadRecord, ScanRecord, Transaction, TransactionStatus
+from repro.core.transaction import ReadRecord, Transaction, TransactionStatus
 from repro.core.tree import build_routes, build_tree
 from repro.core.waits import ALL, Waits
 from repro.errors import ConfigurationError, TransactionAborted
@@ -520,7 +520,7 @@ class TebaldiEngine:
             after_write_hook(txn, key, version)
         return version
 
-    def perform_scan(self, txn, key_range, limit=None, for_update=False):
+    def perform_scan(self, txn, key_range):
         """Coroutine implementing one ordered range scan of the execution phase.
 
         The scan first runs the top-down ``before_scan`` hooks with the
@@ -530,13 +530,11 @@ class TebaldiEngine:
         in-flight inserts — and drives every key through the ordinary
         per-key read path, so CC hooks constrain each key exactly as they
         would a point read.  Returns ``[(pk, row), ...]`` in key order,
-        skipping missing/deleted rows; ``limit`` bounds the number of rows
-        returned (not keys examined).
+        skipping missing/deleted rows.
 
         ``txn.scans`` exists only for a reader (OCC, the oracle), and gets
-        the scan's *effective* range — truncated to the last enumerated key
-        when the limit stopped it early — from which the oracle derives
-        phantom anti-dependencies.
+        the scan's range, from which the oracle derives phantom
+        anti-dependencies.
         """
         status = txn.status
         if status is not _ACTIVE and status is not _VALIDATING:
@@ -552,21 +550,12 @@ class TebaldiEngine:
                 yield from step
         candidates = self.store.range_keys(key_range.table, key_range.lo, key_range.hi)
         rows = []
-        last_key = None
-        truncated = False
         for key in candidates:
-            value = yield from self.perform_read(txn, key, for_update=for_update)
-            last_key = key
+            value = yield from self.perform_read(txn, key)
             if value is not None:
                 rows.append((key[1], value))
-                if limit is not None and len(rows) >= limit:
-                    truncated = True
-                    break
-        effective = key_range
-        if truncated and last_key is not None:
-            effective = key_range.truncated(last_key[1])
         if txn.scans is not None:
-            txn.scans.append(ScanRecord(effective))
+            txn.scans.append(key_range)
         return rows
 
     def _on_new_dependency(self, txn, other_id):

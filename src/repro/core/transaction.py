@@ -25,20 +25,6 @@ class ReadRecord(NamedTuple):
     version: Any
 
 
-class ScanRecord(NamedTuple):
-    """One range scan performed by a transaction.
-
-    ``key_range`` is the *effective* predicate — a limited scan that stopped
-    early is truncated to the last key it enumerated, because the
-    transaction only depended on the key space up to that point.  The keys
-    the scan actually observed are in ``txn.reads`` (one
-    :class:`ReadRecord` per enumerated key); the isolation oracle and OCC's
-    phantom validation derive phantoms from the difference.
-    """
-
-    key_range: Any
-
-
 @dataclass(slots=True)
 class Transaction:
     """Runtime state of one transaction instance.
@@ -67,8 +53,10 @@ class Transaction:
     group_tokens: dict = field(default_factory=dict)
     charges: Any = None
 
-    # Data accesses.  A ReadRecord per read and a ScanRecord per ctx.scan
-    # call, only for a reader (OCC's validation, the history recorder).
+    # Data accesses.  A ReadRecord per read and the KeyRange of each
+    # ctx.scan call, only for a reader (OCC's validation, the history
+    # recorder).  The keys a scan observed are among the reads; the oracle
+    # and OCC's phantom validation derive phantoms from the difference.
     reads: Optional[list] = None
     scans: Optional[list] = None
 

@@ -129,7 +129,7 @@ class HistoryRecorder:
             # overwrite the first record; flag it loudly instead — no
             # engine path may commit twice, retransmits included.
             self.duplicate_commits.append(txn.txn_id)
-        scans = tuple([record.key_range for record in txn.scans]) if txn.scans else ()
+        scans = tuple(txn.scans) if txn.scans else ()
         flat = [txn.txn_type, txn.begin_time, txn.end_time, scans, len(versions)]
         for version in versions:
             flat += (version.key, version.commit_seq)

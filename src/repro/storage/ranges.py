@@ -3,10 +3,13 @@
 A scan names the keys it *may* observe with a :class:`KeyRange` — a table
 plus an inclusive ``[lo, hi]`` bound over that table's primary keys.  The
 same object travels through every layer: the storage module enumerates the
-matching keys, CC mechanisms register it as a predicate lock (2PL/RP), a
-snapshot read set (SSI) or a timestamped range read (TSO), and the
+matching keys, the transaction keeps it in ``txn.scans`` for a reader, CC
+mechanisms register it in a :class:`ScanSet` — a predicate lock (2PL/RP), a
+snapshot read set (SSI) or a timestamped range read (TSO) — and the
 isolation oracle replays it to derive the rw anti-dependencies of keys the
-scan *missed* (phantoms).
+scan *missed* (phantoms).  :meth:`KeyRange.covers` is the one test of a
+storage key against a range, and a ``ScanSet`` the one registry of who
+scanned what.
 
 Primary keys within one table share a shape (all scalars or all same-arity
 tuples), so plain tuple comparison orders them.  Prefix scans over
@@ -17,7 +20,7 @@ matches exactly the keys whose first three components equal the prefix.
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 
 class _Top:
@@ -81,21 +84,58 @@ class KeyRange:
             return False
         return True
 
-    def truncated(self, hi):
-        """A copy of this range with the upper bound tightened to ``hi``.
-
-        Used by limited scans: a scan that stopped early only depended on
-        the key space up to the last key it enumerated.
-        """
-        return KeyRange(self.table, self.lo, hi)
+    def covers(self, key):
+        """Whether a storage key ``(table, pk)`` falls inside the range."""
+        return key[0] == self.table and self.contains_pk(key[1])
 
     def describe(self):
         return f"{self.table}[{self.lo!r}..{self.hi!r}]"
 
 
-def bounded_range(table, lo=None, hi=None):
-    """An inclusive ``[lo, hi]`` range over ``table``."""
-    return KeyRange(table, lo, hi)
+class ScanSet(dict):
+    """table -> {txn_id: (txn, [KeyRange, ...])}: the scan predicates a CC
+    node keeps for the transactions that scanned through it.
+
+    The phantom guard of every mechanism that has one: a write of a key is
+    checked against the ranges covering it (:meth:`covering`), and a
+    transaction's ranges leave together (:meth:`drop`) when the node lets
+    go of it.  A table is kept only while some transaction has a range on it.
+    """
+
+    __slots__ = ()
+
+    def add(self, txn, key_range):
+        per_table = self.get(key_range.table)
+        if per_table is None:
+            per_table = self[key_range.table] = {}
+        entry = per_table.get(txn.txn_id)
+        if entry is None:
+            per_table[txn.txn_id] = (txn, [key_range])
+        else:
+            entry[1].append(key_range)
+
+    def covering(self, key):
+        """The transactions with a range covering ``key``, in the order they
+        first registered one on its table."""
+        table, pk = key
+        per_table = self.get(table)
+        if not per_table:
+            return []
+        return [
+            scanner
+            for scanner, ranges in per_table.values()
+            if any(key_range.contains_pk(pk) for key_range in ranges)
+        ]
+
+    def drop(self, txn_id):
+        """Forget every range of ``txn_id``."""
+        emptied = [
+            table
+            for table, per_table in self.items()
+            if per_table.pop(txn_id, None) is not None and not per_table
+        ]
+        for table in emptied:
+            del self[table]
 
 
 def prefix_range(table, *prefix):

@@ -156,7 +156,6 @@ class QueueWorkload(Workload):
                 name=name,
                 procedure=procedures[name],
                 profile=profiles[name],
-                weight=QUEUE_MIX[name],
             )
             for name in profiles
         }

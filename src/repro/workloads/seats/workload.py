@@ -195,7 +195,6 @@ class SEATSWorkload(Workload):
                 name=name,
                 procedure=procedures[name],
                 profile=profiles[name],
-                weight=SEATS_MIX[name],
             )
             for name in profiles
         }

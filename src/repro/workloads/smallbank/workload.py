@@ -170,7 +170,6 @@ class SmallBankWorkload(Workload):
                 name=name,
                 procedure=procedures[name],
                 profile=profiles[name],
-                weight=SMALLBANK_MIX[name],
             )
             for name in profiles
         }

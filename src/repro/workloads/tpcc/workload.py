@@ -85,7 +85,6 @@ class TPCCWorkload(Workload):
                 name=name,
                 procedure=procedure,
                 profile=procs.PROFILES[name],
-                weight=self.mix().get(name, 0.04),
             )
         return types
 

@@ -183,13 +183,11 @@ class YCSBWorkload(Workload):
             "scan_records": self._scan_records,
             "read_modify_write": self._read_modify_write,
         }
-        mix = YCSB_PROFILES[self.profile]
         return {
             name: TransactionType(
                 name=name,
                 procedure=procedures[name],
                 profile=profiles[name],
-                weight=mix.get(name, 0.0),
             )
             for name in profiles
         }

@@ -114,16 +114,6 @@ def think(duration):
         yield float(duration)
 
 
-def contains_key(key_range, key):
-    """Whether a full storage key ``(table, pk)`` falls inside ``key_range``."""
-    return (
-        isinstance(key, tuple)
-        and len(key) == 2
-        and key[0] == key_range.table
-        and key_range.contains_pk(key[1])
-    )
-
-
 class OverlapAuditEngine(TebaldiEngine):
     """Audits the retention rule from outside, with its own clock.
 

@@ -31,9 +31,9 @@ from repro.cc.batch import DeterministicBatch
 from repro.core.config import monolithic
 from repro.harness import configs
 from repro.harness.runner import BenchmarkRunner
+from repro.storage.ranges import KeyRange
 from repro.workloads.ycsb import YCSBWorkload
 from tests import test_profiler_stream as pinned
-from tests.conftest import contains_key
 from tests.test_retention import _drain, _zipf
 from tests.test_wake_reference import assert_drained, checked_wakes, moved_counts
 
@@ -69,7 +69,11 @@ class ScanningBatch(DeterministicBatch):
         for txn in members:
             state = self.state(txn)
             seq = seqs[txn.txn_id] = state["seq"]
-            my_writes, ranges = state["write_keys"], state["scan_ranges"]
+            my_writes = state["write_keys"]
+            profile = self.engine.profile_of(txn.txn_type)
+            ranges = []
+            if profile.scan_ranges is not None:
+                ranges = [KeyRange(*declared) for declared in profile.scan_ranges(txn.args)]
             preds = set()
             for other_id, other_seq in seqs.items():
                 if other_seq >= seq:
@@ -84,7 +88,7 @@ class ScanningBatch(DeterministicBatch):
                     preds.add(other_id)
                     continue
                 if ranges and any(
-                    self._key_in_ranges(key, ranges) for key in other_writes
+                    key_range.covers(key) for key_range in ranges for key in other_writes
                 ):
                     preds.add(other_id)
             # Equal as sets *and* in iteration order.
@@ -124,7 +128,7 @@ class ScanningBatch(DeterministicBatch):
             if seq >= my_seq:
                 continue
             for key in unresolved_slots_of(store, writer_id):
-                if contains_key(key_range, key):
+                if key_range.covers(key):
                     expected.append(self._active[writer_id])
                     break
         answer = super()._pending_range_writers(my_seq, key_range)

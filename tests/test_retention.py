@@ -65,7 +65,7 @@ from dataclasses import fields
 import pytest
 
 from benchmarks.bench_speed import census_by_owner
-from repro.cc import runtime_pipelining, two_phase_locking
+from repro.cc import two_phase_locking
 from repro.cc.base import create_cc
 from repro.cc.locks import LockTable
 from repro.cc.timestamps import BatchManager, TimestampOracle
@@ -85,6 +85,7 @@ from repro.sim.environment import Environment
 from repro.sim.faults import MessageFaultPlan
 from repro.storage.durability import DurabilityConfig
 from repro.storage.mvstore import MultiVersionStore
+from repro.storage.ranges import ScanSet
 from repro.storage.versions import Version
 from repro.storage.wal import KIND, TXN_ID, record_body
 from repro.workloads.micro import CrossGroupConflictWorkload
@@ -430,7 +431,7 @@ CHAIN_CELLS = {
 #: SIREAD retention.
 SSI_TRACKING = (
     "_readers",
-    "_range_readers",
+    "_scans",
     "_write_intents",
     "_in_antidep",
     "_out_antidep",
@@ -1309,8 +1310,8 @@ class TestLockRecordRetention:
     @pytest.mark.parametrize("cell", ["tpcc/3layer", "smallbank/3layer"])
     def test_drop_equals_never_drop(self, cell, monkeypatch):
         dropped = _run_cell(cell, TebaldiEngine, monkeypatch)
-        for module in (two_phase_locking, runtime_pipelining):
-            monkeypatch.setattr(module, "LockTable", KeepEveryRecordLockTable)
+        # Runtime pipelining builds its table in 2PL's constructor.
+        monkeypatch.setattr(two_phase_locking, "LockTable", KeepEveryRecordLockTable)
         kept = _run_cell(cell, TebaldiEngine, monkeypatch)
 
         def per_type(runner):
@@ -1325,8 +1326,7 @@ class TestLockRecordRetention:
     def test_drop_equals_never_drop_on_a_conformance_tree(self, monkeypatch):
         outcomes = []
         for table_class in (LockTable, KeepEveryRecordLockTable):
-            for module in (two_phase_locking, runtime_pipelining):
-                monkeypatch.setattr(module, "LockTable", table_class)
+            monkeypatch.setattr(two_phase_locking, "LockTable", table_class)
             engine = _run_conformance_tree("2pl/(rp,rp)")
             stats = engine.stats
             assert stats.commits > 0
@@ -1438,6 +1438,96 @@ class TestLockNodesPayOnlyForReachablePhantoms:
         assert range_managers_held("queue/3layer") == ["0.1", "0.1.1"]
 
 
+def _scan_registries(engine):
+    """``(node id, name, registry)`` for every scan registry in the tree:
+    each node's ``ScanSet`` (a lock node's range locks, SSI's and TSO's
+    range reads) and write-intent map (a lock node's by table, SSI's by
+    key).  Every registry maps its first key to ``{txn_id: ...}``."""
+    found = []
+    for tree_node in engine.nodes:
+        for cc in _mechanisms(tree_node):
+            ranges = getattr(cc, "ranges", None)
+            if ranges is not None:
+                found.append((tree_node.node_id, "scans", ranges.scans))
+                found.append((tree_node.node_id, "intents", ranges._intents))
+            if isinstance(vars(cc).get("_scans"), ScanSet):
+                found.append((tree_node.node_id, "scans", cc._scans))
+            if "_write_intents" in vars(cc):
+                found.append((tree_node.node_id, "intents", cc._write_intents))
+    return found
+
+
+def _registered_ids(registry):
+    return {txn_id for per_first in registry.values() for txn_id in per_first}
+
+
+#: The conformance trees that scan through every registry kind: range locks
+#: (2PL, RP, 2PL over RP), SSI's and TSO's range reads.
+SCAN_DRAIN_TREES = ("mono-2pl", "mono-rp", "mono-ssi", "mono-tso", "2pl/(rp,rp)")
+
+
+def scan_registries_drained():
+    """``(drained, registries)`` over :data:`SCAN_DRAIN_TREES` once each
+    conformance run has drained.  ``scripts/check.sh`` prints both."""
+    drained = total = 0
+    for tree in SCAN_DRAIN_TREES:
+        engine = _run_conformance_tree(tree)
+        assert engine.active == {} and engine.stats.commits > 0
+        for _node_id, _name, registry in _scan_registries(engine):
+            total += 1
+            drained += not registry
+    return drained, total
+
+
+#: name -> (workload, configuration): scan registries under load.
+SCAN_REGISTRY_CELLS = {
+    "queue/3layer": (QueueWorkload, TREES["queue"]["3layer"]),
+    "queue/ssi": (QueueWorkload, TREES["queue"]["ssi"]),
+}
+
+
+class TestScanRegistriesDrain:
+    """Release rule of a scan predicate or write intent: it leaves with its
+    transaction, when the node lets go of it (at finish; a committed SSI
+    reader when the SIREAD drain does)."""
+
+    @pytest.mark.parametrize("tree", SCAN_DRAIN_TREES)
+    def test_every_registry_is_empty_after_a_drained_run(self, tree):
+        engine = _run_conformance_tree(tree)
+        assert engine.active == {} and engine.stats.commits > 0
+        registries = _scan_registries(engine)
+        assert registries
+        assert [entry for entry in registries if entry[2]] == []
+
+    def test_the_census_counts_every_registry(self):
+        # 2PL and RP: scans and intents; SSI: scans and intents; TSO: scans;
+        # 2PL over two RP leaves: three lock nodes.
+        assert scan_registries_drained() == (13, 13)
+
+    @pytest.mark.parametrize("cell", sorted(SCAN_REGISTRY_CELLS))
+    def test_entries_name_only_transactions_the_engine_holds(self, cell):
+        workload_factory, config_factory = SCAN_REGISTRY_CELLS[cell]
+        runner = BenchmarkRunner(workload_factory(), config_factory(), seed=7)
+        engine = runner.engine
+        try:
+            runner.add_clients(CLIENTS)
+            registries = _scan_registries(engine)
+            assert registries
+            while engine.stats.commits < 1200:
+                runner.run_additional(0.01)
+            peak = 0
+            while engine.stats.commits < 4800:
+                runner.run_additional(0.01)
+                held = set(engine.active) | set(engine.finished)
+                for node_id, name, registry in registries:
+                    ids = _registered_ids(registry)
+                    assert ids <= held, (cell, node_id, name, ids - held)
+                    peak = max(peak, len(ids))
+            assert peak > 0
+        finally:
+            runner.stop()
+
+
 class TestStorePaysOnlyForWhatIsRead:
     """A table's scan index is built by its first scan, and a version is a
     fixed header plus its row."""
@@ -1476,8 +1566,8 @@ class ReadCountEngine(TebaldiEngine):
         self.performed[txn.txn_id, "read"] += 1
         return value
 
-    def perform_scan(self, txn, key_range, limit=None, for_update=False):
-        rows = yield from super().perform_scan(txn, key_range, limit, for_update)
+    def perform_scan(self, txn, key_range):
+        rows = yield from super().perform_scan(txn, key_range)
         self.performed[txn.txn_id, "scan"] += 1
         return rows
 

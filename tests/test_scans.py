@@ -29,7 +29,7 @@ from repro.isolation.checker import check_recorder
 from repro.isolation.history import History, HistoryRecorder, HistoryTransaction
 from repro.sim.environment import Environment
 from repro.storage.mvstore import MultiVersionStore
-from repro.storage.ranges import TOP, KeyRange, bounded_range, prefix_range
+from repro.storage.ranges import TOP, KeyRange, ScanSet, prefix_range
 from repro.storage.tables import Catalog, Table, TableSchema
 from repro.storage.versions import Version
 from repro.workloads.base import Workload
@@ -38,21 +38,21 @@ from repro.workloads.tpcc import TPCCWorkload
 from repro.workloads.tpcc.schema import TPCCScale, customer_last_name
 from repro.workloads.ycsb import YCSBWorkload
 from repro.workloads.ycsb.workload import ZipfianGenerator
-from tests.conftest import build_engine, contains_key, read_row, run_transactions, think
+from tests.conftest import build_engine, read_row, run_transactions, think
 from tests.reference_checker import check_history
 
 
 class TestKeyRange:
     def test_bounded_containment(self):
-        key_range = bounded_range("t", 3, 7)
+        key_range = KeyRange("t", 3, 7)
         assert key_range.contains_pk(3) and key_range.contains_pk(7)
         assert not key_range.contains_pk(2) and not key_range.contains_pk(8)
-        assert contains_key(key_range, ("t", 5))
-        assert not contains_key(key_range, ("other", 5))
+        assert key_range.covers(("t", 5))
+        assert not key_range.covers(("other", 5)) and not key_range.covers(("t", 8))
 
     def test_unbounded_sides(self):
-        assert bounded_range("t", None, 4).contains_pk(-100)
-        assert bounded_range("t", 4, None).contains_pk(10**9)
+        assert KeyRange("t", None, 4).contains_pk(-100)
+        assert KeyRange("t", 4, None).contains_pk(10**9)
 
     def test_prefix_range_matches_extensions_only(self):
         key_range = prefix_range("t", 1, 2, "BAR")
@@ -66,9 +66,23 @@ class TestKeyRange:
         assert not TOP < 5
         assert TOP == TOP and hash(TOP) == hash(TOP)
 
-    def test_truncated_tightens_hi(self):
-        key_range = bounded_range("t", 1, 100).truncated(7)
-        assert key_range.contains_pk(7) and not key_range.contains_pk(8)
+
+class TestScanSet:
+    def test_covering_in_registration_order_and_drop(self):
+        a, b, c = (Transaction(txn_id, "t") for txn_id in (1, 2, 3))
+        scans = ScanSet()
+        scans.add(b, KeyRange("t", 5, 9))
+        scans.add(a, KeyRange("t", 0, 3))
+        scans.add(a, KeyRange("t", 6, 6))
+        scans.add(c, KeyRange("u"))
+        assert scans.covering(("t", 6)) == [b, a]
+        assert scans.covering(("t", 4)) == [] and scans.covering(("v", 4)) == []
+        assert scans.covering(("u", 4)) == [c]
+        scans.drop(a.txn_id)
+        assert scans.covering(("t", 6)) == [b] and scans.covering(("t", 1)) == []
+        scans.drop(b.txn_id)
+        scans.drop(c.txn_id)
+        assert scans == {}
 
 
 class TestStoreRangeIndex:
@@ -457,7 +471,7 @@ class TestPhantomScenarios:
         scanner = HistoryTransaction(
             1, "scanner",
             writes=[(("result", "a"), 3)],
-            scans=[bounded_range("items", 1, 10)],
+            scans=[KeyRange("items", 1, 10)],
         )
         inserter = HistoryTransaction(
             2, "inserter",
@@ -484,7 +498,7 @@ class TestPhantomScenarios:
         history = self._scan_skew_history()
         # Narrow the predicate so the insert falls outside it: no phantom
         # edge, no cycle.
-        history.transactions[1].scans = [bounded_range("items", 1, 4)]
+        history.transactions[1].scans = [KeyRange("items", 1, 4)]
         assert check_history(history, level="serializable").serializable
 
     def test_observed_key_produces_no_phantom_edge(self):

@@ -24,7 +24,7 @@ from repro.isolation.cycles import IncrementalCycleDetector, strongly_connected_
 from repro.isolation.history import History, HistoryRecorder, HistoryTransaction
 from repro.isolation.levels import LEVEL_EDGE_KINDS
 from repro.isolation.streaming import StreamingDSGChecker
-from repro.storage.ranges import bounded_range
+from repro.storage.ranges import KeyRange
 from repro.workloads.micro import CrossGroupConflictWorkload
 from repro.workloads.queue import QueueWorkload
 from repro.workloads.smallbank import SmallBankWorkload
@@ -183,9 +183,7 @@ def replay_history(history, level="serializable"):
                 begin_time=txn.begin_time,
                 end_time=txn.end_time,
                 reads=reads,
-                scans=[
-                    SimpleNamespace(key_range=key_range) for key_range in txn.scans
-                ],
+                scans=txn.scans,
             ),
             versions,
         )
@@ -249,7 +247,7 @@ ADVERSARIAL_HISTORIES = {
             HistoryTransaction(
                 1, "scanner",
                 writes=[(("result", "a"), 3)],
-                scans=[bounded_range("items", 1, 10)],
+                scans=[KeyRange("items", 1, 10)],
             ),
             HistoryTransaction(
                 2, "inserter",
@@ -269,7 +267,7 @@ ADVERSARIAL_HISTORIES = {
                 1, "scanner",
                 reads=[(("items", 5), 2, 2)],
                 writes=[(("result", "a"), 3)],
-                scans=[bounded_range("items", 1, 10)],
+                scans=[KeyRange("items", 1, 10)],
             ),
             HistoryTransaction(2, "inserter", writes=[(("items", 5), 2)]),
         ],

@@ -12,10 +12,13 @@ fired.  The runs are the pinned ones of ``tests/test_profiler_stream.py``:
 the reference watches them without moving them.  The batch trees run under
 it in ``tests/test_batch_reference.py``, beside the batch leaf's turns.
 
-TSO's commit-order wait is not a turn, and the last test says why.
+An RP scan that enters a new step is a move like a point access's, and a
+test pins that it wakes whom it moved past.  TSO's commit-order wait is not
+a turn, and the last test says why.
 """
 
 import contextlib
+import dataclasses
 from collections import Counter
 from unittest import mock
 
@@ -151,6 +154,65 @@ def test_no_waiter_outlives_its_blockers(cell):
     assert counts["fired"] > 0
     if MOVED_KINDS & set(stream[1]):
         assert counts["subscribed"] > 0 and counts["still-blocked"] > 0, counts
+
+
+class ScanStepWorkload(TwoStepWorkload):
+    """Three tables, so three RP steps; every type may scan the last one.
+    ``("scan", table)`` scans a whole table and ``("mark", label)`` notes
+    the simulated time it is reached in :attr:`marks`."""
+
+    name = "scan-step"
+    TABLES = ("hot", "tail", "log")
+
+    def __init__(self):
+        self.marks = {}
+
+    def _run_ops(self, ctx, ops):
+        for op in ops:
+            if op[0] == "scan":
+                yield from ctx.scan(op[1])
+            elif op[0] == "mark":
+                self.marks[op[1]] = ctx.now
+            else:
+                yield from super()._run_ops(ctx, [op])
+
+    def build_transaction_types(self):
+        types = super().build_transaction_types()
+        for txn_type in types.values():
+            txn_type.profile = dataclasses.replace(txn_type.profile, scans=("log",))
+        return types
+
+
+def test_an_rp_scan_that_advances_a_step_wakes_its_pipeline_waiters():
+    """t1 writes hot.0 and moves on to ``tail``, passing the key; t2 reads
+    it, is ordered after t1, and waits at RP's pipeline to enter ``tail``
+    while t1 is still there.  t1 then moves to ``log`` by a scan and thinks
+    before it commits: t2 enters ``tail`` at t1's scan, not at its finish."""
+    env = Environment()
+    workload = ScanStepWorkload()
+    engine = build_engine(
+        env,
+        workload,
+        monolithic("rp", ("alpha", "beta"), name="rp-scan-step"),
+        options=EngineOptions(charge_costs=False, lock_timeout=4.0, commit_wait_timeout=4.0),
+    )
+    t1_ops = [
+        ("w", "hot", 0, 10), ("r", "tail", 0), ("think", 0.2),
+        ("scan", "log"), ("mark", "t1 scanned"), ("think", 1.0),
+    ]
+    t2_ops = [("think", 0.1), ("r", "hot", 0), ("r", "tail", 1), ("mark", "t2 in tail")]
+    processes = [
+        env.process(engine.execute_transaction(txn_type, {"ops": ops}))
+        for txn_type, ops in (("alpha", t1_ops), ("beta", t2_ops))
+    ]
+    env.run(until=0.15)
+    t1, t2 = sorted(engine.active.values(), key=lambda txn: txn.txn_id)
+    assert t1.txn_id in t2.dependencies
+    assert t2.current_wait == ("rp-pipeline", t1.txn_id)
+    env.run()
+    assert all(process.value.committed for process in processes)
+    assert workload.marks["t2 in tail"] == workload.marks["t1 scanned"] == 0.2
+    assert t1.end_time >= 1.2
 
 
 def test_the_commit_order_wait_names_the_live_head():
