@@ -4,6 +4,9 @@ Transactions read from a snapshot defined by their start timestamp and become
 visible at their commit timestamp; write-write conflicts abort the later
 updater; serializability is protected by aborting *pivots* — transactions (or
 batches) with both an incoming and an outgoing read-write anti-dependency.
+Those flags, like a member's commit timestamp, live in the state of the
+entity they describe (a batch's in its ``BatchManager`` entry, shared by its
+members) and go with it; the node keeps only indexes with a release rule.
 
 As an internal node of the CC tree SSI must respect consistent ordering: it
 *procrastinates* by batching, i.e. every transaction of the same child group
@@ -73,10 +76,6 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         # checking the write-lock table — or an rw edge formed in the
         # announce-to-install window is silently missed.
         self._write_intents = {}
-        self._in_antidep = set()
-        self._out_antidep = set()
-        self._doomed = set()
-        self._commit_ts = {}
         # SIREAD-style retention (Ports & Grittner): a *committed* reader
         # keeps constraining concurrent writers — its rw anti-dependency
         # into a later write is exactly the edge that closes write-skew
@@ -103,12 +102,15 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
 
     # -- helpers ---------------------------------------------------------------
 
-    def _entity(self, txn):
-        """The unit of pivot tracking: the batch when batching, else the txn."""
+    def _pivot(self, txn):
+        """The pivot flags (``"in"``, ``"out"``, ``"doomed"``) of the unit of
+        pivot tracking: a batch member's are its batch's, handed out at
+        admission; any other transaction's are its own, made at first use."""
         state = self.state(txn)
-        if self.batching and state.get("batch_id") is not None:
-            return ("batch", state["batch_id"])
-        return ("txn", txn.txn_id)
+        flags = state.get("pivot")
+        if flags is None:
+            flags = state["pivot"] = set()
+        return flags
 
     def _start_ts(self, txn):
         return self.state(txn).get("start_ts", 0)
@@ -120,11 +122,6 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         if not self.same_child_group(txn, other):
             return False
         return self.state(txn).get("batch_id") == self.state(other).get("batch_id")
-
-    def _writer_commit_ts(self, version):
-        if version.timestamp is not None:
-            return version.timestamp
-        return self._commit_ts.get(version.writer, 0)
 
     def _mark_antidependency(self, reader, writer):
         """Record the rw edge reader --> writer and doom detected pivots.
@@ -138,18 +135,17 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         mirror case — a *committed reader* becoming a pivot through a
         retained SIREAD entry — aborts the writer that discovered it.
         """
-        reader_entity = self._entity(reader)
-        writer_entity = self._entity(writer) if writer is not None else None
-        self._out_antidep.add(reader_entity)
-        if writer_entity is not None:
-            self._in_antidep.add(writer_entity)
-            if writer_entity in self._out_antidep:
-                self._doomed.add(writer_entity)
-                if writer.committed:
-                    self.waits.abort(reader, "ssi-committed-pivot", writer)
-        if reader_entity in self._in_antidep:
-            self._doomed.add(reader_entity)
-            if reader.committed and writer is not None and writer.is_active:
+        reader_flags = self._pivot(reader)
+        reader_flags.add("out")
+        writer_flags = self._pivot(writer)
+        writer_flags.add("in")
+        if "out" in writer_flags:
+            writer_flags.add("doomed")
+            if writer.committed:
+                self.waits.abort(reader, "ssi-committed-pivot", writer)
+        if "in" in reader_flags:
+            reader_flags.add("doomed")
+            if reader.committed and writer.is_active:
                 self.waits.abort(writer, "ssi-committed-pivot", reader)
 
     # -- start phase ---------------------------------------------------------------
@@ -162,7 +158,7 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         state["read_keys"] = set()
         if self.batching and not txn.read_only:
             token = txn.group_token(self.node.node_id) or txn.txn_id
-            batch_id, start_ts = self.batches.admit(token, txn.txn_id)
+            batch_id, start_ts, state["pivot"] = self.batches.admit(token, txn.txn_id)
             state["batch_id"] = batch_id
             state["start_ts"] = start_ts
         else:
@@ -211,7 +207,7 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         write_keys.add(key)
         start_ts = self._start_ts(txn)
         latest = self.engine.store.latest_committed(key)
-        if latest is not None and self._writer_commit_ts(latest) > start_ts:
+        if latest is not None and (latest.timestamp or 0) > start_ts:
             writer = self.engine.find_transaction(latest.writer)
             if not self._delegated(txn, writer):
                 self.waits.abort(txn, "ssi-ww-conflict", writer)
@@ -246,7 +242,7 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
                 continue
             if not self._delegated(txn, reader):
                 self._mark_antidependency(reader, txn)
-        if self._entity(txn) in self._doomed:
+        if "doomed" in state.get("pivot", ()):
             self.waits.abort(txn, "ssi-pivot")
 
     def _concurrent_reader(self, reader, writer_start_ts):
@@ -260,7 +256,7 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
             return True
         if not reader.committed:
             return False
-        return self._commit_ts.get(reader.txn_id, 0) > writer_start_ts
+        return self.state(reader).get("commit_ts", 0) > writer_start_ts
 
     def _snapshot_read(self, txn, key, candidate):
         """Shared read logic for select_version (leaf) and amend_read (internal)."""
@@ -277,7 +273,7 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
             chosen = self.engine.store.latest_committed_before(key, start_ts, strict=False)
             if candidate is not None and candidate.committed:
                 writer = self.engine.find_transaction(candidate.writer)
-                visible = self._writer_commit_ts(candidate) <= start_ts or self._delegated(
+                visible = (candidate.timestamp or 0) <= start_ts or self._delegated(
                     txn, writer
                 )
                 # A committed write from the same batch / delegated scope is
@@ -296,7 +292,7 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         readers[txn.txn_id] = txn
         # Anti-dependencies: newer writes this snapshot read is missing.
         latest = self.engine.store.latest_committed(key)
-        if latest is not None and self._writer_commit_ts(latest) > start_ts:
+        if latest is not None and (latest.timestamp or 0) > start_ts:
             writer = self.engine.find_transaction(latest.writer)
             if writer is not None and not self._delegated(txn, writer):
                 self._mark_antidependency(txn, writer)
@@ -336,10 +332,8 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
 
     def validate(self, txn):
         if not self.read_only_optimization:
-            entity = self._entity(txn)
-            if entity in self._doomed or (
-                entity in self._in_antidep and entity in self._out_antidep
-            ):
+            flags = self.state(txn).get("pivot", ())
+            if "doomed" in flags or ("in" in flags and "out" in flags):
                 if not txn.read_only:
                     self.waits.abort(txn, "ssi-pivot")
         deps = self.subtree_dependencies(txn)
@@ -350,7 +344,7 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         commit_ts = self.engine.oracle.next()
         txn.commit_timestamp = commit_ts
         if not self.read_only_optimization:
-            self._commit_ts[txn.txn_id] = commit_ts
+            self.state(txn)["commit_ts"] = commit_ts
 
     def finish(self, txn, committed):
         if self.read_only_optimization:
@@ -366,9 +360,7 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         if committed and (state.get("read_keys") or state.get("scanned")):
             # Retain the committed reader's (SIREAD) entries: they still
             # constrain writers whose snapshots predate this commit.
-            self._committed_readers.append(
-                (self._commit_ts.get(txn.txn_id, 0), txn)
-            )
+            self._committed_readers.append((state.get("commit_ts", 0), txn))
         else:
             self._prune_reader(txn, state)
         batch_id = state.get("batch_id")

@@ -33,7 +33,9 @@ class BatchManager:
 
     ``on_open(batch_id)`` / ``on_dead(batch_id)`` bracket a batch's life —
     dead means every member finished — for an owner whose members' snapshot
-    (the batch timestamp) can predate their begin.
+    (the batch timestamp) can predate their begin.  Each batch also owns one
+    set its members share, for the facts the owner keeps per batch (SSI's
+    pivot flags); it goes with the batch and the members that hold it.
     """
 
     def __init__(self, oracle, batch_size=16, on_open=None, on_dead=None):
@@ -46,7 +48,8 @@ class BatchManager:
         self._batch_ids = count(1)
 
     def admit(self, group_token, txn_id):
-        """Assign (batch_id, shared timestamp) to a transaction of a group."""
+        """Assign (batch_id, shared timestamp, shared set) to a transaction
+        of a group."""
         entry = self._current.get(group_token)
         if entry is None or entry["count"] >= self.batch_size:
             # A full batch leaves ``_current`` with members still running;
@@ -57,13 +60,14 @@ class BatchManager:
                 "count": 0,
                 "token": group_token,
                 "members": set(),
+                "flags": set(),
             }
             self._live[entry["batch_id"]] = entry
             if self.on_open is not None:
                 self.on_open(entry["batch_id"])
         entry["count"] += 1
         entry["members"].add(txn_id)
-        return entry["batch_id"], entry["timestamp"]
+        return entry["batch_id"], entry["timestamp"], entry["flags"]
 
     def oldest_live(self):
         """The oldest timestamp a live batch can still hand out, or None.

@@ -7,7 +7,9 @@ writes, pipelining conflicting transactions without SSI's aborts); a write is
 rejected if a reader with a larger timestamp has already missed it.  The
 *promise* optimisation lets transactions declare their write keys at start
 time so that later readers wait for the write instead of forcing the writer
-to abort.
+to abort.  A promise is the promisor's own state; a reader waits for the
+earlier members, in the node's timestamp-ordered ``_active``, that promised
+its key and have no version of it installed yet.
 
 TSO is leaf-only.  The paper obtains consistent ordering at an internal node
 by batching (transactions of one child group share a timestamp), but that
@@ -41,17 +43,14 @@ class TimestampOrdering(ConcurrencyControl):
         # yet; a later write at timestamp W < T into the range is a write
         # the scan already missed and must abort.
         self._scans = ScanSet()
-        self._promises = {}
         #: txn_id -> txn in timestamp order: ``start`` adds each right after
-        #: the oracle hands it a timestamp larger than any before.
+        #: the oracle hands it a timestamp larger than any before.  The
+        #: commit-order wait reads its head, a promise wait its prefix.
         self._active = {}
         #: A promisor moves when it writes a promised key or finishes.
         self._moved = MovedEvents(engine.env)
 
     # -- helpers -----------------------------------------------------------------
-
-    def _ts(self, txn):
-        return self.state(txn).get("ts", 0)
 
     def _version_ts(self, version):
         ts = version.tso_ts
@@ -64,31 +63,30 @@ class TimestampOrdering(ConcurrencyControl):
     def start(self, txn):
         state = self.state(txn)
         state["read_keys"] = set()
-        state["ts"] = ts = self.engine.oracle.next()
-        txn.cc_timestamp = ts
+        # TSO is leaf-only: a path has one TSO node, whose draw this is.
+        txn.cc_timestamp = self.engine.oracle.next()
         self._active[txn.txn_id] = txn
         # Promises come from the profile: a type that declares its write
         # keys promises them, and later readers wait for those writes.
         profile = self.engine.profile_of(txn.txn_type)
         if profile.promise_keys is not None:
-            promised = frozenset(profile.promise_keys(txn.args))
-            txn.promises = promised
-            for key in promised:
-                self._promises.setdefault(key, set()).add(txn.txn_id)
+            state["promised"] = frozenset(profile.promise_keys(txn.args))
 
     # -- execution phase -----------------------------------------------------------------
 
     def before_read(self, txn, key):
         """Wait for promised writes by smaller-timestamp transactions."""
-        my_ts = self._ts(txn)
+        my_ts = txn.cc_timestamp
 
         def _pending_promisors():
+            # Earlier members that promised the key and have not written it.
             pending = []
-            for writer_id in self._promises.get(key, ()):  # promised, not yet written
-                writer = self._active.get(writer_id)
-                if writer is None or writer_id == txn.txn_id:
-                    continue
-                if self._ts(writer) < my_ts:
+            for writer in self._active.values():
+                if writer.cc_timestamp >= my_ts:
+                    break
+                if key in self.state(writer).get("promised", ()) and (
+                    self.engine.store.own_uncommitted(key, writer.txn_id) is None
+                ):
                     pending.append(writer)
             return pending
 
@@ -112,18 +110,18 @@ class TimestampOrdering(ConcurrencyControl):
         self._scans.add(txn, key_range)
 
     def before_write(self, txn, key, value):
-        my_ts = self._ts(txn)
+        my_ts = txn.cc_timestamp
         readers = self._reads.get(key)
         if readers:
-            for reader_id, (reader, reader_ts, read_version_ts) in list(readers.items()):
+            for reader_id, (reader, read_version_ts) in list(readers.items()):
                 if reader_id == txn.txn_id:
                     continue
-                if reader_ts > my_ts and read_version_ts < my_ts:
+                if reader.cc_timestamp > my_ts and read_version_ts < my_ts:
                     # A later reader already missed this write: abort the writer.
                     self.waits.abort(txn, "tso-write-too-late", reader)
         for reader in self._scans.covering(key):
             reader_id = reader.txn_id
-            if reader_id == txn.txn_id or self._ts(reader) <= my_ts:
+            if reader_id == txn.txn_id or reader.cc_timestamp <= my_ts:
                 continue
             if readers and reader_id in readers:
                 # The scanner read an actual version of this key; the
@@ -134,7 +132,7 @@ class TimestampOrdering(ConcurrencyControl):
             self.waits.abort(txn, "tso-write-too-late", reader)
 
     def _timestamp_read(self, txn, key, candidate):
-        my_ts = self._ts(txn)
+        my_ts = txn.cc_timestamp
         if candidate is not None and not candidate.committed:
             writer_id = candidate.writer
             if writer_id == txn.txn_id or self.engine.find_transaction(writer_id) is None:
@@ -163,7 +161,7 @@ class TimestampOrdering(ConcurrencyControl):
         readers = self._reads.get(key)
         if readers is None:
             readers = self._reads[key] = {}
-        readers[txn.txn_id] = (txn, self._ts(txn), version_ts)
+        readers[txn.txn_id] = (txn, version_ts)
         self.state(txn)["read_keys"].add(key)
 
     def select_version(self, txn, key):
@@ -174,22 +172,19 @@ class TimestampOrdering(ConcurrencyControl):
         return self._timestamp_read(txn, key, candidate)
 
     def after_write(self, txn, key, version):
-        version.tso_ts = self._ts(txn)
-        if key in txn.promises:
-            promisors = self._promises.get(key)
-            if promisors is not None:
-                promisors.discard(txn.txn_id)
+        version.tso_ts = txn.cc_timestamp
+        if key in self.state(txn).get("promised", ()):
             self._moved.fire(txn)
 
     # -- validation & commit ------------------------------------------------------------------
 
     def validate(self, txn):
-        my_ts = self._ts(txn)
+        my_ts = txn.cc_timestamp
 
         def _earlier_active():
             # The earliest active transaction, if earlier: all ``check=FIRST`` reads.
             for head in self._active.values():
-                return (head,) if self._ts(head) < my_ts else ()
+                return (head,) if head.cc_timestamp < my_ts else ()
             return ()
 
         # Commit in timestamp order: wait (targeted) for every earlier
@@ -209,8 +204,4 @@ class TimestampOrdering(ConcurrencyControl):
                 if not readers:
                     self._reads.pop(key, None)
         self._scans.drop(txn.txn_id)
-        for key in txn.promises:
-            promisors = self._promises.get(key)
-            if promisors is not None:
-                promisors.discard(txn.txn_id)
         self._moved.fire(txn)

@@ -75,7 +75,6 @@ class Transaction:
     cc_state: dict = field(default_factory=dict)
     cc_timestamp: Optional[int] = None
     commit_timestamp: Optional[int] = None
-    promises: frozenset = frozenset()
 
     # Set by the engine at begin time: a one-shot event triggered when the
     # transaction commits or aborts (used for targeted dependency waits).

@@ -243,29 +243,30 @@ class TestTimestamps:
 
     def test_batch_manager_shares_timestamp_within_batch(self):
         manager = BatchManager(TimestampOracle(), batch_size=3)
-        batch_a, ts_a = manager.admit("g1", 1)
-        batch_b, ts_b = manager.admit("g1", 2)
+        batch_a, ts_a, flags_a = manager.admit("g1", 1)
+        batch_b, ts_b, flags_b = manager.admit("g1", 2)
         assert batch_a == batch_b
         assert ts_a == ts_b
+        assert flags_a is flags_b
 
     def test_batch_rotates_after_size(self):
         manager = BatchManager(TimestampOracle(), batch_size=2)
-        first, _ = manager.admit("g1", 1)
+        first = manager.admit("g1", 1)[0]
         manager.admit("g1", 2)
-        third, _ = manager.admit("g1", 3)
+        third = manager.admit("g1", 3)[0]
         assert third != first
 
     def test_different_groups_get_different_batches(self):
         manager = BatchManager(TimestampOracle(), batch_size=10)
-        batch_a, _ = manager.admit("g1", 1)
-        batch_b, _ = manager.admit("g2", 2)
+        batch_a = manager.admit("g1", 1)[0]
+        batch_b = manager.admit("g2", 2)[0]
         assert batch_a != batch_b
 
     def test_last_member_finishing_forces_new_batch(self):
         manager = BatchManager(TimestampOracle(), batch_size=10)
-        first, _ = manager.admit("g1", 1)
+        first = manager.admit("g1", 1)[0]
         manager.discard(first, 1)
-        second, _ = manager.admit("g1", 2)
+        second = manager.admit("g1", 2)[0]
         assert second != first
 
 

@@ -158,8 +158,9 @@ def test_no_waiter_outlives_its_blockers(cell):
 
 class ScanStepWorkload(TwoStepWorkload):
     """Three tables, so three RP steps; every type may scan the last one.
-    ``("scan", table)`` scans a whole table and ``("mark", label)`` notes
-    the simulated time it is reached in :attr:`marks`."""
+    ``("scan", table)`` scans a whole table, ``("mark", label)`` notes the
+    simulated time it is reached in :attr:`marks`, and a transaction returns
+    the sum of what it read."""
 
     name = "scan-step"
     TABLES = ("hot", "tail", "log")
@@ -168,13 +169,15 @@ class ScanStepWorkload(TwoStepWorkload):
         self.marks = {}
 
     def _run_ops(self, ctx, ops):
+        total = 0
         for op in ops:
             if op[0] == "scan":
                 yield from ctx.scan(op[1])
             elif op[0] == "mark":
                 self.marks[op[1]] = ctx.now
             else:
-                yield from super()._run_ops(ctx, [op])
+                total += yield from super()._run_ops(ctx, [op])
+        return total
 
     def build_transaction_types(self):
         types = super().build_transaction_types()
@@ -213,6 +216,84 @@ def test_an_rp_scan_that_advances_a_step_wakes_its_pipeline_waiters():
     assert all(process.value.committed for process in processes)
     assert workload.marks["t2 in tail"] == workload.marks["t1 scanned"] == 0.2
     assert t1.end_time >= 1.2
+
+
+class PromiseWorkload(ScanStepWorkload):
+    """:class:`ScanStepWorkload` whose transactions promise the keys their
+    ``promise`` argument names."""
+
+    name = "promise"
+
+    def _run_ops(self, ctx, ops, promise=()):
+        return (yield from super()._run_ops(ctx, ops))
+
+    def build_transaction_types(self):
+        types = super().build_transaction_types()
+        for txn_type in types.values():
+            txn_type.profile = dataclasses.replace(
+                txn_type.profile, promise_keys=lambda args: args.get("promise", ())
+            )
+        return types
+
+
+def _promise_run(lanes):
+    """Run ``(txn_type, ops, promised keys)`` lanes, started in this order
+    (so in timestamp order), on a TSO leaf with no costs charged and every
+    moved event checked.  Returns the workload's marks and the finished
+    transactions, in lane order."""
+    env = Environment()
+    workload = PromiseWorkload()
+    with checked_wakes() as helpers:
+        engine = build_engine(
+            env,
+            workload,
+            monolithic("tso", ("alpha", "beta"), name="tso-promise"),
+            options=EngineOptions(charge_costs=False, commit_wait_timeout=4.0),
+        )
+        processes = [
+            env.process(engine.execute_transaction(
+                txn_type, {"ops": ops, "promise": promised}
+            ))
+            for txn_type, ops, promised in lanes
+        ]
+        env.run()
+    assert_drained(helpers)
+    txns = [process.value for process in processes]
+    assert all(txn.committed for txn in txns)
+    return workload.marks, txns
+
+
+class TestPromiseWait:
+    """A TSO read waits for the earlier-timestamp members that promised its
+    key and have not written it yet, and for nobody else."""
+
+    HOT = ("hot", 0)
+
+    def test_the_reader_resumes_at_the_promised_write(self):
+        marks, (t1, t2) = _promise_run([
+            ("alpha", [("think", 0.2), ("w", "hot", 0, 10), ("mark", "t1 wrote"),
+                       ("think", 1.0)], (self.HOT,)),
+            ("beta", [("think", 0.1), ("r", "hot", 0), ("mark", "t2 read")], ()),
+        ])
+        assert marks["t2 read"] == marks["t1 wrote"] == 0.2
+        assert t1.end_time >= 1.2
+        assert t2.result == 10 and t1.txn_id in t2.read_from
+
+    def test_a_later_promisor_does_not_block(self):
+        marks, (t1, t2) = _promise_run([
+            ("beta", [("think", 0.1), ("r", "hot", 0), ("mark", "t1 read")], ()),
+            ("alpha", [("think", 0.2), ("w", "hot", 0, 10)], (self.HOT,)),
+        ])
+        assert marks["t1 read"] == 0.1
+        assert t1.result == 0 and t2.txn_id not in t1.read_from
+
+    def test_a_promisor_that_never_writes_holds_the_reader_until_it_finishes(self):
+        marks, (t1, t2) = _promise_run([
+            ("alpha", [("w", "tail", 0, 10), ("think", 0.5)], (self.HOT,)),
+            ("beta", [("think", 0.1), ("r", "hot", 0), ("mark", "t2 read")], ()),
+        ])
+        assert marks["t2 read"] == t1.end_time == 0.5
+        assert t2.result == 0
 
 
 def test_the_commit_order_wait_names_the_live_head():
