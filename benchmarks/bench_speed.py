@@ -328,7 +328,8 @@ def census_by_owner(runner):
     engine, recorder = runner.engine, runner.recorder
     roots = []
     if recorder is not None:
-        roots.append(("recorder records", recorder._records))
+        if recorder._records is not None:
+            roots.append(("recorder records", recorder._records))
         roots.append(("cycle detector", recorder.streaming_checker.detector))
         roots.append(("streaming checker", recorder.streaming_checker))
         roots.append(("recorder, the rest", recorder))

@@ -12,8 +12,8 @@
 # registries a drained run leaves empty, the read
 # records per commit of tpcc/3layer and of a checked smallbank/3layer, the
 # log records per durable smallbank/3layer commit, the import time, the
-# cycle-detector nodes a checked smallbank/3layer holds and the state
-# census's allow-lists.
+# cycle-detector nodes and the commit records a checked smallbank/3layer
+# holds and the state census's allow-lists.
 #
 # Usage: scripts/check.sh [--quick]
 #
@@ -213,6 +213,11 @@ python -m timeit -n 1 -r 3 -s 'import subprocess, sys' \
 # tests/test_retention.py bounds it.
 python -c 'from tests.test_retention import detector_nodes_held as held
 print("cycle-detector nodes after 4,800 checked smallbank/3layer commits: {}".format(held((4800,))[0]))'
+# The verdict reads no commit record, so only a fault lane's recorder keeps
+# them: a plain checked run holds none (0; one per commit, in a ring of up to
+# 50,000, while every checked run kept them).  tests/test_retention.py pins it.
+python -c 'from tests.test_retention import commit_records_held as held
+print("commit records after 4,800 checked smallbank/3layer commits: {}".format(held(4800)[1]))'
 # Nothing under src/ lives for the tests alone: what the state census lets
 # through — definitions only tests use, fields only tests read, fields kept
 # unread for a stated reason (tests/test_state_census.py).

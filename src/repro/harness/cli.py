@@ -122,10 +122,6 @@ def build_parser():
         help="isolation level the oracle checks against",
     )
     parser.add_argument(
-        "--history-window", type=int, default=None,
-        help="bound the recorder to the most recent N committed transactions",
-    )
-    parser.add_argument(
         "--ycsb-profile", choices=("a", "b", "e"), default="a",
         help="YCSB operation mix (read/update, read-heavy, scan-heavy)",
     )
@@ -226,7 +222,6 @@ def _make_cell_task(args, mode, workload_name, config_name, clients):
             warmup=warmup,
             seed=seed,
             isolation_level=args.level,
-            history_window=args.history_window,
             raise_on_violation=False,
         )
     return cell
@@ -302,10 +297,6 @@ def main(argv=None):
         parser.error(f"--duration must be positive, got {args.duration}")
     if args.warmup < 0:
         parser.error(f"--warmup must be non-negative, got {args.warmup}")
-    if args.history_window is not None and args.history_window < 1:
-        parser.error(
-            f"--history-window must be a positive integer, got {args.history_window}"
-        )
     for flag, count in (("--faults", args.faults), ("--net-faults", args.net_faults)):
         if count < 0:
             parser.error(f"{flag} must be a non-negative integer, got {count}")

@@ -101,7 +101,6 @@ class BenchmarkRunner:
         mix=None,
         check_isolation=False,
         isolation_level="serializable",
-        history_window=None,
         lanes=(),
     ):
         self.workload = workload
@@ -116,17 +115,16 @@ class BenchmarkRunner:
         )
         # Checked-run mode: stream the committed history into a recorder and
         # verify the run against the Adya isolation oracle after every
-        # measurement (fault lanes always run checked).  ``history_window``
-        # bounds recorder memory (ring of the most recent committed
-        # transactions) for long runs.  The recorder streams dependency
-        # edges into the incremental DSG checker as commits happen, so the
-        # post-measurement check reads the verdict off.  One recorder spans
-        # every incarnation of a crash-enabled run.
+        # measurement (fault lanes always run checked).  The recorder streams
+        # dependency edges into the incremental DSG checker as commits
+        # happen, so the post-measurement check reads the verdict off; it
+        # keeps commit records only for the lanes, whose checks read them.
+        # One recorder spans every incarnation of a crash-enabled run.
         self.recorder = None
         if check_isolation or self.lanes:
             # The recorder validates the level (ValueError on unknown names).
             self.recorder = HistoryRecorder(
-                max_transactions=history_window, level=isolation_level
+                level=isolation_level, records=bool(self.lanes)
             )
         # One durability manager for the whole run: its persistent backends
         # survive the engine rebuilds of a crash-enabled run.

@@ -8,9 +8,10 @@ version; this is everything Adya's graph-based definitions need.
 engine notifies it on every commit and abort, and it folds each one into the
 isolation oracle (:class:`~repro.isolation.streaming.StreamingDSGChecker`),
 which keeps every committed version's place in its key's order — including
-versions the store later drops.  It is the only source of histories — the
-engine itself keeps no transaction past the last one concurrent with it —
-and the backbone of the harness's ``check_isolation`` mode.
+versions the store later drops.  It is the backbone of the harness's
+``check_isolation`` mode, and the only source of histories — the engine
+itself keeps no transaction past the last one concurrent with it — for the
+fault lanes that read one: only their recorder keeps commit records.
 """
 
 from collections import OrderedDict
@@ -29,7 +30,6 @@ class HistoryTransaction:
     reads: list = field(default_factory=list)     # (key, writer_id, commit_seq|None)
     writes: list = field(default_factory=list)    # (key, commit_seq)
     scans: list = field(default_factory=list)     # KeyRange per range scan
-    begin_time: float = 0.0
     end_time: float = 0.0
 
 
@@ -39,7 +39,7 @@ class History:
 
     ``extra_committed`` names transactions that are known to have committed
     but whose read/write details are no longer retained (evicted from a
-    bounded :class:`HistoryRecorder` ring).  They count as committed, so
+    :class:`HistoryRecorder`'s record ring).  They count as committed, so
     reads-from and version orders referencing them are not aborted reads.
     """
 
@@ -55,11 +55,11 @@ class History:
         return len(self.transactions)
 
 
-#: A retained record is one flat tuple: ``txn_type, begin_time, end_time,
-#: scans, num_writes``, then ``key, commit_seq`` per write from this index
-#: on, then ``key, writer, commit_seq`` per read to the end (the observed
-#: ``Version`` stands in for a ``commit_seq`` not yet assigned).
-_WRITES_AT = 5
+#: A retained record is one flat tuple: ``txn_type, end_time, scans,
+#: num_writes``, then ``key, commit_seq`` per write from this index on, then
+#: ``key, writer, commit_seq`` per read to the end (the observed ``Version``
+#: stands in for a ``commit_seq`` not yet assigned).
+_WRITES_AT = 4
 
 
 class HistoryRecorder:
@@ -71,50 +71,44 @@ class HistoryRecorder:
     (serializable unless told otherwise): every commit's dependency edges
     are derived immediately and fed to the incremental cycle detector, so
     the verdict is ready the moment the run ends — no post-hoc graph pass.
-    The checker sees every commit (it is fed before ring eviction) and owns
-    the run's per-key version order — every committed version, although the
-    store drops superseded ones — which :meth:`seq_of` and :meth:`history`
-    read; its detector forgets what the engine releases (:meth:`on_release`).
+    The checker sees every commit and owns the run's per-key version order —
+    every committed version, although the store drops superseded ones —
+    which :meth:`seq_of` and :meth:`history` read; its detector forgets what
+    the engine releases (:meth:`on_release`).
 
-    A retained record is one flat tuple (layout at :data:`_WRITES_AT`): a
-    read of a version already sequenced when its reader commits is kept as
-    the atoms ``key, writer, commit_seq`` — a sequence never changes once
-    assigned — and only a read of a still-unsequenced version (a pipelined
-    read under RP) keeps the observed :class:`Version` in the sequence's
-    place, so :meth:`history` picks up the writer's final commit sequence
-    (``None``, an aborted read, if it never commits).  Atoms do not pin
-    superseded versions, and the cyclic collector stops tracking them.
-
-    The verdict never needs the records — they serve :meth:`history` (the
-    fault lanes' checks, diagnostics) and the crash stitch — so they are a
-    ring of the ``max_transactions`` most recent commits (default
-    :data:`STREAMING_WINDOW_DEFAULT`), which pins the recorder's memory in
-    long checked runs.  Evicted transactions surface via
+    The verdict never reads a commit record, so a recorder keeps them only
+    when built with ``records=True``: the fault lanes' checks read them
+    through :meth:`history` and the crash stitch (:meth:`on_crash`), and
+    each of those raises on a recorder without them, so an empty history
+    never passes a check.  The records are a ring of the :attr:`RECORD_RING`
+    most recent commits (and as many aborted ids), which pins a long lane
+    run's memory.  Evicted transactions surface via
     ``History.extra_committed`` — derived from the version orders (every
     evicted *writer* still appears there, and reads only ever reference
     writers) so eviction leaves no growing side table.
+
+    A record is one flat tuple (layout at :data:`_WRITES_AT`): a read of a
+    version already sequenced when its reader commits is kept as the atoms
+    ``key, writer, commit_seq`` — a sequence never changes once assigned —
+    and only a read of a still-unsequenced version (a pipelined read under
+    RP) keeps the observed :class:`Version` in the sequence's place, so
+    :meth:`history` picks up the writer's final commit sequence (``None``,
+    an aborted read, if it never commits).  Atoms do not pin superseded
+    versions, and the cyclic collector stops tracking them.
     """
 
-    #: Default size of the record ring.
-    STREAMING_WINDOW_DEFAULT = 50_000
+    #: Size of the record ring (and of the aborted-id ring).
+    RECORD_RING = 50_000
 
-    def __init__(self, max_transactions=None, level="serializable"):
-        if max_transactions is None:
-            max_transactions = self.STREAMING_WINDOW_DEFAULT
-        if max_transactions < 1:
-            # A ring of no records answers every check with "nothing wrong".
-            raise ValueError(
-                f"max_transactions must be at least 1, got {max_transactions}"
-            )
-        self.max_transactions = max_transactions
+    def __init__(self, level="serializable", records=False):
         # ValueError on an unknown level, None included.
         self.streaming_checker = StreamingDSGChecker(kinds_for(level))
-        # txn_id -> flat record (see _WRITES_AT)
-        self._records = OrderedDict()
-        # Insertion-ordered so a window bounds it like the commit ring; old
-        # aborted writers stay detectable anyway (their reads resolve to
-        # commit_seq None and the writer is never in the committed set).
-        self._aborted_ids = OrderedDict()
+        # txn_id -> flat record (see _WRITES_AT), and the aborted ids as an
+        # insertion-ordered ring; old aborted writers stay detectable anyway
+        # (their reads resolve to commit_seq None and the writer is never in
+        # the committed set).
+        self._records = OrderedDict() if records else None
+        self._aborted_ids = OrderedDict() if records else None
         self._evicted = False
         self.recorded_commits = 0
         #: Transaction ids committed more than once — a phantom commit
@@ -122,40 +116,48 @@ class HistoryRecorder:
         #: Must stay empty; the degraded harness asserts on it.
         self.duplicate_commits = []
 
+    def _held(self):
+        """The record ring; a recorder without one refuses to answer."""
+        if self._records is None:
+            raise ValueError("this recorder keeps no commit records (records=False)")
+        return self._records
+
     def on_commit(self, txn, versions):
-        """Record one committed transaction and its installed versions."""
-        if txn.txn_id in self._records:
-            # A second commit of the same transaction would silently
-            # overwrite the first record; flag it loudly instead — no
-            # engine path may commit twice, retransmits included.
-            self.duplicate_commits.append(txn.txn_id)
+        """Fold one committed transaction and its installed versions."""
+        checker, txn_id = self.streaming_checker, txn.txn_id
+        if txn_id in checker._committed:
+            # No engine path may commit twice, retransmits included; the
+            # checker's committed set spans the whole run.
+            self.duplicate_commits.append(txn_id)
         scans = tuple(txn.scans) if txn.scans else ()
-        flat = [txn.txn_type, txn.begin_time, txn.end_time, scans, len(versions)]
-        for version in versions:
-            flat += (version.key, version.commit_seq)
         reads = [
             (record.key, record.version)
             for record in txn.reads
             if record.version is not None
         ]
-        for key, version in reads:
-            seq = version.commit_seq
-            flat += (key, version.writer, version if seq is None else seq)
-        self.streaming_checker.on_commit(txn.txn_id, versions, reads, scans)
         records = self._records
-        records[txn.txn_id] = tuple(flat)
+        if records is not None:
+            flat = [txn.txn_type, txn.end_time, scans, len(versions)]
+            for version in versions:
+                flat += (version.key, version.commit_seq)
+            for key, version in reads:
+                seq = version.commit_seq
+                flat += (key, version.writer, version if seq is None else seq)
+            records[txn_id] = tuple(flat)
+            while len(records) > self.RECORD_RING:
+                records.popitem(last=False)
+                self._evicted = True
+        checker.on_commit(txn_id, versions, reads, scans)
         self.recorded_commits += 1
-        while len(records) > self.max_transactions:
-            records.popitem(last=False)
-            self._evicted = True
 
     def on_abort(self, txn):
         """Record that a transaction aborted (readers of it are doomed)."""
         self.streaming_checker.on_abort(txn.txn_id)
         aborted = self._aborted_ids
-        aborted[txn.txn_id] = None
-        while len(aborted) > self.max_transactions:
-            aborted.popitem(last=False)
+        if aborted is not None:
+            aborted[txn.txn_id] = None
+            while len(aborted) > self.RECORD_RING:
+                aborted.popitem(last=False)
 
     def on_release(self, txn_id):
         """The engine let go of committed ``txn_id``: the detector may prune it."""
@@ -175,15 +177,16 @@ class HistoryRecorder:
         purging vanished writers leaves every survivor's final version of a
         key where it was.
         """
+        records, aborted = self._held(), self._aborted_ids
         vanished = {txn_id for txn_id in vanished if txn_id}
         if not vanished:
             return
-        records, aborted = self._records, self._aborted_ids
-        for txn_id in vanished:
-            if records.pop(txn_id, None) is not None:
-                self.recorded_commits -= 1
-            aborted[txn_id] = None
         checker = self.streaming_checker
+        # The checker's committed set, not the ring, spans the whole run.
+        self.recorded_commits -= len(vanished & checker._committed)
+        for txn_id in vanished:
+            records.pop(txn_id, None)
+            aborted[txn_id] = None
         checker.on_crash(vanished)
         flagged = set(checker.aborted_reads)
         flagged.update(checker.pending_aborted_reads())
@@ -202,11 +205,12 @@ class HistoryRecorder:
         resurrects its writes; its reads died with the crash, so only the
         writes constrain the stitched graph — exactly the information the
         durable log retains."""
-        flat = [txn_type, now, now, (), len(versions)]
+        records = self._held()
+        flat = [txn_type, now, (), len(versions)]
         for version in versions:
             flat += (version.key, version.commit_seq)
         self.streaming_checker.on_commit(txn_id, versions, (), ())
-        self._records[txn_id] = tuple(flat)
+        records[txn_id] = tuple(flat)
         self.recorded_commits += 1
 
     def seq_of(self, key, writer):
@@ -217,11 +221,9 @@ class HistoryRecorder:
         restore surviving versions with their original sequence numbers."""
         return self.streaming_checker._final.get((key, writer))
 
-    def __len__(self):
-        return len(self._records)
-
     def history(self):
         """Materialise the recorded run as a :class:`History`."""
+        records = self._held()
         checker = self.streaming_checker
         version_orders = {
             key: list(zip(checker._seqs[key], writers))
@@ -229,27 +231,25 @@ class HistoryRecorder:
         }
         extra_committed = set()
         if self._evicted:
-            retained = self._records
             extra_committed = {
                 writer
                 for writers in checker._writers.values()
                 for writer in writers
-                if writer not in retained
+                if writer not in records
             }
         history = History(
             version_orders=version_orders,
             aborted_ids=set(self._aborted_ids),
             extra_committed=extra_committed,
         )
-        for txn_id, flat in self._records.items():
-            txn_type, begin, end, scans, num_writes = flat[:_WRITES_AT]
+        for txn_id, flat in records.items():
+            txn_type, end, scans, num_writes = flat[:_WRITES_AT]
             reads_at = _WRITES_AT + 2 * num_writes
             writes, reads = flat[_WRITES_AT:reads_at], flat[reads_at:]
             history.add_transaction(
                 HistoryTransaction(
                     txn_id=txn_id,
                     txn_type=txn_type,
-                    begin_time=begin,
                     end_time=end,
                     writes=list(zip(writes[::2], writes[1::2])),
                     reads=[

@@ -75,6 +75,14 @@ def tiny_tpcc():
     return TPCCWorkload(scale=scale)
 
 
+class RecordingRecorder(HistoryRecorder):
+    """A recorder that keeps commit records, as a fault lane's does: what a
+    test hands the post-hoc reference checker (``history()``)."""
+
+    def __init__(self, level="serializable"):
+        super().__init__(level=level, records=True)
+
+
 def build_engine(env, workload, configuration, options=None, profiler=None,
                  engine_class=TebaldiEngine, store_class=MultiVersionStore,
                  recorder_class=HistoryRecorder):

@@ -42,7 +42,13 @@ from repro.sim.environment import Environment
 from repro.storage.tables import Catalog, Table, TableSchema
 from repro.workloads.base import Workload
 from repro.workloads.micro import CrossGroupConflictWorkload
-from tests.conftest import OverlapAuditEngine, build_engine, run_transactions, think
+from tests.conftest import (
+    OverlapAuditEngine,
+    RecordingRecorder,
+    build_engine,
+    run_transactions,
+    think,
+)
 from tests.reference_checker import check_history
 
 TXN_TYPES = ("alpha", "beta", "reader")
@@ -310,7 +316,9 @@ class TestConformanceFuzz:
         workload = ConformanceWorkload()
         rng = random.Random(1234)
         requests = [workload.next_transaction(rng) for _ in range(40)]
-        report, committed, recorder = run_conformance(tree_name, requests)
+        report, committed, recorder = run_conformance(
+            tree_name, requests, recorder_class=RecordingRecorder
+        )
         assert report.ok, f"{tree_name}: {report.describe()}"
         assert committed > 0
         # Streaming and post-hoc reference passes agree on the same history.

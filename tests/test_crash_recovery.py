@@ -264,7 +264,7 @@ class TestRecoveryProtocol:
 
 class TestHistoryStitch:
     def test_vanished_writer_flags_surviving_reader(self):
-        recorder = HistoryRecorder(level="serializable")
+        recorder = HistoryRecorder(level="serializable", records=True)
         v1 = committed_version(("t", 1), writer=1, seq=10)
         record_commit(recorder, 1, [v1])
         record_commit(recorder, 2, [], reads=[v1])
@@ -277,7 +277,7 @@ class TestHistoryStitch:
         """2 read 1's version and 3 overwrote it before the crash lost 1:
         2 is no longer parked on 1, so the crash stitch itself must flag
         the read — once."""
-        recorder = HistoryRecorder(level="serializable")
+        recorder = HistoryRecorder(level="serializable", records=True)
         v1 = committed_version(("t", 1), writer=1, seq=10)
         record_commit(recorder, 1, [v1])
         record_commit(recorder, 2, [], reads=[v1])
@@ -288,7 +288,7 @@ class TestHistoryStitch:
         assert check_history(recorder.history()).aborted_reads == report.aborted_reads
 
     def test_vanished_transaction_leaves_no_trace(self):
-        recorder = HistoryRecorder(level="serializable")
+        recorder = HistoryRecorder(level="serializable", records=True)
         v1 = committed_version(("t", 1), writer=1, seq=10)
         record_commit(recorder, 1, [v1])
         v2 = committed_version(("t", 1), writer=2, seq=11)
@@ -301,7 +301,7 @@ class TestHistoryStitch:
         assert writers_of(history, ("t", 1)) == [1]
 
     def test_ghost_survivor_joins_the_version_order(self):
-        recorder = HistoryRecorder(level="serializable")
+        recorder = HistoryRecorder(level="serializable", records=True)
         v1 = committed_version(("t", 1), writer=1, seq=10)
         record_commit(recorder, 1, [v1])
         recorder.on_crash(set())
@@ -317,7 +317,7 @@ class TestHistoryStitch:
         assert history.transactions[5].txn_type == "recovered"
 
     def test_streaming_purge_matches_posthoc_verdict(self):
-        recorder = HistoryRecorder(level="serializable")
+        recorder = HistoryRecorder(level="serializable", records=True)
         v1 = committed_version(("t", 1), writer=1, seq=10)
         v2 = committed_version(("t", 2), writer=2, seq=11)
         record_commit(recorder, 1, [v1])
@@ -329,6 +329,29 @@ class TestHistoryStitch:
         assert streaming.ok == posthoc.ok is False  # 3 read vanished data
         flagged = {tuple(e) for e in streaming.aborted_reads}
         assert (3, ("t", 2), 2) in flagged
+
+    def test_a_vanished_commit_the_ring_evicted_leaves_the_count(self, monkeypatch):
+        """The report's commit count drops by every vanished commit, also by
+        one whose record the ring already evicted."""
+        monkeypatch.setattr(HistoryRecorder, "RECORD_RING", 4)
+        recorder = HistoryRecorder(level="serializable", records=True)
+        for txn_id in range(1, 11):
+            record_commit(recorder, txn_id, [])
+        recorder.on_crash({1, 9, 99})  # 1 evicted, 9 retained, 99 never committed
+        assert check_recorder(recorder).num_transactions == 8
+
+    def test_a_recorder_without_records_refuses_the_stitch(self):
+        """Only a lane's recorder keeps records; a plain one cannot stitch a
+        crash (its records would be an empty history that passes)."""
+        recorder = HistoryRecorder(level="serializable")
+        record_commit(recorder, 1, [committed_version(("t", 1), writer=1, seq=10)])
+        for call in (
+            lambda: recorder.on_crash({1}),
+            lambda: recorder.on_recovered(5, []),
+            recorder.history,
+        ):
+            with pytest.raises(ValueError, match="no commit records"):
+                call()
 
 
 QUEUE_CRASH_CONFIGS = CRASH_CELLS["queue"]
@@ -486,13 +509,14 @@ class TestCrashScenarios:
         assert history.transactions[ghost].txn_type == "recovered"
         assert result.extra["isolation"].ok
 
-    def test_crash_report_does_not_depend_on_the_history_window(self):
+    def test_crash_report_does_not_depend_on_the_record_ring(self, monkeypatch):
         """The crash is classified from the durable log and the engine, not
-        from the recorder's ring: a window far below the incarnation's
+        from the recorder's ring: a ring far below the incarnation's
         commits (peeks among them) reports the same commits, vanished
-        transactions and single ghost as an unbounded recorder."""
+        transactions and single ghost as the default one."""
 
-        def crash_with(window):
+        def crash_with(ring):
+            monkeypatch.setattr(HistoryRecorder, "RECORD_RING", ring)
             lane = CrashLane(
                 fault_plan=FaultPlan((CrashPoint("precommit-done", 25),)),
                 durability=default_crash_durability(asynchronous=False),
@@ -501,17 +525,17 @@ class TestCrashScenarios:
                 _queue_workload(),
                 WORKLOAD_CONFIGURATIONS["queue"]["3layer"](),
                 seed=11,
-                history_window=window,
                 lanes=[lane],
             )
             result = run_and_stop(runner, 8, duration=0.5)
             assert result.extra["isolation"].ok
             return result.crashes[0]
 
-        windowed, unbounded = crash_with(5), crash_with(None)
-        assert windowed.committed_before > 5
-        assert len(windowed.ghosts) == 1
-        assert windowed == unbounded
+        default = crash_with(HistoryRecorder.RECORD_RING)
+        small = crash_with(5)
+        assert small.committed_before > 5
+        assert len(small.ghosts) == 1
+        assert small == default
 
     def test_vanished_transactions_on_async_crash(self):
         """A crash before any GCP flush wipes every commit since the start:
@@ -702,7 +726,7 @@ class TestCrashSoak:
     def test_exactly_once_helper_flags_double_consume(self):
         """The helper itself must be able to fail: two committed dequeues
         of one message key are reported."""
-        recorder = HistoryRecorder(level="serializable")
+        recorder = HistoryRecorder(level="serializable", records=True)
         key = ("messages", 1)
         v0 = committed_version(key, writer=1, seq=5)
         record_commit(recorder, 1, [v0], txn_type="enqueue")

@@ -14,7 +14,7 @@ from repro.database import Database
 from repro.harness import configs
 from repro.harness.cli import build_workload
 from repro.harness.report import format_run_results, format_table
-from repro.harness.runner import BenchmarkRunner, run_benchmark
+from repro.harness.runner import BenchmarkRunner, Lane, run_benchmark
 from repro.isolation.history import History, HistoryRecorder, HistoryTransaction
 from repro.storage.versions import Version
 from repro.workloads.micro import CrossGroupConflictWorkload
@@ -179,14 +179,15 @@ class TestIsolationOracle:
 
 
 class TestHistoryRecorder:
-    def _checked_runner(self, **kwargs):
+    def _checked_runner(self):
+        # The no-op lane keeps the commit records history() reads.
         workload = CrossGroupConflictWorkload(shared_rows=5, cold_rows=50)
         return BenchmarkRunner(
             workload,
             monolithic("2pl", sorted(workload.transaction_types())),
             seed=11,
             check_isolation=True,
-            **kwargs,
+            lanes=(Lane(),),
         )
 
     def test_recorder_streams_full_version_order(self):
@@ -219,8 +220,9 @@ class TestHistoryRecorder:
         assert len(chain) < len(order) and len(order) > 10
         assert result.extra["isolation"].ok
 
-    def test_recorder_ring_eviction_keeps_checks_sound(self):
-        runner = self._checked_runner(history_window=25)
+    def test_recorder_ring_eviction_keeps_checks_sound(self, monkeypatch):
+        monkeypatch.setattr(HistoryRecorder, "RECORD_RING", 25)
+        runner = self._checked_runner()
         try:
             result = runner.run(6, duration=0.3, warmup=0.05)
         finally:
@@ -267,7 +269,7 @@ class TestHistoryRecorder:
         from repro.storage.mvstore import MultiVersionStore
 
         store = MultiVersionStore()
-        recorder = HistoryRecorder()
+        recorder = HistoryRecorder(records=True)
         writer = Transaction(txn_id=1, txn_type="w", reads=[])
         version = store.install(("x",), {"v": 1}, writer)
         reader = Transaction(txn_id=2, txn_type="r", reads=[])
@@ -692,18 +694,6 @@ class TestHarnessCLI:
             main(["--workload", "micro", "--warmup", "-1"])
         assert excinfo.value.code == 2
         assert "--warmup" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("window", ["0", "-5"])
-    def test_cli_rejects_non_positive_history_window(self, capsys, window):
-        """0 evicted every record and still printed "all 1 checked runs
-        passed"; -5 died with ``KeyError`` in ``HistoryRecorder.on_commit``."""
-        from repro.harness.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--workload", "micro", "--config", "2pl", "--quick",
-                  "--history-window", window])
-        assert excinfo.value.code == 2
-        assert "--history-window" in capsys.readouterr().err
 
     def test_cli_all_rejects_workload_filter(self, capsys):
         from repro.harness.cli import main

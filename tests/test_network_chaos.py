@@ -37,6 +37,7 @@ from repro.harness.degraded import (
     retransmit_violations,
     run_degraded_benchmark,
 )
+from repro.isolation.history import HistoryRecorder
 from repro.sim.environment import Environment
 from repro.sim.faults import (
     MESSAGE_FAULT_KINDS,
@@ -650,17 +651,17 @@ class TestChaosCells:
         assert result.violations == {}
         assert result.extra["isolation"].ok
 
-    def test_checks_hold_with_a_history_window_below_the_commit_count(self):
+    def test_checks_hold_with_a_record_ring_below_the_commit_count(self, monkeypatch):
         # The recorder's ring evicts read-only commits (balance) long before
         # the run ends; the durability checks must not mistake them for
         # durable transactions that never committed.
+        monkeypatch.setattr(HistoryRecorder, "RECORD_RING", 100)
         result = run_degraded_benchmark(
             build_workload("smallbank"),
             WORKLOAD_CONFIGURATIONS["smallbank"]["2pl"](),
             clients=8,
             duration=0.4,
             seed=11,
-            history_window=100,
             raise_on_violation=False,
         )
         assert result.commits > 100

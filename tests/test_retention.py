@@ -78,7 +78,7 @@ from repro.errors import ConfigurationError
 from repro.harness import configs
 from repro.harness import runner as runner_module
 from repro.harness.degraded import NetFaultLane
-from repro.harness.runner import BenchmarkRunner
+from repro.harness.runner import BenchmarkRunner, Lane
 from repro.isolation.checker import check_recorder
 from repro.isolation.history import HistoryRecorder
 from repro.sim.environment import Environment
@@ -95,7 +95,13 @@ from repro.workloads.smallbank import SmallBankWorkload
 from repro.workloads.tpcc import TPCCWorkload
 from repro.workloads.tpcc.schema import TPCCScale
 from repro.workloads.ycsb import YCSBWorkload
-from tests.conftest import OverlapAuditEngine, build_engine, read_row, run_transactions
+from tests.conftest import (
+    OverlapAuditEngine,
+    RecordingRecorder,
+    build_engine,
+    read_row,
+    run_transactions,
+)
 from tests.reference_checker import check_history
 from tests.snapshot_read_census import census_of_run
 from tests import test_cc_conformance as conformance
@@ -888,12 +894,15 @@ class TestFlatRetention:
     """The log and the history ring are data the cyclic collector cannot see."""
 
     def test_durable_checked_run_is_flat_and_grows_by_a_few_objects_per_commit(self):
+        # A no-op lane: the recorder keeps the commit records pinned below,
+        # as a fault lane's does.
         runner = BenchmarkRunner(
             _smallbank(),
             configs.smallbank_3layer(),
             options=EngineOptions(durability=DurabilityConfig(enabled=True)),
             seed=7,
             check_isolation=True,
+            lanes=(Lane(),),
         )
         try:
             runner.add_clients(CLIENTS)
@@ -918,7 +927,7 @@ class TestFlatRetention:
             retained = list(runner.recorder._records.values())
             flat = [
                 record for record in retained
-                if not record[3] and not any(isinstance(item, Version) for item in record)
+                if not record[2] and not any(isinstance(item, Version) for item in record)
             ]
             assert len(retained) > 4800 and len(flat) > 0.9 * len(retained)
             assert not any(map(gc.is_tracked, flat))
@@ -962,6 +971,99 @@ def detector_nodes_held(targets=(1200, 4800)):
         return held
     finally:
         runner.stop()
+
+
+def commit_records_held(commits=4800):
+    """The recorder of a plain checked ``smallbank/3layer`` run (seed 7, 16
+    clients) after ``commits`` commits, with the commit records and aborted
+    ids it holds.  ``scripts/check.sh`` prints the records."""
+    runner = BenchmarkRunner(
+        _smallbank(), configs.smallbank_3layer(), seed=7, check_isolation=True
+    )
+    try:
+        runner.add_clients(CLIENTS)
+        while runner.engine.stats.commits < commits:
+            runner.run_additional(0.01)
+        assert runner.check_isolation().ok
+        recorder = runner.recorder
+        return recorder, len(recorder._records or ()), len(recorder._aborted_ids or ())
+    finally:
+        runner.stop()
+
+
+def _report_fields(report):
+    return (
+        report.ok, report.serializable, report.cycles, report.aborted_reads,
+        report.intermediate_reads, report.edges_into_pruned,
+        report.num_transactions, report.num_edges,
+    )
+
+
+class TestRecordsOnlyForLanes:
+    """The verdict reads no commit record, so only a fault lane's recorder
+    keeps them: a plain checked run holds none and refuses ``history()``
+    rather than hand out an empty one, and keeping records changes no field
+    of a report, on every conformance tree and every open family."""
+
+    SEEDS = range(8)
+
+    def test_a_plain_checked_run_keeps_no_commit_record(self):
+        recorder, records, aborted = commit_records_held(4800)
+        assert recorder.recorded_commits >= 4800
+        assert (records, aborted) == (0, 0)
+        # An abort reaches the checker and leaves no id behind.
+        recorder.on_abort(Transaction(txn_id=-1, txn_type="w"))
+        assert -1 in recorder.streaming_checker._aborted
+        assert recorder._aborted_ids is None
+        with pytest.raises(ValueError, match="no commit records"):
+            recorder.history()
+
+    def test_the_database_facade_keeps_no_commit_record(self):
+        db = Database(_smallbank(), configs.smallbank_3layer())
+        db.execute("deposit_checking", c_id=3, amount=50.0)
+        assert db.check_serializability().num_transactions == 1
+        with pytest.raises(ValueError, match="no commit records"):
+            db.engine.history_recorder.history()
+
+    def test_a_lane_run_keeps_its_records(self):
+        runner = BenchmarkRunner(
+            _smallbank(), configs.smallbank_3layer(), seed=7, lanes=(Lane(),)
+        )
+        try:
+            runner.run(CLIENTS, duration=0.05, warmup=0.0)
+            recorder = runner.recorder
+            assert len(recorder._records) == recorder.recorded_commits > 0
+            assert len(recorder.history()) == recorder.recorded_commits
+        finally:
+            runner.stop()
+
+    @pytest.mark.parametrize("lanes", [None, 2, 3])
+    @pytest.mark.parametrize("tree", sorted(CONFORMANCE_TREES))
+    def test_records_change_no_report_field(self, tree, lanes):
+        for seed in self.SEEDS:
+            reports = [
+                _report_fields(
+                    run_conformance(tree, random_requests(seed, 10), lanes, recorder_class)[0]
+                )
+                for recorder_class in (HistoryRecorder, RecordingRecorder)
+            ]
+            assert reports[0] == reports[1], f"seed {seed}: {reports}"
+
+    @pytest.mark.parametrize("schedule", conformance.TestOpenFamilies.CONFORMANCE, ids=str)
+    def test_open_conformance_families_read_no_record(self, schedule):
+        without, kept = (
+            _report_fields(replay_conformance(*schedule, recorder_class=recorder_class)[0])
+            for recorder_class in (HistoryRecorder, RecordingRecorder)
+        )
+        assert without == kept and not without[0]
+
+    @pytest.mark.parametrize("schedule", conformance.TestOpenFamilies.MICRO, ids=str)
+    def test_open_micro_families_read_no_record(self, schedule):
+        without, kept = (
+            _report_fields(run_micro_schedule(*schedule, recorder_class=recorder_class)[1])
+            for recorder_class in (HistoryRecorder, RecordingRecorder)
+        )
+        assert without == kept and not without[0]
 
 
 class EarlyReleaseEngine(TebaldiEngine):
@@ -1305,7 +1407,7 @@ class TestLateResolution:
         """The reader's resolved read and the report of ``oracle``: the
         streaming verdict, or the post-hoc reference over ``history()``."""
         store = MultiVersionStore()
-        recorder = HistoryRecorder()
+        recorder = HistoryRecorder(records=True)
         writer = Transaction(txn_id=1, txn_type="w", reads=[])
         version = store.install(("x",), {"v": 1}, writer)
         reader = Transaction(txn_id=2, txn_type="r", reads=[])

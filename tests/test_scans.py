@@ -334,7 +334,7 @@ def run_phantom_scenario(cc_name):
             charge_costs=False, lock_timeout=0.3, commit_wait_timeout=0.5
         ),
     )
-    recorder = HistoryRecorder(level="serializable")
+    recorder = HistoryRecorder(level="serializable", records=True)
     engine.history_recorder = recorder
     outcomes, _processes = run_transactions(
         env,
@@ -512,14 +512,14 @@ class TestPhantomScenarios:
 
 class TestRecorderRetention:
     def test_streaming_recorder_bounds_retained_records(self):
-        """Streaming-checked runs must not retain one record per commit.
+        """A lane run's recorder must not retain one record per commit.
 
-        Pins the ROADMAP cost center: with the streaming checker on, record
-        retention defaults to a bounded ring, so a long checked run's
-        recorder memory is O(window), not O(commits).
+        Records exist only for the fault lanes, and even there they are a
+        ring of :attr:`HistoryRecorder.RECORD_RING` commits, so a long lane
+        run's recorder memory is O(ring), not O(commits).
         """
-        recorder = HistoryRecorder(level="serializable")
-        window = HistoryRecorder.STREAMING_WINDOW_DEFAULT
+        recorder = HistoryRecorder(level="serializable", records=True)
+        window = HistoryRecorder.RECORD_RING
         total = window + 64
         txn = Transaction(txn_id=0, txn_type="w", reads=[])
         for index in range(1, total + 1):
@@ -527,12 +527,20 @@ class TestRecorderRetention:
             version.mark_committed(index)
             txn.txn_id = index
             recorder.on_commit(txn, [version])
+            recorder.on_abort(Transaction(txn_id=-index, txn_type="w"))
         assert recorder.recorded_commits == total
-        assert len(recorder) <= window
+        assert len(recorder._records) <= window
+        assert len(recorder._aborted_ids) <= window
         report = check_recorder(recorder)
         assert report.ok, report.describe()
         assert report.num_transactions == total
 
-    def test_explicit_window_still_wins(self):
-        recorder = HistoryRecorder(max_transactions=10, level="serializable")
-        assert recorder.max_transactions == 10
+    @pytest.mark.parametrize("records", [True, False])
+    def test_a_second_commit_of_an_evicted_id_is_flagged(self, monkeypatch, records):
+        """The phantom-commit check covers the whole run, not the ring: a
+        second commit of an id the ring already evicted is flagged too."""
+        monkeypatch.setattr(HistoryRecorder, "RECORD_RING", 4)
+        recorder = HistoryRecorder(level="serializable", records=records)
+        for txn_id in (*range(1, 11), 1, 9):
+            recorder.on_commit(Transaction(txn_id=txn_id, txn_type="w", reads=[]), [])
+        assert recorder.duplicate_commits == [1, 9]

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.harness.runner import BenchmarkRunner
+from repro.harness.runner import BenchmarkRunner, Lane
 from repro.core.config import monolithic
 from repro.isolation.checker import check_recorder
 from repro.isolation.cycles import IncrementalCycleDetector, strongly_connected_components
@@ -180,7 +180,6 @@ def replay_history(history, level="serializable"):
             SimpleNamespace(
                 txn_id=txn.txn_id,
                 txn_type=txn.txn_type,
-                begin_time=txn.begin_time,
                 end_time=txn.end_time,
                 reads=reads,
                 scans=txn.scans,
@@ -316,8 +315,10 @@ class TestStreamingReplayEquivalence:
 
 class TestStreamingCheckedRuns:
     def _run(self, workload, config, clients=8, duration=0.25, **kwargs):
+        # A no-op lane keeps the commit records the reference pass reads,
+        # without moving a seed or a schedule.
         runner = BenchmarkRunner(
-            workload, config, seed=11, check_isolation=True, **kwargs
+            workload, config, seed=11, check_isolation=True, lanes=(Lane(),), **kwargs
         )
         try:
             runner.run(clients, duration=duration, warmup=0.05)
@@ -351,23 +352,25 @@ class TestStreamingCheckedRuns:
         # And against the networkx reference graph itself.
         assert not build_dsg(recorder.history()).has_cycle()
 
-    def test_streaming_survives_history_window_eviction(self):
+    def test_streaming_survives_record_ring_eviction(self, monkeypatch):
+        monkeypatch.setattr(HistoryRecorder, "RECORD_RING", 25)
         workload = CrossGroupConflictWorkload(shared_rows=5, cold_rows=50)
         runner = self._run(
             workload,
             monolithic("2pl", sorted(workload.transaction_types())),
             duration=0.3,
-            history_window=25,
         )
         report = check_recorder(runner.recorder)
         assert runner.recorder._evicted
         assert report.ok, report.describe()
+        posthoc = check_history(runner.recorder.history(), level="serializable")
+        assert posthoc.ok, posthoc.describe()
 
     def test_read_committed_run_matches_reference(self):
         """A run checked at read-committed streams at read-committed: its
         verdict and edge count are the reference's at that level over the
-        same recorded history — and a recorder built without a level
-        streams at serializable over the default ring."""
+        same recorded history — and a recorder built without arguments
+        streams at serializable and keeps no commit record."""
         workload = CrossGroupConflictWorkload(shared_rows=5, cold_rows=50)
         runner = self._run(
             workload,
@@ -384,18 +387,15 @@ class TestStreamingCheckedRuns:
         )
         default = HistoryRecorder()
         assert default.streaming_checker.kinds == LEVEL_EDGE_KINDS["serializable"]
-        assert default.max_transactions == HistoryRecorder.STREAMING_WINDOW_DEFAULT
+        assert default._records is None and default._aborted_ids is None
+        with pytest.raises(ValueError, match="no commit records"):
+            default.history()
 
     def test_recorder_rejects_unknown_stream_level(self):
         with pytest.raises(ValueError):
             HistoryRecorder(level="serialisable")
         with pytest.raises(ValueError):
             HistoryRecorder(level=None)
-
-    @pytest.mark.parametrize("window", [0, -5])
-    def test_recorder_rejects_a_window_that_keeps_nothing(self, window):
-        with pytest.raises(ValueError, match="max_transactions"):
-            HistoryRecorder(max_transactions=window)
 
 
 class TestStreamingCheckerUnit:
