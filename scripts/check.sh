@@ -11,7 +11,8 @@
 # nodes holding range locks on tpcc/3layer and queue/3layer with the scan
 # registries a drained run leaves empty, the read
 # records per commit of tpcc/3layer and of a checked smallbank/3layer, the
-# log records per durable smallbank/3layer commit, the import time, the
+# log records per durable smallbank/3layer commit and the records a folding
+# one's logs hold per server, the import time, the
 # cycle-detector nodes and the commit records a checked smallbank/3layer
 # holds and the state census's allow-lists.
 #
@@ -202,6 +203,13 @@ print("read records per commit: tpcc/3layer {:.0f}, smallbank/3layer checked {:.
 # pins that nothing else is logged.
 python -c 'from tests.test_retention import log_records_per_commit as records
 print("log records per durable smallbank/3layer commit: {:.2f}".format(records()))'
+# A persistent GCP advance folds each log into its per-key image: with
+# 0.05 sim-s epochs, what a server's log holds after 4,800 commits is its
+# image plus the tail above it (177, 130, 139 and 132; 2,757, 1,233, 1,313
+# and 1,159 precommit records with no fold).  tests/test_retention.py bounds
+# it by the keys a server owns plus one epoch.
+python -c 'from tests.test_retention import log_records_held as held
+print("log records held per server after 4,800 folding smallbank/3layer commits (image + tail): {}".format(held()))'
 # What every engine start pays before it runs anything: wall time of a
 # fresh interpreter importing the CLI, best of three.
 echo -n "import repro.harness.cli: "

@@ -42,40 +42,45 @@ class InMemoryBackend:
     """Dictionary-backed 'persistent' store (survives engine restarts only)."""
 
     def __init__(self):
-        self._data = {}
+        self._index = {}
 
     def put(self, key, value):
-        self._data[key] = value
+        self._index[key] = value
 
     def get(self, key, default=None):
-        return self._data.get(key, default)
+        return self._index.get(key, default)
 
     def items(self):
         """Every (key, value) pair."""
-        return list(self._data.items())
+        return list(self._index.items())
+
+    def remove(self, keys):
+        for key in keys:
+            del self._index[key]
 
     def clear(self):
-        self._data.clear()
+        self._index.clear()
 
     def close(self):
         """No resources to release for the in-memory backend."""
 
     def __len__(self):
-        return len(self._data)
+        return len(self._index)
 
 
-class FileBackend:
-    """Append-only JSON-lines file with an in-memory index.
+class FileBackend(InMemoryBackend):
+    """Append-only JSON-lines file behind the in-memory index.
 
-    Every :meth:`put` appends one line ``{"k": ..., "v": ...}``; on open the
-    file is replayed to rebuild the index, so the latest value per key wins.
+    Every :meth:`put` appends one line ``{"k": ..., "v": ...}`` and every
+    :meth:`remove` one tombstone line ``{"d": [keys]}``; on open the file is
+    replayed to rebuild the index, so the latest line per key wins.
     The JSON coding of values is this class's own business: tuples and bytes
     are tagged on the way out and restored on the way in.
     """
 
     def __init__(self, path):
+        super().__init__()
         self.path = path
-        self._index = {}
         directory = os.path.dirname(path)
         if directory:
             os.makedirs(directory, exist_ok=True)
@@ -90,27 +95,27 @@ class FileBackend:
                 if not line:
                     continue
                 record = json.loads(line, object_hook=_from_json)
-                self._index[record["k"]] = record["v"]
+                super().remove(record.get("d", ()))
+                if "k" in record:
+                    super().put(record["k"], record["v"])
+
+    def _write(self, line):
+        self._file.write(json.dumps(line, default=str) + "\n")
+        self._file.flush()
 
     def put(self, key, value):
-        record = json.dumps({"k": key, "v": _to_json(value)}, default=str)
-        self._file.write(record + "\n")
-        self._file.flush()
-        self._index[key] = value
+        self._write({"k": key, "v": _to_json(value)})
+        super().put(key, value)
 
-    def get(self, key, default=None):
-        return self._index.get(key, default)
-
-    def items(self):
-        return list(self._index.items())
+    def remove(self, keys):
+        keys = list(keys)
+        self._write({"d": keys})
+        super().remove(keys)
 
     def clear(self):
         """Forget every key, on disk too: a reopen must not replay them."""
         self._file.truncate(0)
-        self._index.clear()
+        super().clear()
 
     def close(self):
         self._file.close()
-
-    def __len__(self):
-        return len(self._index)

@@ -14,6 +14,10 @@ declares a crash the manager *halts*: every subsequent append or flush is a
 no-op, modelling a machine that is down.  :meth:`crash` then discards the
 volatile state (log buffers, the precommit dedup table) and :meth:`recover`
 replays whatever made it to the persistent backends.
+
+Release rule: once an advance has made its epoch persistent, and the manager
+is not halted, every log folds its records into a per-key image, as the
+recovery checkpoint does; recovery reads the image plus the tail above it.
 """
 
 import zlib
@@ -233,11 +237,13 @@ class DurabilityManager:
                 "gcp-server", server_id=server_id, epoch=closing
             ):
                 return 0
-        for server_id in range(self.config.num_servers):
-            self._current_gcp_epoch[server_id] = closing + 1
+        self._current_gcp_epoch = [closing + 1] * self.config.num_servers
         self._persistent_gcp_epoch = max(self._persistent_gcp_epoch, closing)
         if faults is not None:
             self._trip("gcp-after", epoch=closing)
+        if not self._halted:
+            for log in self.logs:
+                log.fold()
         return closing
 
     def run_flusher(self, env, stop_event=None):
@@ -249,17 +255,18 @@ class DurabilityManager:
     # -- crash / recovery ---------------------------------------------------
 
     def precommitted_transactions(self):
-        """Ids with a precommit record in the logs, durable or still
-        buffered.  With durability on every commit in memory writes one (a
-        read-only commit too, at server 0), so before :meth:`crash` drops the buffers these
-        are the incarnation's commits plus any transaction the crash caught
-        inside its precommit."""
-        return {
-            record[TXN_ID]
-            for log in self.logs
-            for record in log.records()
-            if record[KIND] == "precommit"
-        }
+        """Ids with a precommit record in the logs, durable, buffered or
+        folded.  Every commit in memory writes one (a read-only commit too,
+        at server 0), so before :meth:`crash` drops the buffers these are the
+        incarnation's commits and any the crash caught inside its precommit."""
+        ids = set()
+        for log in self.logs:
+            for record in log.records():
+                if record[KIND] == "precommit":
+                    ids.add(record[TXN_ID])
+                elif record[KIND] == "folded":
+                    ids.update(*record_body(record))
+        return ids
 
     def crash(self):
         """Lose all volatile state: log buffers, the dedup table, epoch counters.
@@ -284,20 +291,19 @@ class DurabilityManager:
         state rebuild, which the engine performs):
 
         1. retrieve durable records from every server (checkpoint records
-           first: they are the base state of the current incarnation);
+           are the image, the base state; a ``folded`` record's ids survive);
         2. discard transactions with fewer precommit records than their
            participant count — every record must carry the count, a record
            set is never trusted to describe its own completeness — or whose
            GCP epoch exceeds the persistent one.  The epoch filter always
            applies: before the first GCP advance the persistent epoch is 0,
-           so asynchronous-mode records (epoch >= 1) are correctly discarded
-           — nothing was durably flushed yet.  Synchronous precommits bump
-           the persistent epoch at flush time and therefore pass.
+           so asynchronous-mode records (epoch >= 1) are discarded, and
+           synchronous precommits, which bump it at flush time, pass.
         3. reconstruct the latest value of every object from the surviving
            precommit records, in precommit-ticket (= commit) order.
         """
-        state = {}
-        writers = {}
+        state, writers = {}, {}
+        survivors, recovered_writers = set(), set()
         # txn id -> [(participants, epoch, (ticket, server id, lsn), writes)]
         precommits = defaultdict(list)
         for server_id, log in enumerate(self.logs):
@@ -305,20 +311,21 @@ class DurabilityManager:
                 lsn, kind, txn_id, epoch, _body = record
                 if kind == "checkpoint":
                     key, value, writer = record_body(record)
-                    state[key] = value
-                    writers[key] = writer
+                    state[key], writers[key] = value, writer
+                elif kind == "folded":
+                    folded_writers, readers = record_body(record)
+                    survivors.update(folded_writers, readers)
+                    recovered_writers.update(folded_writers)
                 elif kind == "precommit":
                     participants, ticket, writes = record_body(record)
                     precommits[txn_id].append(
                         (participants, epoch, (ticket or 0, server_id, lsn), writes)
                     )
-        survivors = set()
         replayable = []
         for txn_id, entries in precommits.items():
             counts = [entry[0] for entry in entries]
-            if None in counts or len(entries) < max(counts):
-                continue
-            if max(entry[1] for entry in entries) > self._persistent_gcp_epoch:
+            torn = None in counts or len(entries) < max(counts)
+            if torn or max(entry[1] for entry in entries) > self._persistent_gcp_epoch:
                 continue
             survivors.add(txn_id)
             replayable.extend(
@@ -327,42 +334,36 @@ class DurabilityManager:
         replayable.sort()
         for _order, txn_id, writes in replayable:
             for key, value in writes:
-                state[key] = value
-                writers[key] = txn_id
+                state[key], writers[key] = value, txn_id
+                recovered_writers.add(txn_id)
         return RecoveryResult(
             recovered_transactions=survivors,
             discarded_transactions=set(precommits) - survivors,
             state=state,
             state_writers=writers,
-            recovered_writers={txn_id for _order, txn_id, writes in replayable if writes},
+            recovered_writers=recovered_writers,
         )
 
     def checkpoint(self, result):
         """Persist a recovery result as the base state of a new incarnation.
 
-        Wipes every server's durable log and replaces it with one flushed
-        ``checkpoint`` record per recovered key.  This prevents records of a
-        *discarded* epoch from resurrecting at the next recovery (once later
-        epochs become persistent, a torn epoch's complete record sets would
-        otherwise pass the epoch filter), and resets LSNs and GCP epochs so
-        the next incarnation starts clean.  Returns the number of
-        checkpoint records written.
+        Wipes every server's durable log and folds the recovered state into
+        it, the advance's fold: one checkpoint record per recovered key.  So
+        no record of a *discarded* epoch can resurrect once later epochs
+        pass the epoch filter, and LSNs and GCP epochs restart.  Returns the
+        number of checkpoint records written.
         """
         if not self.enabled:
             return 0
-        for log in self.logs:
+        keys = sorted(result.state, key=repr)
+        for server_id, log in enumerate(self.logs):
             log.reset()
-        written = 0
-        for key in sorted(result.state, key=repr):
-            body = (key, result.state[key], result.state_writers.get(key, 0))
-            self.logs[self.server_for(key)].append("checkpoint", 0, 0, body)
-            written += 1
-        for log in self.logs:
-            log.flush()
+            log.fold((key, result.state[key], result.state_writers.get(key, 0))
+                     for key in keys if self.server_for(key) == server_id)
         self._persistent_gcp_epoch = 0
         self._current_gcp_epoch = [1] * self.config.num_servers
         self._halted = False
-        return written
+        return len(result.state)
 
 
 @dataclass

@@ -29,6 +29,10 @@ These things are pinned here:
   untracked tuples, tracked objects grow by a few per commit however long a
   durable checked run is, the precommit dedup table holds only exchanges in
   flight, and a flat record still resolves a pipelined read late;
+* **the log folds** — every persistent GCP advance folds each log into a
+  per-key image, so a log holds at most the keys its server owns plus one
+  epoch, and *release ≡ never release*: at every crash site recovery from
+  image plus tail equals recovery from a test-only log that never folds;
 * **batch leaf** — a sealed batch and its members form no reference cycle,
   and the leaf's two indexes of members in flight, and its two sets of
   pending wakes, name nobody who finished, died before the seal, was
@@ -82,12 +86,14 @@ from repro.harness.runner import BenchmarkRunner, Lane
 from repro.isolation.checker import check_recorder
 from repro.isolation.history import HistoryRecorder
 from repro.sim.environment import Environment
-from repro.sim.faults import MessageFaultPlan
-from repro.storage.durability import DurabilityConfig
+from repro.harness.crash import CrashLane
+from repro.sim.faults import SITES, CrashPoint, FaultPlan, MessageFaultPlan
+from repro.storage import durability as durability_module
+from repro.storage.durability import DurabilityConfig, DurabilityManager
 from repro.storage.mvstore import MultiVersionStore
 from repro.storage.ranges import ScanSet
 from repro.storage.versions import Version
-from repro.storage.wal import KIND, TXN_ID, record_body
+from repro.storage.wal import KIND, TXN_ID, WriteAheadLog, record_body
 from repro.workloads.micro import CrossGroupConflictWorkload
 from repro.workloads.queue import QueueWorkload
 from repro.workloads.seats import SEATSWorkload
@@ -912,14 +918,18 @@ class TestFlatRetention:
             # committed transaction, 17.5 before records were flat.
             assert _tracked_per_commit(runner, 1200, 4800) < 1
 
-            # A GCP flush, then some more commits: records on both sides of it.
+            # A GCP flush folds the log into its image (one checkpoint record
+            # per key and one record of folded ids per server), then some
+            # more commits: the image and a tail above it.
             runner.manager.advance_gcp_epoch()
             runner.run_additional(0.02)
             for _ in range(4):
                 gc.collect()
             buffered = [r for log in runner.manager.logs for r in log._buffer]
             persisted = [r for log in runner.manager.logs for r in log.persisted_records()]
-            assert len(buffered) > 100 and len(persisted) > 4800
+            kinds = Counter(record[KIND] for record in persisted)
+            assert len(buffered) > 100 and kinds["checkpoint"] > 300
+            assert kinds == {"checkpoint": kinds["checkpoint"], "folded": len(runner.manager.logs)}
             assert not any(map(gc.is_tracked, buffered + persisted))
 
             # The named exceptions: a record carrying a scan predicate or a
@@ -1222,6 +1232,102 @@ class TestLogHoldsOnlyWhatRecoveryReads:
         assert len(participants) >= commits
         for counts in participants.values():
             assert counts == [len(counts)] * len(counts)
+
+
+class NeverFoldLog(WriteAheadLog):
+    """Test-only: the log as it was before its release rule.  An advance's
+    fold keeps every record; only the recovery checkpoint, which folds the
+    log it has just reset, re-bases it."""
+
+    def fold(self, image=()):
+        if self._next_lsn == 1:
+            super().fold(image)
+
+
+#: site -> occurrence: each crash of the folding cell comes after two folds.
+FOLDED_CRASHES = {
+    "precommit-record": 2500,
+    "precommit-done": 2000,
+    "gcp-before": 3,
+    "gcp-server": 10,
+    "gcp-after": 3,
+}
+
+
+class TestLogReleasesWhatRecoveryNoLongerReads:
+    """Release rule of the write-ahead log: every persistent GCP advance
+    folds each log into its per-key image, so a log holds its image, the
+    tail above it and one record of folded ids per fold."""
+
+    def test_records_held_stay_within_keys_owned_and_one_epoch(self):
+        runner = _folding_cell()
+        manager, stats = runner.manager, runner.engine.stats
+        folds = []  # commits at each advance
+        advance = manager.advance_gcp_epoch
+
+        def counted_advance():
+            folds.append(stats.commits)
+            return advance()
+
+        manager.advance_gcp_epoch = counted_advance
+        owned = Counter(manager.server_for(key) for key in runner.store.latest_state())
+        try:
+            while stats.commits < 1200:
+                runner.run_additional(0.01)
+            samples = 0
+            while stats.commits < 4800:
+                runner.run_additional(0.01)
+                # A commit logs at most one record per server, and up to a
+                # client's worth precommitted without being counted yet.
+                tail = stats.commits - folds[-1] + CLIENTS
+                for server, log in enumerate(manager.logs):
+                    held, folded = _log_held(log)
+                    assert held <= owned[server] + tail, (stats.commits, server, held)
+                    assert folded == len(folds)
+                samples += 1
+            epochs = [after - before for before, after in zip(folds, folds[1:])]
+            assert samples > 20 and len(folds) >= 6 and max(epochs) < 1000
+        finally:
+            runner.stop()
+
+    @pytest.mark.parametrize("site", SITES)
+    def test_recovery_from_image_and_tail_equals_the_full_log(self, site, monkeypatch):
+        """At every crash site, recovery from the image plus the tail gives
+        the full log's ``RecoveryResult`` (all five fields), crash report
+        for crash report."""
+        recover, crash = DurabilityManager.recover, DurabilityManager.crash
+        runs = {}
+        for log_class in (WriteAheadLog, NeverFoldLog):
+            recoveries, folded_at_crash = [], []
+
+            def spying_crash(manager):
+                folded_at_crash.append(sum(_log_held(log)[1] for log in manager.logs))
+                crash(manager)
+
+            def recording_recover(manager):
+                recoveries.append(recover(manager))
+                return recoveries[-1]
+
+            monkeypatch.setattr(durability_module, "WriteAheadLog", log_class)
+            monkeypatch.setattr(DurabilityManager, "recover", recording_recover)
+            monkeypatch.setattr(DurabilityManager, "crash", spying_crash)
+            plan = FaultPlan((CrashPoint(site, FOLDED_CRASHES[site]),))
+            lane = CrashLane(plan, durability=_FOLDING_DURABILITY)
+            runner = BenchmarkRunner(
+                _smallbank(), configs.smallbank_3layer(), seed=7, lanes=[lane]
+            )
+            try:
+                result = runner.run(CLIENTS, duration=0.25, warmup=0.0)
+            finally:
+                runner.stop()
+            assert result.extra["isolation"].ok
+            runs[log_class] = recoveries, result.crashes, result.commits, folded_at_crash
+        folding, never = runs[WriteAheadLog], runs[NeverFoldLog]
+        assert folding[:3] == never[:3]
+        (recovered,), (crash_report,) = folding[0], folding[1]
+        assert crash_report.site == site and len(recovered.recovered_transactions) > 1200
+        # Not vacuous: the folding run's crash came after folds.
+        assert folding[3][0] >= 2 * _FOLDING_DURABILITY.num_servers and never[3] == [0]
 
 
 def _indexed(cc):
@@ -1835,6 +1941,38 @@ def durable_log(net_faults=False, target=1200):
             runner.run_additional(0.002)
         records = [record for log in runner.manager.logs for record in log.records()]
         return runner.engine.stats.commits, records
+    finally:
+        runner.stop()
+
+
+_FOLDING_DURABILITY = DurabilityConfig(enabled=True, gcp_epoch_length=0.05)
+
+
+def _folding_cell():
+    """An asynchronous durable ``smallbank/3layer`` cell (seed 7, 16
+    clients) whose 0.05 sim-s GCP epochs fold its logs about every 680
+    commits: at the default 1.0 sim-s, 4,800 commits would see no fold."""
+    options = EngineOptions(durability=_FOLDING_DURABILITY)
+    runner = BenchmarkRunner(_smallbank(), configs.smallbank_3layer(), options=options, seed=7)
+    runner.add_clients(CLIENTS)
+    return runner
+
+
+def _log_held(log):
+    """Image and tail records a log holds, durable or buffered, and its
+    records of folded ids."""
+    kinds = Counter(record[KIND] for record in log.records())
+    return kinds["checkpoint"] + kinds["precommit"], kinds["folded"]
+
+
+def log_records_held(target=4800):
+    """Per server, the image and tail records the folding cell's logs hold
+    at ``target`` commits.  ``scripts/check.sh`` prints them."""
+    runner = _folding_cell()
+    try:
+        while runner.engine.stats.commits < target:
+            runner.run_additional(0.01)
+        return [_log_held(log)[0] for log in runner.manager.logs]
     finally:
         runner.stop()
 

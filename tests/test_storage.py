@@ -164,6 +164,22 @@ class TestBackends:
         backend.close()
         assert FileBackend(path).get("k") == 2
 
+    def test_a_removal_persists(self, tmp_path):
+        """A removed key stays gone, in memory and when the file is
+        replayed; a key put again after its removal is back."""
+        path = str(tmp_path / "log.jsonl")
+        expected = [(1, (1, b"one")), (4, (4, b"one")), (5, (5, b"one")), (3, (3, b"two"))]
+        for backend in (InMemoryBackend(), FileBackend(path)):
+            for key in range(1, 6):
+                backend.put(key, (key, b"one"))
+            backend.remove(range(2, 4))
+            backend.put(3, (3, b"two"))
+            assert backend.items() == expected
+        backend.close()
+        reopened = FileBackend(path)
+        assert sorted(reopened.items()) == sorted(expected)
+        reopened.close()
+
 
 class TestWriteAheadLog:
     def test_append_assigns_lsn(self):
@@ -347,6 +363,43 @@ class TestDurability:
             assert result.recovered_transactions == result.discarded_transactions == set()
         finally:
             for log in manager.logs:
+                log.backend.close()
+
+    def test_a_fold_survives_a_file_backend_reopen(self, tmp_path):
+        """Folded precommit records stay gone when the files are replayed,
+        and recovery from the reopened files equals recovery from memory."""
+        config = DurabilityConfig(enabled=True, asynchronous=True, num_servers=2)
+        paths = iter(str(tmp_path / f"wal-{index}.jsonl") for index in range(2))
+        on_disk = DurabilityManager(config, backend_factory=lambda: FileBackend(next(paths)))
+        in_memory = DurabilityManager(config)
+        try:
+            for manager in (on_disk, in_memory):
+                # Three folds; txn 5 is read-only; txn 10 is durable but
+                # above the persistent epoch (a torn epoch).
+                for txn_id in range(1, 10):
+                    writes = [(("a", txn_id % 3), {"v": txn_id}), (("b", 1), {"v": -txn_id})]
+                    manager.precommit(make_txn(txn_id), writes if txn_id != 5 else [])
+                    if txn_id % 3 == 0:
+                        manager.advance_gcp_epoch()
+                manager.precommit(make_txn(10), [(("a", 0), {"v": 10})])
+                for log in manager.logs:
+                    log.flush()
+            for log in on_disk.logs:
+                log.backend.close()
+                log.backend = FileBackend(log.backend.path)
+            held = [record for log in on_disk.logs for record in log.persisted_records()]
+            assert held == [record for log in in_memory.logs for record in log.persisted_records()]
+            assert [record[TXN_ID] for record in held if record[KIND] == "precommit"] == [10]
+            assert sum(record[KIND] == "checkpoint" for record in held) == 4
+            result = on_disk.recover()
+            assert result == in_memory.recover()
+            assert result.recovered_transactions == set(range(1, 10))
+            assert result.recovered_writers == set(range(1, 10)) - {5}
+            assert result.discarded_transactions == {10}
+            assert result.state_writers == {("a", 0): 9, ("a", 1): 7, ("a", 2): 8, ("b", 1): 9}
+            assert result.state[("a", 0)] == {"v": 9} and result.state[("b", 1)] == {"v": -9}
+        finally:
+            for log in on_disk.logs:
                 log.backend.close()
 
     def test_commit_notification_advances_lagging_epochs(self):
