@@ -221,6 +221,14 @@ python -m timeit -n 1 -r 3 -s 'import subprocess, sys' \
 # tests/test_retention.py bounds it.
 python -c 'from tests.test_retention import detector_nodes_held as held
 print("cycle-detector nodes after 4,800 checked smallbank/3layer commits: {}".format(held((4800,))[0]))'
+# Beside it, the rest of what the oracle keeps: each key's version order
+# from the last entry a reader can land on (about three per key; one per
+# committed version, 5,481, before the trim), the committed ids the engine
+# retains (4,821, one per commit, before), and the scan predicates (one per
+# committed scan: an edge out of a pruned scanner still counts in
+# num_edges; smallbank has none).  tests/test_retention.py bounds the first two.
+python -c 'from tests.test_retention import oracle_entries_held as held
+print("oracle entries after 4,800 checked smallbank/3layer commits: version order {version_order} over {keys} keys, committed ids {committed_ids}, scan watches {scan_watches}".format(**held(targets=(4800,))[0][0]))'
 # The verdict reads no commit record, so only a fault lane's recorder keeps
 # them: a plain checked run holds none (0; one per commit, in a ring of up to
 # 50,000, while every checked run kept them).  tests/test_retention.py pins it.

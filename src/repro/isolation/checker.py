@@ -27,6 +27,7 @@ class IsolationReport:
     intermediate_reads: list = field(default_factory=list)
     cycles: list = field(default_factory=list)
     edges_into_pruned: list = field(default_factory=list)  # released too early
+    reads_below_trimmed: list = field(default_factory=list)  # trimmed too early
     num_transactions: int = 0
     num_edges: int = 0
 
@@ -37,6 +38,7 @@ class IsolationReport:
             and not self.aborted_reads
             and not self.intermediate_reads
             and not self.edges_into_pruned
+            and not self.reads_below_trimmed
         )
 
     def raise_on_violation(self):
@@ -57,6 +59,8 @@ class IsolationReport:
             problems.append(f"{len(self.intermediate_reads)} intermediate reads")
         if self.edges_into_pruned:
             problems.append(f"{len(self.edges_into_pruned)} edges into pruned transactions")
+        if self.reads_below_trimmed:
+            problems.append(f"{len(self.reads_below_trimmed)} reads below a trimmed version order")
         if self.cycles:
             problems.append(f"cycle {self.cycles[0]}")
         return "isolation violation: " + ", ".join(problems)
@@ -77,6 +81,7 @@ def check_recorder(recorder):
         aborted_reads=checker.aborted_reads + checker.pending_aborted_reads(),
         intermediate_reads=list(checker.intermediate_reads),
         edges_into_pruned=list(checker.edges_into_pruned),
+        reads_below_trimmed=list(checker.reads_below_trimmed),
         num_transactions=recorder.recorded_commits,
         num_edges=checker.num_edges,
     )

@@ -1,17 +1,13 @@
 """Execution histories extracted from a running engine.
 
-A history records, per committed transaction, the versions it read and the
-versions it installed, together with the per-key order of every committed
-version; this is everything Adya's graph-based definitions need.
-
-:class:`HistoryRecorder` streams the history out of a *running* engine: the
-engine notifies it on every commit and abort, and it folds each one into the
-isolation oracle (:class:`~repro.isolation.streaming.StreamingDSGChecker`),
-which keeps every committed version's place in its key's order — including
-versions the store later drops.  It is the backbone of the harness's
-``check_isolation`` mode, and the only source of histories — the engine
-itself keeps no transaction past the last one concurrent with it — for the
-fault lanes that read one: only their recorder keeps commit records.
+A history records, per committed transaction, the versions it read and
+installed, with the per-key order of every committed version: everything
+Adya's graph-based definitions need.  :class:`HistoryRecorder` streams it
+out of a *running* engine into the isolation oracle
+(:class:`~repro.isolation.streaming.StreamingDSGChecker`).  It backs the
+harness's ``check_isolation`` mode; only a fault lane's recorder keeps the
+commit records and whole version orders a history is built from (the
+engine keeps no transaction past the last one concurrent with it).
 """
 
 from collections import OrderedDict
@@ -37,10 +33,8 @@ class HistoryTransaction:
 class History:
     """Committed transactions plus the per-key committed version order.
 
-    ``extra_committed`` names transactions that are known to have committed
-    but whose read/write details are no longer retained (evicted from a
-    :class:`HistoryRecorder`'s record ring).  They count as committed, so
-    reads-from and version orders referencing them are not aborted reads.
+    ``extra_committed`` names committed transactions whose records a
+    :class:`HistoryRecorder`'s ring evicted: reads of them are no aborted reads.
     """
 
     transactions: dict = field(default_factory=dict)
@@ -65,36 +59,28 @@ _WRITES_AT = 4
 class HistoryRecorder:
     """Streaming history recorder and isolation oracle of a running engine.
 
-    The engine calls :meth:`on_commit` (with the freshly committed versions)
-    and :meth:`on_abort` from its commit/abort paths.  Each event goes
-    straight to the in-line :class:`StreamingDSGChecker` at ``level``
-    (serializable unless told otherwise): every commit's dependency edges
-    are derived immediately and fed to the incremental cycle detector, so
-    the verdict is ready the moment the run ends — no post-hoc graph pass.
-    The checker sees every commit and owns the run's per-key version order —
-    every committed version, although the store drops superseded ones —
-    which :meth:`seq_of` and :meth:`history` read; its detector forgets what
-    the engine releases (:meth:`on_release`).
+    The engine calls :meth:`on_commit` (with the freshly committed versions),
+    :meth:`on_abort` and :meth:`on_release`.  Each commit goes straight to
+    the in-line :class:`StreamingDSGChecker` at ``level`` (serializable
+    unless told otherwise), so the verdict is ready when the run ends; the
+    checker forgets what the engine released and no later commit can ask.
 
     The verdict never reads a commit record, so a recorder keeps them only
-    when built with ``records=True``: the fault lanes' checks read them
-    through :meth:`history` and the crash stitch (:meth:`on_crash`), and
-    each of those raises on a recorder without them, so an empty history
-    never passes a check.  The records are a ring of the :attr:`RECORD_RING`
-    most recent commits (and as many aborted ids), which pins a long lane
-    run's memory.  Evicted transactions surface via
-    ``History.extra_committed`` — derived from the version orders (every
-    evicted *writer* still appears there, and reads only ever reference
-    writers) so eviction leaves no growing side table.
+    when built with ``records=True``, for the fault lanes: their checks read
+    them through :meth:`history` and the crash stitch (:meth:`on_crash`),
+    each of which raises without them, and read every committed version's
+    place in its key's order, so that recorder's checker releases its
+    detector alone.  The records are a ring of the :attr:`RECORD_RING` most
+    recent commits (and as many aborted ids); an evicted writer surfaces in
+    ``History.extra_committed``, derived from the version orders.
 
-    A record is one flat tuple (layout at :data:`_WRITES_AT`): a read of a
-    version already sequenced when its reader commits is kept as the atoms
-    ``key, writer, commit_seq`` — a sequence never changes once assigned —
-    and only a read of a still-unsequenced version (a pipelined read under
-    RP) keeps the observed :class:`Version` in the sequence's place, so
-    :meth:`history` picks up the writer's final commit sequence (``None``,
-    an aborted read, if it never commits).  Atoms do not pin superseded
-    versions, and the cyclic collector stops tracking them.
+    A record is one flat tuple (layout at :data:`_WRITES_AT`) of atoms,
+    which pin no superseded version and which the cyclic collector stops
+    tracking: a read keeps ``key, writer, commit_seq``, and only a read of a
+    still-unsequenced version (pipelined under RP) keeps the observed
+    :class:`Version` in the sequence's place, so :meth:`history` picks up
+    the writer's final sequence (``None``, an aborted read, if it never
+    commits).
     """
 
     #: Size of the record ring (and of the aborted-id ring).
@@ -103,10 +89,7 @@ class HistoryRecorder:
     def __init__(self, level="serializable", records=False):
         # ValueError on an unknown level, None included.
         self.streaming_checker = StreamingDSGChecker(kinds_for(level))
-        # txn_id -> flat record (see _WRITES_AT), and the aborted ids as an
-        # insertion-ordered ring; old aborted writers stay detectable anyway
-        # (their reads resolve to commit_seq None and the writer is never in
-        # the committed set).
+        # txn_id -> flat record (see _WRITES_AT), and the aborted-id ring.
         self._records = OrderedDict() if records else None
         self._aborted_ids = OrderedDict() if records else None
         self._evicted = False
@@ -125,16 +108,12 @@ class HistoryRecorder:
     def on_commit(self, txn, versions):
         """Fold one committed transaction and its installed versions."""
         checker, txn_id = self.streaming_checker, txn.txn_id
-        if txn_id in checker._committed:
-            # No engine path may commit twice, retransmits included; the
-            # checker's committed set spans the whole run.
+        if checker.phantom_commit(txn_id):
+            # No engine path may commit twice, retransmits included.
             self.duplicate_commits.append(txn_id)
         scans = tuple(txn.scans) if txn.scans else ()
-        reads = [
-            (record.key, record.version)
-            for record in txn.reads
-            if record.version is not None
-        ]
+        reads = [(record.key, record.version) for record in txn.reads
+                 if record.version is not None]
         records = self._records
         if records is not None:
             flat = [txn.txn_type, txn.end_time, scans, len(versions)]
@@ -160,22 +139,22 @@ class HistoryRecorder:
                 aborted.popitem(last=False)
 
     def on_release(self, txn_id):
-        """The engine let go of committed ``txn_id``: the detector may prune it."""
-        self.streaming_checker.detector.release(txn_id)
+        """The engine let go of committed ``txn_id``: the checker forgets
+        what no later commit can ask about it — its detector alone when
+        commit records are kept, since the lanes read the rest."""
+        checker = self.streaming_checker
+        (checker.release if self._records is None else checker.detector.release)(txn_id)
 
     def on_crash(self, vanished):
         """Stitch a simulated crash into the recorded history.
 
-        ``vanished`` are transactions that committed in memory but did not
-        survive recovery.  They are erased from the retained records and —
-        by the checker's matching purge — from every per-key version order,
-        as if they never committed, and marked aborted.  A surviving read of
-        their data is an aborted read: the checker flags the readers it
-        still holds parked, and one scan of the retained records here hands
-        it the rest (a reader a later writer of the key already released),
-        each read flagged once.  Intermediate reads need no second look:
-        purging vanished writers leaves every survivor's final version of a
-        key where it was.
+        ``vanished`` committed in memory but did not survive recovery: they
+        leave the records and (by the checker's purge) every version order,
+        and count as aborted.  A surviving read of their data is an aborted
+        read: the checker flags the readers it still holds parked, and one
+        scan of the records here hands it the rest, each read once.
+        Purging leaves every survivor's final version of a key in place, so
+        intermediate reads need no second look.
         """
         records, aborted = self._held(), self._aborted_ids
         vanished = {txn_id for txn_id in vanished if txn_id}
@@ -199,12 +178,10 @@ class HistoryRecorder:
                     checker.aborted_reads.append(entry)
 
     def on_recovered(self, txn_id, versions, txn_type="recovered", now=0.0):
-        """Register a *ghost* survivor: a transaction whose precommit was
-        durable when the crash hit but which never committed in memory (the
-        crash fired between precommit and acknowledgement).  Recovery
-        resurrects its writes; its reads died with the crash, so only the
-        writes constrain the stitched graph — exactly the information the
-        durable log retains."""
+        """Register a *ghost* survivor, durable but never committed in memory
+        (the crash fired between precommit and acknowledgement): recovery
+        resurrects its writes, and only they constrain the stitched graph —
+        its reads died with the crash, as the durable log keeps none."""
         records = self._held()
         flat = [txn_type, now, (), len(versions)]
         for version in versions:
@@ -214,12 +191,18 @@ class HistoryRecorder:
         self.recorded_commits += 1
 
     def seq_of(self, key, writer):
-        """Last recorded commit sequence of ``writer``'s version of ``key``.
+        """Commit sequence of ``writer``'s last version of ``key``, read from
+        the tail of the checker's version order (``None`` if there is none).
 
-        The checker's version orders are never ring-evicted, so this is
-        authoritative for the whole run — the crash harness uses it to
-        restore surviving versions with their original sequence numbers."""
-        return self.streaming_checker._final.get((key, writer))
+        The crash harness restores surviving versions with it.  A lane's
+        recorder keeps the whole order, so the answer spans the run; without
+        records, a writer older than the trimmed head has none."""
+        checker = self.streaming_checker
+        for seq, found in zip(reversed(checker._seqs.get(key, ())),
+                              reversed(checker._writers.get(key, ()))):
+            if found == writer:
+                return seq
+        return None
 
     def history(self):
         """Materialise the recorded run as a :class:`History`."""
@@ -229,14 +212,10 @@ class HistoryRecorder:
             key: list(zip(checker._seqs[key], writers))
             for key, writers in checker._writers.items()
         }
-        extra_committed = set()
-        if self._evicted:
-            extra_committed = {
-                writer
-                for writers in checker._writers.values()
-                for writer in writers
-                if writer not in records
-            }
+        extra_committed = {
+            writer for writers in checker._writers.values() for writer in writers
+            if writer not in records
+        } if self._evicted else set()
         history = History(
             version_orders=version_orders,
             aborted_ids=set(self._aborted_ids),

@@ -1,17 +1,13 @@
 """Streaming DSG maintenance: dependency edges derived at commit time.
 
-A post-hoc checker rebuilds the whole Direct Serialization Graph from a
-recorded history after the run (history materialisation plus one batch
-pass, roughly linear in reads+writes but with a large constant — the
-wall-clock cliff of checked runs).  :class:`StreamingDSGChecker` instead
-derives every ``ww``/``wr``/``rw`` edge *as transactions commit* and feeds
-them to an :class:`~repro.isolation.cycles.IncrementalCycleDetector`, in
-the spirit of DGCC's on-the-path dependency bookkeeping.  The aborted-read
-and intermediate-read anomalies are detected in the same pass, so the
-post-measurement "check" is just a sweep of the parked-reader frontier —
-no history materialisation, no graph build.  It is the one isolation
-oracle; the post-hoc pass it is held to lives with the tests
-(``tests/reference_checker.py``).
+:class:`StreamingDSGChecker` derives every ``ww``/``wr``/``rw`` edge *as
+transactions commit* and feeds it to an
+:class:`~repro.isolation.cycles.IncrementalCycleDetector`, in the spirit of
+DGCC's on-the-path dependency bookkeeping, instead of rebuilding the Direct
+Serialization Graph after the run.  Aborted and intermediate reads are
+caught in the same pass, so the final check is a sweep of the parked-reader
+frontier.  It is the one isolation oracle; the post-hoc pass it is held to
+lives with the tests (``tests/reference_checker.py``).
 
 Edge derivation per commit of ``T`` (mirrors the reference's whole-history one):
 
@@ -19,32 +15,33 @@ Edge derivation per commit of ``T`` (mirrors the reference's whole-history one):
   writer; an ``rw`` anti-dependency from ``T`` to the *next* committed
   writer of the key (bisect on the streamed version order).  A read whose
   successor has not committed yet — or whose writer is still in flight —
-  parks ``T`` in a per-``(key, writer)`` waiting set.
+  parks ``T`` in a per-``(key, writer)`` waiting set, popped when the
+  successor commits.
 * writes: a ``ww`` edge from the previous committed writer of each key, an
   ``rw`` edge from every parked reader of that previous version, and a
   ``wr`` edge to every committed reader that read ``T``'s own version
   before ``T`` committed (runtime pipelining).
+* scans: the *phantom* rw edge to the first committed writer of a key the
+  predicate covers but the scan never read, committed before the scan
+  (a per-table index of committed keys, bounded by distinct keys like the
+  store) or after it (a per-table registry of committed predicates, which
+  grows with committed scans: an edge out of a pruned scanner is dropped,
+  but ``num_edges`` still counts it).
 
-Waiting sets are popped when the successor commits, so steady-state memory
-is the per-key frontier (readers of each key's latest version), not the
-whole run.  Writer id 0 (database population) is treated as an always
-committed pseudo-transaction that never appears as a graph node, matching
-the post-hoc reference.
+Writer id 0 (database population) is an always committed pseudo-transaction
+that never appears as a graph node, matching the post-hoc reference.
 
-Scans add the *phantom* rw edges item-level derivation cannot see: a
-committed scan whose predicate covers a key it never read anti-depends on
-the key's first committed writer — whether that writer committed before
-the scan (the scan's snapshot missed it) or after (classic phantom).  The
-checker keeps a per-table index of committed keys for the backward
-direction and a per-table registry of committed scan predicates for the
-forward one; both grow with distinct keys / committed scans.
-
-The detector does not: a transaction is a node from its commit until the
-engine has released it and every in-neighbour is pruned.  An edge out of a
-pruned one is dropped, an edge into one is reported (``edges_into_pruned``).
+The rest holds only what a later commit can still ask, by the engine's
+retention rule (:meth:`StreamingDSGChecker.release`).  An edge out of a
+pruned detector node is dropped, an edge into one is reported
+(``edges_into_pruned``), and so is a read below a trimmed version order
+(``reads_below_trimmed``): never a wrong edge.  A recorder that keeps commit
+records (a fault lane's) releases the detector alone, since its lanes read
+the whole version orders and ids.
 """
 
 from bisect import bisect_left, bisect_right, insort
+from collections import OrderedDict
 
 from repro.isolation.cycles import IncrementalCycleDetector
 from repro.storage.ranges import slice_sorted_pks
@@ -53,43 +50,34 @@ from repro.storage.ranges import slice_sorted_pks
 class StreamingDSGChecker:
     """Incremental DSG circularity + anomaly check over a commit/abort stream.
 
-    It also owns the run's per-key version order (``_writers`` / ``_seqs``,
-    never evicted, purged only by :meth:`on_crash`), which the
-    :class:`~repro.isolation.history.HistoryRecorder` feeding it reads.
+    It owns the per-key version order (``_writers`` / ``_seqs``) its
+    :class:`~repro.isolation.history.HistoryRecorder` reads: trimmed by
+    :meth:`release`, purged of vanished writers by :meth:`on_crash`.
     """
 
     __slots__ = (
-        "kinds",
-        "detector",
-        "_writers",
-        "_seqs",
-        "_waiting",
-        "_committed",
-        "_aborted",
-        "_final",
-        "_table_pks",
-        "_scan_watch",
-        "aborted_reads",
-        "intermediate_reads",
-        "edges_into_pruned",
-        "num_edges",
+        "kinds", "detector", "_writers", "_seqs", "_waiting", "_committed",
+        "_released", "_aborted", "_anchors", "_last_abort", "_table_pks",
+        "_scan_watch", "aborted_reads", "intermediate_reads",
+        "edges_into_pruned", "reads_below_trimmed", "num_edges",
     )
 
     def __init__(self, kinds):
         self.kinds = frozenset(kinds)
         self.detector = IncrementalCycleDetector()
-        self._writers = {}   # key -> [writer, ...] in commit order
+        self._writers = {}   # key -> [writer, ...] in commit order (None: floor)
         self._seqs = {}      # key -> [commit_seq, ...] (parallel list, bisect)
         self._waiting = {}   # (key, writer) -> {reader id: observed commit_seq}
-        self._committed = set()
-        self._aborted = set()
-        self._final = {}     # (key, writer) -> final commit_seq of that version
+        self._committed = set()  # committed, not yet released
+        self._released = 0       # every id up to the highest released one finished
+        self._aborted = OrderedDict()  # aborted id -> None, in abort order
+        self._anchors = {}     # commit id -> last abort before it
+        self._last_abort = None  # an abort no commit has followed yet
         self._table_pks = {}   # table -> sorted pks with a committed version
         self._scan_watch = {}  # table -> [(scanner, KeyRange, read keys), ...]
-        self.aborted_reads = []
-        self.intermediate_reads = []
-        self.edges_into_pruned = []
-        self.num_edges = 0
+        # Violations: (reader, key, writer) reads and (source, target) edges.
+        self.aborted_reads, self.intermediate_reads, self.reads_below_trimmed = [], [], []
+        self.edges_into_pruned, self.num_edges = [], 0
 
     @property
     def cycle(self):
@@ -108,32 +96,28 @@ class StreamingDSGChecker:
                 self.detector.add_edge(source, target)
 
     def on_commit(self, txn_id, versions, reads, scans=()):
-        """Fold one committed transaction into the graph.
-
-        ``versions`` are the freshly installed (committed) versions;
-        ``reads`` is a ``(key, version)`` list of the versions it observed;
-        ``scans`` is a list of :class:`~repro.storage.ranges.KeyRange`
-        predicates (the transaction's effective scan ranges).
-        """
-        committed = self._committed
+        """Fold one committed transaction into the graph: ``versions`` it
+        installed, the ``(key, version)`` ``reads`` it observed and its
+        effective :class:`~repro.storage.ranges.KeyRange` ``scans``."""
+        committed, released = self._committed, self._released
         writers_map, seqs_map, waiting = self._writers, self._seqs, self._waiting
-        final = self._final
         add_edge = self._add_edge
         self.detector.add_node(txn_id)
+        if self._last_abort is not None:
+            self._anchors[txn_id], self._last_abort = self._last_abort, None
         for key, version in reads:
             writer = version.writer
             if writer == txn_id:
                 continue
             seq = version.commit_seq
-            if writer in committed:
+            # A released writer finished, and only a commit sequences a version.
+            if writer in committed or (seq is not None and 0 < writer <= released):
                 add_edge(writer, txn_id, "wr")
                 if seq is None:
                     # Committed writer but an unsequenced version object: a
                     # replaced intermediate; no rw edge is derivable (the
                     # post-hoc reference skips it identically).
                     continue
-                if final.get((key, writer), seq) != seq:
-                    self.intermediate_reads.append((txn_id, key, writer))
             elif writer != 0:
                 if writer in self._aborted:
                     self.aborted_reads.append((txn_id, key, writer))
@@ -151,11 +135,20 @@ class StreamingDSGChecker:
             elif seq is None:
                 continue
             # rw anti-dependency: next committed writer of the key after seq.
+            # A writer's versions of a key are adjacent (one commit sequences
+            # them all), so a read whose successor is its own writer's saw a
+            # version that was not that writer's final one.
             seqs = seqs_map.get(key)
             if seqs:
                 index = bisect_right(seqs, seq)
                 if index < len(seqs):
-                    add_edge(txn_id, writers_map[key][index], "rw")
+                    successor = writers_map[key][index]
+                    if successor is None:
+                        self.reads_below_trimmed.append((txn_id, key, writer))
+                        continue
+                    if successor == writer:
+                        self.intermediate_reads.append((txn_id, key, writer))
+                    add_edge(txn_id, successor, "rw")
                     continue
             # No successor committed yet: park until one arrives.
             slot = waiting.get((key, writer))
@@ -180,7 +173,11 @@ class StreamingDSGChecker:
                         key = (table, pk)
                         if key in read_keys:
                             continue
-                        add_edge(txn_id, writers_map[key][0], "rw")
+                        first = writers_map[key][0]
+                        if first is None:
+                            self.reads_below_trimmed.append((txn_id, key, None))
+                        else:
+                            add_edge(txn_id, first, "rw")
                 watchers = scan_watch.get(table)
                 if watchers is None:
                     watchers = scan_watch[table] = []
@@ -209,10 +206,19 @@ class StreamingDSGChecker:
                                 continue
                             if key_range.contains_pk(pk):
                                 add_edge(scanner_id, txn_id, "rw")
+            elif len(writers) > 1 and writers[1] not in committed:
+                # Trim: an entry goes once its successor's writer is released
+                # (it left the committed set); the last to go stays as the
+                # floor.  The tail stays: its successor is this version.
+                dead, last = 1, len(writers) - 1
+                while dead < last and writers[dead + 1] not in committed:
+                    dead += 1
+                if dead > 1:
+                    del writers[:dead - 1], seqs_map[key][:dead - 1]
+                writers[0] = None
             previous = writers[-1] if writers else 0
             writers.append(txn_id)
             seqs_map[key].append(seq)
-            final[(key, txn_id)] = seq
             if previous:
                 add_edge(previous, txn_id, "ww")
             parked = waiting.pop((key, previous), None)
@@ -222,94 +228,87 @@ class StreamingDSGChecker:
             pipelined = waiting.get((key, txn_id))
             if pipelined:
                 # Readers that consumed T's version before T committed: the
-                # wr edge lands now (they stay parked for their rw edge),
-                # and a reader that observed a sequenced non-final version
-                # saw an intermediate write.
+                # wr edge lands now (they stay parked for their rw edge, with
+                # T's sequence, which the run-end sweep reads once T is
+                # released), and a reader that observed a sequenced
+                # non-final version saw an intermediate write.
                 for reader, read_seq in pipelined.items():
                     add_edge(txn_id, reader, "wr")
                     if read_seq is not None and read_seq != seq:
                         self.intermediate_reads.append((reader, key, txn_id))
+                    pipelined[reader] = seq
 
     def on_abort(self, txn_id):
         """Record the abort so later-committing readers of it are flagged."""
-        self._aborted.add(txn_id)
+        self._aborted[txn_id] = None
+        self._last_abort = txn_id
+
+    def phantom_commit(self, txn_id):
+        """Whether a commit of ``txn_id`` now would be a phantom: it committed
+        already, or it is at or below the highest released id, so it finished
+        (as a commit, unless its abort is still held; a released abort counts
+        too, since the id finished).  The answer spans the run."""
+        return txn_id in self._committed or (
+            0 < txn_id <= self._released and txn_id not in self._aborted
+        )
+
+    def release(self, txn_id):
+        """The engine let go of committed ``txn_id``: all active began after
+        it finished.  So its node is pruned with its in-neighbours; an entry
+        whose successor it wrote goes at the key's next commit (the store's
+        chain trim), the last one kept as the floor, writer erased; it leaves
+        the committed ids for the watermark, as every id up to it finished;
+        and an abort before its commit goes: its readers overlapped it."""
+        self.detector.release(txn_id)
+        self._committed.discard(txn_id)
+        if txn_id > self._released:
+            self._released = txn_id
+        last = self._anchors.pop(txn_id, None)
+        aborted = self._aborted
+        if last in aborted:
+            while aborted.popitem(last=False)[0] != last:
+                pass
 
     def on_crash(self, vanished):
-        """Stitch across a simulated crash: erase the *vanished* writers.
-
-        ``vanished`` are transactions that committed in memory but were not
-        durable when the crash hit — recovery discarded them, so their
-        versions leave the durable timeline entirely.  Their per-key
-        version-order entries are purged (post-recovery edge derivation then
-        connects surviving versions directly) and the ids move from
-        committed to aborted, so any retained read of their data is flagged
-        exactly like a read of an aborted transaction.
-
-        Soundness of purging (rather than re-running the detector): the
-        rebuilt store hands out commit sequences strictly above every
-        pre-crash sequence, so every cross-crash edge points from the
-        pre-crash side to the post-crash side — no cycle can span the
-        crash, and edges already folded into the detector remain valid
-        (they were derived from reads/writes that really happened before
-        the crash; a cycle among them was a genuine pre-crash anomaly).
-        """
+        """Stitch across a crash: ``vanished`` committed in memory but were
+        not durable, so recovery discarded them.  Their order entries go
+        (later edges join the survivors), their ids count as aborted (a
+        retained read of them is an aborted read), and as readers they leave
+        no trace.  This is sound without re-running the detector: the rebuilt
+        store sequences above every pre-crash version, so every cross-crash
+        edge points forward, and the edges folded in really happened."""
         vanished = set(vanished)
         if not vanished:
             return
         self._committed -= vanished
-        self._aborted |= vanished
-        writers_map, seqs_map, final = self._writers, self._seqs, self._final
-        dead_keys = []
-        for key, writers in writers_map.items():
-            if not any(writer in vanished for writer in writers):
+        self._aborted.update(dict.fromkeys(sorted(vanished)))
+        writers_map, seqs_map = self._writers, self._seqs
+        for key, writers in list(writers_map.items()):
+            if vanished.isdisjoint(writers):
                 continue
-            for writer in writers:
-                if writer in vanished:
-                    final.pop((key, writer), None)
-            kept = [
-                (seq, writer)
-                for seq, writer in zip(seqs_map[key], writers)
-                if writer not in vanished
-            ]
+            kept = [pair for pair in zip(seqs_map[key], writers) if pair[1] not in vanished]
             if kept:
-                seqs_map[key] = [seq for seq, _writer in kept]
-                writers_map[key] = [writer for _seq, writer in kept]
-            else:
-                dead_keys.append(key)
-        for key in dead_keys:
-            del writers_map[key]
-            del seqs_map[key]
+                seqs_map[key], writers_map[key] = map(list, zip(*kept))
+                continue
+            del writers_map[key], seqs_map[key]
             if isinstance(key, tuple) and len(key) == 2:
-                table, pk = key
-                pks = self._table_pks.get(table)
-                if pks:
-                    index = bisect_left(pks, pk)
-                    if index < len(pks) and pks[index] == pk:
-                        del pks[index]
-        # A vanished transaction must leave no trace as a *reader* either:
-        # its parked reads would otherwise surface as false pending-aborted
-        # reads, and its scan predicates would owe phantom edges it can no
-        # longer be charged with.
-        empty_slots = []
-        for slot_key, readers in self._waiting.items():
-            for reader in list(readers):
-                if reader in vanished:
-                    del readers[reader]
+                pks = self._table_pks.get(key[0])
+                index = bisect_left(pks, key[1]) if pks else 0
+                if pks and index < len(pks) and pks[index] == key[1]:
+                    del pks[index]
+        # Parked reads of a vanished reader would surface as false aborted
+        # reads, and its scans would owe phantom edges nobody can be
+        # charged with.  A surviving reader of a vanished writer stays
+        # parked (the sweep flags it) or HistoryRecorder.on_crash hands it
+        # back from the records.
+        for slot_key, readers in list(self._waiting.items()):
+            for reader in vanished.intersection(readers):
+                del readers[reader]
             if not readers:
-                empty_slots.append(slot_key)
-        for slot_key in empty_slots:
-            del self._waiting[slot_key]
+                del self._waiting[slot_key]
         for table, watchers in self._scan_watch.items():
-            self._scan_watch[table] = [
-                entry for entry in watchers if entry[0] not in vanished
-            ]
-        # Anomalies already charged to a now-vanished reader evaporate with
-        # it (it left no trace); a surviving reader of a vanished writer is
-        # still parked (pending_aborted_reads flags it) or is handed back by
-        # HistoryRecorder.on_crash, which holds the reads.
-        self.aborted_reads = [
-            entry for entry in self.aborted_reads if entry[0] not in vanished
-        ]
+            self._scan_watch[table] = [entry for entry in watchers if entry[0] not in vanished]
+        self.aborted_reads = [entry for entry in self.aborted_reads if entry[0] not in vanished]
         self.intermediate_reads = [
             entry for entry in self.intermediate_reads if entry[0] not in vanished
         ]
@@ -317,11 +316,10 @@ class StreamingDSGChecker:
     def pending_aborted_reads(self):
         """Parked readers whose writer never committed: aborted reads.
 
-        Run-end sweep of the waiting frontier — O(parked readers), the only
-        post-measurement work the streaming checker needs.  Mirrors the
-        post-hoc condition: the read is aborted when the writer aborted, or
-        when the observed version never got a commit sequence and its
-        writer never committed.
+        Run-end sweep of the waiting frontier, O(parked readers).  Mirrors
+        the post-hoc condition: the writer aborted, or the observed version
+        never got a commit sequence and its writer never committed (a
+        released writer's parked readers all hold a sequence).
         """
         committed, aborted = self._committed, self._aborted
         flagged = []

@@ -74,8 +74,8 @@ class FileBackend(InMemoryBackend):
     Every :meth:`put` appends one line ``{"k": ..., "v": ...}`` and every
     :meth:`remove` one tombstone line ``{"d": [keys]}``; on open the file is
     replayed to rebuild the index, so the latest line per key wins.
-    The JSON coding of values is this class's own business: tuples and bytes
-    are tagged on the way out and restored on the way in.
+    The JSON coding of keys and values is this class's own business: tuples
+    and bytes are tagged on the way out and restored on the way in.
     """
 
     def __init__(self, path):
@@ -104,12 +104,12 @@ class FileBackend(InMemoryBackend):
         self._file.flush()
 
     def put(self, key, value):
-        self._write({"k": key, "v": _to_json(value)})
+        self._write({"k": _to_json(key), "v": _to_json(value)})
         super().put(key, value)
 
     def remove(self, keys):
         keys = list(keys)
-        self._write({"d": keys})
+        self._write({"d": _to_json(keys)})
         super().remove(keys)
 
     def clear(self):

@@ -37,30 +37,45 @@ class WriteAheadLog:
 
     Records are appended to a volatile buffer and become durable when
     :meth:`flush` persists them to the backend (synchronously at precommit,
-    or asynchronously in GCP-epoch batches).
+    or asynchronously in GCP-epoch batches).  A log opened over a backend
+    that already holds records (a reopened file) continues after them.
     """
 
     def __init__(self, backend):
-        self.backend = backend
-        self._buffer, self._next_lsn, self._tail_start = [], 1, 1
+        self.backend, self._buffer, self._next_lsn = backend, [], 1
         #: key -> LSN of its image record / of its latest write since the last
         #: fold: both bounded by the keys this server owns.
         self._image, self._latest = {}, {}
         #: Ids of the writers and of the read-only commits logged since.
         self._writers, self._readers = [], []
+        # A backend that already holds records (a reopened file): LSNs go on
+        # past them, and the image and the tail above it are noted again.
+        tail = []
+        for lsn, kind, txn_id, _epoch, body in self.persisted_records():
+            self._next_lsn = lsn + 1
+            if kind == "checkpoint":
+                self._image[loads(body)[0]] = lsn
+            elif kind == "precommit":
+                tail.append(lsn)
+                self._note(lsn, txn_id, loads(body))
+        self._tail_start = tail[0] if tail else self._next_lsn
+
+    def _note(self, lsn, txn_id, body):
+        """A precommit record becomes the latest of each key it writes."""
+        if body is not None:
+            for key, _value in body[2]:
+                self._latest[key] = lsn
+            (self._writers if body[2] else self._readers).append(txn_id)
 
     def append(self, kind, txn_id, gcp_epoch=0, body=None, lsn=None):
         """Append a record to the volatile tail under the next LSN (a fold
-        passes an image record's own) and return it.  A precommit record
-        becomes the latest of each key it writes."""
+        passes an image record's own) and return it."""
         if lsn is None:
             lsn, self._next_lsn = self._next_lsn, self._next_lsn + 1
         record = (lsn, kind, txn_id, gcp_epoch, dumps(body, HIGHEST_PROTOCOL))
         self._buffer.append(record)
-        if kind == "precommit" and body is not None:
-            for key, _value in body[2]:
-                self._latest[key] = lsn
-            (self._writers if body[2] else self._readers).append(txn_id)
+        if kind == "precommit":
+            self._note(lsn, txn_id, body)
         return record
 
     def flush(self, up_to_epoch=None):

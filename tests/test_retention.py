@@ -57,7 +57,14 @@ These things are pinned here:
   transaction once the engine released it and every in-neighbour is
   pruned: *prune ≡ never prune* on every conformance tree and open family,
   a release that comes too early is a named violation, a commit reaches the
-  oracle before its release, and the detector stays flat on a checked run.
+  oracle before its release, and the detector stays flat on a checked run;
+* **the oracle keeps what a later commit can ask** — without commit records
+  the checker trims each key's version order behind the released writers
+  and keeps only the committed ids the engine retains and the aborted ids
+  an active reader could still present: each stays flat on a checked run,
+  *release ≡ never release* holds on every conformance tree and open family
+  and on an engine that commits readers of aborted writers, and a lane's
+  recorder keeps the whole orders its checks read.
 """
 
 import gc
@@ -947,7 +954,8 @@ class TestFlatRetention:
 
 class NeverPruneRecorder(HistoryRecorder):
     """Test-only: the recorder as it was before the oracle forgot anything
-    (the engine's releases are not passed on)."""
+    (the engine's releases are not passed on: no pruned node, no trimmed
+    version order, every committed and aborted id held)."""
 
     def on_release(self, txn_id):
         pass
@@ -957,7 +965,46 @@ def _verdict(report):
     return (
         report.ok, report.cycles, report.num_edges, report.aborted_reads,
         report.intermediate_reads, report.edges_into_pruned,
+        report.reads_below_trimmed,
     )
+
+
+def _oracle_held(checker):
+    """``{structure: entries}`` of a streaming checker's run-long state."""
+    return {
+        "version_order": sum(map(len, checker._writers.values())),
+        "keys": len(checker._writers),
+        "committed_ids": len(checker._committed),
+        "aborted_ids": len(checker._aborted),
+        "anchors": len(checker._anchors),
+        "scan_watches": sum(map(len, checker._scan_watch.values())),
+    }
+
+
+def oracle_entries_held(cell="smallbank/3layer", targets=(1200, 4800),
+                        recorder_class=HistoryRecorder):
+    """What the streaming checker of a checked ``RUNNER_CELLS[cell]`` run
+    (seed 7, 16 clients, no lane) holds after each of ``targets`` commits,
+    as :func:`_oracle_held` counts it, plus the engine's retained commits
+    (``"retained"``), and the run's verdict.  ``scripts/check.sh`` prints
+    the last count of the default cell."""
+    workload_factory, config_factory, _clients, _duration = RUNNER_CELLS[cell]
+    runner = BenchmarkRunner(workload_factory(), config_factory(), seed=7, check_isolation=True)
+    # Swapped in before the first begin, as the engine requires.
+    runner.recorder = runner.engine.history_recorder = recorder_class()
+    try:
+        runner.add_clients(CLIENTS)
+        held = []
+        for target in targets:
+            while runner.engine.stats.commits < target:
+                runner.run_additional(0.01)
+            counts = _oracle_held(runner.recorder.streaming_checker)
+            counts["retained"] = len(runner.engine.finished)
+            held.append(counts)
+        report = runner.check_isolation()
+        return held, (_verdict(report), list(runner.recorder.duplicate_commits))
+    finally:
+        runner.stop()
 
 
 def detector_nodes_held(targets=(1200, 4800)):
@@ -1104,19 +1151,27 @@ class TestOracleForgetsWhatNoEdgeCanReach:
     @pytest.mark.parametrize("lanes", [None, 2, 3])
     @pytest.mark.parametrize("tree", sorted(CONFORMANCE_TREES))
     def test_prune_equals_never_prune(self, tree, lanes):
-        held = {HistoryRecorder: 0, NeverPruneRecorder: 0}
+        held = {HistoryRecorder: Counter(), NeverPruneRecorder: Counter()}
         for seed in self.SEEDS:
             verdicts = []
             for recorder_class in held:
                 report, _committed, recorder = run_conformance(
                     tree, random_requests(seed, 10), lanes, recorder_class
                 )
-                verdicts.append(_verdict(report))
-                held[recorder_class] += len(recorder.streaming_checker.detector._ord)
+                verdicts.append((_verdict(report), recorder.duplicate_commits))
+                checker = recorder.streaming_checker
+                held[recorder_class]["detector_nodes"] += len(checker.detector._ord)
+                held[recorder_class].update(_oracle_held(checker))
             assert verdicts[0] == verdicts[1], f"seed {seed}: {verdicts}"
-            assert verdicts[0][0], f"seed {seed}: {verdicts[0]}"
+            assert verdicts[0][0][0], f"seed {seed}: {verdicts[0]}"
         # The pin compares two different oracles: one forgot, one did not.
-        assert held[HistoryRecorder] < held[NeverPruneRecorder]
+        # Ten requests seldom write a key three times, so the orders and the
+        # aborted ids may match (the checked cells below trim both).
+        forgot, kept = held[HistoryRecorder], held[NeverPruneRecorder]
+        for name in ("detector_nodes", "committed_ids"):
+            assert forgot[name] < kept[name], (name, forgot, kept)
+        for name in ("version_order", "aborted_ids"):
+            assert forgot[name] <= kept[name], (name, forgot, kept)
 
     @pytest.mark.parametrize("schedule", conformance.TestOpenFamilies.CONFORMANCE, ids=str)
     def test_open_conformance_families_fail_through_the_cycle(self, schedule):
@@ -1188,6 +1243,109 @@ class TestOracleForgetsWhatNoEdgeCanReach:
         # retained; before the oracle pruned, every commit stayed a node
         # (4,821 at the second count).
         assert max(detector_nodes_held()) < PER_CLIENT * CLIENTS
+
+
+class NoCascadeEngine(TebaldiEngine):
+    """Test-only: commits a reader whose writer aborted (the cascading
+    abort is skipped), so the oracle sees aborted reads."""
+
+    def _check_cascading_abort(self, txn):
+        pass
+
+
+class TestOracleKeepsWhatALaterCommitCanAsk:
+    """Without commit records the checker holds what a later ``on_commit``
+    can still ask about: a key's version order from the last entry a
+    reader can land on, the committed ids the engine retains above a
+    watermark (the highest released id), and the aborted ids a reader still
+    active could present.  Each stays flat on a long checked run; *release
+    ≡ never release* (``TestOracleForgetsWhatNoEdgeCanReach`` on every
+    conformance tree and open family, and here on checked cells); a lane's
+    recorder keeps the whole orders; and a read below a trimmed head is a
+    named violation (``tests/test_streaming_checker.py``)."""
+
+    def test_the_version_order_and_committed_ids_stay_flat(self):
+        (early, late), (verdict, duplicates) = oracle_entries_held()
+        assert verdict[0] and duplicates == []
+        # Measured 861 entries over 352 keys and 1,181 over 400 (5,481
+        # before the trim, one per committed version), and 15 and 33
+        # committed ids (4,821, one per commit).  A key holds its floor,
+        # its head and its tail, plus the writes of retained commits.
+        for held in (early, late):
+            assert held["version_order"] <= 3 * held["keys"] + 4 * held["retained"], held
+            assert held["committed_ids"] <= held["retained"] <= PER_CLIENT * CLIENTS, held
+            assert held["anchors"] <= held["committed_ids"], held
+
+    def test_aborted_ids_stay_flat(self):
+        """A batching SSI root aborts about three transactions in four: the
+        checker held every aborted id (896 after 1,206 commits, 3,512 after
+        4,800); now it holds those no release has passed yet (1 and 5)."""
+        held, (verdict, _duplicates) = oracle_entries_held("micro/ssi-2layer")
+        assert verdict[0]
+        for counts in held:
+            assert counts["aborted_ids"] <= PER_CLIENT * CLIENTS, held
+            assert counts["committed_ids"] <= PER_CLIENT * CLIENTS, held
+
+    def test_release_equals_never_release_on_checked_cells(self):
+        for cell in ("smallbank/3layer", "micro/ssi-2layer"):
+            (forgot,), verdict = oracle_entries_held(cell, (1200,))
+            (kept,), kept_verdict = oracle_entries_held(cell, (1200,), NeverPruneRecorder)
+            assert verdict == kept_verdict, cell
+            assert forgot["committed_ids"] < kept["committed_ids"], (cell, forgot, kept)
+            assert forgot["version_order"] < kept["version_order"], (cell, forgot, kept)
+
+    def test_release_equals_never_release_with_aborted_reads(self, monkeypatch):
+        """Not vacuous: an engine that commits readers of aborted writers
+        (the flagship's RP leaves pipeline reads) gives both oracles the
+        same aborted reads, although one released aborted ids as it went."""
+        monkeypatch.setattr(runner_module, "TebaldiEngine", NoCascadeEngine)
+        verdicts, held = [], []
+        for recorder_class in (HistoryRecorder, NeverPruneRecorder):
+            runner = BenchmarkRunner(
+                _tiny_tpcc(), configs.tpcc_tebaldi_3layer(), seed=7, check_isolation=True
+            )
+            runner.recorder = runner.engine.history_recorder = recorder_class()
+            try:
+                runner.add_clients(CLIENTS)
+                runner.run_additional(0.2)
+                report = runner.check_isolation()
+            finally:
+                runner.stop()
+            verdicts.append((_verdict(report), runner.recorder.duplicate_commits))
+            held.append(_oracle_held(runner.recorder.streaming_checker))
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0][0][3], "no aborted read: the pin would be vacuous"
+        assert held[0]["aborted_ids"] < held[1]["aborted_ids"], held
+
+    def test_a_lane_recorder_keeps_the_whole_order(self):
+        """A fault lane reads every committed version's place (``history()``,
+        the crash stitch's ``seq_of``), so its recorder trims nothing."""
+        runner = BenchmarkRunner(
+            _smallbank(), configs.smallbank_3layer(), seed=7, lanes=(Lane(),)
+        )
+        try:
+            runner.run(CLIENTS, duration=0.05, warmup=0.0)
+            recorder = runner.recorder
+            checker = recorder.streaming_checker
+            versions = sum(len(txn.writes) for txn in recorder.history().transactions.values())
+            assert sum(map(len, checker._writers.values())) == versions > 0
+            assert len(checker._committed) == recorder.recorded_commits
+            assert not any(writers[0] is None for writers in checker._writers.values())
+        finally:
+            runner.stop()
+
+    def test_a_second_commit_of_a_released_id_is_flagged(self):
+        """The phantom-commit check spans the run: an id at or below the
+        highest released one finished already."""
+        recorder = HistoryRecorder()
+        for txn_id in range(1, 11):
+            recorder.on_commit(Transaction(txn_id=txn_id, txn_type="w", reads=[]), [])
+            recorder.on_release(txn_id)
+        recorder.on_abort(Transaction(txn_id=11, txn_type="w"))
+        assert recorder.streaming_checker._committed == set()
+        for txn_id in (1, 9, 12):
+            recorder.on_commit(Transaction(txn_id=txn_id, txn_type="w", reads=[]), [])
+        assert recorder.duplicate_commits == [1, 9]
 
 
 class TestPrecommitDedupRelease:

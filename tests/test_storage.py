@@ -181,6 +181,21 @@ class TestBackends:
         reopened.close()
 
 
+    def test_a_tuple_key_survives_a_reopen(self, tmp_path):
+        """A key is coded like a value: a tuple key comes back a tuple, so
+        the index rebuilds, and a tombstone names it the same way."""
+        path = str(tmp_path / "log.jsonl")
+        backend = FileBackend(path)
+        backend.put(("a", 1), {"v": 1})
+        backend.put(("b", (2, 3)), 2)
+        backend.remove([("b", (2, 3))])
+        backend.close()
+        reopened = FileBackend(path)
+        assert reopened.get(("a", 1)) == {"v": 1}
+        assert reopened.items() == [(("a", 1), {"v": 1})]
+        reopened.close()
+
+
 class TestWriteAheadLog:
     def test_append_assigns_lsn(self):
         wal = WriteAheadLog(InMemoryBackend())
@@ -249,6 +264,36 @@ class TestWriteAheadLog:
         records = [wal.append("precommit", txn_id) for txn_id in (1, 2)]
         wal.flush()
         assert wal.backend.items() == [(record[LSN], record) for record in records]
+
+    def test_a_reopened_log_continues_after_its_records(self, tmp_path):
+        """A log opened over a file that holds records goes on past their
+        LSNs, so its next flush overwrites none, and a fold of the reopened
+        log releases what a fold of the log that never closed would."""
+        path = str(tmp_path / "wal.jsonl")
+
+        def precommit(wal, txn_id, key):
+            wal.append("precommit", txn_id, body=(1, txn_id, ((("t", key), txn_id),)))
+            wal.flush()
+
+        wal = WriteAheadLog(FileBackend(path))
+        precommit(wal, 1, 1)
+        precommit(wal, 2, 2)
+        wal.backend.close()
+        reopened = WriteAheadLog(FileBackend(path))
+        precommit(reopened, 3, 1)
+        assert [r[TXN_ID] for r in reopened.persisted_records()] == [1, 2, 3]
+        assert [r[LSN] for r in reopened.persisted_records()] == [1, 2, 3]
+        never_closed = WriteAheadLog(InMemoryBackend())
+        for txn_id, key in ((1, 1), (2, 2), (3, 1)):
+            precommit(never_closed, txn_id, key)
+        for log in (reopened, never_closed):
+            log.fold()
+        assert reopened.persisted_records() == never_closed.persisted_records()
+        reopened.backend.close()
+        again = WriteAheadLog(FileBackend(path))
+        assert again.persisted_records() == never_closed.persisted_records()
+        assert (again._image, again._next_lsn) == (never_closed._image, never_closed._next_lsn)
+        again.backend.close()
 
     def test_key_codec_roundtrips_through_file_backend(self, tmp_path):
         """A record with a composite key survives a JSON backend exactly: the

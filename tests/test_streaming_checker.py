@@ -510,8 +510,8 @@ class TestPruning:
         checker = StreamingDSGChecker(LEVEL_EDGE_KINDS["serializable"])
         x1 = SimpleNamespace(key="x", writer=1, commit_seq=2)
         checker.on_commit(1, [x1], [])
-        checker.detector.release(1)
-        assert 1 not in checker.detector and 1 in checker._committed
+        checker.release(1)
+        assert 1 not in checker.detector and checker.phantom_commit(1)
         return checker
 
     def test_an_edge_out_of_a_pruned_node_is_dropped(self):
@@ -534,6 +534,102 @@ class TestPruning:
         assert not report.ok and report.serializable
         assert report.edges_into_pruned == [(2, 1)]
         assert "1 edges into pruned transactions" in report.describe()
+
+
+class TestTrimmedVersionOrder:
+    """A released checker trims each key's order at its next commit: the
+    entries whose successor's writer is released go, the last of them stays
+    as the floor (its writer erased), and a read that lands below the floor
+    is reported — the edge it needed is gone — never given a wrong one."""
+
+    @staticmethod
+    def _trimmed():
+        """Writers 1, 2, 3 and 4 of x; 1, 2 and 3 are released, so 4's
+        commit trims x to 2's floor, 3's head and 4's tail."""
+        checker = StreamingDSGChecker(LEVEL_EDGE_KINDS["serializable"])
+        versions = {
+            writer: SimpleNamespace(key="x", writer=writer, commit_seq=writer + 1)
+            for writer in range(1, 5)
+        }
+        for writer in (1, 2, 3):
+            checker.on_commit(writer, [versions[writer]], [])
+        for writer in (1, 2, 3):
+            checker.release(writer)
+        checker.on_commit(4, [versions[4]], [])
+        assert checker._writers["x"] == [None, 3, 4]
+        assert checker._seqs["x"] == [3, 4, 5]
+        return checker, versions
+
+    def test_a_read_below_the_floor_is_reported(self):
+        checker, versions = self._trimmed()
+        x0 = SimpleNamespace(key="x", writer=0, commit_seq=1)
+        checker.on_commit(5, [], [("x", x0), ("x", versions[1])])
+        assert checker.reads_below_trimmed == [(5, "x", 0), (5, "x", 1)]
+        assert checker.num_edges == 4  # three ww, and the wr 1 -> 5
+        recorder = HistoryRecorder()
+        recorder.streaming_checker = checker
+        report = check_recorder(recorder)
+        assert not report.ok and report.serializable
+        assert "2 reads below a trimmed version order" in report.describe()
+
+    def test_a_read_at_or_above_the_floor_keeps_its_edge(self):
+        checker, versions = self._trimmed()
+        checker.on_commit(5, [], [("x", versions[2]), ("x", versions[3])])
+        assert checker.reads_below_trimmed == []
+        # rw 5 -> 3 (into a pruned writer, as without the trim) and 5 -> 4.
+        assert checker.edges_into_pruned == [(5, 3)]
+        assert 5 in checker.detector._in[4]
+
+    def test_a_scan_below_the_floor_is_reported(self):
+        checker = StreamingDSGChecker(LEVEL_EDGE_KINDS["serializable"])
+        for writer in (1, 2, 3):
+            version = SimpleNamespace(key=("t", 7), writer=writer, commit_seq=writer)
+            checker.on_commit(writer, [version], [])
+            checker.release(writer)
+        assert checker._writers[("t", 7)] == [None, 2, 3]
+        checker.on_commit(4, [], [], [KeyRange("t", 0, 9)])
+        assert checker.reads_below_trimmed == [(4, ("t", 7), None)]
+
+    def test_an_intermediate_read_is_the_writer_following_itself(self):
+        checker = StreamingDSGChecker(LEVEL_EDGE_KINDS["read-committed"])
+        first = SimpleNamespace(key="x", writer=1, commit_seq=2)
+        final = SimpleNamespace(key="x", writer=1, commit_seq=3)
+        checker.on_commit(1, [first, final], [])
+        checker.on_commit(2, [], [("x", first), ("x", final)])
+        assert checker.intermediate_reads == [(2, "x", 1)]
+
+    def test_a_released_writers_pipelined_reader_is_no_aborted_read(self):
+        checker = StreamingDSGChecker(LEVEL_EDGE_KINDS["serializable"])
+        in_flight = SimpleNamespace(key="x", writer=1, commit_seq=None)
+        checker.on_commit(2, [], [("x", in_flight)])
+        in_flight.commit_seq = 5
+        checker.on_commit(1, [in_flight], [])
+        checker.release(1)
+        checker.release(2)
+        assert 1 not in checker._committed
+        assert checker.pending_aborted_reads() == []
+
+    def test_an_abort_goes_once_a_later_commit_is_released(self):
+        checker = StreamingDSGChecker(LEVEL_EDGE_KINDS["serializable"])
+        checker.on_abort(1)
+        checker.on_abort(2)
+        checker.on_commit(3, [], [])
+        checker.on_abort(4)
+        checker.release(3)
+        assert list(checker._aborted) == [4]
+        # 1 and 2 finished (at or below 3): committing either is a phantom.
+        assert [checker.phantom_commit(txn_id) for txn_id in (1, 2, 3, 4)] == [
+            True, True, True, False
+        ]
+
+    def test_seq_of_reads_the_order_from_the_tail(self):
+        recorder = HistoryRecorder(records=True)
+        for writer, seq in ((1, 2), (2, 3), (1, 4)):
+            recorder.streaming_checker.on_commit(
+                writer, [SimpleNamespace(key="x", writer=writer, commit_seq=seq)], []
+            )
+        assert (recorder.seq_of("x", 1), recorder.seq_of("x", 2)) == (4, 3)
+        assert recorder.seq_of("x", 9) is None and recorder.seq_of("y", 1) is None
 
 
 class TestSubgraphCaching:
