@@ -152,10 +152,11 @@ print("GC-tracked objects per tpcc/3layer commit: {:.1f}; versions per key: {:.2
 # keeps no read set, rw flag, intent or commit timestamp per transaction
 # (0; with that tracking the root held one commit timestamp per commit).
 # A batching root keeps rw flags and commit timestamps in the state of the
-# transaction or batch they describe, and only indexes with a release rule
-# itself (65 entries after 4,800 micro/ssi-2layer commits; 6,674 while the
-# flags and timestamps were node-wide).  tests/test_retention.py pins the
-# first on three cells and bounds the second.
+# transaction or batch they describe, and itself only indexes whose entries
+# leave when the engine releases their transaction (61 entries after 4,800
+# micro/ssi-2layer commits; 65 while it kept its own drain floor, 6,674
+# while the flags and timestamps were node-wide).  tests/test_retention.py
+# pins the first on three cells and bounds the second.
 python -c 'from tests.test_retention import SSI_TRACKING, ssi_root_holds
 def held(cell, commits):
     _ssi, (counts,) = ssi_root_holds(cell, (commits,))

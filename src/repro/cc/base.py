@@ -92,8 +92,6 @@ class ConcurrencyControl:
     * ``efficient_internal`` — can enforce consistent ordering efficiently as
       an internal (cross-group) node without resorting to batching.
     * ``requires_profiles`` — needs static transaction profiles (RP).
-    * ``read_optimized`` — optimised for read-write conflicts (SSI).
-    * ``write_optimized`` — optimised for write-write contention (RP, TSO).
 
     The attributes after them are the composition rules, which
     :func:`check_composition` enforces for every tree (PERFORMANCE.md, *What
@@ -104,8 +102,6 @@ class ConcurrencyControl:
     handles_contention = True
     efficient_internal = True
     requires_profiles = False
-    read_optimized = False
-    write_optimized = False
     #: Whether partition-by-instance leaves (``instance_key``) may use this
     #: mechanism.  Sequencing mechanisms that impose one total order per
     #: group (deterministic batch) cannot be split into independent
@@ -269,6 +265,11 @@ class ConcurrencyControl:
 
     def finish(self, txn, committed):
         """Called once after commit or abort: release resources, wake waiters."""
+
+    def release(self, txn):
+        """Called once when the engine releases committed ``txn``: nothing
+        active is concurrent with it any more, so what was kept for its
+        concurrent transactions can go."""
 
     def describe(self):
         return f"{self.name}@{self.node.node_id}"

@@ -63,7 +63,6 @@ class DeterministicBatch(ConcurrencyControl):
     handles_contention = True
     efficient_internal = False
     requires_profiles = True
-    write_optimized = True
     # One total order per group: independent per-partition instances would
     # split the sequence, and the sequencer cannot federate child groups.
     supports_partitioning = False

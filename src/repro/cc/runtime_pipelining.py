@@ -33,7 +33,6 @@ class RuntimePipelining(TwoPhaseLocking):
     name = "rp"
     handles_contention = True
     requires_profiles = True
-    write_optimized = True
     extra_operation_rtts = 1  # per-operation coordination round-trip
 
     def __init__(self, engine, node, lock_timeout=None):

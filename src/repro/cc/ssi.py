@@ -16,8 +16,6 @@ a group's next transaction after the last one finished starts a new batch
 at a fresh timestamp.
 """
 
-from collections import deque
-
 from repro.cc.base import ConcurrencyControl, register_cc
 from repro.cc.timestamps import BatchManager
 from repro.storage.ranges import ScanSet
@@ -41,7 +39,6 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
     name = "ssi"
     handles_contention = True
     efficient_internal = True
-    read_optimized = True
     # A lock-based ancestor prefers the latest committed version to the
     # snapshot this node proposes, even for its own group's writes.
     forbidden_ancestors = frozenset({"2pl", "rp"})
@@ -54,8 +51,8 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         # (a late joiner of a batch whose first members still run), and the
         # ww/rw checks below must still find those transactions — so a live
         # batch holds the engine's release back until its last member
-        # finishes, and its timestamp is the floor of the SIREAD drain
-        # (``_drain_committed_readers``).
+        # finishes, and with it the SIREAD entries of readers that committed
+        # meanwhile (``release``).
         self.batches = BatchManager(
             engine.oracle,
             batch_size=batch_size,
@@ -76,15 +73,6 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         # checking the write-lock table — or an rw edge formed in the
         # announce-to-install window is silently missed.
         self._write_intents = {}
-        # SIREAD-style retention (Ports & Grittner): a *committed* reader
-        # keeps constraining concurrent writers — its rw anti-dependency
-        # into a later write is exactly the edge that closes write-skew
-        # cycles after the reader has gone.  Entries are kept keyed by the
-        # reader's commit timestamp and drained once no snapshot that is, or
-        # can still be, handed out predates them.
-        # txn_id -> start timestamp of every unfinished member.
-        self._member_starts = {}
-        self._committed_readers = deque()
         self.batching = self._needs_batching()
         # Snapshots only (see the class docstring).
         self.read_only_optimization = (not node.is_leaf) and not self.batching
@@ -164,7 +152,6 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         else:
             state["batch_id"] = None
             state["start_ts"] = self.engine.oracle.next()
-        self._member_starts[txn.txn_id] = state["start_ts"]
 
     # -- execution phase ---------------------------------------------------------------
 
@@ -349,7 +336,6 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
     def finish(self, txn, committed):
         if self.read_only_optimization:
             return
-        self._member_starts.pop(txn.txn_id, None)
         state = self.state(txn)
         for key in state.get("write_keys", ()):  # prune write intents
             intents = self._write_intents.get(key)
@@ -357,18 +343,29 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
                 intents.pop(txn.txn_id, None)
                 if not intents:
                     self._write_intents.pop(key, None)
-        if committed and (state.get("read_keys") or state.get("scanned")):
-            # Retain the committed reader's (SIREAD) entries: they still
-            # constrain writers whose snapshots predate this commit.
-            self._committed_readers.append((state.get("commit_ts", 0), txn))
-        else:
-            self._prune_reader(txn, state)
+        if not committed:
+            # An aborted reader constrains nobody; a committed one keeps its
+            # (SIREAD) entries until the engine releases it.
+            self.release(txn)
         batch_id = state.get("batch_id")
         if batch_id is not None:
             self.batches.discard(batch_id, txn.txn_id)
-        self._drain_committed_readers()
 
-    def _prune_reader(self, txn, state):
+    def release(self, txn):
+        """Drop ``txn``'s read set: at its abort, or once the engine releases
+        it committed.
+
+        SIREAD-style retention (Ports & Grittner): a *committed* reader keeps
+        constraining concurrent writers — its rw anti-dependency into a later
+        write is exactly the edge that closes write-skew cycles after the
+        reader has gone.  A writer whose snapshot predates the reader's
+        commit began before the reader finished, or joined a batch whose
+        engine hold was placed before then; either way the engine still
+        holds the reader while that writer can write.  Keeping an entry
+        longer never changes an outcome (``_concurrent_reader`` filters by
+        commit timestamp at use).
+        """
+        state = self.state(txn)
         for key in state.get("read_keys", ()):  # prune reader tracking
             readers = self._readers.get(key)
             if readers is not None:
@@ -377,30 +374,3 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
                     self._readers.pop(key, None)
         if state.get("scanned"):  # prune range tracking
             self._scans.drop(txn.txn_id)
-
-    def _drain_committed_readers(self):
-        """Drop retained committed readers no snapshot can conflict with.
-
-        The floor is the oldest snapshot that is, or can still be, handed
-        out: a live batch gives its timestamp to members that have not begun
-        yet, so it counts from the moment it opens, like the engine hold it
-        brackets.  Draining late never changes an outcome
-        (``_concurrent_reader`` filters by commit timestamp at use); draining
-        early loses the rw edge.  Commit timestamps are monotonic, so the
-        retention deque is ordered and draining its prefix is amortized O(1)
-        per finished transaction.
-        """
-        retained = self._committed_readers
-        if not retained:
-            return
-        oldest = self.batches.oldest_live()
-        if self._member_starts:
-            first_member = min(self._member_starts.values())
-            if oldest is None or first_member < oldest:
-                oldest = first_member
-        while retained:
-            commit_ts, reader = retained[0]
-            if oldest is not None and commit_ts > oldest:
-                break
-            retained.popleft()
-            self._prune_reader(reader, self.state(reader))

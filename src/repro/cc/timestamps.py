@@ -69,16 +69,6 @@ class BatchManager:
         entry["members"].add(txn_id)
         return entry["batch_id"], entry["timestamp"], entry["flags"]
 
-    def oldest_live(self):
-        """The oldest timestamp a live batch can still hand out, or None.
-
-        ``_live`` is insertion ordered and the oracle monotonic, so it is the
-        first entry's.
-        """
-        for entry in self._live.values():
-            return entry["timestamp"]
-        return None
-
     def discard(self, batch_id, txn_id):
         """``txn_id`` finished; with the batch's last member the batch dies,
         closed to admissions if it was still its group's current one."""

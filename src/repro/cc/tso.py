@@ -31,7 +31,6 @@ class TimestampOrdering(ConcurrencyControl):
     name = "tso"
     handles_contention = True
     efficient_internal = False
-    write_optimized = True
     leaf_only = True
     extra_start_rtts = 1  # centralized timestamp server
 

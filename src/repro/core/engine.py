@@ -358,7 +358,6 @@ class TebaldiEngine:
             txn, timestamp=txn.commit_timestamp, retained=self.finished
         )
         txn.status = TransactionStatus.COMMITTED
-        txn.end_time = self.env.now
         if not txn.finish_event.triggered:
             txn.finish_event.succeed(True)
         if self._recorder is not None:  # before _retire, which may release txn
@@ -382,15 +381,14 @@ class TebaldiEngine:
     def _finish_abort(self, txn, reason):
         txn.status = TransactionStatus.ABORTED
         txn.abort_reason = reason
-        txn.end_time = self.env.now
         if not txn.finish_event.triggered:
             txn.finish_event.succeed(False)
         self.store.abort_transaction(txn)
         for finish_hook in txn.charges.finish_hooks:
             finish_hook(txn, committed=False)
-        self._retire(txn)
-        if self._recorder is not None:
+        if self._recorder is not None:  # before _retire, which may release txn
             self._recorder.on_abort(txn)
+        self._retire(txn)
         self.stats.record_abort(txn, reason)
         self.commit_condition.notify_all()
 
@@ -412,7 +410,10 @@ class TebaldiEngine:
         Horizons grow with finish order and with hold order, so releasing is
         a walk from the left.  A released transaction is not touched — the
         engine just stops holding it, and ``find_transaction`` misses, which
-        its callers only see for transactions they never overlapped.
+        its callers only see for transactions they never overlapped.  It is
+        the one rule for what others keep per transaction: the mechanisms on
+        a committed one's route let go of it (``release``), and the recorder
+        hears of every one (``on_release``).
         """
         floor = next(iter(self.active), None)
         if self._holds:
@@ -422,7 +423,10 @@ class TebaldiEngine:
         order, recorder = self._finished_order, self._recorder
         while order and (floor is None or order[0][0] < floor):
             txn = self.finished.pop(order.popleft()[1])
-            if recorder is not None and txn.status is _COMMITTED:
+            if txn.status is _COMMITTED:
+                for release_hook in txn.charges.release_hooks:
+                    release_hook(txn)
+            if recorder is not None:
                 recorder.on_release(txn.txn_id)
 
     def hold_finished(self, key):

@@ -30,7 +30,6 @@ class StatsCollector:
         self.started_at = self.env.now if at is None else at
         self.commits = 0
         self.aborts = 0
-        self.retries = 0
         self.abort_reasons = Counter()
         self.by_type = defaultdict(TypeStats)
 
@@ -48,9 +47,6 @@ class StatsCollector:
         self.aborts += 1
         self.abort_reasons[reason] += 1
         self.by_type[txn.txn_type].aborts += 1
-
-    def record_retry(self, txn):
-        self.retries += 1
 
     # -- reporting ----------------------------------------------------------
 
@@ -76,10 +72,8 @@ class StatsCollector:
     def summary(self):
         """Plain-dict summary used by the harness and the benchmarks."""
         return {
-            "elapsed": self.elapsed,
             "commits": self.commits,
             "aborts": self.aborts,
-            "retries": self.retries,
             "throughput": self.throughput(),
             "abort_rate": self.abort_rate(),
             "mean_latency": self.mean_latency(),

@@ -86,7 +86,6 @@ class Transaction:
 
     # Timing (virtual seconds) and outcome.
     begin_time: float = 0.0
-    end_time: float = 0.0
     abort_reason: str = ""
     result: Any = None
 

@@ -114,6 +114,7 @@ class Route:
         "validate_hooks",
         "pre_commit_hooks",
         "finish_hooks",
+        "release_hooks",
         "group_tokens",
         "partitions",
         "procedure",
@@ -198,6 +199,7 @@ class Route:
             cc.pre_commit for cc in up if _overrides(cc, "pre_commit")
         )
         self.finish_hooks = tuple(cc.finish for cc in up if _overrides(cc, "finish"))
+        self.release_hooks = tuple(cc.release for cc in up if _overrides(cc, "release"))
         if self.read_only:
             self.write_hooks = (_refuse_write,)
         if not txn_type_def.profile.declares_scan:

@@ -175,9 +175,7 @@ class CrashLane(Lane):
                 ghost_versions.setdefault(writer, []).append(version)
         new_store.advance_commit_seq(max(last_seq, next_fresh_seq))
         for ghost in sorted(ghosts):
-            recorder.on_recovered(
-                ghost, ghost_versions.get(ghost, []), now=crash_time
-            )
+            recorder.on_recovered(ghost, ghost_versions.get(ghost, []))
         # Every reader from here on sees restored versions only: nothing the
         # dead incarnation held, nor a ghost, can gain an incoming edge (the
         # oracle checks), so release them all; an aborted one is no node.
@@ -205,15 +203,15 @@ class CrashLane(Lane):
     def finish(self, runner, result):
         result.crashes = list(self.crashes)
         if runner.workload.name == "queue":
-            result.extra["exactly_once_violations"] = exactly_once_violations(
-                runner.recorder.history()
-            )
+            found = exactly_once_violations(runner.recorder.history())
+            if found:
+                result.violations["double_dequeues"] = found
 
 
 def describe(result):
     """CLI text of one crash cell: ``(problem, headline, detail)``."""
     report = result.extra["isolation"]
-    duplicate_dequeues = result.extra.get("exactly_once_violations") or {}
+    duplicate_dequeues = result.violations.get("double_dequeues", {})
     problem = None
     status = f"isolation OK across {len(result.crashes)} crash(es)"
     if not report.ok or duplicate_dequeues:

@@ -104,8 +104,6 @@ class NetFaultLane(Lane):
         manager, recorder = runner.manager, runner.recorder
         result.fault_log = list(self.injector.fault_log)
         result.net_stats = dict(self.transport.stats)
-        result.extra["injector_stats"] = dict(self.injector.stats)
-        result.extra["pending_faults"] = self.injector.has_pending()
         history = recorder.history()
         is_queue = runner.workload.name == "queue"
         # Committed means durable and visible: replaying the persistent log

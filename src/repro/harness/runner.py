@@ -176,7 +176,6 @@ class BenchmarkRunner:
                     yield from self.engine.execute_transaction(txn_type, args, client_id)
                     break
                 except TransactionAborted:
-                    self.engine.stats.record_retry(None)
                     # Exponential backoff (capped) calms cascading-abort storms.
                     delay = min(RETRY_BACKOFF * (2 ** min(attempts - 1, 5)), 0.1)
                     yield delay

@@ -34,7 +34,7 @@ class IncrementalCycleDetector:
     lies on a cycle unless an edge later enters one (the checker's guard).
     """
 
-    __slots__ = ("_out", "_in", "_ord", "_released", "_next_index", "cycle", "num_edges")
+    __slots__ = ("_out", "_in", "_ord", "_released", "_next_index", "cycle")
 
     def __init__(self):
         self._out = {}
@@ -43,7 +43,6 @@ class IncrementalCycleDetector:
         self._released = set()  # released nodes an unpruned in-neighbour holds
         self._next_index = 0
         self.cycle = None
-        self.num_edges = 0
 
     def __contains__(self, node):
         return node in self._ord
@@ -68,7 +67,6 @@ class IncrementalCycleDetector:
             return None
         out_edges.add(target)
         self._in[target].add(source)
-        self.num_edges += 1
         if self.cycle is not None:
             return None
         order = self._ord

@@ -26,7 +26,6 @@ class HistoryTransaction:
     reads: list = field(default_factory=list)     # (key, writer_id, commit_seq|None)
     writes: list = field(default_factory=list)    # (key, commit_seq)
     scans: list = field(default_factory=list)     # KeyRange per range scan
-    end_time: float = 0.0
 
 
 @dataclass
@@ -49,11 +48,11 @@ class History:
         return len(self.transactions)
 
 
-#: A retained record is one flat tuple: ``txn_type, end_time, scans,
-#: num_writes``, then ``key, commit_seq`` per write from this index on, then
-#: ``key, writer, commit_seq`` per read to the end (the observed ``Version``
-#: stands in for a ``commit_seq`` not yet assigned).
-_WRITES_AT = 4
+#: A retained record is one flat tuple: ``txn_type, scans, num_writes``,
+#: then ``key, commit_seq`` per write from this index on, then ``key,
+#: writer, commit_seq`` per read to the end (the observed ``Version`` stands
+#: in for a ``commit_seq`` not yet assigned).
+_WRITES_AT = 3
 
 
 class HistoryRecorder:
@@ -116,7 +115,7 @@ class HistoryRecorder:
                  if record.version is not None]
         records = self._records
         if records is not None:
-            flat = [txn.txn_type, txn.end_time, scans, len(versions)]
+            flat = [txn.txn_type, scans, len(versions)]
             for version in versions:
                 flat += (version.key, version.commit_seq)
             for key, version in reads:
@@ -139,9 +138,9 @@ class HistoryRecorder:
                 aborted.popitem(last=False)
 
     def on_release(self, txn_id):
-        """The engine let go of committed ``txn_id``: the checker forgets
-        what no later commit can ask about it — its detector alone when
-        commit records are kept, since the lanes read the rest."""
+        """The engine let go of ``txn_id``: the checker forgets what no
+        later commit can ask about it — its detector alone when commit
+        records are kept, since the lanes read the rest."""
         checker = self.streaming_checker
         (checker.release if self._records is None else checker.detector.release)(txn_id)
 
@@ -177,13 +176,13 @@ class HistoryRecorder:
                     flagged.add(entry)
                     checker.aborted_reads.append(entry)
 
-    def on_recovered(self, txn_id, versions, txn_type="recovered", now=0.0):
+    def on_recovered(self, txn_id, versions, txn_type="recovered"):
         """Register a *ghost* survivor, durable but never committed in memory
         (the crash fired between precommit and acknowledgement): recovery
         resurrects its writes, and only they constrain the stitched graph —
         its reads died with the crash, as the durable log keeps none."""
         records = self._held()
-        flat = [txn_type, now, (), len(versions)]
+        flat = [txn_type, (), len(versions)]
         for version in versions:
             flat += (version.key, version.commit_seq)
         self.streaming_checker.on_commit(txn_id, versions, (), ())
@@ -222,14 +221,13 @@ class HistoryRecorder:
             extra_committed=extra_committed,
         )
         for txn_id, flat in records.items():
-            txn_type, end, scans, num_writes = flat[:_WRITES_AT]
+            txn_type, scans, num_writes = flat[:_WRITES_AT]
             reads_at = _WRITES_AT + 2 * num_writes
             writes, reads = flat[_WRITES_AT:reads_at], flat[reads_at:]
             history.add_transaction(
                 HistoryTransaction(
                     txn_id=txn_id,
                     txn_type=txn_type,
-                    end_time=end,
                     writes=list(zip(writes[::2], writes[1::2])),
                     reads=[
                         (key, writer, seq if isinstance(seq, int) else seq.commit_seq)

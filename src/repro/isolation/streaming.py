@@ -41,7 +41,6 @@ the whole version orders and ids.
 """
 
 from bisect import bisect_left, bisect_right, insort
-from collections import OrderedDict
 
 from repro.isolation.cycles import IncrementalCycleDetector
 from repro.storage.ranges import slice_sorted_pks
@@ -57,9 +56,9 @@ class StreamingDSGChecker:
 
     __slots__ = (
         "kinds", "detector", "_writers", "_seqs", "_waiting", "_committed",
-        "_released", "_aborted", "_anchors", "_last_abort", "_table_pks",
-        "_scan_watch", "aborted_reads", "intermediate_reads",
-        "edges_into_pruned", "reads_below_trimmed", "num_edges",
+        "_released", "_aborted", "_table_pks", "_scan_watch", "aborted_reads",
+        "intermediate_reads", "edges_into_pruned", "reads_below_trimmed",
+        "num_edges",
     )
 
     def __init__(self, kinds):
@@ -70,9 +69,7 @@ class StreamingDSGChecker:
         self._waiting = {}   # (key, writer) -> {reader id: observed commit_seq}
         self._committed = set()  # committed, not yet released
         self._released = 0       # every id up to the highest released one finished
-        self._aborted = OrderedDict()  # aborted id -> None, in abort order
-        self._anchors = {}     # commit id -> last abort before it
-        self._last_abort = None  # an abort no commit has followed yet
+        self._aborted = set()    # aborted, not yet released
         self._table_pks = {}   # table -> sorted pks with a committed version
         self._scan_watch = {}  # table -> [(scanner, KeyRange, read keys), ...]
         # Violations: (reader, key, writer) reads and (source, target) edges.
@@ -103,8 +100,6 @@ class StreamingDSGChecker:
         writers_map, seqs_map, waiting = self._writers, self._seqs, self._waiting
         add_edge = self._add_edge
         self.detector.add_node(txn_id)
-        if self._last_abort is not None:
-            self._anchors[txn_id], self._last_abort = self._last_abort, None
         for key, version in reads:
             writer = version.writer
             if writer == txn_id:
@@ -240,8 +235,7 @@ class StreamingDSGChecker:
 
     def on_abort(self, txn_id):
         """Record the abort so later-committing readers of it are flagged."""
-        self._aborted[txn_id] = None
-        self._last_abort = txn_id
+        self._aborted.add(txn_id)
 
     def phantom_commit(self, txn_id):
         """Whether a commit of ``txn_id`` now would be a phantom: it committed
@@ -253,21 +247,20 @@ class StreamingDSGChecker:
         )
 
     def release(self, txn_id):
-        """The engine let go of committed ``txn_id``: all active began after
-        it finished.  So its node is pruned with its in-neighbours; an entry
+        """The engine let go of ``txn_id``: all active began after it
+        finished.  An aborted id goes, since its readers overlapped it.  A
+        committed one's node is pruned with its in-neighbours; an entry
         whose successor it wrote goes at the key's next commit (the store's
-        chain trim), the last one kept as the floor, writer erased; it leaves
-        the committed ids for the watermark, as every id up to it finished;
-        and an abort before its commit goes: its readers overlapped it."""
+        chain trim), the last one kept as the floor, writer erased; and it
+        leaves the committed ids for the watermark, as every id up to it
+        finished."""
+        if txn_id in self._aborted:
+            self._aborted.discard(txn_id)
+            return
         self.detector.release(txn_id)
         self._committed.discard(txn_id)
         if txn_id > self._released:
             self._released = txn_id
-        last = self._anchors.pop(txn_id, None)
-        aborted = self._aborted
-        if last in aborted:
-            while aborted.popitem(last=False)[0] != last:
-                pass
 
     def on_crash(self, vanished):
         """Stitch across a crash: ``vanished`` committed in memory but were
@@ -281,7 +274,7 @@ class StreamingDSGChecker:
         if not vanished:
             return
         self._committed -= vanished
-        self._aborted.update(dict.fromkeys(sorted(vanished)))
+        self._aborted |= vanished
         writers_map, seqs_map = self._writers, self._seqs
         for key, writers in list(writers_map.items()):
             if vanished.isdisjoint(writers):

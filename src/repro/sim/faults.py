@@ -111,10 +111,6 @@ class FaultInjector:
         self._event = None
         self._env = None
 
-    def has_pending(self):
-        """True if a planned crash point has not fired yet."""
-        return self._next_index < len(self.plan.points)
-
     def arm(self, env):
         """Start a new incarnation: fresh crash event, counters reset.
 
@@ -302,9 +298,6 @@ class MessageFaultInjector:
         the engine on the plain (chaos-free) path, byte-identical to a run
         with no injector attached."""
         return bool(self.plan.points)
-
-    def has_pending(self):
-        return self._next_index < len(self.plan.points)
 
     def disposition(self, now, dsts, phase):
         """The fault to apply to a send at ``now`` addressed to ``dsts``."""

@@ -16,6 +16,8 @@ Three layers of coverage:
   fault-schedule soak behind the ``slow`` marker.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.engine import EngineOptions
@@ -23,10 +25,11 @@ from repro.core.transaction import ReadRecord, Transaction
 from repro.errors import ConfigurationError, IsolationViolation
 from repro.harness.configs import CRASH_CELLS, WORKLOAD_CONFIGURATIONS
 from repro.harness.cli import main as harness_main
-from repro.harness.runner import BenchmarkRunner, Lane
+from repro.harness.runner import BenchmarkRunner, Lane, RunResult
 from repro.harness.crash import (
     CrashLane,
     default_crash_durability,
+    describe as crash_describe,
     exactly_once_violations,
     run_crash_benchmark,
 )
@@ -99,7 +102,7 @@ class TestFaultPlan:
         second = injector.arm(env)
         assert not injector.crashed
         assert injector.trip("gcp-before")
-        assert injector.has_pending() is False
+        assert len(injector.crash_log) == len(plan.points)  # none pending
         assert second.triggered
 
 
@@ -445,7 +448,7 @@ class TestCrashScenarios:
         )
         report = result.extra["isolation"]
         assert report.ok, report.describe()
-        assert result.extra["exactly_once_violations"] == {}
+        assert result.violations == {}
         assert len(result.crashes) == 1
         assert result.incarnations == 2
         # The workload really resumed after recovery.
@@ -484,7 +487,7 @@ class TestCrashScenarios:
         assert detail["txn_id"] not in crash.recovered
         assert detail["txn_id"] not in crash.ghosts
         assert result.extra["isolation"].ok
-        assert result.extra["exactly_once_violations"] == {}
+        assert result.violations == {}
 
     def test_ghost_survivor_scenario(self):
         """Crash after a full durable precommit but before acknowledgement:
@@ -568,7 +571,7 @@ class TestCrashScenarios:
         assert len(result.crashes) == 2
         assert result.incarnations == 3
         assert result.extra["isolation"].ok
-        assert result.extra["exactly_once_violations"] == {}
+        assert result.violations == {}
 
     def test_fixed_seed_reproduces_byte_identically(self):
         def one():
@@ -708,7 +711,7 @@ class TestCrashSoak:
             crashes=2,
         )
         assert result.extra["isolation"].ok
-        assert result.extra["exactly_once_violations"] == {}
+        assert result.violations == {}
 
     @pytest.mark.parametrize("seed", range(5))
     def test_smallbank_soak_sync_and_async(self, seed):
@@ -723,9 +726,9 @@ class TestCrashSoak:
         )
         assert result.extra["isolation"].ok
 
-    def test_exactly_once_helper_flags_double_consume(self):
-        """The helper itself must be able to fail: two committed dequeues
-        of one message key are reported."""
+    @staticmethod
+    def _double_dequeue():
+        """A records recorder whose history dequeues one message twice."""
         recorder = HistoryRecorder(level="serializable", records=True)
         key = ("messages", 1)
         v0 = committed_version(key, writer=1, seq=5)
@@ -738,5 +741,22 @@ class TestCrashSoak:
             recorder, 3, [committed_version(key, writer=3, seq=7)],
             txn_type="dequeue",
         )
-        violations = exactly_once_violations(recorder.history())
-        assert violations == {key: [2, 3]}
+        return recorder
+
+    def test_exactly_once_helper_flags_double_consume(self):
+        """The helper itself must be able to fail: two committed dequeues
+        of one message key are reported."""
+        violations = exactly_once_violations(self._double_dequeue().history())
+        assert violations == {("messages", 1): [2, 3]}
+
+    def test_the_crash_lane_files_a_double_dequeue_as_a_violation(self):
+        """Under ``result.violations``, as the net lane does, so a run that
+        raises on violations raises on it."""
+        recorder = self._double_dequeue()
+        runner = SimpleNamespace(workload=SimpleNamespace(name="queue"), recorder=recorder)
+        result = RunResult("queue", 1, 1.0, 0.0, 0.0, 0.0, 3, 0)
+        result.extra["isolation"] = check_recorder(recorder)
+        CrashLane().finish(runner, result)
+        assert result.violations == {"double_dequeues": {("messages", 1): [2, 3]}}
+        problem, _headline, _detail = crash_describe(result)
+        assert problem.endswith("; 1 message(s) dequeued twice")

@@ -7,9 +7,10 @@ out is the one nobody reads at all.  And a definition only tests use is code
 the engine, the harness, the benchmarks and the examples never run: a helper
 a test needs lives under ``tests/``.  AST only, nothing is imported.
 
-The first census is over fields, each owned by a class: every field of a
-``@dataclass``, every ``__slots__`` entry and every ``self.name`` a method
-assigns (``self.name += ...`` reads only to write back) must be *read*
+The first census is over fields, each owned by a class: every name its body
+assigns (a ``@dataclass`` field, a class-level flag), every ``__slots__``
+entry and every ``self.name`` a method assigns (``self.name += ...`` reads
+only to write back) must be *read*
 somewhere under ``src/``, ``benchmarks/`` or ``examples/``, be read by a test
 (``READ_BY_TESTS``, with the test module that reads it) or be kept for a
 stated reason (``KEPT_UNREAD``).  Attributes assigned onto other objects
@@ -102,14 +103,6 @@ def _base_name(node):
     return None
 
 
-def _is_dataclass(node):
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        if _base_name(target) == "dataclass":
-            return True
-    return False
-
-
 def _slots(node):
     for item in node.body:
         if (
@@ -180,10 +173,16 @@ class _Sources(ast.NodeVisitor):
     def visit_ClassDef(self, node):
         info = self.classes.setdefault(node.name, {"bases": [], "fields": {}, "methods": {}})
         info["bases"].extend(filter(None, map(_base_name, node.bases)))
-        if _is_dataclass(node):
-            for item in node.body:
-                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    info["fields"].setdefault(item.target.id, self._site(item))
+        for item in node.body:
+            if isinstance(item, ast.Assign):
+                targets = item.targets
+            elif isinstance(item, ast.AnnAssign):
+                targets = [item.target]
+            else:
+                continue
+            for target in targets:
+                if isinstance(target, ast.Name) and not _is_dunder(target.id):
+                    info["fields"].setdefault(target.id, self._site(item))
         for name, lineno in _slots(node):
             info["fields"].setdefault(name, f"{self._where}:{lineno}")
         for item in node.body:
@@ -437,6 +436,8 @@ def allow_lists():
 #: (assigned, so counted) and the test-only method.  Before private methods
 #: counted and a definition's own body was no use, it missed both recursive
 #: helpers (``ConfigurationOptimizer._path_to`` was one under ``src/``).
+#: Before class bodies counted, it missed the unread class-level flag (six
+#: such, ``read_optimized`` and ``write_optimized``, sat under ``src/repro/cc``).
 PLANTED = {
     "src/repro/planted.py": '''
 from dataclasses import dataclass
@@ -457,6 +458,11 @@ class Slotted:
 
     def value(self):
         return self.kept
+
+
+class Mechanism:
+    leaf_only = False
+    tuned_for_reads = True
 
 
 class Tool:
@@ -510,7 +516,8 @@ def _countdown(n):
     return _countdown(n - 1) if n else 0
 
 
-def run(outcome, stats, costs):
+def run(outcome, stats, costs, mechanism=Mechanism):
+    assert not mechanism.leaf_only
     Tool().used()
     Walker().walk(1)
     Slotted().value()
@@ -544,6 +551,7 @@ def planted(tmp_path):
 #: What the census must report in the planted library, and what it is.
 PLANTED_DEAD = {
     "Outcome.unread_field": "an unread dataclass field",
+    "Mechanism.tuned_for_reads": "an unread class-level flag",
     "Slotted.unread_slot": "an unread __slots__ entry",
     "Tool.only_tests_call": "a public method only a test calls",
     "Report.series": "a data field named like the live Stats.series()",

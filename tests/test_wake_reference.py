@@ -201,7 +201,7 @@ def test_an_rp_scan_that_advances_a_step_wakes_its_pipeline_waiters():
     )
     t1_ops = [
         ("w", "hot", 0, 10), ("r", "tail", 0), ("think", 0.2),
-        ("scan", "log"), ("mark", "t1 scanned"), ("think", 1.0),
+        ("scan", "log"), ("mark", "t1 scanned"), ("think", 1.0), ("mark", "t1 done"),
     ]
     t2_ops = [("think", 0.1), ("r", "hot", 0), ("r", "tail", 1), ("mark", "t2 in tail")]
     processes = [
@@ -215,7 +215,7 @@ def test_an_rp_scan_that_advances_a_step_wakes_its_pipeline_waiters():
     env.run()
     assert all(process.value.committed for process in processes)
     assert workload.marks["t2 in tail"] == workload.marks["t1 scanned"] == 0.2
-    assert t1.end_time >= 1.2
+    assert workload.marks["t1 done"] >= 1.2
 
 
 class PromiseWorkload(ScanStepWorkload):
@@ -239,7 +239,8 @@ class PromiseWorkload(ScanStepWorkload):
 def _promise_run(lanes):
     """Run ``(txn_type, ops, promised keys)`` lanes, started in this order
     (so in timestamp order), on a TSO leaf with no costs charged and every
-    moved event checked.  Returns the workload's marks and the finished
+    moved event checked.  Returns the workload's marks, with the time each
+    lane's transaction finished (``"t1 finished"``, ...), and the finished
     transactions, in lane order."""
     env = Environment()
     workload = PromiseWorkload()
@@ -250,11 +251,16 @@ def _promise_run(lanes):
             monolithic("tso", ("alpha", "beta"), name="tso-promise"),
             options=EngineOptions(charge_costs=False, commit_wait_timeout=4.0),
         )
-        processes = [
-            env.process(engine.execute_transaction(
+
+        def lane(index, txn_type, ops, promised):
+            txn = yield from engine.execute_transaction(
                 txn_type, {"ops": ops, "promise": promised}
-            ))
-            for txn_type, ops, promised in lanes
+            )
+            workload.marks[f"t{index} finished"] = env.now
+            return txn
+
+        processes = [
+            env.process(lane(index, *spec)) for index, spec in enumerate(lanes, 1)
         ]
         env.run()
     assert_drained(helpers)
@@ -276,7 +282,7 @@ class TestPromiseWait:
             ("beta", [("think", 0.1), ("r", "hot", 0), ("mark", "t2 read")], ()),
         ])
         assert marks["t2 read"] == marks["t1 wrote"] == 0.2
-        assert t1.end_time >= 1.2
+        assert marks["t1 finished"] >= 1.2
         assert t2.result == 10 and t1.txn_id in t2.read_from
 
     def test_a_later_promisor_does_not_block(self):
@@ -292,7 +298,7 @@ class TestPromiseWait:
             ("alpha", [("w", "tail", 0, 10), ("think", 0.5)], (self.HOT,)),
             ("beta", [("think", 0.1), ("r", "hot", 0), ("mark", "t2 read")], ()),
         ])
-        assert marks["t2 read"] == t1.end_time == 0.5
+        assert marks["t2 read"] == marks["t1 finished"] == 0.5
         assert t2.result == 0
 
 
