@@ -1,53 +1,39 @@
-"""Behaviour-fingerprint gate and profiler for the simulator.
+"""Profiler for the simulator.
 
 Wall-clock numbers are the perf ledger's job (``benchmarks/ledger/run.py``,
-contract ``BENCHMARK.json``); this script keeps the two jobs the ledger does
-not do:
-
-* **the fixed-seed behaviour fingerprint.**  A plain run computes the commit
-  and abort counts and the final store state of deterministic micro runs and
-  **fails** if they differ from the ones recorded in ``BENCH_speed.json`` —
-  a speedup that changes simulation outcomes is a bug, not an optimisation.
-  ``--quick`` checks only the short (0.5 sim-s) fingerprint, the CI smoke
-  ``scripts/check.sh`` runs.  Re-record only when a PR legitimately changes
-  schedules, justified in CHANGES.md, by pasting the ``current`` line the
-  failure prints over the recorded entry;
-* ``--profile [SCENARIO]`` runs one scenario (default ``tpcc-3layer``)
-  under cProfile and dumps the stats to ``--profile-out`` (default
-  ``bench_speed.prof``), so perf work starts from data instead of guesses
-  (inspect with ``python -m pstats bench_speed.prof`` or snakeviz); it ends
-  with a cyclic-GC summary, the one cost the profile table cannot show
-  (pauses, full collections, and the objects the collector found
-  unreachable — the number that exposes a reference cycle), a census of
-  the tracked objects the run left behind, by owner, and a sampled
-  self-time table from a second, un-instrumented pass (``SIGPROF``): share
-  by module and the top lines, GC pauses as their own row.  cProfile
-  charges per call and books time in C (an ``insort``) to a ``python``
-  row; a sample books it to the line that called it.  Last comes a
-  young-generation census: the sampled pass's collections by generation,
-  and the tracked objects young collections visit per commit, by type (a
-  short tuple by its items' types), from a third pass.  Scenarios:
-  ``tpcc-3layer`` (Figure 4.6d), ``seats-3layer`` (Figure 4.8),
-  ``micro-2layer`` (the cross-group micro workload), and two of the perf
-  ledger's cells, built object for object: ``smallbank-durable-checked``
-  (durable, oracle-checked) and ``ycsb-zipf-batch`` (one deterministic
-  batch leaf, 64 members in flight).
+contract ``BENCHMARK.json``) and behaviour is pinned by the stdout goldens
+(``tests/test_fault_lane_goldens.py``); this script does what neither does:
+``--profile [SCENARIO]`` runs one scenario (default ``tpcc-3layer``)
+under cProfile and dumps the stats to ``--profile-out`` (default
+``bench_speed.prof``), so perf work starts from data instead of guesses
+(inspect with ``python -m pstats bench_speed.prof`` or snakeviz); it
+ends with a cyclic-GC summary, the one cost the profile table cannot
+show (pauses, full collections, and the objects the collector found
+unreachable — the number that exposes a reference cycle), a census of
+the tracked objects the run left behind, by owner, and a sampled
+self-time table from a second, un-instrumented pass (``SIGPROF``): share
+by module and the top lines, GC pauses as their own row.  cProfile
+charges per call and books time in C (an ``insort``) to a ``python``
+row; a sample books it to the line that called it.  Last comes a
+young-generation census: the sampled pass's collections by generation,
+and the tracked objects young collections visit per commit, by type (a
+short tuple by its items' types), from a third pass.  Scenarios:
+``tpcc-3layer`` (Figure 4.6d), ``seats-3layer`` (Figure 4.8),
+``micro-2layer`` (the cross-group micro workload), and two of the perf
+ledger's cells, built object for object: ``smallbank-durable-checked``
+(durable, oracle-checked) and ``ycsb-zipf-batch`` (one deterministic
+batch leaf, 64 members in flight).
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_speed.py
-    PYTHONPATH=src python benchmarks/bench_speed.py --quick
     PYTHONPATH=src python benchmarks/bench_speed.py --profile micro-2layer
 """
 
 import argparse
 import cProfile
 import gc
-import hashlib
-import json
 import pstats
 import signal
-import sys
 import time
 import types
 from collections import Counter
@@ -65,11 +51,6 @@ from repro.workloads.tpcc import TPCCWorkload
 from repro.workloads.ycsb import YCSBWorkload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-OUTPUT_PATH = REPO_ROOT / "BENCH_speed.json"
-
-FINGERPRINT_SEED = 1234
-FINGERPRINT_DURATION = 2.0
-QUICK_FINGERPRINT_DURATION = 0.5
 
 
 def _profile_scenarios():
@@ -132,42 +113,6 @@ def _profile_scenarios():
             0.025,
         ),
     }
-
-
-def behavior_fingerprint(seed=FINGERPRINT_SEED, duration=FINGERPRINT_DURATION):
-    """Deterministic outcome digest of fixed-seed micro workload runs.
-
-    The simulation is fully deterministic for a fixed seed, so the committed
-    and aborted counts and the final store state must be bit-identical across
-    pure performance optimisations.  Two configurations are fingerprinted:
-    the 2-layer 2PL/RP tree (lock waits, pipelining) and monolithic SSI
-    (write-write and pivot aborts), so both commit and abort paths are pinned.
-    """
-    runs = {}
-    for label in ("2layer", "ssi"):
-        workload = CrossGroupConflictWorkload(
-            shared_rows=10, cold_rows=200, operations=5
-        )
-        runner = BenchmarkRunner(
-            workload,
-            WORKLOAD_CONFIGURATIONS["micro"][label](),
-            options=EngineOptions(),
-            seed=seed,
-        )
-        try:
-            runner.run(20, duration=duration, warmup=0.0)
-        finally:
-            runner.stop()
-        state = runner.store.latest_state()
-        canonical = json.dumps(
-            sorted((repr(key), repr(value)) for key, value in state.items())
-        ).encode()
-        runs[label] = {
-            "commits": runner.engine.stats.commits,
-            "aborts": runner.engine.stats.aborts,
-            "state_sha256": hashlib.sha256(canonical).hexdigest(),
-        }
-    return {"seed": seed, "sim_duration": duration, "runs": runs}
 
 
 class GcPauses:
@@ -434,37 +379,15 @@ def profile_scenario(name, spec, output_path):
     return result
 
 
-def check_fingerprint(key, duration):
-    """Compare a fresh fingerprint with the one ``BENCH_speed.json`` records."""
-    with OUTPUT_PATH.open() as handle:
-        stored = json.load(handle)[key]
-    current = behavior_fingerprint(duration=duration)
-    for label, run in current["runs"].items():
-        print(
-            f"   fingerprint[{label}, {duration} sim-s]: commits={run['commits']} "
-            f"aborts={run['aborts']} state={run['state_sha256'][:12]}..."
-        )
-    if stored != current:
-        print(f"FAIL: {key} drifted from the one recorded in {OUTPUT_PATH.name}", file=sys.stderr)
-        print(f"  recorded: {json.dumps(stored)}", file=sys.stderr)
-        print(f"  current:  {json.dumps(current)}", file=sys.stderr)
-        return False
-    return True
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="fast CI smoke: only the short fingerprint",
-    )
     parser.add_argument(
         "--profile",
         nargs="?",
         const="tpcc-3layer",
         choices=sorted(_profile_scenarios()),
         metavar="SCENARIO",
+        required=True,
         help="cProfile one scenario (default tpcc-3layer) and dump the stats",
     )
     parser.add_argument(
@@ -474,18 +397,8 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    if args.profile:
-        profile_scenario(
-            args.profile, _profile_scenarios()[args.profile], args.profile_out
-        )
-        return 0
-
-    ok = check_fingerprint("behavior_fingerprint_quick", QUICK_FINGERPRINT_DURATION)
-    if not args.quick:
-        ok = check_fingerprint("behavior_fingerprint", FINGERPRINT_DURATION) and ok
-    if ok:
-        print("behavior fingerprint OK (identical to the recorded one)")
-    return 0 if ok else 1
+    profile_scenario(args.profile, _profile_scenarios()[args.profile], args.profile_out)
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate: unit/property tests, the behaviour-fingerprint and perf-ledger
-# smokes, quick checked-run / crash / chaos smokes (isolation oracle in the
-# loop), an import of every figure script and example and, last, the src/
+# Tier-1 gate: unit/property tests, the perf-ledger smoke, the stdout
+# goldens (every registry sweep, oracle in the loop, under two hash salts),
+# an import of every figure script and example and, last, the src/
 # line total, the GC-tracked objects a tpcc/3layer commit leaves behind with
 # the versions its store ends on, the blocked wait passes per commit of the
 # batch leaf and of TSO's promise waits, the run-queue entries per
@@ -24,26 +24,15 @@
 #             quickstart and autoconf examples' stdout with their goldens
 #             and runs every paper-figure script (~3.5 min on 2 vCPUs).
 #
-# The fingerprint smoke (benchmarks/bench_speed.py --quick) verifies the
-# fixed-seed behavior fingerprint of two micro runs against the one recorded
-# in BENCH_speed.json, so a change of schedules fails loudly.  The ledger
-# smoke (benchmarks/ledger/run.py --quick, ~18 s) drives the four
+# The ledger smoke (benchmarks/ledger/run.py --quick, ~18 s) drives the four
 # BENCHMARK.json workloads end to end: its numbers are not comparable, its
-# checks are.
-# The checked-run smoke gates micro runs under three CC trees (one with a
-# timestamp-batching SSI root) and SmallBank runs under two — plus the
-# deterministic-batch YCSB cells (zipfian + scan-heavy) — on the Adya
-# isolation oracle (python -m repro.harness --quick); its independent
-# cells fan out across --workers processes (WORKERS env var overrides;
-# results are identical whatever the worker count).  The crash-recovery
-# smoke additionally crashes the queue cells at a seeded fault point and
-# checks the stitched pre-crash + post-recovery history as one, then runs
-# one smallbank crash cell and the ycsb-zipf/batch cell under two
-# PYTHONHASHSEED salts and requires identical output (fixed-seed runs must
-# not depend on the hash salt).  The
-# network-chaos smoke runs the queue cells through a seeded drop and a
-# partition-and-heal window (timeouts, retries, commit-ticket dedup, the
-# admission valve) and checks the whole degraded run as a single history.
+# checks are.  The golden step runs every CLI golden's command — the plain,
+# crash-lane and message-fault-lane sweeps over the whole registry, the
+# 2.0 sim-s unchecked micro cells and the queue crash cells — at --workers
+# (WORKERS env var overrides) under PYTHONHASHSEED=1 and =2 and compares its
+# stdout with tests/golden/ byte for byte; a failing run exits non-zero
+# there too.  The commands and the one re-record rule are in
+# tests/test_fault_lane_goldens.py.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -65,43 +54,22 @@ fi
 python -m pytest -x -q "${PYTEST_FILTER[@]}"
 
 echo
-echo "== behaviour-fingerprint smoke (quick) =="
-python benchmarks/bench_speed.py --quick
-
-echo
 echo "== perf-ledger smoke (quick) =="
 python3 benchmarks/ledger/run.py --quick
 
 echo
-echo "== checked-run smoke (isolation oracle) =="
+echo "== stdout goldens (PYTHONHASHSEED=1 and =2) =="
 WORKERS="${WORKERS:-$(python -c 'import os; print(os.cpu_count() or 1)')}"
-# micro/ssi-2layer: the one registry cell whose SSI root batches timestamps.
-python -m repro.harness --workload micro --config 2pl --config 2layer --config ssi-2layer --quick --workers "$WORKERS"
-python -m repro.harness --workload smallbank --config ssi --config 3layer --quick --workers "$WORKERS"
-# Deterministic batch cells: monolithic on the zipfian mix, 2-layer on the
-# scan-heavy profile (declared ranges carry the phantom story).
-python -m repro.harness --workload ycsb-zipf --config batch --config batch-2layer --quick --workers "$WORKERS"
-python -m repro.harness --workload ycsb-scan --config batch --config batch-2layer --quick --workers "$WORKERS"
-
-echo
-echo "== crash-recovery smoke (cross-crash oracle) =="
-python -m repro.harness --workload queue --config 2layer --config 3layer --faults 1 --quick --workers "$WORKERS"
-SALT_DIR="$(mktemp -d)"
-for salt in 1 2; do
-  PYTHONHASHSEED=$salt python -m repro.harness --workload smallbank --config 2pl \
-    --faults 2 --quick --workers 1 > "$SALT_DIR/salt-$salt.txt"
-  # The batch leaf's wakes, in the order same-instant waiters resume.
-  PYTHONHASHSEED=$salt python -m repro.harness --workload ycsb-zipf --config batch \
-    --quick --workers 1 > "$SALT_DIR/batch-salt-$salt.txt"
+python -c 'from tests.test_fault_lane_goldens import CLI_GOLDENS
+for golden, args in CLI_GOLDENS.items(): print(golden, *args)' |
+while read -r golden args; do
+  for salt in 1 2; do
+    # $args is left unquoted: it splits into the CLI's arguments.
+    PYTHONHASHSEED=$salt python -m repro.harness $args --workers "$WORKERS" </dev/null |
+      diff -u "tests/golden/$golden" -
+  done
+  echo "$golden: identical under both salts"
 done
-cmp "$SALT_DIR/salt-1.txt" "$SALT_DIR/salt-2.txt"
-cmp "$SALT_DIR/batch-salt-1.txt" "$SALT_DIR/batch-salt-2.txt"
-rm -r "$SALT_DIR"
-echo "smallbank/2pl --faults 2 and ycsb-zipf/batch: identical under PYTHONHASHSEED=1 and =2"
-
-echo
-echo "== network-chaos smoke (degraded-mode oracle) =="
-python -m repro.harness --workload queue --config 2layer --config 3layer --net-faults 2 --quick --workers "$WORKERS"
 
 echo
 echo "== figure scripts and examples smoke =="
@@ -128,12 +96,8 @@ if [[ "$QUICK" == "0" ]]; then
   python examples/automatic_configuration.py | cmp - tests/golden/autoconf_tpcc.txt
   echo "examples/automatic_configuration.py matches tests/golden/autoconf_tpcc.txt"
   # The paper's figures, tables and the batch contention study, run with
-  # their asserts (bench_speed.py is the fingerprint smoke above).
-  FIGURES=()
-  for script in benchmarks/bench_*.py; do
-    [[ "$script" == benchmarks/bench_speed.py ]] || FIGURES+=("$script")
-  done
-  python -m pytest -q --benchmark-disable "${FIGURES[@]}"
+  # their asserts (bench_speed.py, the profiler, holds no test).
+  python -m pytest -q --benchmark-disable benchmarks/bench_*.py
 else
   echo "(import-only: --quick)"
 fi

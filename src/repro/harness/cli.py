@@ -26,6 +26,8 @@ Examples::
 """
 
 import argparse
+import hashlib
+import json
 import sys
 from functools import partial
 from types import SimpleNamespace
@@ -34,7 +36,7 @@ from repro.harness import crash, degraded
 from repro.harness.configs import CHAOS_CELLS, CRASH_CELLS, WORKLOAD_CONFIGURATIONS
 from repro.harness.parallel import available_workers, derive_point_seed, run_tasks
 from repro.harness.report import format_run_results
-from repro.harness.runner import run_benchmark
+from repro.harness.runner import BenchmarkRunner
 from repro.isolation.levels import ISOLATION_LEVELS
 from repro.workloads.micro import CrossGroupConflictWorkload
 from repro.workloads.queue import QueueWorkload
@@ -99,7 +101,9 @@ def build_parser():
         default=None,
         help="configuration name(s); repeatable; default: every registered tree",
     )
-    parser.add_argument(
+    # --quick fixes the client count, so it and --clients exclude each other.
+    sizing = parser.add_mutually_exclusive_group()
+    sizing.add_argument(
         "--clients", type=int, nargs="+", default=[20],
         help="closed-loop client count(s); several values form a sweep",
     )
@@ -142,12 +146,26 @@ def build_parser():
             "spanning the fault window); restricted to the chaos registry"
         ),
     )
-    parser.add_argument(
+    sizing.add_argument(
         "--quick", action="store_true",
-        help="tiny smoke run (8 clients, 0.3s measured, 0.1s warmup)",
+        help="tiny smoke run: 8 clients, 0.3s measured, 0.1s warmup "
+        "(--faults / --net-faults: 0.5s measured, no warmup)",
     )
     parser.add_argument("--list", action="store_true", help="print the registry and exit")
     return parser
+
+
+def _run_plain(workload, configuration, clients, duration, warmup, raise_on_violation, **kwargs):
+    """One plain cell; ``extra["state"]`` is the SHA-256 of its final committed state."""
+    runner = BenchmarkRunner(workload, configuration, **kwargs)
+    try:
+        result = runner.run(clients, duration, warmup, raise_on_violation=raise_on_violation)
+        state = runner.store.latest_state()
+        pairs = sorted((repr(key), repr(value)) for key, value in state.items())
+        result.extra["state"] = hashlib.sha256(json.dumps(pairs).encode()).hexdigest()
+    finally:
+        runner.stop()
+    return result
 
 
 def _describe_plain(result):
@@ -162,7 +180,7 @@ def _describe_plain(result):
         problem = report.describe()
         status = "ISOLATION VIOLATION: " + problem
     headline = f"{result.throughput:.0f} txn/s, abort={result.abort_rate:.1%} — {status}"
-    return problem, headline, None
+    return problem, f"{headline}; state {result.extra['state'][:12]}", None
 
 
 def _select_mode(args):
@@ -200,7 +218,7 @@ def _select_mode(args):
     return SimpleNamespace(
         flag=None,
         cells={name: sorted(trees) for name, trees in WORKLOAD_CONFIGURATIONS.items()},
-        run=partial(run_benchmark, check_isolation=not args.no_check),
+        run=partial(_run_plain, check_isolation=not args.no_check),
         sizes=(0.3, 0.1) if args.quick else (args.duration, args.warmup),
         describe=_describe_plain,
         failure="isolation violation(s)",

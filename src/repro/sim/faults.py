@@ -287,7 +287,6 @@ class MessageFaultInjector:
         self.plan = plan or MessageFaultPlan()
         #: One record per planned fault that fired, in order.
         self.fault_log = []
-        self.stats = {"sends": 0, "faults": 0, "partitioned_sends": 0}
         self._next_index = 0
         self._since_last = 0
         self._partitioned_until = {}
@@ -303,9 +302,7 @@ class MessageFaultInjector:
         """The fault to apply to a send at ``now`` addressed to ``dsts``."""
         for dst in dsts:
             if now < self._partitioned_until.get(dst, 0.0):
-                self.stats["partitioned_sends"] += 1
                 return _PARTITION_WINDOW
-        self.stats["sends"] += 1
         if self._next_index >= len(self.plan.points):
             return None
         self._since_last += 1
@@ -316,7 +313,6 @@ class MessageFaultInjector:
             return None
         self._next_index += 1
         self._since_last = 0
-        self.stats["faults"] += 1
         self.fault_log.append(
             {
                 "kind": point.kind,

@@ -1,21 +1,32 @@
-"""Fixed-seed stdout pins for the two fault lanes.
+"""Fixed-seed stdout pins: every behaviour pin is a command whose stdout is
+a file under ``tests/golden/``.
 
-``BENCH_speed.json`` pins the plain path's schedules; these goldens do the
-same for the crash lane (``--faults``) and the message-fault lane
-(``--net-faults``): the whole CLI report at seed 7 — commit counts, crash
-points and recovery classification, fault times, retry and park counters —
-must match ``tests/golden/`` byte for byte.  The crash lane is pinned on the
-queue cells, the message-fault lane on every chaos workload's cells.
+The model is deterministic: a fixed seed fixes every schedule, so a pinned
+stdout pins the behaviour behind it.  A plain cell's line ends with
+``; state <12 hex>``, the head of the SHA-256 of the cell's final committed
+state, so a value that moves shows even where the counts do not.  A fault
+lane's report carries commit counts, crash points and recovery
+classification, fault times and retry and park counters instead.
+
+Each CLI golden is ``PYTHONPATH=src python -m repro.harness`` with the
+arguments in ``CLI_GOLDENS``; its stdout does not depend on ``--workers``
+or ``PYTHONHASHSEED`` (``scripts/check.sh`` runs each one at its
+``--workers`` under two salts and ``cmp``s it).  The other goldens:
+
+* ``quickstart.txt``: ``PYTHONPATH=src python examples/quickstart.py``;
+* ``autoconf_tpcc.txt``:
+  ``PYTHONPATH=src python examples/automatic_configuration.py``;
+* ``registry_trees.txt``: ``PYTHONPATH=src python -m tests.test_registry_goldens``.
 
 Re-record rule: a refactor must never touch these files.  Re-record only
-when a change *legitimately* moves fault-lane schedules (a CC or recovery
-bugfix), with the justification in CHANGES.md, by redirecting the command in
-the golden's name into it, e.g.::
+when a change *legitimately* moves schedules or values (a CC or recovery
+bugfix), with the justification in CHANGES.md, by redirecting the golden's
+command into it, e.g.::
 
-    PYTHONPATH=src python -m repro.harness --workload queue --faults 1 \
-        --quick --workers 1 > tests/golden/queue_faults_1_quick.txt
+    PYTHONPATH=src python -m repro.harness --all --quick > tests/golden/all_quick.txt
 
-(``ycsb_zipf`` in a golden's name is the ``ycsb-zipf`` workload.)
+The golden's diff is then the evidence; a change that moves none says
+"goldens unchanged".
 """
 
 from pathlib import Path
@@ -28,20 +39,37 @@ from repro.storage.wal import KIND
 
 GOLDEN = Path(__file__).parent / "golden"
 
+#: golden file -> the ``python -m repro.harness`` arguments that write it.
+CLI_GOLDENS = {
+    "all_quick.txt": ("--all", "--quick"),
+    "all_faults_2_quick.txt": ("--all", "--faults", "2", "--quick"),
+    "all_net_faults_2_quick.txt": ("--all", "--net-faults", "2", "--quick"),
+    # The plain path's longest horizon: 2.0 sim-s at 20 clients, unchecked.
+    "micro_20_clients_2s_unchecked.txt": (
+        "--workload", "micro", "--config", "2layer", "--config", "ssi",
+        "--clients", "20", "--duration", "2", "--warmup", "0", "--no-check",
+    ),
+    "queue_faults_1_quick.txt": ("--workload", "queue", "--faults", "1", "--quick"),
+}
 
-@pytest.mark.parametrize(
-    "workload,flag,count,golden",
-    [
-        ("queue", "--faults", "1", "queue_faults_1_quick.txt"),
-        ("queue", "--net-faults", "2", "queue_net_faults_2_quick.txt"),
-        ("smallbank", "--net-faults", "2", "smallbank_net_faults_2_quick.txt"),
-        ("ycsb-zipf", "--net-faults", "2", "ycsb_zipf_net_faults_2_quick.txt"),
-    ],
-)
-def test_fault_lane_stdout_matches_golden(capsys, workload, flag, count, golden):
-    code = main(["--workload", workload, flag, count, "--quick", "--workers", "1"])
-    assert code == 0
+
+def cell_lines(text, prefix):
+    return [line for line in text.splitlines() if line.startswith(prefix)]
+
+
+@pytest.mark.parametrize("golden", ["queue_faults_1_quick.txt", "all_net_faults_2_quick.txt"])
+def test_fault_lane_stdout_matches_golden(capsys, golden):
+    assert main([*CLI_GOLDENS[golden], "--workers", "1"]) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+def test_the_micro_cells_match_their_lines_in_the_plain_golden(capsys):
+    """The tier-1 slice of ``all_quick.txt``: a moved schedule or value on
+    the four micro trees shows without the whole sweep."""
+    assert main(["--workload", "micro", "--quick", "--workers", "1"]) == 0
+    lines = cell_lines(capsys.readouterr().out, "micro/")
+    assert len(lines) == 4
+    assert lines == cell_lines((GOLDEN / "all_quick.txt").read_text(), "micro/")
 
 
 def test_the_crash_golden_recovers_from_folded_logs(capsys, monkeypatch):
@@ -60,7 +88,7 @@ def test_the_crash_golden_recovers_from_folded_logs(capsys, monkeypatch):
         crash(manager)
 
     monkeypatch.setattr(DurabilityManager, "crash", spying_crash)
-    assert main(["--workload", "queue", "--faults", "1", "--quick", "--workers", "1"]) == 0
+    assert main([*CLI_GOLDENS["queue_faults_1_quick.txt"], "--workers", "1"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "queue_faults_1_quick.txt").read_text()
     assert [count > 0 for count in folded_at_crash] == [True, False, True, True]
     assert folded_at_crash[3] > folded_at_crash[2] > folded_at_crash[0]

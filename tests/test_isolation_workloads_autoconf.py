@@ -683,6 +683,16 @@ class TestHarnessCLI:
         assert excinfo.value.code == 2
         assert "--clients" in capsys.readouterr().err
 
+    def test_cli_rejects_clients_with_quick(self, capsys):
+        """--quick runs 8 clients per cell: a client count beside it is an
+        error, not silently dropped."""
+        from repro.harness.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--workload", "micro", "--clients", "20", "--quick"])
+        assert excinfo.value.code == 2
+        assert "--clients" in capsys.readouterr().err
+
     def test_cli_rejects_bad_durations(self, capsys):
         from repro.harness.cli import main
 

@@ -165,8 +165,10 @@ class TestSerialParallelEquivalence:
 
 class TestRunnerStillSerialByDefault:
     def test_run_benchmark_unchanged_by_executor(self):
-        """Direct run_benchmark calls (fixed-seed tests, bench_speed) are
-        untouched by the executor: same seed plumbing as before."""
+        """Direct run_benchmark calls (fixed-seed tests, figure scripts) are
+        untouched by the executor: same seed plumbing as before.  The CLI's
+        sweeps go through it and are pinned by the stdout goldens (commands
+        and re-record rule: ``tests/test_fault_lane_goldens.py``)."""
         workload = _micro_workload()
         result = run_benchmark(
             workload,
