@@ -148,9 +148,9 @@ class CrashLane(Lane):
         ghosts = recovered - committed_here
         recorder.on_crash(vanished)
 
-        # Rebuild committed state: deterministic re-population (the catalog
-        # rows are immutable, so the initial versions reproduce exactly),
-        # then the surviving writes on top with their original sequences.
+        # Rebuild committed state: re-population (a fresh catalog build, a
+        # pure function of the workload's arguments, so the initial versions
+        # reproduce exactly), then the surviving writes with their sequences.
         new_store = MultiVersionStore()
         self.workload.populate(new_store)
         next_fresh_seq = last_seq

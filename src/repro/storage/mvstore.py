@@ -10,15 +10,16 @@ Per-key state is as flat as the traffic allows:
 
 * uncommitted versions are kept per key in a ``{writer_id: version}`` map,
   so :meth:`own_uncommitted` (one call per read) is O(1);
-* a key's committed chain is one plain ``list`` of versions in commit
-  order and nothing beside it: a key written once costs its list and its
-  :class:`Version`.  :meth:`latest_committed_before` walks the list from
-  the newest version back and stops at the first visible one.  A reader
+* a key's committed chain is one plain ``list`` of versions in commit order
+  and nothing beside it: a key written once costs its list and its
+  :class:`Version`, and all its versions share one key object (a writer's
+  equal tuple is not kept).  :meth:`latest_committed_before` walks the list
+  from the newest version back and stops at the first visible one.  A reader
   sits as far from the tail as there were commits on that key since its
   snapshot — a property of concurrency, not of chain length — and every
   registry cell answers from the tail or a few versions behind it
-  (PERFORMANCE.md, *Where snapshot reads land*;
-  ``tests/test_retention.py`` pins the distance);
+  (PERFORMANCE.md, *Where snapshot reads land*; ``tests/test_retention.py``
+  pins the distance);
 * a superseded version lives only while something may still read it: it is
   dead once the writer of the *next* version on its key is no longer
   ``retained`` (the engine passes ``engine.finished``: every live
@@ -241,6 +242,13 @@ class MultiVersionStore:
 
     # -- writing -------------------------------------------------------------
 
+    def _shared_key(self, key, per_key):
+        """``key``'s one key object: its chain's, an in-flight version's, or ``key``."""
+        chain = self._committed.get(key)
+        if chain is not None:
+            return chain[-1].key
+        return next(iter(per_key.values())).key if per_key else key
+
     def install(self, key, value, txn):
         """Install an uncommitted version written by ``txn``.
 
@@ -250,19 +258,18 @@ class MultiVersionStore:
         """
         txn_id = txn.txn_id
         per_key = self._uncommitted.get(key)
-        if per_key is None:
-            per_key = self._uncommitted[key] = {}
-            if key not in self._committed:
-                # A brand-new key: make it scannable immediately so range
-                # reads enumerate the in-flight insert (and block on it).
-                self._index_key(key)
-        else:
+        if per_key is not None:
             own = per_key.get(txn_id)
             if own is not None:
                 own.value = value
                 return own
+        shared = self._shared_key(key, per_key)
+        if per_key is None:
+            per_key = self._uncommitted[shared] = {}
+            if shared is key:  # a new key (or its stored tuple): make it scannable
+                self._index_key(key)
         version = Version(
-            key=key,
+            key=shared,
             value=value,
             writer=txn_id,
             timestamp=txn.cc_timestamp,
@@ -358,7 +365,7 @@ class MultiVersionStore:
         """
         if commit_seq is None:
             commit_seq = next(self._commit_seq)
-        version = Version(key=key, value=value, writer=writer)
+        version = Version(key=self._shared_key(key, None), value=value, writer=writer)
         version.mark_committed(commit_seq, timestamp=0.0)
         if commit_seq > self._last_commit_seq:
             self._last_commit_seq = commit_seq

@@ -51,9 +51,9 @@ class Table:
         return key
 
     def load_into(self, store):
-        """Install every staged row as an initial committed version."""
+        """Hand each staged row (private since :meth:`insert`) to the store as is."""
         for key, row in self.rows.items():
-            store.load(key, dict(row))
+            store.load(key, row)
         return len(self.rows)
 
 

@@ -27,12 +27,7 @@ class Workload:
         """Return ``{transaction type: weight}`` for the default mix."""
         return {name: ttype.weight for name, ttype in self.transaction_types().items()}
 
-    # -- cached accessors ---------------------------------------------------
-
-    def catalog(self):
-        if not hasattr(self, "_catalog"):
-            self._catalog = self.build_catalog()
-        return self._catalog
+    # -- cached accessor and population -------------------------------------
 
     def transaction_types(self):
         if not hasattr(self, "_transaction_types"):
@@ -40,8 +35,11 @@ class Workload:
         return self._transaction_types
 
     def populate(self, store):
-        """Load the initial database into a multi-version store."""
-        return self.catalog().load_into(store)
+        """Build the initial database and hand it to ``store``; nothing caches it.
+
+        The build is pure, so every store populated from one workload is equal.
+        """
+        return self.build_catalog().load_into(store)
 
     # -- argument generation ---------------------------------------------------
 

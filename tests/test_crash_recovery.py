@@ -24,7 +24,7 @@ from repro.core.engine import EngineOptions
 from repro.core.transaction import ReadRecord, Transaction
 from repro.errors import ConfigurationError, IsolationViolation
 from repro.harness.configs import CRASH_CELLS, WORKLOAD_CONFIGURATIONS
-from repro.harness.cli import main as harness_main
+from repro.harness.cli import build_workload, main as harness_main
 from repro.harness.runner import BenchmarkRunner, Lane, RunResult
 from repro.harness.crash import (
     CrashLane,
@@ -37,6 +37,7 @@ from repro.isolation.checker import check_recorder
 from repro.isolation.history import HistoryRecorder
 from repro.sim.faults import SITES, CrashPoint, FaultInjector, FaultPlan
 from repro.storage.durability import DurabilityConfig, DurabilityManager
+from repro.storage.mvstore import MultiVersionStore
 from repro.storage.versions import Version
 from repro.workloads.queue import QueueWorkload
 from repro.workloads.smallbank import SmallBankWorkload
@@ -376,6 +377,33 @@ def run_and_stop(runner, clients, duration):
         return runner.run(clients, duration=duration, warmup=0.0)
     finally:
         runner.stop()
+
+
+def _load_order(store):
+    return [
+        (key, [version.commit_seq for version in chain])
+        for key, chain in store._committed.items()
+    ]
+
+
+class TestRePopulationIsAPureFunction:
+    """Recovery re-populates a fresh store from the same workload, which
+    caches no catalog: each population rebuilds it, so the build must be a
+    pure function of the workload's arguments."""
+
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGURATIONS))
+    def test_two_populations_of_one_workload_are_equal(self, name):
+        workload = build_workload(name)
+        first, second = MultiVersionStore(), MultiVersionStore()
+        assert workload.populate(first) == workload.populate(second) > 0
+        assert first.latest_state() == second.latest_state()
+        assert _load_order(first) == _load_order(second)
+        # Each store owns its rows: no row dict is shared between the two.
+        rows = {id(row) for row in second.latest_state().values()}
+        assert not [
+            row for row in first.latest_state().values()
+            if isinstance(row, dict) and id(row) in rows
+        ]
 
 
 class NodeCensusCrashLane(CrashLane):

@@ -39,13 +39,14 @@ These things are pinned here:
   force-aborted or had the node spliced out;
 * **moved events** — RP, TSO and the batch leaf keep a transaction's moved
   event only while it is a member in flight, and none after a drain;
-* **lock tables and chains** — a lock record exists only while its key has
-  a holder or a waiter (and *drop ≡ never drop*), a key written once costs
-  the store its list and its ``Version`` (which holds no container of its
-  own), only a scanned table holds a scan index, tracked objects per commit on
-  ``tpcc/3layer`` stay under a bound, snapshot reads land at or next to the
-  tail of their chain, and the profiler's owner census books a lock table
-  to its CC node;
+* **lock tables and chains** — a lock record exists only while its key has a
+  holder or a waiter (and *drop ≡ never drop*), a key written once costs the
+  store its list and its ``Version`` (which holds no container of its own),
+  population keeps no catalog and a key's versions share its chain's key
+  object, only a scanned table holds a scan index, tracked objects per
+  commit on ``tpcc/3layer`` stay under a bound, snapshot reads land at or
+  next to the tail of their chain, and the profiler's owner census books a
+  lock table to its CC node;
 * **records for a reader** — a transaction carries read and scan records
   only on a route through OCC or under a history recorder, one per read and
   per scan, and a recorder cannot be attached once a transaction has begun;
@@ -70,6 +71,7 @@ These things are pinned here:
 import gc
 import hashlib
 import random
+import weakref
 from collections import Counter, defaultdict, deque
 from dataclasses import fields
 
@@ -2020,6 +2022,35 @@ class TestStorePaysOnlyForWhatIsRead:
             and ref is not version.value
         ]
         assert own == []
+
+
+class TestTheStoreHoldsEachRowAndKeyOnce:
+    """Population hands its rows to the store and keeps no catalog, and
+    every version of a key holds the key object its chain is filed under."""
+
+    def test_population_leaves_no_catalog_behind(self, monkeypatch):
+        workload = _tiny_tpcc()
+        build, built = workload.build_catalog, []
+
+        def build_and_watch():
+            catalog = build()
+            built.append(weakref.ref(catalog))
+            return catalog
+
+        monkeypatch.setattr(workload, "build_catalog", build_and_watch)
+        runner = BenchmarkRunner(workload, configs.tpcc_tebaldi_3layer(), seed=11)
+        runner.stop()
+        assert len(built) == 1 and built[0]() is None
+
+    def test_every_committed_version_holds_its_chains_key(self, monkeypatch):
+        runner = _run_cell("tpcc/3layer", TebaldiEngine, monkeypatch)
+        assert runner.engine.stats.commits > 0
+        copies = [
+            key
+            for key, chain in runner.store._committed.items()
+            if any(version.key is not key for version in chain)
+        ]
+        assert copies == []
 
 
 class ReadCountEngine(TebaldiEngine):

@@ -106,6 +106,41 @@ class TestMultiVersionStore:
         assert [v.commit_seq for v in chain] == sorted(v.commit_seq for v in chain)
 
 
+class TestOneKeyObjectPerKey:
+    """Every version of a key holds the key object its chain is filed
+    under: a writer's equal tuple is not kept beside it."""
+
+    @staticmethod
+    def _equal_copy(key):
+        copy = tuple(list(key))
+        assert copy == key and copy is not key
+        return copy
+
+    def test_a_write_to_a_loaded_key_shares_the_chain_key(self, store):
+        key = ("t", 1)
+        store.load(key, {"v": 0})
+        version = store.install(self._equal_copy(key), {"v": 1}, make_txn(1))
+        assert version.key is key
+        store.commit_transaction(make_txn(1))
+        assert all(v.key is key for v in store.committed_versions(key))
+
+    def test_the_second_in_flight_insert_shares_the_first_ones_key(self, store):
+        key = ("t", 2)
+        first = store.install(key, {"v": 1}, make_txn(1))
+        second = store.install(self._equal_copy(key), {"v": 2}, make_txn(2))
+        assert first.key is key and second.key is key
+        store.commit_transaction(make_txn(2))
+        [(chain_key, chain)] = store._committed.items()
+        assert chain_key is key and chain[0] is second
+
+    def test_a_restored_version_shares_the_loaded_key(self, store):
+        key = ("t", 3)
+        store.load(key, {"v": 0})
+        version = store.restore_version(self._equal_copy(key), {"v": 1}, writer=7)
+        assert version.key is key
+        assert store.latest_committed(key) is version
+
+
 class TestTables:
     def test_composite_key_single_part(self):
         assert composite_key("t", 5) == ("t", 5)
