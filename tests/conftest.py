@@ -130,6 +130,14 @@ class OverlapAuditEngine(TebaldiEngine):
     miss must be for a transaction that no currently active one overlapped
     (began before it finished) — anything else means a CC consulted state
     the engine had already let go.  Id 0 is the loader, never a miss.
+
+    Beside it, what ``tests/retention_catalogue.py`` writes its bounds
+    over: the most transactions retained when a commit trimmed a chain
+    (``peak_retained``), the committed ones whose finish hooks have not run
+    yet (``finishing``: a durable commit's flush delay), the floor of a hold
+    dropped since the last retire (``dropped_floor``: its release waits for
+    the next one) and the read and scan records committed transactions
+    carried (``read_records``).
     """
 
     def __init__(self, *args, **kwargs):
@@ -139,6 +147,9 @@ class OverlapAuditEngine(TebaldiEngine):
         self._ended = {}
         self.misses = 0
         self.bad_misses = []
+        self.peak_retained = self.read_records = 0
+        self.finishing = set()
+        self.dropped_floor = None
 
     def begin(self, *args, **kwargs):
         txn = super().begin(*args, **kwargs)
@@ -149,7 +160,23 @@ class OverlapAuditEngine(TebaldiEngine):
     def _retire(self, txn):
         self._ticks += 1
         self._ended.setdefault(txn.txn_id, self._ticks)
+        self.peak_retained = max(self.peak_retained, len(self.finished))
+        if txn.committed:
+            self.finishing.add(txn.txn_id)
+            self.read_records += len(txn.reads or ()) + len(txn.scans or ())
         super()._retire(txn)
+        self.dropped_floor = None
+
+    def _run(self, txn):
+        result = yield from super()._run(txn)
+        self.finishing.discard(txn.txn_id)
+        return result
+
+    def drop_hold(self, key):
+        held = self._holds.get(key)
+        if held is not None and (self.dropped_floor is None or held < self.dropped_floor):
+            self.dropped_floor = held
+        super().drop_hold(key)
 
     def find_transaction(self, txn_id):
         txn = super().find_transaction(txn_id)

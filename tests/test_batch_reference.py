@@ -34,7 +34,7 @@ from repro.harness.runner import BenchmarkRunner
 from repro.storage.ranges import KeyRange
 from repro.workloads.ycsb import YCSBWorkload
 from tests import test_profiler_stream as pinned
-from tests.test_retention import _drain, _zipf
+from tests.retention_catalogue import _drain, _zipf
 from tests.test_wake_reference import assert_drained, checked_wakes, moved_counts
 
 

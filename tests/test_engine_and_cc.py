@@ -5,6 +5,7 @@ schedules (via the simulation environment) and with the micro workloads, and
 assert both functional outcomes and the isolation oracle.
 """
 
+import gc
 import random
 
 import pytest
@@ -13,12 +14,16 @@ from repro.cc.base import CC_REGISTRY
 from repro.cc.locks import EXCLUSIVE, SHARED, LockTable
 from repro.cc.timestamps import BatchManager, TimestampOracle
 from repro.core.config import Configuration, leaf, monolithic, node
-from repro.core.engine import EngineOptions
+from repro.core.engine import EngineOptions, TebaldiEngine
 from repro.core.transaction import Transaction, TransactionStatus
 from repro.errors import ConfigurationError, TransactionAborted
+from repro.harness import configs
+from repro.harness.runner import BenchmarkRunner
 from repro.isolation import check_engine
 from repro.sim.environment import Environment
 from tests.conftest import build_engine, run_transactions
+from tests.retention_catalogue import ReadLogEngine, _drain, _micro, _zipf
+from tests.test_cc_conformance import CONFORMANCE_TREES, ConformanceWorkload, TwoStepWorkload
 
 
 def micro_requests(workload, count, seed=3):
@@ -269,6 +274,156 @@ class TestTimestamps:
         second = manager.admit("g1", 2)[0]
         assert second != first
 
+    @staticmethod
+    def _manager(events, batch_size):
+        return BatchManager(
+            TimestampOracle(), batch_size=batch_size,
+            on_open=lambda batch: events.append(("open", batch)),
+            on_dead=lambda batch: events.append(("dead", batch)),
+        )
+
+    def test_a_batch_closes_at_its_last_discard_and_a_full_one_rotates(self):
+        events = []
+        manager = self._manager(events, batch_size=4)
+        first, ts, _flags = manager.admit("g", 10)
+        assert manager.admit("g", 11)[:2] == (first, ts)   # concurrent: joins
+        manager.discard(first, 10)
+        assert manager.admit("g", 12)[:2] == (first, ts)   # 11 still runs: joins
+        manager.discard(first, 11)
+        assert events == [("open", first)] and manager._live[first]["timestamp"] == ts
+        manager.discard(first, 12)                         # the last member
+        assert events == [("open", first), ("dead", first)]
+        assert manager._current == {} and manager._live == {}
+        second, later, _flags = manager.admit("g", 13)     # nobody left to share ts
+        assert second != first and later > ts
+        events = []
+        manager = self._manager(events, batch_size=2)
+        first = manager.admit("g", 10)[0]
+        manager.admit("g", 11)
+        second = manager.admit("g", 12)[0]                 # full: 10 and 11 run on in it
+        assert second != first and events == [("open", first), ("open", second)]
+        manager.discard(first, 10)
+        manager.discard(first, 11)
+        assert events[-1] == ("dead", first) and manager.admit("g", 13)[0] == second
+
+    def test_on_open_and_on_dead_bracket_each_batch_exactly_once(self):
+        """Random admissions and finishes over two groups."""
+        events, running, rng = [], {}, random.Random(5)
+        manager = self._manager(events, batch_size=3)
+        for txn_id in range(400):
+            if running and rng.random() < 0.5:
+                member = rng.choice(sorted(running))
+                manager.discard(running.pop(member), member)
+            running[txn_id] = manager.admit(rng.choice("gh"), txn_id)[0]
+        for member in sorted(running):
+            manager.discard(running.pop(member), member)
+        opened = [batch for kind, batch in events if kind == "open"]
+        assert len(opened) > 100 and len(set(opened)) == len(opened)
+        assert sorted(batch for kind, batch in events if kind == "dead") == opened
+        assert all(events.index(("open", b)) < events.index(("dead", b)) for b in opened)
+        assert manager._live == {} and manager._current == {}
+
+
+def _ssi_2pl_2pl():
+    return Configuration(
+        node("ssi", leaf("2pl", "alpha"), leaf("2pl", "beta")), name="ssi-2pl-2pl"
+    )
+
+
+class TestHolds:
+    """``hold_finished``: a CC keeps the engine's release back — a timestamp
+    batch, whose snapshot can predate its members' begin."""
+
+    def test_hold_keeps_what_finishes_after_it(self, env):
+        from repro.harness import configs
+
+        engine = build_engine(env, _micro(), configs.micro_2layer())
+        request = [("group_a_update", {"shared_id": 0, "local_id": 0, "cold_ids": [1]})]
+        before = run_transactions(env, engine, request)[0][0]
+        assert engine.finished == {}          # nothing active: released at once
+        engine.hold_finished(("cc", 1))
+        during = run_transactions(env, engine, request)[0][0]
+        assert list(engine.finished) == [during.txn_id]
+        assert engine.find_transaction(before.txn_id) is None
+        engine.drop_hold(("cc", 1))
+        after = run_transactions(env, engine, request)[0][0]  # the next retire releases
+        assert engine.finished == {} and after.committed
+
+    @pytest.mark.parametrize("held", [True, False], ids=["held", "hold-dropped"])
+    def test_ssi_late_joiner_finds_the_version_its_batch_timestamp_selects(
+        self, env, held, monkeypatch
+    ):
+        """Three lanes under SSI over two 2PL leaves, no costs: a ``beta``
+        member opens its group's batch, alive until t=1.0; ``alpha`` 2
+        overwrites hot.0 at once and ``alpha`` 3 again at t=1.2; the joiner 4
+        begins after 2 finished — admitted to lane 1's batch — and reads
+        hot.0 at t=1.5.  Only the hold keeps the loaded version the second
+        overwrite would drop, which is what the batch timestamp selects."""
+
+        if not held:
+            monkeypatch.setattr(TebaldiEngine, "hold_finished", lambda self, key: None)
+        # The recorder build_engine attaches has every transaction record its reads.
+        engine = build_engine(env, TwoStepWorkload(), _ssi_2pl_2pl(), engine_class=ReadLogEngine)
+
+        def lane(requests):
+            for txn_type, ops in requests:
+                txn = yield from engine.execute_transaction(txn_type, {"ops": ops})
+                assert txn.committed
+
+        for requests in (
+            [("beta", [("think", 1.0)])],
+            [("alpha", [("w", "hot", 0, 10)]), ("alpha", [("think", 1.2), ("w", "hot", 0, 20)])],
+            [("beta", [("think", 1.5), ("r", "hot", 0)])],
+        ):
+            env.process(lane(requests))
+        env.run()
+        assert sorted(engine.read_log) == [1, 2, 3, 4] and engine._holds == {}
+        assert len(engine.store.committed_versions(("hot", 0))) == (3 if held else 2)
+        # Without the hold, nothing at or below the snapshot is left to read.
+        assert engine.read_log[4][4] == [(("hot", 0), (0, 1) if held else None)]
+
+    def test_batching_ssi_holds_and_reconfiguration_drops(self, env):
+        """A live member keeps its batch's hold; replacing the SSI node takes
+        the hold with it, though the member, force-aborted, is still in flight."""
+
+        engine = build_engine(env, TwoStepWorkload(), _ssi_2pl_2pl())
+        env.process(engine.execute_transaction("beta", {"ops": [("think", 1.0)]}))
+        env.run(until=0.5)
+        assert [key[0] for key in engine._holds] == [engine.root.cc]
+        two_pl = Configuration(node("2pl", leaf("rp", "alpha"), leaf("rp", "beta")), name="after")
+        env.run(until=env.process(
+            engine.reconfigure_partial_restart(two_pl, force_abort_after=0.1)
+        ))
+        assert len(engine.active) == 1 and engine._holds == {}
+
+    def test_a_batch_shares_its_flags_and_anyone_else_has_their_own(self):
+        """Under ``ssi/(2pl,2pl)`` a batch's members hold one pivot-flag set;
+        a reader, in no batch, holds its own."""
+        from tests.test_cc_conformance import CONFORMANCE_TREES, ConformanceWorkload
+
+        workload = ConformanceWorkload()
+        rng = random.Random(99)
+        requests = [workload.next_transaction(rng) for _ in range(60)]
+        engine = build_engine(
+            Environment(), workload, CONFORMANCE_TREES["ssi/(2pl,2pl)"](),
+            options=EngineOptions(charge_costs=True, lock_timeout=0.2, commit_wait_timeout=0.4),
+        )
+        outcomes, _ = run_transactions(engine.env, engine, requests, lanes=6)
+        assert engine.root.cc.batching
+        by_batch, own = {}, []
+        for txn in outcomes:
+            if not isinstance(txn, Exception):
+                state = txn.cc_state[engine.root.node_id]
+                if state["batch_id"] is not None:
+                    by_batch.setdefault(state["batch_id"], []).append(state["pivot"])
+                elif "pivot" in state:
+                    own.append(state["pivot"])
+        assert own and max(map(len, by_batch.values())) > 1
+        assert all(all(f is members[0] for f in members) for members in by_batch.values())
+        shared = [members[0] for members in by_batch.values()]
+        assert len({id(flags) for flags in shared + own}) == len(shared + own)
+        assert any("doomed" in flags for flags in shared)
+
 
 class TestRegistry:
     def test_all_paper_mechanisms_registered(self):
@@ -311,7 +466,6 @@ class TestEngineLifecycle:
         """A read-only route's one write hook refuses the write before any
         CC sees it — the read-only-optimised SSI root's hooks no longer look
         at writes at all."""
-        from tests.test_cc_conformance import CONFORMANCE_TREES, ConformanceWorkload
 
         env = Environment()
         engine = build_engine(env, ConformanceWorkload(), CONFORMANCE_TREES[tree]())
@@ -804,9 +958,7 @@ class TestDeterministicBatch:
         from indexes, so what one commit costs in per-transaction state
         lookups is flat in the members in flight (scanning them cost 37.5 /
         183.7 / 1,313.2 lookups per commit at 16 / 64 / 128 members)."""
-        from repro.harness import configs
         from repro.harness.runner import BenchmarkRunner
-        from tests.test_retention import _zipf
 
         lookups = [0]
         state_for = Transaction.state_for
@@ -839,3 +991,86 @@ class TestDeterministicBatch:
         # in another order, so other arrivals seal together.
         assert commits == [1616, 5840, 7983]
         assert per_commit[2] <= 1.5 * per_commit[0], per_commit
+
+
+class TestBatchLeafLetsGo:
+    """The batch leaf keeps its members in flight in two indexes and its
+    pending wakes in two sets; whoever leaves, however, leaves them."""
+
+    def test_a_drained_run_leaves_no_cyclic_garbage(self):
+        """A sealed batch used to list the members whose state lists the batch."""
+
+
+        batch = configs.WORKLOAD_CONFIGURATIONS["ycsb"]["batch"]
+        runner = BenchmarkRunner(_zipf(), batch(), seed=7)
+        gc.disable()                          # after the runner's own collect
+        try:
+            runner.run(16, duration=0.08, warmup=0.0)
+            _drain(runner)
+            assert runner.engine.stats.commits > 1000 and gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @staticmethod
+    def _assert_drained(cc):
+        assert cc._active == {} and cc._moved == {}
+        assert cc._executing == {} and cc._writers == {} and cc._turns == []
+
+    def test_a_member_that_dies_before_the_seal_is_never_indexed(self, env):
+
+        engine = build_engine(env, _zipf(), configs.WORKLOAD_CONFIGURATIONS["ycsb"]["batch"]())
+        cc = engine.root.cc
+        casualty = engine.begin("update_record", {"key": 1, "value": 0})
+        next(cc.start(casualty))              # joined the open batch, awaits its seal
+        batch = cc.state(casualty)["batch"]
+        survivor = env.process(
+            engine.execute_transaction("update_record", {"key": 1, "value": 5})
+        )
+        env.run(until=0.005)                  # the survivor has joined; window still open
+        assert len(cc._active) == 2 and casualty.txn_id in cc._active
+        engine._finish_abort(casualty, "died-before-seal")
+        assert batch.members is not None and casualty not in batch.members
+        env.run(until=survivor)
+        assert survivor.value.committed and batch.sealed and batch.members is None
+        assert "seq" not in cc.state(casualty) and cc.state(survivor.value)["preds"] == set()
+        self._assert_drained(cc)
+        assert cc._inflight == 0
+
+    @pytest.mark.parametrize("case", ["partial-restart", "online-splice"])
+    def test_forced_restart_and_spliced_node_let_go_of_their_members(self, case):
+        """A reconfiguration replaces the node while its members are pinned
+        to it: the old node's indexes drain with them."""
+
+        trees = configs.WORKLOAD_CONFIGURATIONS["ycsb"]
+        config_factory, batch_cc, reconfigure = {
+            "partial-restart": (
+                trees["batch"], lambda engine: engine.root.cc,
+                lambda engine: engine.reconfigure_partial_restart(
+                    trees["2pl"](), force_abort_after=0.0002
+                ),
+            ),
+            "online-splice": (
+                trees["batch-2layer"], lambda engine: engine.root.children[1].cc,
+                lambda engine: engine.reconfigure_online(configs.ycsb_2layer()),
+            ),
+        }[case]
+        runner = BenchmarkRunner(_zipf(), config_factory(), seed=7)
+        try:
+            runner.add_clients(16)
+            engine = runner.engine
+            old = batch_cc(engine)
+            # Switch while both indexes name members in flight and some wait.
+            while not (old._executing and old._writers and (old._moved or old._turns)):
+                runner.run_additional(0.0005)
+                assert engine.env.now < 0.1
+            engine.env.run(until=engine.env.process(reconfigure(engine)))
+            if case == "partial-restart":
+                forced = [txn.abort_reason for txn in old._active.values()]
+                assert forced and set(forced) == {"forced-reconfiguration"}
+            commits = engine.stats.commits
+            runner.run_additional(0.02)
+            assert batch_cc(engine) is not old and batch_cc(engine).name == "2pl"
+            assert engine.stats.commits > commits
+            self._assert_drained(old)
+        finally:
+            runner.stop()

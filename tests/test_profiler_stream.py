@@ -60,7 +60,7 @@ from repro.workloads.seats import SEATSWorkload
 from repro.workloads.smallbank import SmallBankWorkload
 from tests.conftest import build_engine, run_transactions
 from tests.test_cc_conformance import CONFORMANCE_TREES, ConformanceWorkload
-from tests.test_retention import _digest, _tiny_tpcc, _zipf
+from tests.retention_catalogue import _digest, _tiny_tpcc, _zipf
 
 #: name -> (workload factory, configuration factory, clients, sim seconds).
 #: The last two are not registry cells: no registry tree waits on a TSO

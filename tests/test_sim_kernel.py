@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.config import Configuration, leaf, monolithic, node
+from repro.core.engine import EngineOptions
 from repro.errors import SimulationError
 from repro.harness import configs
 from repro.harness.runner import BenchmarkRunner
@@ -17,7 +18,7 @@ from repro.sim.events import Event, any_of
 from repro.sim.network import CC_LAYER_CPU, OPERATION_CPU, PHASE_CPU, RTT
 from repro.sim.events import Condition
 from tests.conftest import build_engine, think
-from tests.test_retention import CLIENTS, _tiny_tpcc
+from tests.retention_catalogue import CLIENTS, _micro, _tiny_tpcc
 
 
 class TestEvents:
@@ -354,6 +355,21 @@ def test_plain_sleeps_are_not_events():
 
 class TestTimeoutCancel:
     """``Timeout.cancel``: the owner withdraws a deadline that lost its race."""
+
+    def test_partial_restart_drops_its_force_abort_deadline(self, env):
+        """A drain that ends before ``force_abort_after`` cancels the deadline
+        it armed: no live entry stays queued at that time."""
+
+        engine = build_engine(env, _micro(), configs.micro_2layer(), options=EngineOptions())
+        env.process(engine.execute_transaction(
+            "group_a_update", {"shared_id": 0, "local_id": 0, "cold_ids": [1]}
+        ))
+        env.run(until=env.process(engine.reconfigure_partial_restart(
+            configs.WORKLOAD_CONFIGURATIONS["micro"]["2pl"](), force_abort_after=5.0
+        )))
+        assert engine.stats.commits == 1 and 0.0 < env.now < 5.0
+        assert [item for at, _seq, item in env._queue
+                if at == 5.0 and getattr(item, "callbacks", ()) is not None] == []
 
     def test_cancelled_timeout_neither_fires_nor_advances_clock(self, env):
         fired = []

@@ -573,3 +573,29 @@ def test_the_census_reports_nothing_live_in_the_planted_library(planted):
     through a literal ``getattr`` only."""
     reported = {**unread_fields(planted), **unused_definitions(planted)}
     assert set(reported) == set(PLANTED_DEAD)
+
+
+#: The documents that point at tests by ``tests/<file>.py::<Name>``
+#: (CHANGES.md is history: its pointers name what was there then).
+POINTING_DOCS = ("PERFORMANCE.md", "ROADMAP.md", ".claude/skills/verify/SKILL.md")
+
+
+def test_every_doc_pointer_names_a_definition_of_its_file():
+    """A ``tests/<file>.py::<Name>`` pointer (a name may wrap onto the next
+    line) names a class or function defined in that file, at any depth."""
+    import re
+
+    root = Path(__file__).resolve().parent.parent
+    pointer = re.compile(r"tests/([\w/]+\.py)::\s*(\w+)(?:::(\w+))?")
+    dangling, seen = [], 0
+    for doc in POINTING_DOCS:
+        for match in pointer.finditer((root / doc).read_text()):
+            path = root / "tests" / match.group(1)
+            defined = path.exists() and {
+                node.name for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+            }
+            seen += 1
+            if not defined or not {n for n in match.groups()[1:] if n} <= defined:
+                dangling.append((doc, match.group(0)))
+    assert seen > 40 and dangling == []

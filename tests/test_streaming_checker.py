@@ -17,18 +17,27 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.harness import configs, runner as runner_module
 from repro.harness.runner import BenchmarkRunner, Lane
 from repro.core.config import monolithic
+from repro.core.engine import EngineOptions, TebaldiEngine
+from repro.core.transaction import Transaction
 from repro.isolation.checker import check_recorder
 from repro.isolation.cycles import IncrementalCycleDetector, strongly_connected_components
 from repro.isolation.history import History, HistoryRecorder, HistoryTransaction
 from repro.isolation.levels import LEVEL_EDGE_KINDS
 from repro.isolation.streaming import StreamingDSGChecker
+from repro.sim.environment import Environment
 from repro.storage.ranges import KeyRange
 from repro.workloads.micro import CrossGroupConflictWorkload
 from repro.workloads.queue import QueueWorkload
 from repro.workloads.smallbank import SmallBankWorkload
+from tests.conftest import build_engine, run_transactions
 from tests.reference_checker import check_history, find_cycle, iter_dsg_edges
+from tests.retention_catalogue import NeverPruneRecorder, _tiny_tpcc, build
+from tests.test_cc_conformance import (
+    CONFORMANCE_TREES, ConformanceWorkload, TwoStepWorkload, replay_conformance,
+)
 
 
 def build_dsg(history):
@@ -674,3 +683,114 @@ class TestSubgraphCaching:
         dsg.add_edge(2, 1, "ww")
         assert dsg.has_cycle()
         assert dsg.find_cycle()
+
+
+class EarlyReleaseEngine(TebaldiEngine):
+    """Test-only: hands the oracle the first transaction that commits while
+    another one is active — too early, since that one may still read under
+    its writes."""
+
+    early = None
+
+    def _commit(self, txn):
+        versions = super()._commit(txn)
+        if self.early is None and self.active:
+            self.early = txn.txn_id
+            self.history_recorder.on_release(txn.txn_id)
+        return versions
+
+
+class NoCascadeEngine(TebaldiEngine):
+    """Test-only: commits a reader whose writer aborted (the cascading abort
+    is skipped), so the oracle sees aborted reads."""
+
+    def _check_cascading_abort(self, txn):
+        pass
+
+
+class TestTheEnginesReleases:
+    """The oracle forgets what the engine released: when that comes, and
+    what a release may and may not take (the catalogue's rows bound what is
+    left, ``tests/retention_catalogue.py``)."""
+
+    def test_an_early_release_is_a_named_violation(self):
+
+        engine = build_engine(
+            Environment(), ConformanceWorkload(), CONFORMANCE_TREES["mono-ssi"](),
+            options=EngineOptions(charge_costs=True, lock_timeout=0.2, commit_wait_timeout=0.4),
+            engine_class=EarlyReleaseEngine,
+        )
+        run_transactions(engine.env, engine, [
+            ("reader", {"ops": [("r", 0), ("r", 1), ("r", 2), ("r", 3)]}),
+            ("beta", {"ops": [("w", 0, 99)]}),
+        ])
+        assert engine.stats.commits == 2
+        report = check_recorder(engine.history_recorder)
+        # The reader read key 0 under the writer's version: rw reader -> writer.
+        assert report.edges_into_pruned == [(1, engine.early)]
+        assert not report.ok and report.serializable and not report.cycles
+        assert "1 edges into pruned transactions" in report.describe()
+
+    @pytest.mark.parametrize("schedule, committed, edges", [
+        # The last commit's _retire releases that transaction itself.
+        (("mono-rp", 7057, 8, 3), 7, 9),
+        # Transaction 9's _retire releases 7 and 10, and three of the edges
+        # its commit derives enter them: fed after _retire, the oracle
+        # reports them.
+        (("mono-ssi", 2, 10, 3), 8, 13),
+    ], ids=str)
+    def test_the_oracle_hears_of_a_commit_before_its_release(self, schedule, committed, edges):
+
+        report, commits = replay_conformance(*schedule)
+        assert report.ok, report.describe()
+        assert (commits, report.num_edges) == (committed, edges)
+
+    def test_an_abort_nothing_overlaps_leaves_no_id(self, env):
+        """Its own retire releases it: the recorder hears of the abort first."""
+
+        engine = build_engine(
+            env, TwoStepWorkload(), monolithic("2pl", ("alpha", "beta"), name="lone"),
+            options=EngineOptions(charge_costs=False),
+        )
+        outcomes, _ = run_transactions(
+            env, engine, [("alpha", {"ops": [("w", "hot", 0, 1), ("abort",)]})]
+        )
+        assert outcomes[0].reason == "user-abort" and engine.finished == {}
+        assert engine.history_recorder.streaming_checker._aborted == set()
+
+    def test_release_equals_never_release_with_aborted_reads(self, monkeypatch):
+        """Not vacuous: with readers of aborted writers committed (the
+        flagship's RP leaves pipeline reads), both oracles report the same
+        aborted reads, although one released aborted ids as it went."""
+
+        verdicts, aborted = [], []
+        for recorder_class in (HistoryRecorder, NeverPruneRecorder):
+            monkeypatch.setattr(runner_module, "HistoryRecorder", recorder_class)
+            runner = build(_tiny_tpcc(), configs.tpcc_tebaldi_3layer(), NoCascadeEngine,
+                           check_isolation=True)
+            try:
+                runner.add_clients(16)
+                runner.run_additional(0.2)
+                report = runner.check_isolation()
+            finally:
+                runner.stop()
+            verdicts.append((report.ok, report.cycles, report.num_edges, report.aborted_reads,
+                             report.intermediate_reads, report.edges_into_pruned,
+                             runner.recorder.duplicate_commits))
+            aborted.append(len(runner.recorder.streaming_checker._aborted))
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0][3], "no aborted read: the pin would be vacuous"
+        assert aborted[0] < aborted[1]
+
+    def test_a_second_commit_of_a_released_id_is_flagged(self):
+        """The phantom-commit check spans the run: an id at or below the
+        highest released one finished already."""
+        recorder = HistoryRecorder()
+        for txn_id in range(1, 11):
+            recorder.on_commit(Transaction(txn_id=txn_id, txn_type="w", reads=[]), [])
+            recorder.on_release(txn_id)
+        recorder.on_abort(Transaction(txn_id=11, txn_type="w"))
+        assert recorder.streaming_checker._committed == set()
+        for txn_id in (1, 9, 12):
+            recorder.on_commit(Transaction(txn_id=txn_id, txn_type="w", reads=[]), [])
+        assert recorder.duplicate_commits == [1, 9]

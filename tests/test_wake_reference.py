@@ -33,7 +33,7 @@ from repro.sim.environment import Environment
 from tests import test_profiler_stream as pinned
 from tests.conftest import build_engine
 from tests.test_cc_conformance import TwoStepWorkload
-from tests.test_retention import _drain
+from tests.retention_catalogue import _drain
 
 #: Wait kinds that subscribe to a moved event.
 MOVED_KINDS = {
