@@ -7,7 +7,8 @@
 # transactions beside its bound, one run per reference cell), the blocked
 # wait passes per commit of the batch leaf and of TSO's promise waits, the
 # run-queue entries per tpcc/3layer commit, the import time, the state
-# census's allow-lists and the cc constructor parameters.
+# census's allow-lists and what can be set (cc constructor knobs,
+# EngineOptions and DurabilityConfig fields, options only tests set).
 #
 # Usage: scripts/check.sh [--quick]
 #
@@ -102,7 +103,7 @@ find src -name '*.py' | xargs wc -l | tail -1
 # Everything the engine, kernel, store, CC nodes, durability layer, recorder
 # and oracle keep across transactions, one row each with its bound, and the
 # census figures with the bounds they were held to (GC-tracked objects per
-# tpcc/3layer commit 9.0, SSI root entries 0 and 61, log records held per
+# tpcc/3layer commit 9.0, SSI root entries 0 and 18, log records held per
 # server 177, 130, 139 and 132, 33 cycle-detector nodes, ...): one run per
 # reference cell (tests/retention_catalogue.py; tests/test_retention.py
 # holds every row on all 44 registry cells).
@@ -128,12 +129,13 @@ python -m timeit -n 1 -r 3 -s 'import subprocess, sys' \
 # through — definitions only tests use, fields only tests read, fields kept
 # unread for a stated reason (tests/test_state_census.py).
 python -c 'from tests.test_state_census import allow_lists; print(allow_lists())'
-# A node's mechanism derives what it needs from the profiles; what a spec
-# may still set are the knobs its constructor takes (6; 12 while autoconf
-# wrote derived steps and promises into spec params).
-# tests/test_composition.py pins each mechanism's set.
-python -c 'from tests.test_composition import constructor_parameters as params
-print("cc constructor parameters: {}".format(sum(map(len, params().values()))))'
+# What a caller can set: the knobs a spec may hand a CC constructor (2, the
+# batch leaf's; 6 before the option census, 12 while autoconf wrote derived
+# steps and promises into spec params), the EngineOptions and
+# DurabilityConfig fields, and the options only tests set
+# (tests/test_state_census.py holds each; a value nothing else sets is a
+# named constant).
+python -c 'from tests.test_state_census import option_counts; print(option_counts())'
 
 echo
 echo "check.sh: all good"

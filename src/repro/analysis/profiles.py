@@ -88,7 +88,6 @@ class TransactionType:
     name: str
     procedure: Callable
     profile: TransactionProfile
-    weight: float = 1.0
 
     @property
     def read_only(self):

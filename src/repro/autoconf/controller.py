@@ -19,7 +19,12 @@ from repro.autoconf.optimizer import ConfigurationOptimizer
 from repro.autoconf.preprocess import apply_preprocessing
 from repro.autoconf.profiler import ContentionProfiler
 from repro.core.config import initial_configuration as _initial_configuration
-from repro.harness.runner import BenchmarkRunner
+from repro.harness.runner import run_benchmark
+
+
+#: A candidate replaces the current configuration only above this multiple
+#: of its throughput.
+IMPROVEMENT_THRESHOLD = 1.03
 
 
 def initial_configuration(workload):
@@ -82,7 +87,6 @@ class AutoConfigurator:
         duration=1.0,
         warmup=0.3,
         max_iterations=4,
-        improvement_threshold=1.03,
         options=None,
         instance_keys=None,
         mix=None,
@@ -93,7 +97,6 @@ class AutoConfigurator:
         self.duration = duration
         self.warmup = warmup
         self.max_iterations = max_iterations
-        self.improvement_threshold = improvement_threshold
         self.options = options
         self.instance_keys = instance_keys or {}
         self.mix = mix
@@ -104,19 +107,17 @@ class AutoConfigurator:
 
     def _measure(self, configuration, with_profiler=False):
         profiler = ContentionProfiler() if with_profiler else None
-        runner = BenchmarkRunner(
+        result = run_benchmark(
             self.workload,
             configuration,
+            self.clients,
+            duration=self.duration,
+            warmup=self.warmup,
             options=self.options,
             profiler=profiler,
             seed=self.seed,
             mix=self.mix,
         )
-        try:
-            result = runner.run(self.clients, duration=self.duration, warmup=self.warmup)
-        finally:
-            # Always stop: it also unfreezes the GC state frozen at construction.
-            runner.stop()
         return result, profiler
 
     # -- main loop ---------------------------------------------------------------------
@@ -149,7 +150,7 @@ class AutoConfigurator:
             improved = (
                 best_result is not None
                 and best_result.throughput
-                > baseline.throughput * self.improvement_threshold
+                > baseline.throughput * IMPROVEMENT_THRESHOLD
             )
             iterations.append(
                 IterationRecord(

@@ -73,25 +73,17 @@ class DeterministicBatch(ConcurrencyControl):
     # The seal pre-declares every member's version slots.
     needs_declared_writes = True
     extra_start_rtts = 1  # sequencer round-trip
+    #: Sealed batches in flight before admission parks new arrivals.
+    MAX_INFLIGHT_BATCHES = 4
 
-    def __init__(
-        self,
-        engine,
-        node,
-        batch_size=8,
-        batch_window=0.01,
-        max_inflight_batches=4,
-    ):
+    def __init__(self, engine, node, batch_size=8, batch_window=0.01):
         super().__init__(engine, node)
         if batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
         if batch_window <= 0:
             raise ConfigurationError("batch_window must be positive")
-        if max_inflight_batches < 1:
-            raise ConfigurationError("max_inflight_batches must be >= 1")
         self.batch_size = batch_size
         self.batch_window = float(batch_window)
-        self.max_inflight_batches = max_inflight_batches
         self._open_batch = None
         self._inflight = 0
         self._seq_counter = count(1)
@@ -184,12 +176,12 @@ class DeterministicBatch(ConcurrencyControl):
 
     def admit(self, txn_type, args):
         """Park new arrivals while the backlog of sealed batches is full."""
-        if self._inflight < self.max_inflight_batches:
+        if self._inflight < self.MAX_INFLIGHT_BATCHES:
             return None
         return self._admit_wait()
 
     def _admit_wait(self):
-        while self._inflight >= self.max_inflight_batches:
+        while self._inflight >= self.MAX_INFLIGHT_BATCHES:
             yield from self.admission.wait()
 
     def start(self, txn):

@@ -35,12 +35,12 @@ class RuntimePipelining(TwoPhaseLocking):
     requires_profiles = True
     extra_operation_rtts = 1  # per-operation coordination round-trip
 
-    def __init__(self, engine, node, lock_timeout=None):
+    def __init__(self, engine, node):
         # The lock table holds step locks.  The range locks of the phantom
         # guard are held until finish: a step-committed scan's predicate
         # must keep excluding phantom inserts, exactly like passed point
         # accesses in ``_passed``.
-        super().__init__(engine, node, lock_timeout)
+        super().__init__(engine, node)
         # The steps come from the group's profiles, in name order: the
         # analysis breaks ties by the order it is given the profiles in.
         self.analysis = analyze_pipeline(engine.profiles_for(sorted(node.subtree_types)))

@@ -43,8 +43,10 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
     # snapshot this node proposes, even for its own group's writes.
     forbidden_ancestors = frozenset({"2pl", "rp"})
     extra_start_rtts = 1  # centralized timestamp server
+    #: Admissions after which a group's batch closes (``BatchManager``).
+    BATCH_SIZE = 16
 
-    def __init__(self, engine, node, batch_size=16):
+    def __init__(self, engine, node):
         super().__init__(engine, node)
         # A batch member reads at its batch's timestamp: it is concurrent with
         # whatever finished since the batch opened, even before its own begin
@@ -55,7 +57,7 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         # meanwhile (``release``).
         self.batches = BatchManager(
             engine.oracle,
-            batch_size=batch_size,
+            self.BATCH_SIZE,
             on_open=lambda batch_id: engine.hold_finished((self, batch_id)),
             on_dead=lambda batch_id: engine.drop_hold((self, batch_id)),
         )
@@ -277,6 +279,9 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
         if readers is None:
             readers = self._readers[key] = {}
         readers[txn.txn_id] = txn
+        # Filed with the entry: a check below may abort the reader, and
+        # ``release`` drops what ``read_keys`` names.
+        self.state(txn)["read_keys"].add(key)
         # Anti-dependencies: newer writes this snapshot read is missing.
         latest = self.engine.store.latest_committed(key)
         if latest is not None and (latest.timestamp or 0) > start_ts:
@@ -305,7 +310,6 @@ class SerializableSnapshotIsolation(ConcurrencyControl):
                 if chosen is not None and chosen.writer == writer_id:
                     continue
                 self._mark_antidependency(txn, writer)
-        self.state(txn)["read_keys"].add(key)
         return chosen
 
     def select_version(self, txn, key):

@@ -38,7 +38,7 @@ class BatchManager:
     pivot flags); it goes with the batch and the members that hold it.
     """
 
-    def __init__(self, oracle, batch_size=16, on_open=None, on_dead=None):
+    def __init__(self, oracle, batch_size, on_open=None, on_dead=None):
         self.oracle = oracle
         self.batch_size = batch_size
         self.on_open = on_open

@@ -26,13 +26,12 @@ class TwoPhaseLocking(ConcurrencyControl):
     handles_contention = False
     efficient_internal = True
 
-    def __init__(self, engine, node, lock_timeout=None):
+    def __init__(self, engine, node):
         super().__init__(engine, node)
-        timeout = lock_timeout if lock_timeout is not None else engine.options.lock_timeout
         self.locks = LockTable(
             engine.env,
             same_group=self.same_child_group,
-            timeout=timeout,
+            timeout=engine.options.lock_timeout,
             name=f"{self.name}@{node.node_id}",
             order_guard=engine.depends_transitively,
             waits=self.waits,

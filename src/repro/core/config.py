@@ -29,7 +29,7 @@ class CCSpec:
         For internal nodes, the child subtrees.
     params:
         The mechanism's knobs, passed to its constructor verbatim (e.g.
-        ``{"lock_timeout": 0.25}``); what it derives from the profiles is
+        ``{"batch_size": 16}``); what it derives from the profiles is
         never a param.
     instance_key:
         Optional partition-by-instance function ``args -> hashable`` for

@@ -1,7 +1,7 @@
 """Runtime statistics collected by the engine and reported by the harness."""
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -11,7 +11,6 @@ class TypeStats:
     commits: int = 0
     aborts: int = 0
     total_latency: float = 0.0
-    max_latency: float = 0.0
 
     @property
     def mean_latency(self):
@@ -41,7 +40,6 @@ class StatsCollector:
         stats = self.by_type[txn.txn_type]
         stats.commits += 1
         stats.total_latency += latency
-        stats.max_latency = max(stats.max_latency, latency)
 
     def record_abort(self, txn, reason):
         self.aborts += 1

@@ -32,7 +32,7 @@ class Database:
             profiler=profiler,
         )
         # What check_serializability() checks; the engine keeps no history.
-        self.engine.history_recorder = HistoryRecorder(level="serializable")
+        self.engine.history_recorder = HistoryRecorder()
 
     # -- synchronous single-transaction API ----------------------------------------
 

@@ -37,7 +37,6 @@ from repro.harness.configs import CHAOS_CELLS, CRASH_CELLS, WORKLOAD_CONFIGURATI
 from repro.harness.parallel import available_workers, derive_point_seed, run_tasks
 from repro.harness.report import format_run_results
 from repro.harness.runner import BenchmarkRunner
-from repro.isolation.levels import ISOLATION_LEVELS
 from repro.workloads.micro import CrossGroupConflictWorkload
 from repro.workloads.queue import QueueWorkload
 from repro.workloads.seats import SEATSWorkload
@@ -122,10 +121,6 @@ def build_parser():
         help="skip the isolation oracle (pure speed run)",
     )
     parser.add_argument(
-        "--level", choices=ISOLATION_LEVELS, default="serializable",
-        help="isolation level the oracle checks against",
-    )
-    parser.add_argument(
         "--ycsb-profile", choices=("a", "b", "e"), default="a",
         help="YCSB operation mix (read/update, read-heavy, scan-heavy)",
     )
@@ -186,7 +181,7 @@ def _describe_plain(result):
 def _select_mode(args):
     """What the selected lane changes about a sweep: the cell registry, the
     run helper, the (duration, warmup) sizes and the report texts."""
-    level = f"at level={args.level!r}"
+    level = "at level='serializable'"  # the one level the oracle checks
     lane_sizes = (0.5 if args.quick else args.duration, 0.0)
     if args.faults:
         return SimpleNamespace(
@@ -239,7 +234,6 @@ def _make_cell_task(args, mode, workload_name, config_name, clients):
             duration=duration,
             warmup=warmup,
             seed=seed,
-            isolation_level=args.level,
             raise_on_violation=False,
         )
     return cell

@@ -100,7 +100,6 @@ class BenchmarkRunner:
         profiler=None,
         mix=None,
         check_isolation=False,
-        isolation_level="serializable",
         lanes=(),
     ):
         self.workload = workload
@@ -122,10 +121,7 @@ class BenchmarkRunner:
         # One recorder spans every incarnation of a crash-enabled run.
         self.recorder = None
         if check_isolation or self.lanes:
-            # The recorder validates the level (ValueError on unknown names).
-            self.recorder = HistoryRecorder(
-                level=isolation_level, records=bool(self.lanes)
-            )
+            self.recorder = HistoryRecorder(records=bool(self.lanes))
         # One durability manager for the whole run: its persistent backends
         # survive the engine rebuilds of a crash-enabled run.
         self.manager = DurabilityManager(

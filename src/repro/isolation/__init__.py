@@ -1,14 +1,13 @@
 """Adya-style isolation theory used as the engine's correctness oracle.
 
 The committed execution history of an engine is streamed into a Direct
-Serialization Graph (Section 2.2.3) as it commits; isolation levels are
-characterised by the anomalies (aborted/intermediate reads) and DSG cycles
-they proscribe.
+Serialization Graph (Section 2.2.3) as it commits and checked for the
+one level every mechanism promises, serializability: no aborted or
+intermediate reads and no DSG cycle of any edge kind.
 """
 
 from repro.isolation.history import History, HistoryRecorder
 from repro.isolation.cycles import IncrementalCycleDetector
-from repro.isolation.levels import ISOLATION_LEVELS, LEVEL_EDGE_KINDS
 from repro.isolation.streaming import StreamingDSGChecker
 from repro.isolation.checker import IsolationReport, check_engine, check_recorder
 
@@ -16,8 +15,6 @@ __all__ = [
     "History",
     "HistoryRecorder",
     "IncrementalCycleDetector",
-    "ISOLATION_LEVELS",
-    "LEVEL_EDGE_KINDS",
     "StreamingDSGChecker",
     "IsolationReport",
     "check_engine",

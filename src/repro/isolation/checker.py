@@ -1,7 +1,7 @@
 """The isolation oracle's verdict (Definition 4.2.1 of the paper).
 
 A history is correct when it has no aborted reads, no intermediate reads and
-no cycle in its Direct Serialization Graph at the level's edge kinds.  A
+no cycle in its Direct Serialization Graph, of any edge kind.  A
 :class:`~repro.isolation.history.HistoryRecorder` checks all three while
 the run commits — its :class:`~repro.isolation.streaming.StreamingDSGChecker`
 derives every dependency edge at commit time and feeds the incremental
@@ -74,8 +74,8 @@ def check_engine(engine):
 
 
 def check_recorder(recorder):
-    """The verdict on the history streamed into a :class:`HistoryRecorder`,
-    at the isolation level the recorder was built with."""
+    """The serializability verdict on the history streamed into a
+    :class:`HistoryRecorder`."""
     checker = recorder.streaming_checker
     report = IsolationReport(
         aborted_reads=checker.aborted_reads + checker.pending_aborted_reads(),

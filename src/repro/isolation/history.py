@@ -13,7 +13,6 @@ engine keeps no transaction past the last one concurrent with it).
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.isolation.levels import kinds_for
 from repro.isolation.streaming import StreamingDSGChecker
 
 
@@ -60,9 +59,9 @@ class HistoryRecorder:
 
     The engine calls :meth:`on_commit` (with the freshly committed versions),
     :meth:`on_abort` and :meth:`on_release`.  Each commit goes straight to
-    the in-line :class:`StreamingDSGChecker` at ``level`` (serializable
-    unless told otherwise), so the verdict is ready when the run ends; the
-    checker forgets what the engine released and no later commit can ask.
+    the in-line :class:`StreamingDSGChecker`, so the verdict is ready when
+    the run ends; the checker forgets what the engine released and no later
+    commit can ask.
 
     The verdict never reads a commit record, so a recorder keeps them only
     when built with ``records=True``, for the fault lanes: their checks read
@@ -85,9 +84,8 @@ class HistoryRecorder:
     #: Size of the record ring (and of the aborted-id ring).
     RECORD_RING = 50_000
 
-    def __init__(self, level="serializable", records=False):
-        # ValueError on an unknown level, None included.
-        self.streaming_checker = StreamingDSGChecker(kinds_for(level))
+    def __init__(self, records=False):
+        self.streaming_checker = StreamingDSGChecker()
         # txn_id -> flat record (see _WRITES_AT), and the aborted-id ring.
         self._records = OrderedDict() if records else None
         self._aborted_ids = OrderedDict() if records else None

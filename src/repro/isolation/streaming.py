@@ -55,14 +55,13 @@ class StreamingDSGChecker:
     """
 
     __slots__ = (
-        "kinds", "detector", "_writers", "_seqs", "_waiting", "_committed",
+        "detector", "_writers", "_seqs", "_waiting", "_committed",
         "_released", "_aborted", "_table_pks", "_scan_watch", "aborted_reads",
         "intermediate_reads", "edges_into_pruned", "reads_below_trimmed",
         "num_edges",
     )
 
-    def __init__(self, kinds):
-        self.kinds = frozenset(kinds)
+    def __init__(self):
         self.detector = IncrementalCycleDetector()
         self._writers = {}   # key -> [writer, ...] in commit order (None: floor)
         self._seqs = {}      # key -> [commit_seq, ...] (parallel list, bisect)
@@ -82,15 +81,16 @@ class StreamingDSGChecker:
         return self.detector.cycle
 
     def _add_edge(self, source, target, kind):
+        """Every ``kind`` (``ww``, ``wr``, ``rw``) closes a forbidden cycle;
+        it is passed for a subclass that traces the edges."""
         if source == target:
             return
         self.num_edges += 1
-        if kind in self.kinds:
-            # Both ends have committed, so one that is no node was pruned.
-            if target not in self.detector:
-                self.edges_into_pruned.append((source, target))
-            elif source in self.detector:
-                self.detector.add_edge(source, target)
+        # Both ends have committed, so one that is no node was pruned.
+        if target not in self.detector:
+            self.edges_into_pruned.append((source, target))
+        elif source in self.detector:
+            self.detector.add_edge(source, target)
 
     def on_commit(self, txn_id, versions, reads, scans=()):
         """Fold one committed transaction into the graph: ``versions`` it

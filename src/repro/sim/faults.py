@@ -66,6 +66,10 @@ class CrashPoint:
             raise ValueError(f"occurrence must be >= 1, got {self.occurrence}")
 
 
+#: A seeded crash point fires at its site's occurrence 1..this.
+MAX_CRASH_OCCURRENCE = 25
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """An ordered tuple of crash points: one simulated crash per point."""
@@ -73,7 +77,7 @@ class FaultPlan:
     points: tuple = ()
 
     @classmethod
-    def from_seed(cls, seed, crashes=1, max_occurrence=25):
+    def from_seed(cls, seed, crashes=1):
         """Derive a deterministic plan from the run seed.
 
         Uses ``random.Random`` over integers only (no salted hashes), so the
@@ -83,7 +87,7 @@ class FaultPlan:
             raise ValueError(f"crashes must be >= 0, got {crashes}")
         rng = random.Random((int(seed) << 8) ^ 0xFA17)
         points = tuple(
-            CrashPoint(site=rng.choice(SITES), occurrence=rng.randint(1, max_occurrence))
+            CrashPoint(site=rng.choice(SITES), occurrence=rng.randint(1, MAX_CRASH_OCCURRENCE))
             for _ in range(crashes)
         )
         return cls(points=points)
@@ -176,6 +180,9 @@ class FaultInjector:
 #:   destination fails until the window heals.
 MESSAGE_FAULT_KINDS = ("drop", "delay", "duplicate", "reorder", "partition")
 
+#: A seeded message fault fires 1..this counted sends after the previous one.
+MAX_MESSAGE_FAULT_GAP = 30
+
 
 @dataclass(frozen=True)
 class MessageFault:
@@ -226,16 +233,16 @@ class MessageFaultPlan:
     points: tuple = ()
 
     @classmethod
-    def from_seed(cls, seed, faults=4, kinds=MESSAGE_FAULT_KINDS, require=(),
-                  max_gap=30):
+    def from_seed(cls, seed, faults=4, require=()):
         """Derive a deterministic message fault plan from the run seed.
 
         ``require`` pins the kinds of the first ``len(require)`` points
         (the chaos cells use ``("drop", "partition")`` so every cell sees
         at least one drop+retry and one partition-and-heal window); the
-        rest are drawn from ``kinds``.  All per-point attributes are drawn
-        from ``random.Random`` over integers only, so the plan reproduces
-        byte-identically across processes and interpreter restarts.
+        rest are drawn from :data:`MESSAGE_FAULT_KINDS`.  All per-point
+        attributes are drawn from ``random.Random`` over integers only, so
+        the plan reproduces byte-identically across processes and
+        interpreter restarts.
         """
         if faults < 0:
             raise ValueError(f"faults must be >= 0, got {faults}")
@@ -245,8 +252,8 @@ class MessageFaultPlan:
         for index in range(count):
             # Every attribute is drawn unconditionally so that pinning a
             # kind via ``require`` never shifts the stream of later points.
-            drawn_kind = rng.choice(tuple(kinds))
-            occurrence = rng.randint(1, max_gap)
+            drawn_kind = rng.choice(MESSAGE_FAULT_KINDS)
+            occurrence = rng.randint(1, MAX_MESSAGE_FAULT_GAP)
             magnitude = float(rng.randint(2, 6))
             duration = rng.uniform(0.005, 0.03)
             lost_reply = bool(rng.getrandbits(1))

@@ -30,6 +30,12 @@ from repro.storage.backends import InMemoryBackend
 from repro.storage.wal import KIND, TXN_ID, WriteAheadLog, record_body
 
 
+#: Virtual-time flush cost a committing transaction is charged: a
+#: synchronous log force, or an append under asynchronous (GCP) flushing.
+SYNC_FLUSH_DELAY = 200e-6
+ASYNC_FLUSH_DELAY = 50e-6
+
+
 @dataclass
 class DurabilityConfig:
     """Configuration of the durability module."""
@@ -38,8 +44,6 @@ class DurabilityConfig:
     asynchronous: bool = True
     gcp_epoch_length: float = 1.0
     num_servers: int = 4
-    sync_flush_delay: float = 200e-6
-    async_flush_delay: float = 50e-6
 
     def __post_init__(self):
         if self.num_servers < 1:
@@ -51,14 +55,8 @@ class DurabilityConfig:
                 "durability gcp_epoch_length must be positive, "
                 f"got {self.gcp_epoch_length}"
             )
-        if self.sync_flush_delay < 0 or self.async_flush_delay < 0:
-            raise ConfigurationError(
-                "durability flush delays must be non-negative, got "
-                f"sync={self.sync_flush_delay} async={self.async_flush_delay}"
-            )
-        # They are slept, and a process sleeps only on a float.
-        for name in ("gcp_epoch_length", "sync_flush_delay", "async_flush_delay"):
-            setattr(self, name, float(getattr(self, name)))
+        # It is slept, and a process sleeps only on a float.
+        self.gcp_epoch_length = float(self.gcp_epoch_length)
 
 
 class DurabilityManager:
@@ -211,9 +209,7 @@ class DurabilityManager:
         """Virtual-time cost charged to the committing transaction."""
         if not self.enabled:
             return 0.0
-        if self.config.asynchronous:
-            return self.config.async_flush_delay
-        return self.config.sync_flush_delay
+        return ASYNC_FLUSH_DELAY if self.config.asynchronous else SYNC_FLUSH_DELAY
 
     # -- asynchronous flushing (GCP protocol) --------------------------------
 

@@ -387,14 +387,3 @@ class MultiVersionStore:
     def latest_state(self):
         """Map of key -> value of the latest committed version (for recovery)."""
         return {key: chain[-1].value for key, chain in self._committed.items()}
-
-    def clear(self):
-        """Drop all state (used by recovery before replaying logs)."""
-        self._committed.clear()
-        self._uncommitted.clear()
-        self._writes_by_txn.clear()
-        self._table_index.clear()
-        self._slots.clear()
-        self._slots_by_txn.clear()
-        self._commit_seq = count(1)
-        self._last_commit_seq = 0

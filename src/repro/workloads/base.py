@@ -24,8 +24,9 @@ class Workload:
         raise NotImplementedError
 
     def mix(self):
-        """Return ``{transaction type: weight}`` for the default mix."""
-        return {name: ttype.weight for name, ttype in self.transaction_types().items()}
+        """Return ``{transaction type: weight}`` for the default mix: every
+        type alike, unless the workload defines its own."""
+        return dict.fromkeys(self.transaction_types(), 1.0)
 
     # -- cached accessor and population -------------------------------------
 

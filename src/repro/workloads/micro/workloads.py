@@ -145,11 +145,12 @@ class HierarchyMicroWorkload(Workload):
     """Three transactions needing different cross-group CCs (Figure 4.11)."""
 
     name = "micro-hierarchy"
+    #: Cold rows ``t1_read`` reads in each cold table.
+    READS_PER_TABLE = 3
 
-    def __init__(self, hot_rows=10, cold_rows=10_000, reads_per_table=3):
+    def __init__(self, hot_rows=10, cold_rows=10_000):
         self.hot_rows = hot_rows
         self.cold_rows = cold_rows
-        self.reads_per_table = reads_per_table
         self.cold_tables = ("table_b", "table_c", "table_d", "table_e")
 
     def build_catalog(self):
@@ -225,7 +226,7 @@ class HierarchyMicroWorkload(Workload):
     def generate_args(self, rng, txn_type):
         if txn_type == "t1_read":
             cold_ids = [
-                [rng.randrange(self.cold_rows) for _ in range(self.reads_per_table)]
+                [rng.randrange(self.cold_rows) for _ in range(self.READS_PER_TABLE)]
                 for _ in self.cold_tables
             ]
         else:

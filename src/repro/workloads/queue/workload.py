@@ -40,16 +40,18 @@ QUEUE_MIX = {
 UPDATE_TRANSACTIONS = ("enqueue", "dequeue", "sweep")
 READ_ONLY_TRANSACTIONS = ("peek",)
 
+#: An enqueued payload is drawn from ``range(PAYLOAD_SPACE)``.
+PAYLOAD_SPACE = 1000
+
 
 class QueueWorkload(Workload):
     """Queue/outbox over the transactional key-value interface."""
 
     name = "queue"
 
-    def __init__(self, initial_messages=6, window=8, payload_space=1000, seed=17):
+    def __init__(self, initial_messages=6, window=8, seed=17):
         self.initial_messages = initial_messages
         self.window = window
-        self.payload_space = payload_space
         self.seed = seed
 
     # -- schema -------------------------------------------------------------------
@@ -167,7 +169,7 @@ class QueueWorkload(Workload):
 
     def generate_args(self, rng, txn_type):
         if txn_type == "enqueue":
-            return {"payload": rng.randrange(self.payload_space)}
+            return {"payload": rng.randrange(PAYLOAD_SPACE)}
         if txn_type in ("dequeue", "sweep", "peek"):
             return {}
         raise ValueError(f"unknown queue transaction {txn_type!r}")

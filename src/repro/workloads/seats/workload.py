@@ -30,18 +30,19 @@ UPDATE_TRANSACTIONS = (
 )
 READ_ONLY_TRANSACTIONS = ("find_flights", "find_open_seats")
 
+#: Seats a ``find_open_seats`` probes on its flight.
+OPEN_SEAT_PROBES = 15
+
 
 class SEATSWorkload(Workload):
     """Scaled-down SEATS benchmark over the key-value interface."""
 
     name = "seats"
 
-    def __init__(self, flights=20, seats_per_flight=2000, customers=2000,
-                 open_seat_probes=15, seed=17):
+    def __init__(self, flights=20, seats_per_flight=2000, customers=2000, seed=17):
         self.flights = flights
         self.seats_per_flight = seats_per_flight
         self.customers = customers
-        self.open_seat_probes = open_seat_probes
         self.seed = seed
 
     # -- schema -------------------------------------------------------------------
@@ -229,7 +230,7 @@ class SEATSWorkload(Workload):
             return {"f_ids": sorted(rng.sample(range(1, self.flights + 1), count))}
         if txn_type == "find_open_seats":
             seats = sorted(
-                rng.sample(range(1, self.seats_per_flight + 1), self.open_seat_probes)
+                rng.sample(range(1, self.seats_per_flight + 1), OPEN_SEAT_PROBES)
             )
             return {"f_id": f_id, "seats": seats}
         raise ValueError(f"unknown SEATS transaction {txn_type!r}")

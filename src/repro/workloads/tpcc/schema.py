@@ -52,8 +52,11 @@ class TPCCScale:
     customers_per_district: int = 200
     items: int = 5000
     initial_orders_per_district: int = 150
-    max_order_lines: int = 8
-    min_order_lines: int = 3
+
+
+#: Order lines per order, initial and new alike (TPC-C draws 5..15).
+MIN_ORDER_LINES = 3
+MAX_ORDER_LINES = 8
 
 
 TABLES = {
@@ -118,7 +121,7 @@ def build_catalog(scale, rng):
                 tables["customer_name_idx"].insert((w_id, d_id, c_last, c_id), {})
             for o_id in range(1, scale.initial_orders_per_district + 1):
                 c_id = rng.randint(1, scale.customers_per_district)
-                ol_cnt = rng.randint(scale.min_order_lines, scale.max_order_lines)
+                ol_cnt = rng.randint(MIN_ORDER_LINES, MAX_ORDER_LINES)
                 tables["orders"].insert(
                     (w_id, d_id, o_id),
                     {"o_c_id": c_id, "o_carrier_id": None, "o_ol_cnt": ol_cnt, "o_entry_d": 0.0},

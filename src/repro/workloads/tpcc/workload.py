@@ -6,7 +6,12 @@ from functools import partial
 from repro.analysis.profiles import TransactionType
 from repro.workloads.base import Workload
 from repro.workloads.tpcc import transactions as procs
-from repro.workloads.tpcc.schema import TPCCScale, build_catalog, customer_last_name
+from repro.workloads.tpcc.schema import (
+    MAX_ORDER_LINES, MIN_ORDER_LINES, TPCCScale, build_catalog, customer_last_name,
+)
+
+#: Chance that a new order line is supplied by a random warehouse.
+REMOTE_ITEM_PROBABILITY = 0.01
 
 
 #: The contention-heavy closed-loop mix used throughout the evaluation.
@@ -55,7 +60,6 @@ class TPCCWorkload(Workload):
         include_payment_by_name=False,
         deadlock_prone_new_order=False,
         disjoint_warehouses=False,
-        remote_item_probability=0.01,
     ):
         self.scale = scale or TPCCScale(warehouses=warehouses)
         self.seed = seed
@@ -63,7 +67,6 @@ class TPCCWorkload(Workload):
         self.include_payment_by_name = include_payment_by_name
         self.deadlock_prone_new_order = deadlock_prone_new_order
         self.disjoint_warehouses = disjoint_warehouses
-        self.remote_item_probability = remote_item_probability
 
     # -- schema / registration -------------------------------------------------
 
@@ -113,12 +116,12 @@ class TPCCWorkload(Workload):
         w_id = self._warehouse_for(rng, txn_type)
         d_id = rng.randint(1, scale.districts_per_warehouse)
         if txn_type == "new_order":
-            item_count = rng.randint(scale.min_order_lines, scale.max_order_lines)
+            item_count = rng.randint(MIN_ORDER_LINES, MAX_ORDER_LINES)
             item_ids = rng.sample(range(1, scale.items + 1), item_count)
             items = []
             for i_id in sorted(item_ids):
                 supply_w_id = w_id
-                if scale.warehouses > 1 and rng.random() < self.remote_item_probability:
+                if scale.warehouses > 1 and rng.random() < REMOTE_ITEM_PROBABILITY:
                     supply_w_id = rng.randint(1, scale.warehouses)
                 items.append((i_id, supply_w_id, rng.randint(1, 10)))
             return {

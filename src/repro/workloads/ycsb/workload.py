@@ -12,8 +12,8 @@ operation mix:
 All five transaction types are always registered (so one CC tree covers all
 profiles); the profile only changes the mix that closed-loop clients draw
 from.  Two skew models are available: YCSB's *hotspot* distribution (with
-probability ``hot_op_fraction`` the key is drawn from the first
-``hot_set_fraction * records`` keys) and the classic *zipfian* generator of
+probability :data:`HOT_OP_FRACTION` the key is drawn from the first
+``HOT_SET_FRACTION * records`` keys) and the classic *zipfian* generator of
 Gray et al. with configurable ``zipf_theta`` — the heavier-tailed
 distribution the original benchmark defaults to, registered in the harness
 at a larger keyspace as ``ycsb-zipf``.
@@ -67,15 +67,20 @@ YCSB_PROFILES = {
 UPDATE_TRANSACTIONS = ("update_record", "insert_record", "read_modify_write")
 READ_ONLY_TRANSACTIONS = ("read_record", "scan_records")
 
+#: The hotspot distribution: this share of operations hits the first
+#: ``HOT_SET_FRACTION * records`` keys.
+HOT_OP_FRACTION = 0.5
+HOT_SET_FRACTION = 0.05
+#: An insert's key is ``records + randrange(INSERT_SPACE)``.
+INSERT_SPACE = 10_000
+
 
 class YCSBWorkload(Workload):
     """YCSB core operations as transactions over ``usertable``."""
 
     name = "ycsb"
 
-    def __init__(self, records=1000, profile="a", max_scan_length=10,
-                 hot_op_fraction=0.5, hot_set_fraction=0.05,
-                 insert_space=10_000, seed=31,
+    def __init__(self, records=1000, profile="a", max_scan_length=10, seed=31,
                  distribution="hotspot", zipf_theta=0.99):
         if profile not in YCSB_PROFILES:
             raise ValueError(
@@ -89,9 +94,6 @@ class YCSBWorkload(Workload):
         self.records = records
         self.profile = profile
         self.max_scan_length = max_scan_length
-        self.hot_op_fraction = hot_op_fraction
-        self.hot_set_fraction = hot_set_fraction
-        self.insert_space = insert_space
         self.seed = seed
         self._zipf = (
             ZipfianGenerator(records, zipf_theta)
@@ -200,8 +202,8 @@ class YCSBWorkload(Workload):
     def _key(self, rng):
         if self._zipf is not None:
             return self._zipf.draw(rng)
-        if rng.random() < self.hot_op_fraction:
-            hot = max(int(self.records * self.hot_set_fraction), 1)
+        if rng.random() < HOT_OP_FRACTION:
+            hot = max(int(self.records * HOT_SET_FRACTION), 1)
             return rng.randrange(hot)
         return rng.randrange(self.records)
 
@@ -214,7 +216,7 @@ class YCSBWorkload(Workload):
             # Inserts land in a key space above the loaded records; collisions
             # just overwrite, which YCSB's insert-order guarantees tolerate.
             return {
-                "key": self.records + rng.randrange(self.insert_space),
+                "key": self.records + rng.randrange(INSERT_SPACE),
                 "value": rng.randrange(1_000_000),
             }
         if txn_type == "scan_records":

@@ -79,8 +79,8 @@ class RecordingRecorder(HistoryRecorder):
     """A recorder that keeps commit records, as a fault lane's does: what a
     test hands the post-hoc reference checker (``history()``)."""
 
-    def __init__(self, level="serializable"):
-        super().__init__(level=level, records=True)
+    def __init__(self):
+        super().__init__(records=True)
 
 
 def build_engine(env, workload, configuration, options=None, profiler=None,
@@ -102,7 +102,7 @@ def build_engine(env, workload, configuration, options=None, profiler=None,
         options=options or EngineOptions(charge_costs=False),
         profiler=profiler,
     )
-    engine.history_recorder = recorder_class(level="serializable")
+    engine.history_recorder = recorder_class()
     return engine
 
 

@@ -16,7 +16,6 @@ from bisect import bisect_right
 
 from repro.isolation.checker import IsolationReport
 from repro.isolation.cycles import strongly_connected_components
-from repro.isolation.levels import kinds_for
 from repro.storage.ranges import slice_sorted_pks
 
 ALL_EDGE_KINDS = frozenset({"ww", "wr", "rw"})
@@ -217,25 +216,17 @@ def _check_anomalies(history):
     return report
 
 
-def check_history(history, level="serializable"):
-    """Check a history against an isolation level.
-
-    ``level`` is one of :data:`~repro.isolation.levels.ISOLATION_LEVELS`;
-    the corresponding DSG cycle restrictions follow Adya's definitions
-    (item-level only, so repeatable read and serializable coincide, as noted
-    in Section 2.2.3).  An unknown level raises ``ValueError`` instead of
-    silently checking serializability.
-    """
-    kinds = kinds_for(level)
+def check_history(history):
+    """Check a history for serializability: no aborted or intermediate
+    read, and no DSG cycle of any edge kind (Adya's definition, item-level
+    only, as noted in Section 2.2.3)."""
     report = _check_anomalies(history)
 
-    # Circularity: one native Tarjan pass over the restricted edge set.
+    # Circularity: one native Tarjan pass over every edge.
     adjacency = {}
     num_edges = 0
-    for source, target, kind in iter_dsg_edges(history):
+    for source, target, _kind in iter_dsg_edges(history):
         num_edges += 1
-        if kind not in kinds:
-            continue
         successors = adjacency.get(source)
         if successors is None:
             successors = adjacency[source] = set()

@@ -20,7 +20,7 @@ class DirectSerializationGraph:
     """A DSG with typed edges, built from a :class:`~repro.isolation.history.History`.
 
     Kind-restricted views are memoised: repeated ``has_cycle``/``find_cycle``
-    queries (one per isolation level, say) reuse one restricted ``DiGraph``
+    queries (one per edge-kind set) reuse one restricted ``DiGraph``
     per edge-kind frozenset instead of rebuilding it per query.  Mutate the
     graph through :meth:`add_edge` (which invalidates the cache); the cache
     also self-heals when nodes are added directly to ``graph``.

@@ -22,6 +22,7 @@ and that no turn fires while its member is still blocked.  The other waits'
 
 import contextlib
 from collections import Counter
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -288,10 +289,9 @@ def test_ycsb_cells_answer_as_the_scans_did():
 @settings(max_examples=12, deadline=None)
 def test_any_batch_shape_answers_as_the_scans_did(batch_size, inflight, clients):
     configuration = monolithic(
-        "batch",
-        configs.YCSB_TRANSACTIONS,
-        params={"batch_size": batch_size, "max_inflight_batches": inflight},
+        "batch", configs.YCSB_TRANSACTIONS, params={"batch_size": batch_size}
     )
-    engine, helpers = _run_cell(_zipf(), configuration, clients, 0.03)
+    with mock.patch.object(DeterministicBatch, "MAX_INFLIGHT_BATCHES", inflight):
+        engine, helpers = _run_cell(_zipf(), configuration, clients, 0.03)
     asked, _answered = _totals(engine, helpers)
     assert engine.stats.commits > 0 and asked["preds"] >= engine.stats.commits

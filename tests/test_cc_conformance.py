@@ -322,7 +322,7 @@ class TestConformanceFuzz:
         assert report.ok, f"{tree_name}: {report.describe()}"
         assert committed > 0
         # Streaming and post-hoc reference passes agree on the same history.
-        posthoc = check_history(recorder.history(), level="serializable")
+        posthoc = check_history(recorder.history())
         assert posthoc.ok == report.ok
 
 
@@ -478,7 +478,7 @@ class TestRpOverRpStaleRead:
                 charge_costs=False, lock_timeout=2.0, commit_wait_timeout=4.0
             ),
         )
-        recorder = HistoryRecorder(level="serializable")
+        recorder = HistoryRecorder()
         engine.history_recorder = recorder
         outcomes, _processes = run_transactions(env, engine, self.REQUESTS)
         report = check_recorder(recorder)

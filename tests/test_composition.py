@@ -53,27 +53,20 @@ NODES = {
 }
 
 
-#: mechanism -> the knobs its constructor takes beyond ``(engine, node)``;
-#: whatever else a mechanism needs it derives from the profiles.  A new
-#: per-node knob is an edit here.
-KNOBS = {
-    "2pl": {"lock_timeout"},
-    "rp": {"lock_timeout"},
-    "ssi": {"batch_size"},
-    "tso": set(),
-    "batch": {"batch_size", "batch_window", "max_inflight_batches"},
-    "occ": set(),
-    "none": set(),
-}
+#: mechanism -> the knobs its constructor takes beyond ``(engine, node)``,
+#: for each mechanism that takes any; whatever else a mechanism needs it
+#: derives from the profiles.  A new per-node knob is an edit here.
+KNOBS = {"batch": {"batch_size", "batch_window"}}
 
 
 def constructor_parameters():
     """mechanism -> the parameters its constructor takes beyond ``(engine,
-    node)``.  ``scripts/check.sh`` prints how many there are."""
-    return {
+    node)``, for each mechanism that takes any."""
+    knobs = {
         name: set(inspect.signature(cls.__init__).parameters) - {"self", "engine", "node"}
         for name, cls in CC_REGISTRY.items()
     }
+    return {name: params for name, params in knobs.items() if params}
 
 
 def rule_of(spec):

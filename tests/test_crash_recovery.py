@@ -260,15 +260,11 @@ class TestRecoveryProtocol:
             DurabilityConfig(num_servers=0)
         with pytest.raises(ConfigurationError):
             DurabilityConfig(gcp_epoch_length=0.0)
-        with pytest.raises(ConfigurationError):
-            DurabilityConfig(sync_flush_delay=-1e-6)
-        with pytest.raises(ConfigurationError):
-            DurabilityConfig(async_flush_delay=-1e-6)
 
 
 class TestHistoryStitch:
     def test_vanished_writer_flags_surviving_reader(self):
-        recorder = HistoryRecorder(level="serializable", records=True)
+        recorder = HistoryRecorder(records=True)
         v1 = committed_version(("t", 1), writer=1, seq=10)
         record_commit(recorder, 1, [v1])
         record_commit(recorder, 2, [], reads=[v1])
@@ -281,7 +277,7 @@ class TestHistoryStitch:
         """2 read 1's version and 3 overwrote it before the crash lost 1:
         2 is no longer parked on 1, so the crash stitch itself must flag
         the read — once."""
-        recorder = HistoryRecorder(level="serializable", records=True)
+        recorder = HistoryRecorder(records=True)
         v1 = committed_version(("t", 1), writer=1, seq=10)
         record_commit(recorder, 1, [v1])
         record_commit(recorder, 2, [], reads=[v1])
@@ -292,7 +288,7 @@ class TestHistoryStitch:
         assert check_history(recorder.history()).aborted_reads == report.aborted_reads
 
     def test_vanished_transaction_leaves_no_trace(self):
-        recorder = HistoryRecorder(level="serializable", records=True)
+        recorder = HistoryRecorder(records=True)
         v1 = committed_version(("t", 1), writer=1, seq=10)
         record_commit(recorder, 1, [v1])
         v2 = committed_version(("t", 1), writer=2, seq=11)
@@ -305,7 +301,7 @@ class TestHistoryStitch:
         assert writers_of(history, ("t", 1)) == [1]
 
     def test_ghost_survivor_joins_the_version_order(self):
-        recorder = HistoryRecorder(level="serializable", records=True)
+        recorder = HistoryRecorder(records=True)
         v1 = committed_version(("t", 1), writer=1, seq=10)
         record_commit(recorder, 1, [v1])
         recorder.on_crash(set())
@@ -321,7 +317,7 @@ class TestHistoryStitch:
         assert history.transactions[5].txn_type == "recovered"
 
     def test_streaming_purge_matches_posthoc_verdict(self):
-        recorder = HistoryRecorder(level="serializable", records=True)
+        recorder = HistoryRecorder(records=True)
         v1 = committed_version(("t", 1), writer=1, seq=10)
         v2 = committed_version(("t", 2), writer=2, seq=11)
         record_commit(recorder, 1, [v1])
@@ -329,7 +325,7 @@ class TestHistoryStitch:
         record_commit(recorder, 3, [], reads=[v2])
         recorder.on_crash({2})
         streaming = check_recorder(recorder)
-        posthoc = check_history(recorder.history(), level="serializable")
+        posthoc = check_history(recorder.history())
         assert streaming.ok == posthoc.ok is False  # 3 read vanished data
         flagged = {tuple(e) for e in streaming.aborted_reads}
         assert (3, ("t", 2), 2) in flagged
@@ -338,7 +334,7 @@ class TestHistoryStitch:
         """The report's commit count drops by every vanished commit, also by
         one whose record the ring already evicted."""
         monkeypatch.setattr(HistoryRecorder, "RECORD_RING", 4)
-        recorder = HistoryRecorder(level="serializable", records=True)
+        recorder = HistoryRecorder(records=True)
         for txn_id in range(1, 11):
             record_commit(recorder, txn_id, [])
         recorder.on_crash({1, 9, 99})  # 1 evicted, 9 retained, 99 never committed
@@ -347,7 +343,7 @@ class TestHistoryStitch:
     def test_a_recorder_without_records_refuses_the_stitch(self):
         """Only a lane's recorder keeps records; a plain one cannot stitch a
         crash (its records would be an empty history that passes)."""
-        recorder = HistoryRecorder(level="serializable")
+        recorder = HistoryRecorder()
         record_commit(recorder, 1, [committed_version(("t", 1), writer=1, seq=10)])
         for call in (
             lambda: recorder.on_crash({1}),
@@ -634,7 +630,7 @@ class TestCrashScenarios:
         result = run_and_stop(runner, 8, duration=0.5)
         assert len(result.crashes) >= 1
         streaming = result.extra["isolation"]
-        posthoc = check_history(runner.recorder.history(), level="serializable")
+        posthoc = check_history(runner.recorder.history())
         assert streaming.ok and posthoc.ok
 
     def test_violation_raises_by_default(self):
@@ -757,7 +753,7 @@ class TestCrashSoak:
     @staticmethod
     def _double_dequeue():
         """A records recorder whose history dequeues one message twice."""
-        recorder = HistoryRecorder(level="serializable", records=True)
+        recorder = HistoryRecorder(records=True)
         key = ("messages", 1)
         v0 = committed_version(key, writer=1, seq=5)
         record_commit(recorder, 1, [v0], txn_type="enqueue")

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from repro.cc.base import CC_REGISTRY
+from repro.cc.batch import DeterministicBatch
 from repro.cc.locks import EXCLUSIVE, SHARED, LockTable
 from repro.cc.timestamps import BatchManager, TimestampOracle
 from repro.core.config import Configuration, leaf, monolithic, node
@@ -669,9 +670,9 @@ class TestPartitionByInstance:
 
 
 class TestReconfiguration:
-    def _engine(self, env, micro_workload):
+    def _engine(self, env, micro_workload, reader="none"):
         config = Configuration(
-            node("ssi", leaf("none", "group_b_read"), leaf("2pl", "group_a_update")),
+            node("ssi", leaf(reader, "group_b_read"), leaf("2pl", "group_a_update")),
             name="initial",
         )
         from repro.workloads.micro import CrossGroupConflictWorkload
@@ -732,24 +733,27 @@ class TestReconfiguration:
         assert engine.configuration is new_config
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_root_params_only_change_is_applied(self, env, micro_workload, protocol):
+    def test_root_params_only_change_is_applied(self, env, protocol):
         """``signature()`` leaves params out: the online protocol used to
         adopt such a configuration and keep the old mechanism instances."""
-        workload, engine = self._engine(env, micro_workload)
-        assert engine.root.cc.batches.batch_size == 16
-        new_config = engine.configuration.clone(name="smaller-batches")
-        new_config.root.params["batch_size"] = 4
+        engine = build_engine(
+            env, batch_micro_workload(),
+            monolithic("batch", TestDeterministicBatch.ALL_TYPES),
+        )
+        assert engine.root.cc.batch_window == 0.01
+        new_config = engine.configuration.clone(name="shorter-window")
+        new_config.root.params["batch_window"] = 0.004
         self._reconfigure(env, engine, protocol, new_config)
-        assert engine.root.cc.batches.batch_size == 4
+        assert engine.root.cc.batch_window == 0.004
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_leaf_params_only_change_is_applied(self, env, micro_workload, protocol):
-        workload, engine = self._engine(env, micro_workload)
+        workload, engine = self._engine(env, micro_workload, reader="batch")
         old_root_cc = engine.root.cc
-        new_config = engine.configuration.clone(name="short-timeout")
-        new_config.leaf_for("group_a_update").params["lock_timeout"] = 0.125
+        new_config = engine.configuration.clone(name="shorter-window")
+        new_config.leaf_for("group_b_read").params["batch_window"] = 0.004
         self._reconfigure(env, engine, protocol, new_config)
-        assert engine.root.children[1].cc.locks.timeout == 0.125
+        assert engine.root.children[0].cc.batch_window == 0.004
         # Online, only the differing leaf is drained and spliced.
         assert (engine.root.cc is old_root_cc) == (protocol == "reconfigure_online")
 
@@ -770,13 +774,14 @@ class TestReconfiguration:
         self, env, micro_workload
     ):
         """The changed node is internal and its leaf is not: the leaf's
-        type still runs through the replaced instance and must drain."""
+        type still runs through the replaced instance and must drain.  No
+        internal node takes a knob, so its mechanism is what changes."""
         config = Configuration(
             node("2pl", node("2pl", leaf("2pl", "group_a_update")), leaf("rp", "group_b_update"))
         )
         engine = build_engine(env, micro_workload, config, options=EngineOptions())
-        new_config = config.clone(name="short-timeout")
-        new_config.root.children[0].params["lock_timeout"] = 0.125
+        new_config = config.clone(name="occ-inside")
+        new_config.root.children[0].cc = "occ"
         finished = {}
 
         def in_flight():
@@ -793,7 +798,7 @@ class TestReconfiguration:
         env.process(reconfigure())
         env.run()
         assert 0 < finished["txn"] <= finished["reconfiguration"]
-        assert engine.root.children[0].cc.locks.timeout == 0.125
+        assert engine.root.children[0].cc.name == "occ"
 
     def test_transactions_work_after_reconfiguration(self, env, micro_workload):
         workload, engine = self._engine(env, micro_workload)
@@ -970,13 +975,10 @@ class TestDeterministicBatch:
         monkeypatch.setattr(Transaction, "state_for", counted)
         commits, per_commit = [], []
         for inflight in (1, 4, 8):
+            monkeypatch.setattr(DeterministicBatch, "MAX_INFLIGHT_BATCHES", inflight)
             runner = BenchmarkRunner(
                 _zipf(),
-                monolithic(
-                    "batch",
-                    configs.YCSB_TRANSACTIONS,
-                    params={"batch_size": 16, "max_inflight_batches": inflight},
-                ),
+                monolithic("batch", configs.YCSB_TRANSACTIONS, params={"batch_size": 16}),
                 seed=7,
             )
             lookups[0] = 0

@@ -73,15 +73,6 @@ class TestIsolationOracle:
         assert report.aborted_reads
         assert not report.ok
 
-    def test_read_committed_level_ignores_rw_cycles(self):
-        t1 = HistoryTransaction(1, "t", reads=[("y", 0, 1)], writes=[("x", 3)])
-        t2 = HistoryTransaction(2, "t", reads=[("x", 0, 2)], writes=[("y", 4)])
-        history = history_from(
-            [t1, t2], {"x": [(2, 0), (3, 1)], "y": [(1, 0), (4, 2)]}
-        )
-        assert check_history(history, level="read-committed").serializable
-        assert not check_history(history, level="serializable").serializable
-
     def test_dsg_edge_kinds(self):
         t1 = HistoryTransaction(1, "w", writes=[("x", 1)])
         t2 = HistoryTransaction(2, "rw", reads=[("x", 1, 1)], writes=[("x", 2)])
@@ -121,13 +112,9 @@ class TestIsolationOracle:
         )
         report = check_history(history)
         assert not report.serializable
-        # The cycle survives at read-committed (wr+ww only) too: it is G1,
-        # not a mere write-skew artefact.
-        assert not check_history(history, level="read-committed").serializable
 
     def test_g2_pure_antidependency_cycle_detected(self):
-        # G2: cycle with only rw anti-dependencies (classic write skew),
-        # flagged at serializable but tolerated at read-committed.
+        # G2: cycle with only rw anti-dependencies (classic write skew).
         t1 = HistoryTransaction(1, "t", reads=[("y", 0, 1)], writes=[("x", 3)])
         t2 = HistoryTransaction(2, "t", reads=[("x", 0, 2)], writes=[("y", 4)])
         history = history_from(
@@ -142,7 +129,6 @@ class TestIsolationOracle:
             if (s, t) == (source, target)
         }
         assert cycle_kinds == {"rw"}
-        assert check_history(history, level="read-committed").serializable
 
     def test_three_transaction_read_only_anomaly_detected(self):
         # The SmallBank read-only anomaly shape: pivot T2 with an outgoing
@@ -154,20 +140,6 @@ class TestIsolationOracle:
             [t1, t2, t3], {"s": [(1, 0), (3, 1)], "c": [(2, 0), (4, 2)]}
         )
         assert not check_history(history).serializable
-
-    def test_unknown_isolation_level_rejected(self):
-        t1 = HistoryTransaction(1, "w", writes=[("x", 1)])
-        history = history_from([t1], {"x": [(1, 1)]})
-        with pytest.raises(ValueError):
-            check_history(history, level="read_committed")
-        workload = CrossGroupConflictWorkload(shared_rows=4, cold_rows=20)
-        with pytest.raises(ValueError):
-            BenchmarkRunner(
-                workload,
-                monolithic("2pl", sorted(workload.transaction_types())),
-                check_isolation=True,
-                isolation_level="serialisable",
-            )
 
     def test_extra_committed_ids_are_not_aborted_reads(self):
         # A reader of an evicted-but-committed writer must not be flagged.

@@ -24,11 +24,12 @@ import pytest
 from benchmarks.bench_speed import census_by_owner
 from repro.cc import two_phase_locking
 from repro.cc.locks import LockTable
+from repro.cc.ssi import SerializableSnapshotIsolation
 from repro.core.config import Configuration, leaf, node
 from repro.core.engine import EngineOptions, TebaldiEngine
 from repro.core.transaction import ReadRecord, Transaction
 from repro.database import Database
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TransactionAborted
 from repro.harness import runner as runner_module
 from repro.harness.crash import CrashLane
 from repro.harness.runner import BenchmarkRunner, Lane
@@ -84,6 +85,28 @@ def _row_params():
 def test_row_holds(row, cell, looks):
     """At both commit counts and drained; a reference cell after every step."""
     assert violations(looks(cell), row) == []
+
+
+def test_a_read_filed_after_its_rw_checks_fails_both_siread_rows(monkeypatch):
+    """Filing the key in ``read_keys`` only after ``_snapshot_read``'s rw
+    checks leaves the entry of each read ``ssi-committed-pivot`` aborts
+    inside them: both SIREAD rows must see it on the cell that showed it."""
+    snapshot_read = SerializableSnapshotIsolation._snapshot_read
+
+    def filed_after_the_checks(self, txn, key, candidate):
+        filed = key in self.state(txn).get("read_keys", ())
+        try:
+            return snapshot_read(self, txn, key, candidate)
+        except TransactionAborted as aborted:
+            if not filed and (aborted.txn_id, aborted.reason) == (txn.txn_id,
+                                                                  "ssi-committed-pivot"):
+                self.state(txn)["read_keys"].discard(key)
+            raise
+
+    monkeypatch.setattr(SerializableSnapshotIsolation, "_snapshot_read", filed_after_the_checks)
+    looks, rows = sweep("micro/ssi-2layer"), {row.structure: row for row in ROWS}
+    assert violations(looks, rows["ssi._readers, pivot-aborted reads"])
+    assert violations(looks, rows["ssi._readers"])
 
 
 @pytest.mark.parametrize("tree", sorted(CONFORMANCE_TREES))
@@ -629,12 +652,13 @@ def test_a_splice_beside_a_partitioned_leaf_keeps_its_instances_and_rebuilds_rou
     engine, partitioned = _seats_engine()
     _seats_run(engine, seed=6, count=100)
     instances, built = partitioned.instances, dict(partitioned.instances)
-    new_config = engine.configuration.clone(name="short-timeout")
-    new_config.leaf_for("update_customer").params["lock_timeout"] = 0.125
+    new_config = engine.configuration.clone(name="occ-customers")
+    new_config.leaf_for("update_customer").cc = "occ"
     engine.env.run(until=engine.env.process(engine.reconfigure_online(new_config)))
     assert partitioned in engine.nodes and partitioned.instances is instances
     assert instances == built
-    assert engine.configuration.leaf_for("update_customer").params["lock_timeout"] == 0.125
+    (customers,) = [n for n in engine.nodes if n.spec.transactions == ("update_customer",)]
+    assert customers.cc.name == "occ"
     types = partitioned.spec.transactions
     assert all(engine._routes[txn_type].partitions == {} for txn_type in types)
     _seats_run(engine, seed=7, count=100)

@@ -334,7 +334,7 @@ def run_phantom_scenario(cc_name):
             charge_costs=False, lock_timeout=0.3, commit_wait_timeout=0.5
         ),
     )
-    recorder = HistoryRecorder(level="serializable", records=True)
+    recorder = HistoryRecorder(records=True)
     engine.history_recorder = recorder
     outcomes, _processes = run_transactions(
         env,
@@ -353,7 +353,7 @@ class TestPhantomScenarios:
         assert not aborted, "no-op CC must not abort anything"
         assert not report.serializable, report.describe()
         # The post-hoc reference over the same recorded history agrees.
-        posthoc = check_history(recorder.history(), level="serializable")
+        posthoc = check_history(recorder.history())
         assert not posthoc.serializable
 
     @pytest.mark.parametrize("cc_name", ["2pl", "ssi", "occ", "tso"])
@@ -374,7 +374,7 @@ class TestPhantomScenarios:
                 charge_costs=True, lock_timeout=0.3, commit_wait_timeout=0.5
             ),
         )
-        recorder = HistoryRecorder(level="serializable")
+        recorder = HistoryRecorder()
         engine.history_recorder = recorder
         rng = workload.make_rng(5)
         requests = [workload.next_transaction(rng) for _ in range(30)]
@@ -416,7 +416,7 @@ class TestPhantomScenarios:
                 charge_costs=True, lock_timeout=0.3, commit_wait_timeout=0.5
             ),
         )
-        recorder = HistoryRecorder(level="serializable")
+        recorder = HistoryRecorder()
         engine.history_recorder = recorder
 
         def guarded():
@@ -451,11 +451,12 @@ class TestPhantomScenarios:
         assert set(after) == reaches_dequeue() == {"0.1", "0.1.1"}
         assert after["0.1"] is before["0.1"] and after["0.1.1"] is not before["0.1.1"]
         assert routes_as_built(consumer)
-        # Splice the cross-group node: it and both leaves are rebuilt.
-        cross = consumer.clone(name="cross-short-timeout")
-        cross.root.children[1].params["lock_timeout"] = 0.25
+        # Splice the cross-group node (it takes no knob, so its mechanism
+        # changes): it and both leaves are rebuilt.
+        cross = consumer.clone(name="cross-rp")
+        cross.root.children[1].cc = "rp"
         env.run(until=env.process(engine.reconfigure_online(cross)))
-        assert engine.root.children[1].cc.locks.timeout == 0.25
+        assert engine.root.children[1].cc.name == "rp"
         assert set(guarded()) == reaches_dequeue() == {"0.1", "0.1.1"}
         assert guarded()["0.1"] is not after["0.1"]
         assert routes_as_built(cross)
@@ -489,17 +490,15 @@ class TestPhantomScenarios:
 
     def test_hand_built_scan_skew_flagged(self):
         history = self._scan_skew_history()
-        report = check_history(history, level="serializable")
+        report = check_history(history)
         assert not report.serializable
-        # The cycle is pure rw: invisible at read-committed.
-        assert check_history(history, level="read-committed").serializable
 
     def test_scan_outside_range_is_clean(self):
         history = self._scan_skew_history()
         # Narrow the predicate so the insert falls outside it: no phantom
         # edge, no cycle.
         history.transactions[1].scans = [KeyRange("items", 1, 4)]
-        assert check_history(history, level="serializable").serializable
+        assert check_history(history).serializable
 
     def test_observed_key_produces_no_phantom_edge(self):
         history = self._scan_skew_history()
@@ -507,7 +506,7 @@ class TestPhantomScenarios:
         # edge, and with the read ordered first there is no cycle left...
         history.transactions[1].reads = [(("items", 5), 2, 2)]
         history.transactions[2].reads = []
-        assert check_history(history, level="serializable").serializable
+        assert check_history(history).serializable
 
 
 class TestRecorderRetention:
@@ -518,7 +517,7 @@ class TestRecorderRetention:
         ring of :attr:`HistoryRecorder.RECORD_RING` commits, so a long lane
         run's recorder memory is O(ring), not O(commits).
         """
-        recorder = HistoryRecorder(level="serializable", records=True)
+        recorder = HistoryRecorder(records=True)
         window = HistoryRecorder.RECORD_RING
         total = window + 64
         txn = Transaction(txn_id=0, txn_type="w", reads=[])
@@ -540,7 +539,7 @@ class TestRecorderRetention:
         """The phantom-commit check covers the whole run, not the ring: a
         second commit of an id the ring already evicted is flagged too."""
         monkeypatch.setattr(HistoryRecorder, "RECORD_RING", 4)
-        recorder = HistoryRecorder(level="serializable", records=records)
+        recorder = HistoryRecorder(records=records)
         for txn_id in (*range(1, 11), 1, 9):
             recorder.on_commit(Transaction(txn_id=txn_id, txn_type="w", reads=[]), [])
         assert recorder.duplicate_commits == [1, 9]

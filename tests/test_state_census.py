@@ -1,20 +1,24 @@
-"""State census: nothing under ``src/repro`` is written and never read, and
-nothing is defined that only tests use.
+"""State census: nothing under ``src/repro`` is written and never read,
+nothing is defined that only tests use, and nothing is settable that only
+tests set.
 
 A second copy of a fact, kept by different rules than its source, is how the
 RP stale slot and the SSI drain floor went wrong; the cheapest mirror to keep
 out is the one nobody reads at all.  And a definition only tests use is code
 the engine, the harness, the benchmarks and the examples never run: a helper
-a test needs lives under ``tests/``.  AST only, nothing is imported.
+a test needs lives under ``tests/``.  An option only tests set is a value
+the traffic never varies: a named constant.  AST only, nothing is imported
+(but ``option_counts``, which ``scripts/check.sh`` prints).
 
 The first census is over fields, each owned by a class: every name its body
 assigns (a ``@dataclass`` field, a class-level flag), every ``__slots__``
-entry and every ``self.name`` a method assigns (``self.name += ...`` reads
-only to write back) must be *read*
+entry and every ``self.name`` a method assigns must be *read*
 somewhere under ``src/``, ``benchmarks/`` or ``examples/``, be read by a test
 (``READ_BY_TESTS``, with the test module that reads it) or be kept for a
 stated reason (``KEPT_UNREAD``).  Attributes assigned onto other objects
-(``txn.reads = ...``) count as fields of no class.  What reads a field:
+(``txn.reads = ...``) count as fields of no class.  A field's own update
+reads it only to write it back, so it is no read: ``x.f += ...``,
+``x.f = g(x.f, ...)`` and ``x.f[k] += ...``.  What reads a field:
 
 * ``self.name`` inside a method of a class in the owner's hierarchy (its
   ancestors and descendants under ``src/repro``) — a ``self._active`` that
@@ -44,6 +48,13 @@ generates (``__eq__``, ``__hash__``), a computed ``getattr``, or a call of a
 callable field that shares its name with a method.  Such a field goes in
 ``KEPT_UNREAD``, naming that reader (none does today).
 
+The third census is over options: every defaulted ``__init__`` or
+``from_seed`` parameter under ``src/repro`` and every dataclass field with a
+default nothing assigns later is set under ``src/``, ``benchmarks/`` or
+``examples/``, or sits in ``SET_BY_TESTS`` with the test module that sets it
+and why (:func:`options`, :func:`unset_options`).  It matches names the same
+way, so a keyword of one call sets every option so spelt.
+
 The planted-source tests at the end hold the census to what it must catch.
 """
 
@@ -67,6 +78,9 @@ READ_BY_TESTS = {
     "RecoveryResult.discarded_transactions": "test_crash_recovery",
     "History.aborted_ids": "reference_checker",
     "History.extra_committed": "reference_checker",
+    # The per-reason abort count (cascades against their roots, ROADMAP
+    # direction 21); the stream digests pin it, nothing reports it yet.
+    "StatsCollector.abort_reasons": "test_profiler_stream",
 }
 
 #: ``Class.field`` -> why it stays although nothing outside ``tests/`` reads it.
@@ -141,6 +155,9 @@ class _Sources(ast.NodeVisitor):
         for path in paths:
             self._where = path.relative_to(base)
             module = ast.parse(path.read_text(), filename=str(path))
+            # ids of the loads a field's own update makes, per module: an
+            # id is only unique while its tree lives.
+            self._updates = set()
             for node in module.body:
                 self._define(node)
             self.visit(module)
@@ -239,8 +256,28 @@ class _Sources(ast.NodeVisitor):
             self._note(self.loads, node.args[1].value)
         self.generic_visit(node)
 
+    def visit_AugAssign(self, node):
+        # ``x.f[k] += ...`` loads ``x.f`` only to update it.
+        if isinstance(node.target, ast.Subscript) and isinstance(node.target.value, ast.Attribute):
+            self._updates.add(id(node.target.value))
+        self.generic_visit(node)
+
+    def visit_Assign(self, node):
+        # ``x.f = g(x.f, ...)``: the loads of the target itself update it.
+        for target in node.targets:
+            if isinstance(target, ast.Attribute):
+                spelling = ast.dump(target.value)
+                self._updates.update(
+                    id(load) for load in ast.walk(node.value)
+                    if isinstance(load, ast.Attribute) and load.attr == target.attr
+                    and ast.dump(load.value) == spelling
+                )
+        self.generic_visit(node)
+
     def visit_Attribute(self, node):
-        if isinstance(node.ctx, ast.Store):
+        if id(node) in self._updates:
+            self.generic_visit(node)
+        elif isinstance(node.ctx, ast.Store):
             if self._on_self(node):
                 fields = self.classes[self._class]["fields"]
                 fields.setdefault(node.attr, self._site(node))
@@ -426,6 +463,188 @@ def allow_lists():
     )
 
 
+# -- options -----------------------------------------------------------------
+
+#: option -> (the test module that sets it, why it stays settable): nothing
+#: under ``src/``, ``benchmarks/`` or ``examples/`` passes it.  Anything else
+#: the census turns up becomes a named constant.
+_PINNED = "sizes a test cell whose outcome a test pins"
+SET_BY_TESTS = {
+    **{f"EngineOptions.{name}": ("conftest", "every conformance tuple and stream digest "
+                                 "is recorded under the tests' costs and timeouts")
+       for name in ("lock_timeout", "commit_wait_timeout", "charge_costs")},
+    "CrossGroupConflictWorkload(local_rows)": ("test_cc_conformance", _PINNED),
+    "SEATSWorkload(seats_per_flight)": ("test_engine_and_cc", _PINNED),
+    "SmallBankWorkload(hot_probability)": ("test_isolation_workloads_autoconf", _PINNED),
+    "SmallBankWorkload(initial_balance)": ("test_isolation_workloads_autoconf", _PINNED),
+    "TPCCScale.districts_per_warehouse": ("conftest", _PINNED),
+    "TPCCScale.customers_per_district": ("conftest", _PINNED),
+    "TPCCScale.initial_orders_per_district": ("conftest", _PINNED),
+    "TPCCWorkload(scale)": ("conftest", _PINNED),
+    "YCSBWorkload(max_scan_length)": ("test_isolation_workloads_autoconf", _PINNED),
+    "MessageFault.servers": ("test_network_chaos", "a partition of chosen servers; "
+                             "a seeded point cuts the exchange's own destinations"),
+    "MessageFault.phases": ("test_network_chaos", "a fault aimed at the one exchange "
+                            "whose idempotency a test probes; seeded plans match any"),
+    "DurabilityManager(backend_factory)": ("test_storage", "the log on disk (FileBackend), "
+                                           "which a test reads back"),
+}
+
+#: A dataclass field that starts as an empty container collects state: no option.
+_EMPTY_FACTORIES = {"list", "dict", "set", "Counter", "OrderedDict", "defaultdict"}
+
+
+def _is_dataclass(node):
+    return any(
+        _base_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def _is_option_default(value):
+    """Whether a dataclass field's default makes it an option."""
+    if value is None:
+        return False
+    if isinstance(value, ast.Call) and _base_name(value.func) == "field":
+        given = {keyword.arg: keyword.value for keyword in value.keywords}
+        if "default" in given:
+            return True
+        return "default_factory" in given and (
+            _base_name(given["default_factory"]) not in _EMPTY_FACTORIES
+        )
+    return True
+
+
+def options(base):
+    """Every option under ``base/src/repro``: ``Class(param)`` and
+    ``Class.from_seed(param)`` for a defaulted parameter, ``Class.field``
+    for a dataclass field with a default -> (callee, name, positional
+    index or ``None``, whether a field, site)."""
+    found = {}
+    for path in sorted((base / "src/repro").rglob("*.py")):
+        where = path.relative_to(base)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if _is_dataclass(node):
+                order = [
+                    item for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                ]
+                for index, item in enumerate(order):
+                    if _is_option_default(item.value):
+                        name = item.target.id
+                        found[f"{node.name}.{name}"] = (
+                            node.name, name, index, True, f"{where}:{item.lineno}"
+                        )
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef) or item.name not in (
+                    "__init__", "from_seed"
+                ):
+                    continue
+                args = item.args
+                positional = [a.arg for a in (*args.posonlyargs, *args.args)][1:]
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+                callee = node.name if item.name == "__init__" else f"{node.name}.from_seed"
+                for name in defaulted:
+                    index = positional.index(name) if name in positional else None
+                    found[f"{callee}({name})"] = (
+                        callee, name, index, False, f"{where}:{item.lineno}"
+                    )
+    return found
+
+
+def _passed(paths):
+    """What ``paths`` pass: keyword names and string keys of dict literals
+    (a spec's ``params``, a figure row's workload arguments, both handed on
+    as keywords), the most positional arguments per callee (``Class`` or
+    ``Class.from_seed``) and the attributes stored outside ``__post_init__``."""
+    keywords, positional, stores = set(), {}, set()
+    for path in paths:
+        module = ast.parse(path.read_text())
+        normalising = {
+            id(inner) for node in ast.walk(module)
+            if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(module):
+            if isinstance(node, ast.Call):
+                keywords.update(keyword.arg for keyword in node.keywords if keyword.arg)
+                func = node.func
+                callee = _base_name(func)
+                if callee == "from_seed" and isinstance(func, ast.Attribute):
+                    callee = f"{_base_name(func.value)}.from_seed"
+                count = sum(not isinstance(arg, ast.Starred) for arg in node.args)
+                positional[callee] = max(positional.get(callee, 0), count)
+            elif isinstance(node, ast.Dict):
+                keywords.update(
+                    key.value for key in node.keys
+                    if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                )
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                if id(node) not in normalising:
+                    stores.add(node.attr)
+    return keywords, positional, stores
+
+
+def _sets(passed, option):
+    keywords, positional, stores = passed
+    callee, name, index, is_field, _site = option
+    return (
+        name in keywords
+        or (index is not None and positional.get(callee, 0) > index)
+        or (is_field and name in stores)  # assigned later: state, not an option
+    )
+
+
+def unset_options(base):
+    """Options under ``base/src/repro`` nothing under ``base``'s library
+    sets: key -> site."""
+    passed = _passed([path for d in LIBRARY for path in sorted((base / d).rglob("*.py"))])
+    return {
+        key: option[-1] for key, option in options(base).items()
+        if not _sets(passed, option)
+    }
+
+
+def test_every_option_under_src_is_set_outside_the_tests():
+    assert len(options(REPO)) > 100, "the census walked nothing"
+    unset = {
+        key: site for key, site in unset_options(REPO).items() if key not in SET_BY_TESTS
+    }
+    assert unset == {}, (
+        "an option under src/repro nothing under src/, benchmarks/ or examples/ "
+        "sets — make it a named constant, or list it in SET_BY_TESTS: "
+        f"{unset}"
+    )
+
+
+def test_the_options_only_tests_set_are_what_they_say():
+    assert set(SET_BY_TESTS) <= set(unset_options(REPO)), (
+        "an entry is gone, or set outside tests/ after all"
+    )
+    found = options(REPO)
+    for key, (module, _why) in SET_BY_TESTS.items():
+        assert _sets(_passed([TESTS / f"{module}.py"]), found[key]), (key, module)
+
+
+def option_counts():
+    """What can be set, counted (``scripts/check.sh`` prints it)."""
+    from dataclasses import fields
+
+    from repro.core.engine import EngineOptions
+    from repro.storage.durability import DurabilityConfig
+    from tests.test_composition import constructor_parameters
+
+    knobs = sum(map(len, constructor_parameters().values()))
+    return (
+        f"options: cc constructor knobs {knobs}, EngineOptions fields "
+        f"{len(fields(EngineOptions))}, DurabilityConfig fields "
+        f"{len(fields(DurabilityConfig))}, set only by tests {len(SET_BY_TESTS)}"
+    )
+
+
 # -- the census catches what it must ------------------------------------------
 
 #: A planted library: each case is one dead thing the census must report,
@@ -438,8 +657,11 @@ def allow_lists():
 #: helpers (``ConfigurationOptimizer._path_to`` was one under ``src/``).
 #: Before class bodies counted, it missed the unread class-level flag (six
 #: such, ``read_optimized`` and ``write_optimized``, sat under ``src/repro/cc``).
+#: Before a field's own update was no read, it missed the maximum and the
+#: per-key count nothing else reads (``TypeStats.max_latency`` was one).
 PLANTED = {
     "src/repro/planted.py": '''
+from collections import Counter
 from dataclasses import dataclass
 
 
@@ -516,6 +738,18 @@ def _countdown(n):
     return _countdown(n - 1) if n else 0
 
 
+class Tally:
+    def __init__(self):
+        self.seen = 0
+        self.peak = 0.0
+        self.by_reason = Counter()
+
+    def record(self, value, reason):
+        self.seen += 1
+        self.peak = max(self.peak, value)
+        self.by_reason[reason] += 1
+
+
 def run(outcome, stats, costs, mechanism=Mechanism):
     assert not mechanism.leaf_only
     Tool().used()
@@ -524,6 +758,9 @@ def run(outcome, stats, costs, mechanism=Mechanism):
     Pipeline().size()
     Environment()
     Report(series=stats.series())
+    tally = Tally()
+    tally.record(1.0, "ok")
+    assert tally.seen
     return outcome.duration + getattr(costs, "extra_rtts", 0)
 ''',
     "benchmarks/bench_planted.py": '''
@@ -558,6 +795,8 @@ PLANTED_DEAD = {
     "Environment._active": "a dead self._active named like Pipeline's live one",
     "Walker._descend": "a private method only its own body calls",
     "_countdown": "a module function only its own body calls",
+    "Tally.peak": "a maximum only its own max() update reads",
+    "Tally.by_reason": "a per-key count only its own x.f[k] += reads",
 }
 
 
@@ -573,6 +812,55 @@ def test_the_census_reports_nothing_live_in_the_planted_library(planted):
     through a literal ``getattr`` only."""
     reported = {**unread_fields(planted), **unused_definitions(planted)}
     assert set(reported) == set(PLANTED_DEAD)
+
+
+#: A planted library of options, each unset one next to a set twin: set by
+#: position, by keyword, by a dict literal's key, or a field assigned later
+#: (state), and a field that starts as an empty container.
+PLANTED_OPTIONS = {
+    "src/repro/knobs.py": '''
+from dataclasses import dataclass, field
+
+
+@dataclass
+class Settings:
+    by_position: int = 0
+    unset_field: int = 1
+    counter: int = 0
+    log: list = field(default_factory=list)
+
+
+class Knob:
+    def __init__(self, given, by_dict_key=1, unset_param=2):
+        self.total = given + by_dict_key + unset_param
+
+    @classmethod
+    def from_seed(cls, seed, unset_draw=3, by_keyword=4):
+        return cls(seed + by_keyword + unset_draw)
+
+
+def run():
+    settings = Settings(5)
+    settings.counter += 1
+    knob = Knob(1, **{"by_dict_key": 2})
+    return Knob.from_seed(7, by_keyword=1).total + knob.total + settings.counter
+''',
+    "benchmarks/bench_knobs.py": '''
+from repro.knobs import run
+
+run()
+''',
+}
+
+
+def test_the_census_reports_a_planted_unset_option(tmp_path):
+    for name, source in PLANTED_OPTIONS.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+    assert set(unset_options(tmp_path)) == {
+        "Settings.unset_field", "Knob(unset_param)", "Knob.from_seed(unset_draw)"
+    }
 
 
 #: The documents that point at tests by ``tests/<file>.py::<Name>``

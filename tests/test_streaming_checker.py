@@ -25,7 +25,6 @@ from repro.core.transaction import Transaction
 from repro.isolation.checker import check_recorder
 from repro.isolation.cycles import IncrementalCycleDetector, strongly_connected_components
 from repro.isolation.history import History, HistoryRecorder, HistoryTransaction
-from repro.isolation.levels import LEVEL_EDGE_KINDS
 from repro.isolation.streaming import StreamingDSGChecker
 from repro.sim.environment import Environment
 from repro.storage.ranges import KeyRange
@@ -56,8 +55,8 @@ class TracingChecker(StreamingDSGChecker):
     """A streaming checker that also keeps the deduplicated typed edge set
     it derived, for comparison with the reference's ``iter_dsg_edges``."""
 
-    def __init__(self, kinds):
-        super().__init__(kinds)
+    def __init__(self):
+        super().__init__()
         self.edges = set()
 
     def _add_edge(self, source, target, kind):
@@ -153,7 +152,7 @@ class TestIncrementalCycleDetector:
 # ---------------------------------------------------------------------------
 
 
-def replay_history(history, level="serializable"):
+def replay_history(history):
     """Feed a hand-built :class:`History` through a streaming recorder.
 
     Committed transactions are replayed in commit order (by their last
@@ -162,8 +161,8 @@ def replay_history(history, level="serializable"):
     objects the writers install — exactly what the engine hands the
     recorder at runtime.
     """
-    recorder = HistoryRecorder(level=level)
-    recorder.streaming_checker = TracingChecker(LEVEL_EDGE_KINDS[level])
+    recorder = HistoryRecorder()
+    recorder.streaming_checker = TracingChecker()
     stubs = {}
     for key, order in history.version_orders.items():
         for seq, writer in order:
@@ -295,12 +294,11 @@ ADVERSARIAL_HISTORIES = {
 
 class TestStreamingReplayEquivalence:
     @pytest.mark.parametrize("name", sorted(ADVERSARIAL_HISTORIES))
-    @pytest.mark.parametrize("level", ["serializable", "read-committed"])
-    def test_adversarial_history_verdicts_match(self, name, level):
+    def test_adversarial_history_verdicts_match(self, name):
         transactions, version_orders, aborted = ADVERSARIAL_HISTORIES[name]
         history = history_from(transactions, version_orders, aborted)
-        reference = check_history(history, level=level)
-        recorder = replay_history(history, level=level)
+        reference = check_history(history)
+        recorder = replay_history(history)
         streamed = check_recorder(recorder)
         assert streamed.serializable == reference.serializable, name
         assert bool(streamed.aborted_reads) == bool(reference.aborted_reads)
@@ -353,7 +351,7 @@ class TestStreamingCheckedRuns:
         )
         recorder = runner.recorder
         streamed = check_recorder(recorder)
-        posthoc = check_history(recorder.history(), level="serializable")
+        posthoc = check_history(recorder.history())
         assert streamed.serializable == posthoc.serializable
         assert streamed.ok == posthoc.ok
         assert streamed.ok, streamed.describe()
@@ -371,46 +369,21 @@ class TestStreamingCheckedRuns:
         report = check_recorder(runner.recorder)
         assert runner.recorder._evicted
         assert report.ok, report.describe()
-        posthoc = check_history(runner.recorder.history(), level="serializable")
+        posthoc = check_history(runner.recorder.history())
         assert posthoc.ok, posthoc.describe()
 
-    def test_read_committed_run_matches_reference(self):
-        """A run checked at read-committed streams at read-committed: its
-        verdict and edge count are the reference's at that level over the
-        same recorded history — and a recorder built without arguments
-        streams at serializable and keeps no commit record."""
-        workload = CrossGroupConflictWorkload(shared_rows=5, cold_rows=50)
-        runner = self._run(
-            workload,
-            monolithic("2pl", sorted(workload.transaction_types())),
-            isolation_level="read-committed",
-        )
-        report = runner.check_isolation()
-        assert report.ok, report.describe()
-        assert runner.recorder.streaming_checker.kinds == LEVEL_EDGE_KINDS["read-committed"]
-        reference = check_history(runner.recorder.history(), level="read-committed")
-        assert reference.ok, reference.describe()
-        assert (report.num_transactions, report.num_edges) == (
-            reference.num_transactions, reference.num_edges
-        )
+    def test_a_recorder_built_without_arguments_keeps_no_commit_record(self):
         default = HistoryRecorder()
-        assert default.streaming_checker.kinds == LEVEL_EDGE_KINDS["serializable"]
         assert default._records is None and default._aborted_ids is None
         with pytest.raises(ValueError, match="no commit records"):
             default.history()
-
-    def test_recorder_rejects_unknown_stream_level(self):
-        with pytest.raises(ValueError):
-            HistoryRecorder(level="serialisable")
-        with pytest.raises(ValueError):
-            HistoryRecorder(level=None)
 
 
 class TestStreamingCheckerUnit:
     def test_pipelined_read_resolves_wr_at_writer_commit(self):
         # Reader consumes an in-flight version, commits first; the wr edge
         # lands when the writer commits (runtime-pipelining shape).
-        checker = TracingChecker(LEVEL_EDGE_KINDS["serializable"])
+        checker = TracingChecker()
         version = SimpleNamespace(key="x", writer=1, commit_seq=None)
         checker.on_commit(2, [], [("x", version)])
         version.commit_seq = 5
@@ -425,9 +398,8 @@ class TestStreamingCheckerUnit:
     def test_pipelined_intermediate_read_flagged_at_writer_commit(self):
         # Regression: a reader that commits before its writer and observed
         # a sequenced non-final version must be flagged when the writer's
-        # final version lands — the post-hoc reference flags it, and at
-        # read-committed no rw cycle would mask the miss.
-        checker = TracingChecker(LEVEL_EDGE_KINDS["read-committed"])
+        # final version lands, as the post-hoc reference flags it.
+        checker = TracingChecker()
         stale = SimpleNamespace(key="x", writer=1, commit_seq=1)
         final = SimpleNamespace(key="x", writer=1, commit_seq=2)
         checker.on_commit(2, [], [("x", stale)])
@@ -436,7 +408,7 @@ class TestStreamingCheckerUnit:
         assert (1, 2, "wr") in checker.edges
 
     def test_parked_reader_of_never_committed_writer_is_aborted_read(self):
-        checker = StreamingDSGChecker(LEVEL_EDGE_KINDS["serializable"])
+        checker = StreamingDSGChecker()
         in_flight = SimpleNamespace(key="x", writer=9, commit_seq=None)
         checker.on_commit(2, [], [("x", in_flight)])
         assert checker.pending_aborted_reads() == [(2, "x", 9)]
@@ -446,7 +418,7 @@ class TestStreamingCheckerUnit:
         assert checker.pending_aborted_reads() == []
 
     def test_write_skew_cycle_detected_streaming(self):
-        checker = StreamingDSGChecker(LEVEL_EDGE_KINDS["serializable"])
+        checker = StreamingDSGChecker()
         x0 = SimpleNamespace(key="x", writer=0, commit_seq=1)
         y0 = SimpleNamespace(key="y", writer=0, commit_seq=2)
         x1 = SimpleNamespace(key="x", writer=1, commit_seq=3)
@@ -455,16 +427,6 @@ class TestStreamingCheckerUnit:
         checker.on_commit(2, [y2], [("x", x0)])
         cycle_nodes = {node for edge in checker.cycle for node in edge}
         assert cycle_nodes == {1, 2}
-
-    def test_read_committed_kinds_ignore_rw(self):
-        checker = StreamingDSGChecker(LEVEL_EDGE_KINDS["read-committed"])
-        x0 = SimpleNamespace(key="x", writer=0, commit_seq=1)
-        y0 = SimpleNamespace(key="y", writer=0, commit_seq=2)
-        x1 = SimpleNamespace(key="x", writer=1, commit_seq=3)
-        y2 = SimpleNamespace(key="y", writer=2, commit_seq=4)
-        checker.on_commit(1, [x1], [("y", y0)])
-        checker.on_commit(2, [y2], [("x", x0)])
-        assert checker.cycle is None
 
 
 class TestPruning:
@@ -515,7 +477,7 @@ class TestPruning:
     @staticmethod
     def _pruned_writer():
         """Transaction 1 wrote x over the loader's version and was pruned."""
-        checker = StreamingDSGChecker(LEVEL_EDGE_KINDS["serializable"])
+        checker = StreamingDSGChecker()
         x1 = SimpleNamespace(key="x", writer=1, commit_seq=2)
         checker.on_commit(1, [x1], [])
         checker.release(1)
@@ -554,7 +516,7 @@ class TestTrimmedVersionOrder:
     def _trimmed():
         """Writers 1, 2, 3 and 4 of x; 1, 2 and 3 are released, so 4's
         commit trims x to 2's floor, 3's head and 4's tail."""
-        checker = StreamingDSGChecker(LEVEL_EDGE_KINDS["serializable"])
+        checker = StreamingDSGChecker()
         versions = {
             writer: SimpleNamespace(key="x", writer=writer, commit_seq=writer + 1)
             for writer in range(1, 5)
@@ -589,7 +551,7 @@ class TestTrimmedVersionOrder:
         assert 5 in checker.detector._in[4]
 
     def test_a_scan_below_the_floor_is_reported(self):
-        checker = StreamingDSGChecker(LEVEL_EDGE_KINDS["serializable"])
+        checker = StreamingDSGChecker()
         for writer in (1, 2, 3):
             version = SimpleNamespace(key=("t", 7), writer=writer, commit_seq=writer)
             checker.on_commit(writer, [version], [])
@@ -599,7 +561,7 @@ class TestTrimmedVersionOrder:
         assert checker.reads_below_trimmed == [(4, ("t", 7), None)]
 
     def test_an_intermediate_read_is_the_writer_following_itself(self):
-        checker = StreamingDSGChecker(LEVEL_EDGE_KINDS["read-committed"])
+        checker = StreamingDSGChecker()
         first = SimpleNamespace(key="x", writer=1, commit_seq=2)
         final = SimpleNamespace(key="x", writer=1, commit_seq=3)
         checker.on_commit(1, [first, final], [])
@@ -607,7 +569,7 @@ class TestTrimmedVersionOrder:
         assert checker.intermediate_reads == [(2, "x", 1)]
 
     def test_a_released_writers_pipelined_reader_is_no_aborted_read(self):
-        checker = StreamingDSGChecker(LEVEL_EDGE_KINDS["serializable"])
+        checker = StreamingDSGChecker()
         in_flight = SimpleNamespace(key="x", writer=1, commit_seq=None)
         checker.on_commit(2, [], [("x", in_flight)])
         in_flight.commit_seq = 5
@@ -621,7 +583,7 @@ class TestTrimmedVersionOrder:
         """Not at a later commit's: a reader of an aborted writer began
         before the writer finished, so the engine holds the writer while
         that reader can still present it."""
-        checker = StreamingDSGChecker(LEVEL_EDGE_KINDS["serializable"])
+        checker = StreamingDSGChecker()
         checker.on_abort(1)
         checker.on_abort(2)
         checker.on_commit(3, [], [])
